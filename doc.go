@@ -6,10 +6,14 @@
 // paper's three figures (see bench_test.go); the system itself lives in
 // the internal packages:
 //
-//   - internal/nvsim + internal/sass: NVIDIA SIMT simulator and SASS-like
-//     ISA (the GUFI substrate, standing in for GPGPU-Sim 3.2.2);
-//   - internal/amdsim + internal/siasm: AMD Southern Islands simulator
-//     and SI-like ISA (the SIFI substrate, standing in for Multi2Sim 4.2);
+//   - internal/simt: the machine core both simulators share (compute
+//     units, launch loop, fault application, checkpoints);
+//   - internal/nvsim + internal/sass: NVIDIA SIMT simulator — the SASS-like
+//     ISA and its executor plug-in for the core (the GUFI substrate,
+//     standing in for GPGPU-Sim 3.2.2);
+//   - internal/amdsim + internal/siasm: AMD Southern Islands simulator —
+//     the SI-like ISA and its executor plug-in (the SIFI substrate,
+//     standing in for Multi2Sim 4.2);
 //   - internal/workloads: the 10-benchmark suite in both ISA dialects;
 //   - internal/finject, internal/ace: the two reliability methodologies;
 //   - internal/metrics, internal/protect: AVF/FIT/EIT/EPF and protection

@@ -3,18 +3,14 @@
 // reproduction's stand-in for Multi2Sim 4.2, the substrate of the paper's
 // SIFI tool.
 //
-// The model: a chip is a set of compute units (CUs). Workgroups are
-// dispatched to CUs subject to residency limits (workgroups, wavefronts,
-// VGPR file, LDS). Each wavefront of 64 work-items executes scalar
-// instructions once and vector instructions per active lane under the
-// program-managed EXEC mask, with per-wavefront scoreboarding and
-// round-robin issue of up to IssueWidth wavefront instructions per CU per
-// IssuePeriod cycles (a Tahiti CU feeds 4 SIMD units, one wavefront slot
-// each per 4-cycle cadence).
-//
-// Fault-injection targets the physical VGPR file (the paper's "vector
-// register file") and the LDS ("local memory"); the tracer streams the
-// same accesses to the ACE analysis.
+// The machine — compute units, workgroup residency, wavefront
+// arbitration, scoreboarding, fault injection (the physical VGPR file is
+// the paper's "vector register file", the LDS its "local memory"),
+// tracing and checkpoints — is internal/simt; this package is its SI
+// plug-in: each wavefront of 64 work-items executes scalar instructions
+// once and vector instructions per active lane under the program-managed
+// EXEC mask (a Tahiti CU feeds 4 SIMD units, one wavefront slot each per
+// 4-cycle cadence).
 package amdsim
 
 import (
@@ -23,615 +19,132 @@ import (
 	"repro/internal/chips"
 	"repro/internal/gpu"
 	"repro/internal/siasm"
+	"repro/internal/simt"
+	"repro/internal/wire"
 )
 
-// DefaultWatchdog is the per-launch cycle budget when none is set.
-const DefaultWatchdog = 50_000_000
-
 // Device is one simulated AMD GPU.
-type Device struct {
-	chip  *chips.Chip
-	mem   *gpu.Memory
-	cus   []*cu
-	stats gpu.RunStats
+type Device = simt.Device[wavefront]
 
-	fault        *gpu.Fault
-	faultApplied bool
-	tracer       gpu.Tracer
-	watchdog     int64
+type (
+	unit      = simt.Unit[wavefront]
+	wave      = simt.Wave[wavefront]
+	waveState = simt.WaveState[wavefront]
+)
 
-	cycle int64
+// New creates a device for an AMD chip configuration.
+func New(chip *chips.Chip) (*Device, error) { return simt.New[wavefront](chip, &isa{}) }
 
-	// Checkpoint hook (armed on golden runs only; see snapshot.go).
-	ckptFn   func(s gpu.Snapshot) int64
-	ckptNext int64
-	// resume is non-nil between Restore and the fast-forward re-entry.
-	resume *resumeState
-}
-
-type cu struct {
-	id       int
-	vgprs    []uint32
-	lds      []byte
-	groups   []*group
-	slots    []bool
-	rrWave   int
-	greedy   *wavefront // GTO: wavefront that issued most recently
-	liveWave int
-
-	// order is the issue scan's scratch slice, rebuilt every cycle (a
-	// per-cycle allocation here dominated the injection loop's heap
-	// churn; see the nvsim twin for details).
-	order []*wavefront
-	// freeGrps recycles retired group objects (with their wavefront
-	// objects and slices); every field is rewritten on reuse.
-	freeGrps []*group
-}
-
-// takeGroup returns a recycled group or a fresh one. The caller must
-// initialize every field.
-func (c *cu) takeGroup() *group {
-	if n := len(c.freeGrps); n > 0 {
-		g := c.freeGrps[n-1]
-		c.freeGrps[n-1] = nil
-		c.freeGrps = c.freeGrps[:n-1]
-		return g
-	}
-	return &group{}
-}
-
-// recycleGroups moves every resident group to the freelist and clears
-// the slot table.
-func (c *cu) recycleGroups() {
-	for slot, g := range c.groups {
-		if g != nil {
-			c.freeGrps = append(c.freeGrps, g)
-			c.groups[slot] = nil
-		}
-		c.slots[slot] = false
-	}
-}
-
-// waveAt returns g.waves[w], reviving a recycled wavefront object when
-// one is available. The caller must initialize every field.
-func waveAt(g *group, w int) *wavefront {
-	wf := g.waves[w]
-	if wf == nil {
-		wf = &wavefront{}
-		g.waves[w] = wf
-	}
-	return wf
-}
-
-// sizeWaves resizes g.waves to n, keeping recycled wavefront objects
-// within the retained capacity.
-func sizeWaves(g *group, n int) {
-	if cap(g.waves) >= n {
-		g.waves = g.waves[:n]
-		return
-	}
-	old := g.waves[:cap(g.waves)]
-	g.waves = make([]*wavefront, n)
-	copy(g.waves, old)
-}
-
-type group struct {
-	id         int
-	wgX, wgY   int
-	slot       int
-	vgprBase   int
-	vgprCount  int
-	ldsBase    int
-	ldsCount   int
-	waves      []*wavefront
-	live       int
-	arrived    int
-	allocCycle int64
-}
-
+// wavefront is the SI architectural state of one wavefront: a plain
+// struct, so copying it is assignment.
 type wavefront struct {
-	grp   *group
-	idx   int
-	pc    int
 	valid uint64
 	exec  uint64
 	vcc   uint64
 	scc   bool
 	sgprs [siasm.MaxSGPRs]uint32
 
-	vgprReady []int64
 	sgprReady [siasm.MaxSGPRs]int64
 	vccReady  int64
 	execReady int64
 	sccReady  int64
-
-	atBarrier  bool
-	done       bool
-	wakeAt     int64
-	threadBase int // linear work-item id of lane 0 within the group
-	vgprWBase  int // physical VGPR base of this wavefront
 }
 
-type launchCtx struct {
-	prog      *siasm.Program
-	args      []uint32
-	grid      gpu.Dim3
-	group     gpu.Dim3
-	threads   int
-	wavesPerG int
-	vgprPerG  int
-	ldsPerG   int
+// isa is the SI plug-in of one device; prog is the kernel of the launch
+// in progress.
+type isa struct {
+	prog *siasm.Program
 }
 
-// New creates a device for an AMD chip configuration.
-func New(chip *chips.Chip) (*Device, error) {
-	if err := chip.Validate(); err != nil {
-		return nil, err
-	}
-	if chip.Vendor != gpu.AMD {
-		return nil, fmt.Errorf("amdsim: chip %s is not an AMD configuration", chip.Name)
-	}
-	d := &Device{
-		chip:     chip,
-		mem:      gpu.NewMemory(chip.GlobalMemBytes),
-		watchdog: DefaultWatchdog,
-	}
-	d.cus = make([]*cu, chip.Units)
-	for i := range d.cus {
-		d.cus[i] = &cu{
-			id:    i,
-			vgprs: make([]uint32, chip.RegsPerUnit),
-			lds:   make([]byte, chip.LocalBytesPerUnit),
-		}
-	}
-	return d, nil
-}
+func (*isa) Name() string       { return "amdsim" }
+func (*isa) Vendor() gpu.Vendor { return gpu.AMD }
 
-// Name implements gpu.Device.
-func (d *Device) Name() string { return d.chip.Name }
-
-// Vendor implements gpu.Device.
-func (d *Device) Vendor() gpu.Vendor { return gpu.AMD }
-
-// Mem implements gpu.Device.
-func (d *Device) Mem() *gpu.Memory { return d.mem }
-
-// Stats implements gpu.Device.
-func (d *Device) Stats() gpu.RunStats { return d.stats }
-
-// Units implements gpu.Device.
-func (d *Device) Units() int { return d.chip.Units }
-
-// RestorePageStats implements gpu.RestoreCoster: cumulative COW page
-// copy/skip counts from snapshot restores into this device's memory.
-func (d *Device) RestorePageStats() (copied, shared int64) { return d.mem.RestorePageStats() }
-
-// StructSize implements gpu.Device.
-func (d *Device) StructSize(st gpu.Structure) int { return d.chip.StructSize(st) }
-
-// StructBits implements gpu.Device.
-func (d *Device) StructBits(st gpu.Structure) int64 { return d.chip.StructBits(st) }
-
-// ClockGHz implements gpu.Device.
-func (d *Device) ClockGHz() float64 { return d.chip.ClockGHz }
-
-// InjectFault implements gpu.Device.
-func (d *Device) InjectFault(f *gpu.Fault) {
-	d.fault = f
-	d.faultApplied = false
-}
-
-// SetTracer implements gpu.Device.
-func (d *Device) SetTracer(t gpu.Tracer) { d.tracer = t }
-
-// SetWatchdog implements gpu.Device.
-func (d *Device) SetWatchdog(maxCycles int64) {
-	if maxCycles <= 0 {
-		d.watchdog = DefaultWatchdog
-		return
-	}
-	d.watchdog = maxCycles
-}
-
-// Reset implements gpu.Device.
-func (d *Device) Reset() {
-	d.mem.Reset()
-	for _, c := range d.cus {
-		clear(c.vgprs)
-		clear(c.lds)
-		c.recycleGroups()
-		c.groups = c.groups[:0]
-		c.slots = c.slots[:0]
-		c.rrWave = 0
-		c.greedy = nil
-		c.liveWave = 0
-		c.order = c.order[:0]
-	}
-	d.stats = gpu.RunStats{}
-	d.cycle = 0
-	d.fault = nil
-	d.faultApplied = false
-	d.tracer = nil
-	d.watchdog = DefaultWatchdog
-	d.ckptFn = nil
-	d.ckptNext = 0
-	d.resume = nil
-}
-
-// Launch implements gpu.Device. Under an armed fast-forward (see
-// Restore) launches the snapshot already completed return immediately
-// and the interrupted launch resumes mid-loop.
-func (d *Device) Launch(spec gpu.LaunchSpec) error {
-	prog, ok := spec.Kernel.(*siasm.Program)
+func (i *isa) Bind(k gpu.Kernel) (int, error) {
+	prog, ok := k.(*siasm.Program)
 	if !ok {
-		return fmt.Errorf("amdsim: kernel %T is not a *siasm.Program", spec.Kernel)
+		return 0, fmt.Errorf("amdsim: kernel %T is not a *siasm.Program", k)
 	}
-	if r := d.resume; r != nil {
-		if r.skip > 0 {
-			r.skip--
-			return nil
-		}
-		// This is the launch the snapshot interrupted (or, for a
-		// between-launch snapshot, the first launch after it): leave
-		// replay mode and continue from the restored state.
-		d.resume = nil
-		d.mem.EndReplay()
-		if inflight := r.inflight; inflight != nil {
-			lc, _, err := d.prepare(prog, spec)
-			if err != nil {
-				return err
-			}
-			return d.launchLoop(lc, spec.Grid.Count(), inflight.nextGroup, inflight.retired, inflight.launchStart)
-		}
-	}
-	lc, slotsPerCU, err := d.prepare(prog, spec)
-	if err != nil {
-		return err
-	}
-
-	// Initialize slot tables for this launch, recycling any residue from
-	// an aborted previous launch and reusing table capacity.
-	for _, c := range d.cus {
-		c.recycleGroups()
-		if cap(c.groups) >= slotsPerCU {
-			c.groups = c.groups[:slotsPerCU]
-			clear(c.groups)
-		} else {
-			c.groups = make([]*group, slotsPerCU)
-		}
-		if cap(c.slots) >= slotsPerCU {
-			c.slots = c.slots[:slotsPerCU]
-			clear(c.slots)
-		} else {
-			c.slots = make([]bool, slotsPerCU)
-		}
-		c.rrWave = 0
-		c.greedy = nil
-		c.liveWave = 0
-	}
-	return d.launchLoop(lc, spec.Grid.Count(), 0, 0, d.cycle)
+	i.prog = prog
+	return prog.NumKArgs, nil
 }
 
-// launchLoop runs the launch's dispatch/issue/retire loop from the given
-// progress point. Its top is the deterministic boundary where checkpoint
-// snapshots are captured and where restored launches re-enter, so the
-// continuation of a restored run is bit-identical to the original.
-func (d *Device) launchLoop(lc *launchCtx, totalGroups, nextGroup, retired int, launchStart int64) error {
-	period := int64(d.chip.IssuePeriod)
-
-	for retired < totalGroups {
-		if d.cycle-launchStart > d.watchdog {
-			return gpu.ErrWatchdog
-		}
-		if d.ckptFn != nil && d.cycle >= d.ckptNext {
-			snap := d.capture(&inflightImage{nextGroup: nextGroup, retired: retired, launchStart: launchStart})
-			if next := d.ckptFn(snap); next > d.cycle {
-				d.ckptNext = next
-			} else {
-				d.ckptFn = nil
-			}
-		}
-		d.applyFault()
-
-		for _, c := range d.cus {
-			if nextGroup >= totalGroups {
-				break
-			}
-			for slot := 0; slot < len(c.slots) && nextGroup < totalGroups; slot++ {
-				if c.slots[slot] {
-					continue
-				}
-				d.dispatch(c, slot, nextGroup, lc)
-				nextGroup++
-			}
-		}
-
-		progress := false
-		nextWake := int64(1) << 62
-		for _, c := range d.cus {
-			if c.liveWave == 0 {
-				continue
-			}
-			issued, wake, err := d.issueCU(c, lc)
-			if err != nil {
-				return err
-			}
-			if issued > 0 {
-				progress = true
-			}
-			if wake < nextWake {
-				nextWake = wake
-			}
-			for slot, g := range c.groups {
-				if g != nil && g.live == 0 {
-					d.retire(c, slot, g)
-					retired++
-					progress = true
-				}
-			}
-		}
-
-		if retired >= totalGroups {
-			break
-		}
-		if progress || nextWake <= d.cycle {
-			d.cycle += period
-		} else if nextWake < (int64(1) << 62) {
-			d.cycle = nextWake
-		} else {
-			return fmt.Errorf("amdsim: deadlock at cycle %d (barrier starvation)", d.cycle)
-		}
+func (*isa) InitWave(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) {
+	ww := d.Chip.WarpWidth
+	valid := ^uint64(0) >> (64 - ww)
+	if n := lc.Threads - w.ThreadBase; n < ww {
+		valid = (uint64(1) << n) - 1
 	}
-	d.stats.Cycles = d.cycle
-	d.stats.Launches++
-	return nil
-}
-
-func (d *Device) prepare(prog *siasm.Program, spec gpu.LaunchSpec) (*launchCtx, int, error) {
-	c := d.chip
-	threads := spec.Group.Count()
-	if threads <= 0 {
-		return nil, 0, fmt.Errorf("amdsim: empty workgroup")
-	}
-	if spec.Grid.Count() <= 0 {
-		return nil, 0, fmt.Errorf("amdsim: empty NDRange")
-	}
-	if len(spec.Args) < prog.NumKArgs {
-		return nil, 0, fmt.Errorf("amdsim: kernel %s reads %d kernarg words, launch provides %d",
-			prog.Name, prog.NumKArgs, len(spec.Args))
-	}
-	wavesPerG := (threads + c.WarpWidth - 1) / c.WarpWidth
-	vgprPerG := wavesPerG * c.WarpWidth * prog.NumVGPRs
-	ldsPerG := prog.LDSBytes
-
-	limit := c.MaxGroupsPerUnit
-	if byWaves := c.MaxWarpsPerUnit / wavesPerG; byWaves < limit {
-		limit = byWaves
-	}
-	if vgprPerG > 0 {
-		if byRegs := c.RegsPerUnit / vgprPerG; byRegs < limit {
-			limit = byRegs
-		}
-	}
-	if ldsPerG > 0 {
-		if byLDS := c.LocalBytesPerUnit / ldsPerG; byLDS < limit {
-			limit = byLDS
-		}
-	}
-	if limit <= 0 {
-		return nil, 0, fmt.Errorf("amdsim: kernel %s (%d VGPRs, %d LDS bytes, %d work-items) does not fit on %s",
-			prog.Name, prog.NumVGPRs, ldsPerG, threads, c.Name)
-	}
-	return &launchCtx{
-		prog: prog, args: spec.Args, grid: spec.Grid, group: spec.Group,
-		threads: threads, wavesPerG: wavesPerG, vgprPerG: vgprPerG, ldsPerG: ldsPerG,
-	}, limit, nil
-}
-
-func (d *Device) dispatch(c *cu, slot, groupID int, lc *launchCtx) {
-	gx := lc.grid.X
-	if gx <= 0 {
-		gx = 1
-	}
-	g := c.takeGroup()
-	g.id = groupID
-	g.wgX = groupID % gx
-	g.wgY = groupID / gx
-	g.slot = slot
-	g.vgprBase = slot * lc.vgprPerG
-	g.vgprCount = lc.vgprPerG
-	g.ldsBase = slot * lc.ldsPerG
-	g.ldsCount = lc.ldsPerG
-	g.live = lc.wavesPerG
-	g.arrived = 0
-	g.allocCycle = d.cycle
-	ww := d.chip.WarpWidth
-	nv := lc.prog.NumVGPRs
-	lsx := lc.group.X
+	w.ISA = wavefront{valid: valid, exec: valid}
+	w.ISA.sgprs[siasm.SRegWGIDX] = uint32(w.Blk.X)
+	w.ISA.sgprs[siasm.SRegWGIDY] = uint32(w.Blk.Y)
+	// Hardware preloads the work-item local id into v0 (and v1 for 2-D
+	// groups). These are genuine VGPR writes: trace them.
+	lsx, lsy := lc.Group.X, lc.Group.Y
 	if lsx <= 0 {
 		lsx = 1
 	}
-	lsy := lc.group.Y
 	if lsy <= 0 {
 		lsy = 1
 	}
-	sizeWaves(g, lc.wavesPerG)
-	for w := range g.waves {
-		base := w * ww
-		var valid uint64
-		n := lc.threads - base
-		if n >= ww {
-			valid = ^uint64(0) >> (64 - ww)
-		} else {
-			valid = (uint64(1) << n) - 1
-		}
-		wf := waveAt(g, w)
-		wf.grp = g
-		wf.idx = w
-		wf.pc = 0
-		wf.valid = valid
-		wf.exec = valid
-		wf.vcc = 0
-		wf.scc = false
-		wf.sgprs = [siasm.MaxSGPRs]uint32{}
-		if cap(wf.vgprReady) >= nv {
-			wf.vgprReady = wf.vgprReady[:nv]
-			clear(wf.vgprReady)
-		} else {
-			wf.vgprReady = make([]int64, nv)
-		}
-		wf.sgprReady = [siasm.MaxSGPRs]int64{}
-		wf.vccReady = 0
-		wf.execReady = 0
-		wf.sccReady = 0
-		wf.atBarrier = false
-		wf.done = false
-		wf.wakeAt = 0
-		wf.threadBase = base
-		wf.vgprWBase = g.vgprBase + w*ww*nv
-		wf.sgprs[siasm.SRegWGIDX] = uint32(g.wgX)
-		wf.sgprs[siasm.SRegWGIDY] = uint32(g.wgY)
-		// Hardware preloads the work-item local id into v0 (and v1 for
-		// 2-D groups). These are genuine VGPR writes: trace them.
-		for lane := 0; lane < ww; lane++ {
-			if valid&(1<<lane) == 0 {
-				continue
-			}
-			t := base + lane
-			d.writeVGPR(c, wf, lane, 0, uint32(t%lsx))
-			if nv > 1 {
-				d.writeVGPR(c, wf, lane, 1, uint32((t/lsx)%lsy))
-			}
-		}
-	}
-	c.groups[slot] = g
-	c.slots[slot] = true
-	c.liveWave += lc.wavesPerG
-	if t := d.tracer; t != nil {
-		if g.vgprCount > 0 {
-			t.RegAlloc(c.id, g.vgprBase, g.vgprCount, d.cycle)
-		}
-		if g.ldsCount > 0 {
-			t.LocalAlloc(c.id, g.ldsBase, g.ldsCount, d.cycle)
-		}
-	}
-}
-
-func (d *Device) retire(c *cu, slot int, g *group) {
-	dur := float64(d.cycle - g.allocCycle)
-	d.stats.RegOcc.AllocUnitCycles += float64(g.vgprCount) * dur
-	d.stats.LocalOcc.AllocUnitCycles += float64(g.ldsCount) * dur
-	if t := d.tracer; t != nil {
-		if g.vgprCount > 0 {
-			t.RegFree(c.id, g.vgprBase, g.vgprCount, d.cycle)
-		}
-		if g.ldsCount > 0 {
-			t.LocalFree(c.id, g.ldsBase, g.ldsCount, d.cycle)
-		}
-	}
-	c.groups[slot] = nil
-	c.slots[slot] = false
-	// Drop a greedy pointer into the retired group before recycling it
-	// (a done greedy is skipped everywhere, so this is behaviorally
-	// identical — see the nvsim twin).
-	if c.greedy != nil && c.greedy.grp == g {
-		c.greedy = nil
-	}
-	c.freeGrps = append(c.freeGrps, g)
-}
-
-func (d *Device) applyFault() {
-	f := d.fault
-	if f == nil || d.faultApplied || d.cycle < f.Cycle {
-		return
-	}
-	d.faultApplied = true
-	if f.Unit < 0 || f.Unit >= len(d.cus) {
-		return
-	}
-	c := d.cus[f.Unit]
-	switch f.Structure {
-	case gpu.RegisterFile:
-		if f.Entry >= 0 && f.Entry < len(c.vgprs) {
-			c.vgprs[f.Entry] ^= f.Mask(32)
-		}
-	case gpu.LocalMemory:
-		if f.Entry >= 0 && f.Entry < len(c.lds) {
-			c.lds[f.Entry] ^= byte(f.Mask(8))
-		}
-	}
-}
-
-func (d *Device) issueCU(c *cu, lc *launchCtx) (int, int64, error) {
-	issued := 0
-	nextWake := int64(1) << 62
-	// Persistent scratch slice — a fresh per-cycle slice here was the
-	// dominant allocation of the whole injection loop.
-	order := c.order[:0]
-	for _, g := range c.groups {
-		if g == nil {
+	for lane := 0; lane < ww; lane++ {
+		if valid&(1<<lane) == 0 {
 			continue
 		}
-		for _, w := range g.waves {
-			if !w.done {
-				order = append(order, w)
-			}
+		t := w.ThreadBase + lane
+		writeVGPR(d, u, w, lane, 0, uint32(t%lsx))
+		if lc.RegsPerThread > 1 {
+			writeVGPR(d, u, w, lane, 1, uint32((t/lsx)%lsy))
 		}
 	}
-	c.order = order
-	n := len(order)
-	if n == 0 {
-		return 0, nextWake, nil
-	}
-	// Greedy-then-oldest: the most recently issued wavefront gets first
-	// claim; the fallback scan is oldest-first (dispatch order).
-	if d.chip.Scheduler == chips.SchedGTO {
-		if g := c.greedy; g != nil && !g.done && !g.atBarrier && g.wakeAt <= d.cycle {
-			ok, wake, err := d.tryIssue(c, g, lc)
-			if err != nil {
-				return issued, nextWake, err
-			}
-			if ok {
-				issued++
-			} else if wake > d.cycle {
-				g.wakeAt = wake
-				if wake < nextWake {
-					nextWake = wake
-				}
-			}
-		}
-	}
-	start := 0
-	if d.chip.Scheduler == chips.SchedRR {
-		start = c.rrWave % n
-	}
-	for k := 0; k < n && issued < d.chip.IssueWidth; k++ {
-		w := order[(start+k)%n]
-		if w.done || w.atBarrier || (d.chip.Scheduler == chips.SchedGTO && w == c.greedy) {
-			continue
-		}
-		if w.wakeAt > d.cycle {
-			if w.wakeAt < nextWake {
-				nextWake = w.wakeAt
-			}
-			continue
-		}
-		ok, wake, err := d.tryIssue(c, w, lc)
-		if err != nil {
-			return issued, nextWake, err
-		}
-		if ok {
-			issued++
-			c.rrWave = (start + k + 1) % n
-			c.greedy = w
-		} else if wake > d.cycle {
-			w.wakeAt = wake
-			if wake < nextWake {
-				nextWake = wake
-			}
-		}
-	}
-	return issued, nextWake, nil
 }
 
-var _ gpu.Device = (*Device)(nil)
+func (*isa) CopyState(dst, src *wavefront) { *dst = *src }
+
+func (*isa) EncodeState(w *wire.Writer, ws *waveState) {
+	s := &ws.ISA
+	w.U64(s.valid)
+	w.U64(s.exec)
+	w.U64(s.vcc)
+	w.Bool(s.scc)
+	for _, v := range s.sgprs {
+		w.U32(v)
+	}
+	w.I64s(ws.RegReady)
+	for _, rdy := range s.sgprReady {
+		w.I64(rdy)
+	}
+	w.I64(s.vccReady)
+	w.I64(s.execReady)
+	w.I64(s.sccReady)
+}
+
+func (*isa) DecodeState(r *wire.Reader, ws *waveState) error {
+	s := &ws.ISA
+	s.valid = r.U64()
+	s.exec = r.U64()
+	s.vcc = r.U64()
+	s.scc = r.Bool()
+	for si := range s.sgprs {
+		s.sgprs[si] = r.U32()
+	}
+	ws.RegReady = r.I64s()
+	for si := range s.sgprReady {
+		s.sgprReady[si] = r.I64()
+	}
+	s.vccReady = r.I64()
+	s.execReady = r.I64()
+	s.sccReady = r.I64()
+	return r.Err()
+}
+
+// The amdsim wave record ends with the wavefront's physical VGPR base,
+// which the core derives rather than stores: write it, and on decode
+// require the stored value to agree with the recomputed one.
+func (*isa) EncodeTrailer(w *wire.Writer, ws *waveState) { w.Int(ws.RegBase) }
+
+func (*isa) DecodeTrailer(r *wire.Reader, ws *waveState) error {
+	if base := r.Int(); r.Err() == nil && base != ws.RegBase {
+		return fmt.Errorf("%w: wavefront VGPR base %d, expected %d", wire.ErrCorrupt, base, ws.RegBase)
+	}
+	return r.Err()
+}

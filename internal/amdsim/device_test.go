@@ -248,21 +248,3 @@ func TestFaultInjectionFlipsVGPR(t *testing.T) {
 		t.Fatal("no injection manifested as SDC across the scanned cycles")
 	}
 }
-
-func TestWatchdogFiresSI(t *testing.T) {
-	d := newTestDevice(t)
-	prog, err := siasm.Assemble(`
-.kernel spin
-loop:
-    s_branch loop
-    s_endpgm
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetWatchdog(5000)
-	err = d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(1), Group: gpu.D1(64)})
-	if err != gpu.ErrWatchdog {
-		t.Fatalf("got %v, want ErrWatchdog", err)
-	}
-}

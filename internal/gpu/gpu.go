@@ -353,8 +353,9 @@ type Device interface {
 	Launch(spec LaunchSpec) error
 	// Stats returns execution statistics accumulated since the last Reset.
 	Stats() RunStats
-	// Reset restores the device to power-on state (zeroed structures,
-	// zeroed statistics) keeping the installed fault and tracer cleared.
+	// Reset restores the device to power-on state: zeroed structures,
+	// memory, statistics and cycle counter. It also clears the armed
+	// fault, the tracer, the watchdog override and the checkpoint hook.
 	Reset()
 	// InjectFault arms a single-bit flip for the next execution; a nil
 	// fault disarms. The flip is applied to the physical storage when the

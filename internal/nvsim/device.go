@@ -3,140 +3,34 @@
 // the reproduction's stand-in for GPGPU-Sim 3.2.2, the substrate of the
 // paper's GUFI tool.
 //
-// The model: a chip is a set of streaming multiprocessors (SMs). Thread
-// blocks are dispatched to SMs subject to the chip's residency limits
-// (resident blocks, resident warps, register file, shared memory). Each
-// warp of 32 threads executes in lockstep with a SIMT reconvergence stack
-// (SSY/SYNC), per-warp register scoreboarding with per-class latencies,
-// and round-robin issue of up to IssueWidth warp instructions per SM per
-// IssuePeriod cycles. Values are written architecturally at issue and
-// become visible to dependents after the instruction latency, which is
-// the standard trade-off for fault-injection simulators: the physical
-// register file always holds the architectural values that a bit flip
-// would corrupt on real hardware.
-//
-// Reliability hooks: InjectFault arms a single-bit flip on a physical
-// register-file entry or shared-memory byte at an absolute device cycle;
-// SetTracer streams every register/shared-memory access and every
-// allocation interval to the ACE analysis.
+// The machine — streaming multiprocessors, thread-block residency, warp
+// arbitration, scoreboarding, fault injection, tracing and checkpoints —
+// is internal/simt; this package is its SASS plug-in: each warp of 32
+// threads executes in lockstep with a SIMT reconvergence stack
+// (SSY/SYNC), per-lane predicates and per-class instruction latencies.
 package nvsim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/chips"
 	"repro/internal/gpu"
 	"repro/internal/sass"
+	"repro/internal/simt"
+	"repro/internal/wire"
 )
 
-// DefaultWatchdog is the per-launch cycle budget when none is set.
-const DefaultWatchdog = 50_000_000
-
 // Device is one simulated NVIDIA GPU.
-type Device struct {
-	chip  *chips.Chip
-	mem   *gpu.Memory
-	sms   []*sm
-	stats gpu.RunStats
+type Device = simt.Device[warp]
 
-	fault        *gpu.Fault
-	faultApplied bool
-	tracer       gpu.Tracer
-	watchdog     int64
+type (
+	unit      = simt.Unit[warp]
+	wave      = simt.Wave[warp]
+	waveState = simt.WaveState[warp]
+)
 
-	cycle int64 // global device cycle, monotonic across launches
-
-	// Checkpoint hook (armed on golden runs only; see snapshot.go).
-	ckptFn   func(s gpu.Snapshot) int64
-	ckptNext int64
-	// resume is non-nil between Restore and the fast-forward re-entry.
-	resume *resumeState
-}
-
-type sm struct {
-	id     int
-	regs   []uint32
-	shared []byte
-
-	blocks   []*block // resident blocks (slot index = position)
-	slots    []bool   // slot occupancy
-	rrWarp   int      // round-robin issue pointer
-	greedy   *warp    // GTO: warp that issued most recently
-	liveWarp int      // resident non-retired warps
-
-	// order is the issue scan's scratch slice, rebuilt every cycle.
-	// Keeping it on the SM (instead of a per-cycle allocation) removes
-	// the dominant allocation site of the whole injection loop — ~95% of
-	// bytes allocated per campaign came from rebuilding this slice.
-	order []*warp
-	// freeBlks recycles retired block objects (with their warp objects
-	// and per-warp slices) so dispatch and snapshot-restore stop
-	// allocating; every field is rewritten on reuse.
-	freeBlks []*block
-}
-
-// takeBlock returns a recycled block or a fresh one. The caller must
-// initialize every field; recycled warp objects keep their slice
-// capacity but carry stale values.
-func (s *sm) takeBlock() *block {
-	if n := len(s.freeBlks); n > 0 {
-		blk := s.freeBlks[n-1]
-		s.freeBlks[n-1] = nil
-		s.freeBlks = s.freeBlks[:n-1]
-		return blk
-	}
-	return &block{}
-}
-
-// recycleBlocks moves every resident block to the freelist and clears
-// the slot table.
-func (s *sm) recycleBlocks() {
-	for slot, blk := range s.blocks {
-		if blk != nil {
-			s.freeBlks = append(s.freeBlks, blk)
-			s.blocks[slot] = nil
-		}
-		s.slots[slot] = false
-	}
-}
-
-// warpAt returns blk.warps[w], reviving a recycled warp object when one
-// is available. The caller must initialize every warp field.
-func warpAt(blk *block, w int) *warp {
-	wp := blk.warps[w]
-	if wp == nil {
-		wp = &warp{}
-		blk.warps[w] = wp
-	}
-	return wp
-}
-
-// sizeWarps resizes blk.warps to n, keeping recycled warp objects within
-// the retained capacity.
-func sizeWarps(blk *block, n int) {
-	if cap(blk.warps) >= n {
-		blk.warps = blk.warps[:n]
-		return
-	}
-	old := blk.warps[:cap(blk.warps)]
-	blk.warps = make([]*warp, n)
-	copy(blk.warps, old)
-}
-
-type block struct {
-	id         int // linear block id in the grid
-	ctaX, ctaY int
-	slot       int
-	regBase    int
-	regCount   int
-	shBase     int
-	shCount    int
-	warps      []*warp
-	live       int // warps not yet done
-	arrived    int // warps waiting at the barrier
-	allocCycle int64
-}
+// New creates a device for an NVIDIA chip configuration.
+func New(chip *chips.Chip) (*Device, error) { return simt.New[warp](chip, &isa{}) }
 
 type stackKind uint8
 
@@ -151,495 +45,100 @@ type stackEntry struct {
 	mask uint32
 }
 
+// warp is the SASS architectural state of one warp.
 type warp struct {
-	blk        *block
-	idx        int // warp index within block
-	pc         int
-	valid      uint32 // lanes that carry real threads
-	active     uint32 // current SIMT active mask
-	exited     uint32 // lanes that executed EXIT
-	stack      []stackEntry
-	preds      [sass.NumPreds]uint32 // per-lane predicate bits
-	regReady   []int64               // scoreboard: per architectural register
-	predReady  [sass.NumPreds]int64
-	atBarrier  bool
-	done       bool
-	wakeAt     int64 // earliest cycle worth re-examining this warp
-	threadBase int   // linear thread id of lane 0 within the block
+	valid     uint32 // lanes that carry real threads
+	active    uint32 // current SIMT active mask
+	exited    uint32 // lanes that executed EXIT
+	stack     []stackEntry
+	preds     [sass.NumPreds]uint32 // per-lane predicate bits
+	predReady [sass.NumPreds]int64
 }
 
-// launchCtx holds per-launch geometry shared by the execution helpers.
-type launchCtx struct {
-	prog      *sass.Program
-	args      []uint32
-	grid      gpu.Dim3
-	group     gpu.Dim3
-	threads   int // threads per block
-	warpsPerB int
-	regsPerB  int
-	shPerB    int
+// isa is the SASS plug-in of one device; prog is the kernel of the launch
+// in progress.
+type isa struct {
+	prog *sass.Program
 }
 
-// New creates a device for an NVIDIA chip configuration.
-func New(chip *chips.Chip) (*Device, error) {
-	if err := chip.Validate(); err != nil {
-		return nil, err
-	}
-	if chip.Vendor != gpu.NVIDIA {
-		return nil, fmt.Errorf("nvsim: chip %s is not an NVIDIA configuration", chip.Name)
-	}
-	d := &Device{
-		chip:     chip,
-		mem:      gpu.NewMemory(chip.GlobalMemBytes),
-		watchdog: DefaultWatchdog,
-	}
-	d.sms = make([]*sm, chip.Units)
-	for i := range d.sms {
-		d.sms[i] = &sm{
-			id:     i,
-			regs:   make([]uint32, chip.RegsPerUnit),
-			shared: make([]byte, chip.LocalBytesPerUnit),
-		}
-	}
-	return d, nil
-}
+func (*isa) Name() string       { return "nvsim" }
+func (*isa) Vendor() gpu.Vendor { return gpu.NVIDIA }
 
-// Name implements gpu.Device.
-func (d *Device) Name() string { return d.chip.Name }
-
-// Vendor implements gpu.Device.
-func (d *Device) Vendor() gpu.Vendor { return gpu.NVIDIA }
-
-// Mem implements gpu.Device.
-func (d *Device) Mem() *gpu.Memory { return d.mem }
-
-// Stats implements gpu.Device.
-func (d *Device) Stats() gpu.RunStats { return d.stats }
-
-// Units implements gpu.Device.
-func (d *Device) Units() int { return d.chip.Units }
-
-// RestorePageStats implements gpu.RestoreCoster: cumulative COW page
-// copy/skip counts from snapshot restores into this device's memory.
-func (d *Device) RestorePageStats() (copied, shared int64) { return d.mem.RestorePageStats() }
-
-// StructSize implements gpu.Device.
-func (d *Device) StructSize(st gpu.Structure) int { return d.chip.StructSize(st) }
-
-// StructBits implements gpu.Device.
-func (d *Device) StructBits(st gpu.Structure) int64 { return d.chip.StructBits(st) }
-
-// ClockGHz implements gpu.Device.
-func (d *Device) ClockGHz() float64 { return d.chip.ClockGHz }
-
-// InjectFault implements gpu.Device.
-func (d *Device) InjectFault(f *gpu.Fault) {
-	d.fault = f
-	d.faultApplied = false
-}
-
-// SetTracer implements gpu.Device.
-func (d *Device) SetTracer(t gpu.Tracer) { d.tracer = t }
-
-// SetWatchdog implements gpu.Device.
-func (d *Device) SetWatchdog(maxCycles int64) {
-	if maxCycles <= 0 {
-		d.watchdog = DefaultWatchdog
-		return
-	}
-	d.watchdog = maxCycles
-}
-
-// Reset implements gpu.Device.
-func (d *Device) Reset() {
-	d.mem.Reset()
-	for _, s := range d.sms {
-		clear(s.regs)
-		clear(s.shared)
-		s.recycleBlocks()
-		s.blocks = s.blocks[:0]
-		s.slots = s.slots[:0]
-		s.rrWarp = 0
-		s.greedy = nil
-		s.liveWarp = 0
-		s.order = s.order[:0]
-	}
-	d.stats = gpu.RunStats{}
-	d.cycle = 0
-	d.fault = nil
-	d.faultApplied = false
-	d.tracer = nil
-	d.watchdog = DefaultWatchdog
-	d.ckptFn = nil
-	d.ckptNext = 0
-	d.resume = nil
-}
-
-// Launch implements gpu.Device: it synchronously executes one kernel
-// launch, advancing the device cycle counter. Under an armed
-// fast-forward (see Restore) launches the snapshot already completed
-// return immediately and the interrupted launch resumes mid-loop.
-func (d *Device) Launch(spec gpu.LaunchSpec) error {
-	prog, ok := spec.Kernel.(*sass.Program)
+func (i *isa) Bind(k gpu.Kernel) (int, error) {
+	prog, ok := k.(*sass.Program)
 	if !ok {
-		return fmt.Errorf("nvsim: kernel %T is not a *sass.Program", spec.Kernel)
+		return 0, fmt.Errorf("nvsim: kernel %T is not a *sass.Program", k)
 	}
-	if r := d.resume; r != nil {
-		if r.skip > 0 {
-			r.skip--
-			return nil
-		}
-		// This is the launch the snapshot interrupted (or, for a
-		// between-launch snapshot, the first launch after it): leave
-		// replay mode and continue from the restored state.
-		d.resume = nil
-		d.mem.EndReplay()
-		if inflight := r.inflight; inflight != nil {
-			lc, _, err := d.prepare(prog, spec)
-			if err != nil {
-				return err
-			}
-			return d.launchLoop(lc, spec.Grid.Count(), inflight.nextBlock, inflight.retired, inflight.launchStart)
-		}
-	}
-	lc, slotsPerSM, err := d.prepare(prog, spec)
-	if err != nil {
-		return err
-	}
-
-	// Initialize slot tables for this launch, recycling any residue from
-	// an aborted previous launch and reusing table capacity.
-	for _, s := range d.sms {
-		s.recycleBlocks()
-		if cap(s.blocks) >= slotsPerSM {
-			s.blocks = s.blocks[:slotsPerSM]
-			clear(s.blocks)
-		} else {
-			s.blocks = make([]*block, slotsPerSM)
-		}
-		if cap(s.slots) >= slotsPerSM {
-			s.slots = s.slots[:slotsPerSM]
-			clear(s.slots)
-		} else {
-			s.slots = make([]bool, slotsPerSM)
-		}
-		s.rrWarp = 0
-		s.greedy = nil
-		s.liveWarp = 0
-	}
-	return d.launchLoop(lc, spec.Grid.Count(), 0, 0, d.cycle)
+	i.prog = prog
+	return prog.NumParams, nil
 }
 
-// launchLoop runs the launch's dispatch/issue/retire loop from the given
-// progress point. Its top is the deterministic boundary where checkpoint
-// snapshots are captured and where restored launches re-enter, so the
-// continuation of a restored run is bit-identical to the original.
-func (d *Device) launchLoop(lc *launchCtx, totalBlocks, nextBlock, retired int, launchStart int64) error {
-	period := int64(d.chip.IssuePeriod)
-
-	for retired < totalBlocks {
-		if d.cycle-launchStart > d.watchdog {
-			return gpu.ErrWatchdog
-		}
-		if d.ckptFn != nil && d.cycle >= d.ckptNext {
-			snap := d.capture(&inflightImage{nextBlock: nextBlock, retired: retired, launchStart: launchStart})
-			if next := d.ckptFn(snap); next > d.cycle {
-				d.ckptNext = next
-			} else {
-				d.ckptFn = nil
-			}
-		}
-		d.applyFault()
-
-		// Dispatch pending blocks to free slots.
-		for _, s := range d.sms {
-			if nextBlock >= totalBlocks {
-				break
-			}
-			for slot := 0; slot < len(s.slots) && nextBlock < totalBlocks; slot++ {
-				if s.slots[slot] {
-					continue
-				}
-				d.dispatch(s, slot, nextBlock, lc)
-				nextBlock++
-			}
-		}
-
-		// Issue up to IssueWidth ready warps per SM, round-robin.
-		progress := false
-		nextWake := int64(1) << 62
-		for _, s := range d.sms {
-			if s.liveWarp == 0 {
-				continue
-			}
-			issued, wake, err := d.issueSM(s, lc)
-			if err != nil {
-				return err
-			}
-			if issued > 0 {
-				progress = true
-			}
-			if wake < nextWake {
-				nextWake = wake
-			}
-			// Retire completed blocks, freeing their slots.
-			for slot, blk := range s.blocks {
-				if blk != nil && blk.live == 0 {
-					d.retire(s, slot, blk)
-					retired++
-					progress = true
-				}
-			}
-		}
-
-		if retired >= totalBlocks {
-			break
-		}
-		// Advance time: step by the issue period when making progress,
-		// otherwise jump straight to the next scoreboard wake-up.
-		if progress || nextWake <= d.cycle {
-			d.cycle += period
-		} else if nextWake < (int64(1) << 62) {
-			d.cycle = nextWake
-		} else {
-			// No warp can ever become ready: all remaining warps wait at
-			// a barrier that cannot be satisfied.
-			return fmt.Errorf("nvsim: deadlock at cycle %d (barrier starvation)", d.cycle)
-		}
+func (*isa) InitWave(d *Device, _ *unit, w *wave, lc *simt.LaunchCtx) {
+	valid := ^uint32(0)
+	if n := lc.Threads - w.ThreadBase; n < d.Chip.WarpWidth {
+		valid = (uint32(1) << n) - 1
 	}
-	d.stats.Cycles = d.cycle
-	d.stats.Launches++
-	return nil
+	w.ISA = warp{valid: valid, active: valid, stack: w.ISA.stack[:0]}
 }
 
-// prepare validates the launch and computes residency.
-func (d *Device) prepare(prog *sass.Program, spec gpu.LaunchSpec) (*launchCtx, int, error) {
-	c := d.chip
-	threads := spec.Group.Count()
-	if threads <= 0 {
-		return nil, 0, fmt.Errorf("nvsim: empty thread block")
-	}
-	if spec.Grid.Count() <= 0 {
-		return nil, 0, fmt.Errorf("nvsim: empty grid")
-	}
-	if len(spec.Args) < prog.NumParams {
-		return nil, 0, fmt.Errorf("nvsim: kernel %s reads %d params, launch provides %d",
-			prog.Name, prog.NumParams, len(spec.Args))
-	}
-	warpsPerB := (threads + c.WarpWidth - 1) / c.WarpWidth
-	regsPerB := warpsPerB * c.WarpWidth * prog.NumRegs
-	shPerB := prog.SharedBytes
-
-	limit := c.MaxGroupsPerUnit
-	if byWarps := c.MaxWarpsPerUnit / warpsPerB; byWarps < limit {
-		limit = byWarps
-	}
-	if regsPerB > 0 {
-		if byRegs := c.RegsPerUnit / regsPerB; byRegs < limit {
-			limit = byRegs
-		}
-	}
-	if shPerB > 0 {
-		if bySh := c.LocalBytesPerUnit / shPerB; bySh < limit {
-			limit = bySh
-		}
-	}
-	if limit <= 0 {
-		return nil, 0, fmt.Errorf("nvsim: kernel %s (%d regs/thread, %d shared bytes, %d threads) does not fit on %s",
-			prog.Name, prog.NumRegs, shPerB, threads, c.Name)
-	}
-	return &launchCtx{
-		prog: prog, args: spec.Args, grid: spec.Grid, group: spec.Group,
-		threads: threads, warpsPerB: warpsPerB, regsPerB: regsPerB, shPerB: shPerB,
-	}, limit, nil
+func (*isa) CopyState(dst, src *warp) {
+	stack := dst.stack
+	*dst = *src
+	dst.stack = append(stack[:0], src.stack...)
 }
 
-// dispatch places grid block blockID into the given SM slot.
-func (d *Device) dispatch(s *sm, slot, blockID int, lc *launchCtx) {
-	gx := lc.grid.X
-	if gx <= 0 {
-		gx = 1
+// stackEntryWireSize is the encoded size of one reconvergence stack
+// entry, used to bound decode-time allocation by the input size.
+const stackEntryWireSize = 1 + 8 + 4
+
+func (*isa) EncodeState(w *wire.Writer, ws *waveState) {
+	s := &ws.ISA
+	w.U32(s.valid)
+	w.U32(s.active)
+	w.U32(s.exited)
+	w.U32(uint32(len(s.stack)))
+	for _, e := range s.stack {
+		w.U8(uint8(e.kind))
+		w.Int(e.pc)
+		w.U32(e.mask)
 	}
-	blk := s.takeBlock()
-	blk.id = blockID
-	blk.ctaX = blockID % gx
-	blk.ctaY = blockID / gx
-	blk.slot = slot
-	blk.regBase = slot * lc.regsPerB
-	blk.regCount = lc.regsPerB
-	blk.shBase = slot * lc.shPerB
-	blk.shCount = lc.shPerB
-	blk.live = lc.warpsPerB
-	blk.arrived = 0
-	blk.allocCycle = d.cycle
-	ww := d.chip.WarpWidth
-	sizeWarps(blk, lc.warpsPerB)
-	for w := range blk.warps {
-		base := w * ww
-		var valid uint32
-		n := lc.threads - base
-		if n >= ww {
-			valid = ^uint32(0)
-		} else {
-			valid = (uint32(1) << n) - 1
-		}
-		wp := warpAt(blk, w)
-		wp.blk = blk
-		wp.idx = w
-		wp.pc = 0
-		wp.valid = valid
-		wp.active = valid
-		wp.exited = 0
-		wp.stack = wp.stack[:0]
-		wp.preds = [sass.NumPreds]uint32{}
-		if cap(wp.regReady) >= lc.prog.NumRegs {
-			wp.regReady = wp.regReady[:lc.prog.NumRegs]
-			clear(wp.regReady)
-		} else {
-			wp.regReady = make([]int64, lc.prog.NumRegs)
-		}
-		wp.predReady = [sass.NumPreds]int64{}
-		wp.atBarrier = false
-		wp.done = false
-		wp.wakeAt = 0
-		wp.threadBase = base
+	for _, p := range s.preds {
+		w.U32(p)
 	}
-	s.blocks[slot] = blk
-	s.slots[slot] = true
-	s.liveWarp += lc.warpsPerB
-	if t := d.tracer; t != nil {
-		if blk.regCount > 0 {
-			t.RegAlloc(s.id, blk.regBase, blk.regCount, d.cycle)
-		}
-		if blk.shCount > 0 {
-			t.LocalAlloc(s.id, blk.shBase, blk.shCount, d.cycle)
-		}
+	w.I64s(ws.RegReady)
+	for _, rdy := range s.predReady {
+		w.I64(rdy)
 	}
 }
 
-// retire frees a completed block's resources and accounts occupancy.
-func (d *Device) retire(s *sm, slot int, blk *block) {
-	dur := float64(d.cycle - blk.allocCycle)
-	d.stats.RegOcc.AllocUnitCycles += float64(blk.regCount) * dur
-	d.stats.LocalOcc.AllocUnitCycles += float64(blk.shCount) * dur
-	if t := d.tracer; t != nil {
-		if blk.regCount > 0 {
-			t.RegFree(s.id, blk.regBase, blk.regCount, d.cycle)
+func (*isa) DecodeState(r *wire.Reader, ws *waveState) error {
+	s := &ws.ISA
+	s.valid = r.U32()
+	s.active = r.U32()
+	s.exited = r.U32()
+	ns := int(r.U32())
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if ns > 0 {
+		if ns > r.Remaining()/stackEntryWireSize {
+			return fmt.Errorf("%w: implausible stack depth %d", wire.ErrCorrupt, ns)
 		}
-		if blk.shCount > 0 {
-			t.LocalFree(s.id, blk.shBase, blk.shCount, d.cycle)
+		s.stack = make([]stackEntry, ns)
+		for si := range s.stack {
+			s.stack[si] = stackEntry{kind: stackKind(r.U8()), pc: r.Int(), mask: r.U32()}
 		}
 	}
-	s.blocks[slot] = nil
-	s.slots[slot] = false
-	// A greedy pointer into the retired block is dead weight (every
-	// consumer skips done warps); drop it so the recycled warp objects
-	// can't be mistaken for the GTO head after reuse.
-	if s.greedy != nil && s.greedy.blk == blk {
-		s.greedy = nil
+	for pi := range s.preds {
+		s.preds[pi] = r.U32()
 	}
-	s.freeBlks = append(s.freeBlks, blk)
+	ws.RegReady = r.I64s()
+	for pi := range s.predReady {
+		s.predReady[pi] = r.I64()
+	}
+	return r.Err()
 }
 
-// applyFault flips the armed bit once the device cycle reaches its time.
-func (d *Device) applyFault() {
-	f := d.fault
-	if f == nil || d.faultApplied || d.cycle < f.Cycle {
-		return
-	}
-	d.faultApplied = true
-	if f.Unit < 0 || f.Unit >= len(d.sms) {
-		return
-	}
-	s := d.sms[f.Unit]
-	switch f.Structure {
-	case gpu.RegisterFile:
-		if f.Entry >= 0 && f.Entry < len(s.regs) {
-			s.regs[f.Entry] ^= f.Mask(32)
-		}
-	case gpu.LocalMemory:
-		if f.Entry >= 0 && f.Entry < len(s.shared) {
-			s.shared[f.Entry] ^= byte(f.Mask(8))
-		}
-	}
-}
-
-// issueSM attempts to issue up to IssueWidth ready warps on one SM.
-// It returns the number issued and the earliest wake-up cycle among
-// blocked warps (1<<62 when none is time-blocked).
-func (d *Device) issueSM(s *sm, lc *launchCtx) (int, int64, error) {
-	issued := 0
-	nextWake := int64(1) << 62
-	// Snapshot the resident warps in round-robin order into the SM's
-	// persistent scratch slice (a fresh slice here was the injection
-	// loop's dominant allocation site: one slice per SM per cycle).
-	order := s.order[:0]
-	for _, blk := range s.blocks {
-		if blk == nil {
-			continue
-		}
-		for _, w := range blk.warps {
-			if !w.done {
-				order = append(order, w)
-			}
-		}
-	}
-	s.order = order
-	n := len(order)
-	if n == 0 {
-		return 0, nextWake, nil
-	}
-	// Greedy-then-oldest: the most recently issued warp gets first claim
-	// on the slot; the fallback scan below is oldest-first because the
-	// order slice follows block dispatch order.
-	if d.chip.Scheduler == chips.SchedGTO {
-		if g := s.greedy; g != nil && !g.done && !g.atBarrier && g.wakeAt <= d.cycle {
-			ok, wake, err := d.tryIssue(s, g, lc)
-			if err != nil {
-				return issued, nextWake, err
-			}
-			if ok {
-				issued++
-			} else if wake > d.cycle {
-				g.wakeAt = wake
-				if wake < nextWake {
-					nextWake = wake
-				}
-			}
-		}
-	}
-	start := 0
-	if d.chip.Scheduler == chips.SchedRR {
-		start = s.rrWarp % n
-	}
-	for k := 0; k < n && issued < d.chip.IssueWidth; k++ {
-		w := order[(start+k)%n]
-		if w.done || w.atBarrier || (d.chip.Scheduler == chips.SchedGTO && w == s.greedy) {
-			continue
-		}
-		if w.wakeAt > d.cycle {
-			if w.wakeAt < nextWake {
-				nextWake = w.wakeAt
-			}
-			continue
-		}
-		ok, wake, err := d.tryIssue(s, w, lc)
-		if err != nil {
-			return issued, nextWake, err
-		}
-		if ok {
-			issued++
-			s.rrWarp = (start + k + 1) % n
-			s.greedy = w
-		} else if wake > d.cycle {
-			w.wakeAt = wake
-			if wake < nextWake {
-				nextWake = wake
-			}
-		}
-	}
-	return issued, nextWake, nil
-}
-
-// popcount32 counts set bits in a lane mask.
-func popcount32(m uint32) int { return bits.OnesCount32(m) }
+// The nvsim wave record carries nothing after the common tail.
+func (*isa) EncodeTrailer(*wire.Writer, *waveState)       {}
+func (*isa) DecodeTrailer(*wire.Reader, *waveState) error { return nil }

@@ -256,33 +256,3 @@ func TestFaultInjectionFlipsOutput(t *testing.T) {
 		t.Fatal("no injection manifested as SDC across the scanned cycles")
 	}
 }
-
-func TestUnfitKernelRejected(t *testing.T) {
-	d := newTestDevice(t)
-	prog, err := sass.Assemble(".kernel big\n.shared 65536\nEXIT\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(1), Group: gpu.D1(32)})
-	if err == nil {
-		t.Fatal("expected residency failure for 64KB shared on 8KB SM")
-	}
-}
-
-func TestWatchdogFires(t *testing.T) {
-	d := newTestDevice(t)
-	prog, err := sass.Assemble(`
-.kernel spin
-loop:
-    BRA loop
-    EXIT
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetWatchdog(5000)
-	err = d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(1), Group: gpu.D1(32)})
-	if err != gpu.ErrWatchdog {
-		t.Fatalf("got %v, want ErrWatchdog", err)
-	}
-}

@@ -4,37 +4,39 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
-	"repro/internal/gpu"
+	"repro/internal/chips"
 	"repro/internal/sass"
+	"repro/internal/simt"
 )
 
 // latency returns the completion latency for an opcode class.
-func (d *Device) latency(cl sass.Class) int64 {
+func latency(c *chips.Chip, cl sass.Class) int64 {
 	switch cl {
 	case sass.ClassSFU:
-		return int64(d.chip.SFULat)
+		return int64(c.SFULat)
 	case sass.ClassLocalMem:
-		return int64(d.chip.LocalLat)
+		return int64(c.LocalLat)
 	case sass.ClassGlobalMem:
-		return int64(d.chip.GlobalLat)
+		return int64(c.GlobalLat)
 	default:
-		return int64(d.chip.ALULat)
+		return int64(c.ALULat)
 	}
 }
 
 // depReady returns the cycle at which every register/predicate dependency
 // of the instruction is available.
-func (w *warp) depReady(in *sass.Instr) int64 {
+func depReady(w *wave, in *sass.Instr) int64 {
 	var t int64
 	reg := func(r uint8) {
-		if r != sass.RZ && int(r) < len(w.regReady) && w.regReady[r] > t {
-			t = w.regReady[r]
+		if r != sass.RZ && int(r) < len(w.RegReady) && w.RegReady[r] > t {
+			t = w.RegReady[r]
 		}
 	}
 	pred := func(p uint8) {
-		if p != sass.PT && w.predReady[p] > t {
-			t = w.predReady[p]
+		if p != sass.PT && w.ISA.predReady[p] > t {
+			t = w.ISA.predReady[p]
 		}
 	}
 	pred(in.Guard.Pred)
@@ -58,44 +60,45 @@ func (w *warp) depReady(in *sass.Instr) int64 {
 }
 
 // regIndex maps (warp, lane, architectural register) to the physical
-// register-file entry within the SM.
-func regIndex(w *warp, lc *launchCtx, lane int, r uint8) int {
-	return w.blk.regBase + (w.threadBase+lane)*lc.prog.NumRegs + int(r)
+// register-file entry within the SM (thread-major within the warp's
+// register window).
+func (i *isa) regIndex(w *wave, lane int, r uint8) int {
+	return w.RegBase + lane*i.prog.NumRegs + int(r)
 }
 
 // readReg reads an architectural register for one lane.
-func (d *Device) readReg(s *sm, w *warp, lc *launchCtx, lane int, r uint8) uint32 {
+func (i *isa) readReg(d *Device, u *unit, w *wave, lane int, r uint8) uint32 {
 	if r == sass.RZ {
 		return 0
 	}
-	idx := regIndex(w, lc, lane, r)
-	if t := d.tracer; t != nil {
-		t.RegAccess(s.id, idx, d.cycle, false)
+	idx := i.regIndex(w, lane, r)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(u.ID, idx, d.Cycle, false)
 	}
-	return s.regs[idx]
+	return u.Regs[idx]
 }
 
 // writeReg writes an architectural register for one lane.
-func (d *Device) writeReg(s *sm, w *warp, lc *launchCtx, lane int, r uint8, v uint32) {
+func (i *isa) writeReg(d *Device, u *unit, w *wave, lane int, r uint8, v uint32) {
 	if r == sass.RZ {
 		return
 	}
-	idx := regIndex(w, lc, lane, r)
-	if t := d.tracer; t != nil {
-		t.RegAccess(s.id, idx, d.cycle, true)
+	idx := i.regIndex(w, lane, r)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(u.ID, idx, d.Cycle, true)
 	}
-	s.regs[idx] = v
+	u.Regs[idx] = v
 }
 
 // readOperand evaluates a source operand for one lane.
-func (d *Device) readOperand(s *sm, w *warp, lc *launchCtx, lane int, o sass.Operand) uint32 {
+func (i *isa) readOperand(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, lane int, o sass.Operand) uint32 {
 	switch o.Kind {
 	case sass.OperandReg:
-		return d.readReg(s, w, lc, lane, o.Reg)
+		return i.readReg(d, u, w, lane, o.Reg)
 	case sass.OperandImm:
 		return o.Imm
 	case sass.OperandConst:
-		return lc.args[o.CIdx]
+		return lc.Args[o.CIdx]
 	default:
 		return 0
 	}
@@ -118,125 +121,98 @@ func (w *warp) guardMask(g sass.Guard) uint32 {
 
 // unwind pops the SIMT stack while the active mask is empty; it marks the
 // warp done when the stack is exhausted.
-func (d *Device) unwind(s *sm, w *warp) {
-	for w.active == 0 {
-		if len(w.stack) == 0 {
-			d.finishWarp(s, w)
+func unwind(d *Device, u *unit, w *wave) {
+	s := &w.ISA
+	for s.active == 0 {
+		if len(s.stack) == 0 {
+			d.FinishWave(u, w)
 			return
 		}
-		e := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		w.pc = e.pc
-		w.active = e.mask &^ w.exited
+		e := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		w.PC = e.pc
+		s.active = e.mask &^ s.exited
 	}
 }
 
-// finishWarp retires a warp and releases a barrier that was waiting only
-// on already-finished warps.
-func (d *Device) finishWarp(s *sm, w *warp) {
-	if w.done {
-		return
-	}
-	w.done = true
-	blk := w.blk
-	blk.live--
-	s.liveWarp--
-	if blk.live > 0 && blk.arrived >= blk.live {
-		releaseBarrier(blk, d.cycle)
-	}
-}
-
-func releaseBarrier(blk *block, cycle int64) {
-	blk.arrived = 0
-	for _, w := range blk.warps {
-		if !w.done && w.atBarrier {
-			w.atBarrier = false
-			w.wakeAt = cycle
-		}
-	}
-}
-
-// tryIssue attempts to issue the warp's next instruction at the current
+// TryIssue attempts to issue the warp's next instruction at the current
 // cycle. It returns (issued, wakeCycle, error); wakeCycle is meaningful
 // when issued is false and indicates when the blocking dependency clears.
-func (d *Device) tryIssue(s *sm, w *warp, lc *launchCtx) (bool, int64, error) {
-	if w.pc < 0 || w.pc >= len(lc.prog.Instrs) {
+func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, int64, error) {
+	prog := i.prog
+	if w.PC < 0 || w.PC >= len(prog.Instrs) {
 		return false, 0, fmt.Errorf("nvsim: kernel %s: invalid PC %d (warp %d of block %d)",
-			lc.prog.Name, w.pc, w.idx, w.blk.id)
+			prog.Name, w.PC, w.Idx, w.Blk.ID)
 	}
-	in := &lc.prog.Instrs[w.pc]
-	if ready := w.depReady(in); ready > d.cycle {
+	in := &prog.Instrs[w.PC]
+	if ready := depReady(w, in); ready > d.Cycle {
 		return false, ready, nil
 	}
-	exec := w.active & w.guardMask(in.Guard)
+	s := &w.ISA
+	exec := s.active & s.guardMask(in.Guard)
 
-	d.stats.Instructions++
-	d.stats.LaneInstructions += int64(popcount32(exec))
-	lat := d.latency(sass.OpClass(in.Op))
+	d.CountIssue(bits.OnesCount32(exec))
+	lat := latency(d.Chip, sass.OpClass(in.Op))
 
 	switch in.Op {
 	case sass.OpNOP:
-		w.pc++
+		w.PC++
 
 	case sass.OpEXIT:
-		w.exited |= exec
-		w.active &^= exec
+		s.exited |= exec
+		s.active &^= exec
 		if exec == 0 {
-			w.pc++
-		} else if w.active == 0 {
-			d.unwind(s, w)
+			w.PC++
+		} else if s.active == 0 {
+			unwind(d, u, w)
 		} else {
-			w.pc++
+			w.PC++
 		}
 
 	case sass.OpBRA:
 		taken := exec
-		notTaken := w.active &^ taken
+		notTaken := s.active &^ taken
 		switch {
 		case taken == 0:
-			w.pc++
+			w.PC++
 		case notTaken == 0:
-			w.pc = in.Target
+			w.PC = in.Target
 		default:
-			w.stack = append(w.stack, stackEntry{kind: stackDIV, pc: in.Target, mask: taken})
-			w.active = notTaken
-			w.pc++
+			s.stack = append(s.stack, stackEntry{kind: stackDIV, pc: in.Target, mask: taken})
+			s.active = notTaken
+			w.PC++
 		}
 
 	case sass.OpSSY:
-		w.stack = append(w.stack, stackEntry{kind: stackSSY, pc: in.Target, mask: w.active})
-		w.pc++
+		s.stack = append(s.stack, stackEntry{kind: stackSSY, pc: in.Target, mask: s.active})
+		w.PC++
 
 	case sass.OpSYNC:
-		if len(w.stack) == 0 {
+		if len(s.stack) == 0 {
 			return false, 0, fmt.Errorf("nvsim: kernel %s: SYNC with empty SIMT stack at PC %d",
-				lc.prog.Name, w.pc)
+				prog.Name, w.PC)
 		}
-		e := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		w.pc = e.pc
-		w.active = e.mask &^ w.exited
-		if w.active == 0 {
-			d.unwind(s, w)
+		e := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		w.PC = e.pc
+		s.active = e.mask &^ s.exited
+		if s.active == 0 {
+			unwind(d, u, w)
 		}
 
 	case sass.OpBAR:
-		w.pc++
-		w.atBarrier = true
-		w.blk.arrived++
-		if w.blk.arrived >= w.blk.live {
-			releaseBarrier(w.blk, d.cycle)
-		}
+		w.PC++
+		d.ArriveBarrier(w)
 
 	case sass.OpS2R:
 		for lane := 0; lane < 32; lane++ {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
-			d.writeReg(s, w, lc, lane, in.Dst, d.specialReg(w, lc, lane, in.SR))
+			i.writeReg(d, u, w, lane, in.Dst, specialReg(w, lc, lane, in.SR))
 		}
-		w.regReady[in.Dst] = d.cycle + lat
-		w.pc++
+		w.RegReady[in.Dst] = d.Cycle + lat
+		w.PC++
 
 	case sass.OpISETP, sass.OpFSETP:
 		var setMask uint32
@@ -244,8 +220,8 @@ func (d *Device) tryIssue(s *sm, w *warp, lc *launchCtx) (bool, int64, error) {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
-			a := d.readOperand(s, w, lc, lane, in.Src[0])
-			b := d.readOperand(s, w, lc, lane, in.Src[1])
+			a := i.readOperand(d, u, w, lc, lane, in.Src[0])
+			b := i.readOperand(d, u, w, lc, lane, in.Src[1])
 			var res bool
 			if in.Op == sass.OpISETP {
 				res = in.Cmp.EvalI(int32(a), int32(b))
@@ -256,55 +232,55 @@ func (d *Device) tryIssue(s *sm, w *warp, lc *launchCtx) (bool, int64, error) {
 				setMask |= 1 << lane
 			}
 		}
-		w.preds[in.PDst] = (w.preds[in.PDst] &^ exec) | setMask
-		w.predReady[in.PDst] = d.cycle + lat
-		w.pc++
+		s.preds[in.PDst] = (s.preds[in.PDst] &^ exec) | setMask
+		s.predReady[in.PDst] = d.Cycle + lat
+		w.PC++
 
 	case sass.OpLDG, sass.OpSTG:
-		if err := d.execGlobal(s, w, lc, in, exec); err != nil {
+		if err := i.execGlobal(d, u, w, lc, in, exec); err != nil {
 			return false, 0, err
 		}
 		if in.Op == sass.OpLDG && in.Dst != sass.RZ {
-			w.regReady[in.Dst] = d.cycle + lat
+			w.RegReady[in.Dst] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 
 	case sass.OpLDS, sass.OpSTS:
-		if err := d.execShared(s, w, lc, in, exec); err != nil {
+		if err := i.execShared(d, u, w, lc, in, exec); err != nil {
 			return false, 0, err
 		}
 		if in.Op == sass.OpLDS && in.Dst != sass.RZ {
-			w.regReady[in.Dst] = d.cycle + lat
+			w.RegReady[in.Dst] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 
 	default: // register-to-register ALU/SFU ops
 		for lane := 0; lane < 32; lane++ {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
-			v := d.execALU(s, w, lc, lane, in)
-			d.writeReg(s, w, lc, lane, in.Dst, v)
+			v := i.execALU(d, u, w, lc, lane, in)
+			i.writeReg(d, u, w, lane, in.Dst, v)
 		}
 		if in.Dst != sass.RZ {
-			w.regReady[in.Dst] = d.cycle + lat
+			w.RegReady[in.Dst] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 	}
 
-	if w.pc >= len(lc.prog.Instrs) && !w.done && in.Op != sass.OpEXIT {
+	if w.PC >= len(prog.Instrs) && !w.Done && in.Op != sass.OpEXIT {
 		// Fell off the end of the instruction stream: invalid control
 		// flow (can be reached through fault-corrupted indices only via
 		// EXIT-less paths, which the assembler rejects; keep it fatal).
-		return false, 0, fmt.Errorf("nvsim: kernel %s: control flow fell off program end", lc.prog.Name)
+		return false, 0, fmt.Errorf("nvsim: kernel %s: control flow fell off program end", prog.Name)
 	}
 	return true, 0, nil
 }
 
 // specialReg evaluates S2R for one lane.
-func (d *Device) specialReg(w *warp, lc *launchCtx, lane int, sr sass.SpecialReg) uint32 {
-	t := w.threadBase + lane
-	ntx, nty := lc.group.X, lc.group.Y
+func specialReg(w *wave, lc *simt.LaunchCtx, lane int, sr sass.SpecialReg) uint32 {
+	t := w.ThreadBase + lane
+	ntx, nty := lc.Group.X, lc.Group.Y
 	if ntx <= 0 {
 		ntx = 1
 	}
@@ -317,21 +293,21 @@ func (d *Device) specialReg(w *warp, lc *launchCtx, lane int, sr sass.SpecialReg
 	case sass.SRTidY:
 		return uint32((t / ntx) % nty)
 	case sass.SRCtaidX:
-		return uint32(w.blk.ctaX)
+		return uint32(w.Blk.X)
 	case sass.SRCtaidY:
-		return uint32(w.blk.ctaY)
+		return uint32(w.Blk.Y)
 	case sass.SRNTidX:
 		return uint32(ntx)
 	case sass.SRNTidY:
 		return uint32(nty)
 	case sass.SRNCtaidX:
-		x := lc.grid.X
+		x := lc.Grid.X
 		if x <= 0 {
 			x = 1
 		}
 		return uint32(x)
 	case sass.SRNCtaidY:
-		y := lc.grid.Y
+		y := lc.Grid.Y
 		if y <= 0 {
 			y = 1
 		}
@@ -339,21 +315,21 @@ func (d *Device) specialReg(w *warp, lc *launchCtx, lane int, sr sass.SpecialReg
 	case sass.SRLaneID:
 		return uint32(lane)
 	case sass.SRWarpID:
-		return uint32(w.idx)
+		return uint32(w.Idx)
 	default:
 		return 0
 	}
 }
 
 // execALU computes one ALU/SFU result for one lane.
-func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr) uint32 {
-	a := d.readOperand(s, w, lc, lane, in.Src[0])
+func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, lane int, in *sass.Instr) uint32 {
+	a := i.readOperand(d, u, w, lc, lane, in.Src[0])
 	var b, c uint32
 	if in.Src[1].Kind != sass.OperandNone {
-		b = d.readOperand(s, w, lc, lane, in.Src[1])
+		b = i.readOperand(d, u, w, lc, lane, in.Src[1])
 	}
 	if in.Src[2].Kind != sass.OperandNone {
-		c = d.readOperand(s, w, lc, lane, in.Src[2])
+		c = i.readOperand(d, u, w, lc, lane, in.Src[2])
 	}
 	fa := math.Float32frombits(a)
 	fb := math.Float32frombits(b)
@@ -397,9 +373,9 @@ func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr
 	case sass.OpFMUL:
 		return math.Float32bits(fa * fb)
 	case sass.OpFMIN:
-		return math.Float32bits(fminf(fa, fb))
+		return math.Float32bits(simt.FMin(fa, fb))
 	case sass.OpFMAX:
-		return math.Float32bits(fmaxf(fa, fb))
+		return math.Float32bits(simt.FMax(fa, fb))
 	case sass.OpFFMA:
 		return math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(fc))))
 	case sass.OpRCP:
@@ -413,9 +389,9 @@ func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr
 	case sass.OpI2F:
 		return math.Float32bits(float32(int32(a)))
 	case sass.OpF2I:
-		return uint32(f2i(fa))
+		return uint32(simt.F2I(fa))
 	case sass.OpSEL:
-		if w.preds[in.PSrc]&(1<<lane) != 0 || in.PSrc == sass.PT {
+		if w.ISA.preds[in.PSrc]&(1<<lane) != 0 || in.PSrc == sass.PT {
 			return a
 		}
 		return b
@@ -424,71 +400,28 @@ func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr
 	}
 }
 
-// fminf follows GPU semantics: the non-NaN operand wins.
-func fminf(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-func fmaxf(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a > b:
-		return a
-	default:
-		return b
-	}
-}
-
-// f2i converts float32 to int32 with saturation (deterministic for NaN
-// and out-of-range inputs, which fault-corrupted data can produce).
-func f2i(f float32) int32 {
-	if f != f {
-		return 0
-	}
-	v := math.Trunc(float64(f))
-	switch {
-	case v > math.MaxInt32:
-		return math.MaxInt32
-	case v < math.MinInt32:
-		return math.MinInt32
-	default:
-		return int32(v)
-	}
-}
-
 // execGlobal performs LDG/STG for all active lanes.
-func (d *Device) execGlobal(s *sm, w *warp, lc *launchCtx, in *sass.Instr, exec uint32) error {
+func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
+	name, mem := i.prog.Name, d.Mem()
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
-		base := d.readReg(s, w, lc, lane, in.MemBase)
+		base := i.readReg(d, u, w, lane, in.MemBase)
 		addr := base + uint32(in.MemOff)
 		if addr%4 != 0 {
-			return fmt.Errorf("nvsim: kernel %s: misaligned global access %#x (PC %d)", lc.prog.Name, addr, w.pc)
+			return fmt.Errorf("nvsim: kernel %s: misaligned global access %#x (PC %d)", name, addr, w.PC)
 		}
 		if in.Op == sass.OpLDG {
-			v, err := d.mem.Load32(addr)
+			v, err := mem.Load32(addr)
 			if err != nil {
-				return fmt.Errorf("nvsim: kernel %s PC %d: %w", lc.prog.Name, w.pc, err)
+				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
 			}
-			d.writeReg(s, w, lc, lane, in.Dst, v)
+			i.writeReg(d, u, w, lane, in.Dst, v)
 		} else {
-			v := d.readOperand(s, w, lc, lane, in.Src[0])
-			if err := d.mem.Store32(addr, v); err != nil {
-				return fmt.Errorf("nvsim: kernel %s PC %d: %w", lc.prog.Name, w.pc, err)
+			v := i.readOperand(d, u, w, lc, lane, in.Src[0])
+			if err := mem.Store32(addr, v); err != nil {
+				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
 			}
 		}
 	}
@@ -497,37 +430,35 @@ func (d *Device) execGlobal(s *sm, w *warp, lc *launchCtx, in *sass.Instr, exec 
 
 // execShared performs LDS/STS for all active lanes against the block's
 // shared-memory window.
-func (d *Device) execShared(s *sm, w *warp, lc *launchCtx, in *sass.Instr, exec uint32) error {
-	blk := w.blk
+func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
+	name, blk := i.prog.Name, w.Blk
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
-		base := d.readReg(s, w, lc, lane, in.MemBase)
+		base := i.readReg(d, u, w, lane, in.MemBase)
 		addr := base + uint32(in.MemOff)
 		if addr%4 != 0 {
-			return fmt.Errorf("nvsim: kernel %s: misaligned shared access %#x (PC %d)", lc.prog.Name, addr, w.pc)
+			return fmt.Errorf("nvsim: kernel %s: misaligned shared access %#x (PC %d)", name, addr, w.PC)
 		}
-		if int(addr)+4 > blk.shCount {
+		if int(addr)+4 > blk.LocalCount {
 			return fmt.Errorf("nvsim: kernel %s: shared access %#x beyond block allocation %d (PC %d)",
-				lc.prog.Name, addr, blk.shCount, w.pc)
+				name, addr, blk.LocalCount, w.PC)
 		}
-		phys := blk.shBase + int(addr)
+		phys := blk.LocalBase + int(addr)
 		if in.Op == sass.OpLDS {
-			if t := d.tracer; t != nil {
-				t.LocalAccess(s.id, phys, 4, d.cycle, false)
+			if t := d.Tracer; t != nil {
+				t.LocalAccess(u.ID, phys, 4, d.Cycle, false)
 			}
-			v := binary.LittleEndian.Uint32(s.shared[phys:])
-			d.writeReg(s, w, lc, lane, in.Dst, v)
+			v := binary.LittleEndian.Uint32(u.Local[phys:])
+			i.writeReg(d, u, w, lane, in.Dst, v)
 		} else {
-			v := d.readOperand(s, w, lc, lane, in.Src[0])
-			if t := d.tracer; t != nil {
-				t.LocalAccess(s.id, phys, 4, d.cycle, true)
+			v := i.readOperand(d, u, w, lc, lane, in.Src[0])
+			if t := d.Tracer; t != nil {
+				t.LocalAccess(u.ID, phys, 4, d.Cycle, true)
 			}
-			binary.LittleEndian.PutUint32(s.shared[phys:], v)
+			binary.LittleEndian.PutUint32(u.Local[phys:], v)
 		}
 	}
 	return nil
 }
-
-var _ gpu.Device = (*Device)(nil)
