@@ -48,7 +48,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/finject"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -79,14 +78,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "campaign seed")
 		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: figure-appropriate suite)")
 		chipSel   = fs.String("chips", "", "comma-separated chip subset (default: the paper's four)")
-		storePath = fs.String("store", "", "result store path (in-memory only when empty)")
-		storeFmt  = fs.String("store-format", campaign.FormatAuto, "store file format: auto (sniff existing files, JSON for new), json, or binary")
-		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		asJSON    = fs.Bool("json", false, "emit figures as JSON instead of tables")
 		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of a canned figure")
 		serverURL = fs.String("server", "", "with -spec: run on this fiserver (POST /v1/experiments) instead of locally")
 	)
 	pf := cli.AddPolicyFlags(fs)
+	sf := cli.AddStoreFlags(fs)
 	obs := cli.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -107,15 +104,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := pf.Validate(); err != nil {
 		return err
 	}
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("-ladder-dir: %w", err)
-		}
-		finject.SetLadderDir(*ladderDir)
+	if err := sf.InstallLadderDir(); err != nil {
+		return err
 	}
 
 	if *specPath != "" {
-		if *serverURL != "" && (*storePath != "" || pf.Workers != 0) {
+		if *serverURL != "" && (sf.Path != "" || pf.Workers != 0) {
 			return errors.New("-store and -workers are local-only: with -server the fiserver owns its store and worker pool")
 		}
 		f, err := os.Open(*specPath)
@@ -138,22 +132,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				spec.Seed = *seed
 			}
 		})
-		return runSpec(ctx, spec, *serverURL, *storePath, *storeFmt, pf.Workers, *asJSON, stdout, log)
+		return runSpec(ctx, spec, *serverURL, sf, pf.Workers, *asJSON, stdout, log)
 	}
 	if *serverURL != "" {
 		return errors.New("-server needs -spec (the canned figures run locally)")
 	}
 
-	var store campaign.Store
-	if *storePath != "" {
-		ds, err := campaign.OpenStore(*storePath, *storeFmt)
-		if err != nil {
-			return err
-		}
-		defer ds.Close()
-		log.Info("store opened", "path", ds.Path(), "cells", ds.Len())
-		store = ds
+	store, closeStore, err := openStore(sf, log)
+	if err != nil {
+		return err
 	}
+	defer closeStore()
 	sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
 	opts := core.Options{
 		Injections: pf.N, Seed: *seed, Workers: pf.Workers,
@@ -242,10 +231,21 @@ func writeFigure(w io.Writer, f *core.Figure, title string, asJSON bool) error {
 	return report.WriteFigure(w, f, title)
 }
 
+// openStore opens the -store file, if one was given, and logs what it
+// holds. The returned store is nil (in-memory scheduling) without one.
+func openStore(sf *cli.StoreFlags, log *slog.Logger) (campaign.Store, func(), error) {
+	ds, err := sf.Open()
+	if err != nil || ds == nil {
+		return nil, func() {}, err
+	}
+	log.Info("store opened", "path", ds.Path(), "cells", ds.Len())
+	return ds, func() { ds.Close() }, nil
+}
+
 // runSpec executes one declarative experiment spec — locally over a
 // scheduler (honoring -store and -workers) or on a fiserver via the
 // shared client — and renders the result as tables or JSON.
-func runSpec(ctx context.Context, spec experiment.Spec, serverURL, storePath, storeFormat string, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
+func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sf *cli.StoreFlags, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
 	start := time.Now()
 	var res *experiment.Result
 	if serverURL != "" {
@@ -264,16 +264,11 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL, storePath, st
 			return err
 		}
 	} else {
-		var store campaign.Store
-		if storePath != "" {
-			ds, err := campaign.OpenStore(storePath, storeFormat)
-			if err != nil {
-				return err
-			}
-			defer ds.Close()
-			log.Info("store opened", "path", ds.Path(), "cells", ds.Len())
-			store = ds
+		store, closeStore, err := openStore(sf, log)
+		if err != nil {
+			return err
 		}
+		defer closeStore()
 		sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: workers})
 		runner := &experiment.Runner{
 			Scheduler: sched,
@@ -282,7 +277,6 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL, storePath, st
 					"cell", p.Spec.String(), "cached", p.Cached)
 			},
 		}
-		var err error
 		res, err = runner.Run(ctx, spec)
 		if err != nil {
 			return err

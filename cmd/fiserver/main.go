@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/finject"
 	"repro/internal/service"
 )
 
@@ -80,9 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		storePath = fs.String("store", "", "result store path (in-memory only when empty)")
-		storeFmt  = fs.String("store-format", campaign.FormatAuto, "store file format: auto (sniff existing files, JSON for new), json, or binary")
-		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		jobStore  = fs.String("job-store", "", "write-ahead job journal path; jobs survive restart and unfinished ones resume on boot")
 		memCap    = fs.Int("mem-cap", 0, "in-memory store capacity in cells (0 = unbounded; ignored with -store)")
 		workers   = fs.Int("workers", 0, "concurrently executing cells (default GOMAXPROCS; with -workers-remote, the fleet-wide in-flight bound, default 256)")
@@ -96,6 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		serverID  = fs.String("server-id", "", "this server's identity in the ownership journal (default host-pid)")
 		takeover  = fs.Duration("takeover-ttl", service.DefaultTakeoverTTL, "heartbeat staleness after which a standby seizes ownership")
 	)
+	sf := cli.AddStoreFlags(fs)
 	obs := cli.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -111,11 +108,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}()
 
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("-ladder-dir: %w", err)
-		}
-		finject.SetLadderDir(*ladderDir)
+	if err := sf.InstallLadderDir(); err != nil {
+		return err
 	}
 
 	var keys *service.KeySet
@@ -146,11 +140,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}()
 	activate := func() (http.Handler, error) {
 		var store campaign.Store
-		if *storePath != "" {
-			ds, err := campaign.OpenStore(*storePath, *storeFmt)
-			if err != nil {
-				return nil, err
-			}
+		ds, err := sf.Open()
+		if err != nil {
+			return nil, err
+		}
+		if ds != nil {
 			closeMu.Lock()
 			closers = append(closers, ds)
 			closeMu.Unlock()

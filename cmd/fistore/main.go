@@ -1,6 +1,7 @@
 // Command fistore inspects, verifies and converts the on-disk files of
 // the campaign fleet: result stores (JSON lines or the binary wire
-// format) and binary checkpoint-ladder files.
+// format), binary checkpoint-ladder files and the control plane's
+// ownership journal.
 //
 //	fistore inspect cells.store        header, record counts, dedupe ratio
 //	fistore verify  cells.store        full structural + checksum check
@@ -14,12 +15,12 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/finject"
@@ -78,82 +79,94 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
+// summary is one read-only pass over a result store or an ownership
+// journal: no compaction, no torn-tail truncation. inspect prints detail,
+// verify only the record count.
+type summary struct {
+	records, torn int
+	detail        []string
+}
+
+// readStore decodes every record of a result store image of either
+// format.
+func readStore(data []byte) (summary, error) {
+	live := map[campaign.CellKey]bool{}
+	var s summary
+	_, torn, err := campaign.ReadStore(data, func(key campaign.CellKey, _ *finject.Result) {
+		live[key] = true
+		s.records++
+	})
+	s.torn = torn
+	s.detail = []string{fmt.Sprintf("records   %d (%d live, %d dead)", s.records, len(live), s.records-len(live))}
+	return s, err
+}
+
+// readOwnership decodes every record of an ownership journal image.
+func readOwnership(data []byte) (summary, error) {
+	recs, good, err := wire.ReplayOwners(data)
+	s := summary{records: len(recs), torn: len(data) - good, detail: []string{fmt.Sprintf("records   %d", len(recs))}}
+	var last wire.OwnerRecord // latest record of the highest epoch
+	for _, o := range recs {
+		if o.Epoch >= last.Epoch {
+			last = o
+		}
+	}
+	if len(recs) > 0 {
+		s.detail = append(s.detail, fmt.Sprintf("epoch     %d, server %s, last event %s at %s", last.Epoch, last.Server, last.Event,
+			time.UnixMilli(last.UnixMillis).UTC().Format(time.RFC3339)))
+	}
+	return s, err
+}
+
+// summarize reads the file at path and summarizes it if it is a result
+// store or an ownership journal; a ladder comes back as data for its own
+// readers.
+func summarize(path string) (data []byte, kind wire.FileKind, s summary, err error) {
+	if data, err = os.ReadFile(path); err != nil {
+		return nil, 0, s, err
+	}
+	if wire.IsWireFile(data) {
+		kind, _, err = wire.ParseHeader(data)
+	}
+	if err == nil {
+		switch kind {
+		case wire.FileLadder:
+		case wire.FileOwner:
+			s, err = readOwnership(data)
+		default: // a JSON-lines or binary store
+			s, err = readStore(data)
+		}
+	}
+	if err != nil {
+		return nil, 0, s, fmt.Errorf("%s: %w", path, err)
+	}
+	return data, kind, s, nil
+}
+
+// tornNote words the torn tail a crash mid-append left.
+func (s summary) tornNote() string {
+	return fmt.Sprintf("torn tail of %d bytes; healed on next open", s.torn)
+}
+
 // inspect prints a read-only summary of any fleet file.
 func inspect(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
+	data, kind, s, err := summarize(path)
 	if err != nil {
 		return err
 	}
-	if !wire.IsWireFile(data) {
-		return inspectJSONStore(path, data, w)
+	if kind == 0 {
+		fmt.Fprintf(w, "%s: JSON-lines store, %d bytes\n", path, len(data))
+	} else {
+		fmt.Fprintf(w, "%s: wire v%d %s file, %d bytes\n", path, data[4], kind, len(data))
 	}
-	kind, _, err := wire.ParseHeader(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Fprintf(w, "%s: wire v%d %s file, %d bytes\n", path, data[4], kind, len(data))
-	switch kind {
-	case wire.FileStore:
-		return inspectBinaryStore(path, data, w)
-	case wire.FileLadder:
+	if kind == wire.FileLadder {
 		return inspectLadder(path, data, w)
 	}
-	return nil
-}
-
-// inspectJSONStore summarizes a JSON-lines result store without opening
-// it for writing (no compaction, no torn-tail truncation).
-func inspectJSONStore(path string, data []byte, w io.Writer) error {
-	live := map[campaign.CellKey]bool{}
-	records, torn := 0, false
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			torn = true
-			break
-		}
-		if raw := bytes.TrimSpace(rest[:nl]); len(raw) > 0 {
-			key, _, err := campaign.DecodeJSONRecord(raw)
-			if err != nil {
-				return fmt.Errorf("%s record %d: %w", path, records+1, err)
-			}
-			live[key] = true
-			records++
-		}
-		rest = rest[nl+1:]
+	for _, line := range s.detail {
+		fmt.Fprintf(w, "  %s\n", line)
 	}
-	fmt.Fprintf(w, "%s: JSON-lines store, %d bytes\n", path, len(data))
-	fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, len(live), records-len(live))
-	if torn {
-		fmt.Fprintln(w, "  torn tail (unterminated final record; healed on next open)")
-	}
-	return nil
-}
-
-// inspectBinaryStore summarizes a wire-format result store.
-func inspectBinaryStore(path string, data []byte, w io.Writer) error {
-	live := map[campaign.CellKey]bool{}
-	records := 0
-	good, err := wire.ScanRecords(data, func(rec wire.Record) error {
-		if rec.Kind != wire.RecCell {
-			return nil
-		}
-		r := wire.NewReader(rec.Payload)
-		key := campaign.CellKey(r.String())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		live[key] = true
-		records++
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, len(live), records-len(live))
-	if good < len(data) {
-		fmt.Fprintf(w, "  torn tail (%d trailing bytes; healed on next open)\n", len(data)-good)
+	if s.torn > 0 {
+		fmt.Fprintf(w, "  %s\n", s.tornNote())
 	}
 	return nil
 }
@@ -209,44 +222,11 @@ func inspectLadder(path string, data []byte, w io.Writer) error {
 
 // verify fully checks a file: framing, checksums, and record decodes.
 func verify(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
+	data, kind, s, err := summarize(path)
 	if err != nil {
 		return err
 	}
-	if !wire.IsWireFile(data) {
-		return verifyJSONStore(path, data, w)
-	}
-	kind, _, err := wire.ParseHeader(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	switch kind {
-	case wire.FileStore:
-		records := 0
-		good, err := wire.ScanRecords(data, func(rec wire.Record) error {
-			if rec.Kind != wire.RecCell {
-				return nil
-			}
-			r := wire.NewReader(rec.Payload)
-			if key := r.String(); key == "" {
-				return fmt.Errorf("%w: record at offset %d has an empty key", wire.ErrCorrupt, rec.Off)
-			}
-			if _, err := finject.DecodeResult(r); err != nil {
-				return fmt.Errorf("record at offset %d: %w", rec.Off, err)
-			}
-			records++
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if good < len(data) {
-			fmt.Fprintf(w, "%s: ok, %d records (torn tail of %d bytes; healed on next open)\n", path, records, len(data)-good)
-			return nil
-		}
-		fmt.Fprintf(w, "%s: ok, %d records\n", path, records)
-		return nil
-	case wire.FileLadder:
+	if kind == wire.FileLadder {
 		pages, snapshots, err := wire.VerifyLadder(data)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
@@ -254,28 +234,11 @@ func verify(path string, w io.Writer) error {
 		fmt.Fprintf(w, "%s: ok, %d snapshots over %d pages\n", path, snapshots, pages)
 		return nil
 	}
-	return fmt.Errorf("%s: unknown wire file kind", path)
-}
-
-// verifyJSONStore decodes every line of a JSON store.
-func verifyJSONStore(path string, data []byte, w io.Writer) error {
-	records := 0
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			fmt.Fprintf(w, "%s: ok, %d records (torn tail of %d bytes; healed on next open)\n", path, records, len(rest))
-			return nil
-		}
-		if raw := bytes.TrimSpace(rest[:nl]); len(raw) > 0 {
-			if _, _, err := campaign.DecodeJSONRecord(raw); err != nil {
-				return fmt.Errorf("%s record %d: %w", path, records+1, err)
-			}
-			records++
-		}
-		rest = rest[nl+1:]
+	if s.torn > 0 {
+		fmt.Fprintf(w, "%s: ok, %d records (%s)\n", path, s.records, s.tornNote())
+		return nil
 	}
-	fmt.Fprintf(w, "%s: ok, %d records\n", path, records)
+	fmt.Fprintf(w, "%s: ok, %d records\n", path, s.records)
 	return nil
 }
 

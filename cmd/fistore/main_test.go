@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/finject"
 	"repro/internal/gpu"
+	"repro/internal/wire"
 )
 
 // testKey mints a syntactically plausible cell key.
@@ -132,6 +134,51 @@ func TestInspectAndVerifyStores(t *testing.T) {
 		if !strings.Contains(out.String(), "ok, 3 records") {
 			t.Fatalf("verify %s output = %q", tc.format, out.String())
 		}
+	}
+
+	// The ownership journal, ending in the torn record a SIGKILL
+	// mid-append leaves.
+	path := filepath.Join(dir, "ownership.fiwr")
+	for _, rec := range []wire.OwnerRecord{
+		{Epoch: 1, Server: "a", UnixMillis: 1000, Event: wire.OwnerClaim},
+		{Epoch: 1, Server: "a", UnixMillis: 2000, Event: wire.OwnerRelease},
+		{Epoch: 2, Server: "b", UnixMillis: 3000, Event: wire.OwnerClaim},
+		{Epoch: 2, Server: "b", UnixMillis: 4000, Event: wire.OwnerBeat},
+	} {
+		if err := wire.AppendShared(path, wire.OwnerFraming, wire.EncodeOwner(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(wire.AppendRecord(nil, wire.RecOwner, wire.EncodeOwner(wire.OwnerRecord{Epoch: 3, Server: "c", Event: wire.OwnerClaim}))[:9])
+	f.Close()
+	var out bytes.Buffer
+	if err := run([]string{"inspect", path}, &out, &out); err != nil {
+		t.Fatalf("inspect ownership: %v", err)
+	}
+	for _, want := range []string{"wire v1 ownership file", "records   4", "epoch     2, server b, last event beat", "torn tail of 9 bytes"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("inspect ownership output lacks %q: %q", want, out.String())
+		}
+	}
+	out.Reset()
+	if err := run([]string{"verify", path}, &out, &out); err != nil {
+		t.Fatalf("verify ownership: %v", err)
+	}
+	if !strings.Contains(out.String(), "ok, 4 records (torn tail of 9 bytes") {
+		t.Fatalf("verify ownership output = %q", out.String())
+	}
+	// verify decodes every record: a CRC-valid frame that is no owner
+	// record is an error.
+	bad := wire.AppendRecord(wire.AppendHeader(nil, wire.FileOwner), wire.RecOwner, []byte("not an owner record"))
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"verify", path}, &out, &out); err == nil {
+		t.Fatal("verify accepted an undecodable owner record")
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/finject"
 	"repro/internal/telemetry"
 	"repro/internal/worker"
 )
@@ -59,8 +58,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quiet     = fs.Bool("quiet", false, "suppress per-cell log lines")
 		metrics   = fs.String("metrics-addr", "", "serve GET /metrics (Prometheus text) on this sidecar address, e.g. :9091")
 		pprof     = fs.Bool("pprof", false, "with -metrics-addr: also serve net/http/pprof under /debug/pprof/")
-		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 	)
+	sf := cli.AddLadderDirFlag(fs)
 	obs := cli.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,11 +79,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("-ladder-dir: %w", err)
-		}
-		finject.SetLadderDir(*ladderDir)
+	if err := sf.InstallLadderDir(); err != nil {
+		return err
 	}
 
 	// -quiet floors the logger at warn so the per-lease info lines go

@@ -18,6 +18,12 @@
 //   - internal/finject, internal/ace: the two reliability methodologies;
 //   - internal/metrics, internal/protect: AVF/FIT/EIT/EPF and protection
 //     what-if analysis;
+//   - internal/campaign: cell keys, the result stores (MemoryStore and one
+//     DiskStore with a JSON and a binary record codec), scheduler, lease
+//     queue;
+//   - internal/wire: wire.Journal — the one append-only log under the
+//     result stores, the job journal and the ownership journal — and the
+//     versioned binary store / ladder / ownership format;
 //   - internal/core, internal/report: figure-level experiment drivers.
 //
 // See README.md for usage, DESIGN.md for the system inventory and

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -119,6 +121,12 @@ type LeaseQueue struct {
 	mu        sync.Mutex
 	seq       int
 	nextLease int
+	// nonce makes lease ids unique to this queue. A worker that fails
+	// over to another server (or outlives a restart) retries its
+	// Complete there; with bare sequence numbers the id would name
+	// whatever cell the new queue happened to lease under that number,
+	// and the cell would be settled with another cell's result.
+	nonce     string
 	entries   map[CellKey]*leaseEntry
 	leased    map[string]*leaseEntry // active leases by id
 	history   map[string]leaseOutcome
@@ -156,9 +164,12 @@ func NewLeaseQueue(ttl time.Duration) *LeaseQueue {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
+	var nonce [4]byte
+	_, _ = rand.Read(nonce[:]) // without entropy ids degrade to bare per-queue sequence numbers
 	return &LeaseQueue{
 		ttl:               ttl,
 		now:               time.Now,
+		nonce:             hex.EncodeToString(nonce[:]),
 		entries:           make(map[CellKey]*leaseEntry),
 		leased:            make(map[string]*leaseEntry),
 		history:           make(map[string]leaseOutcome),
@@ -345,7 +356,7 @@ func (q *LeaseQueue) Lease(worker string, max int) []Lease {
 	leases := make([]Lease, 0, len(take))
 	for _, e := range take {
 		q.nextLease++
-		e.leaseID = fmt.Sprintf("lease-%06d", q.nextLease)
+		e.leaseID = fmt.Sprintf("lease-%s-%06d", q.nonce, q.nextLease)
 		e.worker = worker
 		e.deadline = now.Add(q.ttl)
 		q.leased[e.leaseID] = e

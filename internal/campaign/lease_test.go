@@ -331,3 +331,37 @@ func TestAbandonedPendingCellLeavesQueue(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// TestLeaseIDsAreUniquePerQueue: a lease id granted by one queue must be
+// unknown to another. A worker failing over between two fiservers
+// retries Complete on the survivor; when both queues numbered their
+// leases 1, 2, 3… the retry settled whichever cell the survivor had
+// leased under that number with a different cell's result.
+func TestLeaseIDsAreUniquePerQueue(t *testing.T) {
+	grant := func(q *LeaseQueue, seed uint64) (Lease, <-chan error) {
+		t.Helper()
+		_, errCh := doAsync(q, Task{Spec: testSpec(seed, 10)})
+		return waitLease(t, q, "w", 1)[0], errCh
+	}
+	a, b := NewLeaseQueue(time.Minute), NewLeaseQueue(time.Minute)
+	la, aDone := grant(a, 1)
+	lb, bDone := grant(b, 2)
+	if la.ID == lb.ID {
+		t.Fatalf("two queues granted the same lease id %q", la.ID)
+	}
+	if err := b.Complete(la.ID, fakeResult(10), ""); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("queue b accepted queue a's lease: %v", err)
+	}
+	if err := b.Complete(lb.ID, fakeResult(10), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Complete(la.ID, fakeResult(10), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+}

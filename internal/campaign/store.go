@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -11,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/finject"
@@ -91,54 +90,57 @@ func (m *MemoryStore) Len() int {
 	return m.ll.Len()
 }
 
-// DiskStore is a persistent Store: one JSON record per line, appended on
-// Put, with the whole file indexed in memory on open. Later records for
-// the same key shadow earlier ones, so overwrites are appends too — the
-// file is only rewritten by Compact, which OpenDiskStore invokes
-// automatically once the dead records pass CompactDeadThreshold.
+// DiskStore is the persistent Store: an append-only wire.Journal of
+// (key, result) records with the whole file indexed in memory on open.
+// Later records for the same key shadow earlier ones, so overwrites are
+// appends too — the file is only rewritten by Compact, which opening
+// invokes automatically once the dead records pass CompactDeadThreshold.
+// Crash recovery is the journal's torn-tail rule: each Put is one write
+// of one whole record, so after a crash a record is either wholly
+// present or a torn tail that the next open truncates away, while a
+// whole record that does not decode is corruption and stays an error.
+//
+// The two on-disk formats differ only in their recordCodec: JSON lines,
+// or length-prefixed CRC frames that open and append several times
+// faster and take a fraction of the bytes. Binary files carry the wire
+// magic, so OpenStore can route between the formats by sniffing.
 type DiskStore struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	enc  *json.Encoder
-	idx  map[CellKey]*finject.Result
-	// records counts the rows physically in the file; records - len(idx)
-	// are dead (shadowed by a later row for the same key).
+	mu    sync.Mutex
+	codec *recordCodec
+	j     *wire.Journal
+	idx   map[CellKey]*finject.Result
+	// records counts the records physically in the file; records -
+	// len(idx) are dead (shadowed by a later record for the same key).
 	records int
-	gauges  storeGauges
-}
-
-// storeGauges tracks one store's contribution to the fleet-wide
-// fi_store_disk_records_live/_dead gauges. Both disk store formats
-// publish through this one helper, so their accounting cannot drift:
-// contributions are deltas against the store's previous sync (several
-// open stores aggregate additively) and Close withdraws them.
-type storeGauges struct {
+	// lastLive and lastDead are what this store last published to the
+	// fleet-wide fi_store_disk_records_live/_dead gauges: contributions
+	// are deltas against the previous sync, so several open stores
+	// aggregate additively and Close withdraws exactly its own share.
 	lastLive, lastDead int
 }
 
-// sync publishes the store's current live/dead record counts. Callers
-// hold their store's mutex.
-func (g *storeGauges) sync(live, dead int) {
-	telemetry.StoreRecordsLive.Add(int64(live - g.lastLive))
-	telemetry.StoreRecordsDead.Add(int64(dead - g.lastDead))
-	g.lastLive, g.lastDead = live, dead
+// recordCodec is everything that differs between the store formats: how
+// records are framed in the journal and how one (key, result) pair maps
+// to a record payload.
+type recordCodec struct {
+	format  string
+	framing wire.Framing
+	encode  func(key CellKey, res *finject.Result) ([]byte, error)
+	decode  func(payload []byte) (CellKey, *finject.Result, error)
 }
 
-// withdraw removes the store's contribution entirely (Close).
-func (g *storeGauges) withdraw() { g.sync(0, 0) }
-
-// syncGaugesLocked publishes the store's live/dead record counts.
-// Callers hold d.mu.
-func (d *DiskStore) syncGaugesLocked() {
-	d.gauges.sync(len(d.idx), d.records-len(d.idx))
+// replay adapts fn to the journal's replay callback: every record is
+// decoded, and one that does not decode stops the replay as corruption.
+func (c *recordCodec) replay(fn func(CellKey, *finject.Result)) func(wire.Record) error {
+	return func(rec wire.Record) error {
+		key, res, err := c.decode(rec.Payload)
+		if err != nil {
+			return fmt.Errorf("record at offset %d: %w", rec.Off, err)
+		}
+		fn(key, res)
+		return nil
+	}
 }
-
-// CompactDeadThreshold is the number of dead (shadowed) records past
-// which OpenDiskStore compacts the file before serving from it. Policy
-// upgrades overwrite cells by appending, so a long-lived store otherwise
-// grows without bound.
-const CompactDeadThreshold = 64
 
 // diskRecord is the JSON-lines row format.
 type diskRecord struct {
@@ -146,121 +148,185 @@ type diskRecord struct {
 	Result *finject.Result `json:"result"`
 }
 
-// DecodeJSONRecord decodes one JSON-lines store row. It is the single
-// row decoder, shared by OpenDiskStore and fistore's read-only
-// inspection.
-func DecodeJSONRecord(raw []byte) (CellKey, *finject.Result, error) {
-	var rec diskRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return "", nil, err
-	}
-	if rec.Key == "" || rec.Result == nil {
-		return "", nil, errors.New("incomplete record")
-	}
-	return rec.Key, rec.Result, nil
+var jsonCodec = &recordCodec{
+	format:  FormatJSON,
+	framing: wire.Lines,
+	encode: func(key CellKey, res *finject.Result) ([]byte, error) {
+		return json.Marshal(diskRecord{Key: key, Result: res})
+	},
+	decode: func(payload []byte) (CellKey, *finject.Result, error) {
+		var rec diskRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return "", nil, err
+		}
+		if rec.Key == "" || rec.Result == nil {
+			return "", nil, errors.New("incomplete record")
+		}
+		return rec.Key, rec.Result, nil
+	},
 }
 
-// OpenDiskStore opens (creating if absent) the JSON-lines store at path
-// and loads its index. A torn final record — the signature of a process
-// killed mid-append — is truncated away so the next append lands on a
-// clean line boundary; a malformed record anywhere else is corruption
-// and stays an error. Complete records survive any crash: each Put is
-// one write of record+newline, so a record is either wholly present or
-// wholly absent.
-func OpenDiskStore(path string) (*DiskStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: open store: %w", err)
+var binaryCodec = &recordCodec{
+	format:  FormatBinary,
+	framing: wire.Frames(wire.FileStore, wire.RecCell),
+	encode: func(key CellKey, res *finject.Result) ([]byte, error) {
+		var w wire.Writer
+		w.String(string(key))
+		finject.EncodeResult(&w, res)
+		return w.Bytes(), nil
+	},
+	decode: func(payload []byte) (CellKey, *finject.Result, error) {
+		r := wire.NewReader(payload)
+		key := CellKey(r.String())
+		if err := r.Err(); err != nil {
+			return "", nil, err
+		}
+		if key == "" {
+			return "", nil, fmt.Errorf("%w: cell record with empty key", wire.ErrCorrupt)
+		}
+		res, err := finject.DecodeResult(r)
+		if err != nil {
+			return "", nil, err
+		}
+		return key, res, nil
+	},
+}
+
+// CompactDeadThreshold is the number of dead (shadowed) records past
+// which opening a store compacts the file before serving from it. Policy
+// upgrades overwrite cells by appending, so a long-lived store otherwise
+// grows without bound.
+const CompactDeadThreshold = 64
+
+// The store format names accepted by OpenStore and the -store-format
+// flag.
+const (
+	FormatAuto   = "auto"
+	FormatJSON   = "json"
+	FormatBinary = "binary"
+)
+
+// sniffStoreFormat reports the format of an existing store file by its
+// leading bytes; exists is false for absent or empty files and for one
+// holding only the start of the wire magic (a header torn by a crash),
+// all of which are free to take any format.
+func sniffStoreFormat(path string) (format string, exists bool, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return "", false, nil
 	}
-	d := &DiskStore{path: path, f: f, idx: make(map[CellKey]*finject.Result)}
-	data, err := io.ReadAll(f)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: store %s: %w", path, err)
+		return "", false, fmt.Errorf("campaign: open store: %w", err)
 	}
+	defer f.Close()
+	head := make([]byte, len(wire.Magic))
+	n, _ := io.ReadFull(f, head) // a short file is simply not a wire file
+	switch {
+	case n < len(head) && strings.HasPrefix(wire.Magic, string(head[:n])):
+		return "", false, nil
+	case wire.IsWireFile(head[:n]):
+		return FormatBinary, true, nil
+	}
+	return FormatJSON, true, nil
+}
+
+// ReadStore decodes every record of a store file image, in file order,
+// strictly read-only: nothing is healed or compacted (fistore inspect
+// and verify). It reports the image's format and the length of a torn
+// tail, which the next OpenStore would truncate away.
+func ReadStore(data []byte, fn func(CellKey, *finject.Result)) (format string, torn int, err error) {
+	codec := jsonCodec
 	if wire.IsWireFile(data) {
-		f.Close()
-		return nil, fmt.Errorf("campaign: store %s is a binary wire-format store; open it with OpenStore or OpenBinaryDiskStore", path)
+		codec = binaryCodec
 	}
-	good, line := 0, 0 // good = byte offset just past the last applied record
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break // unterminated tail: torn final write
-		}
-		line++
-		if raw := bytes.TrimSpace(rest[:nl]); len(raw) > 0 {
-			// A newline-terminated line was fully written (the newline is
-			// the record's last byte), so a parse failure here is real
-			// corruption, not a torn write.
-			key, res, err := DecodeJSONRecord(raw)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("campaign: store %s line %d: %w", path, line, err)
-			}
-			d.idx[key] = res
-			d.records++
-		}
-		good += nl + 1
-		rest = rest[nl+1:]
+	good, err := wire.Replay(data, codec.framing, codec.replay(fn))
+	return codec.format, len(data) - good, err
+}
+
+// OpenStore opens (creating if absent) the disk store at path in the
+// requested format ("json", "binary", or "auto"/"") and loads its index.
+// Existing files are routed by sniffing the wire magic, so stores
+// written in either format keep opening no matter the flag default;
+// requesting a format that contradicts an existing file's actual format
+// is an error (convert with fistore instead). New files are created in
+// the requested format, defaulting to JSON lines under "auto".
+func OpenStore(path, format string) (*DiskStore, error) {
+	format = strings.ToLower(strings.TrimSpace(format))
+	sniffed, exists, err := sniffStoreFormat(path)
+	if err != nil {
+		return nil, err
 	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("campaign: store %s: truncate torn tail: %w", path, err)
+	switch format {
+	case FormatAuto, "":
+		format = FormatJSON
+		if exists {
+			format = sniffed
 		}
+	case FormatJSON, FormatBinary:
+		if exists && sniffed != format {
+			return nil, fmt.Errorf("campaign: store %s is %s-format, but -store-format=%s was requested (convert it with fistore)", path, sniffed, format)
+		}
+	default:
+		return nil, fmt.Errorf("campaign: unknown store format %q (want %s, %s or %s)", format, FormatAuto, FormatJSON, FormatBinary)
 	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
-		f.Close()
+	codec := jsonCodec
+	if format == FormatBinary {
+		codec = binaryCodec
+	}
+	d := &DiskStore{codec: codec, idx: make(map[CellKey]*finject.Result)}
+	// No fsync per Put: the store is a cache of deterministic results, a
+	// cell lost to an OS crash is simply run again.
+	d.j, err = wire.OpenJournal(path, codec.framing, false, codec.replay(func(key CellKey, res *finject.Result) {
+		d.idx[key] = res
+		d.records++
+	}))
+	if err != nil {
 		return nil, fmt.Errorf("campaign: store %s: %w", path, err)
 	}
-	d.enc = json.NewEncoder(f)
 	if d.records-len(d.idx) > CompactDeadThreshold {
 		if err := d.Compact(); err != nil {
-			f.Close()
+			d.j.Close()
 			return nil, err
 		}
 	}
 	d.mu.Lock()
-	d.syncGaugesLocked()
+	d.syncGaugesLocked(len(d.idx), d.records-len(d.idx))
 	d.mu.Unlock()
 	return d, nil
 }
 
-// Compact rewrites the file down to one record per live cell: the live
-// records stream to a temporary sibling file, which is fsynced and
-// atomically renamed over the store, so a crash at any point leaves
-// either the old complete file or the new complete file. The in-memory
-// index and the results it shares by pointer are untouched.
+// syncGaugesLocked publishes the store's live/dead record counts (0, 0
+// withdraws them). Callers hold d.mu.
+func (d *DiskStore) syncGaugesLocked(live, dead int) {
+	telemetry.StoreRecordsLive.Add(int64(live - d.lastLive))
+	telemetry.StoreRecordsDead.Add(int64(dead - d.lastDead))
+	d.lastLive, d.lastDead = live, dead
+}
+
+// Compact rewrites the file down to one record per live cell through the
+// journal's atomic rewrite, so a crash at any point leaves either the
+// old complete file or the new one. The in-memory index and the results
+// it shares by pointer are untouched.
 func (d *DiskStore) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer telemetry.StartSpan(context.Background(), "store_compact")()
-	err := atomicReplaceFile(d.path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
+	err := d.j.Rewrite(func(put func(payload []byte)) error {
 		for _, k := range sortedKeys(d.idx) {
-			if err := enc.Encode(diskRecord{Key: k, Result: d.idx[k]}); err != nil {
+			payload, err := d.codec.encode(k, d.idx[k])
+			if err != nil {
 				return err
 			}
+			put(payload)
 		}
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("campaign: compact store: %w", err)
 	}
-	// Reopen the renamed file for appends; the old handle now points at
-	// an unlinked inode.
-	f, err := os.OpenFile(d.path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("campaign: compact store: reopen: %w", err)
-	}
-	d.f.Close()
-	d.f = f
-	d.enc = json.NewEncoder(f)
 	d.records = len(d.idx)
 	telemetry.StoreCompactions.Inc()
-	d.syncGaugesLocked()
+	d.syncGaugesLocked(len(d.idx), d.records-len(d.idx))
 	return nil
 }
 
@@ -273,36 +339,6 @@ func sortedKeys(idx map[CellKey]*finject.Result) []CellKey {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// atomicReplaceFile writes a complete replacement for path to a
-// temporary sibling (buffered), fsyncs it and renames it into place, so
-// a crash at any point leaves either the old or the new complete file.
-// Both disk store formats compact through this helper.
-func atomicReplaceFile(path string, write func(w io.Writer) error) error {
-	tmpPath := path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	if err := write(w); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmpPath, path)
 }
 
 // Records reports the physical record count of the backing file;
@@ -321,17 +357,21 @@ func (d *DiskStore) Get(key CellKey) (*finject.Result, bool, error) {
 	return res, ok, nil
 }
 
-// Put implements Store, appending one JSON line.
+// Put implements Store, appending one record.
 func (d *DiskStore) Put(key CellKey, res *finject.Result) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.enc.Encode(diskRecord{Key: key, Result: res}); err != nil {
+	payload, err := d.codec.encode(key, res)
+	if err == nil {
+		err = d.j.Append(payload)
+	}
+	if err != nil {
 		return fmt.Errorf("campaign: store append: %w", err)
 	}
 	d.idx[key] = res
 	d.records++
 	telemetry.StorePuts.Inc()
-	d.syncGaugesLocked()
+	d.syncGaugesLocked(len(d.idx), d.records-len(d.idx))
 	return nil
 }
 
@@ -350,14 +390,13 @@ func (d *DiskStore) Keys() []CellKey {
 }
 
 // Path returns the backing file's path.
-func (d *DiskStore) Path() string { return d.path }
+func (d *DiskStore) Path() string { return d.j.Path() }
 
-// Close flushes and closes the backing file. The store must not be used
-// afterwards.
+// Close withdraws the store's contribution from the fleet record gauges
+// and closes the backing file. The store must not be used afterwards.
 func (d *DiskStore) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Withdraw this store's contribution from the fleet record gauges.
-	d.gauges.withdraw()
-	return d.f.Close()
+	d.syncGaugesLocked(0, 0)
+	return d.j.Close()
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/chips"
 	"repro/internal/experiment"
-	"repro/internal/finject"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -42,18 +41,16 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 		defaultChip = "GeForce GTX 480"
 	}
 	var (
-		chipName    = fs.String("chip", defaultChip, "chip to simulate")
-		benchName   = fs.String("bench", "vectoradd", "benchmark to run")
-		structSel   = fs.String("structure", "regfile", "structure: regfile or local")
-		seed        = fs.Uint64("seed", 1, "campaign seed")
-		storePath   = fs.String("store", "", "result store file; repeated identical campaigns are served from it")
-		storeFormat = fs.String("store-format", campaign.FormatAuto, "store file format: auto (sniff existing files, JSON for new), json, or binary")
-		ladderDir   = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
-		specPath    = fs.String("spec", "", "run this experiment spec (JSON) instead of one flag-built cell")
-		asJSON      = fs.Bool("json", false, "with -spec: emit the result as JSON instead of tables")
-		listFlag    = fs.Bool("list", false, "list chips and benchmarks, then exit")
+		chipName  = fs.String("chip", defaultChip, "chip to simulate")
+		benchName = fs.String("bench", "vectoradd", "benchmark to run")
+		structSel = fs.String("structure", "regfile", "structure: regfile or local")
+		seed      = fs.Uint64("seed", 1, "campaign seed")
+		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of one flag-built cell")
+		asJSON    = fs.Bool("json", false, "with -spec: emit the result as JSON instead of tables")
+		listFlag  = fs.Bool("list", false, "list chips and benchmarks, then exit")
 	)
 	pf := AddPolicyFlags(fs)
+	sf := AddStoreFlags(fs)
 	obs := AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -74,11 +71,8 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 	if err := pf.Validate(); err != nil {
 		return err
 	}
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("%s: -ladder-dir: %w", tool, err)
-		}
-		finject.SetLadderDir(*ladderDir)
+	if err := sf.InstallLadderDir(); err != nil {
+		return fmt.Errorf("%s: %w", tool, err)
 	}
 
 	if *listFlag {
@@ -102,21 +96,19 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 
 	scheduler := func() (*campaign.Scheduler, func(io.Writer), error) {
 		var store campaign.Store
-		closeStore := func() {}
-		if *storePath != "" {
-			ds, err := campaign.OpenStore(*storePath, *storeFormat)
-			if err != nil {
-				return nil, nil, err
-			}
+		ds, err := sf.Open()
+		if err != nil {
+			return nil, nil, err
+		}
+		if ds != nil {
 			store = ds
-			closeStore = func() { ds.Close() }
 		}
 		sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
 		summary := func(out io.Writer) {
-			defer closeStore()
-			if *storePath != "" {
+			if ds != nil {
+				defer ds.Close()
 				st := sched.Stats()
-				fmt.Fprintf(out, "  store             %s (hits=%d runs=%d)\n", *storePath, st.Hits, st.Runs)
+				fmt.Fprintf(out, "  store             %s (hits=%d runs=%d)\n", sf.Path, st.Hits, st.Runs)
 			}
 		}
 		return sched, summary, nil

@@ -8,7 +8,7 @@ import (
 )
 
 // Wire codec for campaign results: the payload body of a RecCell record
-// in binary result stores (campaign.BinaryDiskStore). The layout must
+// in binary result stores (campaign.DiskStore, binary codec). The layout must
 // round-trip Result exactly — the binary store's differential tests
 // compare figure JSON rendered from converted stores byte for byte.
 

@@ -312,64 +312,23 @@ func (c *Cluster) read() ([]wire.OwnerRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var recs []wire.OwnerRecord
-	_, err = wire.ScanRecords(data, func(rec wire.Record) error {
-		if rec.Kind != wire.RecOwner {
-			return nil // future record kinds are skippable by contract
-		}
-		o, derr := wire.DecodeOwner(rec.Payload)
-		if derr != nil {
-			return derr
-		}
-		recs = append(recs, o)
-		return nil
-	})
+	recs, _, err := wire.ReplayOwners(data)
 	if err != nil {
 		return nil, fmt.Errorf("ownership journal %s: %w", c.path, err)
 	}
 	return recs, nil
 }
 
-// append stamps and durably appends one record, healing any torn tail
-// first (the writer-side half of the wire torn-tail rule). The record
-// goes down in one write(2) at the healed offset and is fsynced before
-// the call returns, matching the job journal's durability discipline.
+// append stamps and durably appends one record. Several processes share
+// the file, so the journal is opened per operation: that heals a torn
+// tail (the writer-side half of the torn-tail rule) and the O_APPEND
+// write lands after whatever the peers appended in the meantime — the
+// claim tiebreak in tryClaim depends on no claim ever overwriting
+// another.
 func (c *Cluster) append(rec wire.OwnerRecord) error {
 	rec.UnixMillis = c.now().UnixMilli()
-	f, err := os.OpenFile(c.path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
+	if err := wire.AppendShared(c.path, wire.OwnerFraming, wire.EncodeOwner(rec)); err != nil {
+		return fmt.Errorf("ownership journal %s: %w", c.path, err)
 	}
-	defer f.Close()
-	data, err := os.ReadFile(c.path)
-	if err != nil {
-		return err
-	}
-	off := int64(0)
-	if len(data) == 0 {
-		hdr := wire.AppendHeader(nil, wire.FileOwner)
-		if _, err := f.WriteAt(hdr, 0); err != nil {
-			return err
-		}
-		off = int64(len(hdr))
-	} else {
-		good, err := wire.ScanRecords(data, func(wire.Record) error { return nil })
-		if err != nil {
-			return fmt.Errorf("ownership journal %s: %w", c.path, err)
-		}
-		off = int64(good)
-		if good < len(data) {
-			if err := f.Truncate(off); err != nil {
-				return err
-			}
-		}
-	}
-	buf := wire.AppendRecord(nil, wire.RecOwner, wire.EncodeOwner(rec))
-	if _, err := f.WriteAt(buf, off); err != nil {
-		return err
-	}
-	return f.Sync()
+	return nil
 }

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -15,23 +13,23 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
-// JobStore is the server's write-ahead job journal: one JSON record per
-// line, appended and fsynced at every state transition, so the job table
-// — submissions, per-cell progress and final results — survives a
-// kill -9 of the process. It reuses the campaign.DiskStore machinery's
-// shape: appends shadow earlier records, recovery replays the file, and
-// Compact rewrites it to the live minimum with fsync + atomic rename.
+// JobStore is the server's write-ahead job journal: a wire.Journal of
+// one JSON record per line, appended and fsynced at every state
+// transition, so the job table — submissions, per-cell progress and
+// final results — survives a kill -9 of the process. Appends shadow
+// earlier records, recovery replays the file, and Compact rewrites it to
+// the live minimum.
 //
 // Durability contract: a record is either wholly in the journal or
 // wholly absent after a crash. Recovery tolerates exactly one torn tail
-// (a partially written final record, as a mid-write crash leaves) by
-// truncating it; it never invents state that was not durably journaled.
+// (the journal's torn-tail rule) and never invents state that was not
+// durably journaled.
 type JobStore struct {
 	mu      sync.Mutex
-	path    string
-	f       *os.File
+	j       *wire.Journal
 	records int // physical records in the file
 
 	snaps  map[string]*jobSnapshot
@@ -134,58 +132,29 @@ func killSelf() {
 }
 
 // OpenJobStore opens (creating if absent) the journal at path and
-// replays it. A torn final record — the signature of a crash mid-write —
-// is truncated away so subsequent appends land on a clean line boundary;
-// any other malformed line is an error, not a guess.
+// replays it. A torn final record is truncated away; any other
+// malformed line is an error, not a guess.
 func OpenJobStore(path string) (*JobStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	js := &JobStore{snaps: make(map[string]*jobSnapshot)}
+	j, err := wire.OpenJournal(path, wire.Lines, true, func(line wire.Record) error {
+		var rec journalRecord
+		if err := json.Unmarshal(line.Payload, &rec); err != nil {
+			return fmt.Errorf("corrupt record at offset %d: %w", line.Off, err)
+		}
+		js.applyLocked(rec)
+		js.records++
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("service: open job store: %w", err)
-	}
-	js := &JobStore{path: path, f: f, snaps: make(map[string]*jobSnapshot)}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("service: job store %s: %w", path, err)
 	}
-	good := 0 // byte offset just past the last fully applied record
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break // unterminated tail: torn write
-		}
-		line := rest[:nl]
-		if len(bytes.TrimSpace(line)) > 0 {
-			// A newline-terminated record was fully written (the newline
-			// is its last byte), so a parse failure here is corruption,
-			// not a torn write — refuse to guess.
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("service: job store %s: corrupt record at offset %d: %w", path, good, err)
-			}
-			js.applyLocked(rec)
-			js.records++
-		}
-		good += nl + 1
-		rest = rest[nl+1:]
-	}
-	if good < len(data) {
-		// Drop the torn tail so the next append starts a clean line.
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("service: job store %s: truncate torn tail: %w", path, err)
-		}
+	js.j = j
+	if j.Healed() > 0 {
 		telemetry.JobJournalTornTails.Inc()
-	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("service: job store %s: %w", path, err)
 	}
 	if js.records-js.liveRecordsLocked() > campaign.CompactDeadThreshold {
 		if err := js.Compact(); err != nil {
-			f.Close()
+			j.Close()
 			return nil, err
 		}
 	}
@@ -286,10 +255,10 @@ func (js *JobStore) snapshots() []*jobSnapshot {
 	return out
 }
 
-// append journals one record durably: marshal, write, fsync. The write
-// is a single write(2) of record+newline, so a crash leaves the record
-// wholly present or wholly absent — except under the injected torn-cell
-// barrier, which deliberately crashes half-way through the write.
+// append journals one record durably (marshal, then the journal's
+// single write(2) + fsync), so a crash leaves the record wholly present
+// or wholly absent — except under the injected torn-cell barrier, which
+// deliberately crashes half-way through the write.
 func (js *JobStore) append(rec journalRecord) error {
 	js.mu.Lock()
 	defer js.mu.Unlock()
@@ -297,16 +266,11 @@ func (js *JobStore) append(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("service: job store append: %w", err)
 	}
-	buf = append(buf, '\n')
 	if rec.Event == "cell" && js.fireLocked(CrashTornCell) {
-		js.f.Write(buf[:len(buf)/2])
-		js.f.Sync()
+		js.j.AppendTorn(buf)
 		killSelf()
 	}
-	if _, err := js.f.Write(buf); err != nil {
-		return fmt.Errorf("service: job store append: %w", err)
-	}
-	if err := js.f.Sync(); err != nil {
+	if err := js.j.Append(buf); err != nil {
 		return fmt.Errorf("service: job store append: %w", err)
 	}
 	js.records++
@@ -369,79 +333,61 @@ func (js *JobStore) Len() int {
 }
 
 // Path returns the backing file's path.
-func (js *JobStore) Path() string { return js.path }
+func (js *JobStore) Path() string { return js.j.Path() }
 
 // Compact rewrites the journal down to the live minimum — one submit
 // record, the settled cell records and the finish record per retained
-// job — through a temporary sibling that is fsynced and atomically
-// renamed over the journal, exactly like campaign.DiskStore.Compact: a
-// crash at any point leaves either the old complete file or the new one.
+// job — through the journal's atomic rewrite: a crash at any point
+// leaves either the old complete file or the new one.
 func (js *JobStore) Compact() error {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	tmpPath := js.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: compact job store: %w", err)
-	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
-	enc := json.NewEncoder(tmp)
 	written := 0
-	for _, id := range js.order {
-		snap := js.snaps[id]
-		recs := []journalRecord{{
-			Event: "submit", Job: id, Kind: snap.Kind, Tenant: snap.Tenant,
-			Cells: snap.RawCells, Policy: snap.Policy, Spec: snap.Spec,
-		}}
-		for i, c := range snap.Cells {
-			if c.State == "pending" {
-				continue
+	err := js.j.Rewrite(func(put func(payload []byte)) error {
+		for _, id := range js.order {
+			snap := js.snaps[id]
+			recs := []journalRecord{{
+				Event: "submit", Job: id, Kind: snap.Kind, Tenant: snap.Tenant,
+				Cells: snap.RawCells, Policy: snap.Policy, Spec: snap.Spec,
+			}}
+			for i, c := range snap.Cells {
+				if c.State == "pending" {
+					continue
+				}
+				recs = append(recs, journalRecord{
+					Event: "cell", Job: id, Index: i, State: c.State,
+					Cached: c.Cached, Injections: c.Injections, Error: c.Error,
+					Result: snap.Results[i],
+				})
 			}
-			recs = append(recs, journalRecord{
-				Event: "cell", Job: id, Index: i, State: c.State,
-				Cached: c.Cached, Injections: c.Injections, Error: c.Error,
-				Result: snap.Results[i],
-			})
-		}
-		if snap.State != "" {
-			recs = append(recs, journalRecord{
-				Event: "finish", Job: id, State: snap.State,
-				Error: snap.ErrMsg, ExpResult: snap.ExpResult,
-			})
-		}
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
-				tmp.Close()
-				return fmt.Errorf("service: compact job store: %w", err)
+			if snap.State != "" {
+				recs = append(recs, journalRecord{
+					Event: "finish", Job: id, State: snap.State,
+					Error: snap.ErrMsg, ExpResult: snap.ExpResult,
+				})
 			}
-			written++
+			for _, rec := range recs {
+				buf, err := json.Marshal(rec)
+				if err != nil {
+					return err
+				}
+				put(buf)
+				written++
+			}
 		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("service: compact job store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("service: compact job store: %w", err)
-	}
-	if err := os.Rename(tmpPath, js.path); err != nil {
-		return fmt.Errorf("service: compact job store: %w", err)
-	}
-	f, err := os.OpenFile(js.path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("service: compact job store: reopen: %w", err)
+		return fmt.Errorf("service: compact job store: %w", err)
 	}
-	js.f.Close()
-	js.f = f
 	js.records = written
 	telemetry.JobJournalCompactions.Inc()
 	return nil
 }
 
-// Close flushes and closes the journal. The store must not be used
-// afterwards.
+// Close closes the journal. The store must not be used afterwards.
 func (js *JobStore) Close() error {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return js.f.Close()
+	return js.j.Close()
 }

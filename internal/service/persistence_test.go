@@ -28,7 +28,7 @@ type persistentServer struct {
 // equivalent of restarting fiserver with -store and -job-store.
 func bootPersistent(t *testing.T, dir string) *persistentServer {
 	t.Helper()
-	store, err := campaign.OpenDiskStore(filepath.Join(dir, "cells.jsonl"))
+	store, err := campaign.OpenStore(filepath.Join(dir, "cells.jsonl"), campaign.FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}

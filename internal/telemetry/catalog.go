@@ -79,7 +79,7 @@ var (
 	// Binary wire format (internal/wire): store/ladder encoding and
 	// mmap'd ladder sharing.
 	WireBytesWritten = Default.Counter("fi_wire_bytes_written_total",
-		"Bytes written to binary wire-format files (stores and ladders).")
+		"Bytes written to binary wire-format files (stores, ladders and the ownership journal).")
 	WirePagesStored = Default.Counter("fi_wire_pages_stored_total",
 		"Distinct content-addressed 4 KiB pages written to ladder files.")
 	WirePagesDeduped = Default.Counter("fi_wire_pages_deduped_total",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/gpu"
@@ -43,12 +42,11 @@ type LadderInfo struct {
 // pageHashSize is the content-hash width stored with each page.
 const pageHashSize = sha256.Size
 
-// WriteLadder serializes a checkpoint ladder to path atomically: the
-// file streams to a unique temporary sibling, is fsynced, and is
-// renamed into place, so concurrent writers racing on the same path
-// leave one complete file (their contents are identical anyway —
-// golden runs are deterministic). codec must be a device of the
-// ladder's own chip configuration.
+// WriteLadder serializes a checkpoint ladder to path atomically
+// (ReplaceFile), so concurrent writers racing on the same path leave one
+// complete file (their contents are identical anyway — golden runs are
+// deterministic). codec must be a device of the ladder's own chip
+// configuration.
 func WriteLadder(path string, info LadderInfo, codec gpu.SnapshotCodec, snaps []gpu.Snapshot) error {
 	buf := AppendHeader(nil, FileLadder)
 
@@ -100,29 +98,7 @@ func WriteLadder(path string, info LadderInfo, codec gpu.SnapshotCodec, snaps []
 		buf = AppendRecord(buf, RecSnapshot, sw.Bytes())
 	}
 
-	tmp, err := os.CreateTemp(dirOf(path), ".ladder-*")
-	if err != nil {
-		return fmt.Errorf("wire: ladder %s: %w", path, err)
-	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wire: ladder %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wire: ladder %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wire: ladder %s: %w", path, err)
-	}
-	// CreateTemp makes the file 0600; ladders are meant to be shared
-	// read-only across processes (and users), so widen before publishing.
-	if err := os.Chmod(tmpPath, 0o644); err != nil {
-		return fmt.Errorf("wire: ladder %s: %w", path, err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
+	if err := ReplaceFile(path, buf); err != nil {
 		return fmt.Errorf("wire: ladder %s: %w", path, err)
 	}
 	telemetry.WireBytesWritten.Add(int64(len(buf)))
@@ -130,19 +106,6 @@ func WriteLadder(path string, info LadderInfo, codec gpu.SnapshotCodec, snaps []
 	telemetry.WirePagesDeduped.Add(deduped)
 	telemetry.WireLadderSaves.Inc()
 	return nil
-}
-
-// dirOf returns the directory holding path ("." when bare).
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if os.IsPathSeparator(path[i]) {
-			if i == 0 {
-				return string(path[0])
-			}
-			return path[:i]
-		}
-	}
-	return "."
 }
 
 // mappings is the process-wide ladder mapping cache: each ladder file

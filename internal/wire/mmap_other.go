@@ -19,3 +19,10 @@ func mapFile(path string) ([]byte, func() error, error) {
 // mmapSupported reports whether this platform shares ladder files by
 // true memory mapping.
 const mmapSupported = false
+
+// lockFile is a no-op without flock(2): journals shared between
+// processes (AppendShared) need a unix host.
+func lockFile(*os.File) error { return nil }
+
+// syncDir is a no-op where directories cannot be fsynced.
+func syncDir(string) error { return nil }

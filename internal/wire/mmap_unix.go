@@ -40,3 +40,25 @@ func mapFile(path string) ([]byte, func() error, error) {
 // mmapSupported reports whether this platform shares ladder files by
 // true memory mapping (it affects telemetry labeling only).
 const mmapSupported = true
+
+// lockFile takes an exclusive advisory lock on f, waiting for a peer to
+// release it; closing f releases it.
+func lockFile(f *os.File) error {
+	for {
+		err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX)
+		if err != syscall.EINTR {
+			return err
+		}
+	}
+}
+
+// syncDir fsyncs a directory so a rename or link inside it survives an
+// OS crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

@@ -11,9 +11,12 @@ import "fmt"
 // epoch in the file, proves liveness by appending heartbeat records
 // under that epoch, and abdicates the moment it observes a higher
 // epoch than its own (a peer decided it was dead and took over).
-// Because records are CRC-framed and appended with O_APPEND single
-// write(2) calls, a torn tail from a SIGKILL mid-append is healed by
-// the standard wire truncation rule and never forges a claim.
+// Every writer goes through a Journal: records are CRC-framed and
+// appended with one write(2) on an O_APPEND descriptor, so concurrent
+// servers interleave whole records instead of overwriting each other
+// (the claim tiebreak needs every claim to be in the file), and a torn
+// tail from a SIGKILL mid-append is healed by the journal's truncation
+// rule and never forges a claim.
 
 // Owner event names. They are encoded as strings (not enum bytes) so
 // fistore inspect output and future event kinds stay self-describing.
@@ -39,6 +42,24 @@ type OwnerRecord struct {
 	UnixMillis int64
 	// Event is one of OwnerClaim, OwnerBeat, OwnerRelease.
 	Event string
+}
+
+// OwnerFraming is the ownership journal's Journal framing.
+var OwnerFraming = Frames(FileOwner, RecOwner)
+
+// ReplayOwners decodes every record of an ownership journal image,
+// read-only, and returns the offset just past the last whole record (a
+// torn tail follows when good < len(data); the next writer heals it).
+func ReplayOwners(data []byte) (recs []OwnerRecord, good int, err error) {
+	good, err = Replay(data, OwnerFraming, func(rec Record) error {
+		o, err := DecodeOwner(rec.Payload)
+		if err != nil {
+			return fmt.Errorf("record at offset %d: %w", rec.Off, err)
+		}
+		recs = append(recs, o)
+		return nil
+	})
+	return recs, good, err
 }
 
 // EncodeOwner encodes the record as a RecOwner payload.

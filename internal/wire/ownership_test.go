@@ -37,35 +37,3 @@ func TestOwnerRecordRejectsBadPayloads(t *testing.T) {
 		t.Fatalf("unknown event: got %v, want ErrCorrupt", err)
 	}
 }
-
-func TestOwnerFileScanAndTornTail(t *testing.T) {
-	b := AppendHeader(nil, FileOwner)
-	b = AppendRecord(b, RecOwner, EncodeOwner(OwnerRecord{Epoch: 1, Server: "a", UnixMillis: 10, Event: OwnerClaim}))
-	b = AppendRecord(b, RecOwner, EncodeOwner(OwnerRecord{Epoch: 2, Server: "b", UnixMillis: 20, Event: OwnerClaim}))
-	goodLen := len(b)
-	// A torn tail: half an appended record, the SIGKILL-mid-claim shape.
-	torn := AppendRecord(nil, RecOwner, EncodeOwner(OwnerRecord{Epoch: 3, Server: "c", UnixMillis: 30, Event: OwnerClaim}))
-	b = append(b, torn[:len(torn)/2]...)
-
-	var got []OwnerRecord
-	good, err := ScanRecords(b, func(rec Record) error {
-		if rec.Kind != RecOwner {
-			t.Fatalf("unexpected record kind %v", rec.Kind)
-		}
-		o, err := DecodeOwner(rec.Payload)
-		if err != nil {
-			return err
-		}
-		got = append(got, o)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ScanRecords: %v", err)
-	}
-	if good != goodLen {
-		t.Fatalf("good offset %d, want %d (torn tail must be truncated away)", good, goodLen)
-	}
-	if len(got) != 2 || got[0].Epoch != 1 || got[1].Epoch != 2 {
-		t.Fatalf("scanned records %+v, want epochs 1,2", got)
-	}
-}

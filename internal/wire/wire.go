@@ -1,7 +1,9 @@
-// Package wire is the versioned binary on-disk format shared by the
-// campaign result store (campaign.BinaryDiskStore), the file-backed
+// Package wire is the on-disk layer of the fleet: the versioned binary
+// format shared by the campaign result store (campaign.DiskStore's
+// binary codec), the control plane's ownership journal, the file-backed
 // checkpoint-ladder store (finject's -ladder-dir path) and the fistore
-// inspection CLI. A wire file is
+// inspection CLI, plus Journal, the one append-only-file implementation
+// under every log the fleet keeps (binary or JSON lines). A wire file is
 //
 //	[magic "FIWR"][version u8][file kind u8][reserved u16]
 //	[record]...
@@ -18,7 +20,7 @@
 // in heap COW. Ladder files are opened by read-only mmap, so every
 // process on a host shares one physical copy of a golden's ladder.
 //
-// Torn tails versus corruption follow the JSON store's rule: a record
+// Torn tails versus corruption follow the Journal's rule: a record
 // whose declared extent runs past the end of the file is the signature
 // of a process killed mid-append and is truncated away by appenders; a
 // record that is wholly present but fails its CRC or decode is
