@@ -1,106 +1,33 @@
-// Package repro's root benchmark harness regenerates every figure of the
-// paper's evaluation section plus the design-choice ablations called out
-// in DESIGN.md. Each benchmark prints the figure's rows (benchmark x chip
-// series) on its first iteration, so
+// Package repro's root benchmark harness measures the injection hot
+// paths and the design-choice ablations called out in DESIGN.md:
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation at a reduced (CI-friendly) injection
-// count; raise it with -repro.n to approach the paper's 2,000.
+// runs them at a reduced (CI-friendly) injection count; raise it with
+// -repro.n to approach the paper's 2,000. The paper's three figures are
+// regenerated by cmd/figures and measured end to end by go run ./bench
+// (figures_cold, figures_warm).
 package repro
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ace"
 	"repro/internal/chips"
-	"repro/internal/core"
 	"repro/internal/devices"
 	"repro/internal/finject"
 	"repro/internal/gpu"
-	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
-var benchInjections = flag.Int("repro.n", 60, "fault injections per campaign in figure benchmarks")
-
-// BenchmarkFig1RegisterFileAVF regenerates Fig. 1: register-file AVF by
-// FI and ACE with occupancy, 10 benchmarks x 4 chips plus averages.
-func BenchmarkFig1RegisterFileAVF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := core.FigureRegisterFile(core.Options{Injections: *benchInjections, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			if err := report.WriteFigure(os.Stdout, fig,
-				fmt.Sprintf("Fig. 1 — Register File AVF (%d injections/campaign)", *benchInjections)); err != nil {
-				b.Fatal(err)
-			}
-			reportAverages(b, fig)
-		}
-	}
-}
-
-// BenchmarkFig2LocalMemoryAVF regenerates Fig. 2: local-memory AVF for
-// the 7 shared-memory benchmarks x 4 chips plus averages.
-func BenchmarkFig2LocalMemoryAVF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := core.FigureLocalMemory(core.Options{Injections: *benchInjections, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			if err := report.WriteFigure(os.Stdout, fig,
-				fmt.Sprintf("Fig. 2 — Local Memory AVF (%d injections/campaign)", *benchInjections)); err != nil {
-				b.Fatal(err)
-			}
-			reportAverages(b, fig)
-		}
-	}
-}
-
-// BenchmarkFig3EPF regenerates Fig. 3: executions per failure for all 10
-// benchmarks on all 4 chips.
-func BenchmarkFig3EPF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		data, err := core.FigureEPF(core.Options{Injections: *benchInjections, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			if err := report.WriteEPF(os.Stdout, data, "Fig. 3 — Executions per Failure (EPF)"); err != nil {
-				b.Fatal(err)
-			}
-			// Summary metric: the paper's EPF range spans orders of
-			// magnitude; report the spread.
-			min, max := 0.0, 0.0
-			for _, row := range data.Rows {
-				for _, r := range row {
-					if r.EPF <= 0 {
-						continue
-					}
-					if min == 0 || r.EPF < min {
-						min = r.EPF
-					}
-					if r.EPF > max {
-						max = r.EPF
-					}
-				}
-			}
-			b.ReportMetric(min, "EPF-min")
-			b.ReportMetric(max, "EPF-max")
-		}
-	}
-}
+var benchInjections = flag.Int("repro.n", 60, "fault injections per campaign in the ablation benchmarks")
 
 // BenchmarkStatisticalSampling regenerates the paper's Section III
 // footnote: the error margin of 2,000 injections at 99% confidence.
@@ -598,30 +525,4 @@ func runCycles(b *testing.B, chip *chips.Chip, bench *workloads.Benchmark) int64
 		b.Fatal(err)
 	}
 	return d.Stats().Cycles
-}
-
-func reportAverages(b *testing.B, fig *core.Figure) {
-	b.Helper()
-	for ci, name := range fig.ChipNames {
-		avg := fig.Averages[ci]
-		_ = name
-		b.ReportMetric(100*avg.AVFFI, "avgAVF-FI-"+shortName(avg.Chip)+"%")
-		b.ReportMetric(100*avg.AVFACE, "avgAVF-ACE-"+shortName(avg.Chip)+"%")
-		_ = ci
-	}
-}
-
-func shortName(chip string) string {
-	switch chip {
-	case "HD Radeon 7970":
-		return "7970"
-	case "Quadro FX 5600":
-		return "5600"
-	case "Quadro FX 5800":
-		return "5800"
-	case "GeForce GTX 480":
-		return "480"
-	default:
-		return chip
-	}
 }

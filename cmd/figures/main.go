@@ -13,9 +13,10 @@
 //	figures -spec sweep.json -server http://host:8080
 //	                                         ...on a fiserver, streamed
 //
-// The figure flags (-fig, -chips, -bench, ...) are themselves compiled
-// into specs internally — a figure run and the equivalent spec run are
-// the same code path and produce byte-identical output.
+// The canned figures are specs too (experiment.Figure), narrowed by the
+// figure flags: "-fig 1 -chips A -n 100" and a -spec file holding the
+// same grid, budget and seed are one code path and print the same
+// bytes, locally or with -server on a fiserver.
 //
 // Useful knobs: -n (injections per campaign; the paper uses 2000, and it
 // becomes the cap when -margin is set), -margin/-confidence (adaptive
@@ -26,8 +27,8 @@
 // (comma-separated subset), -store (persistent result cache; warm reruns
 // perform zero injections).
 //
-// All figures of one invocation share a campaign scheduler, so Fig. 3
-// reuses every cell Figs. 1 and 2 already measured.
+// All figures of one local invocation share a campaign scheduler, so
+// Fig. 3 reuses every cell Figs. 1 and 2 already measured.
 package main
 
 import (
@@ -43,13 +44,10 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/chips"
 	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/report"
-	"repro/internal/workloads"
 )
 
 // errUsage marks argument errors the FlagSet has already reported on
@@ -80,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		chipSel   = fs.String("chips", "", "comma-separated chip subset (default: the paper's four)")
 		asJSON    = fs.Bool("json", false, "emit figures as JSON instead of tables")
 		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of a canned figure")
-		serverURL = fs.String("server", "", "with -spec: run on this fiserver (POST /v1/experiments) instead of locally")
+		serverURL = fs.String("server", "", "run on this fiserver (POST /v1/experiments) instead of locally")
 	)
 	pf := cli.AddPolicyFlags(fs)
 	sf := cli.AddStoreFlags(fs)
@@ -107,128 +105,75 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := sf.InstallLadderDir(); err != nil {
 		return err
 	}
+	if *serverURL != "" && (sf.Path != "" || pf.Workers != 0) {
+		return errors.New("-store and -workers are local-only: with -server the fiserver owns its store and worker pool")
+	}
 
+	// What to run: one spec file, or the canned figure specs narrowed
+	// by the figure flags.
+	var specs []experiment.Spec
 	if *specPath != "" {
-		if *serverURL != "" && (sf.Path != "" || pf.Workers != 0) {
-			return errors.New("-store and -workers are local-only: with -server the fiserver owns its store and worker pool")
-		}
-		f, err := os.Open(*specPath)
+		spec, err := pf.LoadSpec(fs, *specPath, *seed)
 		if err != nil {
 			return err
 		}
-		spec, err := experiment.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		// Explicitly set campaign flags override the spec, so CI and
-		// quick local runs can shrink a committed spec without editing
-		// it; the grid axes always come from the file.
-		fs.Visit(func(fl *flag.Flag) {
-			if pf.Override(fl.Name, &spec) {
-				return
+		specs = append(specs, spec)
+	} else {
+		for n := 1; n <= 3; n++ {
+			if *fig != "all" && *fig != fmt.Sprint(n) {
+				continue
 			}
-			if fl.Name == "seed" {
-				spec.Seed = *seed
-			}
-		})
-		return runSpec(ctx, spec, *serverURL, sf, pf.Workers, *asJSON, stdout, log)
-	}
-	if *serverURL != "" {
-		return errors.New("-server needs -spec (the canned figures run locally)")
-	}
-
-	store, closeStore, err := openStore(sf, log)
-	if err != nil {
-		return err
-	}
-	defer closeStore()
-	sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
-	opts := core.Options{
-		Injections: pf.N, Seed: *seed, Workers: pf.Workers,
-		Confidence: pf.Confidence, Margin: pf.Margin, Checkpoint: pf.Checkpoint(), Scheduler: sched,
-	}
-	if *chipSel != "" {
-		for _, name := range strings.Split(*chipSel, ",") {
-			c, err := chips.ByName(strings.TrimSpace(name))
+			spec, err := experiment.Figure(n)
 			if err != nil {
 				return err
 			}
-			opts.Chips = append(opts.Chips, c)
-		}
-	}
-	if *benches != "" {
-		for _, name := range strings.Split(*benches, ",") {
-			b, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
+			if *chipSel != "" {
+				spec.Chips = splitList(*chipSel)
 			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
+			if *benches != "" {
+				spec.Benchmarks = splitList(*benches)
+			}
+			spec.Injections, spec.Seed, spec.Policy = pf.N, *seed, pf.SpecPolicy()
+			specs = append(specs, spec)
+		}
+		if len(specs) == 0 {
+			return fmt.Errorf("unknown figure %q (want 1, 2, 3 or all)", *fig)
 		}
 	}
 
-	run1 := *fig == "1" || *fig == "all"
-	run2 := *fig == "2" || *fig == "all"
-	run3 := *fig == "3" || *fig == "all"
-	if !run1 && !run2 && !run3 {
-		return fmt.Errorf("unknown figure %q (want 1, 2, 3 or all)", *fig)
-	}
-
-	if run1 {
-		start := time.Now()
-		f, err := core.FigureRegisterFileContext(ctx, opts)
+	// Where to run it: a fiserver, or one local scheduler shared by
+	// every spec of the invocation.
+	var sched *campaign.Scheduler
+	if *serverURL == "" {
+		store, closeStore, err := openStore(sf, log)
 		if err != nil {
 			return err
 		}
-		title := fmt.Sprintf("Fig. 1 — Register File AVF (FI + ACE), %d injections/campaign", opts.Injections)
-		if err := writeFigure(stdout, f, title, *asJSON); err != nil {
-			return err
-		}
-		wallTime(stdout, log, *asJSON, "fig 1", start)
+		defer closeStore()
+		sched = campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
 	}
-	if run2 {
-		start := time.Now()
-		f, err := core.FigureLocalMemoryContext(ctx, opts)
-		if err != nil {
+	for _, spec := range specs {
+		if err := runSpec(ctx, spec, *serverURL, sched, *asJSON, stdout, log); err != nil {
 			return err
 		}
-		title := fmt.Sprintf("Fig. 2 — Local Memory AVF (FI + ACE), %d injections/campaign", opts.Injections)
-		if err := writeFigure(stdout, f, title, *asJSON); err != nil {
-			return err
-		}
-		wallTime(stdout, log, *asJSON, "fig 2", start)
 	}
-	if run3 {
-		start := time.Now()
-		f, err := core.FigureEPFContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		title := "Fig. 3 — Executions per Failure (EPF)"
-		var werr error
-		if *asJSON {
-			werr = report.WriteEPFJSON(stdout, f, title)
-		} else {
-			werr = report.WriteEPF(stdout, f, title)
-		}
-		if werr != nil {
-			return werr
-		}
-		wallTime(stdout, log, *asJSON, "fig 3", start)
+	if sched != nil {
+		st := sched.Stats()
+		log.Info("campaigns done",
+			"runs", st.Runs, "injections", st.Injections,
+			"cached", st.Hits+st.Joins, "upgraded", st.Upgrades, "goldens", st.GoldenRuns)
 	}
-	st := sched.Stats()
-	log.Info("campaigns done",
-		"runs", st.Runs, "injections", st.Injections,
-		"cached", st.Hits+st.Joins, "upgraded", st.Upgrades, "goldens", st.GoldenRuns)
 	return nil
 }
 
-// writeFigure renders an AVF figure as a table or as JSON.
-func writeFigure(w io.Writer, f *core.Figure, title string, asJSON bool) error {
-	if asJSON {
-		return report.WriteFigureJSON(w, f, title)
+// splitList splits a comma-separated flag value; the names are resolved
+// (and unknown ones rejected) when the spec compiles.
+func splitList(v string) []string {
+	names := strings.Split(v, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-	return report.WriteFigure(w, f, title)
+	return names
 }
 
 // openStore opens the -store file, if one was given, and logs what it
@@ -242,15 +187,17 @@ func openStore(sf *cli.StoreFlags, log *slog.Logger) (campaign.Store, func(), er
 	return ds, func() { ds.Close() }, nil
 }
 
-// runSpec executes one declarative experiment spec — locally over a
-// scheduler (honoring -store and -workers) or on a fiserver via the
-// shared client — and renders the result as tables or JSON.
-func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sf *cli.StoreFlags, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
+// runSpec executes one declarative experiment spec — on the local
+// scheduler, or on a fiserver via the shared client when serverURL is
+// set — and renders the result as tables or JSON.
+func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sched *campaign.Scheduler, asJSON bool, stdout io.Writer, log *slog.Logger) error {
 	start := time.Now()
-	var res *experiment.Result
+	var (
+		res *experiment.Result
+		err error
+	)
 	if serverURL != "" {
 		cl := &client.Client{Base: serverURL}
-		var err error
 		res, err = cl.RunExperiment(ctx, spec, func(ev client.Event) {
 			switch ev.Event {
 			case "job":
@@ -260,16 +207,7 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sf *cl
 					"chip", ev.Chip, "benchmark", ev.Benchmark, "structure", ev.Structure, "cached", ev.Cached)
 			}
 		})
-		if err != nil {
-			return err
-		}
 	} else {
-		store, closeStore, err := openStore(sf, log)
-		if err != nil {
-			return err
-		}
-		defer closeStore()
-		sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: workers})
 		runner := &experiment.Runner{
 			Scheduler: sched,
 			OnCell: func(p experiment.Progress) {
@@ -278,36 +216,28 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sf *cl
 			},
 		}
 		res, err = runner.Run(ctx, spec)
-		if err != nil {
-			return err
-		}
-		st := sched.Stats()
-		defer log.Info("campaigns done",
-			"runs", st.Runs, "injections", st.Injections,
-			"cached", st.Hits+st.Joins, "goldens", st.GoldenRuns)
 	}
+	if err != nil {
+		return err
+	}
+	phase := spec.Name
+	if phase == "" {
+		phase = "spec"
+	}
+	// The wall-clock note follows the tables in human mode and goes to
+	// the structured log under -json, so the machine output stays a
+	// comparable JSON document (the store-format CI smoke diffs it byte
+	// for byte).
 	if asJSON {
 		if err := report.WriteExperimentJSON(stdout, res); err != nil {
 			return err
 		}
-	} else {
-		if err := report.WriteExperiment(stdout, res); err != nil {
-			return err
-		}
+		log.Info("phase done", "phase", phase, "wall", time.Since(start).Round(time.Millisecond).String())
+		return nil
 	}
-	wallTime(stdout, log, asJSON, "spec", start)
-	return nil
-}
-
-// wallTime reports a phase's wall-clock time: appended to the tables in
-// human mode, routed to the structured log under -json so the machine
-// output stays a comparable JSON document (the store-format CI smoke
-// diffs it byte for byte).
-func wallTime(stdout io.Writer, log *slog.Logger, asJSON bool, phase string, start time.Time) {
-	d := time.Since(start).Round(time.Millisecond)
-	if asJSON {
-		log.Info("phase done", "phase", phase, "wall", d.String())
-		return
+	if err := report.WriteExperiment(stdout, res); err != nil {
+		return err
 	}
-	fmt.Fprintf(stdout, "\n(%s wall time: %v)\n\n", phase, d)
+	_, err = fmt.Fprintf(stdout, "\n(%s wall time: %v)\n\n", phase, time.Since(start).Round(time.Millisecond))
+	return err
 }

@@ -6,10 +6,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/experiment"
+	"repro/internal/gpu"
 	"repro/internal/service"
 )
 
@@ -19,7 +22,7 @@ func TestRunTinyFigure(t *testing.T) {
 	if err := run(context.Background(), args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "Fig. 1") || !strings.Contains(out.String(), "vectoradd") {
+	if !strings.Contains(out.String(), "fig1-register-file-avf") || !strings.Contains(out.String(), "vectoradd") {
 		t.Fatalf("figure output:\n%s", out.String())
 	}
 	if !strings.Contains(errOut.String(), `msg="campaigns done" runs=1`) {
@@ -33,13 +36,67 @@ func TestRunTinyFigureJSON(t *testing.T) {
 	if err := run(context.Background(), args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	// The JSON document comes first; the wall-time note follows it.
-	var doc map[string]any
-	if err := json.NewDecoder(strings.NewReader(out.String())).Decode(&doc); err != nil {
+	// Stdout is exactly one experiment.Result document; the wall-time
+	// note goes to the log.
+	var doc experiment.Result
+	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
-	if doc["structure"] != "local-memory" {
-		t.Fatalf("figure document: %v", doc)
+	if doc.Spec.Name != "fig2-local-memory-avf" || len(doc.Tables) != 1 || doc.Tables[0].Structure != gpu.LocalMemory {
+		t.Fatalf("figure document: %+v", doc)
+	}
+}
+
+// TestFigureFlagsMatchSpecFile is the one-path contract: a canned figure
+// narrowed by the figure flags prints exactly the bytes of a -spec run
+// over a file holding experiment.Figure(N) with the same axes, budget
+// and seed.
+func TestFigureFlagsMatchSpecFile(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		spec, err := experiment.Figure(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Chips = []string{"Mini NVIDIA", "Mini AMD"}
+		spec.Benchmarks = []string{"reduction", "matrixMul"}
+		spec.Injections, spec.Seed = 25, 6
+		file, err := spec.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := writeMiniSpec(t, string(file))
+
+		var fromFlags, fromFile, errOut strings.Builder
+		args := []string{"-fig", strconv.Itoa(n), "-chips", "Mini NVIDIA, Mini AMD", "-bench", "reduction,matrixMul", "-n", "25", "-seed", "6", "-json"}
+		if err := run(context.Background(), args, &fromFlags, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(context.Background(), []string{"-spec", path, "-json"}, &fromFile, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		if fromFlags.String() != fromFile.String() {
+			t.Fatalf("fig %d: -fig and -spec outputs differ:\n%s\nvs\n%s", n, fromFlags.String(), fromFile.String())
+		}
+	}
+}
+
+// TestFiguresShareOneScheduler: -fig all runs its three specs on one
+// scheduler, so Fig. 3 re-executes nothing Figs. 1 and 2 measured.
+func TestFiguresShareOneScheduler(t *testing.T) {
+	var out, errOut strings.Builder
+	args := []string{"-fig", "all", "-chips", "Mini NVIDIA", "-bench", "reduction", "-n", "10"}
+	if err := run(context.Background(), args, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	// One benchmark on one chip: a register-file and a local-memory
+	// cell, each run once; Fig. 3 is served both from the store.
+	if !strings.Contains(errOut.String(), `msg="campaigns done" runs=2 injections=20 cached=2 `) {
+		t.Fatalf("campaign summary:\n%s", errOut.String())
+	}
+	for _, want := range []string{"fig1-register-file-avf", "fig2-local-memory-avf", "fig3-epf — Executions per Failure"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -142,6 +199,29 @@ func TestRunSpecFileJSON(t *testing.T) {
 	}
 }
 
+// TestRunFigureOnServer: -fig N -server is the operator's way to run a
+// canned figure on a fiserver, and prints what the local run prints.
+func TestRunFigureOnServer(t *testing.T) {
+	sched := campaign.New(campaign.Config{})
+	ts := httptest.NewServer(service.NewServer(sched))
+	defer ts.Close()
+
+	args := []string{"-fig", "3", "-chips", "Mini AMD", "-bench", "reduction", "-n", "20", "-seed", "2", "-json"}
+	var local, remote, errOut strings.Builder
+	if err := run(context.Background(), args, &local, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), append(args, "-server", ts.URL), &remote, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if remote.String() != local.String() {
+		t.Fatalf("figure differs between fiserver and local run:\n%s\nvs\n%s", remote.String(), local.String())
+	}
+	if sched.Stats().Runs != 2 {
+		t.Fatalf("server scheduler executed %d campaigns, want 2", sched.Stats().Runs)
+	}
+}
+
 // TestRunSpecOnServer drives -spec -server against a live fiserver.
 func TestRunSpecOnServer(t *testing.T) {
 	sched := campaign.New(campaign.Config{})
@@ -169,7 +249,6 @@ func TestRunSpecErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-spec", "/no/such/file.json"},
 		{"-spec", badSpec},
-		{"-server", "http://localhost:1"}, // -server without -spec
 	} {
 		var out, errOut strings.Builder
 		if err := run(context.Background(), args, &out, &errOut); err == nil {

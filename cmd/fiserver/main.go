@@ -1,11 +1,11 @@
 // Command fiserver serves the campaign orchestration subsystem over
 // HTTP: clients submit batches of fault-injection cells, poll status,
-// fetch results, and run whole figures with streamed progress. All
-// requests share one scheduler and one store, so identical cells are
-// computed once ever — across requests, clients and (with -store)
-// process restarts. Jobs may carry an execution policy (adaptive margin,
-// confidence, injection cap) and figure runs accept margin= and
-// confidence= query parameters.
+// fetch results, and run declarative experiment specs — the paper's
+// figures are three canned ones — with streamed progress. All requests
+// share one scheduler and one store, so identical cells are computed
+// once ever — across requests, clients and (with -store) process
+// restarts. Jobs and specs may carry an execution policy (adaptive
+// margin, confidence, injection cap).
 //
 // With -workers-remote the server stops simulating in-process and
 // instead shards cells across a fleet of fiworker processes under
@@ -30,11 +30,12 @@
 //	fiserver -addr :8080 -workers-remote -lease-ttl 30s
 //	fiserver -addr :8080 -api-keys keys.conf -cluster-dir /shared/fi
 //
-//	curl -s localhost:8080/v1/figure?fig=1\&n=100\&margin=0.03 | tail -1
+//	figures -fig 1 -n 100 -margin 0.03 -server http://localhost:8080
+//	curl -sN -X POST localhost:8080/v1/experiments -d @internal/experiment/testdata/fig1.json | tail -1
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"cells":[{"chip":"GeForce GTX 480","benchmark":"vectoradd","structure":"register-file","injections":200,"seed":1}],"policy":{"margin":0.05}}'
 //	curl -s localhost:8080/v1/jobs/job-000001
 //	curl -s localhost:8080/v1/jobs/job-000001/result
-//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/metrics | grep -E '^fi_(sched|lease)_'
 package main
 
 import (
@@ -256,10 +257,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Handler:     root,
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	srv := cli.HTTPServer(root)
+	srv.BaseContext = func(net.Listener) context.Context { return ctx }
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)

@@ -19,7 +19,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -102,7 +101,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		msrv := &http.Server{Handler: telemetry.MetricsMux(*pprof)}
+		msrv := cli.HTTPServer(telemetry.MetricsMux(*pprof))
 		defer msrv.Close()
 		go msrv.Serve(ln)
 		fmt.Fprintf(stdout, "metrics on %s\n", ln.Addr())

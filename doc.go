@@ -2,9 +2,10 @@
 // Level Reliability Comparison of Modern GPU Designs: First Findings"
 // (Vallero, Di Carlo, Tselonis, Gizopoulos — ISPASS 2017).
 //
-// The root package holds the benchmark harness that regenerates the
-// paper's three figures (see bench_test.go); the system itself lives in
-// the internal packages:
+// The paper's three figures are regenerated by cmd/figures and measured
+// end to end by go run ./bench; the root package holds only the
+// hot-path and ablation benchmarks (bench_test.go). The system itself
+// lives in the internal packages:
 //
 //   - internal/simt: the machine core both simulators share (compute
 //     units, launch loop, fault application, checkpoints);
@@ -24,7 +25,11 @@
 //   - internal/wire: wire.Journal — the one append-only log under the
 //     result stores, the job journal and the ownership journal — and the
 //     versioned binary store / ladder / ownership format;
-//   - internal/core, internal/report: figure-level experiment drivers.
+//   - internal/experiment: versioned experiment specs (the figures are
+//     three canned ones), their compile pipeline and runner;
+//   - internal/report: text and JSON renderers of experiment.Result;
+//   - internal/service, internal/client, internal/worker: the HTTP
+//     front-end, its Go client and the remote worker fleet.
 //
 // See README.md for usage, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for measured-vs-paper results.

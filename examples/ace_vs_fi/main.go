@@ -10,33 +10,36 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/chips"
-	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/gpu"
-	"repro/internal/workloads"
 )
 
 func main() {
 	log.SetFlags(0)
-	bench, err := workloads.ByName("matrixMul")
+	// One spec: matrixMul on the paper's four chips (the default chip
+	// axis), both structures, both methodologies per cell.
+	res, err := (&experiment.Runner{}).Run(context.Background(), experiment.Spec{
+		Benchmarks: []string{"matrixMul"},
+		Structures: []gpu.Structure{gpu.RegisterFile, gpu.LocalMemory},
+		Estimator:  experiment.EstimatorBoth,
+		Injections: 400,
+		Seed:       11,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := core.Options{Injections: 400, Seed: 11}
 
-	fmt.Printf("matrixMul: AVF by methodology (%d injections per FI campaign)\n\n", opts.Injections)
+	fmt.Printf("matrixMul: AVF by methodology (%d injections per FI campaign)\n\n", res.Spec.Injections)
 	fmt.Printf("%-16s %-14s %9s %9s %10s\n", "chip", "structure", "AVF-FI", "AVF-ACE", "ACE-FI gap")
-	for _, chip := range chips.Evaluated() {
-		for _, st := range []gpu.Structure{gpu.RegisterFile, gpu.LocalMemory} {
-			cell, err := core.MeasureCell(chip, bench, st, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
+	for ci, chip := range res.Chips {
+		for _, tbl := range res.Tables {
+			cell := tbl.Cells[0][ci]
 			fmt.Printf("%-16s %-14s %8.2f%% %8.2f%% %+9.2f%%\n",
-				chip.Name, st, 100*cell.AVFFI, 100*cell.AVFACE,
+				chip, tbl.Structure, 100*cell.AVFFI, 100*cell.AVFACE,
 				100*(cell.AVFACE-cell.AVFFI))
 		}
 	}

@@ -4,9 +4,9 @@
 // cancelable scheduler that shares golden reference runs across
 // structures. It turns "run a figure" into "schedule, cache and serve
 // campaign cells": identical cells are computed once ever, concurrent
-// duplicate submissions coalesce onto one execution, and the figure
-// drivers (internal/core), the CLI tools and the fiserver front-end all
-// draw from the same store.
+// duplicate submissions coalesce onto one execution, and the experiment
+// runner (internal/experiment), the CLI tools and the fiserver front-end
+// all draw from the same store.
 package campaign
 
 import (

@@ -115,30 +115,13 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 	}
 
 	if *specPath != "" {
-		f, err := os.Open(*specPath)
+		spec, err := pf.LoadSpec(fs, *specPath, *seed)
 		if err != nil {
 			return err
 		}
-		spec, err := experiment.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		// Explicitly set campaign flags override the file, matching
-		// cmd/figures, so committed specs shrink to any budget.
-		fs.Visit(func(fl *flag.Flag) {
-			if pf.Override(fl.Name, &spec) {
-				return
-			}
-			if fl.Name == "seed" {
-				spec.Seed = *seed
-			}
-		})
 		// A spec without a chip axis would normalize to the paper's
 		// four chips — both vendors — and could then run on neither
-		// tool; default it to this tool's vendor instead. Everything
-		// else stays raw: the runner's Validate must see the file's own
-		// values so out-of-range typos are rejected, not defaulted.
+		// tool; default it to this tool's vendor instead.
 		if len(spec.Chips) == 0 {
 			for _, c := range chips.Evaluated() {
 				if c.Vendor == vendor {

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/experiment"
 	"repro/internal/finject"
@@ -72,10 +73,34 @@ func (p *PolicyFlags) SpecPolicy() experiment.Policy {
 	return pol
 }
 
-// Override applies one explicitly-set flag onto a parsed spec file —
-// the fs.Visit hook that lets committed specs shrink to any budget —
-// and reports whether the flag belonged to the policy block.
-func (p *PolicyFlags) Override(name string, spec *experiment.Spec) bool {
+// LoadSpec parses the spec file at path and lays every explicitly set
+// campaign flag of fs (the policy block, plus the tool's own -seed,
+// whose parsed value the caller passes) over it, so CI and quick local
+// runs shrink a committed spec without editing it. The grid axes always
+// come from the file, and nothing is normalized: the runner's Validate
+// must see the file's own values so out-of-range typos are rejected,
+// not defaulted.
+func (p *PolicyFlags) LoadSpec(fs *flag.FlagSet, path string, seed uint64) (experiment.Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return experiment.Spec{}, err
+	}
+	defer f.Close()
+	spec, err := experiment.Parse(f)
+	if err != nil {
+		return experiment.Spec{}, err
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		if !p.override(fl.Name, &spec) && fl.Name == "seed" {
+			spec.Seed = seed
+		}
+	})
+	return spec, nil
+}
+
+// override applies one explicitly-set flag onto a parsed spec file and
+// reports whether the flag belonged to the policy block.
+func (p *PolicyFlags) override(name string, spec *experiment.Spec) bool {
 	switch name {
 	case "n":
 		spec.Injections = p.N

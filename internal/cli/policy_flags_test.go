@@ -115,10 +115,10 @@ func TestPolicyFlagsOverride(t *testing.T) {
 
 	spec := experiment.Spec{Injections: 2000, Seed: 9, Policy: experiment.Policy{Margin: 0.5}}
 	overridden := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { overridden[fl.Name] = p.Override(fl.Name, &spec) })
+	fs.Visit(func(fl *flag.Flag) { overridden[fl.Name] = p.override(fl.Name, &spec) })
 
 	if !overridden["n"] || !overridden["margin"] || !overridden["checkpoint"] {
-		t.Fatalf("policy flags not claimed by Override: %v", overridden)
+		t.Fatalf("policy flags not claimed by override: %v", overridden)
 	}
 	if spec.Injections != 100 || spec.Policy.Margin != 0.02 {
 		t.Errorf("overrides not applied: %+v", spec)
@@ -129,7 +129,7 @@ func TestPolicyFlagsOverride(t *testing.T) {
 	if spec.Seed != 9 {
 		t.Errorf("Override touched a non-policy field: seed=%d", spec.Seed)
 	}
-	if p.Override("seed", &spec) {
+	if p.override("seed", &spec) {
 		t.Error("Override claimed -seed, which is not a policy flag")
 	}
 }

@@ -1,9 +1,9 @@
 // Package client is the Go client of the fiserver HTTP API, shared by
 // the CLI tools and the end-to-end tests: declarative experiment runs
-// (streamed NDJSON progress + result), batch jobs, the deprecated
-// figure endpoint, and scheduler statistics. It speaks exactly the wire
-// forms of internal/service, so anything the server can compute a CLI
-// can request with one call.
+// (streamed NDJSON progress + result — the paper's figures are
+// experiment.Figure specs sent this way) and batch jobs. It speaks
+// exactly the wire forms of internal/service, so anything the server can
+// compute a CLI can request with one call.
 package client
 
 import (
@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"time"
 
 	"repro/internal/experiment"
@@ -30,8 +29,8 @@ type Client struct {
 	// on every request — required against a server started with
 	// -api-keys, ignored by one without.
 	APIKey string
-	// HTTPClient defaults to http.DefaultClient. Experiment and figure
-	// streams can outlive any client timeout: prefer a context deadline.
+	// HTTPClient defaults to http.DefaultClient. Experiment streams can
+	// outlive any client timeout: prefer a context deadline.
 	HTTPClient *http.Client
 }
 
@@ -68,33 +67,18 @@ func StatusCode(err error) int {
 	return 0
 }
 
-// errorFrom turns a non-2xx response into an error carrying the
-// server's JSON error body. It understands both the unified envelope
-// {"error":{"code","message","job_id"}} and the legacy flat
-// {"error":"..."} shape, so one client binary works across server
-// versions.
+// errorFrom turns a non-2xx response into an error carrying the message
+// of the server's error envelope {"error":{"code","message","job_id"}}.
 func errorFrom(resp *http.Response) error {
 	var e struct {
-		Error json.RawMessage `json:"error"`
+		Error struct {
+			Message string `json:"message"`
+		} `json:"error"`
 	}
-	json.NewDecoder(resp.Body).Decode(&e)
-	return &apiError{code: resp.StatusCode, msg: decodeErrorMessage(e.Error)}
-}
-
-// decodeErrorMessage extracts the human-readable message from either
-// error-body shape.
-func decodeErrorMessage(raw json.RawMessage) string {
-	var msg string
-	if json.Unmarshal(raw, &msg) == nil {
-		return msg
-	}
-	var env struct {
-		Message string `json:"message"`
-	}
-	if json.Unmarshal(raw, &env) == nil {
-		return env.Message
-	}
-	return ""
+	// A body that is not the envelope (a proxy's HTML page, the mux's
+	// plain 404) leaves the message empty; the status still stands.
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return &apiError{code: resp.StatusCode, msg: e.Error.Message}
 }
 
 // do sends one request with a JSON body (nil for none) and decodes the
@@ -130,7 +114,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Event is one NDJSON line of an experiment or figure stream.
+// Event is one NDJSON line of an experiment stream.
 type Event struct {
 	Event     string `json:"event"`
 	ID        string `json:"id,omitempty"`
@@ -141,14 +125,9 @@ type Event struct {
 	Cached    bool   `json:"cached,omitempty"`
 	Done      int    `json:"done,omitempty"`
 	Total     int    `json:"total,omitempty"`
-	Fig       string `json:"fig,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// Result is the final experiment result ("result" events of an
-	// experiment stream).
+	// Result is the final experiment result ("result" events).
 	Result *experiment.Result `json:"result,omitempty"`
-	// Figure is the final figure document of the deprecated figure
-	// stream, left raw so callers pick the shape.
-	Figure json.RawMessage `json:"figure,omitempty"`
 }
 
 // RunExperiment POSTs the spec to /v1/experiments and consumes the
@@ -202,58 +181,6 @@ func (c *Client) RunExperiment(ctx context.Context, spec experiment.Spec, onEven
 		return nil, errors.New("client: stream ended without a result event")
 	}
 	return result, nil
-}
-
-// Figure runs the deprecated GET /v1/figure shim, returning the raw
-// figure document. Query carries the endpoint's legacy parameters (n,
-// seed, chips, bench, margin, confidence).
-func (c *Client) Figure(ctx context.Context, fig int, query url.Values, onEvent func(Event)) (json.RawMessage, error) {
-	q := url.Values{}
-	for k, vs := range query {
-		q[k] = vs
-	}
-	q.Set("fig", fmt.Sprint(fig))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/figure?"+q.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	c.authorize(req)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, errorFrom(resp)
-	}
-	var figure json.RawMessage
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("client: bad stream line %q: %w", sc.Text(), err)
-		}
-		if onEvent != nil {
-			onEvent(ev)
-		}
-		switch ev.Event {
-		case "error":
-			return nil, fmt.Errorf("client: figure failed: %s", ev.Error)
-		case "result":
-			figure = ev.Figure
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if figure == nil {
-		return nil, errors.New("client: stream ended without a result event")
-	}
-	return figure, nil
 }
 
 // JobStatus is the GET /v1/jobs/{id} answer.
@@ -380,15 +307,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// Stats fetches the scheduler counters.
-func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
-	var out map[string]any
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Healthy probes /healthz.

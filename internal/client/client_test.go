@@ -97,13 +97,18 @@ func TestStatusCodeExtraction(t *testing.T) {
 		switch r.URL.Path {
 		case "/v1/jobs/job-000404":
 			w.WriteHeader(http.StatusNotFound)
-			fmt.Fprintln(w, `{"error":"no such job"}`)
+			fmt.Fprintln(w, `{"error":{"code":"not_found","message":"no such job","job_id":"job-000404"}}`)
 		case "/v1/jobs/job-000409/result":
 			w.WriteHeader(http.StatusConflict)
-			fmt.Fprintln(w, `{"error":"job still running"}`)
+			fmt.Fprintln(w, `{"error":{"code":"conflict","message":"job still running","job_id":"job-000409"}}`)
+		case "/v1/jobs/job-000502":
+			// Not the envelope (a proxy's error page): the status must
+			// survive on its own.
+			w.WriteHeader(http.StatusBadGateway)
+			fmt.Fprintln(w, `<html>bad gateway</html>`)
 		case "/v1/experiments":
 			w.WriteHeader(http.StatusBadRequest)
-			fmt.Fprintln(w, `{"error":"bad spec"}`)
+			fmt.Fprintln(w, `{"error":{"code":"bad_request","message":"bad spec"}}`)
 		}
 	}))
 	defer ts.Close()
@@ -117,6 +122,9 @@ func TestStatusCodeExtraction(t *testing.T) {
 	_, err = c.ExperimentResult(ctx, "job-000409")
 	if StatusCode(err) != http.StatusConflict || !strings.Contains(err.Error(), "job still running") {
 		t.Fatalf("result err = %v (code %d)", err, StatusCode(err))
+	}
+	if _, err = c.Status(ctx, "job-000502"); StatusCode(err) != http.StatusBadGateway {
+		t.Fatalf("non-envelope err = %v (code %d)", err, StatusCode(err))
 	}
 	_, err = c.RunExperiment(ctx, experiment.Spec{}, nil)
 	if StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "bad spec") {
@@ -180,7 +188,7 @@ func TestWaitDoneAuthoritativeError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprintln(w, `{"error":"no such job"}`)
+		fmt.Fprintln(w, `{"error":{"code":"not_found","message":"no such job"}}`)
 	}))
 	defer ts.Close()
 
@@ -352,30 +360,5 @@ func TestCancelAndHealthy(t *testing.T) {
 	}
 	if err := c.Healthy(context.Background()); err != nil {
 		t.Fatalf("healthy: %v", err)
-	}
-}
-
-// TestFigureStream covers the deprecated figure shim: raw document on
-// success, stream error mapped to a client error.
-func TestFigureStream(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("fig") != "1" {
-			t.Errorf("fig param %q", r.URL.Query().Get("fig"))
-		}
-		fmt.Fprintln(w, `{"event":"cell","done":1,"total":1}`)
-		fmt.Fprintln(w, `{"event":"result","fig":"1","figure":{"rows":[1,2,3]}}`)
-	}))
-	defer ts.Close()
-
-	c := &Client{Base: ts.URL}
-	fig, err := c.Figure(context.Background(), 1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []int `json:"rows"`
-	}
-	if err := json.Unmarshal(fig, &doc); err != nil || len(doc.Rows) != 3 {
-		t.Fatalf("figure doc %s: %v", fig, err)
 	}
 }

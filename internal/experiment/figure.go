@@ -12,9 +12,9 @@ import (
 //	2 — local-memory AVF, FI + ACE, the 7 shared-memory benchmarks
 //	3 — EPF over both structures, FI only, all 10 benchmarks
 //
-// The returned spec is normalized; running it through a Runner produces
-// exactly the cells (and, via internal/core's shims, exactly the bytes)
-// of the corresponding figure driver.
+// The returned spec is normalized. Callers narrow it by setting Chips,
+// Benchmarks, Injections, Seed and Policy before running it; the cell
+// keys of the full-size specs are pinned by testdata/fig{1,2,3}.json.
 func Figure(fig int) (Spec, error) {
 	var s Spec
 	switch fig {

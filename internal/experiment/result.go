@@ -95,13 +95,3 @@ type Result struct {
 	// benchmark-major, when Metrics.Protection was requested.
 	Protection []*ProtectionRow `json:"protection,omitempty"`
 }
-
-// Table returns the AVF table of one structure, or nil.
-func (r *Result) Table(st gpu.Structure) *Table {
-	for _, t := range r.Tables {
-		if t.Structure == st {
-			return t
-		}
-	}
-	return nil
-}

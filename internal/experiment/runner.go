@@ -61,7 +61,7 @@ func (r *Runner) Run(ctx context.Context, s Spec) (*Result, error) {
 // RunPlan executes a compiled plan: the FI campaigns of every cell run
 // as one scheduler batch (deduplicated, cached, concurrency-bounded),
 // then the grid tables, averages and derived metrics assemble from the
-// warm store with exactly the figure drivers' arithmetic.
+// warm store with the figures' pinned arithmetic.
 func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	sched := r.Scheduler
 	if sched == nil {
@@ -163,7 +163,7 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 			}
 		}
 		// Across-benchmark averages per chip ("average" group of the
-		// figures), with the figure drivers' exact summation order.
+		// figures); the summation order is part of the pinned bytes.
 		for ci, c := range p.Chips {
 			avg := &Cell{Chip: c.Name, Benchmark: "average", Structure: st}
 			for bi := range p.Benchmarks {
@@ -266,7 +266,7 @@ func measureACE(chip *chips.Chip, bench *workloads.Benchmark) (regAVF, localAVF 
 }
 
 // assembleEPF combines every structure's FI campaign of each (chip,
-// benchmark) into the EPF table, with the Fig. 3 driver's exact
+// benchmark) into the EPF table, with Fig. 3's pinned
 // arithmetic: cycles from the first structure's golden run, FIT summed
 // in structure-axis order.
 func assembleEPF(spec Spec, p *Plan, fiResults []*finject.Result) (*EPFTable, error) {

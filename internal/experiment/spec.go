@@ -9,10 +9,9 @@
 //
 // The three paper figures are canned specs (Figure); every other
 // scenario — occupancy sweeps, protection what-ifs, cross-estimator
-// comparisons — is a JSON file, not new Go code. Cell identity is shared
-// with the figure drivers in internal/core (which are shims over this
-// package), so a store warmed by any spec serves every other spec that
-// touches the same cells.
+// comparisons — is a JSON file, not new Go code. Cell identity is minted
+// in one place (campaignFor), so a store warmed by any spec serves every
+// other spec that touches the same cells.
 package experiment
 
 import (
@@ -322,54 +321,29 @@ func (s Spec) MarshalIndent() ([]byte, error) {
 }
 
 // Compile validates the spec and lowers its grid into the executable
-// plan, resolving chip and benchmark names through the registries.
+// plan, resolving chip and benchmark names through the registries. The
+// cell order — benchmark-major, then chip, then structure — is the
+// batch order the figures have always been scheduled in.
 func (s Spec) Compile() (*Plan, error) {
 	s, err := s.Validate()
 	if err != nil {
 		return nil, err
 	}
-	cs := make([]*chips.Chip, len(s.Chips))
+	p := &Plan{Spec: s}
+	p.Chips = make([]*chips.Chip, len(s.Chips))
 	for i, name := range s.Chips {
-		if cs[i], err = chips.ByName(name); err != nil {
+		if p.Chips[i], err = chips.ByName(name); err != nil {
 			return nil, err
 		}
 	}
-	bs := make([]*workloads.Benchmark, len(s.Benchmarks))
+	p.Benchmarks = make([]*workloads.Benchmark, len(s.Benchmarks))
 	for i, name := range s.Benchmarks {
-		if bs[i], err = workloads.ByName(name); err != nil {
+		if p.Benchmarks[i], err = workloads.ByName(name); err != nil {
 			return nil, err
 		}
 	}
-	return s.compileWith(cs, bs)
-}
-
-// CompileWith lowers the spec over explicit chip and benchmark sets,
-// bypassing the name registries; the spec's own axes are replaced by the
-// given sets. It exists for internal/core's legacy Options shims, whose
-// callers pass chip and benchmark pointers (possibly unregistered ones).
-func (s Spec) CompileWith(cs []*chips.Chip, bs []*workloads.Benchmark) (*Plan, error) {
-	s.Chips = s.Chips[:0:0]
-	for _, c := range cs {
-		s.Chips = append(s.Chips, c.Name)
-	}
-	s.Benchmarks = s.Benchmarks[:0:0]
-	for _, b := range bs {
-		s.Benchmarks = append(s.Benchmarks, b.Name)
-	}
-	s = s.Normalize()
-	if len(cs) == 0 || len(bs) == 0 {
-		return nil, fmt.Errorf("experiment: empty chip or benchmark set")
-	}
-	return s.compileWith(cs, bs)
-}
-
-// compileWith builds the plan. The cell order is the figure drivers'
-// batch order — benchmark-major, then chip, then structure — so shared
-// schedulers interleave identically either way.
-func (s Spec) compileWith(cs []*chips.Chip, bs []*workloads.Benchmark) (*Plan, error) {
-	p := &Plan{Spec: s, Chips: cs, Benchmarks: bs}
-	for bi, b := range bs {
-		for ci, c := range cs {
+	for bi, b := range p.Benchmarks {
+		for ci, c := range p.Chips {
 			for si, st := range s.Structures {
 				p.Cells = append(p.Cells, PlannedCell{
 					Chip: c, Benchmark: b, Structure: st,
@@ -385,7 +359,7 @@ func (s Spec) compileWith(cs []*chips.Chip, bs []*workloads.Benchmark) (*Plan, e
 // campaignFor builds the canonical campaign of one cell. This is the
 // single place cell identity is minted: equal (seed, chip, benchmark,
 // structure, injections) always produce equal campaign.CellKeys, whether
-// the cell came from a spec, a figure driver or a CLI flag set.
+// the cell came from a spec file, a canned figure or a CLI flag set.
 func (s Spec) campaignFor(chip *chips.Chip, bench *workloads.Benchmark, st gpu.Structure) finject.Campaign {
 	c := finject.Campaign{
 		Chip:       chip,
@@ -401,8 +375,8 @@ func (s Spec) campaignFor(chip *chips.Chip, bench *workloads.Benchmark, st gpu.S
 
 // CellSeed derives a distinct campaign seed per cell (FNV-style mixing)
 // so that cells never share fault samples. It is the seed derivation the
-// figure drivers have always used; stores written by them stay warm for
-// spec runs and vice versa.
+// figures have always used, so stores written by any earlier build stay
+// warm.
 func CellSeed(base uint64, chip, bench string, st gpu.Structure) uint64 {
 	h := base ^ 0xcbf29ce484222325
 	mix := func(s string) {

@@ -188,7 +188,7 @@ func TestFigureDefaults(t *testing.T) {
 }
 
 // TestPlanShape: the compiled grid must be benchmark-major, then chip,
-// then structure — the figure drivers' batch order.
+// then structure — the figures' batch order.
 func TestPlanShape(t *testing.T) {
 	s := Spec{
 		Chips:      []string{"Mini NVIDIA", "Mini AMD"},

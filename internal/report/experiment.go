@@ -1,3 +1,6 @@
+// Package report renders an experiment.Result — the one shape every
+// figure and every spec run comes back in — as text tables matching the
+// content of the paper's three figures, or as one JSON document.
 package report
 
 import (
@@ -11,11 +14,22 @@ import (
 
 // WriteExperiment renders a full experiment result as text: one AVF
 // table per structure (the figures' layout), then the EPF table and the
-// protection what-if rows when the spec requested them.
+// protection what-if rows when the spec requested them. A column of an
+// estimator the spec did not run reads "-", never a number nobody
+// measured, and the average rows carry no interval (an interval of a
+// mean of proportions is not something the campaigns estimate).
 func WriteExperiment(w io.Writer, res *experiment.Result) error {
 	name := res.Spec.Name
 	if name == "" {
 		name = "experiment"
+	}
+	hasFI := res.Spec.Estimator != experiment.EstimatorACE
+	hasACE := res.Spec.Estimator != experiment.EstimatorFI
+	pct := func(measured bool, v float64) string {
+		if !measured {
+			return "-"
+		}
+		return fmt.Sprintf("%.2f%%", 100*v)
 	}
 	for _, tbl := range res.Tables {
 		title := fmt.Sprintf("%s — %s AVF (%s, %d injections/campaign)",
@@ -23,16 +37,19 @@ func WriteExperiment(w io.Writer, res *experiment.Result) error {
 		if _, err := fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title))); err != nil {
 			return err
 		}
-		const hdr = "%-11s %-16s %8s %17s %8s %10s\n"
-		const row = "%-11s %-16s %7.2f%% [%6.2f%%,%6.2f%%] %7.2f%% %9.2f%%\n"
-		if _, err := fmt.Fprintf(w, hdr, "benchmark", "chip", "AVF-FI", "interval", "AVF-ACE", "occupancy"); err != nil {
+		const row = "%-11s %-16s %8s %17s %8s %10s\n"
+		if _, err := fmt.Fprintf(w, row, "benchmark", "chip", "AVF-FI", "interval", "AVF-ACE", "occupancy"); err != nil {
 			return err
 		}
 		for bi, bn := range res.Benchmarks {
 			for ci, cn := range res.Chips {
 				c := tbl.Cells[bi][ci]
+				interval := "-"
+				if hasFI {
+					interval = fmt.Sprintf("[%6.2f%%,%6.2f%%]", 100*c.AVFFILo, 100*c.AVFFIHi)
+				}
 				if _, err := fmt.Fprintf(w, row, bn, cn,
-					100*c.AVFFI, 100*c.AVFFILo, 100*c.AVFFIHi, 100*c.AVFACE, 100*c.Occupancy); err != nil {
+					pct(hasFI, c.AVFFI), interval, pct(hasACE, c.AVFACE), pct(true, c.Occupancy)); err != nil {
 					return err
 				}
 			}
@@ -40,7 +57,7 @@ func WriteExperiment(w io.Writer, res *experiment.Result) error {
 		for ci, cn := range res.Chips {
 			c := tbl.Averages[ci]
 			if _, err := fmt.Fprintf(w, row, "average", cn,
-				100*c.AVFFI, 0.0, 0.0, 100*c.AVFACE, 100*c.Occupancy); err != nil {
+				pct(hasFI, c.AVFFI), "", pct(hasACE, c.AVFACE), pct(true, c.Occupancy)); err != nil {
 				return err
 			}
 		}

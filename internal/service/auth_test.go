@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/experiment"
 	"repro/internal/testutil"
 )
 
@@ -245,6 +247,52 @@ func TestQuotaMaxJobs(t *testing.T) {
 		t.Fatalf("slot not released on settle: status %d", code)
 	}
 	waitSettledAs(t, ts, submitted.ID, "key-acme")
+}
+
+// TestFigureRunsPassAdmission closes the bypass the retired GET
+// /v1/figure left open (it ran an 80-cell figure for any key holder
+// without admitJob, drain accounting or the journal). Under API keys a
+// figure is its spec POSTed to /v1/experiments, so with the tenant's
+// one job slot taken it bounces 429 like any submission, and the
+// retired routes answer 404 without starting a campaign.
+func TestFigureRunsPassAdmission(t *testing.T) {
+	ts, srv := authedServer(t)
+	acme := srv.auth.Tenants()[0]
+	if err := srv.quota.admit(acme, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.quota.release("acme")
+
+	for _, path := range []string{
+		"/v1/figure?fig=1&n=5&chips=Mini+NVIDIA&bench=vectoradd&stream=0",
+		"/v1/stats",
+	} {
+		if code := authedDo(t, ts, "GET", path, "key-acme", nil, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s under a valid key: status %d, want 404", path, code)
+		}
+	}
+
+	spec, err := experiment.Figure(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Chips, spec.Benchmarks, spec.Injections = []string{"Mini NVIDIA"}, []string{"vectoradd"}, 5
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope struct {
+		Error errorBody `json:"error"`
+	}
+	if code := authedDo(t, ts, "POST", "/v1/experiments", "key-acme", bytes.NewReader(body), &envelope); code != http.StatusTooManyRequests {
+		t.Fatalf("figure spec over quota: status %d, want 429", code)
+	}
+	if envelope.Error.Code != "quota_exceeded" {
+		t.Fatalf("envelope %+v", envelope)
+	}
+	if st := srv.sched.Stats(); st.Runs != 0 || st.Hits != 0 {
+		t.Fatalf("campaign work started past admission: %+v", st)
+	}
 }
 
 func TestQuotaInjectionRate(t *testing.T) {

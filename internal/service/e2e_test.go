@@ -1,30 +1,24 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/chips"
-	"repro/internal/core"
+	"repro/internal/client"
+	"repro/internal/experiment"
 	"repro/internal/worker"
-	"repro/internal/workloads"
 )
 
 // TestDistributedFigureSurvivesWorkerDeath is the distributed tier's
 // end-to-end acceptance test: one in-process fiserver in remote-worker
-// mode, two fiworkers, a multi-cell figure batch, one worker killed
-// mid-campaign — and the final figure JSON must equal the single-process
-// output byte for byte.
+// mode, two fiworkers, a multi-cell figure spec, one worker killed
+// mid-campaign — and the final experiment.Result must equal the
+// single-process output byte for byte.
 func TestDistributedFigureSurvivesWorkerDeath(t *testing.T) {
 	// The TTL must comfortably exceed a heartbeat interval even when the
 	// race detector slows everything ~10x, or healthy leases expire and
@@ -77,45 +71,17 @@ func TestDistributedFigureSurvivesWorkerDeath(t *testing.T) {
 		}
 	}()
 
-	figURL := ts.URL + "/v1/figure?" + url.Values{
-		"fig":   {"1"},
-		"n":     {strconv.Itoa(injections)},
-		"seed":  {strconv.FormatUint(seed, 10)},
-		"chips": {strings.Join(chipNames, ",")},
-		"bench": {strings.Join(benchNames, ",")},
-	}.Encode()
-	resp, err := http.Get(figURL)
+	// Fig. 1 narrowed to the mini grid, through the one door a figure
+	// has: its spec POSTed to /v1/experiments.
+	spec, err := experiment.Figure(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("figure status %d", resp.StatusCode)
-	}
-	var remoteFigure json.RawMessage
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		var ev struct {
-			Event  string          `json:"event"`
-			Error  string          `json:"error"`
-			Figure json.RawMessage `json:"figure"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		switch ev.Event {
-		case "error":
-			t.Fatalf("figure failed: %s", ev.Error)
-		case "result":
-			remoteFigure = ev.Figure
-		}
-	}
-	if err := sc.Err(); err != nil {
+	spec.Chips, spec.Benchmarks = chipNames, benchNames
+	spec.Injections, spec.Seed = injections, seed
+	remote, err := (&client.Client{Base: ts.URL}).RunExperiment(context.Background(), spec, nil)
+	if err != nil {
 		t.Fatal(err)
-	}
-	if remoteFigure == nil {
-		t.Fatal("stream ended without a result event")
 	}
 	<-doomedDone
 
@@ -131,37 +97,22 @@ func TestDistributedFigureSurvivesWorkerDeath(t *testing.T) {
 		t.Fatal("the doomed worker finished the whole campaign before dying; nothing was redistributed")
 	}
 
-	// Single-process reference: same options, default local executor.
-	var (
-		cs []*chips.Chip
-		bs []*workloads.Benchmark
-	)
-	for _, name := range chipNames {
-		c, err := chips.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs = append(cs, c)
-	}
-	for _, name := range benchNames {
-		b, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs = append(bs, b)
-	}
-	localFig, err := core.FigureRegisterFile(core.Options{
-		Injections: injections, Seed: seed, Chips: cs, Benchmarks: bs,
-	})
+	// Single-process reference: the same spec on a private scheduler
+	// with the default local executor.
+	local, err := (&experiment.Runner{}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localJSON, err := json.Marshal(localFig)
+	localJSON, err := json.Marshal(local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(localJSON, remoteFigure) {
+	remoteJSON, err := json.Marshal(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(localJSON, remoteJSON) {
 		t.Fatalf("distributed figure differs from the single-process run:\nlocal:  %s\nremote: %s",
-			localJSON, remoteFigure)
+			localJSON, remoteJSON)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestErrorEnvelope pins the unified /v1 error shape across the job,
-// experiment and figure endpoints: every non-2xx JSON answer is
+// TestErrorEnvelope pins the unified /v1 error shape across the job and
+// experiment endpoints: every non-2xx JSON answer is
 // {"error":{"code","message","job_id"}}, with the status codes the API
 // has always used and job_id present exactly when the request resolved
 // to (or named) a job.
@@ -71,9 +71,10 @@ func TestErrorEnvelope(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantCode: "bad_request",
 		},
 		{
-			name:   "figure: bad figure number",
-			method: http.MethodGet, path: "/v1/figure?fig=9",
-			wantStatus: http.StatusBadRequest, wantCode: "bad_request", wantMsg: "fig must be",
+			name:   "experiments: body over the limit",
+			method: http.MethodPost, path: "/v1/experiments",
+			body:       `{"name":"` + strings.Repeat("x", maxSpecBody) + `"}`,
+			wantStatus: http.StatusRequestEntityTooLarge, wantCode: "too_large", wantMsg: "exceeds",
 		},
 	}
 

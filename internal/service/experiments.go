@@ -35,9 +35,9 @@ type experimentEvent struct {
 // the /v1/jobs endpoints like any batch job, and the result is retained
 // after the stream ends.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	spec, err := experiment.Parse(r.Body)
+	spec, err := experiment.Parse(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		bodyError(w, err, "%v")
 		return
 	}
 	plan, err := spec.Compile()

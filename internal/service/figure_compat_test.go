@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/ace"
 	"repro/internal/chips"
-	"repro/internal/core"
 	"repro/internal/devices"
 	"repro/internal/experiment"
 	"repro/internal/finject"
@@ -18,18 +17,18 @@ import (
 	"repro/internal/workloads"
 )
 
-// legacyFigure1 reimplements the pre-redesign Fig. 1 path for one
-// (chip, benchmark) cell, straight on the injection engine and the ACE
-// analyzer — no scheduler, no spec runner. It is the reference the
-// deprecated endpoint must keep matching byte for byte.
-func legacyFigure1(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark, n int, seed uint64) *core.Figure {
+// referenceFigure1 measures one (chip, benchmark) cell of Fig. 1 straight
+// on the injection engine and the ACE analyzer — no scheduler, no spec
+// runner — and wraps it in the result the spec must produce. It is the
+// independent reference the served figure has to match byte for byte.
+func referenceFigure1(t *testing.T, spec experiment.Spec, chip *chips.Chip, bench *workloads.Benchmark) *experiment.Result {
 	t.Helper()
 	res, err := finject.Run(finject.Campaign{
 		Chip:       chip,
 		Benchmark:  bench,
 		Structure:  gpu.RegisterFile,
-		Injections: n,
-		Seed:       experiment.CellSeed(seed, chip.Name, bench.Name, gpu.RegisterFile),
+		Injections: spec.Injections,
+		Seed:       experiment.CellSeed(spec.Seed, chip.Name, bench.Name, gpu.RegisterFile),
 		Policy:     finject.Policy{Confidence: 0.99},
 	})
 	if err != nil {
@@ -51,7 +50,7 @@ func legacyFigure1(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark, n
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := &core.Cell{
+	cell := &experiment.Cell{
 		Chip:       chip.Name,
 		Benchmark:  bench.Name,
 		Structure:  gpu.RegisterFile,
@@ -64,26 +63,29 @@ func legacyFigure1(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark, n
 		Injections: res.Injections,
 		Outcomes:   res.Outcomes,
 	}
-	// The figures' per-chip "average" group: summed over the benchmark
-	// axis, carrying only the averaged fields (the drivers have always
-	// left the rest zero).
-	avg := &core.Cell{Chip: chip.Name, Benchmark: "average", Structure: gpu.RegisterFile}
-	avg.AVFFI = cell.AVFFI / 1
-	avg.AVFACE = cell.AVFACE / 1
-	avg.Occupancy = cell.Occupancy / 1
-	return &core.Figure{
-		Structure:  gpu.RegisterFile,
-		ChipNames:  []string{chip.Name},
-		BenchNames: []string{bench.Name},
-		Cells:      [][]*core.Cell{{cell}},
-		Averages:   []*core.Cell{avg},
+	// The figures' per-chip "average" group carries only the averaged
+	// fields; over one benchmark it is the cell's own values.
+	avg := &experiment.Cell{
+		Chip: chip.Name, Benchmark: "average", Structure: gpu.RegisterFile,
+		AVFFI: cell.AVFFI, AVFACE: cell.AVFACE, Occupancy: cell.Occupancy,
+	}
+	return &experiment.Result{
+		Spec:       spec,
+		Chips:      []string{chip.Name},
+		Benchmarks: []string{bench.Name},
+		Tables: []*experiment.Table{{
+			Structure: gpu.RegisterFile,
+			Cells:     [][]*experiment.Cell{{cell}},
+			Averages:  []*experiment.Cell{avg},
+		}},
 	}
 }
 
-// TestFigureEndpointCompat: GET /v1/figure is a deprecated shim routed
-// through the spec runner — its NDJSON progress lines and its final
-// figure JSON must stay byte-identical to the pre-redesign path,
-// reconstructed here directly on the measurement engines.
+// TestFigureEndpointCompat pins what a figure run puts on the wire. The
+// Fig. 1 spec POSTed to /v1/experiments — the one way a figure is served
+// — must stream exactly these NDJSON bytes: the job line, one progress
+// line per cell, and a result line whose experiment.Result equals the
+// reconstruction made directly on the measurement engines.
 func TestFigureEndpointCompat(t *testing.T) {
 	srv, _ := newTestServer(t)
 	ts := httptest.NewServer(srv)
@@ -94,46 +96,38 @@ func TestFigureEndpointCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n, seed = 40, 5
+	spec, err := experiment.Figure(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Chips, spec.Benchmarks = []string{chip.Name}, []string{bench.Name}
+	spec.Injections, spec.Seed = 40, 5
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/figure?fig=1&chips=Mini+NVIDIA&bench=vectoradd&n=40&seed=5")
+	resp, err := ts.Client().Post(ts.URL+"/v1/experiments", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || !strings.Contains(ct, "ndjson") {
+		t.Fatalf("status %d, content type %q", resp.StatusCode, ct)
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("deprecated endpoint does not advertise Deprecation")
-	}
-	body, err := io.ReadAll(resp.Body)
+	got, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The expected stream, byte for byte: one progress line for the
-	// single cell, then the result event wrapping the legacy figure.
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	if err := enc.Encode(figureEvent{
-		Event:     "cell",
-		Chip:      chip.Name,
-		Benchmark: bench.Name,
-		Structure: gpu.RegisterFile.String(),
-		Done:      1,
-		Total:     1,
-	}); err != nil {
+	result, err := json.Marshal(referenceFigure1(t, spec, chip, bench))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(figureEvent{
-		Event:  "result",
-		Fig:    "1",
-		Figure: legacyFigure1(t, chip, bench, n, seed),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("deprecated figure stream drifted from the pre-redesign bytes:\ngot:\n%s\nwant:\n%s", body, want.Bytes())
+	want := `{"event":"job","id":"exp-000001","name":"fig1-register-file-avf","total":1}` + "\n" +
+		`{"event":"cell","chip":"Mini NVIDIA","benchmark":"vectoradd","structure":"register-file","done":1,"total":1}` + "\n" +
+		`{"event":"result","id":"exp-000001","name":"fig1-register-file-avf","result":` + string(result) + "}\n"
+	if string(got) != want {
+		t.Fatalf("figure stream drifted from the pinned bytes:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -22,8 +22,8 @@ type submitRequest struct {
 // asynchronously.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		bodyError(w, err, "bad request body: %v")
 		return
 	}
 	if len(req.Cells) == 0 {
@@ -31,7 +31,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p := req.Policy; p != nil {
-		// Same legality rules as the figure endpoint's query parameters;
+		// Same legality rules as an experiment spec's policy block:
 		// zero values mean "default", so only genuinely out-of-range
 		// policies are rejected. Normalize owns the rules (and the exact
 		// error text, which is part of the API).

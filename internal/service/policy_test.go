@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/client"
+	"repro/internal/experiment"
 	"repro/internal/testutil"
 )
 
@@ -76,15 +79,8 @@ func TestJobPolicyAdaptive(t *testing.T) {
 		t.Fatalf("scheduler stats %+v, want one upgrade over two runs", st)
 	}
 
-	var stats struct {
-		Injections int64 `json:"injections"`
-		Upgrades   int64 `json:"upgrades"`
-	}
-	if testutil.GetJSON(t, ts.URL, "/v1/stats", &stats) != http.StatusOK {
-		t.Fatal("stats not OK")
-	}
-	if stats.Injections != int64(realized+cap) || stats.Upgrades != 1 {
-		t.Fatalf("stats %+v, want %d injections and 1 upgrade", stats, realized+cap)
+	if st := sched.Stats(); st.Injections != int64(realized+cap) {
+		t.Fatalf("scheduler stats %+v, want %d injections", st, realized+cap)
 	}
 }
 
@@ -118,7 +114,7 @@ func TestJobPolicyMaxInjections(t *testing.T) {
 }
 
 // TestJobPolicyValidation: out-of-range policies are rejected up front,
-// matching the figure endpoint's rules.
+// matching an experiment spec's policy rules.
 func TestJobPolicyValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
 	ts := httptest.NewServer(srv)
@@ -136,17 +132,26 @@ func TestJobPolicyValidation(t *testing.T) {
 	}
 }
 
-// TestFigureAdaptiveQuery drives a figure run with margin/confidence
-// query parameters.
+// TestFigureAdaptiveQuery drives a figure run under an adaptive policy:
+// the margin and confidence the retired GET /v1/figure took as query
+// parameters ride in the figure spec's policy block.
 func TestFigureAdaptiveQuery(t *testing.T) {
 	srv, sched := newTestServer(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	cl := &client.Client{Base: ts.URL}
+	ctx := context.Background()
 
-	var last map[string]any
-	code := testutil.GetJSON(t, ts.URL, "/v1/figure?fig=1&n=600&margin=0.1&chips=Mini+NVIDIA&bench=vectoradd&stream=0", &last)
-	if code != http.StatusOK {
-		t.Fatalf("figure status %d", code)
+	spec, err := experiment.Figure(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Chips, spec.Benchmarks = []string{"Mini NVIDIA"}, []string{"vectoradd"}
+	spec.Injections = 600
+	spec.Policy.Margin = 0.1
+	res, err := cl.RunExperiment(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	st := sched.Stats()
 	if st.Runs != 1 {
@@ -155,11 +160,14 @@ func TestFigureAdaptiveQuery(t *testing.T) {
 	if st.Injections <= 0 || st.Injections >= 600 {
 		t.Fatalf("figure campaign executed %d injections, want adaptive stop below 600", st.Injections)
 	}
-
-	if testutil.GetJSON(t, ts.URL, "/v1/figure?fig=1&margin=2", nil) != http.StatusBadRequest {
-		t.Fatal("bad margin accepted")
+	if got := res.Tables[0].Cells[0][0].Injections; int64(got) != st.Injections {
+		t.Fatalf("cell reports %d realized injections, scheduler executed %d", got, st.Injections)
 	}
-	if testutil.GetJSON(t, ts.URL, "/v1/figure?fig=1&confidence=0", nil) != http.StatusBadRequest {
-		t.Fatal("bad confidence accepted")
+
+	for _, bad := range []experiment.Policy{{Margin: 2}, {Confidence: 1.5}} {
+		spec.Policy = bad
+		if _, err := cl.RunExperiment(ctx, spec, nil); client.StatusCode(err) != http.StatusBadRequest {
+			t.Fatalf("policy %+v: err %v, want 400", bad, err)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package service implements the fiserver HTTP API: asynchronous
-// campaign-batch jobs (submit / status / result / cancel), streamed
-// whole-figure experiments, and scheduler statistics — all JSON over
-// net/http, sharing one campaign.Scheduler so every client benefits from
-// every other client's finished cells.
+// campaign-batch jobs (submit / status / result / cancel) and streamed
+// declarative experiments — the paper's figures included, as their
+// canned specs — all JSON over net/http, sharing one campaign.Scheduler
+// so every client benefits from every other client's finished cells.
 //
 // Endpoints:
 //
@@ -14,12 +14,13 @@
 //	                             finished one from the retained set
 //	POST   /v1/experiments       run a declarative experiment spec,
 //	                             streaming NDJSON progress + result
-//	GET    /v1/figure            run Fig. 1/2/3, streaming NDJSON progress
-//	                             (deprecated: a shim over the spec runner;
-//	                             new clients POST the figure spec to
-//	                             /v1/experiments instead)
-//	GET    /v1/stats             scheduler counters and store size
+//	GET    /metrics              Prometheus exposition (scheduler,
+//	                             lease-queue, store and HTTP counters)
 //	GET    /healthz              liveness probe
+//
+// POST /v1/jobs and POST /v1/experiments are the only routes that start
+// campaign work; both pass quota admission, drain accounting and the job
+// journal.
 //
 // With ServeWorkers enabled the server also speaks the pull-based remote
 // worker protocol (see workers.go), distributing cells to a fiworker
@@ -29,26 +30,37 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/chips"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // maxRetainedJobs bounds the finished jobs kept for result retrieval;
 // the oldest finished jobs are evicted first.
 const maxRetainedJobs = 256
+
+// Request-body ceilings, one per route that decodes a body: a body that
+// runs over answers 413 instead of being buffered without bound. They
+// are sized from what the code already assumes, not tunable: a cell spec
+// is ~150 bytes on the wire and a spec file names axes, never data, so
+// submissions and specs are small; a lease request is three scalars; a
+// completion carries a finject.Result with optional per-injection
+// detail, the one large body, capped where internal/client already caps
+// an NDJSON line.
+const (
+	maxSubmitBody   = 8 << 20
+	maxSpecBody     = 1 << 20
+	maxLeaseBody    = 64 << 10
+	maxCompleteBody = 64 << 20
+)
 
 // Server is the fiserver request handler. Create one with NewServer and
 // mount it as an http.Handler. ServeWorkers adds the remote-worker lease
@@ -145,8 +157,6 @@ func NewServer(sched *campaign.Scheduler) *Server {
 	s.handle("GET /v1/jobs/{id}/result", s.handleResult)
 	s.handle("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.handle("POST /v1/experiments", s.handleExperiment)
-	s.handle("GET /v1/figure", s.handleFigure)
-	s.handle("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", telemetry.Handler())
 	s.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -240,7 +250,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // errorBody is the unified /v1 error envelope. Every non-2xx JSON
-// answer — jobs, experiments, figures and the worker protocol — has the
+// answer — jobs, experiments and the worker protocol — has the
 // shape {"error":{"code","message","job_id"}}: a stable machine-readable
 // code derived from the status, the human-readable message, and the job
 // the error concerns when one exists. Streamed NDJSON error *events*
@@ -267,6 +277,8 @@ func errorCode(status int) string {
 		return "unauthorized"
 	case http.StatusTooManyRequests:
 		return "quota_exceeded"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case http.StatusServiceUnavailable:
 		return "unavailable"
 	default:
@@ -287,6 +299,18 @@ func httpJobError(w http.ResponseWriter, code int, jobID, format string, args ..
 		Message: fmt.Sprintf(format, args...),
 		JobID:   jobID,
 	}})
+}
+
+// bodyError answers a request body that failed to decode: 413 when it
+// ran over the route's http.MaxBytesReader ceiling, otherwise 400 with
+// the decode error under format (one %v).
+func bodyError(w http.ResponseWriter, err error, format string) {
+	var over *http.MaxBytesError
+	if errors.As(err, &over) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit of this route", over.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, format, err)
 }
 
 // journal appends one record to the job journal, if one is attached.
@@ -343,216 +367,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// handleStats reports scheduler counters, store size and (with remote
-// workers enabled) lease-queue state.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.sched.Stats()
-	body := map[string]any{
-		"hits":        st.Hits,
-		"runs":        st.Runs,
-		"joins":       st.Joins,
-		"golden_runs": st.GoldenRuns,
-		"injections":  st.Injections,
-		"upgrades":    st.Upgrades,
-		"store_cells": s.sched.Store().Len(),
-	}
-	if s.queue != nil {
-		body["workers"] = s.queue.Stats()
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// figureOptions parses the shared figure query parameters.
-func figureOptions(r *http.Request, sched *campaign.Scheduler) (core.Options, error) {
-	opts := core.Options{Scheduler: sched}
-	q := r.URL.Query()
-	if v := q.Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return opts, fmt.Errorf("bad n %q", v)
-		}
-		opts.Injections = n
-	}
-	if v := q.Get("margin"); v != "" {
-		m, err := strconv.ParseFloat(v, 64)
-		if err != nil || m < 0 || m >= 1 {
-			return opts, fmt.Errorf("bad margin %q", v)
-		}
-		opts.Margin = m
-	}
-	if v := q.Get("confidence"); v != "" {
-		cl, err := strconv.ParseFloat(v, 64)
-		if err != nil || cl <= 0 || cl >= 1 {
-			return opts, fmt.Errorf("bad confidence %q", v)
-		}
-		opts.Confidence = cl
-	}
-	if v := q.Get("seed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return opts, fmt.Errorf("bad seed %q", v)
-		}
-		opts.Seed = seed
-	}
-	if v := q.Get("chips"); v != "" {
-		for _, name := range strings.Split(v, ",") {
-			c, err := chips.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return opts, err
-			}
-			opts.Chips = append(opts.Chips, c)
-		}
-	}
-	if v := q.Get("bench"); v != "" {
-		for _, name := range strings.Split(v, ",") {
-			b, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return opts, err
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
-		}
-	}
-	return opts, nil
-}
-
-// figureEvent is one NDJSON line of the figure stream.
-type figureEvent struct {
-	Event     string `json:"event"` // "cell" or "result"
-	Chip      string `json:"chip,omitempty"`
-	Benchmark string `json:"benchmark,omitempty"`
-	Structure string `json:"structure,omitempty"`
-	Cached    bool   `json:"cached,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	Fig       string `json:"fig,omitempty"`
-	Figure    any    `json:"figure,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-// handleFigure runs one of the paper's figures through the shared
-// scheduler, streaming per-cell progress as NDJSON lines followed by one
-// final result event. Query: fig=1|2|3 plus n, seed, chips, bench and
-// stream=0 to suppress progress lines.
-//
-// Deprecated: the endpoint is a backward-compatibility shim — the core
-// figure drivers it calls compile their options into experiment specs
-// and run through the spec runner, so its output is byte-identical to
-// the pre-redesign path (see TestFigureEndpointCompat) while new
-// clients POST the equivalent spec to /v1/experiments.
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	figNum := 0
-	switch r.URL.Query().Get("fig") {
-	case "1":
-		figNum = 1
-	case "2":
-		figNum = 2
-	case "3":
-		figNum = 3
-	default:
-		httpError(w, http.StatusBadRequest, "fig must be 1, 2 or 3")
-		return
-	}
-	opts, err := figureOptions(r, s.sched)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	stream := r.URL.Query().Get("stream") != "0"
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// emitMu also guards closed: once the handler returns, a late
-	// scheduler notification must not touch the recycled ResponseWriter.
-	var (
-		emitMu sync.Mutex
-		closed bool
-	)
-	emit := func(ev figureEvent) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if closed {
-			return
-		}
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	defer func() {
-		emitMu.Lock()
-		closed = true
-		emitMu.Unlock()
-	}()
-
-	if stream {
-		// This figure's exact work list: progress is restricted to these
-		// keys (the scheduler is shared, so other requests' cells also
-		// notify) and each unique cell counts once even though prewarm
-		// batches and per-cell assembly both touch the scheduler.
-		specs, err := core.FigureCells(figNum, opts)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		total := 0
-		pending := make(map[campaign.CellKey]bool, len(specs))
-		for _, spec := range specs {
-			if !pending[spec.Key()] {
-				pending[spec.Key()] = true
-				total++
-			}
-		}
-		var seenMu sync.Mutex
-		done := 0
-		unsub := s.sched.Subscribe(func(p campaign.Progress) {
-			seenMu.Lock()
-			if !pending[p.Key] {
-				seenMu.Unlock()
-				return
-			}
-			delete(pending, p.Key)
-			done++
-			d := done
-			seenMu.Unlock()
-			emit(figureEvent{
-				Event:     "cell",
-				Chip:      p.Spec.Chip,
-				Benchmark: p.Spec.Benchmark,
-				Structure: p.Spec.Structure.String(),
-				Cached:    p.Cached,
-				Done:      d,
-				Total:     total,
-			})
-		})
-		defer unsub()
-	}
-
-	// Figure runs are not registered jobs, but they still get a job
-	// correlation id so their cells are greppable across the fleet.
-	s.mu.Lock()
-	s.nextID++
-	figID := newJobID("fig", s.nextID)
-	s.mu.Unlock()
-	ctx := telemetry.WithJob(r.Context(), figID)
-	s.log.InfoContext(ctx, "figure run", "fig", figNum)
-	var result any
-	switch figNum {
-	case 1:
-		result, err = core.FigureRegisterFileContext(ctx, opts)
-	case 2:
-		result, err = core.FigureLocalMemoryContext(ctx, opts)
-	case 3:
-		result, err = core.FigureEPFContext(ctx, opts)
-	}
-	if err != nil {
-		s.log.WarnContext(ctx, "figure failed", "fig", figNum, "err", err)
-		emit(figureEvent{Event: "error", Error: err.Error()})
-		return
-	}
-	s.log.InfoContext(ctx, "figure done", "fig", figNum)
-	emit(figureEvent{Event: "result", Fig: strconv.Itoa(figNum), Figure: result})
 }

@@ -1,11 +1,8 @@
 package service
 
 import (
-	"bufio"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -87,15 +84,8 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("3 cells (1 duplicate) caused %d executions, want 2", runs)
 	}
 
-	var stats struct {
-		Runs       int64 `json:"runs"`
-		StoreCells int   `json:"store_cells"`
-	}
-	if testutil.GetJSON(t, ts.URL, "/v1/stats", &stats) != http.StatusOK {
-		t.Fatal("stats not OK")
-	}
-	if stats.Runs != 2 || stats.StoreCells != 2 {
-		t.Fatalf("stats %+v", stats)
+	if cells := sched.Store().Len(); cells != 2 {
+		t.Fatalf("store holds %d cells, want 2", cells)
 	}
 }
 
@@ -145,84 +135,5 @@ func TestResultConflictWhileRunning(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status %d", resp.StatusCode)
-	}
-}
-
-func TestFigureStream(t *testing.T) {
-	srv, sched := newTestServer(t)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	url := ts.URL + "/v1/figure?fig=1&n=10&seed=3&chips=Mini+NVIDIA&bench=vectoradd,transpose"
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("figure status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
-		t.Fatalf("content type %q", ct)
-	}
-	var cellEvents int
-	var last figureEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		var ev figureEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		if ev.Event == "cell" {
-			cellEvents++
-		}
-		last = ev
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if cellEvents != 2 {
-		t.Fatalf("%d cell events, want 2 (2 benchmarks x 1 chip)", cellEvents)
-	}
-	if last.Event != "result" || last.Fig != "1" || last.Figure == nil {
-		t.Fatalf("final event %+v", last)
-	}
-	if sched.Stats().Runs != 2 {
-		t.Fatalf("figure ran %d campaigns, want 2", sched.Stats().Runs)
-	}
-
-	// A warm, unstreamed rerun answers entirely from the store.
-	resp2, err := http.Get(url + "&stream=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := bufio.NewScanner(resp2.Body)
-	lines := 0
-	for body.Scan() {
-		lines++
-	}
-	resp2.Body.Close()
-	if lines != 1 {
-		t.Fatalf("stream=0 emitted %d lines, want only the result", lines)
-	}
-	if sched.Stats().Runs != 2 {
-		t.Fatal("warm figure rerun executed new campaigns")
-	}
-}
-
-func TestFigureValidation(t *testing.T) {
-	srv, _ := newTestServer(t)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	for _, path := range []string{
-		"/v1/figure?fig=9",
-		"/v1/figure?fig=1&n=bogus",
-		"/v1/figure?fig=1&chips=no+such+chip",
-		"/v1/figure?fig=1&bench=no-such-bench",
-	} {
-		if code := testutil.GetJSON(t, ts.URL, path, nil); code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", path, code)
-		}
 	}
 }

@@ -66,51 +66,6 @@ func TestMetricsEndpointValidExposition(t *testing.T) {
 	}
 }
 
-// TestStatsJSONShapePinned byte-pins /v1/stats: the endpoint predates
-// the metrics registry and scripts parse it, so its JSON shape is a
-// compatibility contract — /metrics is the extension point, this body
-// must not move.
-func TestStatsJSONShapePinned(t *testing.T) {
-	srv, _ := newTestServer(t)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"golden_runs":0,"hits":0,"injections":0,"joins":0,"runs":0,"store_cells":0,"upgrades":0}` + "\n"
-	if string(body) != want {
-		t.Fatalf("/v1/stats shape moved:\ngot:  %q\nwant: %q", body, want)
-	}
-
-	// With remote workers enabled the queue snapshot joins the body under
-	// the fixed "workers" key.
-	srv2, _ := newTestServer(t)
-	srv2.ServeWorkers(campaign.NewLeaseQueue(time.Second))
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
-	resp2, err := http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body2, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2 := `{"golden_runs":0,"hits":0,"injections":0,"joins":0,"runs":0,"store_cells":0,"upgrades":0,` +
-		`"workers":{"pending":0,"leased":0,"completed":0,"failed":0,"expired":0}}` + "\n"
-	if string(body2) != want2 {
-		t.Fatalf("/v1/stats shape moved with workers enabled:\ngot:  %q\nwant: %q", body2, want2)
-	}
-}
-
 // TestCorrelationIDCrossesLeaseWire is the end-to-end correlation
 // proof: a job submitted to the server runs on a remote worker in
 // another "process" (separate worker loop over HTTP), and the worker's

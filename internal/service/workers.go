@@ -56,8 +56,8 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&req); err != nil {
+		bodyError(w, err, "bad request body: %v")
 		return
 	}
 	if req.Worker == "" {
@@ -124,8 +124,8 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompleteBody)).Decode(&req); err != nil {
+		bodyError(w, err, "bad request body: %v")
 		return
 	}
 	if req.Result == nil && req.Error == "" {

@@ -65,7 +65,7 @@ func runRemoteCell(t *testing.T, task campaign.Task) *finject.Result {
 }
 
 func TestWorkerProtocolServesJob(t *testing.T) {
-	ts, sched, _ := newRemoteServer(t, time.Minute)
+	ts, sched, q := newRemoteServer(t, time.Minute)
 
 	var submitted struct {
 		ID string `json:"id"`
@@ -113,20 +113,15 @@ func TestWorkerProtocolServesJob(t *testing.T) {
 		t.Fatalf("runs %d, want 2", runs)
 	}
 
-	// The queue's state shows up in /v1/stats.
-	var stats struct {
-		Workers *campaign.LeaseStats `json:"workers"`
-	}
-	testutil.GetJSON(t, ts.URL, "/v1/stats", &stats)
-	if stats.Workers == nil || stats.Workers.Completed != 2 {
-		t.Fatalf("worker stats %+v", stats.Workers)
+	if st := q.Stats(); st.Completed != 2 {
+		t.Fatalf("lease queue stats %+v, want 2 completed", st)
 	}
 }
 
 func TestWorkerDiesMidLease(t *testing.T) {
 	// A very short TTL stands in for the dead worker's missing
 	// heartbeats.
-	ts, _, _ := newRemoteServer(t, 50*time.Millisecond)
+	ts, _, q := newRemoteServer(t, 50*time.Millisecond)
 
 	var submitted struct {
 		ID string `json:"id"`
@@ -175,12 +170,8 @@ func TestWorkerDiesMidLease(t *testing.T) {
 		t.Fatalf("job %q after worker death, want done", status.State)
 	}
 
-	var stats struct {
-		Workers *campaign.LeaseStats `json:"workers"`
-	}
-	testutil.GetJSON(t, ts.URL, "/v1/stats", &stats)
-	if stats.Workers.Expired < 1 {
-		t.Fatalf("expiry not counted: %+v", stats.Workers)
+	if st := q.Stats(); st.Expired < 1 {
+		t.Fatalf("expiry not counted: %+v", st)
 	}
 }
 

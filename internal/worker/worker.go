@@ -111,22 +111,15 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		// Both server generations speak here: the unified envelope
-		// {"error":{"code","message",...}} and the legacy flat string.
+		// The server's error envelope {"error":{"code","message",...}};
+		// any other body leaves the message empty and the status stands.
 		var e struct {
-			Error json.RawMessage `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		msg := ""
-		if json.Unmarshal(e.Error, &msg) != nil {
-			var env struct {
+			Error struct {
 				Message string `json:"message"`
-			}
-			if json.Unmarshal(e.Error, &env) == nil {
-				msg = env.Message
-			}
+			} `json:"error"`
 		}
-		return &statusError{code: resp.StatusCode, msg: msg}
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return &statusError{code: resp.StatusCode, msg: e.Error.Message}
 	}
 	if out == nil {
 		return nil
