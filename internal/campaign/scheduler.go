@@ -51,15 +51,6 @@ type Stats struct {
 	Upgrades int64
 }
 
-// Progress reports one cell served by the scheduler — computed, joined or
-// answered from the store.
-type Progress struct {
-	Spec CellSpec
-	Key  CellKey
-	// Cached is true when the cell was served without running a campaign.
-	Cached bool
-}
-
 // Scheduler is a deduplicating, cancelable campaign executor: it answers
 // from its Store when possible, coalesces concurrent requests for the
 // same cell onto one execution (singleflight), bounds concurrency with a
@@ -73,10 +64,6 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	inflight map[CellKey]*call
-
-	subMu sync.Mutex
-	subID int
-	subs  map[int]func(Progress)
 
 	hits, runs, joins    atomic.Int64
 	injections, upgrades atomic.Int64
@@ -106,7 +93,6 @@ func New(cfg Config) *Scheduler {
 		sem:             make(chan struct{}, cfg.Workers),
 		campaignWorkers: cfg.CampaignWorkers,
 		inflight:        make(map[CellKey]*call),
-		subs:            make(map[int]func(Progress)),
 	}
 }
 
@@ -131,36 +117,6 @@ func (s *Scheduler) Stats() Stats {
 		st.GoldenRuns = g.GoldenRuns()
 	}
 	return st
-}
-
-// Subscribe registers fn to receive a Progress event for every cell the
-// scheduler serves — computed, joined or answered from the store. The
-// returned cancel removes the subscription. fn is called synchronously on
-// the serving goroutine; keep it fast.
-func (s *Scheduler) Subscribe(fn func(Progress)) (cancel func()) {
-	s.subMu.Lock()
-	id := s.subID
-	s.subID++
-	s.subs[id] = fn
-	s.subMu.Unlock()
-	return func() {
-		s.subMu.Lock()
-		delete(s.subs, id)
-		s.subMu.Unlock()
-	}
-}
-
-// notify fans one progress event out to the subscribers.
-func (s *Scheduler) notify(p Progress) {
-	s.subMu.Lock()
-	fns := make([]func(Progress), 0, len(s.subs))
-	for _, fn := range s.subs {
-		fns = append(fns, fn)
-	}
-	s.subMu.Unlock()
-	for _, fn := range fns {
-		fn(p)
-	}
 }
 
 // Run serves one campaign cell: from the store if present, by joining an
@@ -195,7 +151,6 @@ func (s *Scheduler) run(ctx context.Context, c finject.Campaign) (*finject.Resul
 			if c.Policy.SatisfiedBy(res, spec.Injections) {
 				s.hits.Add(1)
 				telemetry.SchedCacheHits.Inc()
-				s.notify(Progress{Spec: spec, Key: key, Cached: true})
 				return res, true, nil
 			}
 			stale = true
@@ -215,7 +170,6 @@ func (s *Scheduler) run(ctx context.Context, c finject.Campaign) (*finject.Resul
 				}
 				s.joins.Add(1)
 				telemetry.SchedJoins.Inc()
-				s.notify(Progress{Spec: spec, Key: key, Cached: true})
 				return cl.res, true, nil
 			}
 			// The leader failed. If it was canceled while we are still
@@ -244,7 +198,6 @@ func (s *Scheduler) run(ctx context.Context, c finject.Campaign) (*finject.Resul
 			s.upgrades.Add(1)
 			telemetry.SchedCacheUpgrades.Inc()
 		}
-		s.notify(Progress{Spec: spec, Key: key})
 		return cl.res, false, nil
 	}
 }

@@ -152,37 +152,6 @@ func TestSchedulerCancellationMidBatch(t *testing.T) {
 	}
 }
 
-func TestSchedulerSubscribe(t *testing.T) {
-	s := New(Config{})
-	c := testCampaign(t, "vectoradd")
-	var mu sync.Mutex
-	var events []Progress
-	cancel := s.Subscribe(func(p Progress) {
-		mu.Lock()
-		events = append(events, p)
-		mu.Unlock()
-	})
-	if _, err := s.Run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if _, err := s.Run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2 (subscription canceled before third)", len(events))
-	}
-	if events[0].Cached || !events[1].Cached {
-		t.Fatalf("cached flags: %+v", events)
-	}
-	if events[0].Key != SpecOf(c).Key() {
-		t.Fatal("event key mismatch")
-	}
-}
-
 func TestSchedulerRejectsIncompleteCampaign(t *testing.T) {
 	s := New(Config{})
 	if _, err := s.Run(context.Background(), finject.Campaign{}); err == nil {

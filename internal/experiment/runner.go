@@ -22,10 +22,15 @@ const defaultRawFIT = metrics.DefaultRawFITPerMbit
 // Progress reports one grid cell the runner finished, in completion
 // order (the scheduler executes cells concurrently).
 type Progress struct {
+	// Index is the cell's position in Plan.Cells (and Plan.CellSpecs).
+	Index int
 	// Cell is the planned cell that completed.
 	Cell PlannedCell
 	// Spec is its normalized campaign identity.
 	Spec campaign.CellSpec
+	// Result is the cell's campaign result; nil for a failed cell and for
+	// the ACE-only estimator, which runs no campaign.
+	Result *finject.Result
 	// Cached is true when the cell was served without running a
 	// campaign (store hit, join, or the ACE-only estimator).
 	Cached bool
@@ -90,8 +95,10 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 			}
 			done++
 			r.OnCell(Progress{
+				Index:  i,
 				Cell:   p.Cells[i],
 				Spec:   campaign.SpecOf(p.Cells[i].Campaign),
+				Result: fres,
 				Cached: cached,
 				Done:   done,
 				Total:  len(p.Cells),
@@ -118,6 +125,11 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		key := [2]int{pc.BenchIndex, pc.ChipIndex}
 		if run, ok := aceCache[key]; ok {
 			return run, nil
+		}
+		// A traced run is a full simulation: a canceled experiment stops
+		// here instead of simulating the rest of the grid.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		reg, local, st, err := measureACE(pc.Chip, pc.Benchmark)
 		if err != nil {
@@ -148,7 +160,7 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		if !spec.Estimator.fi() && r.OnCell != nil {
 			aceDone++
 			r.OnCell(Progress{
-				Cell: pc, Spec: campaign.SpecOf(pc.Campaign), Cached: true,
+				Index: i, Cell: pc, Spec: campaign.SpecOf(pc.Campaign), Cached: true,
 				Done: aceDone, Total: len(p.Cells),
 			})
 		}

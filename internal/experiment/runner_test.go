@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 
@@ -183,5 +184,70 @@ func TestRunnerProtectionSweep(t *testing.T) {
 	// of POST /v1/experiments).
 	if _, err := json.Marshal(res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunnerStopsWhenCanceled: the ACE phase is one full traced
+// simulation per (chip, benchmark), so it must consult the context like
+// the FI phase does — a canceled run neither simulates on nor comes back
+// as a finished result.
+func TestRunnerStopsWhenCanceled(t *testing.T) {
+	t.Run("ACE-only, canceled before it starts", func(t *testing.T) {
+		s := miniSpec()
+		s.Estimator = EstimatorACE
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		measured := 0
+		res, err := (&Runner{OnCell: func(Progress) { measured++ }}).Run(ctx, s)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("canceled ACE-only run returned (%v, %v), want context.Canceled", res, err)
+		}
+		if measured != 0 {
+			t.Fatalf("canceled ACE-only run still measured %d cells", measured)
+		}
+	})
+	t.Run("both, canceled between the phases", func(t *testing.T) {
+		s := miniSpec()
+		s.Estimator = EstimatorBoth
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The last FI cell reporting ends phase 1; cancel right there.
+		r := &Runner{OnCell: func(p Progress) {
+			if p.Done == p.Total {
+				cancel()
+			}
+		}}
+		if res, err := r.Run(ctx, s); !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("run canceled before its ACE phase returned (%v, %v), want context.Canceled", res, err)
+		}
+	})
+}
+
+// TestProgressIndexAndResult: a progress event names its cell by plan
+// index and carries the campaign result the index's cell got.
+func TestProgressIndexAndResult(t *testing.T) {
+	plan, err := miniSpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	r := &Runner{OnCell: func(p Progress) {
+		if p.Index < 0 || p.Index >= len(plan.Cells) || seen[p.Index] {
+			t.Errorf("progress index %d out of range or repeated", p.Index)
+			return
+		}
+		seen[p.Index] = true
+		if p.Spec != plan.CellSpecs()[p.Index] {
+			t.Errorf("index %d reports spec %v, the plan has %v there", p.Index, p.Spec, plan.CellSpecs()[p.Index])
+		}
+		if p.Result == nil || p.Result.Injections != 40 {
+			t.Errorf("index %d carries result %+v", p.Index, p.Result)
+		}
+	}}
+	if _, err := r.RunPlan(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(plan.Cells) {
+		t.Fatalf("%d of %d cells reported", len(seen), len(plan.Cells))
 	}
 }

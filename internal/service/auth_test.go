@@ -295,6 +295,47 @@ func TestFigureRunsPassAdmission(t *testing.T) {
 	}
 }
 
+// TestQuotaSurvivesOverflowSubmission: two cells of 1<<62 injections sum
+// to a negative int64. Charged as a cost, that drove the tenant's
+// inj-rate debt to -9.2e18 — which never decays back — and admitted every
+// later submission of that tenant for free. The submission is refused at
+// admission, before the quota is touched.
+func TestQuotaSurvivesOverflowSubmission(t *testing.T) {
+	ts, srv := authedServer(t)
+	// A stopped clock: rate debt never decays, however slow the host.
+	epoch := time.Unix(0, 0)
+	srv.quota.mu.Lock()
+	srv.quota.now = func() time.Time { return epoch }
+	srv.quota.mu.Unlock()
+	huge := `{"cells":[` +
+		`{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":4611686018427387904,"seed":1},` +
+		`{"chip":"Mini NVIDIA","benchmark":"transpose","injections":4611686018427387904,"seed":2}]}`
+	var envelope struct {
+		Error errorBody `json:"error"`
+	}
+	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", strings.NewReader(huge), &envelope); code != http.StatusBadRequest || envelope.Error.Code != "bad_request" {
+		t.Fatalf("overflowing submission: status %d, envelope %+v, want 400 bad_request", code, envelope)
+	}
+	srv.quota.mu.Lock()
+	u := srv.quota.tenants["acme"]
+	srv.quota.mu.Unlock()
+	if u != nil && (u.debt != 0 || u.running != 0) {
+		t.Fatalf("refused submission left quota usage %+v, want it untouched", *u)
+	}
+	// The tenant's quota still works: one job admits and holds the slot…
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", submitBody(t, 1), &submitted); code != http.StatusAccepted {
+		t.Fatalf("ordinary submission after the refusal: status %d", code)
+	}
+	waitSettledAs(t, ts, submitted.ID, "key-acme")
+	// …and its 20 injections of rate debt bounce the next one.
+	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", submitBody(t, 1), nil); code != http.StatusTooManyRequests {
+		t.Fatalf("submission while in rate debt: status %d, want 429", code)
+	}
+}
+
 func TestQuotaInjectionRate(t *testing.T) {
 	q := newQuotaTable()
 	clock := time.Unix(0, 0)

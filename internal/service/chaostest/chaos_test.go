@@ -207,6 +207,36 @@ func submitLoose(base string, cells []campaign.CellSpec) {
 	}
 }
 
+// chaosSpec is the experiment the crash-point matrix submits beside the
+// batch: the same three benchmarks as one grid, both estimators, so a
+// recovery also re-runs the ACE phase the journal holds nothing of.
+const chaosSpec = `{"name":"chaos","chips":["Mini NVIDIA"],"benchmarks":["vectoradd","transpose","matrixMul"],"injections":20,"seed":74}`
+
+// streamLoose POSTs the spec to /v1/experiments and reads the stream to
+// its end, tolerating the connection dying under it: the job's life is
+// in the journal, not the stream.
+func streamLoose(base string) {
+	resp, err := http.Post(base+"/v1/experiments", "application/json", strings.NewReader(chaosSpec))
+	if err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+}
+
+// chaosJob is one column of the crash-point matrix: a way to submit the
+// first job of a fresh journal, and the id the journal then gives it.
+type chaosJob struct {
+	kind   string
+	id     string
+	cells  int
+	submit func(base string)
+}
+
+var chaosJobs = []chaosJob{
+	{kind: "batch", id: "job-000001", cells: len(chaosCells()), submit: func(base string) { submitLoose(base, chaosCells()) }},
+	{kind: "experiment", id: "exp-000001", cells: 3, submit: streamLoose},
+}
+
 // rawResult fetches /v1/jobs/{id}/result as raw bytes — the unit of
 // the byte-identity assertions.
 func rawResult(t *testing.T, base, id string) []byte {
@@ -271,18 +301,31 @@ func cleanReference(t *testing.T, cells []campaign.CellSpec) []byte {
 	return rawResult(t, p.base, submitted.ID)
 }
 
+// cleanExperimentReference is cleanReference for the chaos experiment:
+// streamed to its end on an uninterrupted server, then fetched the way a
+// reconnecting client would.
+func cleanExperimentReference(t *testing.T) []byte {
+	t.Helper()
+	p := startServer(t, t.TempDir(), "")
+	streamLoose(p.base)
+	testutil.WaitForJob(t, p.base, "exp-000001")
+	return rawResult(t, p.base, "exp-000001")
+}
+
 // TestCrashPointsRecoverByteIdentical is the heart of the harness: for
 // every injected crash barrier, the server SIGKILLs itself mid-job, a
 // fresh process recovers from the journal, resumes, and must produce a
 // result byte-identical to the uninterrupted reference — with every
 // cell that settled before the crash answered from the warm campaign
-// store (a cache hit), never re-injected.
+// store (a cache hit), never re-injected. Each barrier is crossed by
+// both kinds of job: a batch, and an experiment streamed from POST
+// /v1/experiments (the kind the fleet's traffic actually is).
 func TestCrashPointsRecoverByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos harness")
 	}
 	cells := chaosCells()
-	want := cleanReference(t, cells)
+	refs := map[string][]byte{"batch": cleanReference(t, cells), "experiment": cleanExperimentReference(t)}
 
 	points := []struct {
 		crash string
@@ -303,52 +346,64 @@ func TestCrashPointsRecoverByteIdentical(t *testing.T) {
 	}
 	for _, tc := range points {
 		t.Run(tc.crash, func(t *testing.T) {
-			dir := t.TempDir()
-			gen1 := startServer(t, dir, tc.crash)
-			submitLoose(gen1.base, cells)
-			gen1.waitKilled(t)
+			for _, job := range chaosJobs {
+				t.Run(job.kind, func(t *testing.T) {
+					want := refs[job.kind]
+					dir := t.TempDir()
+					gen1 := startServer(t, dir, tc.crash)
+					job.submit(gen1.base)
+					gen1.waitKilled(t)
 
-			gen2 := startServer(t, dir, "")
-			if restored, resumed := gen2.recovery(); restored != 1 || resumed != 1 {
-				t.Fatalf("recovered %d jobs / resumed %d, want 1/1\n%s", restored, resumed, gen2.dump())
-			}
-			c := &client.Client{Base: gen2.base}
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			// The id is deterministic: the journal restores the sequence.
-			st, err := c.WaitDone(ctx, "job-000001")
-			if err != nil {
-				t.Fatalf("awaiting resumed job: %v\n%s", err, gen2.dump())
-			}
-			if st.State != "done" {
-				t.Fatalf("resumed job finished %q: %+v", st.State, st)
-			}
-			got := rawResult(t, gen2.base, "job-000001")
-			if !bytes.Equal(got, want) {
-				t.Fatalf("recovered result differs from uninterrupted run:\nclean:     %s\nrecovered: %s", want, got)
-			}
+					gen2 := startServer(t, dir, "")
+					if restored, resumed := gen2.recovery(); restored != 1 || resumed != 1 {
+						t.Fatalf("recovered %d jobs / resumed %d, want 1/1\n%s", restored, resumed, gen2.dump())
+					}
+					c := &client.Client{Base: gen2.base}
+					ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+					defer cancel()
+					// The id is deterministic: the journal restores the sequence.
+					// An experiment's stream died with the first process; its
+					// client reconnects by id like a batch client polls.
+					st, err := c.WaitDone(ctx, job.id)
+					if err != nil {
+						t.Fatalf("awaiting resumed job: %v\n%s", err, gen2.dump())
+					}
+					if st.State != "done" {
+						t.Fatalf("resumed job finished %q: %+v", st.State, st)
+					}
+					got := rawResult(t, gen2.base, job.id)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("recovered result differs from uninterrupted run:\nclean:     %s\nrecovered: %s", want, got)
+					}
+					if job.kind == "experiment" {
+						if res, err := c.ExperimentResult(ctx, job.id); err != nil || len(res.Tables) != 1 {
+							t.Fatalf("ExperimentResult after restart: %+v, %v", res, err)
+						}
+					}
 
-			// Work conservation, from the recovering process's own counters:
-			// every cell is either a warm-store hit or a fresh run, and the
-			// cells the crashed generation finished are never re-injected.
-			hits := metric(t, gen2.base, "fi_sched_cache_hits_total")
-			runs := metric(t, gen2.base, "fi_sched_cell_runs_total")
-			if int(hits)+int(runs) != len(cells) {
-				t.Fatalf("hits %v + runs %v != %d cells", hits, runs, len(cells))
-			}
-			if int(hits) < tc.minWarm {
-				t.Fatalf("only %v cache hits after recovery, want >= %d (completed cells re-injected?)", hits, tc.minWarm)
-			}
-			if tc.allWarm {
-				if inj := metric(t, gen2.base, "fi_inject_injections_total"); inj != 0 {
-					t.Fatalf("recovery of a fully-settled job performed %v injections, want 0", inj)
-				}
-			}
-			if torn := metric(t, gen2.base, "fi_store_job_journal_torn_tails_total"); (torn == 1) != tc.tornTail {
-				t.Fatalf("torn-tail counter %v, want torn=%v", torn, tc.tornTail)
-			}
-			if rec := metric(t, gen2.base, "fi_store_jobs_recovered_total"); rec != 1 {
-				t.Fatalf("fi_store_jobs_recovered_total %v, want 1", rec)
+					// Work conservation, from the recovering process's own counters:
+					// every cell is either a warm-store hit or a fresh run, and the
+					// cells the crashed generation finished are never re-injected.
+					hits := metric(t, gen2.base, "fi_sched_cache_hits_total")
+					runs := metric(t, gen2.base, "fi_sched_cell_runs_total")
+					if int(hits)+int(runs) != job.cells {
+						t.Fatalf("hits %v + runs %v != %d cells", hits, runs, job.cells)
+					}
+					if int(hits) < tc.minWarm {
+						t.Fatalf("only %v cache hits after recovery, want >= %d (completed cells re-injected?)", hits, tc.minWarm)
+					}
+					if tc.allWarm {
+						if inj := metric(t, gen2.base, "fi_inject_injections_total"); inj != 0 {
+							t.Fatalf("recovery of a fully-settled job performed %v injections, want 0", inj)
+						}
+					}
+					if torn := metric(t, gen2.base, "fi_store_job_journal_torn_tails_total"); (torn == 1) != tc.tornTail {
+						t.Fatalf("torn-tail counter %v, want torn=%v", torn, tc.tornTail)
+					}
+					if rec := metric(t, gen2.base, "fi_store_jobs_recovered_total"); rec != 1 {
+						t.Fatalf("fi_store_jobs_recovered_total %v, want 1", rec)
+					}
+				})
 			}
 		})
 	}

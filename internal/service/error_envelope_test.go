@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,6 +31,12 @@ func TestErrorEnvelope(t *testing.T) {
 	testutil.PostJSON(t, ts.URL, "/v1/jobs", map[string]any{"cells": cells}, &submitted, http.StatusAccepted)
 	testutil.WaitForJob(t, ts.URL, submitted.ID)
 
+	// One cell past the per-job cell ceiling (a few hundred KB of body,
+	// far inside the route's byte ceiling).
+	overCells := `{"cells":[` + strings.Repeat(`{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":5},`, maxJobCells) +
+		`{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":5}]}`
+	overInjections := strconv.Itoa(maxCellInjections + 1)
+
 	cases := []struct {
 		name       string
 		method     string
@@ -51,6 +58,33 @@ func TestErrorEnvelope(t *testing.T) {
 			method: http.MethodPost, path: "/v1/jobs",
 			body:       `{"cells":[]}`,
 			wantStatus: http.StatusBadRequest, wantCode: "bad_request", wantMsg: "empty batch",
+		},
+		{
+			name:   "jobs: over the cell ceiling",
+			method: http.MethodPost, path: "/v1/jobs",
+			body:       overCells,
+			wantStatus: http.StatusBadRequest, wantCode: "bad_request", wantMsg: "the limit is 10000",
+		},
+		{
+			name:   "jobs: cell over the injection ceiling",
+			method: http.MethodPost, path: "/v1/jobs",
+			body:       `{"cells":[{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":` + overInjections + `}]}`,
+			wantStatus: http.StatusBadRequest, wantCode: "bad_request", wantMsg: "the limit is 10000000",
+		},
+		{
+			name:   "jobs: policy cap over the injection ceiling",
+			method: http.MethodPost, path: "/v1/jobs",
+			body:       `{"cells":[{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":5}],"policy":{"max_injections":` + overInjections + `}}`,
+			wantStatus: http.StatusBadRequest, wantCode: "bad_request", wantMsg: "the limit is 10000000",
+		},
+		{
+			// (No spec can reach the cell ceiling: the axes reject duplicates
+			// and the registries span under 200 cells. TestJobCeilings covers
+			// that pair below the HTTP layer.)
+			name:   "experiments: over the injection ceiling",
+			method: http.MethodPost, path: "/v1/experiments",
+			body:       `{"chips":["Mini NVIDIA"],"benchmarks":["vectoradd"],"injections":` + overInjections + `}`,
+			wantStatus: http.StatusBadRequest, wantCode: "bad_request", wantMsg: "the limit is 10000000",
 		},
 		{
 			name:   "jobs: unknown job status",

@@ -10,6 +10,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/experiment"
 	"repro/internal/gpu"
+	"repro/internal/testutil"
 )
 
 func miniExperimentSpec() experiment.Spec {
@@ -163,6 +164,89 @@ func TestExperimentProtectionOverHTTP(t *testing.T) {
 	for _, row := range res.Protection {
 		if row.Config == "secded-all" && (row.SDCFIT != 0 || row.DUEFIT != 0) {
 			t.Fatalf("secded-all left failures: %+v", row)
+		}
+	}
+}
+
+// TestCanceledACEExperimentStops: DELETE on a running experiment answers
+// "canceling", and the job must then actually stop — including in its
+// ACE phase, which is one traced simulation per (chip, benchmark) and
+// used to run the whole grid out and land "done" anyway.
+func TestCanceledACEExperimentStops(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	cl := &client.Client{Base: ts.URL}
+	ctx := context.Background()
+
+	// The four evaluated chips × every benchmark: 40 traced runs, most of
+	// a second if nothing stops them — against a DELETE that takes under
+	// a millisecond and is sent before the first one can finish.
+	spec := experiment.Spec{Name: "ace-grid", Estimator: experiment.EstimatorACE}
+	var id, deleteState string
+	_, err := cl.RunExperiment(ctx, spec, func(ev client.Event) {
+		if ev.Event != "job" {
+			return
+		}
+		id = ev.ID
+		var body struct {
+			State string `json:"state"`
+		}
+		testutil.DeleteJSON(t, ts.URL, "/v1/jobs/"+id, &body)
+		deleteState = body.State
+	})
+	if deleteState != "canceling" {
+		t.Fatalf("DELETE of the running experiment answered %q, want canceling", deleteState)
+	}
+	if err == nil || !strings.Contains(err.Error(), "context canceled") {
+		t.Fatalf("stream of the canceled experiment ended with %v, want a context-canceled error event", err)
+	}
+	st, err := cl.Status(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "canceled" || st.Done == st.Total {
+		t.Fatalf("canceled experiment settled %q with %d/%d cells measured", st.State, st.Done, st.Total)
+	}
+}
+
+// TestExperimentStatusReportsInjections: an experiment job's cells report
+// their realized sample size like a batch job's — under an adaptive
+// policy that is the number the cell stopped at, not the spec's cap.
+func TestExperimentStatusReportsInjections(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	cl := &client.Client{Base: ts.URL}
+	ctx := context.Background()
+
+	spec := miniExperimentSpec()
+	spec.Estimator = experiment.EstimatorFI
+	spec.Injections = 2000
+	spec.Policy.Margin = 0.2
+	var id string
+	res, err := cl.RunExperiment(ctx, spec, func(ev client.Event) {
+		if ev.Event == "job" {
+			id = ev.ID
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Status(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []cellState
+	if err := json.Unmarshal(st.Cells, &cells); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		// Plan order is benchmark-major; this grid has one chip and one
+		// structure, so cell i is benchmark i.
+		want := res.Tables[0].Cells[i][0].Injections
+		if c.Injections != want || want <= 0 || want >= spec.Injections {
+			t.Fatalf("cell %d reports %d injections; the result has %d (cap %d)", i, c.Injections, want, spec.Injections)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/campaign"
+	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
 )
@@ -18,8 +21,8 @@ type submitRequest struct {
 	Policy *jobPolicy `json:"policy,omitempty"`
 }
 
-// handleSubmit validates the batch, registers a job and runs it
-// asynchronously.
+// handleSubmit validates the batch, starts a job for it and lets it run
+// detached.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
@@ -42,75 +45,54 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		*p = norm
 	}
-	batch, cells, err := buildBatch(req.Cells, req.Policy)
+	work, err := compileBatch(req.Cells, req.Policy)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tenant, tq := s.tenantOf(r)
-	if !s.admitJob(w, tq, batchCost(req.Cells)) {
+	// The run outlives the request: DELETE and Shutdown are what cancel it.
+	ctx, status, err := s.start(context.Background(), r, work)
+	if err != nil {
+		httpError(w, status, "%v", err)
 		return
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		if tq != nil {
-			s.quota.release(tenant)
-		}
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	s.running.Add(1)
-	s.nextID++
-	j := &job{
-		id:        newJobID("job", s.nextID),
-		kind:      "batch",
-		cancel:    cancel,
-		tenant:    tenant,
-		quotaHeld: tq != nil,
-		state:     "running",
-		cells:     cells,
-		results:   make([]*finject.Result, len(batch)),
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictLocked()
-	s.mu.Unlock()
-	telemetry.JobsSubmitted.With(tenantMetricLabel(tenant)).Inc()
-
-	// The submit record goes down before the job goroutine can journal
-	// its first cell, so replay always sees a job before its transitions.
-	s.journal(journalRecord{
-		Event: "submit", Job: j.id, Kind: "batch", Tenant: tenant,
-		Cells: req.Cells, Policy: req.Policy,
-	})
-
-	// The job id and tenant ride the context from here through the
-	// scheduler and — on the remote tier — across the lease wire into
-	// worker logs and fair-share accounting.
-	jctx := telemetry.WithTenant(telemetry.WithJob(ctx, j.id), tenant)
-	s.log.InfoContext(jctx, "job submitted", "kind", "batch", "cells", len(batch))
-
-	go s.runBatchJob(jctx, cancel, j, batch)
-
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": j.id, "total": len(batch)})
+	go s.run(ctx, work, nil)
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": work.def.Job, "total": len(work.specs)})
 }
 
-// buildBatch compiles submitted cell specs (plus an optional batch-wide
-// policy override) into runnable campaigns and their initial cell
-// states. Shared by submission and restart recovery, so a recovered job
-// re-runs through exactly the validation and policy path it was
-// submitted under.
-func buildBatch(specs []campaign.CellSpec, policy *jobPolicy) ([]finject.Campaign, []cellState, error) {
-	batch := make([]finject.Campaign, len(specs))
-	cells := make([]cellState, len(specs))
-	for i, spec := range specs {
+// jobWork is one job's run, and everything that differs between a batch
+// and an experiment. compileBatch and compileExperiment build it from the
+// job's definition — the request body on submission, the journaled
+// submit record on resume, the same validation either way — and start
+// and run take it from there identically.
+type jobWork struct {
+	prefix string // id prefix, so operators can tell the kinds apart
+	name   string // experiment name, for its stream's job and result events
+	// def is the job's submit record: compiling fills in the kind and the
+	// payload (a batch's raw cells and policy, an experiment's normalized
+	// spec), the caller the tenant, start the id — unless the job is being
+	// resumed and has both.
+	def    journalRecord
+	specs  []campaign.CellSpec // the compiled cells, as drive reports and status shows them
+	cancel context.CancelFunc  // aborts the run; set by start
+	// cellResults makes cell records carry the cell's finject.Result: a
+	// batch serves /result from them, while an experiment's durable answer
+	// is the finish record's exp_result.
+	cellResults bool
+	// drive runs the work to its end, reporting each settled cell by its
+	// index in specs (one call at a time); an experiment returns its result.
+	drive func(ctx context.Context, sched *campaign.Scheduler, onCell func(i int, res *finject.Result, cached bool, err error)) (*experiment.Result, error)
+}
+
+// compileBatch compiles submitted cell specs (plus an optional
+// batch-wide policy override) into a runnable batch.
+func compileBatch(cells []campaign.CellSpec, policy *jobPolicy) (*jobWork, error) {
+	batch := make([]finject.Campaign, len(cells))
+	specs := make([]campaign.CellSpec, len(cells))
+	for i, spec := range cells {
 		c, err := spec.Campaign()
 		if err != nil {
-			return nil, nil, fmt.Errorf("cell %d: %v", i, err)
+			return nil, fmt.Errorf("cell %d: %v", i, err)
 		}
 		if policy != nil {
 			// The batch policy replaces each cell's stopping rule but keeps
@@ -120,112 +102,194 @@ func buildBatch(specs []campaign.CellSpec, policy *jobPolicy) ([]finject.Campaig
 			c.Policy = policy.Policy(c.Policy.Checkpoint)
 		}
 		batch[i] = c
-		cells[i] = cellState{Spec: campaign.SpecOf(c), State: "pending"}
+		specs[i] = campaign.SpecOf(c)
 	}
-	return batch, cells, nil
+	return &jobWork{
+		prefix:      "job",
+		def:         journalRecord{Event: "submit", Kind: "batch", Cells: cells, Policy: policy},
+		specs:       specs,
+		cellResults: true,
+		drive: func(ctx context.Context, sched *campaign.Scheduler, onCell func(int, *finject.Result, bool, error)) (*experiment.Result, error) {
+			_, err := sched.RunBatch(ctx, batch, onCell)
+			return nil, err
+		},
+	}, nil
 }
 
-// batchCost sums a submission's normalized injection caps — the
-// admission weight the inj-rate quota charges.
-func batchCost(specs []campaign.CellSpec) int64 {
+// compile recompiles a journaled job's run from its definition, ready to
+// be started again under its own id.
+func (j *job) compile() (work *jobWork, err error) {
+	if j.kind == "experiment" {
+		work, err = compileExperiment(bytes.NewReader(j.rawSpec))
+	} else {
+		work, err = compileBatch(j.rawCells, j.policy)
+	}
+	if err == nil {
+		work.def.Job, work.def.Tenant = j.id, j.tenant
+	}
+	return work, err
+}
+
+// jobCost enforces maxJobCells and maxCellInjections and sums the job's
+// normalized injection caps — the admission weight the inj-rate quota
+// charges, which under the two ceilings cannot overflow.
+func jobCost(specs []campaign.CellSpec) (int64, error) {
+	if len(specs) > maxJobCells {
+		return 0, fmt.Errorf("job has %d cells, the limit is %d", len(specs), maxJobCells)
+	}
 	var cost int64
-	for _, s := range specs {
-		cost += int64(s.Normalize().Injections)
+	for i, s := range specs {
+		n := s.Normalize().Injections
+		if n > maxCellInjections {
+			return 0, fmt.Errorf("cell %d asks for %d injections, the limit is %d", i, n, maxCellInjections)
+		}
+		cost += int64(n)
 	}
-	return cost
+	return cost, nil
 }
 
-// runBatchJob drives one batch job through the scheduler, journaling
-// every cell transition and the terminal state. It is the shared engine
-// behind fresh submissions and restart recovery: because campaigns are
-// deterministic functions of their specs, re-driving a recovered job
-// through the same path yields byte-identical results, with
-// already-journaled cells answered from the warm campaign store.
-func (s *Server) runBatchJob(ctx context.Context, cancel context.CancelFunc, j *job, batch []finject.Campaign) {
-	// Release the context's resources once the batch settles; DELETE
-	// uses the same cancel to abort early and Shutdown drains on the
-	// same WaitGroup.
-	defer s.running.Done()
-	defer cancel()
-	results, err := s.sched.RunBatch(ctx, batch, func(i int, res *finject.Result, cached bool, cellErr error) {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		j.done++
-		if cellErr != nil {
-			j.cells[i].State = "failed"
-			j.cells[i].Error = cellErr.Error()
-			s.log.WarnContext(ctx, "cell failed", "spec", j.cells[i].Spec, "err", cellErr)
-		} else {
-			j.cells[i].State = "done"
-			j.cells[i].Cached = cached
-			j.cells[i].Injections = res.Injections
-			s.log.DebugContext(ctx, "cell done",
-				"spec", j.cells[i].Spec, "cached", cached, "injections", res.Injections)
+// start is the one way a job comes to life: POST /v1/jobs, POST
+// /v1/experiments and restart recovery all pass through it. A submission
+// (r is the request it arrived in) runs under the requesting tenant, must
+// fit the size ceilings and the tenant's quota, gets the next id, and its
+// submit record is journaled. A resumed job (r nil; work.def carries its
+// journaled id and tenant) was admitted once and must never bounce off a
+// limit now: it re-takes its quota slot unchecked, and the submit record
+// the journal already holds is applied again with the recompiled cells,
+// resetting its progress to pending. Either way the job is then in the
+// table and counted by Shutdown's drain, and the returned context carries
+// its id and tenant through the scheduler and — on the remote tier —
+// across the lease wire into worker logs and fair-share accounting. A
+// refusal returns the HTTP status to answer it with; on success the
+// caller owes the job one call of run.
+func (s *Server) start(parent context.Context, r *http.Request, work *jobWork) (context.Context, int, error) {
+	resume := r == nil
+	if resume {
+		if work.def.Tenant != "" {
+			s.quota.reacquire(work.def.Tenant)
 		}
-		s.journal(journalRecord{
-			Event: "cell", Job: j.id, Index: i,
-			State: j.cells[i].State, Cached: j.cells[i].Cached,
-			Injections: j.cells[i].Injections, Error: j.cells[i].Error,
-			Result: res,
-		})
+	} else {
+		var tq *Tenant
+		work.def.Tenant, tq = s.tenantOf(r)
+		cost, err := jobCost(work.specs)
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if tq != nil {
+			if err := s.quota.admit(tq, cost); err != nil {
+				telemetry.JobsQuotaRejected.With(tq.Name).Inc()
+				return nil, http.StatusTooManyRequests, err
+			}
+		}
+	}
+	tenant := work.def.Tenant
+	s.mu.Lock()
+	closed, maxRetained := s.base.Err() != nil, s.maxRetained
+	if !closed {
+		s.running.Add(1)
+	}
+	s.mu.Unlock()
+	if closed {
+		s.quota.release(tenant)
+		return nil, http.StatusServiceUnavailable, errors.New("server is shutting down")
+	}
+
+	// The run ends with its parent, with DELETE (through work.cancel), or
+	// with the server: Shutdown cancels s.base, also for a job that is only
+	// now on its way into the table.
+	ctx, cancel := context.WithCancel(parent)
+	unhook := context.AfterFunc(s.base, cancel)
+	work.cancel = func() { unhook(); cancel() }
+	work.def.work = work
+	if resume {
+		s.table.apply(work.def)
+	} else {
+		work.def.Job = fmt.Sprintf("%s-%06d", work.prefix, s.table.nextSeq())
+		// The submit record is journaled and applied before run can produce
+		// the job's first cell record, so replay always sees a job before
+		// its transitions.
+		s.record(work.def)
+		s.journal(s.table.evict(maxRetained)...)
+		telemetry.JobsSubmitted.With(tenantMetricLabel(tenant)).Inc()
+	}
+	ctx = telemetry.WithTenant(telemetry.WithJob(ctx, work.def.Job), tenant)
+	s.log.InfoContext(ctx, "job started", "kind", work.def.Kind, "cells", len(work.specs), "resumed", resume)
+	return ctx, 0, nil
+}
+
+// run drives a started job to its end: the one engine behind detached
+// batches, streamed experiments and resumed jobs of either kind. Every
+// settled cell and the terminal state become journal records. Campaigns
+// are deterministic functions of their specs, so re-driving a recovered
+// job through here yields byte-identical results, the cells that settled
+// before the crash answered from the warm campaign store. emit, when
+// non-nil, receives a "cell" event per successful cell (the experiment
+// stream); the returned finish record is what the job settled as.
+func (s *Server) run(ctx context.Context, work *jobWork, emit func(experimentEvent)) journalRecord {
+	// Release the context's resources once the work settles; DELETE uses
+	// the same cancel to abort early, and Shutdown drains on the WaitGroup.
+	defer s.running.Done()
+	defer work.cancel()
+	id, done := work.def.Job, 0
+	res, err := work.drive(ctx, s.sched, func(i int, fres *finject.Result, cached bool, cellErr error) {
+		done++
+		rec := journalRecord{Event: "cell", Job: id, Index: i, State: "done", Cached: cached}
+		if cellErr != nil {
+			rec.State, rec.Error = "failed", cellErr.Error()
+			s.log.WarnContext(ctx, "cell failed", "spec", work.specs[i], "err", cellErr)
+		} else if fres != nil {
+			// (The ACE-only estimator settles cells without a campaign.)
+			rec.Injections = fres.Injections
+			if work.cellResults {
+				rec.Result = fres
+			}
+		}
+		s.record(rec)
+		if cellErr != nil {
+			return
+		}
+		s.log.DebugContext(ctx, "cell done", "spec", work.specs[i], "cached", cached, "injections", rec.Injections)
+		if emit != nil {
+			emit(experimentEvent{
+				Event:     "cell",
+				Chip:      work.specs[i].Chip,
+				Benchmark: work.specs[i].Benchmark,
+				Structure: work.specs[i].Structure.String(),
+				Cached:    cached,
+				Done:      done,
+				Total:     len(work.specs),
+			})
+		}
 	})
-	j.mu.Lock()
-	j.results = results
+	fin := journalRecord{Event: "finish", Job: id, State: "done", ExpResult: res}
 	switch {
 	case err == nil:
-		j.state = "done"
 	case ctx.Err() != nil:
-		j.state = "canceled"
-		j.errMsg = err.Error()
+		fin.State, fin.Error = "canceled", err.Error()
 	default:
-		j.state = "failed"
-		j.errMsg = err.Error()
+		fin.State, fin.Error = "failed", err.Error()
 	}
-	state, errMsg, done := j.state, j.errMsg, j.done
-	j.mu.Unlock()
-	s.settleJob(j)
-	s.journalFinish(journalRecord{Event: "finish", Job: j.id, State: state, Error: errMsg})
-	s.log.InfoContext(ctx, "job finished", "state", state, "done", done, "error", errMsg)
+	// The max-jobs slot is free by the time status can show the job settled
+	// (releasing is a no-op for a tenant that holds none, "" included).
+	s.quota.release(work.def.Tenant)
+	s.record(fin)
+	s.log.InfoContext(ctx, "job finished", "kind", work.def.Kind, "state", fin.State, "done", done, "error", fin.Error)
+	return fin
 }
 
-// evictLocked drops the oldest finished jobs beyond the retention bound,
-// journaling each eviction so a restarted server retains the same set.
-// Callers hold s.mu.
-func (s *Server) evictLocked() {
-	for i := 0; len(s.jobs) > s.maxRetained && i < len(s.order); {
-		id := s.order[i]
-		j := s.jobs[id]
-		if j == nil {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			continue
-		}
-		j.mu.Lock()
-		finished := j.state != "running"
-		j.mu.Unlock()
-		if !finished {
-			i++
-			continue
-		}
-		delete(s.jobs, id)
-		s.order = append(s.order[:i], s.order[i+1:]...)
-		s.journal(journalRecord{Event: "delete", Job: id})
-	}
-}
-
-// jobByID resolves the {id} path value, scoped to the requesting
-// tenant: in multi-tenant mode another tenant's job answers the same
-// 404 as a job that never existed, so job ids leak nothing across
-// tenants. Jobs journaled before tenancy (tenant "") stay visible to
-// everyone.
+// jobByID resolves the {id} path value to a copy of the job, scoped to
+// the requesting tenant: in multi-tenant mode another tenant's job
+// answers the same 404 as a job that never existed, so job ids leak
+// nothing across tenants. Jobs journaled before tenancy (tenant "") stay
+// visible to everyone.
 func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) *job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
+	id := r.PathValue("id")
+	j := s.table.get(id)
 	if j != nil && !s.tenantSees(r, j) {
 		j = nil
 	}
 	if j == nil {
-		httpJobError(w, http.StatusNotFound, r.PathValue("id"), "unknown job %q", r.PathValue("id"))
+		httpJobError(w, http.StatusNotFound, id, "unknown job %q", id)
 	}
 	return j
 }
@@ -245,8 +309,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	body := map[string]any{
 		"id":    j.id,
 		"kind":  j.kind,
@@ -274,8 +336,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.state == "running" {
 		httpJobError(w, http.StatusConflict, j.id, "job %s still running (%d/%d cells)", j.id, j.done, len(j.cells))
 		return
@@ -289,8 +349,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rows := make([]jobResultRow, len(j.cells))
-	for i := range j.cells {
-		rows[i] = jobResultRow{Spec: j.cells[i].Spec, Result: j.results[i]}
+	for i, c := range j.cells {
+		rows[i] = jobResultRow{Spec: c.Spec, Result: c.result}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "cells": rows})
 }
@@ -310,20 +370,14 @@ type jobSummary struct {
 // In multi-tenant mode each tenant sees only its own jobs (plus any
 // pre-tenancy jobs with no owner).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	js := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		if j := s.jobs[id]; j != nil && s.tenantSees(r, j) {
-			js = append(js, j)
+	s.table.mu.Lock()
+	rows := make([]jobSummary, 0, len(s.table.order))
+	for _, id := range s.table.order {
+		if j := s.table.jobs[id]; s.tenantSees(r, j) {
+			rows = append(rows, jobSummary{ID: j.id, Kind: j.kind, State: j.state, Done: j.done, Total: len(j.cells), Tenant: j.tenant})
 		}
 	}
-	s.mu.Unlock()
-	rows := make([]jobSummary, len(js))
-	for i, j := range js {
-		j.mu.Lock()
-		rows[i] = jobSummary{ID: j.id, Kind: j.kind, State: j.state, Done: j.done, Total: len(j.cells), Tenant: j.tenant}
-		j.mu.Unlock()
-	}
+	s.table.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": rows})
 }
 
@@ -336,37 +390,24 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 //     retained set, answer {"state":"deleted"}; subsequent requests 404.
 //   - unknown id (never submitted, already deleted or evicted): 404.
 //
-// Removal happens under s.mu — the same lock evictLocked runs under —
-// so a DELETE can never race eviction into a double-removal.
+// Finished is final, so the state is read first; the removal itself is
+// one step under the table's lock — the same lock eviction removes
+// under — so of a DELETE racing eviction or another DELETE exactly one
+// removes the job and journals the delete record, and the other 404s.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	if j != nil && !s.tenantSees(r, j) {
-		j = nil
-	}
+	j := s.jobByID(w, r)
 	if j == nil {
-		s.mu.Unlock()
-		httpJobError(w, http.StatusNotFound, id, "unknown job %q", id)
 		return
 	}
-	j.mu.Lock()
-	finished := j.state != "running"
-	j.mu.Unlock()
-	if !finished {
-		s.mu.Unlock()
+	if j.state == "running" {
 		j.cancel()
 		writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "state": "canceling"})
 		return
 	}
-	delete(s.jobs, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if !s.table.remove(j.id) {
+		httpJobError(w, http.StatusNotFound, j.id, "unknown job %q", j.id)
+		return
 	}
-	s.journal(journalRecord{Event: "delete", Job: id})
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "deleted"})
+	s.journal(journalRecord{Event: "delete", Job: j.id})
+	writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "state": "deleted"})
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 
@@ -17,24 +15,26 @@ import (
 )
 
 // JobStore is the server's write-ahead job journal: a wire.Journal of
-// one JSON record per line, appended and fsynced at every state
+// one JSON record per line, appended and fsynced at every job
 // transition, so the job table — submissions, per-cell progress and
-// final results — survives a kill -9 of the process. Appends shadow
-// earlier records, recovery replays the file, and Compact rewrites it to
-// the live minimum.
+// final results — survives a kill -9 of the process. It owns the file and
+// nothing else: opening it replays the records through jobTable.apply
+// into the table Server.UseJobStore adopts, the server appends each
+// transition here before applying it to that table, and Compact rewrites
+// the file to the live minimum the table describes.
 //
 // Durability contract: a record is either wholly in the journal or
 // wholly absent after a crash. Recovery tolerates exactly one torn tail
 // (the journal's torn-tail rule) and never invents state that was not
 // durably journaled.
 type JobStore struct {
+	// mu serialises writers of the file. An append never holds it together
+	// with the table's mutex, so an fsync blocks other appends only.
 	mu      sync.Mutex
 	j       *wire.Journal
 	records int // physical records in the file
 
-	snaps  map[string]*jobSnapshot
-	order  []string // job ids in submission order
-	maxSeq int      // highest numeric id suffix ever journaled
+	table *jobTable // what the file replayed to; the server's table once attached
 
 	faultPoint string
 	faultFired bool
@@ -56,9 +56,10 @@ type journalRecord struct {
 	Policy *jobPolicy          `json:"policy,omitempty"`
 	Spec   json.RawMessage     `json:"spec,omitempty"`
 
-	// Cell records journal one per-cell state transition, including the
-	// result so a finished batch job serves /result from the journal
-	// alone after a restart.
+	// Cell records journal one per-cell state transition. A batch's carry
+	// the result, so a finished batch job serves /result from the journal
+	// alone after a restart; an experiment's do not — its durable answer
+	// is the finish record's exp_result.
 	Index      int             `json:"index,omitempty"`
 	State      string          `json:"state,omitempty"` // cell state, or the final job state on finish records
 	Cached     bool            `json:"cached,omitempty"`
@@ -68,23 +69,13 @@ type journalRecord struct {
 
 	// Finish records carry the experiment's assembled result.
 	ExpResult *experiment.Result `json:"exp_result,omitempty"`
-}
 
-// jobSnapshot is one job as reconstructed from the journal. State stays
-// "" for a job that was still running when the previous process died —
-// the recovery path resumes it through the scheduler.
-type jobSnapshot struct {
-	ID        string
-	Kind      string
-	Tenant    string
-	RawCells  []campaign.CellSpec
-	Policy    *jobPolicy
-	Spec      json.RawMessage
-	Cells     []cellState
-	Results   []*finject.Result
-	State     string
-	ErrMsg    string
-	ExpResult *experiment.Result
+	// work is the unjournaled half of a submit record applied by the
+	// process that runs the job: the compiled cells as status shows them
+	// and the run's cancel func. encoding/json skips it, so a replayed
+	// submit record has none — its cells are the raw submitted ones until
+	// resume recompiles the job and applies the record again.
+	work *jobWork
 }
 
 // Crash barriers the chaos harness injects via JobStore.SetFaultPoint
@@ -132,16 +123,16 @@ func killSelf() {
 }
 
 // OpenJobStore opens (creating if absent) the journal at path and
-// replays it. A torn final record is truncated away; any other
-// malformed line is an error, not a guess.
+// replays it into a fresh job table. A torn final record is truncated
+// away; any other malformed line is an error, not a guess.
 func OpenJobStore(path string) (*JobStore, error) {
-	js := &JobStore{snaps: make(map[string]*jobSnapshot)}
+	js := &JobStore{table: &jobTable{jobs: make(map[string]*job)}}
 	j, err := wire.OpenJournal(path, wire.Lines, true, func(line wire.Record) error {
 		var rec journalRecord
 		if err := json.Unmarshal(line.Payload, &rec); err != nil {
 			return fmt.Errorf("corrupt record at offset %d: %w", line.Off, err)
 		}
-		js.applyLocked(rec)
+		js.table.apply(rec)
 		js.records++
 		return nil
 	})
@@ -152,7 +143,7 @@ func OpenJobStore(path string) (*JobStore, error) {
 	if j.Healed() > 0 {
 		telemetry.JobJournalTornTails.Inc()
 	}
-	if js.records-js.liveRecordsLocked() > campaign.CompactDeadThreshold {
+	if js.records-len(js.table.liveRecords()) > campaign.CompactDeadThreshold {
 		if err := js.Compact(); err != nil {
 			j.Close()
 			return nil, err
@@ -161,104 +152,20 @@ func OpenJobStore(path string) (*JobStore, error) {
 	return js, nil
 }
 
-// applyLocked folds one record into the snapshot table. Semantically
-// invalid records (unknown job, out-of-range index) are skipped: the
-// journal never invents state. Callers hold js.mu (or own js
-// exclusively, as OpenJobStore does).
-func (js *JobStore) applyLocked(rec journalRecord) {
-	js.noteSeqLocked(rec.Job)
-	switch rec.Event {
-	case "submit":
-		snap := &jobSnapshot{
-			ID:       rec.Job,
-			Kind:     rec.Kind,
-			Tenant:   rec.Tenant,
-			RawCells: rec.Cells,
-			Policy:   rec.Policy,
-			Spec:     rec.Spec,
-			Cells:    make([]cellState, len(rec.Cells)),
-			Results:  make([]*finject.Result, len(rec.Cells)),
-		}
-		for i, cs := range rec.Cells {
-			snap.Cells[i] = cellState{Spec: cs.Normalize(), State: "pending"}
-		}
-		if _, ok := js.snaps[rec.Job]; !ok {
-			js.order = append(js.order, rec.Job)
-		}
-		js.snaps[rec.Job] = snap
-	case "cell":
-		snap := js.snaps[rec.Job]
-		if snap == nil || rec.Index < 0 || rec.Index >= len(snap.Cells) {
-			return
-		}
-		snap.Cells[rec.Index] = cellState{
-			Spec:       snap.Cells[rec.Index].Spec,
-			State:      rec.State,
-			Cached:     rec.Cached,
-			Injections: rec.Injections,
-			Error:      rec.Error,
-		}
-		snap.Results[rec.Index] = rec.Result
-	case "finish":
-		snap := js.snaps[rec.Job]
-		if snap == nil {
-			return
-		}
-		snap.State = rec.State
-		snap.ErrMsg = rec.Error
-		snap.ExpResult = rec.ExpResult
-	case "delete":
-		if _, ok := js.snaps[rec.Job]; !ok {
-			return
-		}
-		delete(js.snaps, rec.Job)
-		for i, id := range js.order {
-			if id == rec.Job {
-				js.order = append(js.order[:i], js.order[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// noteSeqLocked records the numeric suffix of a journaled job id so the
-// id sequence resumes past every id ever minted — deleted ones included.
-func (js *JobStore) noteSeqLocked(id string) {
-	i := strings.LastIndexByte(id, '-')
-	if i < 0 {
-		return
-	}
-	n, err := strconv.Atoi(id[i+1:])
-	if err != nil || n <= js.maxSeq {
-		return
-	}
-	js.maxSeq = n
-}
-
-// MaxSeq returns the highest numeric id suffix seen in the journal; the
-// server restores its id counter past it so ids never collide across
+// MaxSeq returns the highest numeric id suffix seen in the journal; ids
+// minted after a restart continue past it, so they never collide across
 // restarts.
 func (js *JobStore) MaxSeq() int {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return js.maxSeq
-}
-
-// snapshots returns the replayed jobs in submission order.
-func (js *JobStore) snapshots() []*jobSnapshot {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	out := make([]*jobSnapshot, 0, len(js.order))
-	for _, id := range js.order {
-		out = append(out, js.snaps[id])
-	}
-	return out
+	js.table.mu.Lock()
+	defer js.table.mu.Unlock()
+	return js.table.maxSeq
 }
 
 // append journals one record durably (marshal, then the journal's
 // single write(2) + fsync), so a crash leaves the record wholly present
 // or wholly absent — except under the injected torn-cell barrier, which
-// deliberately crashes half-way through the write.
+// deliberately crashes half-way through the write. It writes the file
+// only: applying the record to the table is the caller's next step.
 func (js *JobStore) append(rec journalRecord) error {
 	js.mu.Lock()
 	defer js.mu.Unlock()
@@ -266,15 +173,19 @@ func (js *JobStore) append(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("service: job store append: %w", err)
 	}
-	if rec.Event == "cell" && js.fireLocked(CrashTornCell) {
+	switch {
+	case rec.Event == "cell" && js.fireLocked(CrashTornCell):
 		js.j.AppendTorn(buf)
+		killSelf()
+	case rec.Event == "finish" && js.fireLocked(CrashPreFinish):
+		// Every cell durably journaled, the finish record not: recovery
+		// must reassemble the result with zero re-injections.
 		killSelf()
 	}
 	if err := js.j.Append(buf); err != nil {
 		return fmt.Errorf("service: job store append: %w", err)
 	}
 	js.records++
-	js.applyLocked(rec)
 	telemetry.JobJournalAppends.Inc()
 	switch {
 	case rec.Event == "submit" && js.fireLocked(CrashPostSubmit):
@@ -285,39 +196,6 @@ func (js *JobStore) append(rec journalRecord) error {
 	return nil
 }
 
-// appendFinish journals a job's terminal state. The pre-finish crash
-// barrier sits here: every cell durably journaled, the finish record
-// not — recovery must reassemble the result with zero re-injections.
-func (js *JobStore) appendFinish(rec journalRecord) error {
-	js.mu.Lock()
-	fire := js.fireLocked(CrashPreFinish)
-	js.mu.Unlock()
-	if fire {
-		killSelf()
-	}
-	return js.append(rec)
-}
-
-// liveRecordsLocked counts the records a compacted journal would hold:
-// per retained job, one submit, one record per settled cell and one
-// finish record if the job is finished. Callers hold js.mu (or own js
-// exclusively).
-func (js *JobStore) liveRecordsLocked() int {
-	n := 0
-	for _, snap := range js.snaps {
-		n++
-		for _, c := range snap.Cells {
-			if c.State != "pending" {
-				n++
-			}
-		}
-		if snap.State != "" {
-			n++
-		}
-	}
-	return n
-}
-
 // Records reports the physical record count of the backing file.
 func (js *JobStore) Records() int {
 	js.mu.Lock()
@@ -326,61 +204,37 @@ func (js *JobStore) Records() int {
 }
 
 // Len reports the number of retained jobs in the journal.
-func (js *JobStore) Len() int {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return len(js.snaps)
-}
+func (js *JobStore) Len() int { return len(js.table.list()) }
 
 // Path returns the backing file's path.
 func (js *JobStore) Path() string { return js.j.Path() }
 
-// Compact rewrites the journal down to the live minimum — one submit
-// record, the settled cell records and the finish record per retained
-// job — through the journal's atomic rewrite: a crash at any point
-// leaves either the old complete file or the new one.
+// Compact rewrites the journal down to the live minimum the table
+// describes — one submit record, the settled cell records and the finish
+// record per retained job — through the journal's atomic rewrite: a
+// crash at any point leaves either the old complete file or the new one.
+// The table's lock is released before the rewrite, so a transition
+// appended but not yet applied at that moment would be lost from the
+// file: OpenJobStore compacts before anything else holds the store, and
+// any other caller must likewise be the only writer.
 func (js *JobStore) Compact() error {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	written := 0
+	recs := js.table.liveRecords()
 	err := js.j.Rewrite(func(put func(payload []byte)) error {
-		for _, id := range js.order {
-			snap := js.snaps[id]
-			recs := []journalRecord{{
-				Event: "submit", Job: id, Kind: snap.Kind, Tenant: snap.Tenant,
-				Cells: snap.RawCells, Policy: snap.Policy, Spec: snap.Spec,
-			}}
-			for i, c := range snap.Cells {
-				if c.State == "pending" {
-					continue
-				}
-				recs = append(recs, journalRecord{
-					Event: "cell", Job: id, Index: i, State: c.State,
-					Cached: c.Cached, Injections: c.Injections, Error: c.Error,
-					Result: snap.Results[i],
-				})
+		for _, rec := range recs {
+			buf, err := json.Marshal(rec)
+			if err != nil {
+				return err
 			}
-			if snap.State != "" {
-				recs = append(recs, journalRecord{
-					Event: "finish", Job: id, State: snap.State,
-					Error: snap.ErrMsg, ExpResult: snap.ExpResult,
-				})
-			}
-			for _, rec := range recs {
-				buf, err := json.Marshal(rec)
-				if err != nil {
-					return err
-				}
-				put(buf)
-				written++
-			}
+			put(buf)
 		}
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("service: compact job store: %w", err)
 	}
-	js.records = written
+	js.records = len(recs)
 	telemetry.JobJournalCompactions.Inc()
 	return nil
 }

@@ -23,11 +23,19 @@ func mustOpenJobStore(t *testing.T, path string) *JobStore {
 	return js
 }
 
+// record performs one transition on a bare store the way Server.record
+// does on an attached one: append to the file, then apply to the table.
+func record(js *JobStore, rec journalRecord) error {
+	err := js.append(rec)
+	js.table.apply(rec)
+	return err
+}
+
 // appendAll journals recs in order, failing the test on error.
 func appendAll(t *testing.T, js *JobStore, recs ...journalRecord) {
 	t.Helper()
 	for _, rec := range recs {
-		if err := js.append(rec); err != nil {
+		if err := record(js, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,19 +58,19 @@ func TestJobStoreRoundTrip(t *testing.T) {
 
 	js2 := mustOpenJobStore(t, path)
 	defer js2.Close()
-	snaps := js2.snapshots()
+	snaps := js2.table.list()
 	if len(snaps) != 1 {
 		t.Fatalf("%d snapshots, want 1", len(snaps))
 	}
 	snap := snaps[0]
-	if snap.ID != "job-000001" || snap.Kind != "batch" || snap.State != "done" {
+	if snap.id != "job-000001" || snap.kind != "batch" || snap.state != "done" {
 		t.Fatalf("snapshot %+v", snap)
 	}
-	if len(snap.Cells) != 1 || snap.Cells[0].State != "done" || snap.Cells[0].Injections != 20 {
-		t.Fatalf("cells %+v", snap.Cells)
+	if len(snap.cells) != 1 || snap.cells[0].State != "done" || snap.cells[0].Injections != 20 {
+		t.Fatalf("cells %+v", snap.cells)
 	}
-	if snap.Results[0] == nil || snap.Results[0].Injections != 20 {
-		t.Fatalf("results %+v", snap.Results)
+	if snap.cells[0].result == nil || snap.cells[0].result.Injections != 20 {
+		t.Fatalf("results %+v", snap.cells)
 	}
 	if js2.MaxSeq() != 1 {
 		t.Fatalf("MaxSeq %d, want 1", js2.MaxSeq())
@@ -87,12 +95,12 @@ func TestJobStoreSkipsInvalidTransitions(t *testing.T) {
 
 	js2 := mustOpenJobStore(t, path)
 	defer js2.Close()
-	snaps := js2.snapshots()
-	if len(snaps) != 1 || snaps[0].ID != "job-000002" {
+	snaps := js2.table.list()
+	if len(snaps) != 1 || snaps[0].id != "job-000002" {
 		t.Fatalf("snapshots %+v", snaps)
 	}
-	if snaps[0].Cells[0].State != "pending" {
-		t.Fatalf("out-of-range cell record mutated cell 0: %+v", snaps[0].Cells)
+	if snaps[0].cells[0].State != "pending" {
+		t.Fatalf("out-of-range cell record mutated cell 0: %+v", snaps[0].cells)
 	}
 	// The bad job's id still advances the sequence: ids must never be
 	// reused even against half-garbage journals.
@@ -131,10 +139,10 @@ func TestJobStoreTornTailEveryByteOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference replay of the complete journal.
-	ref := make(map[string]*jobSnapshot)
+	ref := make(map[string]*job)
 	jsRef := mustOpenJobStore(t, full)
-	for _, snap := range jsRef.snapshots() {
-		ref[snap.ID] = snap
+	for _, snap := range jsRef.table.list() {
+		ref[snap.id] = snap
 	}
 	jsRef.Close()
 
@@ -147,32 +155,32 @@ func TestJobStoreTornTailEveryByteOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}
-		for _, snap := range tjs.snapshots() {
+		for _, snap := range tjs.table.list() {
 			// "job-000001" may legitimately reappear here: its delete
 			// record can be beyond the tear. Its contents must still
 			// match what the full journal recorded for it.
-			want, ok := ref[snap.ID]
-			if !ok && snap.ID == "job-000001" {
+			want, ok := ref[snap.id]
+			if !ok && snap.id == "job-000001" {
 				want = refBeforeDelete(t, data)
 			} else if !ok {
-				t.Fatalf("offset %d: invented job %q", off, snap.ID)
+				t.Fatalf("offset %d: invented job %q", off, snap.id)
 			}
-			if snap.State == "done" {
-				if want.State != "done" {
-					t.Fatalf("offset %d: job %s invented a finish", off, snap.ID)
+			if snap.state == "done" {
+				if want.state != "done" {
+					t.Fatalf("offset %d: job %s invented a finish", off, snap.id)
 				}
-				if !reflect.DeepEqual(snap.Results, want.Results) {
-					t.Fatalf("offset %d: job %s results diverge from the full journal", off, snap.ID)
+				if !reflect.DeepEqual(snap.cells, want.cells) {
+					t.Fatalf("offset %d: job %s results diverge from the full journal", off, snap.id)
 				}
 			}
-			for i, c := range snap.Cells {
-				if c.State != "pending" && !reflect.DeepEqual(c, want.Cells[i]) {
-					t.Fatalf("offset %d: job %s cell %d invented state %+v", off, snap.ID, i, c)
+			for i, c := range snap.cells {
+				if c.State != "pending" && !reflect.DeepEqual(c, want.cells[i]) {
+					t.Fatalf("offset %d: job %s cell %d invented state %+v", off, snap.id, i, c)
 				}
 			}
 		}
 		// Whatever was torn, the survivor must accept appends cleanly.
-		if err := tjs.append(journalRecord{Event: "submit", Job: "job-000999", Kind: "batch"}); err != nil {
+		if err := record(tjs, journalRecord{Event: "submit", Job: "job-000999", Kind: "batch"}); err != nil {
 			t.Fatalf("offset %d: append after recovery: %v", off, err)
 		}
 		tjs.Close()
@@ -180,7 +188,7 @@ func TestJobStoreTornTailEveryByteOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: reopen after append: %v", off, err)
 		}
-		if _, ok := findSnap(rjs.snapshots(), "job-000999"); !ok {
+		if _, ok := findSnap(rjs.table.list(), "job-000999"); !ok {
 			t.Fatalf("offset %d: post-recovery append lost", off)
 		}
 		rjs.Close()
@@ -189,7 +197,7 @@ func TestJobStoreTornTailEveryByteOffset(t *testing.T) {
 
 // refBeforeDelete replays the full journal minus its delete records, for
 // comparing truncations that tore the delete off.
-func refBeforeDelete(t *testing.T, data []byte) *jobSnapshot {
+func refBeforeDelete(t *testing.T, data []byte) *job {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "nodelete.jsonl")
 	f, err := os.Create(path)
@@ -207,7 +215,7 @@ func refBeforeDelete(t *testing.T, data []byte) *jobSnapshot {
 	f.Close()
 	js := mustOpenJobStore(t, path)
 	defer js.Close()
-	snap, ok := findSnap(js.snapshots(), "job-000001")
+	snap, ok := findSnap(js.table.list(), "job-000001")
 	if !ok {
 		t.Fatal("reference journal lost job-000001")
 	}
@@ -228,9 +236,9 @@ func splitLines(data []byte) [][]byte {
 	return out
 }
 
-func findSnap(snaps []*jobSnapshot, id string) (*jobSnapshot, bool) {
+func findSnap(snaps []*job, id string) (*job, bool) {
 	for _, s := range snaps {
-		if s.ID == id {
+		if s.id == id {
 			return s, true
 		}
 	}
@@ -265,7 +273,7 @@ func TestJobStoreCompaction(t *testing.T) {
 	if js2.Records() != 1 || js2.Len() != 1 {
 		t.Fatalf("compacted to %d records / %d jobs, want 1 / 1", js2.Records(), js2.Len())
 	}
-	if _, ok := findSnap(js2.snapshots(), "job-999999"); !ok {
+	if _, ok := findSnap(js2.table.list(), "job-999999"); !ok {
 		t.Fatal("live job lost in compaction")
 	}
 	if js2.MaxSeq() != 999999 {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
 )
 
 // blanks is an endless body of JSON whitespace: a valid prefix of any
@@ -63,5 +65,37 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 		if healthz.StatusCode != http.StatusOK {
 			t.Fatalf("healthz after %s: status %d", tc.path, healthz.StatusCode)
 		}
+	}
+}
+
+// TestJobCeilings pins the two job-size ceilings where start applies
+// them: exactly at a ceiling is admitted, one past it is refused, for the
+// cells either kind of job compiles to.
+func TestJobCeilings(t *testing.T) {
+	grid := func(cells, injections int) []campaign.CellSpec {
+		specs := make([]campaign.CellSpec, cells)
+		for i := range specs {
+			specs[i] = campaign.CellSpec{Chip: "Mini NVIDIA", Benchmark: "vectoradd", Injections: injections, Seed: uint64(i)}
+		}
+		return specs
+	}
+	for _, tc := range []struct {
+		name   string
+		specs  []campaign.CellSpec
+		refuse bool
+	}{
+		{"at both ceilings", grid(maxJobCells, maxCellInjections), false},
+		{"one cell too many", grid(maxJobCells+1, 5), true},
+		{"one injection too many", grid(3, maxCellInjections+1), true},
+		{"defaulted injections", grid(1, 0), false},
+	} {
+		if _, err := jobCost(tc.specs); (err != nil) != tc.refuse {
+			t.Errorf("%s: jobCost = %v, want refusal %v", tc.name, err, tc.refuse)
+		}
+	}
+	// The largest admissible job's cost is the product of the ceilings,
+	// comfortably inside an int64.
+	if got, _ := jobCost(grid(maxJobCells, maxCellInjections)); got != int64(maxJobCells)*maxCellInjections || got <= 0 {
+		t.Fatalf("cost of the largest admissible job = %d, want %d", got, int64(maxJobCells)*maxCellInjections)
 	}
 }

@@ -1,18 +1,15 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
-	"repro/internal/experiment"
-	"repro/internal/finject"
 	"repro/internal/telemetry"
 )
 
 // RecoveryStats summarizes one boot-time journal recovery.
 type RecoveryStats struct {
-	// Restored is the number of jobs rebuilt from the journal, finished
+	// Restored is the number of jobs the journal replayed to, finished
 	// and unfinished alike.
 	Restored int
 	// Resumed is the subset that was still unfinished when the previous
@@ -20,171 +17,59 @@ type RecoveryStats struct {
 	Resumed int
 }
 
-// resumedJob is one rebuilt unfinished job, ready to re-run: its job is
-// already registered (cancel wired) and run drives it to completion.
-type resumedJob struct {
-	j   *job
-	run func()
-}
-
-// UseJobStore attaches the write-ahead job journal to the server and
-// recovers its contents: every journal transition from here on is
-// durable, the id sequence continues past the highest journaled id, and
-// the journaled jobs come back —
+// UseJobStore attaches the write-ahead job journal to the server: the
+// table the journal replayed into becomes the server's job table, every
+// transition from here on is appended to the file before it is applied,
+// and the id sequence continues past the highest journaled id. Replay
+// went through the same jobTable.apply the live server uses, so —
 //
-//   - finished jobs are restored in place, so GET /v1/jobs/{id} and
-//     /result answer exactly as before the restart, with zero
-//     re-execution;
+//   - finished jobs need no restoring: they are in the table, and GET
+//     /v1/jobs/{id} and /result answer exactly as before the restart,
+//     with zero re-execution;
 //   - unfinished jobs (submitted, possibly partially run, never
-//     finished) are resumed: re-driven through the same scheduler path
-//     as a fresh submission. Cells that completed before the crash were
-//     journaled into the campaign store, so they come back as cache
-//     hits with zero re-injections; only genuinely unfinished cells
-//     execute. Determinism makes the final result byte-identical to an
-//     uninterrupted run.
-//
-// A journaled submission that no longer validates (say, a chip renamed
-// between versions) is restored as a failed job carrying the error —
-// recovery never invents results and never drops a job silently.
+//     finished) are resumed: recompiled from the journaled definition and
+//     started again through the same start and run as a submission, minus
+//     admission. Cells that completed before the crash are in the warm
+//     campaign store and come back as cache hits with zero re-injections;
+//     determinism makes the final result byte-identical to an
+//     uninterrupted run. An experiment resumes detached — no stream is
+//     left to feed; its client polls the job for the result;
+//   - a journaled submission that no longer compiles (say, a chip renamed
+//     between versions) is finished as failed, carrying the error, and
+//     journaled so — recovery never invents results and never drops a
+//     job silently.
 //
 // Call it once, after NewServer and before serving traffic.
 func (s *Server) UseJobStore(js *JobStore) (RecoveryStats, error) {
 	var stats RecoveryStats
-	s.mu.Lock()
 	if s.jstore != nil {
-		s.mu.Unlock()
 		return stats, fmt.Errorf("service: job store already attached")
 	}
-	s.jstore = js
-	if seq := js.MaxSeq(); seq > s.nextID {
-		s.nextID = seq
-	}
-	s.mu.Unlock()
+	s.jstore, s.table = js, js.table
 
-	var resumes []resumedJob
-	for _, snap := range js.snapshots() {
+	for _, j := range s.table.list() {
 		telemetry.JobsRecovered.Inc()
 		stats.Restored++
-		if snap.State != "" {
-			// Finished before the crash: restore the terminal record as-is.
-			done := 0
-			for _, c := range snap.Cells {
-				if c.State != "pending" {
-					done++
-				}
-			}
-			s.registerRecovered(&job{
-				id: snap.ID, kind: snap.Kind, tenant: snap.Tenant, cancel: func() {},
-				state: snap.State, done: done, cells: snap.Cells,
-				results: snap.Results, expResult: snap.ExpResult,
-				errMsg: snap.ErrMsg,
-			})
+		if j.state != "running" {
 			continue
 		}
-		// Unfinished: rebuild the run from the journaled submission and
-		// re-drive it. Progress resets to pending — the journal's partial
-		// cell records were only hints; the truth comes back from the
-		// warm campaign store as the cells re-resolve.
-		var r resumedJob
-		var err error
-		switch snap.Kind {
-		case "experiment":
-			r, err = s.resumeExperiment(snap)
-		default:
-			r, err = s.resumeBatch(snap)
-		}
+		work, err := j.compile()
 		if err != nil {
-			j := &job{
-				id: snap.ID, kind: snap.Kind, tenant: snap.Tenant, cancel: func() {},
-				state: "failed", cells: snap.Cells,
-				errMsg: fmt.Sprintf("recovery: %v", err),
-			}
-			s.registerRecovered(j)
-			s.journal(journalRecord{Event: "finish", Job: j.id, State: "failed", Error: j.errMsg})
+			s.record(journalRecord{Event: "finish", Job: j.id, State: "failed", Error: fmt.Sprintf("recovery: %v", err)})
 			s.log.Warn("job recovery failed", "job", j.id, "err", err)
 			continue
 		}
+		ctx, _, err := s.start(context.Background(), nil, work)
+		if err != nil {
+			return stats, fmt.Errorf("service: resume %s: %w", j.id, err)
+		}
 		telemetry.JobsResumed.Inc()
 		stats.Resumed++
-		resumes = append(resumes, r)
+		go s.run(ctx, work, nil)
 	}
 	s.mu.Lock()
-	s.evictLocked()
+	maxRetained := s.maxRetained
 	s.mu.Unlock()
-
-	for _, r := range resumes {
-		s.running.Add(1)
-		s.log.Info("job resumed after restart", "job", r.j.id, "kind", r.j.kind)
-		go r.run()
-	}
+	s.journal(s.table.evict(maxRetained)...)
 	return stats, nil
-}
-
-// registerRecovered inserts a rebuilt job into the in-memory table.
-func (s *Server) registerRecovered(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[j.id]; ok {
-		return
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-}
-
-// resumeBatch rebuilds an unfinished batch job from its journaled raw
-// submission, through the same buildBatch path a fresh POST takes.
-func (s *Server) resumeBatch(snap *jobSnapshot) (resumedJob, error) {
-	batch, cells, err := buildBatch(snap.RawCells, snap.Policy)
-	if err != nil {
-		return resumedJob{}, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id: snap.ID, kind: "batch", tenant: snap.Tenant, state: "running", cancel: cancel,
-		cells: cells, results: make([]*finject.Result, len(batch)),
-	}
-	s.reacquireQuota(j)
-	s.registerRecovered(j)
-	jctx := telemetry.WithTenant(telemetry.WithJob(ctx, j.id), j.tenant)
-	return resumedJob{j: j, run: func() {
-		s.runBatchJob(jctx, cancel, j, batch)
-	}}, nil
-}
-
-// reacquireQuota re-takes a resumed job's max-jobs slot without
-// admission checks: its original submission already passed the quota,
-// and recovery must never bounce a journaled job off a limit.
-func (s *Server) reacquireQuota(j *job) {
-	if j.tenant == "" {
-		return
-	}
-	s.quota.reacquire(j.tenant)
-	j.quotaHeld = true
-}
-
-// resumeExperiment rebuilds an unfinished experiment job from its
-// journaled normalized spec, ready to re-run detached (there is no
-// stream left to feed — the result lands in the job table, where the
-// client polls for it).
-func (s *Server) resumeExperiment(snap *jobSnapshot) (resumedJob, error) {
-	spec, err := experiment.Parse(bytes.NewReader(snap.Spec))
-	if err != nil {
-		return resumedJob{}, err
-	}
-	plan, err := spec.Compile()
-	if err != nil {
-		return resumedJob{}, err
-	}
-	cells := make([]cellState, len(plan.Cells))
-	for i, cs := range plan.CellSpecs() {
-		cells[i] = cellState{Spec: cs, State: "pending"}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: snap.ID, kind: "experiment", tenant: snap.Tenant, state: "running", cancel: cancel, cells: cells}
-	s.reacquireQuota(j)
-	s.registerRecovered(j)
-	jctx := telemetry.WithTenant(telemetry.WithJob(ctx, j.id), j.tenant)
-	return resumedJob{j: j, run: func() {
-		s.runExperimentJob(jctx, cancel, j, plan, nil)
-	}}, nil
 }

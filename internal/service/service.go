@@ -19,8 +19,13 @@
 //	GET    /healthz              liveness probe
 //
 // POST /v1/jobs and POST /v1/experiments are the only routes that start
-// campaign work; both pass quota admission, drain accounting and the job
-// journal.
+// campaign work, and both are the same job underneath: one job table
+// (jobtable.go) whose only mutator applies journal records, and one
+// lifecycle (start and run in jobs.go) that admits, registers, drives and
+// settles a job by producing those records. With a job journal attached
+// (UseJobStore) each record is appended before it is applied, and a
+// restarted server replays the file through the same apply; without one
+// the identical path runs with the append skipped.
 //
 // With ServeWorkers enabled the server also speaks the pull-based remote
 // worker protocol (see workers.go), distributing cells to a fiworker
@@ -38,7 +43,6 @@ import (
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
 )
@@ -46,6 +50,16 @@ import (
 // maxRetainedJobs bounds the finished jobs kept for result retrieval;
 // the oldest finished jobs are evicted first.
 const maxRetainedJobs = 256
+
+// Job-size ceilings, checked where a submission is admitted (jobCost).
+// Sized from what the code assumes, not tunable: the paper runs 2,000
+// injections per campaign and stats.SampleSize at 99 % / ±0.1 % asks for
+// about 1.7 M, the registries span under 200 cells, and the product of
+// the two stays far inside an int64.
+const (
+	maxJobCells       = 10_000
+	maxCellInjections = 10_000_000
+)
 
 // Request-body ceilings, one per route that decodes a body: a body that
 // runs over answers 413 instead of being buffered without bound. They
@@ -78,57 +92,20 @@ type Server struct {
 	auth  *KeySet
 	quota *quotaTable
 
-	// jstore, when non-nil, write-ahead journals every job transition so
-	// the job table survives restart (see UseJobStore). Lock ordering:
-	// jstore's mutex is strictly innermost — appends may happen while
-	// holding s.mu or a job's mu, never the other way around.
+	// table is the one job table. jstore, when non-nil, is its write-ahead
+	// journal (see UseJobStore and record).
+	table  *jobTable
 	jstore *JobStore
 
+	// base is canceled by Shutdown (stop): no new jobs from then on, and
+	// every job's context is hooked to it. mu orders that against start's
+	// running.Add, so Shutdown's Wait covers every job that got in; it also
+	// guards maxRetained, and is never held together with the table's mutex.
+	base        context.Context
+	stop        context.CancelFunc
 	mu          sync.Mutex
-	nextID      int
-	jobs        map[string]*job
-	order       []string // job ids in submission order, for eviction
-	maxRetained int      // finished-job retention bound (maxRetainedJobs)
-	closed      bool     // Shutdown called; no new jobs
+	maxRetained int // finished-job retention bound (maxRetainedJobs)
 	running     sync.WaitGroup
-}
-
-// job tracks one submitted batch or one streamed experiment run.
-type job struct {
-	id     string
-	kind   string // "batch" or "experiment"
-	cancel context.CancelFunc
-	// tenant is the submitting tenant ("" on open servers); in
-	// multi-tenant mode other tenants cannot see this job. quotaHeld
-	// marks a reserved max-jobs slot, returned once when the job settles.
-	tenant    string
-	quotaHeld bool
-
-	mu      sync.Mutex
-	state   string // "running", "done", "failed", "canceled"
-	done    int
-	cells   []cellState
-	results []*finject.Result
-	// expResult is the finished experiment's result (kind "experiment").
-	expResult *experiment.Result
-	errMsg    string
-}
-
-// newJobID mints a job id; experiments and batches share one sequence
-// but carry distinct prefixes so operators can tell them apart.
-func newJobID(prefix string, n int) string {
-	return fmt.Sprintf("%s-%06d", prefix, n)
-}
-
-// cellState is the per-cell view inside a job status.
-type cellState struct {
-	Spec   campaign.CellSpec `json:"spec"`
-	State  string            `json:"state"` // "pending", "done", "failed"
-	Cached bool              `json:"cached"`
-	// Injections is the realized sample size; under an adaptive policy
-	// it can stop below the cell's cap.
-	Injections int    `json:"injections,omitempty"`
-	Error      string `json:"error,omitempty"`
 }
 
 // jobPolicy is the wire form of the execution policy applied to every
@@ -146,11 +123,12 @@ func NewServer(sched *campaign.Scheduler) *Server {
 	s := &Server{
 		sched:       sched,
 		mux:         http.NewServeMux(),
-		jobs:        make(map[string]*job),
+		table:       &jobTable{jobs: make(map[string]*job)},
 		maxRetained: maxRetainedJobs,
 		quota:       newQuotaTable(),
 		log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
+	s.base, s.stop = context.WithCancel(context.Background())
 	s.handle("POST /v1/jobs", s.handleSubmit)
 	s.handle("GET /v1/jobs", s.handleJobs)
 	s.handle("GET /v1/jobs/{id}", s.handleStatus)
@@ -212,34 +190,6 @@ func (s *Server) tenantOf(r *http.Request) (string, *Tenant) {
 		return "", nil
 	}
 	return t.Name, t
-}
-
-// admitJob runs quota admission for a submission of cost normalized
-// injections, answering 429 (and counting the rejection) itself when
-// the tenant is over a limit. The returned cleanup releases the
-// reserved job slot; callers hand it to the job so settling releases
-// exactly once.
-func (s *Server) admitJob(w http.ResponseWriter, t *Tenant, cost int64) bool {
-	if t == nil {
-		return true
-	}
-	if err := s.quota.admit(t, cost); err != nil {
-		telemetry.JobsQuotaRejected.With(t.Name).Inc()
-		httpError(w, http.StatusTooManyRequests, "%v", err)
-		return false
-	}
-	return true
-}
-
-// settleJob releases a job's quota slot, exactly once.
-func (s *Server) settleJob(j *job) {
-	j.mu.Lock()
-	held := j.quotaHeld
-	j.quotaHeld = false
-	j.mu.Unlock()
-	if held {
-		s.quota.release(j.tenant)
-	}
 }
 
 // writeJSON writes one JSON response with status code.
@@ -313,26 +263,27 @@ func bodyError(w http.ResponseWriter, err error, format string) {
 	httpError(w, http.StatusBadRequest, format, err)
 }
 
-// journal appends one record to the job journal, if one is attached.
-// Journal failures are logged, never fatal: a server whose disk fills
-// keeps serving from memory exactly as an unjournaled one would.
-func (s *Server) journal(rec journalRecord) {
-	if s.jstore == nil {
-		return
-	}
-	if err := s.jstore.append(rec); err != nil {
-		s.log.Warn("job journal append failed", "job", rec.Job, "event", rec.Event, "err", err)
-	}
+// record performs one job transition, the same way on every server:
+// append the record to the job journal when one is attached, then apply
+// it to the table. Append first, so status never shows a transition the
+// journal does not hold; apply regardless of the append's outcome, so a
+// server whose disk fills keeps serving from memory exactly as an
+// unjournaled one would.
+func (s *Server) record(rec journalRecord) {
+	s.journal(rec)
+	s.table.apply(rec)
 }
 
-// journalFinish appends a job's terminal record (the pre-finish crash
-// barrier lives on this path).
-func (s *Server) journalFinish(rec journalRecord) {
+// journal appends records to the job journal, if one is attached.
+// Failures are logged, never fatal.
+func (s *Server) journal(recs ...journalRecord) {
 	if s.jstore == nil {
 		return
 	}
-	if err := s.jstore.appendFinish(rec); err != nil {
-		s.log.Warn("job journal append failed", "job", rec.Job, "event", rec.Event, "err", err)
+	for _, rec := range recs {
+		if err := s.jstore.append(rec); err != nil {
+			s.log.Warn("job journal append failed", "job", rec.Job, "event", rec.Event, "err", err)
+		}
 	}
 }
 
@@ -351,10 +302,7 @@ func tenantMetricLabel(tenant string) string {
 // job goroutines keep simulating into a torn-down process.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
-	for _, j := range s.jobs {
-		j.cancel()
-	}
+	s.stop()
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {

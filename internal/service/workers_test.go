@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,4 +269,107 @@ func TestLeaseTaskWireFormat(t *testing.T) {
 	if _, err := back.Spec.Campaign(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzWorkerProtocol throws arbitrary bytes at the three worker-protocol
+// routes of a server whose lease queue holds one pending cell. Whatever
+// the bytes: no panic, no 5xx, every non-2xx answer in the error
+// envelope, a lease granted only to a request that names its worker, and
+// the cell settled only by a body that decodes to a completion, posted
+// to the lease that was actually granted (lease ids carry a per-queue
+// nonce, so useGranted is how the fuzzer aims at it).
+func FuzzWorkerProtocol(f *testing.F) {
+	res, _ := json.Marshal(map[string]any{"result": &finject.Result{Injections: 20, Outcomes: [4]int{18, 1, 1, 0}}})
+	seeds := [][]byte{
+		// What worker.Client sends to lease, heartbeat and complete.
+		[]byte(`{"worker":"w1","max":4,"wait_ms":2000}`),
+		[]byte(`{}`),
+		res,
+		[]byte(`{"error":"device fault"}`),
+		// The lease wire's legacy policy form (untagged Go field names,
+		// matched case-insensitively) — see finject's
+		// TestConfigDecodesLegacyPolicyJSON.
+		[]byte(`{"Workers":3,"Margin":0.05,"Confidence":0.95,"Checkpoint":{"Off":false,"Interval":128}}`),
+		[]byte(`{"WORKER":"w1","Wait_MS":60000}`),
+	}
+	for _, a := range seeds {
+		for _, b := range seeds {
+			f.Add(a, b, "lease-0-1", true)
+			f.Add(a[:len(a)/2], b[:len(b)/2], "../lease", false)
+		}
+	}
+
+	task := campaign.Task{Spec: testutil.MiniSpec("vectoradd", 1)}
+	f.Fuzz(func(t *testing.T, leaseBody, completeBody []byte, leaseID string, useGranted bool) {
+		q := campaign.NewLeaseQueue(time.Minute)
+		srv := NewServer(campaign.New(campaign.Config{Executor: campaign.NewRemoteExecutor(q)}))
+		srv.ServeWorkers(q)
+		ctx, cancel := context.WithCancel(context.Background())
+		waiter := make(chan struct{})
+		go func() {
+			defer close(waiter)
+			q.Do(ctx, task)
+		}()
+		defer func() { cancel(); <-waiter }()
+		for q.Stats().Pending == 0 {
+			runtime.Gosched()
+		}
+
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+			}
+			if rec.Code/100 != 2 {
+				var envelope struct {
+					Error errorBody `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Code == "" || envelope.Error.Message == "" {
+					t.Fatalf("POST %s %q: status %d outside the error envelope: %s", path, body, rec.Code, rec.Body)
+				}
+			}
+			return rec
+		}
+
+		// A well-formed lease request may ask to long-poll; never here.
+		var lreq leaseRequest
+		named := json.NewDecoder(bytes.NewReader(leaseBody)).Decode(&lreq) == nil && lreq.Worker != ""
+		if named && lreq.WaitMillis != 0 {
+			lreq.WaitMillis = 0
+			leaseBody, _ = json.Marshal(lreq)
+		}
+		var grant leaseResponse
+		if rec := post("/v1/workers/lease", leaseBody); rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
+				t.Fatalf("lease answer %q: %v", rec.Body, err)
+			}
+		}
+		if granted := len(grant.Leases) == 1; granted != named {
+			t.Fatalf("lease request %q: granted %+v, names a worker: %v", leaseBody, grant.Leases, named)
+		}
+
+		// One path segment, whatever the bytes: an id with a slash, "", "."
+		// or ".." never reaches the protocol — the mux answers those with
+		// its own redirect or 404.
+		id := url.PathEscape(strings.ReplaceAll(leaseID, "/", "_"))
+		if id == "" || id == "." || id == ".." {
+			id = "x"
+		}
+		if useGranted && named {
+			id = grant.Leases[0].ID
+		}
+		if rec := post("/v1/workers/"+id+"/heartbeat", completeBody); (rec.Code == http.StatusOK) != (useGranted && named) {
+			t.Fatalf("heartbeat on %q answered %d; lease granted and aimed at: %v", id, rec.Code, useGranted && named)
+		}
+		post("/v1/workers/"+id+"/complete", completeBody)
+
+		var creq completeRequest
+		completion := json.NewDecoder(bytes.NewReader(completeBody)).Decode(&creq) == nil && (creq.Result != nil || creq.Error != "")
+		st := q.Stats()
+		if settled := st.Completed+st.Failed > 0; settled != (useGranted && named && completion) {
+			t.Fatalf("cell settled: %v (stats %+v) after lease %q, complete %q on %q (granted lease aimed at: %v)",
+				settled, st, leaseBody, completeBody, id, useGranted && named)
+		}
+	})
 }
