@@ -9,6 +9,8 @@
 //
 //   - internal/simt: the machine core both simulators share (compute
 //     units, launch loop, fault application, checkpoints);
+//   - internal/asm: the assembler front end both ISA dialects share (line
+//     grammar, operand lexing, branch targets; no opcodes);
 //   - internal/nvsim + internal/sass: NVIDIA SIMT simulator — the SASS-like
 //     ISA and its executor plug-in for the core (the GUFI substrate,
 //     standing in for GPGPU-Sim 3.2.2);

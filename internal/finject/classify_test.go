@@ -7,6 +7,7 @@ import (
 	"repro/internal/devices"
 	"repro/internal/gpu"
 	"repro/internal/sass"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -172,5 +173,59 @@ func TestLocalMemoryFaultsManifest(t *testing.T) {
 	}
 	if res.AVF() >= 1 {
 		t.Fatal("no local-memory fault was masked")
+	}
+}
+
+// TestForeignLadderNeverChangesOutcomes: an accelerator must never change
+// an outcome. A ladder captured from another benchmark on the same chip —
+// what a -ladder-dir that outlives a workload edit serves — restores fine
+// and then fails the resident-block check when the launch resumes. That
+// error used to come back from hp.Run and count as DUE: 40 vectoradd
+// faults that are all Masked classified as 40 DUEs. It must instead be
+// redone and accounted as a full replay.
+func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
+	vec, err := workloads.ByName("vectoradd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := workloads.ByName("matrixMul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
+		own, err := NewGolden(chip, vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := NewGolden(chip, mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A tight interval, so the short mini-chip runs get rungs at all.
+		ladder, err := foreign.ladderFor(Checkpoint{Interval: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ladder) == 0 || ladder[0].Cycle() >= own.g.cycles/2 {
+			t.Fatalf("%s: the foreign ladder has no rung early enough to be restored", chip.Name)
+		}
+		c := Campaign{Chip: chip, Benchmark: vec, Structure: gpu.RegisterFile, Injections: n, Seed: 1, Golden: own}
+		want, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own.publishLadders(map[int64]*ladderCall{0: readyLadder(ladder)})
+		replays := telemetry.FullReplays.Value()
+		got, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Outcomes != want.Outcomes {
+			t.Errorf("%s: outcomes %v with a foreign ladder, %v with its own", chip.Name, got.Outcomes, want.Outcomes)
+		}
+		if d := telemetry.FullReplays.Value() - replays; d != n {
+			t.Errorf("%s: %d of %d injections accounted as full replays", chip.Name, d, n)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -358,6 +360,9 @@ type golden struct {
 	cycles  int64
 	stats   gpu.RunStats
 	ladder  []gpu.Snapshot
+	// staleRung limits the warning about a ladder that restores but does
+	// not resume (see classify) to one per reference run.
+	staleRung sync.Once
 }
 
 // runGolden executes the fault-free reference run, capturing the
@@ -467,9 +472,26 @@ func classify(d gpu.Device, hp *gpu.HostProgram, g *golden, ladder []gpu.Snapsho
 	if !cost.restored {
 		d.Reset()
 	}
-	d.SetWatchdog(watchdog)
-	d.InjectFault(&f)
-	err := hp.Run(d)
+	run := func() error {
+		d.SetWatchdog(watchdog)
+		d.InjectFault(&f)
+		return hp.Run(d)
+	}
+	err := run()
+	if cost.restored && errors.Is(err, wire.ErrCorrupt) {
+		// The rung restored but does not fit the launch that resumed from
+		// it — a -ladder-dir that outlived a workload or chip edit. Only
+		// decode, restore and resume paths produce ErrCorrupt, never an
+		// injected fault, and an accelerator must never change an
+		// outcome: redo the injection as the full replay it would have
+		// been without the ladder.
+		g.staleRung.Do(func() {
+			slog.Warn("finject: checkpoint rung does not fit the resumed launch, replaying in full", "cycle", cost.ffCycles, "err", err)
+		})
+		cost.restored, cost.ffCycles = false, 0
+		d.Reset()
+		err = run()
+	}
 	if sim := d.Stats().Cycles - cost.ffCycles; sim > 0 {
 		cost.simCycles = sim
 	}

@@ -2,194 +2,180 @@ package sass
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/asm"
 )
 
-// Assemble parses a SASS-like kernel source into a Program. The accepted
-// grammar, line oriented:
-//
-//	.kernel <name>          kernel entry name (required, first)
-//	.shared <bytes>         static shared memory per block (optional)
-//	<label>:                branch target
-//	[@[!]Pn] MNEMONIC operands...
-//
-// Comments start with ';' or '//' and run to end of line. Operands are
-// separated by commas. Register operands are R0..R127 or RZ; predicate
-// operands are P0..P5 or PT; immediates are decimal or 0x hex integers,
-// or float32 literals with an 'f' suffix (e.g. 1.0f, -2.5e-1f); kernel
-// parameters are c[n]; memory operands are [Rn], [Rn+imm] or [Rn-imm].
-func Assemble(src string) (*Program, error) {
-	p := &Program{SharedBytes: 0}
-	labels := make(map[string]int)
-	type fixup struct {
-		instr int
-		label string
-		line  int
-	}
-	var fixups []fixup
-	maxReg := -1
-	maxParam := -1
-	sawKernel := false
-	hasExit := false
+var dialect = asm.Dialect{Name: "sass", Local: ".shared"}
 
+// operand parses one operand string into its place in the instruction; a
+// shape is the operand kinds of a mnemonic in source order. scan is there
+// for the one kind that looks outside its own text, the branch label.
+type operand func(in *Instr, s string, scan *asm.Source) error
+
+func dst(in *Instr, s string, _ *asm.Source) (err error) {
+	in.Dst, err = parseReg(s)
+	return err
+}
+
+// src builds the kind "register, c[n] or immediate into Src[i]".
+func src(i int) operand {
+	return func(in *Instr, s string, _ *asm.Source) (err error) {
+		in.Src[i], err = parseSrc(s)
+		return err
+	}
+}
+
+func pdst(in *Instr, s string, _ *asm.Source) (err error) {
+	if in.PDst, err = parsePred(s); err == nil && in.PDst == PT {
+		err = fmt.Errorf("cannot write PT")
+	}
+	return err
+}
+
+func psrc(in *Instr, s string, _ *asm.Source) (err error) {
+	in.PSrc, err = parsePred(s)
+	return err
+}
+
+// mem parses "[Rn]", "[Rn+imm]" or "[Rn-imm]": one sign, then an unsigned
+// integer literal.
+func mem(in *Instr, s string, _ *asm.Source) (err error) {
+	inner, ok := asm.Bracket(s, "")
+	if !ok {
+		return fmt.Errorf("not a memory operand: %q", s)
+	}
+	reg, off := strings.TrimSpace(inner), ""
+	sign := int32(1)
+	// A leading '-' would belong to the register, which is invalid anyway.
+	if i := strings.IndexAny(reg, "+-"); i > 0 {
+		if reg[i] == '-' {
+			sign = -1
+		}
+		reg, off = strings.TrimSpace(reg[:i]), strings.TrimSpace(reg[i+1:])
+	}
+	if in.MemBase, err = parseReg(reg); err != nil || off == "" {
+		return err
+	}
+	v, err := strconv.ParseUint(off, 0, 31)
+	if err != nil {
+		return fmt.Errorf("bad memory offset %q", off)
+	}
+	in.MemOff = sign * int32(v)
+	return nil
+}
+
+func special(in *Instr, s string, _ *asm.Source) error {
+	up := strings.ToUpper(s)
+	for i, n := range srNames {
+		if up == n {
+			in.SR = SpecialReg(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown special register %q", s)
+}
+
+func label(in *Instr, s string, scan *asm.Source) (err error) {
+	in.Target, err = scan.Target(s)
+	return err
+}
+
+// The operand shapes of the ISA.
+var (
+	src0, src1, src2 = src(0), src(1), src(2)
+
+	shapeUn    = []operand{dst, src0}             // OP Rd, src
+	shapeBin   = []operand{dst, src0, src1}       // OP Rd, Ra, src
+	shapeTern  = []operand{dst, src0, src1, src2} // OP Rd, Ra, src, src
+	shapeSetp  = []operand{pdst, src0, src1}      // OP.cc Pd, Ra, src
+	shapeSel   = []operand{dst, src0, src1, psrc} // SEL Rd, Ra, src, Pq
+	shapeLoad  = []operand{dst, mem}              // OP Rd, [Ra+off]
+	shapeStore = []operand{mem, src0}             // OP [Ra+off], Rb
+	shapeS2R   = []operand{dst, special}          // S2R Rd, SR_*
+	shapeLabel = []operand{label}                 // OP label
+)
+
+// mnemonics is every spelling the assembler accepts, upper-cased. A new
+// mnemonic is one row here. A key that ends in '.' is a family whose
+// comparison is the rest of the mnemonic (ISETP.GE).
+var mnemonics = map[string]struct {
+	op    Opcode
+	shape []operand
+}{
+	"NOP": {OpNOP, nil}, "SYNC": {OpSYNC, nil}, "EXIT": {OpEXIT, nil},
+	"BAR.SYNC": {OpBAR, nil}, "BAR": {OpBAR, nil},
+	"BRA": {OpBRA, shapeLabel}, "SSY": {OpSSY, shapeLabel},
+	"S2R": {OpS2R, shapeS2R},
+	"MOV": {OpMOV, shapeUn}, "MOV32I": {OpMOV, shapeUn},
+	"MUFU.RCP": {OpRCP, shapeUn}, "MUFU.EX2": {OpEX2, shapeUn},
+	"MUFU.LG2": {OpLG2, shapeUn}, "MUFU.SQRT": {OpSQRT, shapeUn},
+	"RCP": {OpRCP, shapeUn}, "EX2": {OpEX2, shapeUn},
+	"LG2": {OpLG2, shapeUn}, "SQRT": {OpSQRT, shapeUn},
+	"I2F": {OpI2F, shapeUn}, "F2I": {OpF2I, shapeUn},
+	"IADD": {OpIADD, shapeBin}, "ISUB": {OpISUB, shapeBin}, "IMUL": {OpIMUL, shapeBin},
+	"IMIN": {OpIMIN, shapeBin}, "IMAX": {OpIMAX, shapeBin},
+	"AND": {OpAND, shapeBin}, "OR": {OpOR, shapeBin}, "XOR": {OpXOR, shapeBin},
+	"SHL": {OpSHL, shapeBin}, "SHR": {OpSHR, shapeBin},
+	"FADD": {OpFADD, shapeBin}, "FSUB": {OpFSUB, shapeBin}, "FMUL": {OpFMUL, shapeBin},
+	"FMIN": {OpFMIN, shapeBin}, "FMAX": {OpFMAX, shapeBin},
+	"IMAD": {OpIMAD, shapeTern}, "FFMA": {OpFFMA, shapeTern},
+	"ISETP.": {OpISETP, shapeSetp}, "FSETP.": {OpFSETP, shapeSetp},
+	"SEL": {OpSEL, shapeSel},
+	"LDG": {OpLDG, shapeLoad}, "LDS": {OpLDS, shapeLoad},
+	"STG": {OpSTG, shapeStore}, "STS": {OpSTS, shapeStore},
+}
+
+// Assemble parses a SASS-like kernel source into a Program. The line
+// grammar (.kernel, .shared, labels, comments) and the literal syntax are
+// package asm's; an instruction is
+//
+//	[@[!]Pn] MNEMONIC operand, ...
+//
+// with register operands R0..R127 or RZ, predicates P0..P5 or PT, kernel
+// parameters c[n], immediates, memory operands [Rn], [Rn+imm] or [Rn-imm],
+// special registers SR_*, and labels or @N as branch targets.
+func Assemble(text string) (*Program, error) {
+	scan, err := dialect.Scan(text)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{Name: scan.Name, SharedBytes: scan.LocalBytes, Instrs: make([]Instr, len(scan.Stmts))}
+	maxReg, maxParam := -1, -1
 	noteReg := func(r uint8) {
-		if r != RZ && int(r) > maxReg {
-			maxReg = int(r)
+		if r != RZ {
+			maxReg = max(maxReg, int(r))
 		}
 	}
-	noteOperand := func(o Operand) {
-		switch o.Kind {
-		case OperandReg:
-			noteReg(o.Reg)
-		case OperandConst:
-			if int(o.CIdx) > maxParam {
-				maxParam = int(o.CIdx)
-			}
-		}
-	}
-
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		ln := lineNo + 1
-
-		// Directives.
-		if strings.HasPrefix(line, ".") {
-			fields := strings.Fields(line)
-			switch fields[0] {
-			case ".kernel":
-				if len(fields) != 2 {
-					return nil, asmErr(ln, ".kernel needs exactly one name")
-				}
-				if sawKernel {
-					return nil, asmErr(ln, "duplicate .kernel directive")
-				}
-				p.Name = fields[1]
-				sawKernel = true
-			case ".shared":
-				if len(fields) != 2 {
-					return nil, asmErr(ln, ".shared needs exactly one byte count")
-				}
-				n, err := strconv.Atoi(fields[1])
-				if err != nil || n < 0 {
-					return nil, asmErr(ln, "invalid .shared size %q", fields[1])
-				}
-				p.SharedBytes = n
-			default:
-				return nil, asmErr(ln, "unknown directive %s", fields[0])
-			}
-			continue
-		}
-
-		// Labels (possibly followed by an instruction on the same line).
-		for {
-			idx := strings.Index(line, ":")
-			if idx < 0 {
-				break
-			}
-			name := strings.TrimSpace(line[:idx])
-			if !isIdent(name) {
-				return nil, asmErr(ln, "invalid label %q", name)
-			}
-			if _, dup := labels[name]; dup {
-				return nil, asmErr(ln, "duplicate label %q", name)
-			}
-			labels[name] = len(p.Instrs)
-			line = strings.TrimSpace(line[idx+1:])
-			if line == "" {
-				break
-			}
-		}
-		if line == "" {
-			continue
-		}
-		if !sawKernel {
-			return nil, asmErr(ln, "instruction before .kernel directive")
-		}
-
-		in := Instr{Line: ln, Guard: Guard{Pred: PT}, Dst: RZ, PDst: PT, PSrc: PT}
-
-		// Guard prefix.
-		if strings.HasPrefix(line, "@") {
-			sp := strings.IndexAny(line, " \t")
-			if sp < 0 {
-				return nil, asmErr(ln, "guard without instruction")
-			}
-			g := line[1:sp]
-			line = strings.TrimSpace(line[sp+1:])
-			if strings.HasPrefix(g, "!") {
-				in.Guard.Neg = true
-				g = g[1:]
-			}
-			pr, err := parsePred(g)
-			if err != nil {
-				return nil, asmErr(ln, "bad guard predicate %q", g)
-			}
-			in.Guard.Pred = pr
-		}
-
-		// Mnemonic and operand text.
-		mn := line
-		ops := ""
-		if sp := strings.IndexAny(line, " \t"); sp >= 0 {
-			mn = line[:sp]
-			ops = strings.TrimSpace(line[sp+1:])
-		}
-		mn = strings.ToUpper(mn)
-		args := splitOperands(ops)
-
-		label, err := parseInstr(&in, mn, args, ln)
-		if err != nil {
-			return nil, err
-		}
-		if label != "" {
-			fixups = append(fixups, fixup{instr: len(p.Instrs), label: label, line: ln})
+	hasExit := false
+	for i, st := range scan.Stmts {
+		in := &p.Instrs[i]
+		*in = Instr{Line: st.Line, Guard: Guard{Pred: PT}, Dst: RZ, PDst: PT, PSrc: PT}
+		if err := parseInstr(in, st.Text, scan); err != nil {
+			return nil, dialect.Errorf(st.Line, "%v", err)
 		}
 		noteReg(in.Dst)
 		noteReg(in.MemBase)
 		for _, o := range in.Src {
-			noteOperand(o)
+			switch o.Kind {
+			case OperandReg:
+				noteReg(o.Reg)
+			case OperandConst:
+				maxParam = max(maxParam, int(o.CIdx))
+			}
 		}
-		if in.Op == OpEXIT {
-			hasExit = true
-		}
-		p.Instrs = append(p.Instrs, in)
-	}
-
-	if !sawKernel {
-		return nil, fmt.Errorf("sass: missing .kernel directive")
-	}
-	if len(p.Instrs) == 0 {
-		return nil, fmt.Errorf("sass: %s: empty program", p.Name)
+		hasExit = hasExit || in.Op == OpEXIT
 	}
 	if !hasExit {
 		return nil, fmt.Errorf("sass: %s: program has no EXIT", p.Name)
 	}
-	for _, f := range fixups {
-		if n, ok := branchIndex(f.label); ok {
-			if n > len(p.Instrs) {
-				return nil, asmErr(f.line, "branch target @%d beyond program end", n)
-			}
-			p.Instrs[f.instr].Target = n
-			continue
-		}
-		tgt, ok := labels[f.label]
-		if !ok {
-			return nil, asmErr(f.line, "undefined label %q", f.label)
-		}
-		p.Instrs[f.instr].Target = tgt
-	}
 	if maxReg+1 > MaxRegs {
 		return nil, fmt.Errorf("sass: %s: uses %d registers, max %d", p.Name, maxReg+1, MaxRegs)
 	}
-	p.NumRegs = maxReg + 1
-	if p.NumRegs == 0 {
-		p.NumRegs = 1
-	}
+	p.NumRegs = max(maxReg+1, 1)
 	p.NumParams = maxParam + 1
 	return p, nil
 }
@@ -203,90 +189,46 @@ func MustAssemble(src string) *Program {
 	return p
 }
 
-func asmErr(line int, format string, args ...any) error {
-	return fmt.Errorf("sass: line %d: %s", line, fmt.Sprintf(format, args...))
-}
-
-func stripComment(s string) string {
-	// Block comments, e.g. the disassembler's /*0042*/ index prefixes.
-	// An unterminated /* comments out the rest of the line.
-	for {
-		i := strings.Index(s, "/*")
-		if i < 0 {
-			break
+// parseInstr fills in from one statement: it peels what SASS encodes
+// around and in the mnemonic — the guard prefix and the .cc suffix — looks
+// the rest up, and runs the mnemonic's shape over the operands.
+func parseInstr(in *Instr, text string, scan *asm.Source) error {
+	if g, ok := strings.CutPrefix(text, "@"); ok {
+		if g, text = asm.Cut(g); text == "" {
+			return fmt.Errorf("guard without instruction")
 		}
-		j := strings.Index(s[i+2:], "*/")
-		if j < 0 {
-			s = s[:i]
-			break
+		g, in.Guard.Neg = strings.CutPrefix(g, "!")
+		pr, err := parsePred(g)
+		if err != nil {
+			return fmt.Errorf("bad guard predicate %q", g)
 		}
-		s = s[:i] + " " + s[i+2+j+2:]
+		in.Guard.Pred = pr
 	}
-	if i := strings.Index(s, ";"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
-	}
-	return s
-}
+	mn, ops := asm.Cut(text)
+	mn = strings.ToUpper(mn)
+	args := asm.Fields(ops)
 
-// branchIndex parses the disassembler's "@N" absolute branch-target
-// form, so disassembled programs reassemble without labels.
-func branchIndex(s string) (int, bool) {
-	rest, ok := strings.CutPrefix(s, "@")
-	if !ok {
-		return 0, false
+	family := mn[:strings.IndexByte(mn, '.')+1] // "ISETP." of ISETP.GE, "" without a dot
+	sp, ok := mnemonics[family]
+	if ok {
+		cc := slices.Index(cmpNames[:], mn[len(family):])
+		if cc < 0 {
+			return fmt.Errorf("%s: unknown comparison %q", mn, mn[len(family):])
+		}
+		in.Cmp = Cmp(cc)
+	} else if sp, ok = mnemonics[mn]; !ok {
+		return fmt.Errorf("unknown mnemonic %q", mn)
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
-		return 0, false
+	in.Op = sp.op
+	if len(args) != len(sp.shape) {
+		return fmt.Errorf("%s expects %d operands, got %d", mn, len(sp.shape), len(args))
 	}
-	return n, true
-}
-
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == '.':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
+	for i, parse := range sp.shape {
+		if err := parse(in, args[i], scan); err != nil {
+			return fmt.Errorf("%s: %v", mn, err)
 		}
 	}
-	return true
-}
-
-// splitOperands splits "R1, [R2+4], 0x10" into top-level comma fields
-// (commas inside brackets do not occur in this ISA, but be safe).
-func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	depth := 0
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return nil
 }
 
 func parseReg(s string) (uint8, error) {
@@ -297,8 +239,8 @@ func parseReg(s string) (uint8, error) {
 	if len(s) < 2 || s[0] != 'R' {
 		return 0, fmt.Errorf("not a register: %q", s)
 	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 || n >= MaxRegs {
+	n, ok := asm.Index(s[1:], MaxRegs-1)
+	if !ok {
 		return 0, fmt.Errorf("bad register %q", s)
 	}
 	return uint8(n), nil
@@ -312,319 +254,27 @@ func parsePred(s string) (uint8, error) {
 	if len(s) < 2 || s[0] != 'P' {
 		return 0, fmt.Errorf("not a predicate: %q", s)
 	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 || n >= NumPreds {
+	n, ok := asm.Index(s[1:], NumPreds-1)
+	if !ok {
 		return 0, fmt.Errorf("bad predicate %q", s)
 	}
 	return uint8(n), nil
 }
 
+// parseSrc parses a source operand: c[n], a register, or an immediate.
 func parseSrc(s string) (Operand, error) {
-	if s == "" {
-		return Operand{}, fmt.Errorf("empty operand")
-	}
 	up := strings.ToUpper(s)
-	// Constant bank: c[n]
-	if strings.HasPrefix(up, "C[") && strings.HasSuffix(up, "]") {
-		n, err := strconv.Atoi(s[2 : len(s)-1])
-		if err != nil || n < 0 || n > 0xffff {
+	if inner, ok := asm.Bracket(up, "C"); ok {
+		n, ok := asm.Index(inner, 0xffff)
+		if !ok {
 			return Operand{}, fmt.Errorf("bad constant operand %q", s)
 		}
 		return C(n), nil
 	}
-	// Register.
-	if up == "RZ" || (len(up) >= 2 && up[0] == 'R' && up[1] >= '0' && up[1] <= '9') {
+	if strings.HasPrefix(up, "R") {
 		r, err := parseReg(up)
-		if err != nil {
-			return Operand{}, err
-		}
-		return R(int(r)), nil
+		return R(int(r)), err
 	}
-	// Float immediate: trailing 'f'.
-	if (strings.HasSuffix(s, "f") || strings.HasSuffix(s, "F")) && !strings.HasPrefix(up, "0X") {
-		v, err := strconv.ParseFloat(s[:len(s)-1], 32)
-		if err != nil {
-			return Operand{}, fmt.Errorf("bad float immediate %q", s)
-		}
-		return ImmF(float32(v)), nil
-	}
-	// Integer immediate: decimal or hex, signed allowed.
-	v, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		return Operand{}, fmt.Errorf("bad operand %q", s)
-	}
-	if v < -(1<<31) || v > (1<<32)-1 {
-		return Operand{}, fmt.Errorf("immediate %q out of 32-bit range", s)
-	}
-	return Imm(uint32(v)), nil
-}
-
-// parseMem parses "[Rn]", "[Rn+imm]" or "[Rn-imm]".
-func parseMem(s string) (base uint8, off int32, err error) {
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-		return 0, 0, fmt.Errorf("not a memory operand: %q", s)
-	}
-	inner := strings.TrimSpace(s[1 : len(s)-1])
-	sign := int32(1)
-	idx := strings.IndexAny(inner, "+-")
-	// A leading '-' would belong to the register, which is invalid anyway.
-	regPart, offPart := inner, ""
-	if idx > 0 {
-		if inner[idx] == '-' {
-			sign = -1
-		}
-		regPart = strings.TrimSpace(inner[:idx])
-		offPart = strings.TrimSpace(inner[idx+1:])
-	}
-	base, err = parseReg(regPart)
-	if err != nil {
-		return 0, 0, err
-	}
-	if offPart != "" {
-		v, perr := strconv.ParseInt(offPart, 0, 32)
-		if perr != nil {
-			return 0, 0, fmt.Errorf("bad memory offset %q", offPart)
-		}
-		off = sign * int32(v)
-	}
-	return base, off, nil
-}
-
-func parseCmpSuffix(s string) (Cmp, error) {
-	for i, n := range cmpNames {
-		if s == n {
-			return Cmp(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown comparison %q", s)
-}
-
-func parseSR(s string) (SpecialReg, error) {
-	up := strings.ToUpper(s)
-	for i, n := range srNames {
-		if up == n {
-			return SpecialReg(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown special register %q", s)
-}
-
-// parseInstr fills in from the mnemonic and operand strings; it returns a
-// label name when the instruction needs branch-target fixup.
-func parseInstr(in *Instr, mn string, args []string, ln int) (string, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return asmErr(ln, "%s expects %d operands, got %d", mn, n, len(args))
-		}
-		return nil
-	}
-	dstReg := func(i int) error {
-		r, err := parseReg(args[i])
-		if err != nil {
-			return asmErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst = r
-		return nil
-	}
-	src := func(i, slot int) error {
-		o, err := parseSrc(args[i])
-		if err != nil {
-			return asmErr(ln, "%s: %v", mn, err)
-		}
-		in.Src[slot] = o
-		return nil
-	}
-
-	// Two-source ALU ops share one shape: OP Rd, Ra, src.
-	binOps := map[string]Opcode{
-		"IADD": OpIADD, "ISUB": OpISUB, "IMUL": OpIMUL,
-		"IMIN": OpIMIN, "IMAX": OpIMAX,
-		"AND": OpAND, "OR": OpOR, "XOR": OpXOR, "SHL": OpSHL, "SHR": OpSHR,
-		"FADD": OpFADD, "FSUB": OpFSUB, "FMUL": OpFMUL,
-		"FMIN": OpFMIN, "FMAX": OpFMAX,
-	}
-	// One-source ops: OP Rd, src.
-	unOps := map[string]Opcode{
-		"MOV": OpMOV, "MOV32I": OpMOV,
-		"MUFU.RCP": OpRCP, "MUFU.EX2": OpEX2, "MUFU.LG2": OpLG2,
-		"MUFU.SQRT": OpSQRT,
-		"RCP":       OpRCP, "EX2": OpEX2, "LG2": OpLG2, "SQRT": OpSQRT,
-		"I2F": OpI2F, "F2I": OpF2I,
-	}
-
-	switch {
-	case mn == "NOP" || mn == "SYNC" || mn == "EXIT":
-		if err := need(0); err != nil {
-			return "", err
-		}
-		switch mn {
-		case "NOP":
-			in.Op = OpNOP
-		case "SYNC":
-			in.Op = OpSYNC
-		default:
-			in.Op = OpEXIT
-		}
-	case mn == "BAR.SYNC" || mn == "BAR":
-		if err := need(0); err != nil {
-			return "", err
-		}
-		in.Op = OpBAR
-	case mn == "BRA" || mn == "SSY":
-		if err := need(1); err != nil {
-			return "", err
-		}
-		if _, num := branchIndex(args[0]); !isIdent(args[0]) && !num {
-			return "", asmErr(ln, "%s: bad label %q", mn, args[0])
-		}
-		if mn == "BRA" {
-			in.Op = OpBRA
-		} else {
-			in.Op = OpSSY
-		}
-		return args[0], nil
-	case mn == "S2R":
-		if err := need(2); err != nil {
-			return "", err
-		}
-		if err := dstReg(0); err != nil {
-			return "", err
-		}
-		sr, err := parseSR(args[1])
-		if err != nil {
-			return "", asmErr(ln, "S2R: %v", err)
-		}
-		in.Op = OpS2R
-		in.SR = sr
-	case mn == "IMAD" || mn == "FFMA":
-		if err := need(4); err != nil {
-			return "", err
-		}
-		if err := dstReg(0); err != nil {
-			return "", err
-		}
-		for i := 0; i < 3; i++ {
-			if err := src(i+1, i); err != nil {
-				return "", err
-			}
-		}
-		if mn == "IMAD" {
-			in.Op = OpIMAD
-		} else {
-			in.Op = OpFFMA
-		}
-	case mn == "SEL":
-		if err := need(4); err != nil {
-			return "", err
-		}
-		if err := dstReg(0); err != nil {
-			return "", err
-		}
-		if err := src(1, 0); err != nil {
-			return "", err
-		}
-		if err := src(2, 1); err != nil {
-			return "", err
-		}
-		pr, err := parsePred(args[3])
-		if err != nil {
-			return "", asmErr(ln, "SEL: %v", err)
-		}
-		in.Op = OpSEL
-		in.PSrc = pr
-	case strings.HasPrefix(mn, "ISETP.") || strings.HasPrefix(mn, "FSETP."):
-		if err := need(3); err != nil {
-			return "", err
-		}
-		cc, err := parseCmpSuffix(mn[6:])
-		if err != nil {
-			return "", asmErr(ln, "%s: %v", mn, err)
-		}
-		pd, err := parsePred(args[0])
-		if err != nil {
-			return "", asmErr(ln, "%s: %v", mn, err)
-		}
-		if pd == PT {
-			return "", asmErr(ln, "%s: cannot write PT", mn)
-		}
-		if err := src(1, 0); err != nil {
-			return "", err
-		}
-		if err := src(2, 1); err != nil {
-			return "", err
-		}
-		if strings.HasPrefix(mn, "I") {
-			in.Op = OpISETP
-		} else {
-			in.Op = OpFSETP
-		}
-		in.Cmp = cc
-		in.PDst = pd
-	case mn == "LDG" || mn == "LDS":
-		if err := need(2); err != nil {
-			return "", err
-		}
-		if err := dstReg(0); err != nil {
-			return "", err
-		}
-		base, off, err := parseMem(args[1])
-		if err != nil {
-			return "", asmErr(ln, "%s: %v", mn, err)
-		}
-		if mn == "LDG" {
-			in.Op = OpLDG
-		} else {
-			in.Op = OpLDS
-		}
-		in.MemBase, in.MemOff = base, off
-	case mn == "STG" || mn == "STS":
-		if err := need(2); err != nil {
-			return "", err
-		}
-		base, off, err := parseMem(args[0])
-		if err != nil {
-			return "", asmErr(ln, "%s: %v", mn, err)
-		}
-		if err := src(1, 0); err != nil {
-			return "", err
-		}
-		if mn == "STG" {
-			in.Op = OpSTG
-		} else {
-			in.Op = OpSTS
-		}
-		in.MemBase, in.MemOff = base, off
-	default:
-		if op, ok := binOps[mn]; ok {
-			if err := need(3); err != nil {
-				return "", err
-			}
-			if err := dstReg(0); err != nil {
-				return "", err
-			}
-			if err := src(1, 0); err != nil {
-				return "", err
-			}
-			if err := src(2, 1); err != nil {
-				return "", err
-			}
-			in.Op = op
-			return "", nil
-		}
-		if op, ok := unOps[mn]; ok {
-			if err := need(2); err != nil {
-				return "", err
-			}
-			if err := dstReg(0); err != nil {
-				return "", err
-			}
-			if err := src(1, 0); err != nil {
-				return "", err
-			}
-			in.Op = op
-			return "", nil
-		}
-		return "", asmErr(ln, "unknown mnemonic %q", mn)
-	}
-	return "", nil
+	bits, err := asm.Literal(s)
+	return Imm(bits), err
 }

@@ -11,6 +11,10 @@
 // true), a SIMT reconvergence stack driven by SSY/SYNC, shared memory
 // (LDS/STS), global memory (LDG/STG), block barriers (BAR.SYNC) and
 // constant-bank kernel parameters (c[n]).
+//
+// The assembler (asm.go) is a mnemonic table, the ISA's operand kinds and
+// one parse loop on top of the front end it shares with siasm, package
+// asm, which owns the line grammar and the literal syntax.
 package sass
 
 import (

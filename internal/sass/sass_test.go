@@ -77,6 +77,15 @@ func TestAssembleErrors(t *testing.T) {
 		"dup kernel":      ".kernel k\n.kernel j\nEXIT\n",
 		"bad guard":       ".kernel k\n@Q0 MOV R0, 1\nEXIT\n",
 		"bad mem operand": ".kernel k\nLDG R0, R1\nEXIT\n",
+		// An index is decimal digits, a memory offset one sign and an
+		// unsigned literal: strconv.Atoi used to let a second sign through.
+		"signed register":  ".kernel k\nMOV R+5, 1\nEXIT\n",
+		"signed guard":     ".kernel k\n@P+1 MOV R0, 1\nEXIT\n",
+		"signed constant":  ".kernel k\nMOV R0, c[+1]\nEXIT\n",
+		"signed .shared":   ".kernel k\n.shared +64\nEXIT\n",
+		"signed @N target": ".kernel k\nBRA @+1\nEXIT\n",
+		"offset two signs": ".kernel k\nLDG R0, [R1--4]\nEXIT\n",
+		"offset +-":        ".kernel k\nLDG R0, [R1+-4]\nEXIT\n",
 	}
 	for name, src := range cases {
 		if _, err := Assemble(src); err == nil {

@@ -2,53 +2,144 @@ package siasm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/asm"
 )
 
-// shape describes the operand pattern of a mnemonic.
-type shape int
+var dialect = asm.Dialect{Name: "siasm", Local: ".lds"}
 
-const (
-	shape0        shape = iota // no operands
-	shapeUnS                   // sdst, ssrc
-	shapeBinS                  // sdst, ssrc, ssrc
-	shapeUn64                  // d64, s64
-	shapeBin64                 // d64, s64, s64
-	shapeSaveexec              // d64, s64
-	shapeBranch                // label
-	shapeUnV                   // vdst, src
-	shapeBinV                  // vdst, src, src
-	shapeMacV                  // vdst (read-modify-write), src, src
-	shapeCndmask               // vdst, src, src, vcc
-	shapeDSRead                // vdst, vaddr[, off]
-	shapeDSWrite               // vaddr, vsrc[, off]
-	shapeBufLoad               // vdst, vaddr[, off]
-	shapeBufStore              // vsrc, vaddr[, off]
-)
+// operand parses one operand string into its place in the instruction.
+// scan is there for the one kind that looks outside its own text, the
+// branch label.
+type operand func(in *Instr, s string, scan *asm.Source) error
 
-type mnSpec struct {
-	op    Opcode
-	shape shape
+func sdst(in *Instr, s string, _ *asm.Source) error {
+	d, err := parseOperand(s)
+	if err != nil || d.Kind != OperandSReg {
+		return fmt.Errorf("destination must be an SGPR")
+	}
+	in.Dst = d
+	return nil
 }
 
-var mnemonics = map[string]mnSpec{
-	"s_nop":     {OpSNop, shape0},
-	"s_waitcnt": {OpSWaitcnt, shape0},
-	"s_barrier": {OpSBarrier, shape0},
-	"s_endpgm":  {OpSEndpgm, shape0},
+func d64(in *Instr, s string, _ *asm.Source) error {
+	d, err := parse64(s)
+	if err != nil || d.Kind == OperandImm {
+		return fmt.Errorf("destination must be a 64-bit scalar")
+	}
+	in.Dst = d
+	return nil
+}
 
-	"s_mov_b32":  {OpSMov32, shapeUnS},
-	"s_add_i32":  {OpSAdd, shapeBinS},
-	"s_sub_i32":  {OpSSub, shapeBinS},
-	"s_mul_i32":  {OpSMul, shapeBinS},
-	"s_and_b32":  {OpSAnd32, shapeBinS},
-	"s_or_b32":   {OpSOr32, shapeBinS},
-	"s_xor_b32":  {OpSXor32, shapeBinS},
-	"s_lshl_b32": {OpSLshl, shapeBinS},
-	"s_lshr_b32": {OpSLshr, shapeBinS},
-	"s_min_i32":  {OpSMin, shapeBinS},
-	"s_max_i32":  {OpSMax, shapeBinS},
+func vdst(in *Instr, s string, _ *asm.Source) (err error) {
+	in.Dst, err = parseVReg(s)
+	return err
+}
+
+// src builds a source kind: what parse accepts, into Src[i].
+func src(i int, parse func(string) (Operand, error)) operand {
+	return func(in *Instr, s string, _ *asm.Source) (err error) {
+		in.Src[i], err = parse(s)
+		return err
+	}
+}
+
+// vcc is the operand that can only be spelled "vcc": the destination of
+// v_cmp, the selector of v_cndmask_b32.
+func vcc(_ *Instr, s string, _ *asm.Source) error {
+	if strings.ToLower(s) != "vcc" {
+		return fmt.Errorf("operand %q must be vcc", s)
+	}
+	return nil
+}
+
+func karg(in *Instr, s string, _ *asm.Source) error {
+	inner, ok := asm.Bracket(strings.ToLower(s), "karg")
+	if !ok {
+		return fmt.Errorf("source must be karg[i], got %q", s)
+	}
+	k, ok := asm.Index(inner, 0xffff)
+	if !ok {
+		return fmt.Errorf("bad kernarg index %q", s)
+	}
+	in.KArg = uint16(k)
+	return nil
+}
+
+func off(in *Instr, s string, _ *asm.Source) error {
+	v, err := strconv.ParseInt(s, 0, 32)
+	if err != nil {
+		return fmt.Errorf("bad offset %q", s)
+	}
+	in.MemOff = int32(v)
+	return nil
+}
+
+func label(in *Instr, s string, scan *asm.Source) (err error) {
+	in.Target, err = scan.Target(s)
+	return err
+}
+
+// shape is the operand pattern of a mnemonic: its kinds in source order.
+type shape struct {
+	kinds []operand
+	opt   int  // how many trailing kinds may be omitted
+	hints bool // any operands, all ignored: they are timing hints only
+}
+
+var (
+	src0, src1 = src(0, parseOperand), src(1, parseOperand) // any register, mask or literal
+	vsrc0      = src(0, parseVReg)                          // a VGPR: an address, or data to store
+	s64a, s64b = src(0, parse64), src(1, parse64)           // a 64-bit scalar or a literal
+
+	shapeNone    = shape{}
+	shapeHints   = shape{hints: true}                                // s_waitcnt vmcnt(0)
+	shapeUnS     = shape{kinds: []operand{sdst, src0}}               // sdst, ssrc
+	shapeBinS    = shape{kinds: []operand{sdst, src0, src1}}         // sdst, ssrc, ssrc
+	shapeCmpS    = shape{kinds: []operand{src0, src1}}               // ssrc, ssrc -> SCC
+	shapeLoadK   = shape{kinds: []operand{sdst, karg}}               // sdst, karg[i]
+	shapeUn64    = shape{kinds: []operand{d64, s64a}}                // d64, s64
+	shapeBin64   = shape{kinds: []operand{d64, s64a, s64b}}          // d64, s64, s64
+	shapeLabel   = shape{kinds: []operand{label}}                    // label
+	shapeUnV     = shape{kinds: []operand{vdst, src0}}               // vdst, src
+	shapeBinV    = shape{kinds: []operand{vdst, src0, src1}}         // vdst, src, src
+	shapeCmpV    = shape{kinds: []operand{vcc, src0, src1}}          // vcc, src, src
+	shapeCndmask = shape{kinds: []operand{vdst, src0, src1, vcc}}    // vdst, src, src, vcc
+	shapeLoad    = shape{kinds: []operand{vdst, vsrc0, off}, opt: 1} // vdst, vaddr[, off]
+	// ds_write_b32 vaddr, vsrc / buffer_store_dword vsrc, vaddr.
+	shapeStore = shape{kinds: []operand{vsrc0, src1, off}, opt: 1}
+)
+
+// mnemonics maps each opcode's one canonical spelling — what the
+// disassembler prints — to its shape. A new mnemonic is one row here (a
+// second spelling of an opcode is a row in aliases). A key that ends in
+// '_' is a family whose condition is the rest of the mnemonic
+// (s_cbranch_execz, v_cmp_lt_i32).
+var mnemonics = map[string]struct {
+	op    Opcode
+	shape shape
+}{
+	"s_nop":     {OpSNop, shapeHints},
+	"s_waitcnt": {OpSWaitcnt, shapeHints},
+	"s_barrier": {OpSBarrier, shapeNone},
+	"s_endpgm":  {OpSEndpgm, shapeNone},
+
+	"s_mov_b32":    {OpSMov32, shapeUnS},
+	"s_add_i32":    {OpSAdd, shapeBinS},
+	"s_sub_i32":    {OpSSub, shapeBinS},
+	"s_mul_i32":    {OpSMul, shapeBinS},
+	"s_and_b32":    {OpSAnd32, shapeBinS},
+	"s_or_b32":     {OpSOr32, shapeBinS},
+	"s_xor_b32":    {OpSXor32, shapeBinS},
+	"s_lshl_b32":   {OpSLshl, shapeBinS},
+	"s_lshr_b32":   {OpSLshr, shapeBinS},
+	"s_min_i32":    {OpSMin, shapeBinS},
+	"s_max_i32":    {OpSMax, shapeBinS},
+	"s_cmp_":       {OpSCmp, shapeCmpS},
+	"s_load_dword": {OpSLoadDW, shapeLoadK},
 
 	"s_mov_b64":          {OpSMov64, shapeUn64},
 	"s_not_b64":          {OpSNot64, shapeUn64},
@@ -56,10 +147,11 @@ var mnemonics = map[string]mnSpec{
 	"s_or_b64":           {OpSOr64, shapeBin64},
 	"s_xor_b64":          {OpSXor64, shapeBin64},
 	"s_andn2_b64":        {OpSAndn264, shapeBin64},
-	"s_and_saveexec_b64": {OpSAndSaveexec, shapeSaveexec},
-	"s_or_saveexec_b64":  {OpSOrSaveexec, shapeSaveexec},
+	"s_and_saveexec_b64": {OpSAndSaveexec, shapeUn64},
+	"s_or_saveexec_b64":  {OpSOrSaveexec, shapeUn64},
 
-	"s_branch": {OpSBranch, shapeBranch},
+	"s_branch":   {OpSBranch, shapeLabel},
+	"s_cbranch_": {OpSCBranch, shapeLabel},
 
 	"v_mov_b32":     {OpVMov, shapeUnV},
 	"v_rcp_f32":     {OpVRcpF, shapeUnV},
@@ -72,8 +164,6 @@ var mnemonics = map[string]mnSpec{
 	"v_add_i32":     {OpVAddI, shapeBinV},
 	"v_sub_i32":     {OpVSubI, shapeBinV},
 	"v_mul_i32":     {OpVMulI, shapeBinV},
-	"v_mul_lo_i32":  {OpVMulI, shapeBinV},
-	"v_mul_lo_u32":  {OpVMulI, shapeBinV},
 	"v_min_i32":     {OpVMinI, shapeBinV},
 	"v_max_i32":     {OpVMaxI, shapeBinV},
 	"v_and_b32":     {OpVAnd, shapeBinV},
@@ -86,177 +176,77 @@ var mnemonics = map[string]mnSpec{
 	"v_mul_f32":     {OpVMulF, shapeBinV},
 	"v_min_f32":     {OpVMinF, shapeBinV},
 	"v_max_f32":     {OpVMaxF, shapeBinV},
-	"v_mac_f32":     {OpVMacF, shapeMacV},
+	"v_mac_f32":     {OpVMacF, shapeBinV}, // vdst is read-modify-write
 
+	"v_cmp_":        {OpVCmp, shapeCmpV},
 	"v_cndmask_b32": {OpVCndmask, shapeCndmask},
 
-	"ds_read_b32":        {OpDSRead, shapeDSRead},
-	"ds_write_b32":       {OpDSWrite, shapeDSWrite},
-	"buffer_load_dword":  {OpBufLoad, shapeBufLoad},
-	"buffer_store_dword": {OpBufStor, shapeBufStore},
+	"ds_read_b32":        {OpDSRead, shapeLoad},
+	"ds_write_b32":       {OpDSWrite, shapeStore},
+	"buffer_load_dword":  {OpBufLoad, shapeLoad},
+	"buffer_store_dword": {OpBufStor, shapeStore},
 }
 
-// mnemonicOf is the reverse map used by the disassembler.
-var mnemonicOf = func() map[Opcode]string {
+// aliases are the accepted spellings the disassembler never prints, each
+// with the canonical mnemonic it assembles as.
+var aliases = map[string]string{
+	"v_mul_lo_i32": "v_mul_i32",
+	"v_mul_lo_u32": "v_mul_i32",
+}
+
+// canonicalMnemonics builds the disassembler's reverse table. mnemonics
+// holds one spelling per opcode, so the result does not depend on map
+// iteration order.
+func canonicalMnemonics() map[Opcode]string {
 	m := make(map[Opcode]string, len(mnemonics))
 	for name, sp := range mnemonics {
-		if _, dup := m[sp.op]; !dup {
-			m[sp.op] = name
-		}
+		m[sp.op] = name
 	}
 	return m
-}()
+}
 
-// Assemble parses an SI-like kernel source into a Program. Grammar, line
-// oriented: ".kernel <name>" (required first), ".lds <bytes>" (optional),
-// "<label>:", and instructions with comma-separated operands. Comments
-// start with ';' or '//'. Operands: vN, sN, s[N:N+1], vcc, exec, integer
-// literals (decimal or 0x hex), float literals with an 'f' suffix, and
-// karg[i] for s_load_dword.
-func Assemble(src string) (*Program, error) {
-	p := &Program{}
-	labels := make(map[string]int)
-	type fixup struct {
-		instr int
-		label string
-		line  int
+var mnemonicOf = canonicalMnemonics()
+
+// Assemble parses an SI-like kernel source into a Program. The line
+// grammar (.kernel, .lds, labels, comments) and the literal syntax are
+// package asm's; an instruction is a mnemonic and comma-separated
+// operands: vN, sN, s[N:N+1], vcc, exec, literals, karg[i] for
+// s_load_dword, and labels or @N as branch targets.
+func Assemble(text string) (*Program, error) {
+	scan, err := dialect.Scan(text)
+	if err != nil {
+		return nil, err
 	}
-	var fixups []fixup
-	maxV, maxS := -1, -1
-	maxK := -1
-	sawKernel := false
-	hasEnd := false
-
+	p := &Program{Name: scan.Name, LDSBytes: scan.LocalBytes, Instrs: make([]Instr, len(scan.Stmts))}
+	maxV, maxS, maxK := -1, -1, -1
 	note := func(o Operand) {
 		switch o.Kind {
 		case OperandVReg:
-			if int(o.Reg) > maxV {
-				maxV = int(o.Reg)
-			}
+			maxV = max(maxV, int(o.Reg))
 		case OperandSReg:
-			if int(o.Reg) > maxS {
-				maxS = int(o.Reg)
-			}
+			maxS = max(maxS, int(o.Reg))
 		case OperandSReg64:
-			if int(o.Reg)+1 > maxS {
-				maxS = int(o.Reg) + 1
-			}
+			maxS = max(maxS, int(o.Reg)+1)
 		}
 	}
-
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(stripComment(raw))
-		if line == "" {
-			continue
-		}
-		ln := lineNo + 1
-
-		if strings.HasPrefix(line, ".") {
-			fields := strings.Fields(line)
-			switch fields[0] {
-			case ".kernel":
-				if len(fields) != 2 {
-					return nil, siErr(ln, ".kernel needs exactly one name")
-				}
-				if sawKernel {
-					return nil, siErr(ln, "duplicate .kernel")
-				}
-				p.Name = fields[1]
-				sawKernel = true
-			case ".lds":
-				if len(fields) != 2 {
-					return nil, siErr(ln, ".lds needs exactly one byte count")
-				}
-				n, err := strconv.Atoi(fields[1])
-				if err != nil || n < 0 {
-					return nil, siErr(ln, "invalid .lds size %q", fields[1])
-				}
-				p.LDSBytes = n
-			default:
-				return nil, siErr(ln, "unknown directive %s", fields[0])
-			}
-			continue
-		}
-
-		// Labels.
-		for {
-			idx := strings.Index(line, ":")
-			// Don't confuse s[10:11] with a label.
-			if idx < 0 || strings.Contains(line[:idx], "[") {
-				break
-			}
-			name := strings.TrimSpace(line[:idx])
-			if !isIdent(name) {
-				return nil, siErr(ln, "invalid label %q", name)
-			}
-			if _, dup := labels[name]; dup {
-				return nil, siErr(ln, "duplicate label %q", name)
-			}
-			labels[name] = len(p.Instrs)
-			line = strings.TrimSpace(line[idx+1:])
-			if line == "" {
-				break
-			}
-		}
-		if line == "" {
-			continue
-		}
-		if !sawKernel {
-			return nil, siErr(ln, "instruction before .kernel")
-		}
-
-		mn := line
-		ops := ""
-		if sp := strings.IndexAny(line, " \t"); sp >= 0 {
-			mn = line[:sp]
-			ops = strings.TrimSpace(line[sp+1:])
-		}
-		mn = strings.ToLower(mn)
-		args := splitOperands(ops)
-
-		in := Instr{Line: ln}
-		label, err := parseInstr(&in, mn, args, ln)
-		if err != nil {
-			return nil, err
-		}
-		if label != "" {
-			fixups = append(fixups, fixup{len(p.Instrs), label, ln})
+	hasEnd := false
+	for i, st := range scan.Stmts {
+		in := &p.Instrs[i]
+		in.Line = st.Line
+		if err := parseInstr(in, st.Text, scan); err != nil {
+			return nil, dialect.Errorf(st.Line, "%v", err)
 		}
 		note(in.Dst)
 		for _, o := range in.Src {
 			note(o)
 		}
-		if in.Op == OpSLoadDW && int(in.KArg) > maxK {
-			maxK = int(in.KArg)
+		if in.Op == OpSLoadDW {
+			maxK = max(maxK, int(in.KArg))
 		}
-		if in.Op == OpSEndpgm {
-			hasEnd = true
-		}
-		p.Instrs = append(p.Instrs, in)
-	}
-
-	if !sawKernel {
-		return nil, fmt.Errorf("siasm: missing .kernel directive")
-	}
-	if len(p.Instrs) == 0 {
-		return nil, fmt.Errorf("siasm: %s: empty program", p.Name)
+		hasEnd = hasEnd || in.Op == OpSEndpgm
 	}
 	if !hasEnd {
 		return nil, fmt.Errorf("siasm: %s: program has no s_endpgm", p.Name)
-	}
-	for _, f := range fixups {
-		if n, ok := branchIndex(f.label); ok {
-			if n > len(p.Instrs) {
-				return nil, siErr(f.line, "branch target @%d beyond program end", n)
-			}
-			p.Instrs[f.instr].Target = n
-			continue
-		}
-		tgt, ok := labels[f.label]
-		if !ok {
-			return nil, siErr(f.line, "undefined label %q", f.label)
-		}
-		p.Instrs[f.instr].Target = tgt
 	}
 	if maxV+1 > MaxVGPRs {
 		return nil, fmt.Errorf("siasm: %s: uses %d VGPRs, max %d", p.Name, maxV+1, MaxVGPRs)
@@ -265,8 +255,8 @@ func Assemble(src string) (*Program, error) {
 		return nil, fmt.Errorf("siasm: %s: uses %d SGPRs, max %d", p.Name, maxS+1, MaxSGPRs)
 	}
 	// v0 (local id) and s12/s13 (workgroup id) are always materialized.
-	p.NumVGPRs = maxIntSI(maxV+1, 1)
-	p.NumSGPRs = maxIntSI(maxS+1, SRegWGIDY+1)
+	p.NumVGPRs = max(maxV+1, 1)
+	p.NumSGPRs = max(maxS+1, SRegWGIDY+1)
 	p.NumKArgs = maxK + 1
 	return p, nil
 }
@@ -280,155 +270,93 @@ func MustAssemble(src string) *Program {
 	return p
 }
 
-func maxIntSI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// parseInstr fills in from one statement: it peels what SI encodes in the
+// mnemonic — the branch condition, the comparison and its type — down to
+// the family's row, looks that up, and runs its shape over the operands.
+func parseInstr(in *Instr, text string, scan *asm.Source) error {
+	mn, ops := asm.Cut(text)
+	mn = strings.ToLower(mn)
+	args := asm.Fields(ops)
 
-func siErr(line int, format string, args ...any) error {
-	return fmt.Errorf("siasm: line %d: %s", line, fmt.Sprintf(format, args...))
-}
-
-// stripComment removes ';', "//" and "/* ... */" comments (the latter
-// covers the disassembler's /*0042*/ index prefixes; an unterminated /*
-// comments out the rest of the line).
-func stripComment(s string) string {
-	for {
-		i := strings.Index(s, "/*")
+	name := mn
+	if cond, ok := strings.CutPrefix(mn, "s_cbranch_"); ok {
+		i := slices.Index(brNames[:], cond)
 		if i < 0 {
-			break
+			return fmt.Errorf("unknown branch condition in %q", mn)
 		}
-		j := strings.Index(s[i+2:], "*/")
-		if j < 0 {
-			s = s[:i]
-			break
+		in.BrCond, name = BranchCond(i), "s_cbranch_"
+	} else if strings.HasPrefix(mn, "s_cmp_") || strings.HasPrefix(mn, "v_cmp_") {
+		cc, ty, _ := strings.Cut(mn[6:], "_")
+		if cc == "lg" { // the SI mnemonic for "not equal"
+			cc = "ne"
 		}
-		s = s[:i] + " " + s[i+2+j+2:]
+		c, t := slices.Index(condNames[:], cc), slices.Index(cmpTypeNames[:], ty)
+		if c < 0 || t < 0 {
+			return fmt.Errorf("unknown comparison in %q", mn)
+		}
+		if mn[0] == 's' && CmpType(t) == CmpF32 {
+			return fmt.Errorf("%s: scalar float compare unsupported", mn)
+		}
+		in.Cond, in.CmpTy, name = Cond(c), CmpType(t), mn[:6]
+	} else if canon, ok := aliases[mn]; ok {
+		name = canon
 	}
-	if i := strings.Index(s, ";"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
-	}
-	return s
-}
-
-// branchIndex parses the disassembler's "@N" absolute branch-target
-// form, so disassembled programs reassemble without labels.
-func branchIndex(s string) (int, bool) {
-	rest, ok := strings.CutPrefix(s, "@")
+	sp, ok := mnemonics[name]
 	if !ok {
-		return 0, false
+		return fmt.Errorf("unknown mnemonic %q", mn)
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == '.':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
+	in.Op = sp.op
+	sh := sp.shape
+	if sh.hints {
 		return nil
 	}
-	var out []string
-	depth := 0
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
+	if len(args) < len(sh.kinds)-sh.opt || len(args) > len(sh.kinds) {
+		return fmt.Errorf("%s expects %d-%d operands, got %d", mn, len(sh.kinds)-sh.opt, len(sh.kinds), len(args))
+	}
+	for i, a := range args {
+		if err := sh.kinds[i](in, a, scan); err != nil {
+			return fmt.Errorf("%s: %v", mn, err)
 		}
 	}
-	return append(out, strings.TrimSpace(s[start:]))
+	return nil
 }
 
 // parseOperand parses any operand form except karg[i].
 func parseOperand(s string) (Operand, error) {
 	low := strings.ToLower(s)
 	switch low {
-	case "":
-		return Operand{}, fmt.Errorf("empty operand")
 	case "vcc":
 		return Operand{Kind: OperandVCC}, nil
 	case "exec":
 		return Operand{Kind: OperandEXEC}, nil
 	}
-	// s[N:M] pair.
-	if strings.HasPrefix(low, "s[") && strings.HasSuffix(low, "]") {
-		inner := low[2 : len(low)-1]
-		parts := strings.Split(inner, ":")
-		if len(parts) != 2 {
-			return Operand{}, fmt.Errorf("bad register pair %q", s)
-		}
-		a, err1 := strconv.Atoi(parts[0])
-		b, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil || b != a+1 || a < 0 || b >= MaxSGPRs {
+	// s[N:N+1] pair.
+	if inner, ok := asm.Bracket(low, "s"); ok {
+		lo, hi, _ := strings.Cut(inner, ":")
+		a, okA := asm.Index(lo, MaxSGPRs-2)
+		b, okB := asm.Index(hi, MaxSGPRs-1)
+		if !okA || !okB || b != a+1 {
 			return Operand{}, fmt.Errorf("bad register pair %q", s)
 		}
 		return Operand{Kind: OperandSReg64, Reg: uint8(a)}, nil
 	}
-	// vN / sN.
-	if len(low) >= 2 && (low[0] == 'v' || low[0] == 's') && low[1] >= '0' && low[1] <= '9' {
-		n, err := strconv.Atoi(low[1:])
-		if err != nil {
-			return Operand{}, fmt.Errorf("bad register %q", s)
+	// vN / sN; no literal starts with either letter.
+	if strings.HasPrefix(low, "v") {
+		n, ok := asm.Index(low[1:], MaxVGPRs-1)
+		if !ok {
+			return Operand{}, fmt.Errorf("bad VGPR %q (v0..v%d)", s, MaxVGPRs-1)
 		}
-		if low[0] == 'v' {
-			if n < 0 || n >= MaxVGPRs {
-				return Operand{}, fmt.Errorf("VGPR %q out of range", s)
-			}
-			return V(n), nil
-		}
-		if n < 0 || n >= MaxSGPRs {
-			return Operand{}, fmt.Errorf("SGPR %q out of range", s)
+		return V(n), nil
+	}
+	if strings.HasPrefix(low, "s") {
+		n, ok := asm.Index(low[1:], MaxSGPRs-1)
+		if !ok {
+			return Operand{}, fmt.Errorf("bad SGPR %q (s0..s%d)", s, MaxSGPRs-1)
 		}
 		return S(n), nil
 	}
-	// Float literal with 'f' suffix.
-	if (strings.HasSuffix(s, "f") || strings.HasSuffix(s, "F")) && !strings.HasPrefix(low, "0x") {
-		v, err := strconv.ParseFloat(s[:len(s)-1], 32)
-		if err != nil {
-			return Operand{}, fmt.Errorf("bad float literal %q", s)
-		}
-		return ImmF(float32(v)), nil
-	}
-	v, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		return Operand{}, fmt.Errorf("bad operand %q", s)
-	}
-	if v < -(1<<31) || v > (1<<32)-1 {
-		return Operand{}, fmt.Errorf("literal %q out of 32-bit range", s)
-	}
-	return Imm(uint32(v)), nil
+	bits, err := asm.Literal(s)
+	return Imm(bits), err
 }
 
 func parseVReg(s string) (Operand, error) {
@@ -448,325 +376,9 @@ func parse64(s string) (Operand, error) {
 		return o, err
 	}
 	switch o.Kind {
-	case OperandSReg64, OperandVCC, OperandEXEC:
+	case OperandSReg64, OperandVCC, OperandEXEC, OperandImm: // a literal is sign/zero-extended to 64 bits
 		return o, nil
-	case OperandImm:
-		return o, nil // sign/zero-extended 64-bit literal
 	default:
 		return o, fmt.Errorf("operand %q is not a 64-bit scalar", s)
 	}
-}
-
-// parseCmpMnemonic decodes "s_cmp_<cc>_<ty>" / "v_cmp_<cc>_<ty>".
-func parseCmpMnemonic(mn string) (Cond, CmpType, bool) {
-	rest, ok := strings.CutPrefix(mn, "s_cmp_")
-	if !ok {
-		rest, ok = strings.CutPrefix(mn, "v_cmp_")
-		if !ok {
-			return 0, 0, false
-		}
-	}
-	parts := strings.SplitN(rest, "_", 2)
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	var cond Cond
-	switch parts[0] {
-	case "eq":
-		cond = CondEQ
-	case "ne", "lg":
-		cond = CondNE
-	case "lt":
-		cond = CondLT
-	case "le":
-		cond = CondLE
-	case "gt":
-		cond = CondGT
-	case "ge":
-		cond = CondGE
-	default:
-		return 0, 0, false
-	}
-	var ty CmpType
-	switch parts[1] {
-	case "i32":
-		ty = CmpI32
-	case "u32":
-		ty = CmpU32
-	case "f32":
-		ty = CmpF32
-	default:
-		return 0, 0, false
-	}
-	return cond, ty, true
-}
-
-func parseInstr(in *Instr, mn string, args []string, ln int) (string, error) {
-	need := func(lo, hi int) error {
-		if len(args) < lo || len(args) > hi {
-			return siErr(ln, "%s expects %d-%d operands, got %d", mn, lo, hi, len(args))
-		}
-		return nil
-	}
-	memOff := func(i int) error {
-		if len(args) <= i {
-			return nil
-		}
-		v, err := strconv.ParseInt(args[i], 0, 32)
-		if err != nil {
-			return siErr(ln, "%s: bad offset %q", mn, args[i])
-		}
-		in.MemOff = int32(v)
-		return nil
-	}
-
-	// s_cbranch_* family.
-	if rest, ok := strings.CutPrefix(mn, "s_cbranch_"); ok {
-		if err := need(1, 1); err != nil {
-			return "", err
-		}
-		for i, n := range brNames {
-			if rest == n {
-				in.Op = OpSCBranch
-				in.BrCond = BranchCond(i)
-				if _, num := branchIndex(args[0]); !isIdent(args[0]) && !num {
-					return "", siErr(ln, "%s: bad label %q", mn, args[0])
-				}
-				return args[0], nil
-			}
-		}
-		return "", siErr(ln, "unknown branch condition in %q", mn)
-	}
-
-	// Comparison families.
-	if cond, ty, ok := parseCmpMnemonic(mn); ok {
-		if strings.HasPrefix(mn, "s_cmp_") {
-			if ty == CmpF32 {
-				return "", siErr(ln, "%s: scalar float compare unsupported", mn)
-			}
-			if err := need(2, 2); err != nil {
-				return "", err
-			}
-			a, err := parseOperand(args[0])
-			if err != nil {
-				return "", siErr(ln, "%s: %v", mn, err)
-			}
-			b, err := parseOperand(args[1])
-			if err != nil {
-				return "", siErr(ln, "%s: %v", mn, err)
-			}
-			in.Op, in.Cond, in.CmpTy = OpSCmp, cond, ty
-			in.Src[0], in.Src[1] = a, b
-			return "", nil
-		}
-		// v_cmp: first operand must be vcc.
-		if err := need(3, 3); err != nil {
-			return "", err
-		}
-		if strings.ToLower(args[0]) != "vcc" {
-			return "", siErr(ln, "%s: destination must be vcc", mn)
-		}
-		a, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		b, err := parseOperand(args[2])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Op, in.Cond, in.CmpTy = OpVCmp, cond, ty
-		in.Src[0], in.Src[1] = a, b
-		return "", nil
-	}
-
-	// s_load_dword sN, karg[i].
-	if mn == "s_load_dword" {
-		if err := need(2, 2); err != nil {
-			return "", err
-		}
-		d, err := parseOperand(args[0])
-		if err != nil || d.Kind != OperandSReg {
-			return "", siErr(ln, "s_load_dword: destination must be an SGPR")
-		}
-		low := strings.ToLower(args[1])
-		if !strings.HasPrefix(low, "karg[") || !strings.HasSuffix(low, "]") {
-			return "", siErr(ln, "s_load_dword: source must be karg[i], got %q", args[1])
-		}
-		k, err := strconv.Atoi(low[5 : len(low)-1])
-		if err != nil || k < 0 || k > 0xffff {
-			return "", siErr(ln, "s_load_dword: bad kernarg index %q", args[1])
-		}
-		in.Op = OpSLoadDW
-		in.Dst = d
-		in.KArg = uint16(k)
-		return "", nil
-	}
-
-	sp, ok := mnemonics[mn]
-	if !ok {
-		return "", siErr(ln, "unknown mnemonic %q", mn)
-	}
-	in.Op = sp.op
-
-	switch sp.shape {
-	case shape0:
-		// s_waitcnt may carry count operands; they are timing hints only.
-		if mn != "s_waitcnt" && mn != "s_nop" {
-			if err := need(0, 0); err != nil {
-				return "", err
-			}
-		}
-	case shapeBranch:
-		if err := need(1, 1); err != nil {
-			return "", err
-		}
-		if _, num := branchIndex(args[0]); !isIdent(args[0]) && !num {
-			return "", siErr(ln, "%s: bad label %q", mn, args[0])
-		}
-		return args[0], nil
-	case shapeUnS:
-		if err := need(2, 2); err != nil {
-			return "", err
-		}
-		d, err := parseOperand(args[0])
-		if err != nil || (d.Kind != OperandSReg) {
-			return "", siErr(ln, "%s: destination must be an SGPR", mn)
-		}
-		s0, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0] = d, s0
-	case shapeBinS:
-		if err := need(3, 3); err != nil {
-			return "", err
-		}
-		d, err := parseOperand(args[0])
-		if err != nil || d.Kind != OperandSReg {
-			return "", siErr(ln, "%s: destination must be an SGPR", mn)
-		}
-		s0, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s1, err := parseOperand(args[2])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0], in.Src[1] = d, s0, s1
-	case shapeUn64, shapeSaveexec:
-		if err := need(2, 2); err != nil {
-			return "", err
-		}
-		d, err := parse64(args[0])
-		if err != nil || d.Kind == OperandImm {
-			return "", siErr(ln, "%s: destination must be a 64-bit scalar", mn)
-		}
-		s0, err := parse64(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0] = d, s0
-	case shapeBin64:
-		if err := need(3, 3); err != nil {
-			return "", err
-		}
-		d, err := parse64(args[0])
-		if err != nil || d.Kind == OperandImm {
-			return "", siErr(ln, "%s: destination must be a 64-bit scalar", mn)
-		}
-		s0, err := parse64(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s1, err := parse64(args[2])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0], in.Src[1] = d, s0, s1
-	case shapeUnV:
-		if err := need(2, 2); err != nil {
-			return "", err
-		}
-		d, err := parseVReg(args[0])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s0, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0] = d, s0
-	case shapeBinV, shapeMacV:
-		if err := need(3, 3); err != nil {
-			return "", err
-		}
-		d, err := parseVReg(args[0])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s0, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s1, err := parseOperand(args[2])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0], in.Src[1] = d, s0, s1
-	case shapeCndmask:
-		if err := need(4, 4); err != nil {
-			return "", err
-		}
-		if strings.ToLower(args[3]) != "vcc" {
-			return "", siErr(ln, "%s: selector must be vcc", mn)
-		}
-		d, err := parseVReg(args[0])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s0, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		s1, err := parseOperand(args[2])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Dst, in.Src[0], in.Src[1] = d, s0, s1
-	case shapeDSRead, shapeBufLoad:
-		if err := need(2, 3); err != nil {
-			return "", err
-		}
-		d, err := parseVReg(args[0])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		a, err := parseVReg(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: address %v", mn, err)
-		}
-		in.Dst, in.Src[0] = d, a
-		if err := memOff(2); err != nil {
-			return "", err
-		}
-	case shapeDSWrite, shapeBufStore:
-		if err := need(2, 3); err != nil {
-			return "", err
-		}
-		// ds_write_b32 vaddr, vsrc / buffer_store_dword vsrc, vaddr.
-		a0, err := parseVReg(args[0])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		a1, err := parseOperand(args[1])
-		if err != nil {
-			return "", siErr(ln, "%s: %v", mn, err)
-		}
-		in.Src[0], in.Src[1] = a0, a1
-		if err := memOff(2); err != nil {
-			return "", err
-		}
-	}
-	return "", nil
 }

@@ -14,6 +14,11 @@
 // Launch ABI: v0/v1 hold the work-item local id (x, y); s12/s13 hold the
 // workgroup id (x, y); kernel arguments are fetched with
 // "s_load_dword sN, karg[i]".
+//
+// The assembler (asm.go) is a mnemonic table — one canonical spelling per
+// opcode, which is what the disassembler prints, plus aliases — the ISA's
+// operand kinds and one parse loop on top of the front end it shares with
+// sass, package asm, which owns the line grammar and the literal syntax.
 package siasm
 
 import (
@@ -174,6 +179,8 @@ const (
 	CmpU32
 	CmpF32
 )
+
+var cmpTypeNames = [...]string{"i32", "u32", "f32"}
 
 // Eval applies the condition to two 32-bit values under the type.
 func (c Cond) Eval(ty CmpType, a, b uint32) bool {
@@ -368,14 +375,8 @@ func (p *Program) Disassemble() string {
 // String disassembles one instruction (branch targets as indices).
 func (in *Instr) String() string {
 	switch in.Op {
-	case OpSNop:
-		return "s_nop"
-	case OpSWaitcnt:
-		return "s_waitcnt"
-	case OpSBarrier:
-		return "s_barrier"
-	case OpSEndpgm:
-		return "s_endpgm"
+	case OpSNop, OpSWaitcnt, OpSBarrier, OpSEndpgm:
+		return mnemonicOf[in.Op]
 	case OpSBranch:
 		return fmt.Sprintf("s_branch @%d", in.Target)
 	case OpSCBranch:
@@ -383,14 +384,9 @@ func (in *Instr) String() string {
 	case OpSLoadDW:
 		return fmt.Sprintf("s_load_dword %s, karg[%d]", in.Dst, in.KArg)
 	case OpSCmp:
-		ty := "i32"
-		if in.CmpTy == CmpU32 {
-			ty = "u32"
-		}
-		return fmt.Sprintf("s_cmp_%s_%s %s, %s", in.Cond, ty, in.Src[0], in.Src[1])
+		return fmt.Sprintf("s_cmp_%s_%s %s, %s", in.Cond, cmpTypeNames[in.CmpTy], in.Src[0], in.Src[1])
 	case OpVCmp:
-		ty := [...]string{"i32", "u32", "f32"}[in.CmpTy]
-		return fmt.Sprintf("v_cmp_%s_%s vcc, %s, %s", in.Cond, ty, in.Src[0], in.Src[1])
+		return fmt.Sprintf("v_cmp_%s_%s vcc, %s, %s", in.Cond, cmpTypeNames[in.CmpTy], in.Src[0], in.Src[1])
 	case OpVCndmask:
 		return fmt.Sprintf("v_cndmask_b32 %s, %s, %s, vcc", in.Dst, in.Src[0], in.Src[1])
 	case OpDSRead:
