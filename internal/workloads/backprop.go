@@ -181,45 +181,12 @@ func newBackprop(v gpu.Vendor) (*gpu.HostProgram, error) {
 	rng := stats.NewRNG(0x5eed0000)
 	input := randFloats(rng, bpIn, -1, 1)
 	w := randFloats(rng, bpIn*bpHid, -0.5, 0.5)
-	want := backpropGolden(input, w)
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "backprop"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrIn, err := mem.AllocFloats(input)
-		if err != nil {
-			return err
-		}
-		addrW, err := mem.AllocFloats(w)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * bpHid)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D1(bpHid),
-			Group: gpu.D1(bpGroup),
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = backpropSASS
-			spec.Args = []uint32{addrIn, addrW, outAddr, bpIn, bpHid}
-		case gpu.AMD:
-			spec.Kernel = backpropSI
-			spec.Args = []uint32{addrIn, addrW, outAddr, bpIn, bpHid, bpGroup}
-		default:
-			return dialectErr("backprop", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * bpHid}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, "backprop", outAddr, want)
-	}
-	return hp, nil
+	out := floatOutput("backprop", backpropGolden(input, w))
+	return hostProgram("backprop", v, func(r *run) {
+		addrIn, addrW := r.floats(input), r.floats(w)
+		out.addr = r.alloc(bpHid)
+		r.launch(backpropSASS, backpropSI, gpu.D1(bpHid), gpu.D1(bpGroup),
+			[]uint32{addrIn, addrW, out.addr, bpIn, bpHid}, bpGroup)
+	}, out)
 }

@@ -106,63 +106,20 @@ func newDWTHaar1D(v gpu.Vendor) (*gpu.HostProgram, error) {
 	a1, d1 := dwtGoldenLevel(in)
 	a2, d2 := dwtGoldenLevel(a1)
 
-	var addrA1, addrD1, addrA2, addrD2 uint32
-	hp := &gpu.HostProgram{Name: "dwtHaar1D"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrIn, err := mem.AllocFloats(in)
-		if err != nil {
-			return err
+	outA2 := floatOutput("dwtHaar1D(a2)", a2)
+	outD2 := floatOutput("dwtHaar1D(d2)", d2)
+	outD1 := floatOutput("dwtHaar1D(d1)", d1)
+	return hostProgram("dwtHaar1D", v, func(r *run) {
+		addrIn := r.floats(in)
+		addrA1 := r.alloc(n / 2)
+		outD1.addr = r.alloc(n / 2)
+		outA2.addr = r.alloc(n / 4)
+		outD2.addr = r.alloc(n / 4)
+		level := func(src, approx, detail uint32, pairs int) {
+			r.launch(dwtSASS, dwtSI, gpu.D1(pairs/dwtGroup), gpu.D1(dwtGroup),
+				[]uint32{src, approx, detail}, dwtGroup)
 		}
-		if addrA1, err = mem.Alloc(4 * n / 2); err != nil {
-			return err
-		}
-		if addrD1, err = mem.Alloc(4 * n / 2); err != nil {
-			return err
-		}
-		if addrA2, err = mem.Alloc(4 * n / 4); err != nil {
-			return err
-		}
-		if addrD2, err = mem.Alloc(4 * n / 4); err != nil {
-			return err
-		}
-		launch := func(src, ap, de uint32, pairs int) error {
-			spec := gpu.LaunchSpec{
-				Grid:  gpu.D1(pairs / dwtGroup),
-				Group: gpu.D1(dwtGroup),
-			}
-			switch v {
-			case gpu.NVIDIA:
-				spec.Kernel = dwtSASS
-				spec.Args = []uint32{src, ap, de}
-			case gpu.AMD:
-				spec.Kernel = dwtSI
-				spec.Args = []uint32{src, ap, de, dwtGroup}
-			default:
-				return dialectErr("dwtHaar1D", v)
-			}
-			return d.Launch(spec)
-		}
-		if err := launch(addrIn, addrA1, addrD1, n/2); err != nil {
-			return err
-		}
-		return launch(addrA1, addrA2, addrD2, n/4)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{
-			{Addr: addrA2, Size: 4 * n / 4},
-			{Addr: addrD2, Size: 4 * n / 4},
-			{Addr: addrD1, Size: 4 * n / 2},
-		}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		if err := verifyFloats(d, "dwtHaar1D(a2)", addrA2, a2); err != nil {
-			return err
-		}
-		if err := verifyFloats(d, "dwtHaar1D(d2)", addrD2, d2); err != nil {
-			return err
-		}
-		return verifyFloats(d, "dwtHaar1D(d1)", addrD1, d1)
-	}
-	return hp, nil
+		level(addrIn, addrA1, outD1.addr, n/2)
+		level(addrA1, outA2.addr, outD2.addr, n/4)
+	}, outA2, outD2, outD1)
 }

@@ -211,65 +211,17 @@ func newGaussian(v gpu.Vendor) (*gpu.HostProgram, error) {
 	b := randFloats(rng, n, -1, 1)
 	wantA, wantB := gaussGolden(a, b, n)
 
-	var addrA, addrB uint32
-	hp := &gpu.HostProgram{Name: "gaussian"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		var err error
-		if addrA, err = mem.AllocFloats(a); err != nil {
-			return err
+	// Elimination is in place: the inputs are the outputs.
+	outA := floatOutput("gaussian(A)", wantA)
+	outB := floatOutput("gaussian(b)", wantB)
+	return hostProgram("gaussian", v, func(r *run) {
+		outA.addr, outB.addr = r.floats(a), r.floats(b)
+		addrM := r.alloc(n)
+		for t := uint32(0); t < n-1; t++ {
+			r.launch(gaussFan1SASS, gaussFan1SI, gpu.D1(1), gpu.D1(n),
+				[]uint32{outA.addr, addrM, n, t})
+			r.launch(gaussFan2SASS, gaussFan2SI, gpu.D1(1), gpu.D2(n, n),
+				[]uint32{outA.addr, outB.addr, addrM, n, t})
 		}
-		if addrB, err = mem.AllocFloats(b); err != nil {
-			return err
-		}
-		addrM, err := mem.Alloc(4 * n)
-		if err != nil {
-			return err
-		}
-		for t := 0; t < n-1; t++ {
-			var fan1, fan2 gpu.LaunchSpec
-			switch v {
-			case gpu.NVIDIA:
-				fan1 = gpu.LaunchSpec{
-					Kernel: gaussFan1SASS, Grid: gpu.D1(1), Group: gpu.D1(n),
-					Args: []uint32{addrA, addrM, n, uint32(t)},
-				}
-				fan2 = gpu.LaunchSpec{
-					Kernel: gaussFan2SASS, Grid: gpu.D1(1), Group: gpu.D2(n, n),
-					Args: []uint32{addrA, addrB, addrM, n, uint32(t)},
-				}
-			case gpu.AMD:
-				fan1 = gpu.LaunchSpec{
-					Kernel: gaussFan1SI, Grid: gpu.D1(1), Group: gpu.D1(n),
-					Args: []uint32{addrA, addrM, n, uint32(t)},
-				}
-				fan2 = gpu.LaunchSpec{
-					Kernel: gaussFan2SI, Grid: gpu.D1(1), Group: gpu.D2(n, n),
-					Args: []uint32{addrA, addrB, addrM, n, uint32(t)},
-				}
-			default:
-				return dialectErr("gaussian", v)
-			}
-			if err := d.Launch(fan1); err != nil {
-				return err
-			}
-			if err := d.Launch(fan2); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{
-			{Addr: addrA, Size: 4 * n * n},
-			{Addr: addrB, Size: 4 * n},
-		}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		if err := verifyFloats(d, "gaussian(A)", addrA, wantA); err != nil {
-			return err
-		}
-		return verifyFloats(d, "gaussian(b)", addrB, wantB)
-	}
-	return hp, nil
+	}, outA, outB)
 }

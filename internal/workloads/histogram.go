@@ -160,41 +160,12 @@ func histogramGolden(in []uint32) []uint32 {
 func newHistogram(v gpu.Vendor) (*gpu.HostProgram, error) {
 	rng := stats.NewRNG(0x5eed0004)
 	in := randWords(rng, histN, 1<<16) // only the low 4 bits bin
-	want := histogramGolden(in)
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "histogram"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrIn, err := mem.AllocWords(in)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * histBlocks * histBins)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D1(histBlocks),
-			Group: gpu.D1(histGroup),
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = histogramSASS
-			spec.Args = []uint32{addrIn, outAddr, histItems, histBins}
-		case gpu.AMD:
-			spec.Kernel = histogramSI
-			spec.Args = []uint32{addrIn, outAddr, histItems, histBins, histGroup}
-		default:
-			return dialectErr("histogram", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * histBlocks * histBins}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyWords(d, "histogram", outAddr, want)
-	}
-	return hp, nil
+	out := wordOutput("histogram", histogramGolden(in))
+	return hostProgram("histogram", v, func(r *run) {
+		addrIn := r.words(in)
+		out.addr = r.alloc(histBlocks * histBins)
+		r.launch(histogramSASS, histogramSI, gpu.D1(histBlocks), gpu.D1(histGroup),
+			[]uint32{addrIn, out.addr, histItems, histBins}, histGroup)
+	}, out)
 }

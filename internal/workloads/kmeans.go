@@ -147,45 +147,12 @@ func newKMeans(v gpu.Vendor) (*gpu.HostProgram, error) {
 	rng := stats.NewRNG(0x5eed0005)
 	points := randFloats(rng, kmPoints*kmDims, -5, 5)
 	centroids := randFloats(rng, kmK*kmDims, -5, 5)
-	want := kmeansGolden(points, centroids)
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "kmeans"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrP, err := mem.AllocFloats(points)
-		if err != nil {
-			return err
-		}
-		addrC, err := mem.AllocFloats(centroids)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * kmPoints)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D1(kmPoints / kmGroup),
-			Group: gpu.D1(kmGroup),
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = kmeansSASS
-			spec.Args = []uint32{addrP, addrC, outAddr, kmPoints, kmDims, kmK}
-		case gpu.AMD:
-			spec.Kernel = kmeansSI
-			spec.Args = []uint32{addrP, addrC, outAddr, kmPoints, kmDims, kmK, kmGroup}
-		default:
-			return dialectErr("kmeans", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * kmPoints}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyWords(d, "kmeans", outAddr, want)
-	}
-	return hp, nil
+	out := wordOutput("kmeans", kmeansGolden(points, centroids))
+	return hostProgram("kmeans", v, func(r *run) {
+		addrP, addrC := r.floats(points), r.floats(centroids)
+		out.addr = r.alloc(kmPoints)
+		r.launch(kmeansSASS, kmeansSI, gpu.D1(kmPoints/kmGroup), gpu.D1(kmGroup),
+			[]uint32{addrP, addrC, out.addr, kmPoints, kmDims, kmK}, kmGroup)
+	}, out)
 }

@@ -163,44 +163,13 @@ func newMatrixMul(v gpu.Vendor) (*gpu.HostProgram, error) {
 	rng := stats.NewRNG(0x5eed0006)
 	a := randFloats(rng, matMulM*matMulK, -1, 1)
 	b := randFloats(rng, matMulK*matMulN, -1, 1)
-	want := matrixMulGolden(a, b, matMulM, matMulK, matMulN)
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "matrixMul"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrA, err := mem.AllocFloats(a)
-		if err != nil {
-			return err
-		}
-		addrB, err := mem.AllocFloats(b)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * matMulM * matMulN)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D2(matMulN/matMulTile, matMulM/matMulTile),
-			Group: gpu.D2(matMulTile, matMulTile),
-			Args:  []uint32{addrA, addrB, outAddr, matMulK, matMulN},
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = matrixMulSASS
-		case gpu.AMD:
-			spec.Kernel = matrixMulSI
-		default:
-			return dialectErr("matrixMul", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * matMulM * matMulN}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, "matrixMul", outAddr, want)
-	}
-	return hp, nil
+	out := floatOutput("matrixMul", matrixMulGolden(a, b, matMulM, matMulK, matMulN))
+	return hostProgram("matrixMul", v, func(r *run) {
+		addrA, addrB := r.floats(a), r.floats(b)
+		out.addr = r.alloc(matMulM * matMulN)
+		r.launch(matrixMulSASS, matrixMulSI,
+			gpu.D2(matMulN/matMulTile, matMulM/matMulTile), gpu.D2(matMulTile, matMulTile),
+			[]uint32{addrA, addrB, out.addr, matMulK, matMulN})
+	}, out)
 }

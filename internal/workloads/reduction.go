@@ -152,42 +152,13 @@ func newReduction(v gpu.Vendor) (*gpu.HostProgram, error) {
 	const group = reductionGroup
 	rng := stats.NewRNG(0x5eed0007)
 	in := randFloats(rng, n, -1, 1)
-	want := reductionGolden(in, n, group)
-	blocks := len(want)
+	want := reductionGolden(in, n, group) // one partial sum per block
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "reduction"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrIn, err := mem.AllocFloats(in)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * blocks)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D1(blocks),
-			Group: gpu.D1(group),
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = reductionSASS
-			spec.Args = []uint32{addrIn, outAddr, n}
-		case gpu.AMD:
-			spec.Kernel = reductionSI
-			spec.Args = []uint32{addrIn, outAddr, n, group}
-		default:
-			return dialectErr("reduction", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: uint32(4 * blocks)}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, "reduction", outAddr, want)
-	}
-	return hp, nil
+	out := floatOutput("reduction", want)
+	return hostProgram("reduction", v, func(r *run) {
+		addrIn := r.floats(in)
+		out.addr = r.alloc(len(want))
+		r.launch(reductionSASS, reductionSI, gpu.D1(len(want)), gpu.D1(group),
+			[]uint32{addrIn, out.addr, n}, group)
+	}, out)
 }

@@ -140,41 +140,12 @@ func newScan(v gpu.Vendor) (*gpu.HostProgram, error) {
 	const group = scanGroup
 	rng := stats.NewRNG(0x5eed0008)
 	in := randFloats(rng, n, -2, 2)
-	want := scanGolden(in, n, group)
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "scan"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrIn, err := mem.AllocFloats(in)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * n)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D1(n / group),
-			Group: gpu.D1(group),
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = scanSASS
-			spec.Args = []uint32{addrIn, outAddr}
-		case gpu.AMD:
-			spec.Kernel = scanSI
-			spec.Args = []uint32{addrIn, outAddr, group}
-		default:
-			return dialectErr("scan", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * n}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, "scan", outAddr, want)
-	}
-	return hp, nil
+	out := floatOutput("scan", scanGolden(in, n, group))
+	return hostProgram("scan", v, func(r *run) {
+		addrIn := r.floats(in)
+		out.addr = r.alloc(n)
+		r.launch(scanSASS, scanSI, gpu.D1(n/group), gpu.D1(group),
+			[]uint32{addrIn, out.addr}, group)
+	}, out)
 }

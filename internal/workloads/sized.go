@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
-	"repro/internal/stats"
 )
 
 // NewVectorAddSized builds a vectoradd host program with a caller-chosen
@@ -16,54 +15,7 @@ func NewVectorAddSized(v gpu.Vendor, n int) (*gpu.HostProgram, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workloads: vectoradd size %d must be positive", n)
 	}
-	rng := stats.NewRNG(0x5eed0001 ^ uint64(n))
-	a := randFloats(rng, n, -4, 4)
-	b := randFloats(rng, n, -4, 4)
-	want := make([]float32, n)
-	for i := range want {
-		want[i] = a[i] + b[i]
-	}
-
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: fmt.Sprintf("vectoradd-n%d", n)}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrA, err := mem.AllocFloats(a)
-		if err != nil {
-			return err
-		}
-		addrB, err := mem.AllocFloats(b)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * n)
-		if err != nil {
-			return err
-		}
-		grid := gpu.D1((n + vectorAddGroup - 1) / vectorAddGroup)
-		group := gpu.D1(vectorAddGroup)
-		switch v {
-		case gpu.NVIDIA:
-			return d.Launch(gpu.LaunchSpec{
-				Kernel: vectorAddSASS, Grid: grid, Group: group,
-				Args: []uint32{addrA, addrB, outAddr, uint32(n)},
-			})
-		case gpu.AMD:
-			return d.Launch(gpu.LaunchSpec{
-				Kernel: vectorAddSI, Grid: grid, Group: group,
-				Args: []uint32{addrA, addrB, outAddr, uint32(n), vectorAddGroup},
-			})
-		default:
-			return dialectErr("vectoradd", v)
-		}
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: uint32(4 * n)}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, hp.Name, outAddr, want)
-	}
-	return hp, nil
+	return vectorAdd(fmt.Sprintf("vectoradd-n%d", n), v, n, 0x5eed0001^uint64(n))
 }
 
 // SizedBenchmark wraps NewVectorAddSized as a Benchmark so campaign

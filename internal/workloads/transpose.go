@@ -95,38 +95,12 @@ func newTranspose(v gpu.Vendor) (*gpu.HostProgram, error) {
 		}
 	}
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "transpose"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrIn, err := mem.AllocFloats(in)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * w * w)
-		if err != nil {
-			return err
-		}
-		spec := gpu.LaunchSpec{
-			Grid:  gpu.D2(w/transposeTile, w/transposeTile),
-			Group: gpu.D2(transposeTile, transposeTile),
-			Args:  []uint32{addrIn, outAddr, w},
-		}
-		switch v {
-		case gpu.NVIDIA:
-			spec.Kernel = transposeSASS
-		case gpu.AMD:
-			spec.Kernel = transposeSI
-		default:
-			return dialectErr("transpose", v)
-		}
-		return d.Launch(spec)
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * w * w}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, "transpose", outAddr, want)
-	}
-	return hp, nil
+	out := floatOutput("transpose", want)
+	return hostProgram("transpose", v, func(r *run) {
+		addrIn := r.floats(in)
+		out.addr = r.alloc(w * w)
+		r.launch(transposeSASS, transposeSI,
+			gpu.D2(w/transposeTile, w/transposeTile), gpu.D2(transposeTile, transposeTile),
+			[]uint32{addrIn, out.addr, w})
+	}, out)
 }

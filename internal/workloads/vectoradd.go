@@ -64,8 +64,13 @@ done:
 var vectorAddSI = siasm.MustAssemble(vectorAddSISrc)
 
 func newVectorAdd(v gpu.Vendor) (*gpu.HostProgram, error) {
-	const n = vectorAddN
-	rng := stats.NewRNG(0x5eed0001)
+	return vectorAdd("vectoradd", v, vectorAddN, 0x5eed0001)
+}
+
+// vectorAdd is the suite's build (n = vectorAddN) and the sized builds
+// of sized.go.
+func vectorAdd(name string, v gpu.Vendor, n int, seed uint64) (*gpu.HostProgram, error) {
+	rng := stats.NewRNG(seed)
 	a := randFloats(rng, n, -4, 4)
 	b := randFloats(rng, n, -4, 4)
 	want := make([]float32, n)
@@ -73,44 +78,12 @@ func newVectorAdd(v gpu.Vendor) (*gpu.HostProgram, error) {
 		want[i] = a[i] + b[i]
 	}
 
-	var outAddr uint32
-	hp := &gpu.HostProgram{Name: "vectoradd"}
-	hp.Run = func(d gpu.Device) error {
-		mem := d.Mem()
-		addrA, err := mem.AllocFloats(a)
-		if err != nil {
-			return err
-		}
-		addrB, err := mem.AllocFloats(b)
-		if err != nil {
-			return err
-		}
-		outAddr, err = mem.Alloc(4 * n)
-		if err != nil {
-			return err
-		}
-		grid := gpu.D1((n + vectorAddGroup - 1) / vectorAddGroup)
-		group := gpu.D1(vectorAddGroup)
-		switch v {
-		case gpu.NVIDIA:
-			return d.Launch(gpu.LaunchSpec{
-				Kernel: vectorAddSASS, Grid: grid, Group: group,
-				Args: []uint32{addrA, addrB, outAddr, n},
-			})
-		case gpu.AMD:
-			return d.Launch(gpu.LaunchSpec{
-				Kernel: vectorAddSI, Grid: grid, Group: group,
-				Args: []uint32{addrA, addrB, outAddr, n, vectorAddGroup},
-			})
-		default:
-			return dialectErr("vectoradd", v)
-		}
-	}
-	hp.Outputs = func() []gpu.Region {
-		return []gpu.Region{{Addr: outAddr, Size: 4 * n}}
-	}
-	hp.Verify = func(d gpu.Device) error {
-		return verifyFloats(d, "vectoradd", outAddr, want)
-	}
-	return hp, nil
+	out := floatOutput(name, want)
+	return hostProgram(name, v, func(r *run) {
+		addrA, addrB := r.floats(a), r.floats(b)
+		out.addr = r.alloc(n)
+		r.launch(vectorAddSASS, vectorAddSI,
+			gpu.D1((n+vectorAddGroup-1)/vectorAddGroup), gpu.D1(vectorAddGroup),
+			[]uint32{addrA, addrB, out.addr, uint32(n)}, vectorAddGroup)
+	}, out)
 }

@@ -18,7 +18,6 @@ package workloads
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/gpu"
 	"repro/internal/stats"
@@ -88,39 +87,4 @@ func randWords(rng *stats.RNG, n int, bound uint32) []uint32 {
 		out[i] = uint32(rng.Uint64n(uint64(bound)))
 	}
 	return out
-}
-
-// verifyFloats compares device floats against the golden model bitwise
-// (kernels and goldens share the exact float32 operation order).
-func verifyFloats(d gpu.Device, name string, addr uint32, want []float32) error {
-	got, err := d.Mem().ReadFloats(addr, len(want))
-	if err != nil {
-		return fmt.Errorf("%s: reading output: %w", name, err)
-	}
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			return fmt.Errorf("%s: output[%d] = %v (%#x), want %v (%#x)",
-				name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-		}
-	}
-	return nil
-}
-
-// verifyWords compares device words against the golden model.
-func verifyWords(d gpu.Device, name string, addr uint32, want []uint32) error {
-	got, err := d.Mem().ReadWords(addr, len(want))
-	if err != nil {
-		return fmt.Errorf("%s: reading output: %w", name, err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("%s: output[%d] = %d, want %d", name, i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-// dialectErr reports an unsupported vendor.
-func dialectErr(name string, v gpu.Vendor) error {
-	return fmt.Errorf("workloads: %s: no %s build", name, v)
 }
