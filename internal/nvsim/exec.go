@@ -211,7 +211,9 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 			}
 			i.writeReg(d, u, w, lane, in.Dst, specialReg(w, lc, lane, in.SR))
 		}
-		w.RegReady[in.Dst] = d.Cycle + lat
+		if in.Dst != sass.RZ {
+			w.RegReady[in.Dst] = d.Cycle + lat
+		}
 		w.PC++
 
 	case sass.OpISETP, sass.OpFSETP:

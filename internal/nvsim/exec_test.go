@@ -71,6 +71,7 @@ func TestALUSemantics(t *testing.T) {
 		{"i2f", "MOV R1, -7\nI2F R31, R1", f32(-7)},
 		{"f2i", "MOV R1, -2.75f\nF2I R31, R1", uint32(0xFFFFFFFE)}, // trunc toward zero
 		{"rz-reads-zero", "IADD R31, RZ, 5", 5},
+		{"rz-dst-discards", "MOV R31, 9\nS2R RZ, SR_TID.X\nIADD RZ, R31, 1", 9}, // no scoreboard entry for RZ
 		{"sel-true", "MOV R1, 1\nISETP.EQ P0, R1, 1\nMOV R2, 10\nSEL R31, R2, 20, P0", 10},
 		{"sel-false", "MOV R1, 1\nISETP.EQ P0, R1, 2\nMOV R2, 10\nSEL R31, R2, 20, P0", 20},
 		{"fmin-nan", "MOV R1, 0x7FC00000\nFMIN R31, R1, 3.0f", f32(3)},

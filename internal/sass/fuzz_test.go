@@ -24,6 +24,9 @@ func FuzzAssemble(f *testing.F) {
 	f.Add(".kernel k\n.shared 64\nloop:\n@P0 BRA loop\n@!P1 EXIT\nEXIT\n")
 	f.Add(".kernel k\n    FADD R0, R1, 1.5e-3f\n    LDG R2, [R3+8]\n    STG [R3-4], R2\n    EXIT\n")
 	f.Add(".kernel k\n    IMAD R3, R1, R2, c[0]\n    ISETP.GE P0, R3, 0x10\n    EXIT ; comment\n")
+	// RZ as a destination in every format that prints one: it must
+	// disassemble as RZ, which reassembles, not as R255, which does not.
+	f.Add(".kernel k\n S2R RZ, SR_TID.X\n MOV RZ, R1\n LDG RZ, [R1]\n IMAD RZ, R1, R1, R1\n SEL RZ, R1, R1, PT\n EXIT\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := sass.Assemble(src)
 		if err != nil {

@@ -335,7 +335,7 @@ func (in *Instr) String() string {
 	case OpBRA, OpSSY:
 		fmt.Fprintf(&b, "%s @%d", in.Op, in.Target)
 	case OpS2R:
-		fmt.Fprintf(&b, "S2R R%d, %s", in.Dst, in.SR)
+		fmt.Fprintf(&b, "S2R %s, %s", regName(in.Dst), in.SR)
 	case OpISETP, OpFSETP:
 		fmt.Fprintf(&b, "%s.%s P%d, %s, %s", in.Op, in.Cmp, in.PDst, in.Src[0], in.Src[1])
 	case OpSEL:
@@ -343,17 +343,17 @@ func (in *Instr) String() string {
 		if in.PSrc != PT {
 			p = fmt.Sprintf("P%d", in.PSrc)
 		}
-		fmt.Fprintf(&b, "SEL R%d, %s, %s, %s", in.Dst, in.Src[0], in.Src[1], p)
+		fmt.Fprintf(&b, "SEL %s, %s, %s, %s", regName(in.Dst), in.Src[0], in.Src[1], p)
 	case OpLDG, OpLDS:
-		fmt.Fprintf(&b, "%s R%d, [%s%+d]", in.Op, in.Dst, regName(in.MemBase), in.MemOff)
+		fmt.Fprintf(&b, "%s %s, [%s%+d]", in.Op, regName(in.Dst), regName(in.MemBase), in.MemOff)
 	case OpSTG, OpSTS:
 		fmt.Fprintf(&b, "%s [%s%+d], %s", in.Op, regName(in.MemBase), in.MemOff, in.Src[0])
 	case OpIMAD, OpFFMA:
-		fmt.Fprintf(&b, "%s R%d, %s, %s, %s", in.Op, in.Dst, in.Src[0], in.Src[1], in.Src[2])
+		fmt.Fprintf(&b, "%s %s, %s, %s, %s", in.Op, regName(in.Dst), in.Src[0], in.Src[1], in.Src[2])
 	case OpMOV, OpRCP, OpEX2, OpLG2, OpSQRT, OpI2F, OpF2I:
-		fmt.Fprintf(&b, "%s R%d, %s", in.Op, in.Dst, in.Src[0])
+		fmt.Fprintf(&b, "%s %s, %s", in.Op, regName(in.Dst), in.Src[0])
 	default:
-		fmt.Fprintf(&b, "%s R%d, %s, %s", in.Op, in.Dst, in.Src[0], in.Src[1])
+		fmt.Fprintf(&b, "%s %s, %s, %s", in.Op, regName(in.Dst), in.Src[0], in.Src[1])
 	}
 	return b.String()
 }
