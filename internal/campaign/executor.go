@@ -2,11 +2,11 @@ package campaign
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chips"
 	"repro/internal/finject"
+	"repro/internal/flight"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -62,52 +62,19 @@ type Executor interface {
 // across all structures and campaigns — the execute path previously
 // embedded in the scheduler, now reusable by remote workers too.
 //
-// The golden cache is lock-free for readers: lookups load an immutable
-// map through an atomic pointer, writers clone-and-swap under gmu. A
-// figure fanning a (chip, benchmark) pair across every structure hits
-// the cached entry on all but the first request, so the hit path never
-// serializes campaigns.
+// The golden cache is one flight.Table that keeps its successes: it is
+// consulted once per cell, the first request for a pair runs the
+// reference, concurrent ones wait for it and later ones are answered
+// from the table.
 type LocalExecutor struct {
-	gmu    sync.Mutex // serializes golden-map writers only
-	golden atomic.Pointer[map[string]*goldenCall]
+	golden flight.Table[string, *finject.Golden]
 
 	goldenRuns atomic.Int64
 }
 
-// goldenCall is one in-flight golden reference run others may join.
-type goldenCall struct {
-	done chan struct{}
-	g    *finject.Golden
-	err  error
-}
-
 // NewLocalExecutor builds a LocalExecutor with an empty golden cache.
 func NewLocalExecutor() *LocalExecutor {
-	e := &LocalExecutor{}
-	e.publishGolden(make(map[string]*goldenCall))
-	return e
-}
-
-// goldenMap returns the current immutable golden map.
-func (e *LocalExecutor) goldenMap() map[string]*goldenCall { return *e.golden.Load() }
-
-// publishGolden installs next as the current golden map. Callers hold
-// e.gmu (except the constructor) and must treat prior maps as frozen.
-func (e *LocalExecutor) publishGolden(next map[string]*goldenCall) { e.golden.Store(&next) }
-
-// withGolden clones a frozen golden map with one entry set (or deleted
-// when gc is nil).
-func withGolden(m map[string]*goldenCall, key string, gc *goldenCall) map[string]*goldenCall {
-	next := make(map[string]*goldenCall, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	if gc == nil {
-		delete(next, key)
-	} else {
-		next[key] = gc
-	}
-	return next
+	return &LocalExecutor{golden: flight.Table[string, *finject.Golden]{Keep: true}}
 }
 
 // GoldenRuns reports the number of golden reference simulations executed;
@@ -133,47 +100,26 @@ func (e *LocalExecutor) Execute(ctx context.Context, req Request) (*finject.Resu
 // executing it at most once across all concurrent campaigns. Failed runs
 // are not cached; a later request retries.
 func (e *LocalExecutor) goldenFor(ctx context.Context, chip *chips.Chip, bench *workloads.Benchmark) (*finject.Golden, error) {
-	gkey := chip.Name + "\x00" + bench.Name
 	for {
-		gc, ok := e.goldenMap()[gkey]
-		if !ok {
-			e.gmu.Lock()
-			gc, ok = e.goldenMap()[gkey]
-			if !ok {
-				gc = &goldenCall{done: make(chan struct{})}
-				e.publishGolden(withGolden(e.goldenMap(), gkey, gc))
+		g, joined, err := e.golden.Do(ctx, chip.Name+"\x00"+bench.Name, func() (*finject.Golden, error) {
+			telemetry.GoldenCacheMisses.Inc()
+			g, err := finject.NewGolden(chip, bench)
+			if err == nil {
+				e.goldenRuns.Add(1)
 			}
-			e.gmu.Unlock()
+			return g, err
+		})
+		if !joined {
+			return g, err
 		}
-		if ok {
-			telemetry.GoldenCacheHits.Inc()
-			select {
-			case <-gc.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if gc.err == nil {
-				return gc.g, nil
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			continue
+		telemetry.GoldenCacheHits.Inc()
+		if err == nil {
+			return g, nil
 		}
-
-		telemetry.GoldenCacheMisses.Inc()
-		gc.g, gc.err = finject.NewGolden(chip, bench)
-		if gc.err == nil {
-			e.goldenRuns.Add(1)
-			close(gc.done)
-			return gc.g, nil
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		// Drop the failed entry so the next request retries.
-		e.gmu.Lock()
-		e.publishGolden(withGolden(e.goldenMap(), gkey, nil))
-		e.gmu.Unlock()
-		close(gc.done)
-		return nil, gc.err
+		// The run we joined failed and was forgotten: retry as leader.
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/finject"
+	"repro/internal/flight"
 	"repro/internal/telemetry"
 )
 
@@ -62,18 +63,10 @@ type Scheduler struct {
 	sem             chan struct{}
 	campaignWorkers int
 
-	mu       sync.Mutex
-	inflight map[CellKey]*call
+	inflight flight.Table[CellKey, *finject.Result]
 
 	hits, runs, joins    atomic.Int64
 	injections, upgrades atomic.Int64
-}
-
-// call is one in-flight cell execution others may join.
-type call struct {
-	done chan struct{}
-	res  *finject.Result
-	err  error
 }
 
 // New builds a Scheduler.
@@ -92,7 +85,6 @@ func New(cfg Config) *Scheduler {
 		exec:            cfg.Executor,
 		sem:             make(chan struct{}, cfg.Workers),
 		campaignWorkers: cfg.CampaignWorkers,
-		inflight:        make(map[CellKey]*call),
 	}
 }
 
@@ -155,50 +147,29 @@ func (s *Scheduler) run(ctx context.Context, c finject.Campaign) (*finject.Resul
 			}
 			stale = true
 		}
-		s.mu.Lock()
-		if cl, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-cl.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
+		res, joined, err := s.inflight.Do(ctx, key, func() (*finject.Result, error) {
+			return s.execute(ctx, c, spec, key)
+		})
+		switch {
+		case !joined && err != nil:
+			return nil, false, err
+		case !joined:
+			if stale {
+				s.upgrades.Add(1)
+				telemetry.SchedCacheUpgrades.Inc()
 			}
-			if cl.err == nil {
-				if !c.Policy.SatisfiedBy(cl.res, spec.Injections) {
-					// The leader ran a looser policy; try again as leader.
-					continue
-				}
-				s.joins.Add(1)
-				telemetry.SchedJoins.Inc()
-				return cl.res, true, nil
-			}
-			// The leader failed. If it was canceled while we are still
-			// live, loop and try to become the leader ourselves.
-			if ctx.Err() != nil {
-				return nil, false, ctx.Err()
-			}
-			if !errors.Is(cl.err, context.Canceled) && !errors.Is(cl.err, context.DeadlineExceeded) {
-				return nil, false, cl.err
-			}
-			continue
+			return res, false, nil
+		case err == nil && c.Policy.SatisfiedBy(res, spec.Injections):
+			s.joins.Add(1)
+			telemetry.SchedJoins.Inc()
+			return res, true, nil
+		case ctx.Err() != nil:
+			return nil, false, ctx.Err()
+		case err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+			return nil, false, err
 		}
-		cl := &call{done: make(chan struct{})}
-		s.inflight[key] = cl
-		s.mu.Unlock()
-
-		cl.res, cl.err = s.execute(ctx, c, spec, key)
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		close(cl.done)
-		if cl.err != nil {
-			return nil, false, cl.err
-		}
-		if stale {
-			s.upgrades.Add(1)
-			telemetry.SchedCacheUpgrades.Inc()
-		}
-		return cl.res, false, nil
+		// The leader ran a looser policy, or was canceled while we are
+		// still live: go round again and try to become the leader.
 	}
 }
 

@@ -215,7 +215,7 @@ func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		own.publishLadders(map[int64]*ladderCall{0: readyLadder(ladder)})
+		own.g.ladder = ladder
 		replays := telemetry.FullReplays.Value()
 		got, err := Run(c)
 		if err != nil {

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/chips"
 	"repro/internal/devices"
+	"repro/internal/flight"
 	"repro/internal/gpu"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -219,36 +220,12 @@ type Golden struct {
 	benchRef *workloads.Benchmark
 	g        *golden
 
-	// The default checkpoint ladder is captured during the reference run
-	// itself; ladders for explicit interval overrides are built lazily
-	// (one extra fault-free run each) and cached. All ladders are
-	// immutable once published and shared read-only by every worker:
-	// readers load the current map through an atomic pointer and never
-	// lock, writers clone-and-swap the map under mu.
-	mu      sync.Mutex
-	ladders atomic.Pointer[map[int64]*ladderCall]
-}
-
-// ladderMap returns the current immutable ladder map.
-func (g *Golden) ladderMap() map[int64]*ladderCall { return *g.ladders.Load() }
-
-// publishLadders installs next as the current ladder map. Callers hold
-// g.mu and must treat previously published maps as frozen.
-func (g *Golden) publishLadders(next map[int64]*ladderCall) { g.ladders.Store(&next) }
-
-// ladderCall is one ladder build others may wait on, so a slow override
-// build never holds the Golden's mutex while it simulates.
-type ladderCall struct {
-	done  chan struct{}
-	snaps []gpu.Snapshot
-	err   error
-}
-
-// readyLadder wraps an already-built ladder.
-func readyLadder(snaps []gpu.Snapshot) *ladderCall {
-	lc := &ladderCall{done: make(chan struct{}), snaps: snaps}
-	close(lc.done)
-	return lc
+	// The default checkpoint ladder (g.ladder) is captured during the
+	// reference run itself; ladders for explicit interval overrides are
+	// built on first use (one extra fault-free run each) and kept. All
+	// ladders are immutable once built and shared read-only by every
+	// worker; the table is consulted once per campaign.
+	ladders flight.Table[int64, []gpu.Snapshot]
 }
 
 // NewGolden executes the fault-free reference run once, for reuse across
@@ -263,81 +240,44 @@ func NewGolden(chip *chips.Chip, bench *workloads.Benchmark) (*Golden, error) {
 	if err != nil {
 		return nil, err
 	}
-	gold := &Golden{
+	return &Golden{
 		chip: chip.Name, bench: bench.Name,
 		chipRef: chip, benchRef: bench, g: g,
-	}
-	gold.publishLadders(map[int64]*ladderCall{0: readyLadder(g.ladder)})
-	return gold, nil
+		ladders: flight.Table[int64, []gpu.Snapshot]{Keep: true},
+	}, nil
 }
 
 // CheckpointCycles returns the capture cycles of the default checkpoint
 // ladder, in ascending order — introspection for tests and reports.
 func (g *Golden) CheckpointCycles() []int64 {
-	lc := g.ladderMap()[0]
-	<-lc.done
-	cycles := make([]int64, len(lc.snaps))
-	for i, s := range lc.snaps {
+	cycles := make([]int64, len(g.g.ladder))
+	for i, s := range g.g.ladder {
 		cycles[i] = s.Cycle()
 	}
 	return cycles
 }
 
-// ladderFor returns the checkpoint ladder for the configuration,
-// building and caching one per distinct interval on first use. A nil
-// ladder (checkpointing off) makes every injection replay in full.
-// The cached-ladder fast path is lock-free (an atomic load of the
-// immutable map); builds run outside the writer mutex (only the leader
-// simulates; concurrent requesters for the same interval wait on it,
-// other intervals and the default ladder are never blocked); failed
-// builds are not cached.
+// ladderFor returns the checkpoint ladder for the configuration: the
+// reference run's own for the default spacing, one built on first use
+// and kept per explicit interval otherwise. A nil ladder (checkpointing
+// off) makes every injection replay in full. Only the first requester of
+// an interval simulates; concurrent ones wait for it, other intervals
+// and the default ladder are never blocked; failed builds are not kept.
 func (g *Golden) ladderFor(cfg Checkpoint) ([]gpu.Snapshot, error) {
 	if cfg.Off {
 		return nil, nil
 	}
-	if cfg.Interval < 0 {
-		cfg.Interval = 0 // defensive: negative means auto, not a new cache entry
+	if cfg.Interval <= 0 { // negative means auto too, not a new entry
+		return g.g.ladder, nil
 	}
-	if lc, ok := g.ladderMap()[cfg.Interval]; ok {
-		<-lc.done
-		return lc.snaps, lc.err
-	}
-	g.mu.Lock()
-	lc, ok := g.ladderMap()[cfg.Interval]
-	if !ok {
-		lc = &ladderCall{done: make(chan struct{})}
-		g.publishLadders(withLadder(g.ladderMap(), cfg.Interval, lc))
-	}
-	g.mu.Unlock()
-	if ok {
-		<-lc.done
-		return lc.snaps, lc.err
-	}
-
-	run, err := runGolden(g.chipRef, g.benchRef, cfg)
-	if err != nil {
-		lc.err = err
-		g.mu.Lock()
-		// Republish without the failed entry so a later request retries.
-		next := withLadder(g.ladderMap(), cfg.Interval, nil)
-		delete(next, cfg.Interval)
-		g.publishLadders(next)
-		g.mu.Unlock()
-	} else {
-		lc.snaps = run.ladder
-	}
-	close(lc.done)
-	return lc.snaps, lc.err
-}
-
-// withLadder clones a frozen ladder map with one entry replaced.
-func withLadder(m map[int64]*ladderCall, interval int64, lc *ladderCall) map[int64]*ladderCall {
-	next := make(map[int64]*ladderCall, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	next[interval] = lc
-	return next
+	snaps, _, err := g.ladders.Do(context.Background(), cfg.Interval, func() ([]gpu.Snapshot, error) {
+		run, err := runGolden(g.chipRef, g.benchRef, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return run.ladder, nil
+	})
+	return snaps, err
 }
 
 // Chip returns the name of the chip the reference was run on.

@@ -269,10 +269,7 @@ func C(idx int) Operand { return Operand{Kind: OperandConst, CIdx: uint16(idx)} 
 func (o Operand) String() string {
 	switch o.Kind {
 	case OperandReg:
-		if o.Reg == RZ {
-			return "RZ"
-		}
-		return fmt.Sprintf("R%d", o.Reg)
+		return regName(o.Reg)
 	case OperandImm:
 		return fmt.Sprintf("0x%x", o.Imm)
 	case OperandConst:
