@@ -38,6 +38,7 @@ type structState struct {
 	flags   []byte
 	aceSum  float64   // accumulated ACE entry-cycles
 	unitSum []float64 // per-unit ACE entry-cycles (SM/CU breakdown)
+	stray   int64     // accesses outside an allocation bracket
 }
 
 func newStructState(units, perUnit int) *structState {
@@ -52,15 +53,15 @@ func newStructState(units, perUnit int) *structState {
 
 func (s *structState) access(unit, entry int, cycle int64, write bool) {
 	i := unit*s.perUnit + entry
-	if i < 0 || i >= len(s.flags) {
+	if i < 0 || i >= len(s.flags) || s.flags[i]&flagAllocated == 0 {
+		// Outside an allocation bracket: no ACE time, but a well-formed
+		// simulator trace has none, so Measure fails on the count (an
+		// access the device reports before its allocation would
+		// otherwise only lower the AVF, quietly).
+		s.stray++
 		return
 	}
 	f := s.flags[i]
-	if f&flagAllocated == 0 {
-		// Access outside an allocation bracket (should not happen with a
-		// well-formed simulator trace); ignore.
-		return
-	}
 	if write {
 		s.flags[i] = f | flagDefined
 	} else if f&flagDefined != 0 {
@@ -210,6 +211,9 @@ func Measure(d gpu.Device, hp *gpu.HostProgram) (regAVF, localAVF float64, st gp
 	}
 	d.SetTracer(nil)
 	st = d.Stats()
+	if reg, local := a.regs.stray, a.local.stray; reg+local != 0 {
+		return 0, 0, st, fmt.Errorf("ace: %d accesses outside an allocation bracket (%d register, %d local)", reg+local, reg, local)
+	}
 	regAVF, err = a.AVF(gpu.RegisterFile, st.Cycles)
 	if err != nil {
 		return 0, 0, st, err

@@ -143,23 +143,10 @@ func TestFigureAdaptiveStopsBelowCap(t *testing.T) {
 // reading, checked per benchmark and structure on both vendors' mini
 // chips with a fixed seed.
 func TestFIWithinACEBound(t *testing.T) {
-	// knownGap lists the cells where the bound does NOT hold today.
-	// Extending this test from the NVIDIA chip to the AMD one found the
-	// cause: simt's dispatch calls ISA.InitWave before it reports
-	// RegAlloc to the tracer, so amdsim's traced preload of the
-	// work-item id into v0/v1 lands on entries ace.Analyzer still holds
-	// unallocated, and is dropped; every later read of v0/v1 then counts
-	// as a read of a never-written register — unACE. AVF-ACE of the AMD
-	// register file is therefore too low across the suite (FI exceeds
-	// it on 9 of 10 benchmarks at n=400, beyond the margin on transpose
-	// and vectoradd; NVIDIA reads its ids through traced S2R writes and
-	// is unaffected). Reporting the allocation first lifts transpose
-	// from 9.6% to 19.3% and restores the bound, but it moves every AMD
-	// register-file ACE number and with them the figure digests bench/
-	// pins, so it is a change of its own (ROADMAP, "Trust the numbers").
-	// A listed cell that meets the bound fails the test too: the entry
-	// goes away with the fix, not before and not later.
-	knownGap := map[string]bool{"Mini AMD/transpose/register-file": true}
+	// knownGap lists the cells where the bound does NOT hold: none today.
+	// A listed cell that meets the bound fails the test too, so an entry
+	// goes away with its fix, not before and not later.
+	knownGap := map[string]bool{}
 
 	const n = 250
 	margin, err := stats.MarginOfError(n, 0, 0.99)

@@ -461,6 +461,17 @@ func (d *Device[W]) dispatch(u *Unit[W], slot, blockID int, lc *LaunchCtx) {
 		LocalBase: slot * lc.localPerBlock, LocalCount: lc.localPerBlock,
 		live: lc.WavesPerBlock, allocCycle: d.Cycle,
 	}
+	// The allocation is reported before InitWave runs: an ISA may preload
+	// registers there (amdsim writes the work-item id into v0/v1), and a
+	// traced write must land inside its allocation bracket.
+	if t := d.Tracer; t != nil {
+		if blk.RegCount > 0 {
+			t.RegAlloc(u.ID, blk.RegBase, blk.RegCount, d.Cycle)
+		}
+		if blk.LocalCount > 0 {
+			t.LocalAlloc(u.ID, blk.LocalBase, blk.LocalCount, d.Cycle)
+		}
+	}
 	ww := d.Chip.WarpWidth
 	blk.sizeWaves(lc.WavesPerBlock)
 	for i, w := range blk.waves {
@@ -479,14 +490,6 @@ func (d *Device[W]) dispatch(u *Unit[W], slot, blockID int, lc *LaunchCtx) {
 	}
 	u.blocks[slot] = blk
 	u.liveWave += lc.WavesPerBlock
-	if t := d.Tracer; t != nil {
-		if blk.RegCount > 0 {
-			t.RegAlloc(u.ID, blk.RegBase, blk.RegCount, d.Cycle)
-		}
-		if blk.LocalCount > 0 {
-			t.LocalAlloc(u.ID, blk.LocalBase, blk.LocalCount, d.Cycle)
-		}
-	}
 }
 
 // retire frees a completed block's resources and accounts occupancy.
