@@ -17,13 +17,16 @@
 //   - internal/amdsim + internal/siasm: AMD Southern Islands simulator —
 //     the SI-like ISA and its executor plug-in (the SIFI substrate,
 //     standing in for Multi2Sim 4.2);
-//   - internal/workloads: the 10-benchmark suite in both ISA dialects;
+//   - internal/workloads: the 10-benchmark suite in both ISA dialects, on
+//     one host-program shape (host.go);
 //   - internal/finject, internal/ace: the two reliability methodologies;
 //   - internal/metrics, internal/protect: AVF/FIT/EIT/EPF and protection
 //     what-if analysis;
 //   - internal/campaign: cell keys, the result stores (MemoryStore and one
 //     DiskStore with a JSON and a binary record codec), scheduler, lease
 //     queue;
+//   - internal/flight: the one table of in-flight calls under the
+//     scheduler, the golden cache and the ladder cache;
 //   - internal/wire: wire.Journal — the one append-only log under the
 //     result stores, the job journal and the ownership journal — and the
 //     versioned binary store / ladder / ownership format;

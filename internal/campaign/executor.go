@@ -109,12 +109,11 @@ func (e *LocalExecutor) goldenFor(ctx context.Context, chip *chips.Chip, bench *
 			}
 			return g, err
 		})
-		if !joined {
-			return g, err
+		if joined {
+			telemetry.GoldenCacheHits.Inc()
 		}
-		telemetry.GoldenCacheHits.Inc()
-		if err == nil {
-			return g, nil
+		if !joined || err == nil {
+			return g, err
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()

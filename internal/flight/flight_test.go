@@ -7,12 +7,17 @@ import (
 	"testing"
 )
 
+type outcome struct {
+	v   int
+	err error
+}
+
 // leader starts a Do for key whose fn blocks until release is closed and
 // returns (v, err); it returns once fn is running, with a channel that
 // yields the leader's own outcome.
-func leader(t *testing.T, tab *Table[string, int], key string, v int, err error) (release chan struct{}, outcome chan [2]any) {
+func leader(t *testing.T, tab *Table[string, int], key string, v int, err error) (release chan struct{}, done chan outcome) {
 	t.Helper()
-	release, outcome = make(chan struct{}), make(chan [2]any, 1)
+	release, done = make(chan struct{}), make(chan outcome, 1)
 	running := make(chan struct{})
 	go func() {
 		got, joined, gotErr := tab.Do(context.Background(), key, func() (int, error) {
@@ -23,10 +28,10 @@ func leader(t *testing.T, tab *Table[string, int], key string, v int, err error)
 		if joined {
 			t.Error("the first caller was told it joined")
 		}
-		outcome <- [2]any{got, gotErr}
+		done <- outcome{got, gotErr}
 	}()
 	<-running
-	return release, outcome
+	return release, done
 }
 
 // waitingCtx reports on waiting when Do asks for its Done channel, which
@@ -50,7 +55,7 @@ func noCall(t *testing.T) func() (int, error) {
 
 func TestJoinersShareOneCall(t *testing.T) {
 	var tab Table[string, int]
-	release, outcome := leader(t, &tab, "k", 7, nil)
+	release, done := leader(t, &tab, "k", 7, nil)
 
 	var wg sync.WaitGroup
 	waiting := make(chan struct{})
@@ -73,7 +78,7 @@ func TestJoinersShareOneCall(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if got := <-outcome; got[0] != 7 || got[1] != nil {
+	if got := <-done; got != (outcome{7, nil}) {
 		t.Fatalf("leader got %v", got)
 	}
 	// Keep is off: the entry lived only while the call ran.
@@ -84,7 +89,7 @@ func TestJoinersShareOneCall(t *testing.T) {
 
 func TestWaiterCancelLeavesLeaderRunning(t *testing.T) {
 	var tab Table[string, int]
-	release, outcome := leader(t, &tab, "k", 7, nil)
+	release, done := leader(t, &tab, "k", 7, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -92,7 +97,7 @@ func TestWaiterCancelLeavesLeaderRunning(t *testing.T) {
 		t.Fatalf("canceled waiter got joined=%v err=%v", joined, err)
 	}
 	close(release)
-	if got := <-outcome; got[0] != 7 || got[1] != nil {
+	if got := <-done; got != (outcome{7, nil}) {
 		t.Fatalf("leader got %v after a waiter gave up", got)
 	}
 }
@@ -100,7 +105,7 @@ func TestWaiterCancelLeavesLeaderRunning(t *testing.T) {
 func TestFailureForgottenBeforeWaitersWake(t *testing.T) {
 	tab := Table[string, int]{Keep: true}
 	boom := errors.New("boom")
-	release, outcome := leader(t, &tab, "k", 0, boom)
+	release, done := leader(t, &tab, "k", 0, boom)
 
 	retried, waiting := make(chan int, 1), make(chan struct{})
 	go func() {
@@ -117,7 +122,7 @@ func TestFailureForgottenBeforeWaitersWake(t *testing.T) {
 	}()
 	<-waiting
 	close(release)
-	if got := <-outcome; got[1] != boom {
+	if got := <-done; got.err != boom {
 		t.Fatalf("leader got %v", got)
 	}
 	if v := <-retried; v != 9 {

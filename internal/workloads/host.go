@@ -7,12 +7,9 @@ import (
 	"repro/internal/gpu"
 )
 
-// The one shape of a host program. A benchmark file states what is
-// particular to it — seed and inputs, the CPU golden model, the outputs
-// the model predicts and a straight-line body of allocations and
-// launches; what a CUDA/OpenCL host does around those (check every call,
-// pick the vendor's kernel build, list and compare the output buffers) is
-// written here once.
+// The one shape of a host program: a benchmark file states its inputs,
+// golden model, predicted outputs and a straight-line body; the error
+// checks, the vendor's kernel choice and the output comparison are here.
 
 // run is one execution of a program's body on one device. The first
 // error is latched: after it floats, words, alloc and launch do nothing,
