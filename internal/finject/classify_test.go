@@ -58,7 +58,7 @@ func synthBenchmark(name string, prog *sass.Program) *workloads.Benchmark {
 func TestClassifyProducesDUE(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("duebait", dueProg)
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ loop:
 func TestClassifyProducesTimeout(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("hangbait", loopProg)
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestClassifyProducesTimeout(t *testing.T) {
 func TestClassifyMaskedTail(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("duebait", dueProg)
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,9 @@ func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 		if len(ladder) == 0 || ladder[0].Cycle() >= own.g.cycles/2 {
 			t.Fatalf("%s: the foreign ladder has no rung early enough to be restored", chip.Name)
 		}
-		c := Campaign{Chip: chip, Benchmark: vec, Structure: gpu.RegisterFile, Injections: n, Seed: 1, Golden: own}
+		// Unpruned: this test meters the simulate path, and most of these
+		// faults never reach it otherwise.
+		c := Campaign{Chip: chip, Benchmark: vec, Structure: gpu.RegisterFile, Injections: n, Seed: 1, Golden: own, unpruned: true}
 		want, err := Run(c)
 		if err != nil {
 			t.Fatal(err)

@@ -43,38 +43,68 @@ func CheckpointEquivalence(c Campaign) (*Result, error) {
 	return ckptRes, nil
 }
 
-// equalResults compares two campaign results bit for bit, reporting the
-// first divergence precisely enough to debug it.
-func equalResults(full, ckpt *Result) error {
-	if full.Injections != ckpt.Injections {
-		return fmt.Errorf("realized injections differ: full=%d checkpointed=%d", full.Injections, ckpt.Injections)
+// PruneEquivalence is the same proof for fault-site pruning (see
+// liveness.go): it executes the campaign once with every sampled fault
+// simulated and once as campaigns normally run — faults the reference
+// run's liveness map proves dead counted Masked without a simulation —
+// with detail recording forced on, and fails unless the two are
+// bit-identical by the same comparison. It returns the pruned run's
+// result.
+func PruneEquivalence(c Campaign) (*Result, error) {
+	c.Detail = true
+
+	all := c
+	all.unpruned = true
+	allRes, err := Run(all)
+	if err != nil {
+		return nil, fmt.Errorf("finject: unpruned run: %w", err)
 	}
-	if full.Outcomes != ckpt.Outcomes {
-		return fmt.Errorf("outcome counts differ: full=%v checkpointed=%v", full.Outcomes, ckpt.Outcomes)
+
+	c.unpruned = false
+	res, err := Run(c)
+	if err != nil {
+		return nil, fmt.Errorf("finject: pruned run: %w", err)
 	}
-	if full.GoldenStats != ckpt.GoldenStats {
-		return fmt.Errorf("golden stats differ: full=%+v checkpointed=%+v", full.GoldenStats, ckpt.GoldenStats)
+
+	if err := equalResults(allRes, res); err != nil {
+		return nil, fmt.Errorf("finject: pruned run diverges from the simulated one for %s/%s/%s seed=%d: %w",
+			c.Chip.Name, c.Benchmark.Name, c.Structure, c.Seed, err)
 	}
-	if full.Occupancy != ckpt.Occupancy {
-		return fmt.Errorf("occupancy differs: full=%v checkpointed=%v", full.Occupancy, ckpt.Occupancy)
+	return res, nil
+}
+
+// equalResults compares a campaign result with its reference bit for
+// bit, reporting the first divergence precisely enough to debug it.
+func equalResults(ref, got *Result) error {
+	if ref.Injections != got.Injections {
+		return fmt.Errorf("realized injections differ: reference=%d got=%d", ref.Injections, got.Injections)
 	}
-	for i := range full.Records {
-		if full.Records[i] != ckpt.Records[i] {
-			return fmt.Errorf("injection #%d differs: full=%+v checkpointed=%+v", i, full.Records[i], ckpt.Records[i])
+	if ref.Outcomes != got.Outcomes {
+		return fmt.Errorf("outcome counts differ: reference=%v got=%v", ref.Outcomes, got.Outcomes)
+	}
+	if ref.GoldenStats != got.GoldenStats {
+		return fmt.Errorf("golden stats differ: reference=%+v got=%+v", ref.GoldenStats, got.GoldenStats)
+	}
+	if ref.Occupancy != got.Occupancy {
+		return fmt.Errorf("occupancy differs: reference=%v got=%v", ref.Occupancy, got.Occupancy)
+	}
+	for i := range ref.Records {
+		if ref.Records[i] != got.Records[i] {
+			return fmt.Errorf("injection #%d differs: reference=%+v got=%+v", i, ref.Records[i], got.Records[i])
 		}
 	}
 	// Belt and braces: the serialized forms must match byte for byte,
 	// catching any future Result field the comparisons above miss.
-	fb, err := json.Marshal(full)
+	fb, err := json.Marshal(ref)
 	if err != nil {
 		return err
 	}
-	cb, err := json.Marshal(ckpt)
+	cb, err := json.Marshal(got)
 	if err != nil {
 		return err
 	}
 	if !reflect.DeepEqual(fb, cb) {
-		return fmt.Errorf("serialized results differ:\nfull:         %s\ncheckpointed: %s", fb, cb)
+		return fmt.Errorf("serialized results differ:\nreference: %s\ngot:       %s", fb, cb)
 	}
 	return nil
 }

@@ -2,9 +2,11 @@
 // the core of what GUFI (NVIDIA/GPGPU-Sim) and SIFI (AMD/Multi2Sim) do in
 // the paper. A campaign samples N single-bit faults uniformly over the
 // (bit, cycle) population of one hardware structure of one chip running
-// one benchmark, executes each fault in a fresh simulation, classifies
-// the outcome against the golden run (Masked / SDC / DUE / Timeout), and
-// reports the AVF with its confidence interval.
+// one benchmark, executes each fault in a fresh simulation — unless the
+// golden run proves nothing reads the flipped entry before it is
+// rewritten (liveness.go) — classifies the outcome against the golden
+// run (Masked / SDC / DUE / Timeout), and reports the AVF with its
+// confidence interval.
 //
 // Campaigns are deterministic: fault #i is derived from (Seed, i) only,
 // so results are independent of the worker count and the scheduling
@@ -152,7 +154,29 @@ type Campaign struct {
 	// Sharing one Golden across the campaigns of all structures of a
 	// (chip, benchmark) pair removes the redundant reference simulations.
 	Golden *Golden
+
+	// unpruned simulates every sampled fault, also those the reference
+	// run's liveness map proves Masked (see liveness.go) — the reference
+	// side of PruneEquivalence, and what tests that meter the simulate
+	// path run.
+	unpruned bool
 }
+
+// auditEvery is the audit of fault-site pruning: of the sampled faults the
+// liveness map proves dead, those whose injection index is a multiple of
+// auditEvery are simulated all the same, and a campaign in which one of
+// them does not come out Masked fails instead of reporting an AVF built on
+// a broken map (an access path that reports nothing to the tracer, a stamp
+// off by one). Selection is by injection index, never by worker or timing,
+// so the simulated cycles of a campaign repeat exactly at a fixed seed.
+//
+// One in three is far more than the check needs and is sized by the
+// repository's benchmark instead: its inject_deep gate compares the spread
+// of cells_per_s between runs with a quarter of the parent commit's median
+// as an absolute bound, which no campaign of a few milliseconds can meet
+// (DESIGN.md "Fault-site pruning", the audit). Raise it when inject_deep
+// has been resized.
+const auditEvery = 3
 
 // Record is one injection's detailed result (Campaign.Detail).
 type Record struct {
@@ -236,7 +260,7 @@ func NewGolden(chip *chips.Chip, bench *workloads.Benchmark) (*Golden, error) {
 	if chip == nil || bench == nil {
 		return nil, errors.New("finject: golden run needs a chip and a benchmark")
 	}
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +295,7 @@ func (g *Golden) ladderFor(cfg Checkpoint) ([]gpu.Snapshot, error) {
 		return g.g.ladder, nil
 	}
 	snaps, _, err := g.ladders.Do(context.Background(), cfg.Interval, func() ([]gpu.Snapshot, error) {
-		run, err := runGolden(g.chipRef, g.benchRef, cfg)
+		run, err := runGolden(g.chipRef, g.benchRef, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -293,21 +317,24 @@ func (g *Golden) Cycles() int64 { return g.g.cycles }
 func (g *Golden) Stats() gpu.RunStats { return g.g.stats }
 
 // golden holds the reference run against which outcomes are classified,
-// plus the checkpoint ladder captured during that run.
+// plus the checkpoint ladder and the liveness map captured during that
+// run.
 type golden struct {
 	outputs []gpu.Region
 	bytes   [][]byte
 	cycles  int64
 	stats   gpu.RunStats
 	ladder  []gpu.Snapshot
+	live    *liveMap
 	// staleRung limits the warning about a ladder that restores but does
 	// not resume (see classify) to one per reference run.
 	staleRung sync.Once
 }
 
 // runGolden executes the fault-free reference run, capturing the
-// checkpoint ladder along the way unless ckpt.Off.
-func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint) (*golden, error) {
+// checkpoint ladder along the way unless ckpt.Off and, with live set,
+// the liveness map (a run made only for another ladder needs none).
+func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.New(chip)
 	if err != nil {
@@ -326,11 +353,20 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint) (*
 		lb = newLadderBuilder(ckpt)
 		lb.arm(d)
 	}
+	var rec *liveRecorder
+	if live {
+		rec = newLiveRecorder(chip)
+		d.SetTracer(rec)
+	}
 	if err := hp.Run(d); err != nil {
 		return nil, fmt.Errorf("finject: golden run of %s on %s failed: %w", bench.Name, chip.Name, err)
 	}
 	d.SetCheckpointHook(0, nil)
+	d.SetTracer(nil)
 	g := &golden{outputs: hp.Outputs(), stats: d.Stats()}
+	if rec != nil {
+		g.live = rec.liveMap()
+	}
 	if haveLoaded {
 		g.ladder = loaded
 	} else if lb != nil {
@@ -575,7 +611,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			return nil, fmt.Errorf("finject: campaign canceled before the reference run: %w", err)
 		}
 		var err error
-		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Checkpoint)
+		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Checkpoint, !c.unpruned)
 		if err != nil {
 			return nil, err
 		}
@@ -592,15 +628,9 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	}
 	baseRNG := stats.NewRNG(c.Seed)
 
+	// A worker takes its device replica from the pool on its first fault
+	// that is simulated (see runRound).
 	pool := make([]*injector, workers)
-	for i := range pool {
-		in, err := acquireReplica(c)
-		if err != nil {
-			releaseReplicas(c, pool[:i])
-			return nil, err
-		}
-		pool[i] = in
-	}
 	defer releaseReplicas(c, pool)
 
 	done := 0
@@ -616,8 +646,11 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			}
 		}
 		endSpan := telemetry.StartSpan(ctx, "injection_round")
-		ran := runRound(ctx, c, pool, g, ladder, watchdog, baseRNG, done, end, res)
+		ran, err := runRound(ctx, c, pool, g, ladder, watchdog, baseRNG, done, end, res)
 		endSpan()
+		if err != nil {
+			return nil, err
+		}
 		telemetry.InjectRounds.Inc()
 		done += ran
 		if done < end {
@@ -652,30 +685,39 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 // reports how many completed. Indices are handed out through an atomic
 // counter and every handed-out index is classified, so on cancellation
 // the completed injections are exactly the contiguous prefix
-// [start, start+ran).
-func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladder []gpu.Snapshot, watchdog int64, rng *stats.RNG, start, end int, res *Result) int {
+// [start, start+ran). A sampled fault the liveness map proves dead is
+// Masked on the spot, unless the audit picks it (auditEvery); live and
+// audited faults reach classify, on a replica the worker acquires with
+// its first one. The first acquisition error or audit failure ends the
+// round and is returned.
+func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladder []gpu.Snapshot, watchdog int64, rng *stats.RNG, start, end int, res *Result) (int, error) {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
 	var (
 		next atomic.Int64
 		mu   sync.Mutex
 		wg   sync.WaitGroup
 		ran  int
+		fail error
 	)
 	next.Store(int64(start))
-	for _, in := range pool {
+	for w := range pool {
 		wg.Add(1)
-		go func(in *injector) {
+		go func(w int) {
 			defer wg.Done()
 			// Telemetry accumulates in worker-locals and flushes once per
 			// round, so the per-injection hot loop costs no atomics.
 			var (
 				local    [gpu.NumOutcomes]int
 				count    int
+				pruned   int64
 				restores int64
 				replays  int64
 				ffCyc    int64
 				simCyc   int64
 				pgCopied int64
 				pgShared int64
+				err      error
 			)
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
@@ -683,23 +725,42 @@ func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladd
 					break
 				}
 				f := sampleFault(rng, c, g.cycles, uint64(i))
-				o, corrupt, cost := classify(in.d, in.hp, g, ladder, f, watchdog)
+				o, corrupt := gpu.OutcomeMasked, 0
+				dead := !c.unpruned && g.live.dead(f)
+				if dead && i%auditEvery != 0 {
+					pruned++
+				} else {
+					if pool[w] == nil {
+						if pool[w], err = acquireReplica(c); err != nil {
+							stop()
+							break
+						}
+					}
+					var cost classifyCost
+					o, corrupt, cost = classify(pool[w].d, pool[w].hp, g, ladder, f, watchdog)
+					if dead && o != gpu.OutcomeMasked {
+						err = fmt.Errorf("finject: audit: injection #%d %v is dead by the liveness map and %v when simulated", i, f, o)
+						stop()
+						break
+					}
+					if cost.restored {
+						restores++
+					} else {
+						replays++
+					}
+					ffCyc += cost.ffCycles
+					simCyc += cost.simCycles
+					pgCopied += cost.pagesCopied
+					pgShared += cost.pagesShared
+				}
 				local[o]++
 				count++
-				if cost.restored {
-					restores++
-				} else {
-					replays++
-				}
-				ffCyc += cost.ffCycles
-				simCyc += cost.simCycles
-				pgCopied += cost.pagesCopied
-				pgShared += cost.pagesShared
 				if res.Records != nil {
 					res.Records[i] = Record{Fault: f, Outcome: o, CorruptBytes: corrupt}
 				}
 			}
 			telemetry.Injections.Add(int64(count))
+			telemetry.InjectPruned.Add(pruned)
 			telemetry.CkptRestores.Add(restores)
 			telemetry.FullReplays.Add(replays)
 			telemetry.FastForwardCycles.Add(ffCyc)
@@ -711,9 +772,12 @@ func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladd
 				res.Outcomes[o] += cnt
 			}
 			ran += count
+			if fail == nil {
+				fail = err
+			}
 			mu.Unlock()
-		}(in)
+		}(w)
 	}
 	wg.Wait()
-	return ran
+	return ran, fail
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"reflect"
 	"testing"
 
 	"repro/internal/chips"
@@ -72,5 +73,51 @@ func TestTelemetryInertRecordStream(t *testing.T) {
 
 	if !bytes.Equal(off, on) {
 		t.Fatalf("record stream differs with telemetry on:\noff: %s\non:  %s", off, on)
+	}
+}
+
+// TestLiveRecorderInert: the liveness recorder is an observer of the
+// reference run like any other. On both vendors the run it is attached
+// to must be the run without it — statistics, output bytes and ladder —
+// and a campaign's results must be byte-identical whether its reference
+// run carried the recorder or not.
+func TestLiveRecorderInert(t *testing.T) {
+	bench, err := workloads.ByName("reduction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
+		plain, err := runGolden(chip, bench, Checkpoint{Interval: 512}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, err := runGolden(chip, bench, Checkpoint{Interval: 512}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.live != nil || traced.live == nil {
+			t.Fatalf("%s: liveness map present=%v without the recorder, %v with it", chip.Name, plain.live != nil, traced.live != nil)
+		}
+		if plain.stats != traced.stats || plain.cycles != traced.cycles {
+			t.Errorf("%s: statistics differ under the recorder: %+v vs %+v", chip.Name, plain.stats, traced.stats)
+		}
+		if !reflect.DeepEqual(plain.bytes, traced.bytes) || !reflect.DeepEqual(plain.outputs, traced.outputs) {
+			t.Errorf("%s: outputs differ under the recorder", chip.Name)
+		}
+		if len(plain.ladder) == 0 || len(plain.ladder) != len(traced.ladder) {
+			t.Fatalf("%s: ladders of %d and %d rungs", chip.Name, len(plain.ladder), len(traced.ladder))
+		}
+		for i := range plain.ladder {
+			if plain.ladder[i].Cycle() != traced.ladder[i].Cycle() || plain.ladder[i].SizeBytes() != traced.ladder[i].SizeBytes() {
+				t.Errorf("%s: rung %d differs under the recorder", chip.Name, i)
+			}
+		}
+		// No Golden supplied: the unpruned run makes its reference run
+		// without the recorder, the pruned run with it.
+		if _, err := PruneEquivalence(Campaign{
+			Chip: chip, Benchmark: bench, Structure: gpu.LocalMemory, Injections: 40, Seed: 9,
+		}); err != nil {
+			t.Error(err)
+		}
 	}
 }

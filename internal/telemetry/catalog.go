@@ -42,7 +42,9 @@ var (
 
 	// Injection engine (internal/finject).
 	Injections = Default.Counter("fi_inject_injections_total",
-		"Fault injections simulated and classified.")
+		"Fault injections classified: simulated, or pruned as provably Masked.")
+	InjectPruned = Default.Counter("fi_inject_pruned_total",
+		"Injections classified Masked from the golden run's liveness map, without a simulation.")
 	InjectRounds = Default.Counter("fi_inject_rounds_total",
 		"Adaptive campaign rounds executed.")
 	InjectEarlyStops = Default.Counter("fi_inject_early_stops_total",

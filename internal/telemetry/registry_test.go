@@ -124,6 +124,7 @@ func TestExpositionValidatesAndExposesCatalog(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"fi_sched_cell_runs_total", "fi_lease_queue_depth", "fi_inject_injections_total",
+		"fi_inject_pruned_total",
 		"fi_store_disk_puts_total", "fi_http_request_seconds",
 	} {
 		if !strings.Contains(sb.String(), "# TYPE "+fam+" ") {
