@@ -11,31 +11,15 @@ import (
 // aborts the launch and is classified as a DUE by the fault-injection
 // engine, mirroring how GPGPU-Sim/Multi2Sim abort on wild accesses.
 //
-// Snapshots are copy-on-write at page granularity: src tracks, per page,
-// the immutable image page the live data is currently byte-identical to
-// (nil = the page has been written since it was last captured or
-// restored). Image shares clean pages with the capturing image instead
-// of copying them, and SetImage skips pages whose identity already
-// matches the image being restored — so a restore to a nearby ladder
-// rung touches only the pages the run actually dirtied.
+// Snapshots are copy-on-write at page granularity (see Pages): Image
+// shares clean pages with the capturing image instead of copying them,
+// and SetImage skips pages whose identity already matches the image
+// being restored — so a restore to a nearby ladder rung touches only the
+// pages the run actually dirtied.
 type Memory struct {
-	data []byte
-	brk  uint32 // bump-allocation watermark
-	hwm  uint32 // high-water mark since last Reset (for cheap zeroing)
-
-	// src[p] is the immutable page data[p<<pageShift:] is identical to,
-	// or nil when the page is dirty. Invariant: src[p] != nil implies the
-	// live page and src[p] hold the same bytes (the live tail past
-	// len(data) in the final page is treated as zero).
-	src [][]byte
-
-	// arena bump-allocates image pages in chunks to keep capture from
-	// hitting the allocator once per page.
-	arena []byte
-
-	// Cumulative SetImage page accounting (see RestorePageStats).
-	pagesCopied int64
-	pagesShared int64
+	pg  Pages[byte]
+	brk uint32 // bump-allocation watermark
+	hwm uint32 // high-water mark since last Reset (for cheap zeroing)
 
 	// Replay mode (between Snapshot restore and fast-forward resume):
 	// the host program re-executes allocations and uploads whose effects
@@ -49,76 +33,11 @@ type Memory struct {
 // memAlign is the allocation alignment in bytes.
 const memAlign = 256
 
-const (
-	pageShift = 12
-	pageSize  = 1 << pageShift // 4 KiB COW granularity
-	arenaPgs  = 64             // pages per arena chunk (256 KiB)
-)
-
-// PageSize is the COW page granularity in bytes — also the unit of
-// content-addressed page storage in the binary wire format
-// (internal/wire), which must agree with the snapshot machinery here.
-const PageSize = pageSize
-
-// zeroPage is the canonical identity of an all-zero page. Never written.
-var zeroPage = make([]byte, pageSize)
-
-// ZeroPage returns the canonical all-zero page. Decoders substitute it
-// for all-zero pages so restores keep their identity-match fast path
-// (a freshly Reset memory holds zeroPage identities). Callers must
-// never write through it.
-func ZeroPage() []byte { return zeroPage }
-
 // NewMemory creates a device memory of the given size in bytes.
-func NewMemory(size int) *Memory {
-	m := &Memory{data: make([]byte, size)}
-	m.src = make([][]byte, pagesFor(uint32(size)))
-	for p := range m.src {
-		m.src[p] = zeroPage
-	}
-	return m
-}
-
-// pagesFor returns the number of pages covering the first n bytes.
-func pagesFor(n uint32) int { return int((uint64(n) + pageSize - 1) >> pageShift) }
+func NewMemory(size int) *Memory { return &Memory{pg: NewPages(size, new(PageArena[byte]))} }
 
 // Size returns the memory capacity in bytes.
-func (m *Memory) Size() int { return len(m.data) }
-
-// dirty invalidates the page identities covering [addr, addr+size).
-// Callers bounds-check first.
-func (m *Memory) dirty(addr uint32, size int) {
-	first := int(addr >> pageShift)
-	last := int((uint64(addr) + uint64(size) - 1) >> pageShift)
-	for p := first; p <= last; p++ {
-		m.src[p] = nil
-	}
-}
-
-// samePage reports whether a and b are the same underlying page.
-func samePage(a, b []byte) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
-
-// newArenaPage returns a fresh zeroed page from the bump arena.
-func (m *Memory) newArenaPage() []byte {
-	if len(m.arena) < pageSize {
-		m.arena = make([]byte, arenaPgs*pageSize)
-	}
-	pg := m.arena[:pageSize:pageSize]
-	m.arena = m.arena[pageSize:]
-	return pg
-}
-
-// pageBounds returns the live-data range [lo, hi) of page p.
-func (m *Memory) pageBounds(p int) (lo, hi int) {
-	lo = p << pageShift
-	hi = lo + pageSize
-	if hi > len(m.data) {
-		hi = len(m.data)
-	}
-	return lo, hi
-}
+func (m *Memory) Size() int { return len(m.pg.data) }
 
 // Alloc reserves size bytes and returns the device address. Address 0 is
 // never returned (the first allocation starts at memAlign) so that 0 can
@@ -136,8 +55,8 @@ func (m *Memory) Alloc(size int) (uint32, error) {
 		}
 		addr := m.rbrk
 		sz := (uint32(size) + memAlign - 1) &^ (memAlign - 1)
-		if uint64(addr)+uint64(sz) > uint64(len(m.data)) {
-			return 0, fmt.Errorf("gpu: out of device memory (want %d bytes at %#x, capacity %d)", size, addr, len(m.data))
+		if uint64(addr)+uint64(sz) > uint64(len(m.pg.data)) {
+			return 0, fmt.Errorf("gpu: out of device memory (want %d bytes at %#x, capacity %d)", size, addr, len(m.pg.data))
 		}
 		m.rbrk = addr + sz
 		return addr, nil
@@ -147,8 +66,8 @@ func (m *Memory) Alloc(size int) (uint32, error) {
 	}
 	addr := m.brk
 	sz := (uint32(size) + memAlign - 1) &^ (memAlign - 1)
-	if uint64(addr)+uint64(sz) > uint64(len(m.data)) {
-		return 0, fmt.Errorf("gpu: out of device memory (want %d bytes at %#x, capacity %d)", size, addr, len(m.data))
+	if uint64(addr)+uint64(sz) > uint64(len(m.pg.data)) {
+		return 0, fmt.Errorf("gpu: out of device memory (want %d bytes at %#x, capacity %d)", size, addr, len(m.pg.data))
 	}
 	m.brk = addr + sz
 	if m.brk > m.hwm {
@@ -196,7 +115,7 @@ func (img *MemImage) Watermarks() (brk, hwm uint32) { return img.brk, img.hwm }
 // The image owns none of the pages, so its SizeBytes is zero: mapped
 // storage is not heap cost.
 func NewMappedImage(pages [][]byte, brk, hwm uint32) (*MemImage, error) {
-	if got, want := len(pages), pagesFor(hwm); got != want {
+	if got, want := len(pages), (int(hwm)+pageSize-1)/pageSize; got != want {
 		return nil, fmt.Errorf("gpu: mapped image has %d pages, extent %d needs %d", got, hwm, want)
 	}
 	for p, pg := range pages {
@@ -212,24 +131,8 @@ func NewMappedImage(pages [][]byte, brk, hwm uint32) (*MemImage, error) {
 // the image that already holds them; dirty pages are copied into arena
 // storage and become the new identity of the live page.
 func (m *Memory) Image() *MemImage {
-	np := pagesFor(m.hwm)
-	img := &MemImage{
-		pages: make([][]byte, np),
-		brk:   m.brk,
-		hwm:   m.hwm,
-	}
-	for p := 0; p < np; p++ {
-		if pg := m.src[p]; pg != nil {
-			img.pages[p] = pg
-			continue
-		}
-		pg := m.newArenaPage()
-		lo, hi := m.pageBounds(p)
-		copy(pg, m.data[lo:hi])
-		img.pages[p] = pg
-		m.src[p] = pg
-		img.owned++
-	}
+	img := &MemImage{brk: m.brk, hwm: m.hwm}
+	img.pages, img.owned = m.pg.Capture(m.pg.PagesFor(int(m.hwm)))
 	return img
 }
 
@@ -240,32 +143,14 @@ func (m *Memory) Image() *MemImage {
 // identity already matches the image are skipped, so restoring to a
 // nearby rung costs only the pages that differ.
 func (m *Memory) SetImage(img *MemImage) error {
-	if int(img.hwm) > len(m.data) {
-		return fmt.Errorf("gpu: memory image extent %d exceeds capacity %d", img.hwm, len(m.data))
+	if int(img.hwm) > len(m.pg.data) {
+		return fmt.Errorf("gpu: memory image extent %d exceeds capacity %d", img.hwm, len(m.pg.data))
 	}
-	np := len(img.pages)
-	for p := 0; p < np; p++ {
-		pg := img.pages[p]
-		if samePage(m.src[p], pg) {
-			m.pagesShared++
-			continue
-		}
-		lo, hi := m.pageBounds(p)
-		copy(m.data[lo:hi], pg)
-		m.src[p] = pg
-		m.pagesCopied++
-	}
+	m.pg.Restore(img.pages)
 	// Pages the current state touched beyond the image's extent go back
 	// to zero (image pages contain zeros past img.hwm by construction,
 	// so only whole pages above the image's last page need clearing).
-	for p, hp := np, pagesFor(m.hwm); p < hp; p++ {
-		if samePage(m.src[p], zeroPage) {
-			continue
-		}
-		lo, hi := m.pageBounds(p)
-		clear(m.data[lo:hi])
-		m.src[p] = zeroPage
-	}
+	m.pg.Zero(len(img.pages), m.pg.PagesFor(int(m.hwm)))
 	m.brk = img.brk
 	m.hwm = img.hwm
 	m.replay = true
@@ -277,9 +162,7 @@ func (m *Memory) SetImage(img *MemImage) error {
 // copied versus skipped via identity match since construction. The
 // fault-injection engine reads deltas around each restore for cost
 // accounting.
-func (m *Memory) RestorePageStats() (copied, shared int64) {
-	return m.pagesCopied, m.pagesShared
-}
+func (m *Memory) RestorePageStats() (copied, shared int64) { return m.pg.RestoreStats() }
 
 // EndReplay leaves replay mode: subsequent allocations and stores apply
 // to the restored state for real.
@@ -293,14 +176,7 @@ func (m *Memory) EndReplay() {
 // which keeps per-injection reset cost proportional to the pages the
 // workload actually wrote.
 func (m *Memory) Reset() {
-	for p, hp := 0, pagesFor(m.hwm); p < hp; p++ {
-		if samePage(m.src[p], zeroPage) {
-			continue
-		}
-		lo, hi := m.pageBounds(p)
-		clear(m.data[lo:hi])
-		m.src[p] = zeroPage
-	}
+	m.pg.Zero(0, m.pg.PagesFor(int(m.hwm)))
 	m.brk = 0
 	m.hwm = 0
 	m.replay = false
@@ -309,8 +185,8 @@ func (m *Memory) Reset() {
 
 // check validates an access of size bytes at addr.
 func (m *Memory) check(addr uint32, size int) error {
-	if uint64(addr)+uint64(size) > uint64(len(m.data)) {
-		return fmt.Errorf("gpu: invalid memory access addr=%#x size=%d capacity=%d", addr, size, len(m.data))
+	if uint64(addr)+uint64(size) > uint64(len(m.pg.data)) {
+		return fmt.Errorf("gpu: invalid memory access addr=%#x size=%d capacity=%d", addr, size, len(m.pg.data))
 	}
 	return nil
 }
@@ -320,7 +196,7 @@ func (m *Memory) Load32(addr uint32) (uint32, error) {
 	if err := m.check(addr, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(m.data[addr:]), nil
+	return binary.LittleEndian.Uint32(m.pg.data[addr:]), nil
 }
 
 // Store32 writes a 32-bit word. Stores beyond the allocator watermark
@@ -334,8 +210,8 @@ func (m *Memory) Store32(addr uint32, v uint32) error {
 	if m.replay {
 		return nil
 	}
-	m.dirty(addr, 4)
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
+	m.pg.Dirty(int(addr), 4)
+	binary.LittleEndian.PutUint32(m.pg.data[addr:], v)
 	if end := addr + 4; end > m.hwm {
 		m.hwm = end
 	}
@@ -364,9 +240,9 @@ func (m *Memory) WriteWords(addr uint32, words []uint32) error {
 	if len(words) == 0 {
 		return nil
 	}
-	m.dirty(addr, 4*len(words))
+	m.pg.Dirty(int(addr), 4*len(words))
 	for i, w := range words {
-		binary.LittleEndian.PutUint32(m.data[addr+uint32(4*i):], w)
+		binary.LittleEndian.PutUint32(m.pg.data[addr+uint32(4*i):], w)
 	}
 	if end := addr + uint32(4*len(words)); end > m.hwm {
 		m.hwm = end
@@ -381,7 +257,7 @@ func (m *Memory) ReadWords(addr uint32, n int) ([]uint32, error) {
 	}
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(m.data[addr+uint32(4*i):])
+		out[i] = binary.LittleEndian.Uint32(m.pg.data[addr+uint32(4*i):])
 	}
 	return out, nil
 }
@@ -397,9 +273,9 @@ func (m *Memory) WriteFloats(addr uint32, vals []float32) error {
 	if len(vals) == 0 {
 		return nil
 	}
-	m.dirty(addr, 4*len(vals))
+	m.pg.Dirty(int(addr), 4*len(vals))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(m.data[addr+uint32(4*i):], math.Float32bits(v))
+		binary.LittleEndian.PutUint32(m.pg.data[addr+uint32(4*i):], math.Float32bits(v))
 	}
 	if end := addr + uint32(4*len(vals)); end > m.hwm {
 		m.hwm = end
@@ -426,7 +302,7 @@ func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, size)
-	copy(out, m.data[addr:])
+	copy(out, m.pg.data[addr:])
 	return out, nil
 }
 

@@ -70,6 +70,9 @@ type Unit[W any] struct {
 	// / LDS. ISA code indexes both directly on the per-lane path.
 	Regs  []uint32
 	Local []byte
+	// unitStore owns the two arrays and what is known about their pages
+	// (see its comment for who tells it about writes).
+	unitStore
 
 	blocks   []*Block[W] // indexed by slot; nil = free
 	rr       int         // round-robin issue pointer
@@ -86,6 +89,91 @@ type Unit[W any] struct {
 	// every field is rewritten on reuse.
 	free []*Block[W]
 }
+
+// unitStore is a unit's fault-target storage on copy-on-write pages
+// (gpu.Pages, the scheme of device memory): Unit.Regs and Unit.Local are
+// the Data() of the two. The per-lane accessors of the ISAs write those
+// arrays and report nothing here, so the machine drops a page's identity
+// instead, for every page a write could reach before the next capture,
+// restore or reset:
+//
+//   - dispatch drops the pages under a block's windows before InitWave,
+//     and image and setImage leave the pages under every resident block
+//     without an identity, because a resident block keeps writing;
+//   - applyFault drops the page it flips an entry in.
+//
+// That is complete on two premises. Every write of the arrays is one of
+// the named accessors or the fault (TestStorageAccessIsTraced), and an
+// accessor stays inside the windows of the block its wave belongs to, in
+// faulty runs too: register numbers are fields of the instruction and
+// local addresses are bounds-checked against the block's LocalCount
+// (TestStoresStayInsideTheBlock; the package's tests also compare every
+// capture and every restore against a flat copy, pagecheck_test.go).
+type unitStore struct {
+	regPages   gpu.Pages[uint32]
+	localPages gpu.Pages[byte]
+}
+
+// unitImage is the immutable paged image of a unitStore; owned counts
+// the pages it does not share with an older image.
+type unitImage struct {
+	regs  [][]uint32
+	local [][]byte
+	owned int
+}
+
+// written drops the identity of every page under the block's windows.
+func (s *unitStore) written(b *BlockState) {
+	if b.RegCount > 0 {
+		s.regPages.Dirty(b.RegBase, b.RegCount)
+	}
+	if b.LocalCount > 0 {
+		s.localPages.Dirty(b.LocalBase, b.LocalCount)
+	}
+}
+
+// image captures both arrays: pages that have an identity are shared
+// with the image that already holds them, the others copied.
+func (s *unitStore) image(unit int) unitImage {
+	var img unitImage
+	var nr, nl int
+	img.regs, nr = s.regPages.Capture(s.regPages.NumPages())
+	img.local, nl = s.localPages.Capture(s.localPages.NumPages())
+	img.owned = nr + nl
+	if pageCheck != nil {
+		pageCheck("capture", unit, s, &img)
+	}
+	return img
+}
+
+// setImage makes both arrays equal to img, copying only the pages whose
+// identity is not already the image's.
+func (s *unitStore) setImage(unit int, img *unitImage) {
+	s.regPages.Restore(img.regs)
+	s.localPages.Restore(img.local)
+	if pageCheck != nil {
+		pageCheck("restore", unit, s, img)
+	}
+}
+
+// zero returns both arrays to power-on state, clearing only the pages
+// that are not already the zero page.
+func (s *unitStore) zero() {
+	s.regPages.Zero(0, s.regPages.NumPages())
+	s.localPages.Zero(0, s.localPages.NumPages())
+}
+
+// restoreStats sums the two arrays' gpu.Pages.RestoreStats.
+func (s *unitStore) restoreStats() (copied, shared int64) {
+	rc, rs := s.regPages.RestoreStats()
+	lc, ls := s.localPages.RestoreStats()
+	return rc + lc, rs + ls
+}
+
+// pageCheck is nil outside this package's tests, which set it before any
+// of them runs (pagecheck_test.go) to compare every capture and restore
+// of a unit's pages against the flat arrays.
+var pageCheck func(event string, unit int, s *unitStore, img *unitImage)
 
 // BlockState is the plain-data state of one resident workgroup; the live
 // block and its snapshot copy both hold it.
@@ -211,12 +299,14 @@ func New[W any](chip *chips.Chip, isa ISA[W]) (*Device[W], error) {
 		watchdog: defaultWatchdog,
 	}
 	d.units = make([]*Unit[W], chip.Units)
+	words, bytes := new(gpu.PageArena[uint32]), new(gpu.PageArena[byte])
 	for i := range d.units {
-		d.units[i] = &Unit[W]{
-			ID:    i,
-			Regs:  make([]uint32, chip.RegsPerUnit),
-			Local: make([]byte, chip.LocalBytesPerUnit),
-		}
+		u := &Unit[W]{ID: i, unitStore: unitStore{
+			regPages:   gpu.NewPages(chip.RegsPerUnit, words),
+			localPages: gpu.NewPages(chip.LocalBytesPerUnit, bytes),
+		}}
+		u.Regs, u.Local = u.regPages.Data(), u.localPages.Data()
+		d.units[i] = u
 	}
 	return d, nil
 }
@@ -237,8 +327,16 @@ func (d *Device[W]) Stats() gpu.RunStats { return d.stats }
 func (d *Device[W]) Units() int { return d.Chip.Units }
 
 // RestorePageStats implements gpu.RestoreCoster: cumulative COW page
-// copy/skip counts from snapshot restores into this device's memory.
-func (d *Device[W]) RestorePageStats() (copied, shared int64) { return d.mem.RestorePageStats() }
+// copy/skip counts from snapshot restores into this device's memory,
+// register files and local memories.
+func (d *Device[W]) RestorePageStats() (copied, shared int64) {
+	copied, shared = d.mem.RestorePageStats()
+	for _, u := range d.units {
+		c, s := u.restoreStats()
+		copied, shared = copied+c, shared+s
+	}
+	return copied, shared
+}
 
 // StructSize implements gpu.Device.
 func (d *Device[W]) StructSize(st gpu.Structure) int { return d.Chip.StructSize(st) }
@@ -271,8 +369,7 @@ func (d *Device[W]) SetWatchdog(maxCycles int64) {
 func (d *Device[W]) Reset() {
 	d.mem.Reset()
 	for _, u := range d.units {
-		clear(u.Regs)
-		clear(u.Local)
+		u.zero()
 		u.resetSlots(0)
 	}
 	d.stats = gpu.RunStats{}
@@ -461,6 +558,7 @@ func (d *Device[W]) dispatch(u *Unit[W], slot, blockID int, lc *LaunchCtx) {
 		LocalBase: slot * lc.localPerBlock, LocalCount: lc.localPerBlock,
 		live: lc.WavesPerBlock, allocCycle: d.Cycle,
 	}
+	u.written(&blk.BlockState)
 	// The allocation is reported before InitWave runs: an ISA may preload
 	// registers there (amdsim writes the work-item id into v0/v1), and a
 	// traced write must land inside its allocation bracket.
@@ -530,10 +628,12 @@ func (d *Device[W]) applyFault() {
 	case gpu.RegisterFile:
 		if f.Entry >= 0 && f.Entry < len(u.Regs) {
 			u.Regs[f.Entry] ^= f.Mask(32)
+			u.regPages.Dirty(f.Entry, 1)
 		}
 	case gpu.LocalMemory:
 		if f.Entry >= 0 && f.Entry < len(u.Local) {
 			u.Local[f.Entry] ^= byte(f.Mask(8))
+			u.localPages.Dirty(f.Entry, 1)
 		}
 	}
 }

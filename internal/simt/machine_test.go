@@ -5,11 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/chips"
 	"repro/internal/gpu"
+	"repro/internal/simt"
 	"repro/internal/wire"
 )
 
@@ -106,35 +108,65 @@ func TestGTOWakeUp(t *testing.T) {
 	})
 }
 
+// pinOne launches one group of the pin kernel — every unit but the first
+// stays idle — and returns the output bytes.
+func (v vendor) pinOne(t *testing.T, d gpu.Device, k gpu.Kernel) []byte {
+	t.Helper()
+	n := v.pinGroup
+	in, _ := d.Mem().AllocWords(make([]uint32, n))
+	out, _ := d.Mem().Alloc(4 * n)
+	if err := d.Launch(gpu.LaunchSpec{Kernel: k, Grid: gpu.D1(1), Group: gpu.D1(n),
+		Args: []uint32{in, out, uint32(n)}}); err != nil {
+		t.Fatal(err)
+	}
+	bs, err := d.Mem().ReadBytes(out, 4*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
+// unallocatedFaults flip entries no block of a one-group launch owns, or
+// that do not exist.
+var unallocatedFaults = []gpu.Fault{
+	{Structure: gpu.RegisterFile, Unit: 1, Entry: 100, Bit: 15, Cycle: 50},
+	{Structure: gpu.LocalMemory, Unit: 1, Entry: 100, Bit: 3, Cycle: 50},
+	{Structure: gpu.RegisterFile, Unit: 99, Entry: 0, Cycle: 50},
+	{Structure: gpu.RegisterFile, Unit: 0, Entry: 1 << 30, Cycle: 50},
+}
+
+// TestFaultInUnallocatedSpaceIsMasked: a flip outside every allocation
+// changes nothing, on a fresh device and on one device taken through
+// all the flips — by Reset, and by restoring a snapshot of before the
+// flip, which has to put the flipped entry back although no block's
+// window ever covered it.
 func TestFaultInUnallocatedSpaceIsMasked(t *testing.T) {
 	forVendors(t, func(t *testing.T, v vendor) {
 		k := v.mustAssemble(t, v.pinSrc)
-		run := func(f *gpu.Fault) []byte {
-			d := v.mustNew(t, v.mini())
-			d.InjectFault(f)
-			// One group: every unit but the first stays idle.
-			n := v.pinGroup
-			in, _ := d.Mem().AllocWords(make([]uint32, n))
-			out, _ := d.Mem().Alloc(4 * n)
-			if err := d.Launch(gpu.LaunchSpec{Kernel: k, Grid: gpu.D1(1), Group: gpu.D1(n),
-				Args: []uint32{in, out, uint32(n)}}); err != nil {
-				t.Fatal(err)
-			}
-			bs, err := d.Mem().ReadBytes(out, 4*n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return bs
-		}
-		golden := run(nil)
-		for _, f := range []gpu.Fault{
-			{Structure: gpu.RegisterFile, Unit: 1, Entry: 100, Bit: 15, Cycle: 50},
-			{Structure: gpu.LocalMemory, Unit: 1, Entry: 100, Bit: 3, Cycle: 50},
-			{Structure: gpu.RegisterFile, Unit: 99, Entry: 0, Cycle: 50},
-			{Structure: gpu.RegisterFile, Unit: 0, Entry: 1 << 30, Cycle: 50},
-		} {
-			if !bytes.Equal(golden, run(&f)) {
+		golden := v.pinOne(t, v.mustNew(t, v.mini()), k)
+		reused := v.mustNew(t, v.mini())
+		before := reused.Snapshot()
+		regs, local := simt.Storage(reused)
+		for _, f := range unallocatedFaults {
+			fresh := v.mustNew(t, v.mini())
+			fresh.InjectFault(&f)
+			if !bytes.Equal(golden, v.pinOne(t, fresh, k)) {
 				t.Fatalf("flip outside any allocation changed the output: %v", f)
+			}
+			reused.InjectFault(&f)
+			if !bytes.Equal(golden, v.pinOne(t, reused, k)) {
+				t.Fatalf("flip outside any allocation changed the output of the reused device: %v", f)
+			}
+			if f.Unit == 1 && regs[1][100] == 0 && local[1][100] == 0 {
+				t.Fatalf("%v did not land", f)
+			}
+			if f.Structure == gpu.RegisterFile {
+				reused.Reset()
+			} else if err := reused.Restore(before); err != nil {
+				t.Fatal(err)
+			}
+			if regs[1][100] != 0 || local[1][100] != 0 {
+				t.Fatalf("%v survives into the next run", f)
 			}
 		}
 	})
@@ -179,12 +211,28 @@ func TestSnapshotMetaPinned(t *testing.T) {
 		if _, again, err := codec.MarshalSnapshot(decoded); err != nil || !bytes.Equal(again, pin) {
 			t.Fatalf("pinned meta does not re-marshal to itself (err %v)", err)
 		}
-		if decoded.Cycle() != v.pinCycle || decoded.SizeBytes() != snap.SizeBytes() {
-			t.Fatalf("decoded snapshot: cycle %d size %d, captured: cycle %d size %d",
-				decoded.Cycle(), decoded.SizeBytes(), snap.Cycle(), snap.SizeBytes())
+		if decoded.Cycle() != v.pinCycle {
+			t.Fatalf("decoded snapshot: cycle %d, captured: cycle %d", decoded.Cycle(), snap.Cycle())
 		}
 		if err := resumed.Restore(decoded); err != nil {
 			t.Fatal(err)
+		}
+		// A captured rung owns the pages it had to copy; a decoded one what
+		// the file gave it: beside the memory image (here the captured
+		// one) a page for every register or local-memory page that is not
+		// all zero, and the slot tables, which are less than a page.
+		nonZero := 0
+		regs, local := simt.Storage(resumed)
+		for u := range regs { // one page each on the tiny chip
+			if slices.ContainsFunc(regs[u], func(x uint32) bool { return x != 0 }) {
+				nonZero++
+			}
+			if slices.ContainsFunc(local[u], func(x byte) bool { return x != 0 }) {
+				nonZero++
+			}
+		}
+		if got := (decoded.SizeBytes() - mem.SizeBytes()) / gpu.PageSize; nonZero == 0 || got != int64(nonZero) {
+			t.Fatalf("decoded snapshot owns %d unit pages, the file holds %d that are not all zero", got, nonZero)
 		}
 		if _, err := v.pinDrive(resumed, v.mustAssemble(t, v.pinSrc)); err != nil {
 			t.Fatalf("resumed launch: %v", err)

@@ -21,15 +21,20 @@ import (
 // Because the loop's continuation depends only on the restored state,
 // execution from that point is bit-identical to an uninterrupted run.
 
-// snapshot is the gpu.Snapshot of a Device[W]: a deep copy of every piece
-// of state the launch loop reads or writes. The type parameter keeps the
-// two vendors' snapshots distinct types, so restoring one into the other
-// fails the type assertion.
+// snapshot is the gpu.Snapshot of a Device[W]: an immutable copy of every
+// piece of state the launch loop reads or writes — device memory, register
+// files and local memories as copy-on-write page images that share what
+// did not change with the rungs before, everything else deep-copied. The
+// type parameter keeps the two vendors' snapshots distinct types, so
+// restoring one into the other fails the type assertion.
 type snapshot[W any] struct {
 	cycle int64
 	stats gpu.RunStats
 	mem   *gpu.MemImage
 	units []unitSnap[W]
+	// regsPerUnit and localPerUnit are the chip's structure sizes: the
+	// geometry a restore checks and the lengths the page images flatten to.
+	regsPerUnit, localPerUnit int
 	// launches is the number of completed Launch calls at capture; a
 	// restore skips that many host launches before resuming.
 	launches int
@@ -42,8 +47,20 @@ type snapshot[W any] struct {
 // Cycle implements gpu.Snapshot.
 func (s *snapshot[W]) Cycle() int64 { return s.cycle }
 
-// SizeBytes implements gpu.Snapshot.
+// SizeBytes implements gpu.Snapshot: the heap this snapshot added, that
+// is the memory, register and local-memory pages it holds a copy of its
+// own of (captured: copied because they had changed since the rung
+// before; decoded: not all zero) plus the slot tables. Pages shared with
+// an older rung, the zero page and mapped pages cost nothing.
 func (s *snapshot[W]) SizeBytes() int64 { return s.bytes }
+
+// account sets bytes from the memory image and the unit images.
+func (s *snapshot[W]) account() {
+	s.bytes = s.mem.SizeBytes()
+	for i := range s.units {
+		s.bytes += int64(s.units[i].owned)*gpu.PageSize + int64(len(s.units[i].blocks))
+	}
+}
 
 // inflightState is the interrupted launch's loop-local state.
 type inflightState struct {
@@ -52,10 +69,9 @@ type inflightState struct {
 	launchStart int64
 }
 
-// unitSnap is the deep copy of one unit.
+// unitSnap is the image of one unit.
 type unitSnap[W any] struct {
-	regs   []uint32
-	local  []byte
+	unitImage
 	blocks []*blockSnap[W] // indexed by slot; nil = free
 	rr     int
 	// greedySlot/greedyWave locate the GTO head wave; -1 when there is
@@ -82,21 +98,21 @@ func (d *Device[W]) copyWave(dst, src *WaveState[W]) {
 // supplies the in-flight loop state).
 func (d *Device[W]) Snapshot() gpu.Snapshot { return d.capture(nil) }
 
-// capture deep-copies the device state.
+// capture copies the device state.
 func (d *Device[W]) capture(inflight *inflightState) *snapshot[W] {
 	snap := &snapshot[W]{
-		cycle:    d.Cycle,
-		stats:    d.stats,
-		mem:      d.mem.Image(),
-		launches: d.stats.Launches,
-		inflight: inflight,
+		cycle:        d.Cycle,
+		stats:        d.stats,
+		mem:          d.mem.Image(),
+		regsPerUnit:  d.Chip.RegsPerUnit,
+		localPerUnit: d.Chip.LocalBytesPerUnit,
+		launches:     d.stats.Launches,
+		inflight:     inflight,
 	}
-	snap.bytes = snap.mem.SizeBytes()
 	snap.units = make([]unitSnap[W], len(d.units))
 	for i, u := range d.units {
 		img := unitSnap[W]{
-			regs:       append([]uint32(nil), u.Regs...),
-			local:      append([]byte(nil), u.Local...),
+			unitImage:  u.image(i),
 			blocks:     make([]*blockSnap[W], len(u.blocks)),
 			rr:         u.rr,
 			greedySlot: -1, greedyWave: -1,
@@ -105,6 +121,7 @@ func (d *Device[W]) capture(inflight *inflightState) *snapshot[W] {
 			if blk == nil {
 				continue
 			}
+			u.written(&blk.BlockState) // a resident block keeps writing
 			bs := &blockSnap[W]{BlockState: blk.BlockState, waves: make([]WaveState[W], len(blk.waves))}
 			for wi, w := range blk.waves {
 				d.copyWave(&bs.waves[wi], &w.WaveState)
@@ -114,9 +131,9 @@ func (d *Device[W]) capture(inflight *inflightState) *snapshot[W] {
 			}
 			img.blocks[slot] = bs
 		}
-		snap.bytes += int64(4*len(img.regs) + len(img.local) + len(img.blocks))
 		snap.units[i] = img
 	}
+	snap.account()
 	return snap
 }
 
@@ -129,11 +146,7 @@ func (d *Device[W]) Restore(s gpu.Snapshot) error {
 	if !ok {
 		return fmt.Errorf("%s: cannot restore a %T snapshot", d.isa.Name(), s)
 	}
-	match := len(snap.units) == len(d.units)
-	for i := 0; match && i < len(d.units); i++ {
-		match = len(snap.units[i].regs) == len(d.units[i].Regs) && len(snap.units[i].local) == len(d.units[i].Local)
-	}
-	if !match {
+	if len(snap.units) != len(d.units) || snap.regsPerUnit != d.Chip.RegsPerUnit || snap.localPerUnit != d.Chip.LocalBytesPerUnit {
 		return fmt.Errorf("%s: snapshot geometry does not match chip %s", d.isa.Name(), d.Chip.Name)
 	}
 	if err := d.mem.SetImage(snap.mem); err != nil {
@@ -141,8 +154,7 @@ func (d *Device[W]) Restore(s gpu.Snapshot) error {
 	}
 	for i := range snap.units {
 		img, u := &snap.units[i], d.units[i]
-		copy(u.Regs, img.regs)
-		copy(u.Local, img.local)
+		u.setImage(i, &img.unitImage)
 		// Recycle the current residents, then rebuild the slot table
 		// from the image reusing retained object and slice capacity:
 		// restore runs once per injection, so it must not allocate.
@@ -152,6 +164,7 @@ func (d *Device[W]) Restore(s gpu.Snapshot) error {
 			if bs == nil {
 				continue
 			}
+			u.written(&bs.BlockState) // a resident block keeps writing
 			blk := u.takeBlock()
 			blk.BlockState = bs.BlockState
 			blk.sizeWaves(len(bs.waves))

@@ -15,7 +15,8 @@ import (
 // wire.Version bump.
 //
 // Layout: common header (cycle, stats, launch progress, size, unit
-// count) → per unit (registers, local memory, slot occupancy, scheduler
+// count) → per unit (registers and local memory as flat arrays, whatever
+// pages they are held in; slot occupancy, scheduler
 // pointers, slot count) → per slot a presence flag and the BlockState
 // fields → per wave: idx, pc, the ISA section (ISA.EncodeState), then the
 // common tail atBarrier, done, wakeAt, threadBase, then the ISA trailer
@@ -46,12 +47,22 @@ func (d *Device[W]) MarshalSnapshot(s gpu.Snapshot) (*gpu.MemImage, []byte, erro
 		w.Int(in.retired)
 		w.I64(in.launchStart)
 	}
-	w.I64(snap.bytes)
+	// The size field is what a snapshot of flat arrays weighed; readers
+	// ignore it (a decoded snapshot counts what it holds, see decode).
+	size := snap.mem.SizeBytes()
+	for i := range snap.units {
+		size += int64(4*snap.regsPerUnit + snap.localPerUnit + len(snap.units[i].blocks))
+	}
+	w.I64(size)
 	w.U32(uint32(len(snap.units)))
+	var regs []uint32
+	var local []byte
 	for i := range snap.units {
 		u := &snap.units[i]
-		w.U32s(u.regs)
-		w.Blob(u.local)
+		regs = gpu.Flatten(regs[:0], u.regs, snap.regsPerUnit)
+		local = gpu.Flatten(local[:0], u.local, snap.localPerUnit)
+		w.U32s(regs)
+		w.Blob(local)
 		// The slot occupancy table, in wire.Writer.Bools form; it is
 		// redundant with the presence flags below but part of the layout.
 		w.U32(uint32(len(u.blocks)))
@@ -118,7 +129,7 @@ func corrupt(format string, args ...any) error {
 }
 
 func (d *Device[W]) decode(mem *gpu.MemImage, r *wire.Reader) (*snapshot[W], error) {
-	snap := &snapshot[W]{mem: mem}
+	snap := &snapshot[W]{mem: mem, regsPerUnit: d.Chip.RegsPerUnit, localPerUnit: d.Chip.LocalBytesPerUnit}
 	snap.cycle = r.I64()
 	snap.stats.Cycles = r.I64()
 	snap.stats.Instructions = r.I64()
@@ -134,7 +145,7 @@ func (d *Device[W]) decode(mem *gpu.MemImage, r *wire.Reader) (*snapshot[W], err
 			launchStart: r.I64(),
 		}
 	}
-	snap.bytes = r.I64()
+	r.I64() // the writer's size; account below counts what was decoded
 	nu := int(r.U32())
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -153,12 +164,12 @@ func (d *Device[W]) decode(mem *gpu.MemImage, r *wire.Reader) (*snapshot[W], err
 			return nil, fmt.Errorf("unit %d: %w", i, err)
 		}
 	}
+	snap.account()
 	return snap, r.Done()
 }
 
 func (d *Device[W]) decodeUnit(r *wire.Reader, u *unitSnap[W]) error {
-	u.regs = r.U32s()
-	u.local = r.Blob()
+	regs, local := r.U32s(), r.Blob()
 	occupied := r.Bools()
 	u.rr = r.Int()
 	u.greedySlot = r.Int()
@@ -167,10 +178,16 @@ func (d *Device[W]) decodeUnit(r *wire.Reader, u *unitSnap[W]) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(u.regs) != d.Chip.RegsPerUnit || len(u.local) != d.Chip.LocalBytesPerUnit {
+	if len(regs) != d.Chip.RegsPerUnit || len(local) != d.Chip.LocalBytesPerUnit {
 		return corrupt("%d registers and %d local bytes, chip %s has %d and %d",
-			len(u.regs), len(u.local), d.Chip.Name, d.Chip.RegsPerUnit, d.Chip.LocalBytesPerUnit)
+			len(regs), len(local), d.Chip.Name, d.Chip.RegsPerUnit, d.Chip.LocalBytesPerUnit)
 	}
+	// Only the pages that are not all zero stay on the heap: an idle
+	// unit's 320 KiB on the HD 7970 decode to the shared zero page.
+	var nr, nl int
+	u.regs, nr = gpu.CutPages(regs)
+	u.local, nl = gpu.CutPages(local)
+	u.owned = nr + nl
 	// One presence byte per slot follows, which also bounds the table
 	// allocation by the input size.
 	if nblk != len(occupied) || nblk > r.Remaining() {
@@ -200,8 +217,8 @@ func (d *Device[W]) decodeUnit(r *wire.Reader, u *unitSnap[W]) error {
 			return r.Err()
 		}
 		if blk.Slot != slot ||
-			blk.RegBase < 0 || blk.RegCount < 0 || blk.RegCount > len(u.regs)-blk.RegBase ||
-			blk.LocalBase < 0 || blk.LocalCount < 0 || blk.LocalCount > len(u.local)-blk.LocalBase {
+			blk.RegBase < 0 || blk.RegCount < 0 || blk.RegCount > len(regs)-blk.RegBase ||
+			blk.LocalBase < 0 || blk.LocalCount < 0 || blk.LocalCount > len(local)-blk.LocalBase {
 			return corrupt("slot %d: block windows outside the unit", slot)
 		}
 		if nw > r.Remaining() {
