@@ -27,8 +27,9 @@
 // (comma-separated subset), -store (persistent result cache; warm reruns
 // perform zero injections).
 //
-// All figures of one local invocation share a campaign scheduler, so
-// Fig. 3 reuses every cell Figs. 1 and 2 already measured.
+// All figures of one local invocation share one experiment.Runner over
+// one campaign scheduler, so Fig. 3 reuses every cell Figs. 1 and 2
+// already measured and Fig. 2 every ACE run Fig. 1 made.
 package main
 
 import (
@@ -141,24 +142,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Where to run it: a fiserver, or one local scheduler shared by
-	// every spec of the invocation.
-	var sched *campaign.Scheduler
+	// Where to run it: a fiserver, or one local runner and scheduler
+	// shared by every spec of the invocation.
+	var runner *experiment.Runner
 	if *serverURL == "" {
 		store, closeStore, err := openStore(sf, log)
 		if err != nil {
 			return err
 		}
 		defer closeStore()
-		sched = campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
+		runner = &experiment.Runner{
+			Scheduler: campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers}),
+			OnCell: func(p experiment.Progress) {
+				log.Info("cell done", "done", p.Done, "total", p.Total,
+					"cell", p.Spec.String(), "cached", p.Cached)
+			},
+		}
 	}
 	for _, spec := range specs {
-		if err := runSpec(ctx, spec, *serverURL, sched, *asJSON, stdout, log); err != nil {
+		if err := runSpec(ctx, spec, *serverURL, runner, *asJSON, stdout, log); err != nil {
 			return err
 		}
 	}
-	if sched != nil {
-		st := sched.Stats()
+	if runner != nil {
+		st := runner.Scheduler.Stats()
 		log.Info("campaigns done",
 			"runs", st.Runs, "injections", st.Injections,
 			"cached", st.Hits+st.Joins, "upgraded", st.Upgrades, "goldens", st.GoldenRuns)
@@ -188,9 +195,9 @@ func openStore(sf *cli.StoreFlags, log *slog.Logger) (campaign.Store, func(), er
 }
 
 // runSpec executes one declarative experiment spec — on the local
-// scheduler, or on a fiserver via the shared client when serverURL is
+// runner, or on a fiserver via the shared client when serverURL is
 // set — and renders the result as tables or JSON.
-func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sched *campaign.Scheduler, asJSON bool, stdout io.Writer, log *slog.Logger) error {
+func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, runner *experiment.Runner, asJSON bool, stdout io.Writer, log *slog.Logger) error {
 	start := time.Now()
 	var (
 		res *experiment.Result
@@ -208,13 +215,6 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL string, sched 
 			}
 		})
 	} else {
-		runner := &experiment.Runner{
-			Scheduler: sched,
-			OnCell: func(p experiment.Progress) {
-				log.Info("cell done", "done", p.Done, "total", p.Total,
-					"cell", p.Spec.String(), "cached", p.Cached)
-			},
-		}
 		res, err = runner.Run(ctx, spec)
 	}
 	if err != nil {

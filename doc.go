@@ -33,8 +33,9 @@
 //   - internal/experiment: versioned experiment specs (the figures are
 //     three canned ones), their compile pipeline and runner;
 //   - internal/report: text and JSON renderers of experiment.Result;
-//   - internal/service, internal/client, internal/worker: the HTTP
-//     front-end, its Go client and the remote worker fleet.
+//   - internal/api, internal/service, internal/client, internal/worker:
+//     the HTTP API's one declaration, its front-end, its Go client and
+//     the remote worker fleet.
 //
 // See README.md for usage, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for measured-vs-paper results.

@@ -1,180 +1,55 @@
 // Package client is the Go client of the fiserver HTTP API, shared by
 // the CLI tools and the end-to-end tests: declarative experiment runs
 // (streamed NDJSON progress + result — the paper's figures are
-// experiment.Figure specs sent this way) and batch jobs. It speaks
-// exactly the wire forms of internal/service, so anything the server can
-// compute a CLI can request with one call.
+// experiment.Figure specs sent this way) and batch jobs. The wire forms
+// and the transport are internal/api's; what this package exports are
+// aliases of and one-line wrappers over them, kept because bench/ and
+// the CLIs compile against these names.
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/experiment"
 )
 
-// Client calls one fiserver.
-type Client struct {
-	// Base is the server's base URL, e.g. "http://127.0.0.1:8080".
-	Base string
-	// APIKey, when non-empty, is sent as "Authorization: Bearer <key>"
-	// on every request — required against a server started with
-	// -api-keys, ignored by one without.
-	APIKey string
-	// HTTPClient defaults to http.DefaultClient. Experiment streams can
-	// outlive any client timeout: prefer a context deadline.
-	HTTPClient *http.Client
-}
+// Client calls a fiserver: api.Caller (Base, APIKey, HTTPClient) under
+// the name its users construct it by.
+type Client api.Caller
 
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// authorize stamps the API key onto req when one is configured.
-func (c *Client) authorize(req *http.Request) {
-	if c.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+c.APIKey)
-	}
-}
-
-// apiError is a non-2xx JSON error answer.
-type apiError struct {
-	code int
-	msg  string
-}
-
-func (e *apiError) Error() string {
-	return fmt.Sprintf("server status %d: %s", e.code, e.msg)
-}
+func (c *Client) transport() *api.Caller { return (*api.Caller)(c) }
 
 // StatusCode extracts the HTTP status behind err, or 0.
-func StatusCode(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.code
-	}
-	return 0
-}
-
-// errorFrom turns a non-2xx response into an error carrying the message
-// of the server's error envelope {"error":{"code","message","job_id"}}.
-func errorFrom(resp *http.Response) error {
-	var e struct {
-		Error struct {
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	// A body that is not the envelope (a proxy's HTML page, the mux's
-	// plain 404) leaves the message empty; the status still stands.
-	_ = json.NewDecoder(resp.Body).Decode(&e)
-	return &apiError{code: resp.StatusCode, msg: e.Error.Message}
-}
-
-// do sends one request with a JSON body (nil for none) and decodes the
-// JSON answer into out (ignored when nil).
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.authorize(req)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return errorFrom(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
+func StatusCode(err error) int { return api.StatusOf(err) }
 
 // Event is one NDJSON line of an experiment stream.
-type Event struct {
-	Event     string `json:"event"`
-	ID        string `json:"id,omitempty"`
-	Name      string `json:"name,omitempty"`
-	Chip      string `json:"chip,omitempty"`
-	Benchmark string `json:"benchmark,omitempty"`
-	Structure string `json:"structure,omitempty"`
-	Cached    bool   `json:"cached,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	Error     string `json:"error,omitempty"`
-	// Result is the final experiment result ("result" events).
-	Result *experiment.Result `json:"result,omitempty"`
-}
+type Event = api.Event
 
 // RunExperiment POSTs the spec to /v1/experiments and consumes the
 // NDJSON stream: onEvent (when non-nil) sees every event including the
 // final one, and the experiment result is returned. The server
 // registers the run as a job; its id arrives in the first event.
 func (c *Client) RunExperiment(ctx context.Context, spec experiment.Spec, onEvent func(Event)) (*experiment.Result, error) {
-	buf, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/experiments", bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.authorize(req)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, errorFrom(resp)
-	}
 	var result *experiment.Result
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("client: bad stream line %q: %w", sc.Text(), err)
-		}
+	err := c.transport().Stream(ctx, http.MethodPost, "/v1/experiments", spec, func(ev Event) error {
 		if onEvent != nil {
 			onEvent(ev)
 		}
 		switch ev.Event {
 		case "error":
-			return nil, fmt.Errorf("client: experiment failed: %s", ev.Error)
+			return fmt.Errorf("client: experiment failed: %s", ev.Error)
 		case "result":
 			result = ev.Result
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if result == nil {
@@ -184,20 +59,12 @@ func (c *Client) RunExperiment(ctx context.Context, spec experiment.Spec, onEven
 }
 
 // JobStatus is the GET /v1/jobs/{id} answer.
-type JobStatus struct {
-	ID    string          `json:"id"`
-	Kind  string          `json:"kind"`
-	State string          `json:"state"`
-	Done  int             `json:"done"`
-	Total int             `json:"total"`
-	Error string          `json:"error"`
-	Cells json.RawMessage `json:"cells"`
-}
+type JobStatus = api.JobStatus
 
 // Status fetches one job's progress.
 func (c *Client) Status(ctx context.Context, jobID string) (*JobStatus, error) {
 	var st JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID, nil, &st); err != nil {
+	if err := c.transport().Do(ctx, http.MethodGet, "/v1/jobs/"+jobID, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -207,11 +74,8 @@ func (c *Client) Status(ctx context.Context, jobID string) (*JobStatus, error) {
 // job store (the stream already carried it; this retrieves it again
 // after the fact).
 func (c *Client) ExperimentResult(ctx context.Context, jobID string) (*experiment.Result, error) {
-	var out struct {
-		ID     string             `json:"id"`
-		Result *experiment.Result `json:"result"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/result", nil, &out); err != nil {
+	var out api.JobResult
+	if err := c.transport().Do(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/result", nil, &out); err != nil {
 		return nil, err
 	}
 	if out.Result == nil {
@@ -223,25 +87,17 @@ func (c *Client) ExperimentResult(ctx context.Context, jobID string) (*experimen
 // Cancel cancels a running job (or deletes a finished one from the
 // server's retained set — DELETE is state-dependent on the server).
 func (c *Client) Cancel(ctx context.Context, jobID string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+jobID, nil, nil)
+	return c.transport().Do(ctx, http.MethodDelete, "/v1/jobs/"+jobID, nil, nil)
 }
 
 // JobSummary is one row of the GET /v1/jobs listing.
-type JobSummary struct {
-	ID    string `json:"id"`
-	Kind  string `json:"kind"`
-	State string `json:"state"`
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-}
+type JobSummary = api.JobSummary
 
 // Jobs lists the server's retained jobs, oldest first — how a client
 // finds its jobs again after a server restart severed its streams.
 func (c *Client) Jobs(ctx context.Context) ([]JobSummary, error) {
-	var out struct {
-		Jobs []JobSummary `json:"jobs"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out); err != nil {
+	var out api.JobList
+	if err := c.transport().Do(ctx, http.MethodGet, "/v1/jobs", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Jobs, nil
@@ -311,5 +167,5 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Healthy probes /healthz.
 func (c *Client) Healthy(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.transport().Do(ctx, http.MethodGet, "/healthz", nil, nil)
 }

@@ -324,16 +324,18 @@ func TestJobsListing(t *testing.T) {
 		}
 		fmt.Fprintln(w, `{"jobs":[
 			{"id":"job-000001","kind":"batch","state":"done","done":3,"total":3},
-			{"id":"job-000002","kind":"experiment","state":"running","done":1,"total":8}]}`)
+			{"id":"job-000002","kind":"experiment","state":"running","done":1,"total":8,"tenant":"acme"}]}`)
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL}
+	// A base as a shell or a config file hands it over: the slash kept,
+	// the mux would redirect "//v1/jobs".
+	c := &Client{Base: " " + ts.URL + "/ "}
 	jobs, err := c.Jobs(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 2 || jobs[0].ID != "job-000001" || jobs[1].Kind != "experiment" || jobs[1].Done != 1 {
+	if len(jobs) != 2 || jobs[0].ID != "job-000001" || jobs[1].Kind != "experiment" || jobs[1].Done != 1 || jobs[1].Tenant != "acme" {
 		t.Fatalf("jobs %+v", jobs)
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/ace"
 	"repro/internal/campaign"
@@ -52,6 +53,18 @@ type Runner struct {
 	// streams. It is called from scheduler goroutines, one call at a
 	// time.
 	OnCell func(Progress)
+
+	// aceRuns memoizes the traced run of each (benchmark, chip) pair, by
+	// name, across the plans this Runner executes (see aceOf).
+	aceMu     sync.Mutex
+	aceRuns   map[[2]string]*aceRun
+	aceTraced int // traced runs made
+}
+
+// aceRun is what one traced run measures.
+type aceRun struct {
+	reg, local float64
+	stats      gpu.RunStats
 }
 
 // Run compiles and executes one spec.
@@ -113,32 +126,6 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	}
 
 	// Phase 2: assemble the per-structure tables from the batch results.
-	// The ACE analysis is one traced run per (chip, benchmark) that
-	// yields both structures' AVFs at once; memoize it so a
-	// two-structure grid doesn't simulate every pair twice.
-	type aceRun struct {
-		reg, local float64
-		stats      gpu.RunStats
-	}
-	aceCache := make(map[[2]int]*aceRun)
-	aceOf := func(pc PlannedCell) (*aceRun, error) {
-		key := [2]int{pc.BenchIndex, pc.ChipIndex}
-		if run, ok := aceCache[key]; ok {
-			return run, nil
-		}
-		// A traced run is a full simulation: a canceled experiment stops
-		// here instead of simulating the rest of the grid.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		reg, local, st, err := measureACE(pc.Chip, pc.Benchmark)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, err)
-		}
-		run := &aceRun{reg: reg, local: local, stats: st}
-		aceCache[key] = run
-		return run, nil
-	}
 	cells := make(map[[3]int]*Cell, len(p.Cells))
 	aceDone := 0
 	for i, pc := range p.Cells {
@@ -146,13 +133,7 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		if fiResults != nil {
 			fres = fiResults[i]
 		}
-		cell, err := r.measureCell(spec, pc, fres, func() (float64, float64, gpu.RunStats, error) {
-			run, err := aceOf(pc)
-			if err != nil {
-				return 0, 0, gpu.RunStats{}, err
-			}
-			return run.reg, run.local, run.stats, nil
-		})
+		cell, err := r.measureCell(ctx, spec, pc, fres)
 		if err != nil {
 			return nil, err
 		}
@@ -211,10 +192,39 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	return res, nil
 }
 
+// aceOf returns the traced run of the cell's (benchmark, chip) pair,
+// making it if no plan on this Runner has yet: ACE is a deterministic
+// function of the pair and one run yields both structures' AVFs, so the
+// three figure specs on one Runner trace their 40 pairs once. Plans
+// running at once take turns here, so that no run is made twice.
+func (r *Runner) aceOf(ctx context.Context, pc PlannedCell) (*aceRun, error) {
+	r.aceMu.Lock()
+	defer r.aceMu.Unlock()
+	key := [2]string{pc.Benchmark.Name, pc.Chip.Name}
+	if run, ok := r.aceRuns[key]; ok {
+		return run, nil
+	}
+	// A traced run is a full simulation: a canceled experiment stops
+	// here instead of simulating the rest of the grid.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	run, err := measureACE(pc.Chip, pc.Benchmark)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, err)
+	}
+	if r.aceRuns == nil {
+		r.aceRuns = make(map[[2]string]*aceRun)
+	}
+	r.aceRuns[key] = run
+	r.aceTraced++
+	return run, nil
+}
+
 // measureCell measures one grid cell under the spec's estimator: the FI
 // result comes from the phase-1 batch and the ACE measurements from the
-// memoized per-(chip, benchmark) traced run.
-func (r *Runner) measureCell(spec Spec, pc PlannedCell, fres *finject.Result, aceOf func() (regAVF, localAVF float64, st gpu.RunStats, err error)) (*Cell, error) {
+// Runner's memoized per-(chip, benchmark) traced run.
+func (r *Runner) measureCell(ctx context.Context, spec Spec, pc PlannedCell, fres *finject.Result) (*Cell, error) {
 	cell := &Cell{
 		Chip:      pc.Chip.Name,
 		Benchmark: pc.Benchmark.Name,
@@ -234,18 +244,18 @@ func (r *Runner) measureCell(spec Spec, pc PlannedCell, fres *finject.Result, ac
 		cell.Outcomes = fres.Outcomes
 	}
 	if spec.Estimator.ace() {
-		regACE, localACE, runStats, err := aceOf()
+		run, err := r.aceOf(ctx, pc)
 		if err != nil {
 			return nil, err
 		}
-		cell.AVFACE = regACE
+		cell.AVFACE = run.reg
 		if pc.Structure == gpu.LocalMemory {
-			cell.AVFACE = localACE
+			cell.AVFACE = run.local
 		}
-		cell.Cycles = runStats.Cycles
+		cell.Cycles = run.stats.Cycles
 		if !spec.Estimator.fi() {
 			total := int64(pc.Chip.Units) * int64(pc.Chip.StructSize(pc.Structure))
-			cell.Occupancy = runStats.Occupancy(pc.Structure, total)
+			cell.Occupancy = run.stats.Occupancy(pc.Structure, total)
 		}
 	}
 	if spec.Metrics.FIT {
@@ -265,16 +275,17 @@ func cellAVF(spec Spec, c *Cell) float64 {
 
 // measureACE runs the single-pass lifetime analysis of one (chip,
 // benchmark) pair.
-func measureACE(chip *chips.Chip, bench *workloads.Benchmark) (regAVF, localAVF float64, st gpu.RunStats, err error) {
+func measureACE(chip *chips.Chip, bench *workloads.Benchmark) (*aceRun, error) {
 	d, err := devices.New(chip)
 	if err != nil {
-		return 0, 0, gpu.RunStats{}, err
+		return nil, err
 	}
 	hp, err := bench.New(chip.Vendor)
 	if err != nil {
-		return 0, 0, gpu.RunStats{}, err
+		return nil, err
 	}
-	return ace.Measure(d, hp)
+	reg, local, st, err := ace.Measure(d, hp)
+	return &aceRun{reg: reg, local: local, stats: st}, err
 }
 
 // assembleEPF combines every structure's FI campaign of each (chip,

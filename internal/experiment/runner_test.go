@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -249,5 +250,61 @@ func TestProgressIndexAndResult(t *testing.T) {
 	}
 	if len(seen) != len(plan.Cells) {
 		t.Fatalf("%d of %d cells reported", len(seen), len(plan.Cells))
+	}
+}
+
+// TestFiguresMeasureEachPairOnce: the ACE analysis is a deterministic
+// function of the (chip, benchmark) pair, so the three figure specs on
+// one Runner trace each of the 40 pairs once — Fig. 2's 28 local-memory
+// pairs repeat Fig. 1's, Fig. 3 is FI only — and each result is, byte
+// for byte, what a Runner that has measured nothing yet produces.
+func TestFiguresMeasureEachPairOnce(t *testing.T) {
+	ctx := context.Background()
+	sched := campaign.New(campaign.Config{})
+	shared := &Runner{Scheduler: sched}
+	for n := 1; n <= 3; n++ {
+		spec, err := Figure(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Injections, spec.Seed = 2, 1
+		var docs [2][]byte
+		for i, r := range []*Runner{shared, {Scheduler: sched}} {
+			res, err := r.Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if docs[i], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(docs[0], docs[1]) {
+			t.Fatalf("%s: the shared Runner's result differs from a fresh Runner's", spec.Name)
+		}
+	}
+	if shared.aceTraced != 40 || len(shared.aceRuns) != 40 {
+		t.Fatalf("%d traced runs over %d pairs for the three figures, want 40 over 40", shared.aceTraced, len(shared.aceRuns))
+	}
+}
+
+// TestRunnerSharedByConcurrentPlans: plans running on one Runner at the
+// same time share its traced runs too, and make none twice.
+func TestRunnerSharedByConcurrentPlans(t *testing.T) {
+	s := miniSpec()
+	s.Estimator = EstimatorACE
+	r := &Runner{}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Run(context.Background(), s); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if r.aceTraced != 4 {
+		t.Fatalf("%d traced runs for 2 chips x 2 benchmarks, want 4", r.aceTraced)
 	}
 }

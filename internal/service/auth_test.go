@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/experiment"
 	"repro/internal/testutil"
@@ -123,7 +124,7 @@ func submitBody(t *testing.T, n int) io.Reader {
 func TestAuthRejectsUnknownKeys(t *testing.T) {
 	ts, _ := authedServer(t)
 	var envelope struct {
-		Error errorBody `json:"error"`
+		Error api.Error `json:"error"`
 	}
 	if code := authedDo(t, ts, "GET", "/v1/jobs", "", nil, &envelope); code != http.StatusUnauthorized {
 		t.Fatalf("missing key: status %d", code)
@@ -174,7 +175,7 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatalf("cross-tenant DELETE: status %d", code)
 	}
 	var listing struct {
-		Jobs []jobSummary `json:"jobs"`
+		Jobs []api.JobSummary `json:"jobs"`
 	}
 	if code := authedDo(t, ts, "GET", "/v1/jobs", "key-acme", nil, &listing); code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
@@ -225,7 +226,7 @@ func TestQuotaMaxJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var envelope struct {
-		Error errorBody `json:"error"`
+		Error api.Error `json:"error"`
 	}
 	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", submitBody(t, 1), &envelope); code != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d", code)
@@ -282,7 +283,7 @@ func TestFigureRunsPassAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	var envelope struct {
-		Error errorBody `json:"error"`
+		Error api.Error `json:"error"`
 	}
 	if code := authedDo(t, ts, "POST", "/v1/experiments", "key-acme", bytes.NewReader(body), &envelope); code != http.StatusTooManyRequests {
 		t.Fatalf("figure spec over quota: status %d, want 429", code)
@@ -311,7 +312,7 @@ func TestQuotaSurvivesOverflowSubmission(t *testing.T) {
 		`{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":4611686018427387904,"seed":1},` +
 		`{"chip":"Mini NVIDIA","benchmark":"transpose","injections":4611686018427387904,"seed":2}]}`
 	var envelope struct {
-		Error errorBody `json:"error"`
+		Error api.Error `json:"error"`
 	}
 	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", strings.NewReader(huge), &envelope); code != http.StatusBadRequest || envelope.Error.Code != "bad_request" {
 		t.Fatalf("overflowing submission: status %d, envelope %+v, want 400 bad_request", code, envelope)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/testutil"
 )
@@ -23,7 +24,7 @@ func TestJobPolicyCheckpoint(t *testing.T) {
 	spec := testutil.MiniSpec("vectoradd", 5)
 	spec.Injections = 40
 
-	submit := func(policy map[string]any) []cellState {
+	submit := func(policy map[string]any) []api.CellStatus {
 		var submitted struct {
 			ID string `json:"id"`
 		}

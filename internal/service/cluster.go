@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -151,7 +152,7 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Path == "/healthz" {
-		writeJSON(w, http.StatusOK, map[string]any{"status": state, "server": c.server, "epoch": epoch})
+		writeJSON(w, http.StatusOK, api.ClusterHealth{Status: state, Server: c.server, Epoch: epoch})
 		return
 	}
 	httpError(w, http.StatusServiceUnavailable, "server %s is %s: it does not own the job store", c.server, state)

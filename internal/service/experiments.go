@@ -7,34 +7,20 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/experiment"
 	"repro/internal/finject"
 )
 
-// experimentEvent is one NDJSON line of the experiment stream.
-type experimentEvent struct {
-	Event     string `json:"event"` // "job", "cell", "error" or "result"
-	ID        string `json:"id,omitempty"`
-	Name      string `json:"name,omitempty"`
-	Chip      string `json:"chip,omitempty"`
-	Benchmark string `json:"benchmark,omitempty"`
-	Structure string `json:"structure,omitempty"`
-	Cached    bool   `json:"cached,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	Error     string `json:"error,omitempty"`
-	// Result carries the full experiment result on the final event.
-	Result *experiment.Result `json:"result,omitempty"`
-}
-
 // handleExperiment runs one declarative experiment spec: the body is a
 // versioned experiment.Spec (unknown fields rejected), the response is
-// an NDJSON stream — a "job" event with the registered job id, one
-// "cell" event per grid cell as the scheduler serves it, and a final
-// "result" event carrying the full experiment result. The run is a job
-// like any batch: its status, result and DELETE-cancel work through the
-// /v1/jobs endpoints, and the result is retained after the stream ends.
+// an NDJSON stream of api.Event lines — a "job" event with the
+// registered job id, one "cell" event per grid cell as the scheduler
+// serves it, and a final "result" event carrying the full experiment
+// result. The run is a job like any batch: its status, result and
+// DELETE-cancel work through the /v1/jobs endpoints, and the result is
+// retained after the stream ends.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	work, err := compileExperiment(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err != nil {
@@ -53,15 +39,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := newLockedEncoder(w, flusher)
+	enc := &lockedEncoder{enc: json.NewEncoder(w), flusher: flusher}
 	defer enc.close()
-	enc.emit(experimentEvent{Event: "job", ID: id, Name: name, Total: len(work.specs)})
-	fin := s.run(ctx, work, func(ev experimentEvent) { enc.emit(ev) })
+	enc.emit(api.Event{Event: "job", ID: id, Name: name, Total: len(work.specs)})
+	fin := s.run(ctx, work, enc.emit)
 	if fin.State != "done" {
-		enc.emit(experimentEvent{Event: "error", ID: id, Error: fin.Error})
+		enc.emit(api.Event{Event: "error", ID: id, Error: fin.Error})
 		return
 	}
-	enc.emit(experimentEvent{Event: "result", ID: id, Name: name, Result: fin.ExpResult})
+	enc.emit(api.Event{Event: "result", ID: id, Name: name, Result: fin.ExpResult})
 }
 
 // compileExperiment parses a spec (strictly) and compiles it into a
@@ -101,11 +87,7 @@ type lockedEncoder struct {
 	closed  bool
 }
 
-func newLockedEncoder(w http.ResponseWriter, flusher http.Flusher) *lockedEncoder {
-	return &lockedEncoder{enc: json.NewEncoder(w), flusher: flusher}
-}
-
-func (e *lockedEncoder) emit(v any) {
+func (e *lockedEncoder) emit(v api.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {

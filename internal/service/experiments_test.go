@@ -237,11 +237,7 @@ func TestExperimentStatusReportsInjections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []cellState
-	if err := json.Unmarshal(st.Cells, &cells); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cells {
+	for i, c := range st.Cells {
 		// Plan order is benchmark-major; this grid has one chip and one
 		// structure, so cell i is benchmark i.
 		want := res.Tables[0].Cells[i][0].Injections

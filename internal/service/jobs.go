@@ -8,23 +8,17 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
 )
 
-// submitRequest is the POST /v1/jobs body.
-type submitRequest struct {
-	Cells []campaign.CellSpec `json:"cells"`
-	// Policy, when present, applies to every cell of the batch.
-	Policy *jobPolicy `json:"policy,omitempty"`
-}
-
 // handleSubmit validates the batch, starts a job for it and lets it run
 // detached.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
+	var req api.SubmitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
 		bodyError(w, err, "bad request body: %v")
 		return
@@ -57,7 +51,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	go s.run(ctx, work, nil)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": work.def.Job, "total": len(work.specs)})
+	writeJSON(w, http.StatusAccepted, api.SubmitAck{ID: work.def.Job, Total: len(work.specs)})
 }
 
 // jobWork is one job's run, and everything that differs between a batch
@@ -86,7 +80,7 @@ type jobWork struct {
 
 // compileBatch compiles submitted cell specs (plus an optional
 // batch-wide policy override) into a runnable batch.
-func compileBatch(cells []campaign.CellSpec, policy *jobPolicy) (*jobWork, error) {
+func compileBatch(cells []campaign.CellSpec, policy *finject.Config) (*jobWork, error) {
 	batch := make([]finject.Campaign, len(cells))
 	specs := make([]campaign.CellSpec, len(cells))
 	for i, spec := range cells {
@@ -225,7 +219,7 @@ func (s *Server) start(parent context.Context, r *http.Request, work *jobWork) (
 // before the crash answered from the warm campaign store. emit, when
 // non-nil, receives a "cell" event per successful cell (the experiment
 // stream); the returned finish record is what the job settled as.
-func (s *Server) run(ctx context.Context, work *jobWork, emit func(experimentEvent)) journalRecord {
+func (s *Server) run(ctx context.Context, work *jobWork, emit func(api.Event)) journalRecord {
 	// Release the context's resources once the work settles; DELETE uses
 	// the same cancel to abort early, and Shutdown drains on the WaitGroup.
 	defer s.running.Done()
@@ -250,7 +244,7 @@ func (s *Server) run(ctx context.Context, work *jobWork, emit func(experimentEve
 		}
 		s.log.DebugContext(ctx, "cell done", "spec", work.specs[i], "cached", cached, "injections", rec.Injections)
 		if emit != nil {
-			emit(experimentEvent{
+			emit(api.Event{
 				Event:     "cell",
 				Chip:      work.specs[i].Chip,
 				Benchmark: work.specs[i].Benchmark,
@@ -309,25 +303,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	body := map[string]any{
-		"id":    j.id,
-		"kind":  j.kind,
-		"state": j.state,
-		"done":  j.done,
-		"total": len(j.cells),
-		"cells": j.cells,
-		"error": j.errMsg,
-	}
-	if j.tenant != "" {
-		body["tenant"] = j.tenant
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// jobResultRow pairs a cell spec with its result.
-type jobResultRow struct {
-	Spec   campaign.CellSpec `json:"spec"`
-	Result *finject.Result   `json:"result"`
+	writeJSON(w, http.StatusOK, api.JobStatus{
+		ID: j.id, Kind: j.kind, State: j.state, Tenant: j.tenant,
+		Done: j.done, Total: len(j.cells), Cells: j.cells, Error: j.errMsg,
+	})
 }
 
 // handleResult returns the full results once the job is done.
@@ -345,24 +324,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.kind == "experiment" {
-		writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "result": j.expResult})
+		writeJSON(w, http.StatusOK, api.JobResult{ID: j.id, Result: j.expResult})
 		return
 	}
-	rows := make([]jobResultRow, len(j.cells))
+	rows := make([]api.ResultRow, len(j.cells))
 	for i, c := range j.cells {
-		rows[i] = jobResultRow{Spec: c.Spec, Result: c.result}
+		rows[i] = api.ResultRow{Spec: c.Spec, Result: j.results[i]}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "cells": rows})
-}
-
-// jobSummary is one row of the GET /v1/jobs listing.
-type jobSummary struct {
-	ID     string `json:"id"`
-	Kind   string `json:"kind"`
-	State  string `json:"state"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-	Tenant string `json:"tenant,omitempty"`
+	writeJSON(w, http.StatusOK, api.JobResult{ID: j.id, Cells: rows})
 }
 
 // handleJobs lists the retained jobs, oldest first — the discovery
@@ -371,14 +340,14 @@ type jobSummary struct {
 // pre-tenancy jobs with no owner).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.table.mu.Lock()
-	rows := make([]jobSummary, 0, len(s.table.order))
+	rows := make([]api.JobSummary, 0, len(s.table.order))
 	for _, id := range s.table.order {
 		if j := s.table.jobs[id]; s.tenantSees(r, j) {
-			rows = append(rows, jobSummary{ID: j.id, Kind: j.kind, State: j.state, Done: j.done, Total: len(j.cells), Tenant: j.tenant})
+			rows = append(rows, api.JobSummary{ID: j.id, Kind: j.kind, State: j.state, Done: j.done, Total: len(j.cells), Tenant: j.tenant})
 		}
 	}
 	s.table.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": rows})
+	writeJSON(w, http.StatusOK, api.JobList{Jobs: rows})
 }
 
 // handleCancel implements DELETE /v1/jobs/{id}. The semantics are
@@ -401,7 +370,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if j.state == "running" {
 		j.cancel()
-		writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "state": "canceling"})
+		writeJSON(w, http.StatusOK, api.JobState{ID: j.id, State: "canceling"})
 		return
 	}
 	if !s.table.remove(j.id) {
@@ -409,5 +378,5 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.journal(journalRecord{Event: "delete", Job: j.id})
-	writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "state": "deleted"})
+	writeJSON(w, http.StatusOK, api.JobState{ID: j.id, State: "deleted"})
 }

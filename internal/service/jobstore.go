@@ -53,7 +53,7 @@ type journalRecord struct {
 	Kind   string              `json:"kind,omitempty"`
 	Tenant string              `json:"tenant,omitempty"`
 	Cells  []campaign.CellSpec `json:"cells,omitempty"`
-	Policy *jobPolicy          `json:"policy,omitempty"`
+	Policy *finject.Config     `json:"policy,omitempty"`
 	Spec   json.RawMessage     `json:"spec,omitempty"`
 
 	// Cell records journal one per-cell state transition. A batch's carry

@@ -69,7 +69,7 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	if len(snap.cells) != 1 || snap.cells[0].State != "done" || snap.cells[0].Injections != 20 {
 		t.Fatalf("cells %+v", snap.cells)
 	}
-	if snap.cells[0].result == nil || snap.cells[0].result.Injections != 20 {
+	if snap.results[0] == nil || snap.results[0].Injections != 20 {
 		t.Fatalf("results %+v", snap.cells)
 	}
 	if js2.MaxSeq() != 1 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/experiment"
 	"repro/internal/finject"
@@ -27,7 +28,7 @@ type job struct {
 	// the normalized spec of an experiment. Compact writes it back byte
 	// for byte and resume recompiles the run from it.
 	rawCells []campaign.CellSpec
-	policy   *jobPolicy
+	policy   *finject.Config
 	rawSpec  json.RawMessage
 	// cancel aborts the job's run; a no-op for a job this process is not
 	// running (replayed from the journal and not resumed).
@@ -35,22 +36,10 @@ type job struct {
 
 	state     string // "running", "done", "failed", "canceled"
 	done      int    // settled cells
-	cells     []cellState
+	cells     []api.CellStatus
+	results   []*finject.Result  // per cell, what a batch's /result serves
 	expResult *experiment.Result // a finished experiment's result
 	errMsg    string
-}
-
-// cellState is one cell of a job: the per-cell view inside a job status,
-// plus the result /result serves.
-type cellState struct {
-	Spec   campaign.CellSpec `json:"spec"`
-	State  string            `json:"state"` // "pending", "done", "failed"
-	Cached bool              `json:"cached"`
-	// Injections is the realized sample size; under an adaptive policy
-	// it can stop below the cell's cap.
-	Injections int    `json:"injections,omitempty"`
-	Error      string `json:"error,omitempty"`
-	result     *finject.Result
 }
 
 // jobTable is the server's one job table: every retained job, in
@@ -92,9 +81,10 @@ func (t *jobTable) applyLocked(rec journalRecord) {
 		if rec.work != nil {
 			specs, nj.cancel = rec.work.specs, rec.work.cancel
 		}
-		nj.cells = make([]cellState, len(specs))
+		nj.cells = make([]api.CellStatus, len(specs))
+		nj.results = make([]*finject.Result, len(specs))
 		for i, cs := range specs {
-			nj.cells[i] = cellState{Spec: cs.Normalize(), State: "pending"}
+			nj.cells[i] = api.CellStatus{Spec: cs.Normalize(), State: "pending"}
 		}
 		// A second submit record for a retained id is a resume: the job
 		// starts over in its original place.
@@ -110,14 +100,14 @@ func (t *jobTable) applyLocked(rec journalRecord) {
 		if c.State == "pending" {
 			j.done++
 		}
-		*c = cellState{
+		*c = api.CellStatus{
 			Spec:       c.Spec,
 			State:      rec.State,
 			Cached:     rec.Cached,
 			Injections: rec.Injections,
 			Error:      rec.Error,
-			result:     rec.Result,
 		}
+		j.results[rec.Index] = rec.Result
 	case "finish":
 		if j == nil {
 			return
@@ -165,7 +155,8 @@ func (t *jobTable) get(id string) *job {
 		return nil
 	}
 	c := *j
-	c.cells = append([]cellState{}, j.cells...)
+	c.cells = append([]api.CellStatus{}, j.cells...)
+	c.results = append([]*finject.Result(nil), j.results...)
 	return &c
 }
 
@@ -235,7 +226,7 @@ func (t *jobTable) liveRecords() []journalRecord {
 			recs = append(recs, journalRecord{
 				Event: "cell", Job: id, Index: i, State: c.State,
 				Cached: c.Cached, Injections: c.Injections, Error: c.Error,
-				Result: c.result,
+				Result: j.results[i],
 			})
 		}
 		if j.state != "running" {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 )
 
@@ -41,7 +42,7 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 			t.Fatalf("%s: %v", tc.path, err)
 		}
 		var envelope struct {
-			Error errorBody `json:"error"`
+			Error api.Error `json:"error"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&envelope)
 		resp.Body.Close()

@@ -392,7 +392,7 @@ func TestParentFilesByteIdentical(t *testing.T) {
 		// (An unfinished job reads "running" in the one table; the replay-only
 		// snapshot this assertion used to read spelled it "".)
 		if j1 := snaps[0]; j1.tenant != "acme" || j1.state != "running" || !j1.cells[0].Cached || j1.cells[1].State != "pending" ||
-			j1.cells[0].result == nil || j1.cells[0].result.Injections != 20 {
+			j1.results[0] == nil || j1.results[0].Injections != 20 {
 			t.Fatalf("job-000001 replayed as %+v", j1)
 		}
 		if j3 := snaps[1]; j3.state != "failed" || j3.errMsg != "boom" || j3.cells[0].Error != "boom" {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/client"
 	"repro/internal/experiment"
@@ -295,8 +296,8 @@ func TestRestartResumesUnfinishedJob(t *testing.T) {
 	}
 	testutil.WaitForJob(t, gen2.ts.URL, "job-000077")
 	var status struct {
-		State string      `json:"state"`
-		Cells []cellState `json:"cells"`
+		State string           `json:"state"`
+		Cells []api.CellStatus `json:"cells"`
 	}
 	testutil.GetJSON(t, gen2.ts.URL, "/v1/jobs/job-000077", &status)
 	if !status.Cells[0].Cached {
@@ -359,7 +360,7 @@ func TestRestartResumesUnfinishedExperiment(t *testing.T) {
 		t.Fatalf("resumed experiment's result differs from an uninterrupted run's:\nclean:   %s\nresumed: %s", want, got)
 	}
 	var status struct {
-		Cells []cellState `json:"cells"`
+		Cells []api.CellStatus `json:"cells"`
 	}
 	testutil.GetJSON(t, gen2.ts.URL, "/v1/jobs/exp-000077", &status)
 	if len(status.Cells) != 2 || !status.Cells[0].Cached || status.Cells[1].Cached || status.Cells[0].Injections != 20 {
@@ -431,7 +432,7 @@ func TestEvictionOrderingAcrossRestart(t *testing.T) {
 			gen2.srv.maxRetained = tc.maxRetained
 			gen2.srv.mu.Unlock()
 			var listing struct {
-				Jobs []jobSummary `json:"jobs"`
+				Jobs []api.JobSummary `json:"jobs"`
 			}
 			testutil.GetJSON(t, gen2.ts.URL, "/v1/jobs", &listing)
 			if len(listing.Jobs) != len(tc.wantKept) {
@@ -518,15 +519,15 @@ func TestReadsNeverWaitOnJournalAppend(t *testing.T) {
 		}
 	}
 	var listing struct {
-		Jobs []jobSummary `json:"jobs"`
+		Jobs []api.JobSummary `json:"jobs"`
 	}
 	get("/v1/jobs", &listing)
 	if len(listing.Jobs) != 2 {
 		t.Fatalf("listing %+v, want both jobs", listing.Jobs)
 	}
 	var status struct {
-		State string      `json:"state"`
-		Cells []cellState `json:"cells"`
+		State string           `json:"state"`
+		Cells []api.CellStatus `json:"cells"`
 	}
 	get("/v1/jobs/"+stuck.ID, &status)
 	if status.State != "running" || status.Cells[0].State != "pending" {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/client"
 	"repro/internal/experiment"
@@ -16,8 +17,8 @@ import (
 // awaitJob polls a job until it leaves "running" and returns its final
 // status document.
 func awaitJob(t *testing.T, ts *httptest.Server, id string) (status struct {
-	State string      `json:"state"`
-	Cells []cellState `json:"cells"`
+	State string           `json:"state"`
+	Cells []api.CellStatus `json:"cells"`
 }) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)

@@ -42,8 +42,8 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
-	"repro/internal/finject"
 	"repro/internal/telemetry"
 )
 
@@ -108,16 +108,6 @@ type Server struct {
 	running     sync.WaitGroup
 }
 
-// jobPolicy is the wire form of the execution policy applied to every
-// cell of a submitted batch: the engine's versioned Config. The field
-// names match the historical ad-hoc policy block (margin, confidence,
-// max_injections, checkpoint), so journals and clients written against
-// it keep parsing; worker counts remain server-owned — the scheduler
-// overwrites them per cell regardless of what a submitter sends. A nil
-// checkpoint means each cell's own setting; the cell seed always comes
-// from the spec, never the policy block.
-type jobPolicy = finject.Config
-
 // NewServer builds a Server around the scheduler.
 func NewServer(sched *campaign.Scheduler) *Server {
 	s := &Server{
@@ -137,7 +127,7 @@ func NewServer(sched *campaign.Scheduler) *Server {
 	s.handle("POST /v1/experiments", s.handleExperiment)
 	s.mux.Handle("GET /metrics", telemetry.Handler())
 	s.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	})
 	return s
 }
@@ -192,51 +182,15 @@ func (s *Server) tenantOf(r *http.Request) (string, *Tenant) {
 	return t.Name, t
 }
 
-// writeJSON writes one JSON response with status code.
+// writeJSON writes one JSON response (an internal/api type) with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-// errorBody is the unified /v1 error envelope. Every non-2xx JSON
-// answer — jobs, experiments and the worker protocol — has the
-// shape {"error":{"code","message","job_id"}}: a stable machine-readable
-// code derived from the status, the human-readable message, and the job
-// the error concerns when one exists. Streamed NDJSON error *events*
-// keep their own flat shape; this envelope covers request/response
-// errors only.
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	JobID   string `json:"job_id,omitempty"`
-}
-
-// errorCode maps a status code onto the envelope's stable slug.
-func errorCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusGone:
-		return "gone"
-	case http.StatusUnauthorized:
-		return "unauthorized"
-	case http.StatusTooManyRequests:
-		return "quota_exceeded"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	default:
-		return "error"
-	}
-}
-
-// httpError writes the error envelope with no job attribution.
+// httpError writes the error envelope (api.ErrorEnvelope, the body of
+// every non-2xx JSON answer) with no job attribution.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	httpJobError(w, code, "", format, args...)
 }
@@ -244,8 +198,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // httpJobError writes the error envelope for an error concerning jobID
 // (empty when the request never resolved to a job).
 func httpJobError(w http.ResponseWriter, code int, jobID, format string, args ...any) {
-	writeJSON(w, code, map[string]errorBody{"error": {
-		Code:    errorCode(code),
+	writeJSON(w, code, api.ErrorEnvelope{Error: api.Error{
+		Code:    api.ErrorCode(code),
 		Message: fmt.Sprintf(format, args...),
 		JobID:   jobID,
 	}})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/testutil"
 )
@@ -36,10 +37,10 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	var status struct {
-		State string      `json:"state"`
-		Done  int         `json:"done"`
-		Total int         `json:"total"`
-		Cells []cellState `json:"cells"`
+		State string           `json:"state"`
+		Done  int              `json:"done"`
+		Total int              `json:"total"`
+		Cells []api.CellStatus `json:"cells"`
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -64,7 +65,7 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	var result struct {
-		Cells []jobResultRow `json:"cells"`
+		Cells []api.ResultRow `json:"cells"`
 	}
 	if testutil.GetJSON(t, ts.URL, "/v1/jobs/"+submitted.ID+"/result", &result) != http.StatusOK {
 		t.Fatal("result not OK")

@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
-	"repro/internal/finject"
 )
 
 // maxLeaseWait caps how long a lease request may long-poll for work.
@@ -31,31 +31,13 @@ func (s *Server) ServeWorkers(q *campaign.LeaseQueue) {
 	s.handle("POST /v1/workers/{lease}/complete", s.handleWorkerComplete)
 }
 
-// leaseRequest is the POST /v1/workers/lease body.
-type leaseRequest struct {
-	// Worker names the requester (for lease bookkeeping and error
-	// messages); required.
-	Worker string `json:"worker"`
-	// Max bounds the cells granted at once (1 when 0); multi-cell grants
-	// are cost-balanced shards of the backlog.
-	Max int `json:"max"`
-	// WaitMillis long-polls: the server holds the request up to this long
-	// waiting for work before answering with an empty grant.
-	WaitMillis int64 `json:"wait_ms"`
-}
-
-// leaseResponse is the lease grant; empty Leases means "no work yet".
-type leaseResponse struct {
-	Leases []campaign.Lease `json:"leases"`
-}
-
 // handleWorkerLease grants pending cells, long-polling when asked.
 func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 	if s.queue == nil {
 		httpError(w, http.StatusNotFound, "remote workers not enabled")
 		return
 	}
-	var req leaseRequest
+	var req api.LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&req); err != nil {
 		bodyError(w, err, "bad request body: %v")
 		return
@@ -79,14 +61,14 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		wake := s.queue.Wake()
 		leases := s.queue.Lease(req.Worker, req.Max)
 		if len(leases) > 0 {
-			writeJSON(w, http.StatusOK, leaseResponse{Leases: leases})
+			writeJSON(w, http.StatusOK, api.LeaseGrant{Leases: leases})
 			return
 		}
 		select {
 		case <-wake:
 		case <-recheck.C:
 		case <-deadline.C:
-			writeJSON(w, http.StatusOK, leaseResponse{Leases: nil})
+			writeJSON(w, http.StatusOK, api.LeaseGrant{})
 			return
 		case <-r.Context().Done():
 			return
@@ -107,14 +89,7 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusGone, "lease %q is no longer held", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"lease": id, "state": "held"})
-}
-
-// completeRequest is the POST /v1/workers/{lease}/complete body: exactly
-// one of Result and Error.
-type completeRequest struct {
-	Result *finject.Result `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	writeJSON(w, http.StatusOK, api.LeaseState{Lease: id, State: "held"})
 }
 
 // handleWorkerComplete records a worker's answer for its leased cell.
@@ -123,7 +98,7 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "remote workers not enabled")
 		return
 	}
-	var req completeRequest
+	var req api.CompleteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompleteBody)).Decode(&req); err != nil {
 		bodyError(w, err, "bad request body: %v")
 		return
@@ -137,5 +112,5 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"lease": id, "state": "completed"})
+	writeJSON(w, http.StatusOK, api.LeaseState{Lease: id, State: "completed"})
 }

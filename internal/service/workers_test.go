@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/finject"
 	"repro/internal/testutil"
@@ -33,23 +34,19 @@ func newRemoteServer(t *testing.T, ttl time.Duration) (*httptest.Server, *campai
 // leaseOnce asks the worker endpoint for up to max cells.
 func leaseOnce(t *testing.T, ts *httptest.Server, worker string, max int, wait time.Duration) []campaign.Lease {
 	t.Helper()
-	var resp struct {
-		Leases []campaign.Lease `json:"leases"`
-	}
+	var grant api.LeaseGrant
 	testutil.PostJSON(t, ts.URL, "/v1/workers/lease",
-		map[string]any{"worker": worker, "max": max, "wait_ms": wait.Milliseconds()},
-		&resp, http.StatusOK)
-	return resp.Leases
+		api.LeaseRequest{Worker: worker, Max: max, WaitMillis: wait.Milliseconds()},
+		&grant, http.StatusOK)
+	return grant.Leases
 }
 
 // completeLease answers one lease over HTTP, expecting wantCode.
 func completeLease(t *testing.T, ts *httptest.Server, leaseID string, res *finject.Result, errMsg string, wantCode int) {
 	t.Helper()
-	body := map[string]any{}
+	body := api.CompleteRequest{Result: res}
 	if errMsg != "" {
-		body["error"] = errMsg
-	} else {
-		body["result"] = res
+		body = api.CompleteRequest{Error: errMsg}
 	}
 	testutil.PostJSON(t, ts.URL, "/v1/workers/"+leaseID+"/complete", body, nil, wantCode)
 }
@@ -92,8 +89,8 @@ func TestWorkerProtocolServesJob(t *testing.T) {
 	}
 
 	var status struct {
-		State string      `json:"state"`
-		Cells []cellState `json:"cells"`
+		State string           `json:"state"`
+		Cells []api.CellStatus `json:"cells"`
 	}
 	for {
 		testutil.GetJSON(t, ts.URL, "/v1/jobs/"+submitted.ID, &status)
@@ -255,14 +252,16 @@ func TestLeaseTaskWireFormat(t *testing.T) {
 		Spec:   testutil.MiniSpec("vectoradd", 45).Normalize(),
 		Policy: finject.Config{Margin: 0.05, Confidence: 0.95},
 	}
-	buf, err := json.Marshal(task)
+	// It travels in the grant both halves of the protocol declare once.
+	buf, err := json.Marshal(api.LeaseGrant{Leases: []campaign.Lease{{ID: "lease-0-000001", Task: task, TTLMillis: 60000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back campaign.Task
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
+	var grant api.LeaseGrant
+	if err := json.Unmarshal(buf, &grant); err != nil || len(grant.Leases) != 1 {
+		t.Fatalf("grant %s decoded to %+v: %v", buf, grant, err)
 	}
+	back := grant.Leases[0].Task
 	if back.Spec != task.Spec || !back.Policy.Equal(task.Policy) || back.Corr != task.Corr {
 		t.Fatalf("task round-trip changed it:\n%+v\n%+v", task, back)
 	}
@@ -279,13 +278,20 @@ func TestLeaseTaskWireFormat(t *testing.T) {
 // to the lease that was actually granted (lease ids carry a per-queue
 // nonce, so useGranted is how the fuzzer aims at it).
 func FuzzWorkerProtocol(f *testing.F) {
-	res, _ := json.Marshal(map[string]any{"result": &finject.Result{Injections: 20, Outcomes: [4]int{18, 1, 1, 0}}})
+	wire := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
 	seeds := [][]byte{
-		// What worker.Client sends to lease, heartbeat and complete.
-		[]byte(`{"worker":"w1","max":4,"wait_ms":2000}`),
+		// What worker.Client sends to lease and complete: the bodies the
+		// server decodes, marshalled from the one declaration of them.
+		wire(api.LeaseRequest{Worker: "w1", Max: 4, WaitMillis: 2000}),
 		[]byte(`{}`),
-		res,
-		[]byte(`{"error":"device fault"}`),
+		wire(api.CompleteRequest{Result: &finject.Result{Injections: 20, Outcomes: [4]int{18, 1, 1, 0}}}),
+		wire(api.CompleteRequest{Error: "device fault"}),
 		// The lease wire's legacy policy form (untagged Go field names,
 		// matched case-insensitively) — see finject's
 		// TestConfigDecodesLegacyPolicyJSON.
@@ -323,7 +329,7 @@ func FuzzWorkerProtocol(f *testing.F) {
 			}
 			if rec.Code/100 != 2 {
 				var envelope struct {
-					Error errorBody `json:"error"`
+					Error api.Error `json:"error"`
 				}
 				if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Code == "" || envelope.Error.Message == "" {
 					t.Fatalf("POST %s %q: status %d outside the error envelope: %s", path, body, rec.Code, rec.Body)
@@ -333,13 +339,13 @@ func FuzzWorkerProtocol(f *testing.F) {
 		}
 
 		// A well-formed lease request may ask to long-poll; never here.
-		var lreq leaseRequest
+		var lreq api.LeaseRequest
 		named := json.NewDecoder(bytes.NewReader(leaseBody)).Decode(&lreq) == nil && lreq.Worker != ""
 		if named && lreq.WaitMillis != 0 {
 			lreq.WaitMillis = 0
 			leaseBody, _ = json.Marshal(lreq)
 		}
-		var grant leaseResponse
+		var grant api.LeaseGrant
 		if rec := post("/v1/workers/lease", leaseBody); rec.Code == http.StatusOK {
 			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
 				t.Fatalf("lease answer %q: %v", rec.Body, err)
@@ -364,7 +370,7 @@ func FuzzWorkerProtocol(f *testing.F) {
 		}
 		post("/v1/workers/"+id+"/complete", completeBody)
 
-		var creq completeRequest
+		var creq api.CompleteRequest
 		completion := json.NewDecoder(bytes.NewReader(completeBody)).Decode(&creq) == nil && (creq.Result != nil || creq.Error != "")
 		st := q.Stats()
 		if settled := st.Completed+st.Failed > 0; settled != (useGranted && named && completion) {

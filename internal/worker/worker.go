@@ -9,20 +9,16 @@
 package worker
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
@@ -33,7 +29,10 @@ import (
 // and the client sticks to one until it fails (transport error or 5xx
 // — a dead server or a standby answering 503), then rotates to the
 // next. Determinism makes the servers interchangeable: whichever owner
-// grants the lease, the cell's result is the same bytes.
+// grants the lease, the cell's result is the same bytes. The bodies and
+// the transport are internal/api's; this type and its three methods are
+// one-line wrappers over them, kept because bench/ and fiworker compile
+// against these names. Set the fields before the first call.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:8080", or a
 	// comma-separated list of them for a clustered control plane.
@@ -43,128 +42,28 @@ type Client struct {
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
 
-	mu    sync.Mutex
-	bases []string
-	cur   int
+	once   sync.Once
+	caller api.Caller
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// current returns the server the client is currently stuck to, parsing
-// Base on first use.
-func (c *Client) current() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bases == nil {
-		for _, b := range strings.Split(c.Base, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				c.bases = append(c.bases, strings.TrimRight(b, "/"))
-			}
-		}
-		if len(c.bases) == 0 {
-			c.bases = []string{""}
-		}
-	}
-	return c.bases[c.cur]
-}
-
-// failover rotates to the next server, but only if from is still the
-// current one — concurrent requests that all fail against the same
-// server advance the cursor once, not once each.
-func (c *Client) failover(from string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.bases) > 1 && c.bases[c.cur] == from {
-		c.cur = (c.cur + 1) % len(c.bases)
-	}
-}
-
-// post sends one JSON request and decodes the JSON answer into out
-// (ignored when nil). Non-2xx statuses become errors carrying the
-// server's error body, with the status code retrievable via errStatus.
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	base := c.current()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		// Unreachable server: try the next one on the following call.
-		c.failover(base)
-		return err
-	}
-	if resp.StatusCode/100 == 5 {
-		// A 5xx — notably a cluster standby's 503 — means this server
-		// cannot grant work; rotate before the caller retries.
-		c.failover(base)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		// The server's error envelope {"error":{"code","message",...}};
-		// any other body leaves the message empty and the status stands.
-		var e struct {
-			Error struct {
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return &statusError{code: resp.StatusCode, msg: e.Error.Message}
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// statusError is a non-2xx protocol answer.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("server status %d: %s", e.code, e.msg)
-}
-
-// errStatus extracts the HTTP status behind err, or 0.
-func errStatus(err error) int {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.code
-	}
-	return 0
+// transport returns the Caller behind the client, set up on first use.
+func (c *Client) transport() *api.Caller {
+	c.once.Do(func() { c.caller.Base, c.caller.HTTPClient = c.Base, c.HTTPClient })
+	return &c.caller
 }
 
 // Lease asks for up to max cells, long-polling the server for wait.
 func (c *Client) Lease(ctx context.Context, max int, wait time.Duration) ([]campaign.Lease, error) {
-	var resp struct {
-		Leases []campaign.Lease `json:"leases"`
-	}
-	err := c.post(ctx, "/v1/workers/lease", map[string]any{
-		"worker": c.Name, "max": max, "wait_ms": wait.Milliseconds(),
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Leases, nil
+	var grant api.LeaseGrant
+	err := c.transport().Do(ctx, http.MethodPost, "/v1/workers/lease", api.LeaseRequest{Worker: c.Name, Max: max, WaitMillis: wait.Milliseconds()}, &grant)
+	return grant.Leases, err
 }
 
 // Heartbeat renews a lease; alive == false means the server re-queued or
 // already resolved the cell and further work on it is wasted.
 func (c *Client) Heartbeat(ctx context.Context, leaseID string) (alive bool, err error) {
-	err = c.post(ctx, "/v1/workers/"+leaseID+"/heartbeat", map[string]any{}, nil)
-	if errStatus(err) == http.StatusGone {
+	err = c.transport().Do(ctx, http.MethodPost, "/v1/workers/"+leaseID+"/heartbeat", nil, nil)
+	if api.StatusOf(err) == http.StatusGone {
 		return false, nil
 	}
 	return err == nil, err
@@ -173,13 +72,11 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) (alive bool, err
 // Complete delivers the cell's result (or the execution error when
 // errMsg is non-empty).
 func (c *Client) Complete(ctx context.Context, leaseID string, res *finject.Result, errMsg string) error {
-	body := map[string]any{}
+	req := api.CompleteRequest{Result: res}
 	if errMsg != "" {
-		body["error"] = errMsg
-	} else {
-		body["result"] = res
+		req = api.CompleteRequest{Error: errMsg}
 	}
-	return c.post(ctx, "/v1/workers/"+leaseID+"/complete", body, nil)
+	return c.transport().Do(ctx, http.MethodPost, "/v1/workers/"+leaseID+"/complete", req, nil)
 }
 
 // Options tunes a Worker.
@@ -368,7 +265,7 @@ func (w *Worker) runLease(ctx context.Context, l campaign.Lease) {
 			}
 			return
 		}
-		if errStatus(cerr) == http.StatusNotFound {
+		if api.StatusOf(cerr) == http.StatusNotFound {
 			return
 		}
 		time.Sleep(200 * time.Millisecond)

@@ -196,26 +196,51 @@ func TestWorkerRotatesAwayFromStandby(t *testing.T) {
 	}
 }
 
-// TestClientBaseListParsing pins the comma-list contract: whitespace
-// trimmed, trailing slashes dropped, single-server lists never rotate.
+// TestClientBaseListParsing pins the comma-list contract as the servers
+// see it: whitespace trimmed, trailing slashes dropped (the mux would
+// redirect "//v1/..." and the POST would be replayed as a GET), the
+// rotation sticky, single-server lists never rotating. The cursor's own
+// rules (a stale failover must not advance it) are pinned where it
+// lives, in internal/api.
 func TestClientBaseListParsing(t *testing.T) {
-	c := &Client{Base: " http://a:1/ , http://b:2 "}
-	if got := c.current(); got != "http://a:1" {
-		t.Fatalf("current %q", got)
+	var aHits, bHits atomic.Int64
+	serve := func(hits *atomic.Int64, status int, body string) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/workers/lease" {
+				t.Errorf("server saw %s %s", r.Method, r.URL.Path)
+			}
+			hits.Add(1)
+			w.WriteHeader(status)
+			fmt.Fprintln(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
 	}
-	c.failover("http://a:1")
-	if got := c.current(); got != "http://b:2" {
-		t.Fatalf("after failover %q", got)
+	a := serve(&aHits, http.StatusServiceUnavailable, `{"error":{"code":"unavailable","message":"standby"}}`)
+	b := serve(&bHits, http.StatusOK, `{"leases":[]}`)
+	ctx := context.Background()
+
+	c := &Client{Base: " " + a.URL + "/ , " + b.URL + " ", Name: "w"}
+	if _, err := c.Lease(ctx, 1, 0); err == nil {
+		t.Fatal("the standby's 503 was not reported")
 	}
-	// A stale failover (loser of a race) must not advance the cursor.
-	c.failover("http://a:1")
-	if got := c.current(); got != "http://b:2" {
-		t.Fatalf("after stale failover %q", got)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Lease(ctx, 1, 0); err != nil {
+			t.Fatalf("after failover: %v", err)
+		}
 	}
-	solo := &Client{Base: "http://only:1"}
-	solo.failover(solo.current())
-	if got := solo.current(); got != "http://only:1" {
-		t.Fatalf("single-server rotated to %q", got)
+	if aHits.Load() != 1 || bHits.Load() != 2 {
+		t.Fatalf("first server asked %d times, second %d; want 1 and 2", aHits.Load(), bHits.Load())
+	}
+
+	solo := &Client{Base: a.URL + "/", Name: "w"}
+	for i := 0; i < 2; i++ {
+		if _, err := solo.Lease(ctx, 1, 0); err == nil {
+			t.Fatal("the standby's 503 was not reported")
+		}
+	}
+	if aHits.Load() != 3 {
+		t.Fatalf("single-server list rotated: its server was asked %d times, want 3", aHits.Load())
 	}
 }
 
