@@ -3,13 +3,16 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ace"
 	"repro/internal/campaign"
 	"repro/internal/chips"
 	"repro/internal/devices"
 	"repro/internal/finject"
+	"repro/internal/flight"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/protect"
@@ -50,15 +53,16 @@ type Runner struct {
 	// in-process scheduler is created per run when nil.
 	Scheduler *campaign.Scheduler
 	// OnCell, when non-nil, receives per-cell progress as the run
-	// streams. It is called from scheduler goroutines, one call at a
-	// time.
+	// streams. It is called from scheduler and ACE worker goroutines, one
+	// call at a time.
 	OnCell func(Progress)
 
 	// aceRuns memoizes the traced run of each (benchmark, chip) pair, by
-	// name, across the plans this Runner executes (see aceOf).
-	aceMu     sync.Mutex
-	aceRuns   map[[2]string]*aceRun
-	aceTraced int // traced runs made
+	// name, across the plans this Runner executes (see runACE); aceOnce
+	// turns its Keep on, so that the zero Runner is ready to use.
+	aceOnce   sync.Once
+	aceRuns   flight.Table[[2]string, *aceRun]
+	aceTraced atomic.Int64 // traced runs started
 }
 
 // aceRun is what one traced run measures.
@@ -125,26 +129,26 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		}
 	}
 
-	// Phase 2: assemble the per-structure tables from the batch results.
+	// Phase 2: the traced ACE runs, then the per-structure tables from the
+	// batch results.
+	var aceRuns map[[2]string]*aceRun
+	if spec.Estimator.ace() {
+		var err error
+		if aceRuns, err = r.runACE(ctx, p); err != nil {
+			return nil, err
+		}
+	}
 	cells := make(map[[3]int]*Cell, len(p.Cells))
-	aceDone := 0
 	for i, pc := range p.Cells {
 		var fres *finject.Result
 		if fiResults != nil {
 			fres = fiResults[i]
 		}
-		cell, err := r.measureCell(ctx, spec, pc, fres)
+		cell, err := measureCell(spec, pc, fres, aceRuns[aceKey(pc)])
 		if err != nil {
 			return nil, err
 		}
 		cells[[3]int{pc.BenchIndex, pc.ChipIndex, pc.StructIndex}] = cell
-		if !spec.Estimator.fi() && r.OnCell != nil {
-			aceDone++
-			r.OnCell(Progress{
-				Index: i, Cell: pc, Spec: campaign.SpecOf(pc.Campaign), Cached: true,
-				Done: aceDone, Total: len(p.Cells),
-			})
-		}
 	}
 	for si, st := range spec.Structures {
 		tbl := &Table{Structure: st}
@@ -192,39 +196,113 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// aceOf returns the traced run of the cell's (benchmark, chip) pair,
-// making it if no plan on this Runner has yet: ACE is a deterministic
-// function of the pair and one run yields both structures' AVFs, so the
-// three figure specs on one Runner trace their 40 pairs once. Plans
-// running at once take turns here, so that no run is made twice.
+// aceKey names the (benchmark, chip) pair of a cell.
+func aceKey(pc PlannedCell) [2]string {
+	return [2]string{pc.Benchmark.Name, pc.Chip.Name}
+}
+
+// runACE returns the traced run of each (benchmark, chip) pair of the
+// plan, making those no plan on this Runner has made yet: ACE is a
+// deterministic function of the pair and one run yields both structures'
+// AVFs, so the three figure specs on one Runner trace their 40 pairs
+// once, and plans running at once share a run through the flight table
+// instead of making it twice. GOMAXPROCS workers take the pairs in plan
+// order; under the ACE-only estimator a cell reports its Progress when
+// its pair's run lands. A traced run is a full simulation, so each
+// worker checks ctx before starting one, and a canceled experiment stops
+// instead of simulating the rest of the grid. The first failure in plan
+// order is returned.
+func (r *Runner) runACE(ctx context.Context, p *Plan) (map[[2]string]*aceRun, error) {
+	r.aceOnce.Do(func() { r.aceRuns.Keep = true })
+	var keys [][2]string
+	cellsOf := make(map[[2]string][]int)
+	for i, pc := range p.Cells {
+		k := aceKey(pc)
+		if cellsOf[k] == nil {
+			keys = append(keys, k)
+		}
+		cellsOf[k] = append(cellsOf[k], i)
+	}
+	runs := make([]*aceRun, len(keys))
+	errs := make([]error, len(keys))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		mu     sync.Mutex // serializes OnCell
+		done   int
+	)
+	for range min(runtime.GOMAXPROCS(0), len(keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil && !failed.Load() {
+				j := int(next.Add(1)) - 1
+				if j >= len(keys) {
+					return
+				}
+				if runs[j], errs[j] = r.aceOf(ctx, p.Cells[cellsOf[keys[j]][0]]); errs[j] != nil {
+					failed.Store(true)
+					return
+				}
+				if p.Spec.Estimator.fi() || r.OnCell == nil {
+					continue
+				}
+				mu.Lock()
+				for _, i := range cellsOf[keys[j]] {
+					done++
+					r.OnCell(Progress{
+						Index: i, Cell: p.Cells[i], Spec: campaign.SpecOf(p.Cells[i].Campaign), Cached: true,
+						Done: done, Total: len(p.Cells),
+					})
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	out := make(map[[2]string]*aceRun, len(keys))
+	for j, k := range keys {
+		// Workers claim pairs in plan order, so every pair before a
+		// failure was run; a pair left unrun after none means ctx ended.
+		if errs[j] != nil {
+			return nil, errs[j]
+		}
+		if runs[j] == nil {
+			return nil, ctx.Err()
+		}
+		out[k] = runs[j]
+	}
+	return out, nil
+}
+
+// aceOf returns the traced run of the cell's pair, from the memo, by
+// waiting for another plan making it, or by making it.
 func (r *Runner) aceOf(ctx context.Context, pc PlannedCell) (*aceRun, error) {
-	r.aceMu.Lock()
-	defer r.aceMu.Unlock()
-	key := [2]string{pc.Benchmark.Name, pc.Chip.Name}
-	if run, ok := r.aceRuns[key]; ok {
-		return run, nil
+	for {
+		run, joined, err := r.aceRuns.Do(ctx, aceKey(pc), func() (*aceRun, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			r.aceTraced.Add(1)
+			run, err := measureACE(pc.Chip, pc.Benchmark)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, err)
+			}
+			return run, nil
+		})
+		// A joined run that failed was another plan's — canceled with it,
+		// perhaps — and is forgotten: make it here.
+		if err == nil || !joined || ctx.Err() != nil {
+			return run, err
+		}
 	}
-	// A traced run is a full simulation: a canceled experiment stops
-	// here instead of simulating the rest of the grid.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	run, err := measureACE(pc.Chip, pc.Benchmark)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, err)
-	}
-	if r.aceRuns == nil {
-		r.aceRuns = make(map[[2]string]*aceRun)
-	}
-	r.aceRuns[key] = run
-	r.aceTraced++
-	return run, nil
 }
 
 // measureCell measures one grid cell under the spec's estimator: the FI
 // result comes from the phase-1 batch and the ACE measurements from the
-// Runner's memoized per-(chip, benchmark) traced run.
-func (r *Runner) measureCell(ctx context.Context, spec Spec, pc PlannedCell, fres *finject.Result) (*Cell, error) {
+// pair's traced run.
+func measureCell(spec Spec, pc PlannedCell, fres *finject.Result, run *aceRun) (*Cell, error) {
 	cell := &Cell{
 		Chip:      pc.Chip.Name,
 		Benchmark: pc.Benchmark.Name,
@@ -244,10 +322,6 @@ func (r *Runner) measureCell(ctx context.Context, spec Spec, pc PlannedCell, fre
 		cell.Outcomes = fres.Outcomes
 	}
 	if spec.Estimator.ace() {
-		run, err := r.aceOf(ctx, pc)
-		if err != nil {
-			return nil, err
-		}
 		cell.AVFACE = run.reg
 		if pc.Structure == gpu.LocalMemory {
 			cell.AVFACE = run.local

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -207,6 +208,41 @@ func TestRunnerStopsWhenCanceled(t *testing.T) {
 			t.Fatalf("canceled ACE-only run still measured %d cells", measured)
 		}
 	})
+	t.Run("ACE-only, canceled during the ACE phase", func(t *testing.T) {
+		s := miniSpec()
+		s.Estimator = EstimatorACE
+		s.Benchmarks = nil // the whole suite: 20 pairs, 40 cells
+		// Two runs per worker fit before the cancel lands and after it;
+		// keep that under the grid's 20 pairs.
+		if runtime.GOMAXPROCS(0) > 8 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+		}
+		procs := int64(runtime.GOMAXPROCS(0))
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var (
+			r           *Runner
+			events      int
+			tracedAtCut int64
+		)
+		r = &Runner{OnCell: func(p Progress) {
+			if events == 0 {
+				tracedAtCut = r.aceTraced.Load()
+				cancel()
+			}
+			events++
+		}}
+		res, err := r.Run(ctx, s)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("run canceled in its ACE phase returned (%v, %v), want context.Canceled", res, err)
+		}
+		if events == 0 || events >= 40 {
+			t.Fatalf("%d progress events of 40 from a run canceled at its first", events)
+		}
+		if after := r.aceTraced.Load() - tracedAtCut; after > procs {
+			t.Fatalf("%d traced runs started after the cancel, want at most GOMAXPROCS = %d", after, procs)
+		}
+	})
 	t.Run("both, canceled between the phases", func(t *testing.T) {
 		s := miniSpec()
 		s.Estimator = EstimatorBoth
@@ -282,8 +318,33 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			t.Fatalf("%s: the shared Runner's result differs from a fresh Runner's", spec.Name)
 		}
 	}
-	if shared.aceTraced != 40 || len(shared.aceRuns) != 40 {
-		t.Fatalf("%d traced runs over %d pairs for the three figures, want 40 over 40", shared.aceTraced, len(shared.aceRuns))
+	// Fig. 3's grid is every pair of the three figures.
+	spec, err := Figure(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make(map[[2]string]bool)
+	for _, pc := range plan.Cells {
+		key := aceKey(pc)
+		if pairs[key] {
+			continue
+		}
+		// A memoized pair answers without calling the function.
+		_, joined, err := shared.aceRuns.Do(ctx, key, func() (*aceRun, error) { return nil, errors.New("not memoized") })
+		pairs[key] = err == nil && joined
+	}
+	memoized := 0
+	for _, ok := range pairs {
+		if ok {
+			memoized++
+		}
+	}
+	if n := shared.aceTraced.Load(); n != 40 || memoized != 40 || len(pairs) != 40 {
+		t.Fatalf("%d traced runs over %d memoized pairs for the three figures, want 40 over 40", n, memoized)
 	}
 }
 
@@ -304,7 +365,42 @@ func TestRunnerSharedByConcurrentPlans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.aceTraced != 4 {
-		t.Fatalf("%d traced runs for 2 chips x 2 benchmarks, want 4", r.aceTraced)
+	if n := r.aceTraced.Load(); n != 4 {
+		t.Fatalf("%d traced runs for 2 chips x 2 benchmarks, want 4", n)
+	}
+}
+
+// TestACEProgressPerCell: under the ACE-only estimator every cell reports
+// once, as its pair's run lands, with Done counting 1..N.
+func TestACEProgressPerCell(t *testing.T) {
+	s := miniSpec()
+	s.Estimator = EstimatorACE
+	s.Benchmarks = nil // the whole suite: 20 pairs, 40 cells
+	var (
+		mu     sync.Mutex
+		events []Progress
+	)
+	r := &Runner{OnCell: func(p Progress) {
+		mu.Lock()
+		events = append(events, p)
+		mu.Unlock()
+	}}
+	res, err := r.Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := len(res.Tables) * len(res.Benchmarks) * len(res.Chips)
+	if len(events) != total {
+		t.Fatalf("%d progress events for %d cells", len(events), total)
+	}
+	seen := make(map[int]bool)
+	for i, p := range events {
+		if p.Done != i+1 || p.Total != total || !p.Cached || p.Result != nil || p.Err != nil {
+			t.Fatalf("event %d: %+v", i, p)
+		}
+		if seen[p.Index] {
+			t.Fatalf("cell %d reported twice", p.Index)
+		}
+		seen[p.Index] = true
 	}
 }
