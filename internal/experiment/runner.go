@@ -350,10 +350,11 @@ func cellAVF(spec Spec, c *Cell) float64 {
 // measureACE runs the single-pass lifetime analysis of one (chip,
 // benchmark) pair.
 func measureACE(chip *chips.Chip, bench *workloads.Benchmark) (*aceRun, error) {
-	d, err := devices.New(chip)
+	d, err := devices.Acquire(chip)
 	if err != nil {
 		return nil, err
 	}
+	defer devices.Release(chip, d)
 	hp, err := bench.New(chip.Vendor)
 	if err != nil {
 		return nil, err

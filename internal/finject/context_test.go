@@ -120,3 +120,29 @@ func TestGoldenMismatchRejected(t *testing.T) {
 		t.Fatalf("mismatched golden accepted: %v", err)
 	}
 }
+
+// TestGoldenOfAnotherConfigurationRejected: a golden run on the GTO
+// variant of the campaign's chip carries the chip's name but is no
+// reference for it, and is refused as a golden of another chip is; one
+// on an equal copy of the chip is accepted.
+func TestGoldenOfAnotherConfigurationRejected(t *testing.T) {
+	c := miniCampaign(t, 10)
+	gto := *c.Chip
+	gto.Scheduler = chips.SchedGTO
+	g, err := NewGolden(&gto, c.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Golden = g
+	_, err = Run(c)
+	if want := "finject: golden run is for Mini NVIDIA/vectoradd, campaign targets Mini NVIDIA/vectoradd"; err == nil || err.Error() != want {
+		t.Fatalf("golden of the GTO variant: %v, want %q", err, want)
+	}
+	same := *c.Chip
+	if c.Golden, err = NewGolden(&same, c.Benchmark); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(c); err != nil {
+		t.Fatalf("golden of an equal copy of the chip refused: %v", err)
+	}
+}

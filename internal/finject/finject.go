@@ -149,10 +149,11 @@ type Campaign struct {
 	// the paper's single-bit model).
 	FaultWidth uint
 	// Golden supplies a precomputed fault-free reference run (see
-	// NewGolden). It must come from the same chip and benchmark as the
-	// campaign; when nil the campaign executes its own reference run.
-	// Sharing one Golden across the campaigns of all structures of a
-	// (chip, benchmark) pair removes the redundant reference simulations.
+	// NewGolden). It must come from the same chip configuration and
+	// benchmark as the campaign; when nil the campaign executes its own
+	// reference run. Sharing one Golden across the campaigns of all
+	// structures of a (chip, benchmark) pair removes the redundant
+	// reference simulations.
 	Golden *Golden
 
 	// unpruned simulates every sampled fault, also those the reference
@@ -336,10 +337,11 @@ type golden struct {
 // the liveness map (a run made only for another ladder needs none).
 func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
-	d, err := devices.New(chip)
+	d, err := devices.Acquire(chip)
 	if err != nil {
 		return nil, err
 	}
+	defer devices.Release(chip, d)
 	hp, err := bench.New(chip.Vendor)
 	if err != nil {
 		return nil, err
@@ -522,42 +524,25 @@ type injector struct {
 	hp *gpu.HostProgram
 }
 
-// replicaPools caches injector replicas per (chip, benchmark) so
-// back-to-back campaigns over the same pair (every structure of a
-// figure, every cell of a sweep) stop paying device construction and
-// first-restore page faults. Entries are sync.Pools, so idle replicas
-// are reclaimable by the GC.
-var replicaPools sync.Map // string -> *sync.Pool
-
-// replicaKey identifies the replica pool for a campaign's (chip,
-// benchmark) pair.
-func replicaKey(c Campaign) string { return c.Chip.Name + "\x00" + c.Benchmark.Name }
-
-// acquireReplica returns a pooled injector for the campaign or builds a
-// fresh one. Every injection path resets or restores the device before
-// running, so recycled simulator state is never observable.
+// acquireReplica builds the benchmark's host program and takes a device
+// for the campaign's chip from the device pool.
 func acquireReplica(c Campaign) (*injector, error) {
-	p, _ := replicaPools.LoadOrStore(replicaKey(c), &sync.Pool{})
-	if in, ok := p.(*sync.Pool).Get().(*injector); ok {
-		return in, nil
-	}
-	d, err := devices.New(c.Chip)
+	hp, err := c.Benchmark.New(c.Chip.Vendor)
 	if err != nil {
 		return nil, err
 	}
-	hp, err := c.Benchmark.New(c.Chip.Vendor)
+	d, err := devices.Acquire(c.Chip)
 	if err != nil {
 		return nil, err
 	}
 	return &injector{d: d, hp: hp}, nil
 }
 
-// releaseReplicas returns a campaign's worker replicas to its pool.
+// releaseReplicas hands a campaign's worker devices back to the pool.
 func releaseReplicas(c Campaign, pool []*injector) {
-	p, _ := replicaPools.LoadOrStore(replicaKey(c), &sync.Pool{})
 	for _, in := range pool {
 		if in != nil {
-			p.(*sync.Pool).Put(in)
+			devices.Release(c.Chip, in.d)
 		}
 	}
 }
@@ -597,7 +582,8 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 		ladder []gpu.Snapshot
 	)
 	if c.Golden != nil {
-		if c.Golden.chip != c.Chip.Name || c.Golden.bench != c.Benchmark.Name {
+		// By configuration: a GTO variant's golden is no stock reference.
+		if *c.Golden.chipRef != *c.Chip || c.Golden.bench != c.Benchmark.Name {
 			return nil, fmt.Errorf("finject: golden run is for %s/%s, campaign targets %s/%s",
 				c.Golden.chip, c.Golden.bench, c.Chip.Name, c.Benchmark.Name)
 		}
