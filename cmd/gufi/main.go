@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"os/signal"
@@ -22,16 +21,15 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "gufi: %v\n", err)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
 		os.Exit(1)
 	}
 }
 
-// run is main's testable core. Interrupting ctx cancels the campaign
-// promptly.
+// run is main's testable core; it reports its own errors on stderr.
+// Interrupting ctx cancels the campaign promptly.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	_ = stderr // errors surface through the return value
-	return cli.RunContext(ctx, "gufi", gpu.NVIDIA, args, stdout)
+	return cli.RunContext(ctx, "gufi", gpu.NVIDIA, args, stdout, stderr)
 }

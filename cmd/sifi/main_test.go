@@ -34,15 +34,23 @@ func TestRunTinyCampaign(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors: every bad invocation fails, and its error reaches
+// stderr exactly once.
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-no-such-flag"},
-		{"-chip", "GeForce GTX 480"}, // NVIDIA part under the AMD tool
-		{"-bench", "nope"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "flag provided but not defined: -no-such-flag"},
+		{[]string{"-chip", "GeForce GTX 480"}, "sifi: chip GeForce GTX 480 is a"}, // NVIDIA part under the AMD tool
+		{[]string{"-bench", "nope"}, `sifi: workloads: unknown benchmark "nope"`},
 	} {
 		var out, errOut strings.Builder
-		if err := run(context.Background(), args, &out, &errOut); err == nil {
-			t.Errorf("args %v accepted", args)
+		if err := run(context.Background(), c.args, &out, &errOut); err == nil {
+			t.Errorf("args %v accepted", c.args)
+		}
+		if n := strings.Count(errOut.String(), c.want); n != 1 {
+			t.Errorf("args %v: %q on stderr %d times, want once:\n%s", c.args, c.want, n, errOut.String())
 		}
 	}
 }

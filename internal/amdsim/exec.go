@@ -3,7 +3,6 @@ package amdsim
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/chips"
@@ -23,6 +22,27 @@ func latency(c *chips.Chip, cl siasm.Class) int64 {
 	default:
 		return int64(c.ALULat)
 	}
+}
+
+// aluOf is SI's lane semantics, scalar and vector: the simt operation of
+// every opcode that computes a register from its sources, ALUNone for the
+// rest. execVALU puts the operands of the *rev shifts, v_cndmask_b32 and
+// v_mac_f32 in simt's order.
+var aluOf = [...]simt.ALUOp{
+	siasm.OpSMov32: simt.ALUMov, siasm.OpSAdd: simt.ALUAdd, siasm.OpSSub: simt.ALUSub,
+	siasm.OpSMul: simt.ALUMul, siasm.OpSAnd32: simt.ALUAnd, siasm.OpSOr32: simt.ALUOr,
+	siasm.OpSXor32: simt.ALUXor, siasm.OpSLshl: simt.ALUShl, siasm.OpSLshr: simt.ALUShr,
+	siasm.OpSMin: simt.ALUMin, siasm.OpSMax: simt.ALUMax,
+
+	siasm.OpVMov: simt.ALUMov, siasm.OpVAddI: simt.ALUAdd, siasm.OpVSubI: simt.ALUSub,
+	siasm.OpVMulI: simt.ALUMul, siasm.OpVMinI: simt.ALUMin, siasm.OpVMaxI: simt.ALUMax,
+	siasm.OpVAnd: simt.ALUAnd, siasm.OpVOr: simt.ALUOr, siasm.OpVXor: simt.ALUXor,
+	siasm.OpVLshlrev: simt.ALUShl, siasm.OpVLshrrev: simt.ALUShr,
+	siasm.OpVAddF: simt.ALUFAdd, siasm.OpVSubF: simt.ALUFSub, siasm.OpVMulF: simt.ALUFMul,
+	siasm.OpVMacF: simt.ALUFFma, siasm.OpVMinF: simt.ALUFMin, siasm.OpVMaxF: simt.ALUFMax,
+	siasm.OpVRcpF: simt.ALURcp, siasm.OpVSqrtF: simt.ALUSqrt, siasm.OpVExpF: simt.ALUExp2,
+	siasm.OpVLogF: simt.ALULog2, siasm.OpVCvtFI: simt.ALUI2F, siasm.OpVCvtIF: simt.ALUF2I,
+	siasm.OpVCndmask: simt.ALUSel,
 }
 
 // opReady returns the scoreboard time of one operand.
@@ -177,11 +197,12 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		return false, ready, nil
 	}
 	s := &w.ISA
-	lat := latency(d.Chip, siasm.OpClass(in.Op))
+	cls := siasm.OpClass(in.Op)
+	lat := latency(d.Chip, cls)
 	active := s.exec & s.valid
 	ww := d.Chip.WarpWidth
 
-	switch siasm.OpClass(in.Op) {
+	switch cls {
 	case siasm.ClassVector, siasm.ClassSFU, siasm.ClassLDS, siasm.ClassGlobal:
 		d.CountIssue(bits.OnesCount64(active))
 	default:
@@ -225,14 +246,6 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		w.PC++
 		d.ArriveBarrier(w)
 
-	case siasm.OpSMov32, siasm.OpSAdd, siasm.OpSSub, siasm.OpSMul,
-		siasm.OpSAnd32, siasm.OpSOr32, siasm.OpSXor32,
-		siasm.OpSLshl, siasm.OpSLshr, siasm.OpSMin, siasm.OpSMax:
-		if err := execScalar32(d, u, w, in, lat); err != nil {
-			return false, 0, err
-		}
-		w.PC++
-
 	case siasm.OpSCmp:
 		a, err := readOp32(d, u, w, 0, in.Src[0])
 		if err != nil {
@@ -242,7 +255,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		if err != nil {
 			return false, 0, err
 		}
-		s.scc = in.Cond.Eval(in.CmpTy, a, b)
+		s.scc = simt.Compare(simt.Cond(in.Cond), simt.CmpType(in.CmpTy), a, b)
 		s.sccReady = d.Cycle + lat
 		w.PC++
 
@@ -278,20 +291,13 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		w.PC++
 
 	case siasm.OpVCmp:
+		var a, b [64]uint32
+		if err := sources(d, u, w, in, active, &a, &b); err != nil {
+			return false, 0, err
+		}
 		var mask uint64
 		for lane := 0; lane < ww; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a, err := readOp32(d, u, w, lane, in.Src[0])
-			if err != nil {
-				return false, 0, err
-			}
-			b, err := readOp32(d, u, w, lane, in.Src[1])
-			if err != nil {
-				return false, 0, err
-			}
-			if in.Cond.Eval(in.CmpTy, a, b) {
+			if active&(1<<lane) != 0 && simt.Compare(simt.Cond(in.Cond), simt.CmpType(in.CmpTy), a[lane], b[lane]) {
 				mask |= 1 << lane
 			}
 		}
@@ -317,16 +323,23 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		}
 		w.PC++
 
-	default: // vector ALU/SFU
-		for lane := 0; lane < ww; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			v, err := execVALU(d, u, w, lane, in)
-			if err != nil {
+	default: // scalar and vector ALU/SFU, v_cndmask_b32
+		op := simt.ALUNone
+		if uint(in.Op) < uint(len(aluOf)) {
+			op = aluOf[in.Op]
+		}
+		if op == simt.ALUNone {
+			return false, 0, fmt.Errorf("amdsim: kernel %s: opcode %d has no lane semantics (PC %d)", prog.Name, in.Op, w.PC)
+		}
+		if cls == siasm.ClassScalar {
+			if err := execScalar32(d, u, w, in, op, lat); err != nil {
 				return false, 0, err
 			}
-			writeVGPR(d, u, w, lane, in.Dst.Reg, v)
+			w.PC++
+			break
+		}
+		if err := execVALU(d, u, w, in, op, active); err != nil {
+			return false, 0, err
 		}
 		w.RegReady[in.Dst.Reg] = d.Cycle + lat
 		w.PC++
@@ -338,7 +351,9 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 	return true, 0, nil
 }
 
-func execScalar32(d *Device, u *unit, w *wave, in *siasm.Instr, lat int64) error {
+// execScalar32 executes a 32-bit scalar ALU instruction once for the
+// wavefront.
+func execScalar32(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, lat int64) error {
 	s := &w.ISA
 	a, err := readOp32(d, u, w, 0, in.Src[0])
 	if err != nil {
@@ -351,43 +366,10 @@ func execScalar32(d *Device, u *unit, w *wave, in *siasm.Instr, lat int64) error
 			return err
 		}
 	}
-	var v uint32
-	switch in.Op {
-	case siasm.OpSMov32:
-		v = a
-	case siasm.OpSAdd:
-		v = a + b
-	case siasm.OpSSub:
-		v = a - b
-	case siasm.OpSMul:
-		v = uint32(int32(a) * int32(b))
-	case siasm.OpSAnd32:
-		v = a & b
-	case siasm.OpSOr32:
-		v = a | b
-	case siasm.OpSXor32:
-		v = a ^ b
-	case siasm.OpSLshl:
-		v = a << (b & 31)
-	case siasm.OpSLshr:
-		v = a >> (b & 31)
-	case siasm.OpSMin:
-		if int32(a) < int32(b) {
-			v = a
-		} else {
-			v = b
-		}
-	case siasm.OpSMax:
-		if int32(a) > int32(b) {
-			v = a
-		} else {
-			v = b
-		}
-	}
 	if in.Dst.Kind != siasm.OperandSReg {
 		return fmt.Errorf("amdsim: scalar destination %s is not an SGPR", in.Dst)
 	}
-	s.sgprs[in.Dst.Reg] = v
+	s.sgprs[in.Dst.Reg] = simt.ALU(op, a, b, 0)
 	s.sgprReady[in.Dst.Reg] = d.Cycle + lat
 	return nil
 }
@@ -422,84 +404,73 @@ func execScalar64(d *Device, s *wavefront, in *siasm.Instr, lat int64) error {
 	return s.write64(in.Dst, v, d.Cycle+lat)
 }
 
-func execVALU(d *Device, u *unit, w *wave, lane int, in *siasm.Instr) (uint32, error) {
-	a, err := readOp32(d, u, w, lane, in.Src[0])
-	if err != nil {
-		return 0, err
+// execVALU computes op on every lane in active and writes the destination
+// VGPR. The sources are gathered first, one operand at a time: a lane
+// reads its sources before it writes, as it would one lane at a time,
+// and lanes share no registers.
+func execVALU(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, active uint64) error {
+	var a, b, c [64]uint32
+	if err := sources(d, u, w, in, active, &a, &b); err != nil {
+		return err
 	}
-	var b uint32
-	if in.Src[1].Kind != siasm.OperandNone {
-		b, err = readOp32(d, u, w, lane, in.Src[1])
-		if err != nil {
-			return 0, err
-		}
-	}
-	fa := math.Float32frombits(a)
-	fb := math.Float32frombits(b)
-
+	pa, pb := &a, &b
 	switch in.Op {
-	case siasm.OpVMov:
-		return a, nil
-	case siasm.OpVAddI:
-		return a + b, nil
-	case siasm.OpVSubI:
-		return a - b, nil
-	case siasm.OpVMulI:
-		return uint32(int32(a) * int32(b)), nil
-	case siasm.OpVMinI:
-		if int32(a) < int32(b) {
-			return a, nil
+	case siasm.OpVLshlrev, siasm.OpVLshrrev: // D = S1 << S0
+		pa, pb = pb, pa
+	case siasm.OpVCndmask: // D = VCC ? S1 : S0
+		pa, pb = pb, pa
+		for lane := range c {
+			c[lane] = uint32(w.ISA.vcc>>lane) & 1
 		}
-		return b, nil
-	case siasm.OpVMaxI:
-		if int32(a) > int32(b) {
-			return a, nil
+	case siasm.OpVMacF: // D += S0 * S1
+		if err := gather(d, u, w, active, in.Dst, &c); err != nil {
+			return err
 		}
-		return b, nil
-	case siasm.OpVAnd:
-		return a & b, nil
-	case siasm.OpVOr:
-		return a | b, nil
-	case siasm.OpVXor:
-		return a ^ b, nil
-	case siasm.OpVLshlrev:
-		return b << (a & 31), nil
-	case siasm.OpVLshrrev:
-		return b >> (a & 31), nil
-	case siasm.OpVAddF:
-		return math.Float32bits(fa + fb), nil
-	case siasm.OpVSubF:
-		return math.Float32bits(fa - fb), nil
-	case siasm.OpVMulF:
-		return math.Float32bits(fa * fb), nil
-	case siasm.OpVMacF:
-		dv := readVGPR(d, u, w, lane, in.Dst.Reg)
-		fd := math.Float32frombits(dv)
-		return math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(fd)))), nil
-	case siasm.OpVMinF:
-		return math.Float32bits(simt.FMin(fa, fb)), nil
-	case siasm.OpVMaxF:
-		return math.Float32bits(simt.FMax(fa, fb)), nil
-	case siasm.OpVRcpF:
-		return math.Float32bits(1 / fa), nil
-	case siasm.OpVSqrtF:
-		return math.Float32bits(float32(math.Sqrt(float64(fa)))), nil
-	case siasm.OpVExpF:
-		return math.Float32bits(float32(math.Exp2(float64(fa)))), nil
-	case siasm.OpVLogF:
-		return math.Float32bits(float32(math.Log2(float64(fa)))), nil
-	case siasm.OpVCvtFI:
-		return math.Float32bits(float32(int32(a))), nil
-	case siasm.OpVCvtIF:
-		return uint32(simt.F2I(fa)), nil
-	case siasm.OpVCndmask:
-		if w.ISA.vcc&(1<<lane) != 0 {
-			return b, nil
-		}
-		return a, nil
-	default:
-		return 0, fmt.Errorf("amdsim: unhandled vector opcode %v", in.Op)
 	}
+	for lane := 0; lane < d.Chip.WarpWidth; lane++ {
+		if active&(1<<lane) != 0 {
+			writeVGPR(d, u, w, lane, in.Dst.Reg, simt.ALU(op, pa[lane], pb[lane], c[lane]))
+		}
+	}
+	return nil
+}
+
+// sources gathers in's 32-bit sources on every lane in active; b stays
+// zero without a second source, and no lane reads anything when none is
+// active.
+func sources(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, a, b *[64]uint32) error {
+	if active == 0 {
+		return nil
+	}
+	if err := gather(d, u, w, active, in.Src[0], a); err != nil {
+		return err
+	}
+	if in.Src[1].Kind == siasm.OperandNone {
+		return nil
+	}
+	return gather(d, u, w, active, in.Src[1], b)
+}
+
+// gather reads a 32-bit source on every lane in active into v.
+func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]uint32) error {
+	if o.Kind != siasm.OperandVReg {
+		x, err := readOp32(d, u, w, 0, o)
+		for lane := range v {
+			v[lane] = x
+		}
+		return err
+	}
+	idx, t := vgprIndex(d, w, 0, o.Reg), d.Tracer
+	for lane := 0; lane < d.Chip.WarpWidth; lane, idx = lane+1, idx+1 {
+		if active&(1<<lane) == 0 {
+			continue
+		}
+		if t != nil {
+			t.RegAccess(u.ID, idx, d.Cycle, false)
+		}
+		v[lane] = u.Regs[idx]
+	}
+	return nil
 }
 
 func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {

@@ -377,3 +377,20 @@ func TestStatsAndReset(t *testing.T) {
 		t.Fatal("stats survive reset")
 	}
 }
+
+// TestOpcodeWithoutLaneSemanticsFailsTheLaunch: an opcode that aluOf does
+// not map, in or out of its range, ends the launch with an error, never
+// with a panic.
+func TestOpcodeWithoutLaneSemanticsFailsTheLaunch(t *testing.T) {
+	for _, op := range []siasm.Opcode{200, -1} {
+		prog := &siasm.Program{Name: "bad", NumVGPRs: 1, NumSGPRs: siasm.SRegWGIDY + 1,
+			Instrs: []siasm.Instr{{Op: op}, {Op: siasm.OpSEndpgm}}}
+		d, err := New(chips.MiniAMD())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(1), Group: gpu.D1(64)}); err == nil {
+			t.Errorf("opcode %d: launch succeeded", op)
+		}
+	}
+}

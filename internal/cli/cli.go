@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"strings"
 	"time"
 
@@ -26,16 +25,25 @@ import (
 	"repro/internal/workloads"
 )
 
-// Run executes one campaign for the given tool name, vendor, argument
-// list and output stream.
-func Run(tool string, vendor gpu.Vendor, args []string, w io.Writer) error {
-	return RunContext(context.Background(), tool, vendor, args, w)
+// RunContext is the whole of gufi and sifi: it parses args, runs the
+// flag-built cell or the -spec file as one experiment spec, and renders
+// the result on stdout. Logs and the error go to stderr — a flag error
+// once, as the FlagSet reports it — so the mains only set the exit
+// status. Canceling ctx stops the campaign promptly.
+func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []string, stdout, stderr io.Writer) error {
+	err := run(ctx, tool, vendor, args, stdout, stderr)
+	if err != nil && !errors.Is(err, errUsage) {
+		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+	}
+	return err
 }
 
-// RunContext is Run under a context; the gufi and sifi mains call it
-// with a signal-canceled context so interrupts stop the campaign.
-func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []string, w io.Writer) (err error) {
+// errUsage marks argument errors the FlagSet has already reported.
+var errUsage = errors.New("usage error")
+
+func run(ctx context.Context, tool string, vendor gpu.Vendor, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	defaultChip := "HD Radeon 7970"
 	if vendor == gpu.NVIDIA {
 		defaultChip = "GeForce GTX 480"
@@ -46,7 +54,7 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 		structSel = fs.String("structure", "regfile", "structure: regfile or local")
 		seed      = fs.Uint64("seed", 1, "campaign seed")
 		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of one flag-built cell")
-		asJSON    = fs.Bool("json", false, "with -spec: emit the result as JSON instead of tables")
+		asJSON    = fs.Bool("json", false, "emit the result as an experiment JSON document instead of text")
 		listFlag  = fs.Bool("list", false, "list chips and benchmarks, then exit")
 	)
 	pf := AddPolicyFlags(fs)
@@ -57,11 +65,11 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 			// Usage was printed; asking for help is not a failure.
 			return nil
 		}
-		return err
+		return errUsage
 	}
-	// Results go to w; structured logs and spans are observability and go
-	// to stderr / the -trace file, never mixing into parseable output.
-	_, closeTrace := obs.Init(os.Stderr, slog.LevelDebug)
+	// Results go to stdout; structured logs and spans are observability and
+	// go to stderr / the -trace file, never mixing into parseable output.
+	_, closeTrace := obs.Init(stderr, slog.LevelDebug)
 	defer func() {
 		if terr := closeTrace(); terr != nil && err == nil {
 			err = terr
@@ -72,56 +80,38 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 		return err
 	}
 	if err := sf.InstallLadderDir(); err != nil {
-		return fmt.Errorf("%s: %w", tool, err)
+		return err
 	}
 
 	if *listFlag {
-		fmt.Fprintf(w, "%s chips:\n", vendor)
+		fmt.Fprintf(stdout, "%s chips:\n", vendor)
 		for _, c := range chips.Evaluated() {
 			if c.Vendor == vendor {
-				fmt.Fprintf(w, "  %-18s %s, %d units, %.3f GHz, %d regs/unit, %d KB local/unit\n",
+				fmt.Fprintf(stdout, "  %-18s %s, %d units, %.3f GHz, %d regs/unit, %d KB local/unit\n",
 					c.Name, c.Arch, c.Units, c.ClockGHz, c.RegsPerUnit, c.LocalBytesPerUnit>>10)
 			}
 		}
-		fmt.Fprintln(w, "benchmarks:")
+		fmt.Fprintln(stdout, "benchmarks:")
 		for _, b := range workloads.All() {
 			local := ""
 			if b.UsesLocal {
 				local = " (uses local memory)"
 			}
-			fmt.Fprintf(w, "  %s%s\n", b.Name, local)
+			fmt.Fprintf(stdout, "  %s%s\n", b.Name, local)
 		}
 		return nil
 	}
 
-	scheduler := func() (*campaign.Scheduler, func(io.Writer), error) {
-		var store campaign.Store
-		ds, err := sf.Open()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ds != nil {
-			store = ds
-		}
-		sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
-		summary := func(out io.Writer) {
-			if ds != nil {
-				defer ds.Close()
-				st := sched.Stats()
-				fmt.Fprintf(out, "  store             %s (hits=%d runs=%d)\n", sf.Path, st.Hits, st.Runs)
-			}
-		}
-		return sched, summary, nil
-	}
-
+	// What to run: the -spec file, or the classic flags compiled into a
+	// one-cell spec.
+	var spec experiment.Spec
 	if *specPath != "" {
-		spec, err := pf.LoadSpec(fs, *specPath, *seed)
-		if err != nil {
+		if spec, err = pf.LoadSpec(fs, *specPath, *seed); err != nil {
 			return err
 		}
-		// A spec without a chip axis would normalize to the paper's
-		// four chips — both vendors — and could then run on neither
-		// tool; default it to this tool's vendor instead.
+		// A spec without a chip axis would normalize to the paper's four
+		// chips — both vendors — and could then run on neither tool;
+		// default it to this tool's vendor instead.
 		if len(spec.Chips) == 0 {
 			for _, c := range chips.Evaluated() {
 				if c.Vendor == vendor {
@@ -129,84 +119,90 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 				}
 			}
 		}
-		// Each tool owns one vendor's chips, as in the paper.
-		for _, name := range spec.Chips {
-			c, err := chips.ByName(name)
-			if err != nil {
-				return err
-			}
-			if c.Vendor != vendor {
-				return fmt.Errorf("chip %s is a %s part; use the other tool (or cmd/figures, which is vendor-neutral)", c.Name, c.Vendor)
-			}
-		}
-		sched, statsLine, err := scheduler()
-		if err != nil {
-			return err
-		}
-		runner := &experiment.Runner{Scheduler: sched}
-		res, err := runner.Run(ctx, spec)
-		if err != nil {
-			statsLine(io.Discard)
-			return err
-		}
-		if *asJSON {
-			err = report.WriteExperimentJSON(w, res)
-		} else {
-			err = report.WriteExperiment(w, res)
-		}
-		statsLine(w)
+	} else if spec, err = cellSpec(*chipName, *benchName, *structSel, *seed, pf); err != nil {
 		return err
+	}
+	// Each tool owns one vendor's chips, as in the paper.
+	for _, name := range spec.Chips {
+		c, err := chips.ByName(name)
+		if err != nil {
+			return err
+		}
+		if c.Vendor != vendor {
+			return fmt.Errorf("chip %s is a %s part; use the other tool (or cmd/figures, which is vendor-neutral)", c.Name, c.Vendor)
+		}
 	}
 
-	// Classic single-cell mode: the flags compile into a one-cell spec
-	// and run through the same runner as every other surface.
-	chip, err := chips.ByName(*chipName)
+	ds, err := sf.Open()
 	if err != nil {
 		return err
 	}
-	if chip.Vendor != vendor {
-		return fmt.Errorf("chip %s is a %s part; use the other tool", chip.Name, chip.Vendor)
+	var store campaign.Store
+	if ds != nil {
+		defer ds.Close()
+		store = ds
 	}
-	bench, err := workloads.ByName(*benchName)
+	sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
+	start := time.Now()
+	res, err := (&experiment.Runner{Scheduler: sched}).Run(ctx, spec)
 	if err != nil {
 		return err
+	}
+	switch {
+	case *asJSON:
+		err = report.WriteExperimentJSON(stdout, res)
+	case *specPath != "":
+		err = report.WriteExperiment(stdout, res)
+	default:
+		err = writeCell(stdout, tool, pf, res.Tables[0].Cells[0][0], time.Since(start))
+	}
+	if ds != nil {
+		st := sched.Stats()
+		fmt.Fprintf(stdout, "  store             %s (hits=%d runs=%d)\n", sf.Path, st.Hits, st.Runs)
+	}
+	return err
+}
+
+// cellSpec compiles the classic single-cell flags into a one-cell spec
+// under both estimators.
+func cellSpec(chipName, benchName, structSel string, seed uint64, pf *PolicyFlags) (experiment.Spec, error) {
+	chip, err := chips.ByName(chipName)
+	if err != nil {
+		return experiment.Spec{}, err
+	}
+	bench, err := workloads.ByName(benchName)
+	if err != nil {
+		return experiment.Spec{}, err
 	}
 	var st gpu.Structure
-	switch strings.ToLower(*structSel) {
+	switch strings.ToLower(structSel) {
 	case "regfile", "register-file", "rf", "vgpr":
 		st = gpu.RegisterFile
 	case "local", "local-memory", "shared", "lds":
 		st = gpu.LocalMemory
 	default:
-		return fmt.Errorf("unknown structure %q (want regfile or local)", *structSel)
+		return experiment.Spec{}, fmt.Errorf("unknown structure %q (want regfile or local)", structSel)
 	}
 	if st == gpu.LocalMemory && !bench.UsesLocal {
-		return fmt.Errorf("benchmark %s does not use local memory (the paper's Fig. 2 covers only the 7 shared-memory benchmarks)", bench.Name)
+		return experiment.Spec{}, fmt.Errorf("benchmark %s does not use local memory (the paper's Fig. 2 covers only the 7 shared-memory benchmarks)", bench.Name)
 	}
-
-	spec := experiment.Spec{
+	return experiment.Spec{
 		Chips:      []string{chip.Name},
 		Benchmarks: []string{bench.Name},
 		Structures: []gpu.Structure{st},
 		Estimator:  experiment.EstimatorBoth,
 		Injections: pf.N,
-		Seed:       *seed,
+		Seed:       seed,
 		Policy:     pf.SpecPolicy(),
-	}
-	sched, statsLine, err := scheduler()
-	if err != nil {
-		return err
-	}
-	runner := &experiment.Runner{Scheduler: sched}
-	start := time.Now()
-	res, err := runner.Run(ctx, spec)
-	if err != nil {
-		statsLine(io.Discard)
-		return err
-	}
-	elapsed := time.Since(start)
-	cell := res.Tables[0].Cells[0][0]
+	}, nil
+}
 
+// writeCell renders a flag-built cell as the classic campaign report.
+func writeCell(w io.Writer, tool string, pf *PolicyFlags, cell *experiment.Cell, elapsed time.Duration) error {
+	chip, err := chips.ByName(cell.Chip)
+	if err != nil {
+		return err
+	}
 	worstCase, err := stats.MarginOfError(cell.Injections, 0, pf.Confidence)
 	if err != nil {
 		return err
@@ -215,8 +211,7 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 	if err != nil {
 		return err
 	}
-
-	fmt.Fprintf(w, "%s campaign: %s / %s / %s\n", tool, chip.Name, bench.Name, st)
+	fmt.Fprintf(w, "%s campaign: %s / %s / %s\n", tool, chip.Name, cell.Benchmark, cell.Structure)
 	if pf.Margin > 0 {
 		fmt.Fprintf(w, "  injections        %d of cap %d (adaptive: half-width %.2f%% <= margin %.2f%% at %.0f%% confidence, or cap)\n",
 			cell.Injections, pf.N, 100*(cell.AVFFIHi-cell.AVFFILo)/2, 100*pf.Margin, 100*pf.Confidence)
@@ -230,7 +225,6 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 	fmt.Fprintf(w, "  outcomes          masked=%d sdc=%d due=%d timeout=%d\n",
 		cell.Outcomes[gpu.OutcomeMasked], cell.Outcomes[gpu.OutcomeSDC],
 		cell.Outcomes[gpu.OutcomeDUE], cell.Outcomes[gpu.OutcomeTimeout])
-	fmt.Fprintf(w, "  wall time         %v\n", elapsed.Round(time.Millisecond))
-	statsLine(w)
-	return nil
+	_, err = fmt.Fprintf(w, "  wall time         %v\n", elapsed.Round(time.Millisecond))
+	return err
 }

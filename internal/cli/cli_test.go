@@ -1,7 +1,9 @@
 package cli
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,12 @@ import (
 
 	"repro/internal/gpu"
 )
+
+// Run runs a tool invocation under a background context, discarding its
+// logs.
+func Run(tool string, vendor gpu.Vendor, args []string, w io.Writer) error {
+	return RunContext(context.Background(), tool, vendor, args, w, io.Discard)
+}
 
 func TestRunList(t *testing.T) {
 	var sb strings.Builder
@@ -143,6 +151,31 @@ func TestRunSpecJSON(t *testing.T) {
 	}
 	if len(doc.Chips) != 1 || doc.Chips[0] != "Mini AMD" {
 		t.Fatalf("chips: %v", doc.Chips)
+	}
+}
+
+// TestRunCellJSON: -json without -spec renders the flag-built cell as the
+// experiment document a one-cell spec produces, not the text report.
+func TestRunCellJSON(t *testing.T) {
+	var sb strings.Builder
+	if err := Run("gufi", gpu.NVIDIA, []string{"-chip", "Mini NVIDIA", "-n", "20", "-json"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Chips  []string `json:"chips"`
+		Tables []struct {
+			Cells [][]struct {
+				Benchmark  string `json:"benchmark"`
+				Injections int    `json:"injections"`
+			} `json:"cells"`
+		} `json:"tables"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
+	}
+	if len(doc.Chips) != 1 || doc.Chips[0] != "Mini NVIDIA" || len(doc.Tables) != 1 ||
+		doc.Tables[0].Cells[0][0].Benchmark != "vectoradd" || doc.Tables[0].Cells[0][0].Injections != 20 {
+		t.Fatalf("not the flag-built cell:\n%s", sb.String())
 	}
 }
 

@@ -207,7 +207,7 @@ func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ladder) == 0 || ladder[0].Cycle() >= own.g.cycles/2 {
+		if len(ladder) == 0 || ladder[0].Cycle() >= own.cycles/2 {
 			t.Fatalf("%s: the foreign ladder has no rung early enough to be restored", chip.Name)
 		}
 		// Unpruned: this test meters the simulate path, and most of these
@@ -217,7 +217,7 @@ func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		own.g.ladder = ladder
+		own.ladder = ladder
 		replays := telemetry.FullReplays.Value()
 		got, err := Run(c)
 		if err != nil {

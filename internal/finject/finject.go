@@ -233,19 +233,26 @@ func (r *Result) HalfWidth(confidence float64) (float64, error) {
 	return p.HalfWidth(confidence)
 }
 
-// Golden is a reusable fault-free reference run of one (chip, benchmark)
-// pair. Every campaign needs one to classify outcomes against; campaigns
-// that target different structures of the same pair can share a single
-// Golden through Campaign.Golden instead of each re-simulating the
-// reference execution.
+// Golden is the fault-free reference run of one (chip, benchmark) pair:
+// the outputs and statistics outcomes are classified against, plus the
+// checkpoint ladder and the liveness map captured during that run. Every
+// campaign needs one; campaigns that target different structures of the
+// same pair can share a single Golden through Campaign.Golden instead of
+// each re-simulating the reference execution.
 type Golden struct {
-	chip     string
-	bench    string
-	chipRef  *chips.Chip
-	benchRef *workloads.Benchmark
-	g        *golden
+	chip    *chips.Chip
+	bench   *workloads.Benchmark
+	outputs []gpu.Region
+	bytes   [][]byte
+	cycles  int64
+	stats   gpu.RunStats
+	ladder  []gpu.Snapshot
+	live    *liveMap
+	// staleRung limits the warning about a ladder that restores but does
+	// not resume (see classify) to one per reference run.
+	staleRung sync.Once
 
-	// The default checkpoint ladder (g.ladder) is captured during the
+	// The default checkpoint ladder (ladder) is captured during the
 	// reference run itself; ladders for explicit interval overrides are
 	// built on first use (one extra fault-free run each) and kept. All
 	// ladders are immutable once built and shared read-only by every
@@ -261,22 +268,14 @@ func NewGolden(chip *chips.Chip, bench *workloads.Benchmark) (*Golden, error) {
 	if chip == nil || bench == nil {
 		return nil, errors.New("finject: golden run needs a chip and a benchmark")
 	}
-	g, err := runGolden(chip, bench, Checkpoint{}, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Golden{
-		chip: chip.Name, bench: bench.Name,
-		chipRef: chip, benchRef: bench, g: g,
-		ladders: flight.Table[int64, []gpu.Snapshot]{Keep: true},
-	}, nil
+	return runGolden(chip, bench, Checkpoint{}, true)
 }
 
 // CheckpointCycles returns the capture cycles of the default checkpoint
 // ladder, in ascending order — introspection for tests and reports.
 func (g *Golden) CheckpointCycles() []int64 {
-	cycles := make([]int64, len(g.g.ladder))
-	for i, s := range g.g.ladder {
+	cycles := make([]int64, len(g.ladder))
+	for i, s := range g.ladder {
 		cycles[i] = s.Cycle()
 	}
 	return cycles
@@ -293,10 +292,10 @@ func (g *Golden) ladderFor(cfg Checkpoint) ([]gpu.Snapshot, error) {
 		return nil, nil
 	}
 	if cfg.Interval <= 0 { // negative means auto too, not a new entry
-		return g.g.ladder, nil
+		return g.ladder, nil
 	}
 	snaps, _, err := g.ladders.Do(context.Background(), cfg.Interval, func() ([]gpu.Snapshot, error) {
-		run, err := runGolden(g.chipRef, g.benchRef, cfg, false)
+		run, err := runGolden(g.chip, g.bench, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -306,36 +305,21 @@ func (g *Golden) ladderFor(cfg Checkpoint) ([]gpu.Snapshot, error) {
 }
 
 // Chip returns the name of the chip the reference was run on.
-func (g *Golden) Chip() string { return g.chip }
+func (g *Golden) Chip() string { return g.chip.Name }
 
 // Benchmark returns the name of the benchmark the reference executed.
-func (g *Golden) Benchmark() string { return g.bench }
+func (g *Golden) Benchmark() string { return g.bench.Name }
 
 // Cycles returns the reference execution length in device cycles.
-func (g *Golden) Cycles() int64 { return g.g.cycles }
+func (g *Golden) Cycles() int64 { return g.cycles }
 
 // Stats returns the reference execution's statistics.
-func (g *Golden) Stats() gpu.RunStats { return g.g.stats }
-
-// golden holds the reference run against which outcomes are classified,
-// plus the checkpoint ladder and the liveness map captured during that
-// run.
-type golden struct {
-	outputs []gpu.Region
-	bytes   [][]byte
-	cycles  int64
-	stats   gpu.RunStats
-	ladder  []gpu.Snapshot
-	live    *liveMap
-	// staleRung limits the warning about a ladder that restores but does
-	// not resume (see classify) to one per reference run.
-	staleRung sync.Once
-}
+func (g *Golden) Stats() gpu.RunStats { return g.stats }
 
 // runGolden executes the fault-free reference run, capturing the
 // checkpoint ladder along the way unless ckpt.Off and, with live set,
 // the liveness map (a run made only for another ladder needs none).
-func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*golden, error) {
+func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*Golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.Acquire(chip)
 	if err != nil {
@@ -365,7 +349,8 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 	}
 	d.SetCheckpointHook(0, nil)
 	d.SetTracer(nil)
-	g := &golden{outputs: hp.Outputs(), stats: d.Stats()}
+	g := &Golden{chip: chip, bench: bench, outputs: hp.Outputs(), stats: d.Stats(),
+		ladders: flight.Table[int64, []gpu.Snapshot]{Keep: true}}
 	if rec != nil {
 		g.live = rec.liveMap()
 	}
@@ -429,7 +414,7 @@ type classifyCost struct {
 // replaying the fault-free prefix; the pre-fault execution is identical
 // either way, so the outcome is too (proven by the differential
 // equivalence suite).
-func classify(d gpu.Device, hp *gpu.HostProgram, g *golden, ladder []gpu.Snapshot, f gpu.Fault, watchdog int64) (gpu.Outcome, int, classifyCost) {
+func classify(d gpu.Device, hp *gpu.HostProgram, g *Golden, ladder []gpu.Snapshot, f gpu.Fault, watchdog int64) (gpu.Outcome, int, classifyCost) {
 	var cost classifyCost
 	if snap := latestBelow(ladder, f.Cycle); snap != nil {
 		rc, _ := d.(gpu.RestoreCoster)
@@ -578,18 +563,17 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 		wdFactor = DefaultWatchdogFactor
 	}
 	var (
-		g      *golden
+		g      = c.Golden
 		ladder []gpu.Snapshot
 	)
-	if c.Golden != nil {
+	if g != nil {
 		// By configuration: a GTO variant's golden is no stock reference.
-		if *c.Golden.chipRef != *c.Chip || c.Golden.bench != c.Benchmark.Name {
+		if *g.chip != *c.Chip || g.bench.Name != c.Benchmark.Name {
 			return nil, fmt.Errorf("finject: golden run is for %s/%s, campaign targets %s/%s",
-				c.Golden.chip, c.Golden.bench, c.Chip.Name, c.Benchmark.Name)
+				g.chip.Name, g.bench.Name, c.Chip.Name, c.Benchmark.Name)
 		}
-		g = c.Golden.g
 		var err error
-		if ladder, err = c.Golden.ladderFor(c.Policy.Checkpoint); err != nil {
+		if ladder, err = g.ladderFor(c.Policy.Checkpoint); err != nil {
 			return nil, err
 		}
 	} else {
@@ -676,7 +660,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 // audited faults reach classify, on a replica the worker acquires with
 // its first one. The first acquisition error or audit failure ends the
 // round and is returned.
-func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladder []gpu.Snapshot, watchdog int64, rng *stats.RNG, start, end int, res *Result) (int, error) {
+func runRound(ctx context.Context, c Campaign, pool []*injector, g *Golden, ladder []gpu.Snapshot, watchdog int64, rng *stats.RNG, start, end int, res *Result) (int, error) {
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
 	var (

@@ -26,14 +26,14 @@ func TestLadderFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			var size int64
-			for _, s := range g.g.ladder {
+			for _, s := range g.ladder {
 				size += s.SizeBytes()
 			}
 			if chip.Name == "HD Radeon 7970" && bench.Name == "matrixMul" && (size == 0 || size > 4<<20) {
-				t.Errorf("%s / %s: the ladder's %d rungs own %d bytes, want at most 4 MiB", chip.Name, bench.Name, len(g.g.ladder), size)
+				t.Errorf("%s / %s: the ladder's %d rungs own %d bytes, want at most 4 MiB", chip.Name, bench.Name, len(g.ladder), size)
 			}
 			total += size
-			rungs += len(g.g.ladder)
+			rungs += len(g.ladder)
 		}
 	}
 	t.Logf("%d rungs own %d bytes", rungs, total)

@@ -112,7 +112,7 @@ func TestPruneEquivalenceFullSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			regs, local := g.g.live[gpu.RegisterFile].bytes(), g.g.live[gpu.LocalMemory].bytes()
+			regs, local := g.live[gpu.RegisterFile].bytes(), g.live[gpu.LocalMemory].bytes()
 			t.Logf("%-16s %-10s liveness: register file %7d B, local memory %7d B", chip.Name, bench.Name, regs, local)
 			largest = max(largest, regs, local)
 		}
@@ -376,7 +376,7 @@ func TestPruneInvariantsOverFigureGrid(t *testing.T) {
 					continue
 				}
 				var live float64
-				for _, r := range golden.g.live[st].spans {
+				for _, r := range golden.live[st].spans {
 					live += float64(r.hi-r.lo) + 1
 				}
 				if aceCycles := an.ACEEntryCycles(st); live < aceCycles {
@@ -390,7 +390,7 @@ func TestPruneInvariantsOverFigureGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, rec := range res.Records {
-					if rec.Outcome != gpu.OutcomeMasked && golden.g.live.dead(rec.Fault) {
+					if rec.Outcome != gpu.OutcomeMasked && golden.live.dead(rec.Fault) {
 						t.Errorf("%s/%s: injection #%d %v is %v outside every live range", chip.Name, bench.Name, i, rec.Fault, rec.Outcome)
 					}
 				}
@@ -454,12 +454,12 @@ func TestAuditCatchesABrokenMap(t *testing.T) {
 		t.Fatal("no audited injection of the campaign is other than Masked: pick another seed")
 	}
 	// The same reference run with a map in which nothing is ever read.
-	g := ref.g
-	blind := &golden{outputs: g.outputs, bytes: g.bytes, cycles: g.cycles, stats: g.stats, ladder: g.ladder, live: &liveMap{}}
+	blind := &Golden{chip: ref.chip, bench: ref.bench, outputs: ref.outputs, bytes: ref.bytes,
+		cycles: ref.cycles, stats: ref.stats, ladder: ref.ladder, live: &liveMap{}}
 	for _, st := range bothStructures {
 		blind.live[st] = &liveTable{units: chip.Units, perUnit: chip.StructSize(st), offs: []uint32{0}}
 	}
-	c.Golden, c.unpruned = &Golden{chip: ref.chip, bench: ref.bench, chipRef: chip, benchRef: bench, g: blind}, false
+	c.Golden, c.unpruned = blind, false
 	if res, err := Run(c); err == nil || !strings.Contains(err.Error(), "audit") {
 		t.Fatalf("result %+v, error %v from a campaign over a map that proves every flip dead", res, err)
 	}

@@ -3,7 +3,6 @@ package nvsim
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/chips"
@@ -23,6 +22,26 @@ func latency(c *chips.Chip, cl sass.Class) int64 {
 	default:
 		return int64(c.ALULat)
 	}
+}
+
+// aluOf is SASS's lane semantics: the simt operation of every opcode that
+// computes a register from its sources, ALUNone for the rest.
+var aluOf = [...]simt.ALUOp{
+	sass.OpMOV: simt.ALUMov, sass.OpIADD: simt.ALUAdd, sass.OpISUB: simt.ALUSub,
+	sass.OpIMUL: simt.ALUMul, sass.OpIMIN: simt.ALUMin, sass.OpIMAX: simt.ALUMax,
+	sass.OpAND: simt.ALUAnd, sass.OpOR: simt.ALUOr, sass.OpXOR: simt.ALUXor,
+	sass.OpSHL: simt.ALUShl, sass.OpSHR: simt.ALUShr, sass.OpIMAD: simt.ALUMad,
+	sass.OpFADD: simt.ALUFAdd, sass.OpFSUB: simt.ALUFSub, sass.OpFMUL: simt.ALUFMul,
+	sass.OpFMIN: simt.ALUFMin, sass.OpFMAX: simt.ALUFMax, sass.OpFFMA: simt.ALUFFma,
+	sass.OpRCP: simt.ALURcp, sass.OpEX2: simt.ALUExp2, sass.OpLG2: simt.ALULog2,
+	sass.OpSQRT: simt.ALUSqrt, sass.OpI2F: simt.ALUI2F, sass.OpF2I: simt.ALUF2I,
+	sass.OpSEL: simt.ALUSel,
+}
+
+// condOf is the simt condition of each ISETP/FSETP comparison.
+var condOf = [...]simt.Cond{
+	sass.CmpLT: simt.CondLT, sass.CmpLE: simt.CondLE, sass.CmpGT: simt.CondGT,
+	sass.CmpGE: simt.CondGE, sass.CmpEQ: simt.CondEQ, sass.CmpNE: simt.CondNE,
 }
 
 // depReady returns the cycle at which every register/predicate dependency
@@ -217,20 +236,19 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		w.PC++
 
 	case sass.OpISETP, sass.OpFSETP:
+		if uint(in.Cmp) >= uint(len(condOf)) {
+			return false, 0, fmt.Errorf("nvsim: kernel %s: unknown comparison %v (PC %d)", prog.Name, in.Cmp, w.PC)
+		}
+		cond, ty := condOf[in.Cmp], simt.CmpI32
+		if in.Op == sass.OpFSETP {
+			ty = simt.CmpF32
+		}
+		var a, b [32]uint32
+		i.gather(d, u, w, lc, exec, in.Src[0], &a)
+		i.gather(d, u, w, lc, exec, in.Src[1], &b)
 		var setMask uint32
 		for lane := 0; lane < 32; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			a := i.readOperand(d, u, w, lc, lane, in.Src[0])
-			b := i.readOperand(d, u, w, lc, lane, in.Src[1])
-			var res bool
-			if in.Op == sass.OpISETP {
-				res = in.Cmp.EvalI(int32(a), int32(b))
-			} else {
-				res = in.Cmp.EvalF(math.Float32frombits(a), math.Float32frombits(b))
-			}
-			if res {
+			if exec&(1<<lane) != 0 && simt.Compare(cond, ty, a[lane], b[lane]) {
 				setMask |= 1 << lane
 			}
 		}
@@ -256,14 +274,15 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		}
 		w.PC++
 
-	default: // register-to-register ALU/SFU ops
-		for lane := 0; lane < 32; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			v := i.execALU(d, u, w, lc, lane, in)
-			i.writeReg(d, u, w, lane, in.Dst, v)
+	default: // register-to-register ALU/SFU ops and SEL
+		op := simt.ALUNone
+		if uint(in.Op) < uint(len(aluOf)) {
+			op = aluOf[in.Op]
 		}
+		if op == simt.ALUNone {
+			return false, 0, fmt.Errorf("nvsim: kernel %s: opcode %v has no lane semantics (PC %d)", prog.Name, in.Op, w.PC)
+		}
+		i.execALU(d, u, w, lc, in, exec, op)
 		if in.Dst != sass.RZ {
 			w.RegReady[in.Dst] = d.Cycle + lat
 		}
@@ -323,82 +342,56 @@ func specialReg(w *wave, lc *simt.LaunchCtx, lane int, sr sass.SpecialReg) uint3
 	}
 }
 
-// execALU computes one ALU/SFU result for one lane.
-func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, lane int, in *sass.Instr) uint32 {
-	a := i.readOperand(d, u, w, lc, lane, in.Src[0])
-	var b, c uint32
-	if in.Src[1].Kind != sass.OperandNone {
-		b = i.readOperand(d, u, w, lc, lane, in.Src[1])
+// execALU computes op on every lane in exec and writes the destination.
+// The sources are gathered first, one operand at a time: a lane reads
+// its sources before it writes, as it would one lane at a time, and
+// lanes share no registers.
+func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32, op simt.ALUOp) {
+	var a, b, c [32]uint32
+	i.gather(d, u, w, lc, exec, in.Src[0], &a)
+	i.gather(d, u, w, lc, exec, in.Src[1], &b)
+	if in.Op == sass.OpSEL {
+		// SEL's predicate is simt's third operand, one bit per lane.
+		sel := ^uint32(0)
+		if in.PSrc != sass.PT {
+			sel = w.ISA.preds[in.PSrc]
+		}
+		for lane := range c {
+			c[lane] = sel >> lane & 1
+		}
+	} else {
+		i.gather(d, u, w, lc, exec, in.Src[2], &c)
 	}
-	if in.Src[2].Kind != sass.OperandNone {
-		c = i.readOperand(d, u, w, lc, lane, in.Src[2])
+	for lane := 0; lane < 32; lane++ {
+		if exec&(1<<lane) != 0 {
+			i.writeReg(d, u, w, lane, in.Dst, simt.ALU(op, a[lane], b[lane], c[lane]))
+		}
 	}
-	fa := math.Float32frombits(a)
-	fb := math.Float32frombits(b)
-	fc := math.Float32frombits(c)
+}
 
-	switch in.Op {
-	case sass.OpMOV:
-		return a
-	case sass.OpIADD:
-		return a + b
-	case sass.OpISUB:
-		return a - b
-	case sass.OpIMUL:
-		return uint32(int32(a) * int32(b))
-	case sass.OpIMIN:
-		if int32(a) < int32(b) {
-			return a
+// gather reads source operand o on every lane in exec into v; v holds
+// zeros where o is unused or RZ.
+func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint32, o sass.Operand, v *[32]uint32) {
+	switch o.Kind {
+	case sass.OperandReg:
+		if o.Reg == sass.RZ {
+			return
 		}
-		return b
-	case sass.OpIMAX:
-		if int32(a) > int32(b) {
-			return a
+		idx, t := i.regIndex(w, 0, o.Reg), d.Tracer
+		for lane := 0; lane < 32; lane, idx = lane+1, idx+i.prog.NumRegs {
+			if exec&(1<<lane) == 0 {
+				continue
+			}
+			if t != nil {
+				t.RegAccess(u.ID, idx, d.Cycle, false)
+			}
+			v[lane] = u.Regs[idx]
 		}
-		return b
-	case sass.OpAND:
-		return a & b
-	case sass.OpOR:
-		return a | b
-	case sass.OpXOR:
-		return a ^ b
-	case sass.OpSHL:
-		return a << (b & 31)
-	case sass.OpSHR:
-		return a >> (b & 31)
-	case sass.OpIMAD:
-		return uint32(int32(a)*int32(b) + int32(c))
-	case sass.OpFADD:
-		return math.Float32bits(fa + fb)
-	case sass.OpFSUB:
-		return math.Float32bits(fa - fb)
-	case sass.OpFMUL:
-		return math.Float32bits(fa * fb)
-	case sass.OpFMIN:
-		return math.Float32bits(simt.FMin(fa, fb))
-	case sass.OpFMAX:
-		return math.Float32bits(simt.FMax(fa, fb))
-	case sass.OpFFMA:
-		return math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(fc))))
-	case sass.OpRCP:
-		return math.Float32bits(1 / fa)
-	case sass.OpEX2:
-		return math.Float32bits(float32(math.Exp2(float64(fa))))
-	case sass.OpLG2:
-		return math.Float32bits(float32(math.Log2(float64(fa))))
-	case sass.OpSQRT:
-		return math.Float32bits(float32(math.Sqrt(float64(fa))))
-	case sass.OpI2F:
-		return math.Float32bits(float32(int32(a)))
-	case sass.OpF2I:
-		return uint32(simt.F2I(fa))
-	case sass.OpSEL:
-		if w.ISA.preds[in.PSrc]&(1<<lane) != 0 || in.PSrc == sass.PT {
-			return a
+	case sass.OperandImm, sass.OperandConst:
+		x := i.readOperand(d, u, w, lc, 0, o)
+		for lane := range v {
+			v[lane] = x
 		}
-		return b
-	default:
-		return 0
 	}
 }
 

@@ -74,6 +74,7 @@ func TestALUSemantics(t *testing.T) {
 		{"rz-dst-discards", "MOV R31, 9\nS2R RZ, SR_TID.X\nIADD RZ, R31, 1", 9}, // no scoreboard entry for RZ
 		{"sel-true", "MOV R1, 1\nISETP.EQ P0, R1, 1\nMOV R2, 10\nSEL R31, R2, 20, P0", 10},
 		{"sel-false", "MOV R1, 1\nISETP.EQ P0, R1, 2\nMOV R2, 10\nSEL R31, R2, 20, P0", 20},
+		{"sel-pt", "MOV R2, 10\nSEL R31, R2, 20, PT", 10}, // PT is no index into the predicate file
 		{"fmin-nan", "MOV R1, 0x7FC00000\nFMIN R31, R1, 3.0f", f32(3)},
 		{"fmax-nan", "MOV R1, 0x7FC00000\nFMAX R31, R1, 3.0f", f32(3)},
 	}
@@ -348,5 +349,27 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if st.Launches != 1 {
 		t.Fatalf("launches = %d", st.Launches)
+	}
+}
+
+// TestOpcodeWithoutLaneSemanticsFailsTheLaunch: an opcode that aluOf does
+// not map, in or out of its range, and a comparison that condOf does not,
+// end the launch with an error, never with a silent zero or a panic.
+func TestOpcodeWithoutLaneSemanticsFailsTheLaunch(t *testing.T) {
+	unguarded := sass.Guard{Pred: sass.PT}
+	for name, in := range map[string]sass.Instr{
+		"opcode 200":     {Op: 200},
+		"opcode -1":      {Op: -1},
+		"comparison 200": {Op: sass.OpISETP, Cmp: 200},
+	} {
+		in.Guard, in.PSrc = unguarded, sass.PT
+		prog := &sass.Program{Name: "bad", NumRegs: 1, Instrs: []sass.Instr{in, {Op: sass.OpEXIT, Guard: unguarded}}}
+		d, err := New(chips.MiniNVIDIA())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(1), Group: gpu.D1(32)}); err == nil {
+			t.Errorf("%s: launch succeeded", name)
+		}
 	}
 }

@@ -147,46 +147,6 @@ func (c Cmp) String() string {
 	return fmt.Sprintf("Cmp(%d)", int(c))
 }
 
-// EvalI applies the condition to two signed 32-bit integers.
-func (c Cmp) EvalI(a, b int32) bool {
-	switch c {
-	case CmpLT:
-		return a < b
-	case CmpLE:
-		return a <= b
-	case CmpGT:
-		return a > b
-	case CmpGE:
-		return a >= b
-	case CmpEQ:
-		return a == b
-	default:
-		return a != b
-	}
-}
-
-// EvalF applies the condition to two float32 values (NaN compares false
-// except for NE, as in IEEE-754 unordered comparison).
-func (c Cmp) EvalF(a, b float32) bool {
-	if a != a || b != b { // NaN
-		return c == CmpNE
-	}
-	switch c {
-	case CmpLT:
-		return a < b
-	case CmpLE:
-		return a <= b
-	case CmpGT:
-		return a > b
-	case CmpGE:
-		return a >= b
-	case CmpEQ:
-		return a == b
-	default:
-		return a != b
-	}
-}
-
 // Special register identifiers for S2R.
 type SpecialReg int
 

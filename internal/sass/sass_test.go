@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/simt"
 )
 
 const testKernel = `
@@ -159,30 +161,46 @@ func TestDisassembleStable(t *testing.T) {
 	}
 }
 
+// condOf is what nvsim evaluates each comparison as.
+var condOf = map[Cmp]simt.Cond{
+	CmpLT: simt.CondLT, CmpLE: simt.CondLE, CmpGT: simt.CondGT,
+	CmpGE: simt.CondGE, CmpEQ: simt.CondEQ, CmpNE: simt.CondNE,
+}
+
+// evalI and evalF apply an ISETP and an FSETP comparison through
+// simt.Compare, as nvsim does.
+func evalI(c Cmp, a, b int32) bool {
+	return simt.Compare(condOf[c], simt.CmpI32, uint32(a), uint32(b))
+}
+
+func evalF(c Cmp, a, b float32) bool {
+	return simt.Compare(condOf[c], simt.CmpF32, math.Float32bits(a), math.Float32bits(b))
+}
+
 func TestCmpEval(t *testing.T) {
-	if !CmpLT.EvalI(-1, 2) || CmpLT.EvalI(2, -1) {
+	if !evalI(CmpLT, -1, 2) || evalI(CmpLT, 2, -1) {
 		t.Fatal("signed LT broken")
 	}
-	if !CmpGE.EvalI(5, 5) {
+	if !evalI(CmpGE, 5, 5) {
 		t.Fatal("GE broken")
 	}
 	nan := float32(math.NaN())
 	for _, c := range []Cmp{CmpLT, CmpLE, CmpGT, CmpGE, CmpEQ} {
-		if c.EvalF(nan, 1) {
+		if evalF(c, nan, 1) {
 			t.Fatalf("%v with NaN must be false", c)
 		}
 	}
-	if !CmpNE.EvalF(nan, 1) {
+	if !evalF(CmpNE, nan, 1) {
 		t.Fatal("NE with NaN must be true")
 	}
 }
 
-// Property: EvalI is consistent with its negation pairs.
+// Property: an integer comparison is consistent with its negation pairs.
 func TestCmpEvalProperty(t *testing.T) {
 	if err := quick.Check(func(a, b int32) bool {
-		return CmpLT.EvalI(a, b) == !CmpGE.EvalI(a, b) &&
-			CmpLE.EvalI(a, b) == !CmpGT.EvalI(a, b) &&
-			CmpEQ.EvalI(a, b) == !CmpNE.EvalI(a, b)
+		return evalI(CmpLT, a, b) == !evalI(CmpGE, a, b) &&
+			evalI(CmpLE, a, b) == !evalI(CmpGT, a, b) &&
+			evalI(CmpEQ, a, b) == !evalI(CmpNE, a, b)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -182,62 +182,6 @@ const (
 
 var cmpTypeNames = [...]string{"i32", "u32", "f32"}
 
-// Eval applies the condition to two 32-bit values under the type.
-func (c Cond) Eval(ty CmpType, a, b uint32) bool {
-	switch ty {
-	case CmpF32:
-		fa, fb := math.Float32frombits(a), math.Float32frombits(b)
-		if fa != fa || fb != fb {
-			return c == CondNE
-		}
-		switch c {
-		case CondEQ:
-			return fa == fb
-		case CondNE:
-			return fa != fb
-		case CondLT:
-			return fa < fb
-		case CondLE:
-			return fa <= fb
-		case CondGT:
-			return fa > fb
-		default:
-			return fa >= fb
-		}
-	case CmpU32:
-		switch c {
-		case CondEQ:
-			return a == b
-		case CondNE:
-			return a != b
-		case CondLT:
-			return a < b
-		case CondLE:
-			return a <= b
-		case CondGT:
-			return a > b
-		default:
-			return a >= b
-		}
-	default:
-		ia, ib := int32(a), int32(b)
-		switch c {
-		case CondEQ:
-			return ia == ib
-		case CondNE:
-			return ia != ib
-		case CondLT:
-			return ia < ib
-		case CondLE:
-			return ia <= ib
-		case CondGT:
-			return ia > ib
-		default:
-			return ia >= ib
-		}
-	}
-}
-
 // BranchCond enumerates s_cbranch_* variants.
 type BranchCond int
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/simt"
 )
 
 const testKernel = `
@@ -125,19 +127,35 @@ func TestLabelVsRegisterPair(t *testing.T) {
 	}
 }
 
+// eval applies a comparison through simt.Compare, as amdsim does: Cond
+// and CmpType list simt's conditions and types in simt's order.
+func eval(c Cond, ty CmpType, a, b uint32) bool {
+	return simt.Compare(simt.Cond(c), simt.CmpType(ty), a, b)
+}
+
+func TestCondOrderIsSimts(t *testing.T) {
+	if CondEQ != Cond(simt.CondEQ) || CondNE != Cond(simt.CondNE) || CondLT != Cond(simt.CondLT) ||
+		CondLE != Cond(simt.CondLE) || CondGT != Cond(simt.CondGT) || CondGE != Cond(simt.CondGE) {
+		t.Error("siasm.Cond is not in simt.Cond's order")
+	}
+	if CmpI32 != CmpType(simt.CmpI32) || CmpU32 != CmpType(simt.CmpU32) || CmpF32 != CmpType(simt.CmpF32) {
+		t.Error("siasm.CmpType is not in simt.CmpType's order")
+	}
+}
+
 func TestCondEval(t *testing.T) {
-	if !CondLT.Eval(CmpI32, uint32(0xFFFFFFFF), 1) { // -1 < 1 signed
+	if !eval(CondLT, CmpI32, uint32(0xFFFFFFFF), 1) { // -1 < 1 signed
 		t.Fatal("signed compare broken")
 	}
-	if CondLT.Eval(CmpU32, 0xFFFFFFFF, 1) { // max > 1 unsigned
+	if eval(CondLT, CmpU32, 0xFFFFFFFF, 1) { // max > 1 unsigned
 		t.Fatal("unsigned compare broken")
 	}
 	nan := math.Float32bits(float32(math.NaN()))
 	one := math.Float32bits(1)
-	if CondEQ.Eval(CmpF32, nan, one) || CondLT.Eval(CmpF32, nan, one) {
+	if eval(CondEQ, CmpF32, nan, one) || eval(CondLT, CmpF32, nan, one) {
 		t.Fatal("NaN ordered compare must be false")
 	}
-	if !CondNE.Eval(CmpF32, nan, one) {
+	if !eval(CondNE, CmpF32, nan, one) {
 		t.Fatal("NaN NE must be true")
 	}
 }
@@ -145,10 +163,10 @@ func TestCondEval(t *testing.T) {
 func TestCondEvalProperty(t *testing.T) {
 	if err := quick.Check(func(a, b uint32) bool {
 		for _, ty := range []CmpType{CmpI32, CmpU32} {
-			if CondLT.Eval(ty, a, b) != !CondGE.Eval(ty, a, b) {
+			if eval(CondLT, ty, a, b) != !eval(CondGE, ty, a, b) {
 				return false
 			}
-			if CondEQ.Eval(ty, a, b) != !CondNE.Eval(ty, a, b) {
+			if eval(CondEQ, ty, a, b) != !eval(CondNE, ty, a, b) {
 				return false
 			}
 		}

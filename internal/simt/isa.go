@@ -1,8 +1,6 @@
 package simt
 
 import (
-	"math"
-
 	"repro/internal/gpu"
 	"repro/internal/wire"
 )
@@ -105,50 +103,5 @@ func (blk *Block[W]) releaseBarrier(cycle int64) {
 			w.atBarrier = false
 			w.wakeAt = cycle
 		}
-	}
-}
-
-// FMin follows GPU semantics: the non-NaN operand wins.
-func FMin(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-// FMax follows GPU semantics: the non-NaN operand wins.
-func FMax(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a > b:
-		return a
-	default:
-		return b
-	}
-}
-
-// F2I converts float32 to int32 with saturation (deterministic for NaN
-// and out-of-range inputs, which fault-corrupted data can produce).
-func F2I(f float32) int32 {
-	if f != f {
-		return 0
-	}
-	v := math.Trunc(float64(f))
-	switch {
-	case v > math.MaxInt32:
-		return math.MaxInt32
-	case v < math.MinInt32:
-		return math.MinInt32
-	default:
-		return int32(v)
 	}
 }

@@ -12,12 +12,13 @@ import (
 
 // storageFuncs are the functions that may name a unit's storage —
 // Unit.Regs and Unit.Local, or the gpu.Pages under them: the traced
-// accessors of the two ISAs (a tracer call beside every access), the
+// accessors of the two ISAs (a tracer call beside every access; gather
+// reads one source operand of every lane), the
 // fault itself, and the paging functions of the machine, which copy,
 // share or clear whole pages that no fault can sit between.
 var storageFuncs = map[string][]string{
-	"../nvsim":  {"readReg", "writeReg", "execShared"},
-	"../amdsim": {"readVGPR", "writeVGPR", "execLDS"},
+	"../nvsim":  {"readReg", "writeReg", "gather", "execShared"},
+	"../amdsim": {"readVGPR", "writeVGPR", "gather", "execLDS"},
 	".":         {"New", "applyFault", "written", "image", "setImage", "zero", "restoreStats"},
 }
 

@@ -41,9 +41,11 @@ type family struct {
 	metric          sampler
 }
 
-// sampler renders a family's samples (everything below # HELP / # TYPE).
+// sampler renders a family's sample lines (everything below # HELP and
+// # TYPE) with extra, an already-rendered `label="value",` fragment,
+// merged into every line's label set.
 type sampler interface {
-	samples(name string, w io.Writer)
+	samples(name, extra string, w io.Writer)
 }
 
 // Default is the process-wide registry behind the standard metric
@@ -55,93 +57,65 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// register returns the existing family for name (verifying its type) or
-// creates it with the given constructor. Reusing a name with a different
-// type or metric kind panics: that is a programming error, caught at
-// init time because the catalog registers everything up front.
-func (r *Registry) register(name, help, typ string, mk func() sampler) sampler {
+// registerAs returns the family registered under name, creating it with
+// mk on first use. Asking for a name again as another metric — another
+// type, or a labelled family for a plain metric — panics: that is a
+// programming error, caught at init time because the catalog registers
+// everything up front.
+func registerAs[T sampler](r *Registry, name, help, typ string, mk func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		if f.typ != typ {
-			panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)", name, typ, f.typ))
-		}
-		return f.metric
+	f, ok := r.families[name]
+	if !ok {
+		f = &family{name: name, help: help, typ: typ, metric: mk()}
+		r.families[name] = f
 	}
-	m := mk()
-	r.families[name] = &family{name: name, help: help, typ: typ, metric: m}
+	m, ok := f.metric.(T)
+	if !ok {
+		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s %T (was %s %T)", name, typ, m, f.typ, f.metric))
+	}
 	return m
 }
 
 // Counter returns the registered monotonically increasing counter,
 // creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(name, help, "counter", func() sampler { return &Counter{} })
-	c, ok := m.(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: metric %q is not a plain counter", name))
-	}
-	return c
+	return registerAs(r, name, help, "counter", func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the registered gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.register(name, help, "gauge", func() sampler { return &Gauge{} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: metric %q is not a plain gauge", name))
-	}
-	return g
+	return registerAs(r, name, help, "gauge", func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the registered fixed-bucket histogram, creating it
 // on first use with the given upper bounds (ascending, +Inf implied).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	m := r.register(name, help, "histogram", func() sampler { return newHistogram(buckets) })
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: metric %q is not a plain histogram", name))
-	}
-	return h
+	return registerAs(r, name, help, "histogram", func() *Histogram { return newHistogram(buckets) })
 }
 
 // CounterVec returns the registered counter family keyed by one label,
 // creating it on first use.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	m := r.register(name, help, "counter", func() sampler {
-		return &CounterVec{label: label, m: make(map[string]*Counter)}
+func (r *Registry) CounterVec(name, help, label string) *Vec[*Counter] {
+	return registerAs(r, name, help, "counter", func() *Vec[*Counter] {
+		return newVec(label, func() *Counter { return &Counter{} })
 	})
-	v, ok := m.(*CounterVec)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: metric %q is not a counter vec", name))
-	}
-	return v
 }
 
 // GaugeVec returns the registered gauge family keyed by one label,
 // creating it on first use.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	m := r.register(name, help, "gauge", func() sampler {
-		return &GaugeVec{label: label, m: make(map[string]*Gauge)}
+func (r *Registry) GaugeVec(name, help, label string) *Vec[*Gauge] {
+	return registerAs(r, name, help, "gauge", func() *Vec[*Gauge] {
+		return newVec(label, func() *Gauge { return &Gauge{} })
 	})
-	v, ok := m.(*GaugeVec)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: metric %q is not a gauge vec", name))
-	}
-	return v
 }
 
 // HistogramVec returns the registered histogram family keyed by one
-// label, creating it on first use.
-func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	m := r.register(name, help, "histogram", func() sampler {
-		return &HistogramVec{label: label, buckets: buckets, m: make(map[string]*Histogram)}
+// label, creating it on first use; the children share the bucket bounds.
+func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *Vec[*Histogram] {
+	return registerAs(r, name, help, "histogram", func() *Vec[*Histogram] {
+		return newVec(label, func() *Histogram { return newHistogram(buckets) })
 	})
-	v, ok := m.(*HistogramVec)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: metric %q is not a histogram vec", name))
-	}
-	return v
 }
 
 // WritePrometheus renders every family in text exposition format,
@@ -163,7 +137,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range fams {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		f.metric.samples(f.name, bw)
+		f.metric.samples(f.name, "", bw)
 	}
 	return bw.Flush()
 }
@@ -192,8 +166,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) samples(name string, w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", name, c.v.Load())
+func (c *Counter) samples(name, extra string, w io.Writer) {
+	fmt.Fprintf(w, "%s%s %d\n", name, wrapLabels(extra), c.v.Load())
 }
 
 // Gauge is an integer metric that can go up and down.
@@ -216,8 +190,8 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-func (g *Gauge) samples(name string, w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", name, g.v.Load())
+func (g *Gauge) samples(name, extra string, w io.Writer) {
+	fmt.Fprintf(w, "%s%s %d\n", name, wrapLabels(extra), g.v.Load())
 }
 
 // Histogram is a fixed-bucket distribution metric. Buckets are upper
@@ -262,13 +236,7 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-func (h *Histogram) samples(name string, w io.Writer) {
-	h.labeledSamples(name, "", w)
-}
-
-// labeledSamples renders the histogram's sample lines, with extra (an
-// already-rendered `label="value"` pair) merged into every line.
-func (h *Histogram) labeledSamples(name, extra string, w io.Writer) {
+func (h *Histogram) samples(name, extra string, w io.Writer) {
 	cum := int64(0)
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
@@ -295,16 +263,21 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// CounterVec is a counter family keyed by one label.
-type CounterVec struct {
+// Vec is a metric family keyed by one label: a child M per label value,
+// made on first use, rendered in label-value order.
+type Vec[M sampler] struct {
 	label string
+	mk    func() M
 	mu    sync.RWMutex
-	m     map[string]*Counter
+	m     map[string]M
 }
 
-// With returns the child counter for the label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
+func newVec[M sampler](label string, mk func() M) *Vec[M] {
+	return &Vec[M]{label: label, mk: mk, m: make(map[string]M)}
+}
+
+// With returns the child for the label value, creating it on first use.
+func (v *Vec[M]) With(value string) M {
 	v.mu.RLock()
 	c, ok := v.m[value]
 	v.mu.RUnlock()
@@ -314,102 +287,23 @@ func (v *CounterVec) With(value string) *Counter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c, ok = v.m[value]; !ok {
-		c = &Counter{}
+		c = v.mk()
 		v.m[value] = c
 	}
 	return c
 }
 
-func (v *CounterVec) samples(name string, w io.Writer) {
+func (v *Vec[M]) samples(name, extra string, w io.Writer) {
 	v.mu.RLock()
+	defer v.mu.RUnlock()
 	values := make([]string, 0, len(v.m))
 	for val := range v.m {
 		values = append(values, val)
 	}
 	sort.Strings(values)
 	for _, val := range values {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, escapeLabel(val), v.m[val].Value())
+		v.m[val].samples(name, extra+fmt.Sprintf("%s=%q,", v.label, escapeLabel(val)), w)
 	}
-	v.mu.RUnlock()
-}
-
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct {
-	label string
-	mu    sync.RWMutex
-	m     map[string]*Gauge
-}
-
-// With returns the child gauge for the label value, creating it on
-// first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.RLock()
-	g, ok := v.m[value]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.m[value]; !ok {
-		g = &Gauge{}
-		v.m[value] = g
-	}
-	return g
-}
-
-func (v *GaugeVec) samples(name string, w io.Writer) {
-	v.mu.RLock()
-	values := make([]string, 0, len(v.m))
-	for val := range v.m {
-		values = append(values, val)
-	}
-	sort.Strings(values)
-	for _, val := range values {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, escapeLabel(val), v.m[val].Value())
-	}
-	v.mu.RUnlock()
-}
-
-// HistogramVec is a histogram family keyed by one label; children share
-// the vec's bucket bounds.
-type HistogramVec struct {
-	label   string
-	buckets []float64
-	mu      sync.RWMutex
-	m       map[string]*Histogram
-}
-
-// With returns the child histogram for the label value, creating it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.RLock()
-	h, ok := v.m[value]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.m[value]; !ok {
-		h = newHistogram(v.buckets)
-		v.m[value] = h
-	}
-	return h
-}
-
-func (v *HistogramVec) samples(name string, w io.Writer) {
-	v.mu.RLock()
-	values := make([]string, 0, len(v.m))
-	for val := range v.m {
-		values = append(values, val)
-	}
-	sort.Strings(values)
-	for _, val := range values {
-		extra := fmt.Sprintf("%s=%q,", v.label, escapeLabel(val))
-		v.m[val].labeledSamples(name, extra, w)
-	}
-	v.mu.RUnlock()
 }
 
 // escapeLabel escapes a label value per the exposition format; %q in the

@@ -40,12 +40,20 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 func TestRegistrationTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("metric", "help")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	r.Gauge("metric", "help")
+	r.CounterVec("vec_total", "help", "route")
+	for name, again := range map[string]func(){
+		"a counter as a gauge":       func() { r.Gauge("metric", "help") },
+		"a counter vec as a counter": func() { r.Counter("vec_total", "help") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-registering %s did not panic", name)
+				}
+			}()
+			again()
+		}()
+	}
 }
 
 func TestHistogramBucketsAreCumulative(t *testing.T) {
@@ -83,8 +91,13 @@ func TestVecRenderingIsSortedAndLabeled(t *testing.T) {
 	v := r.CounterVec("req_total", "help", "route")
 	v.With("b").Add(2)
 	v.With("a").Inc()
+	v.With("q\"b\\s\nn").Inc()
+	gv := r.GaugeVec("depth", "help", "tenant")
+	gv.With("t2").Set(-3)
+	gv.With("t1").Set(5)
 	hv := r.HistogramVec("lat_seconds", "help", "route", []float64{1})
 	hv.With("a").Observe(0.5)
+	hv.With("x\"y\\z\nw").Observe(2)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -101,6 +114,21 @@ func TestVecRenderingIsSortedAndLabeled(t *testing.T) {
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	// The gauge family and the escaped label values, byte for byte. A
+	// newline in a label value renders as `\\n`, escaped once by
+	// escapeLabel and once more by the quoting: these lines pin that too.
+	for _, want := range []string{
+		"# TYPE depth gauge\ndepth{tenant=\"t1\"} 5\ndepth{tenant=\"t2\"} -3\n",
+		`req_total{route="b"} 2` + "\n" + `req_total{route="q\"b\\s\\nn"} 1` + "\n",
+		`lat_seconds_bucket{route="x\"y\\z\\nw",le="1"} 0` + "\n" +
+			`lat_seconds_bucket{route="x\"y\\z\\nw",le="+Inf"} 1` + "\n" +
+			`lat_seconds_sum{route="x\"y\\z\\nw"} 2` + "\n" +
+			`lat_seconds_count{route="x\"y\\z\\nw"} 1` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing\n%s\nin:\n%s", want, out)
 		}
 	}
 }
