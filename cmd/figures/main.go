@@ -103,9 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := pf.Validate(); err != nil {
 		return err
 	}
-	if err := sf.InstallLadderDir(); err != nil {
-		return err
-	}
 	if *serverURL != "" && (sf.Path != "" || pf.Workers != 0) {
 		return errors.New("-store and -workers are local-only: with -server the fiserver owns its store and worker pool")
 	}

@@ -103,6 +103,7 @@ func TestFiguresShareOneScheduler(t *testing.T) {
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
+		{"-ladder-dir", "ladders"}, // retired: ladders live in the heap only
 		{"-fig", "9"},
 		{"-chips", "No Such GPU"},
 		{"-bench", "nope"},

@@ -109,10 +109,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}()
 
-	if err := sf.InstallLadderDir(); err != nil {
-		return err
-	}
-
 	var keys *service.KeySet
 	if *apiKeys != "" {
 		ks, err := service.LoadKeys(*apiKeys)

@@ -248,6 +248,10 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-no-such-flag"}, &out, &errOut); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// Retired: ladders live in the heap only.
+	if err := run(context.Background(), []string{"-ladder-dir", "ladders"}, &out, &errOut); err == nil {
+		t.Error("-ladder-dir accepted")
+	}
 	if err := run(context.Background(), []string{"-addr", "not-an-address:::"}, &out, &errOut); err == nil {
 		t.Error("bad address accepted")
 	}

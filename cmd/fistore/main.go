@@ -1,9 +1,8 @@
 // Command fistore inspects, verifies and converts the on-disk files of
 // the campaign fleet: result stores (JSON lines or the binary wire
-// format), binary checkpoint-ladder files and the control plane's
-// ownership journal.
+// format) and the control plane's ownership journal.
 //
-//	fistore inspect cells.store        header, record counts, dedupe ratio
+//	fistore inspect cells.store        header, live and dead record counts
 //	fistore verify  cells.store        full structural + checksum check
 //	fistore convert -to binary cells.jsonl cells.store
 //	fistore convert -to json   cells.store cells.jsonl
@@ -118,9 +117,8 @@ func readOwnership(data []byte) (summary, error) {
 	return s, err
 }
 
-// summarize reads the file at path and summarizes it if it is a result
-// store or an ownership journal; a ladder comes back as data for its own
-// readers.
+// summarize reads and summarizes the result store or ownership journal
+// at path; any other file is an error.
 func summarize(path string) (data []byte, kind wire.FileKind, s summary, err error) {
 	if data, err = os.ReadFile(path); err != nil {
 		return nil, 0, s, err
@@ -129,11 +127,9 @@ func summarize(path string) (data []byte, kind wire.FileKind, s summary, err err
 		kind, _, err = wire.ParseHeader(data)
 	}
 	if err == nil {
-		switch kind {
-		case wire.FileLadder:
-		case wire.FileOwner:
+		if kind == wire.FileOwner {
 			s, err = readOwnership(data)
-		default: // a JSON-lines or binary store
+		} else { // a JSON-lines or binary store
 			s, err = readStore(data)
 		}
 	}
@@ -159,9 +155,6 @@ func inspect(path string, w io.Writer) error {
 	} else {
 		fmt.Fprintf(w, "%s: wire v%d %s file, %d bytes\n", path, data[4], kind, len(data))
 	}
-	if kind == wire.FileLadder {
-		return inspectLadder(path, data, w)
-	}
 	for _, line := range s.detail {
 		fmt.Fprintf(w, "  %s\n", line)
 	}
@@ -171,68 +164,11 @@ func inspect(path string, w io.Writer) error {
 	return nil
 }
 
-// inspectLadder summarizes a ladder file: identity, rungs, and how much
-// the content-addressed page pool deduplicated.
-func inspectLadder(path string, data []byte, w io.Writer) error {
-	var (
-		pages, snapshots int
-		refs             int
-		metaBytes        int
-	)
-	_, err := wire.ScanRecords(data, func(rec wire.Record) error {
-		switch rec.Kind {
-		case wire.RecLadderInfo:
-			r := wire.NewReader(rec.Payload)
-			chip, bench, interval, declared := r.String(), r.String(), r.I64(), r.U32()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			iv := "auto"
-			if interval > 0 {
-				iv = fmt.Sprintf("%d cycles", interval)
-			}
-			fmt.Fprintf(w, "  ladder    %s / %s, interval %s, %d rungs\n", chip, bench, iv, declared)
-		case wire.RecPage:
-			pages++
-		case wire.RecSnapshot:
-			r := wire.NewReader(rec.Payload)
-			r.I64()
-			r.U32()
-			r.U32()
-			refs += len(r.U32s())
-			metaBytes += len(r.Blob())
-			if err := r.Err(); err != nil {
-				return err
-			}
-			snapshots++
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Fprintf(w, "  snapshots %d (%d bytes device meta)\n", snapshots, metaBytes)
-	dedup := 0.0
-	if refs > 0 {
-		dedup = 1 - float64(pages)/float64(refs)
-	}
-	fmt.Fprintf(w, "  pages     %d stored for %d references (%.1f%% deduplicated)\n", pages, refs, 100*dedup)
-	return nil
-}
-
 // verify fully checks a file: framing, checksums, and record decodes.
 func verify(path string, w io.Writer) error {
-	data, kind, s, err := summarize(path)
+	_, _, s, err := summarize(path)
 	if err != nil {
 		return err
-	}
-	if kind == wire.FileLadder {
-		pages, snapshots, err := wire.VerifyLadder(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Fprintf(w, "%s: ok, %d snapshots over %d pages\n", path, snapshots, pages)
-		return nil
 	}
 	if s.torn > 0 {
 		fmt.Fprintf(w, "%s: ok, %d records (%s)\n", path, s.records, s.tornNote())
@@ -246,6 +182,11 @@ func verify(path string, w io.Writer) error {
 // file of the target format, then re-reads both files and proves every
 // record survived the round trip.
 func convert(src, dst, format string, w io.Writer) error {
+	// OpenStore creates a store that does not exist: check first, so a
+	// mistyped source is an error rather than an empty conversion.
+	if _, err := os.Stat(src); err != nil {
+		return err
+	}
 	if _, err := os.Stat(dst); err == nil {
 		return fmt.Errorf("%s already exists (refusing to overwrite)", dst)
 	} else if !errors.Is(err, os.ErrNotExist) {

@@ -108,6 +108,17 @@ func TestConvertRefusesOverwrite(t *testing.T) {
 	if err := run([]string{"convert", "-to", "binary", src, src}, &out, &out); err == nil {
 		t.Fatal("convert over an existing file should fail")
 	}
+
+	// A source that does not exist is an error, and neither file appears.
+	missing, dst := filepath.Join(dir, "nosuch.jsonl"), filepath.Join(dir, "out.store")
+	if err := run([]string{"convert", "-to", "binary", missing, dst}, &out, &out); err == nil {
+		t.Fatal("convert from a missing source should fail")
+	}
+	for _, p := range []string{missing, dst} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("convert from a missing source left %s behind (stat err %v)", p, err)
+		}
+	}
 }
 
 func TestInspectAndVerifyStores(t *testing.T) {
@@ -179,6 +190,19 @@ func TestInspectAndVerifyStores(t *testing.T) {
 	}
 	if err := run([]string{"verify", path}, &out, &out); err == nil {
 		t.Fatal("verify accepted an undecodable owner record")
+	}
+
+	// A leftover checkpoint-ladder file (wire file kind 2, retired) is no
+	// store: inspect and verify both fail on it.
+	ladder := filepath.Join(dir, "Mini_NVIDIA__matrixMul__0.ladder")
+	if err := os.WriteFile(ladder, wire.AppendRecord(wire.AppendHeader(nil, wire.FileKind(2)), wire.RecordKind(4), []byte("ladder-info")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"inspect", "verify"} {
+		out.Reset()
+		if err := run([]string{verb, ladder}, &out, &out); err == nil {
+			t.Fatalf("%s accepted a ladder file: %q", verb, out.String())
+		}
 	}
 }
 

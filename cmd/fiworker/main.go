@@ -58,7 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		metrics   = fs.String("metrics-addr", "", "serve GET /metrics (Prometheus text) on this sidecar address, e.g. :9091")
 		pprof     = fs.Bool("pprof", false, "with -metrics-addr: also serve net/http/pprof under /debug/pprof/")
 	)
-	sf := cli.AddLadderDirFlag(fs)
 	obs := cli.AddObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -77,9 +76,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			host = "fiworker"
 		}
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if err := sf.InstallLadderDir(); err != nil {
-		return err
 	}
 
 	// -quiet floors the logger at warn so the per-lease info lines go

@@ -87,6 +87,10 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-no-such-flag"}, &out, &errOut); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// Retired: ladders live in the heap only.
+	if err := run(context.Background(), []string{"-ladder-dir", "ladders"}, &out, &errOut); err == nil {
+		t.Error("-ladder-dir accepted")
+	}
 	if err := run(context.Background(), []string{"-concurrency", "0"}, &out, &errOut); err == nil {
 		t.Error("zero concurrency accepted")
 	}

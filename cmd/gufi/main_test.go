@@ -52,6 +52,7 @@ func TestRunFlagErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-no-such-flag"}, "flag provided but not defined: -no-such-flag"},
+		{[]string{"-ladder-dir", "ladders"}, "flag provided but not defined: -ladder-dir"}, // retired
 		{[]string{"-chip", "No Such GPU"}, `gufi: chips: unknown chip "No Such GPU"`},
 		{[]string{"-chip", "HD Radeon 7970"}, "gufi: chip HD Radeon 7970 is a"}, // AMD part under the NVIDIA tool
 		{[]string{"-structure", "l2cache"}, `gufi: unknown structure "l2cache"`},

@@ -42,7 +42,8 @@ func TestRunFlagErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-no-such-flag"}, "flag provided but not defined: -no-such-flag"},
-		{[]string{"-chip", "GeForce GTX 480"}, "sifi: chip GeForce GTX 480 is a"}, // NVIDIA part under the AMD tool
+		{[]string{"-ladder-dir", "ladders"}, "flag provided but not defined: -ladder-dir"}, // retired
+		{[]string{"-chip", "GeForce GTX 480"}, "sifi: chip GeForce GTX 480 is a"},          // NVIDIA part under the AMD tool
 		{[]string{"-bench", "nope"}, `sifi: workloads: unknown benchmark "nope"`},
 	} {
 		var out, errOut strings.Builder

@@ -29,7 +29,7 @@
 //     scheduler, the golden cache and the ladder cache;
 //   - internal/wire: wire.Journal — the one append-only log under the
 //     result stores, the job journal and the ownership journal — and the
-//     versioned binary store / ladder / ownership format;
+//     versioned binary store / ownership format;
 //   - internal/experiment: versioned experiment specs (the figures are
 //     three canned ones), their compile pipeline and runner;
 //   - internal/report: text and JSON renderers of experiment.Result;

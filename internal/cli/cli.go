@@ -79,9 +79,6 @@ func run(ctx context.Context, tool string, vendor gpu.Vendor, args []string, std
 	if err := pf.Validate(); err != nil {
 		return err
 	}
-	if err := sf.InstallLadderDir(); err != nil {
-		return err
-	}
 
 	if *listFlag {
 		fmt.Fprintf(stdout, "%s chips:\n", vendor)

@@ -177,12 +177,11 @@ func TestLocalMemoryFaultsManifest(t *testing.T) {
 }
 
 // TestForeignLadderNeverChangesOutcomes: an accelerator must never change
-// an outcome. A ladder captured from another benchmark on the same chip —
-// what a -ladder-dir that outlives a workload edit serves — restores fine
-// and then fails the resident-block check when the launch resumes. That
-// error used to come back from hp.Run and count as DUE: 40 vectoradd
-// faults that are all Masked classified as 40 DUEs. It must instead be
-// redone and accounted as a full replay.
+// an outcome. A ladder captured from another benchmark on the same chip
+// restores fine and then fails the resident-block check when the launch
+// resumes. That error used to come back from hp.Run and count as DUE: 40
+// vectoradd faults that are all Masked classified as 40 DUEs. It must
+// instead be redone and accounted as a full replay.
 func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 	vec, err := workloads.ByName("vectoradd")
 	if err != nil {

@@ -330,12 +330,8 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 	if err != nil {
 		return nil, err
 	}
-	// A ladder served from the ladder directory (mmap'd, shared across
-	// processes) replaces the capture pass entirely; the golden run still
-	// executes for its outputs and statistics.
-	loaded, haveLoaded := loadLadderFile(d, chip.Name, bench.Name, ckpt)
 	var lb *ladderBuilder
-	if !ckpt.Off && !haveLoaded {
+	if !ckpt.Off {
 		lb = newLadderBuilder(ckpt)
 		lb.arm(d)
 	}
@@ -354,9 +350,7 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 	if rec != nil {
 		g.live = rec.liveMap()
 	}
-	if haveLoaded {
-		g.ladder = loaded
-	} else if lb != nil {
+	if lb != nil {
 		g.ladder = lb.snaps
 		telemetry.LadderBuilds.Inc()
 		telemetry.LadderSnapshots.Add(int64(len(lb.snaps)))
@@ -365,7 +359,6 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 			ladderBytes += s.SizeBytes()
 		}
 		telemetry.LadderBytes.Add(ladderBytes)
-		saveLadderFile(d, chip.Name, bench.Name, ckpt, lb.snaps)
 	}
 	g.cycles = g.stats.Cycles
 	if g.cycles <= 0 {
@@ -443,7 +436,7 @@ func classify(d gpu.Device, hp *gpu.HostProgram, g *Golden, ladder []gpu.Snapsho
 	err := run()
 	if cost.restored && errors.Is(err, wire.ErrCorrupt) {
 		// The rung restored but does not fit the launch that resumed from
-		// it — a -ladder-dir that outlived a workload or chip edit. Only
+		// it — a ladder captured from another program on this chip. Only
 		// decode, restore and resume paths produce ErrCorrupt, never an
 		// injected fault, and an accelerator must never change an
 		// outcome: redo the injection as the full replay it would have

@@ -106,26 +106,6 @@ func (img *MemImage) Page(p int) []byte { return img.pages[p] }
 // watermark and the high-water mark.
 func (img *MemImage) Watermarks() (brk, hwm uint32) { return img.brk, img.hwm }
 
-// NewMappedImage assembles an image over externally owned, immutable
-// page storage — the zero-copy path by which internal/wire rebuilds
-// snapshot images whose pages live in an mmap'd ladder file shared by
-// every process on the host. Each page must be exactly PageSize bytes
-// and must stay immutable and alive for the image's lifetime (COW
-// restores only ever copy out of image pages, never write into them).
-// The image owns none of the pages, so its SizeBytes is zero: mapped
-// storage is not heap cost.
-func NewMappedImage(pages [][]byte, brk, hwm uint32) (*MemImage, error) {
-	if got, want := len(pages), (int(hwm)+pageSize-1)/pageSize; got != want {
-		return nil, fmt.Errorf("gpu: mapped image has %d pages, extent %d needs %d", got, hwm, want)
-	}
-	for p, pg := range pages {
-		if len(pg) != pageSize {
-			return nil, fmt.Errorf("gpu: mapped image page %d is %d bytes, want %d", p, len(pg), pageSize)
-		}
-	}
-	return &MemImage{pages: pages, brk: brk, hwm: hwm}, nil
-}
-
 // Image captures the memory state for later SetImage restoration. Clean
 // pages (unwritten since the last capture or restore) are shared with
 // the image that already holds them; dirty pages are copied into arena

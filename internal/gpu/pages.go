@@ -7,9 +7,8 @@ const (
 	arenaPgs = 64   // pages per arena chunk (256 KiB)
 )
 
-// PageSize is the COW page granularity in bytes — also the unit of
-// content-addressed page storage in the binary wire format
-// (internal/wire), which must agree with the snapshot machinery here.
+// PageSize is the COW page granularity in bytes: every MemImage page
+// (MemImage.Page) is exactly this long.
 const PageSize = pageSize
 
 // The canonical identities of an all-zero page, one per element type.
@@ -18,12 +17,6 @@ var (
 	zeroPage  = make([]byte, pageSize)
 	zeroWords = make([]uint32, pageSize/4)
 )
-
-// ZeroPage returns the canonical all-zero byte page. Decoders substitute
-// it for all-zero pages so restores keep their identity-match fast path
-// (a freshly Reset memory holds zeroPage identities). Callers must
-// never write through it.
-func ZeroPage() []byte { return zeroPage }
 
 // perPage is the page length in elements of T. The compiler folds it to
 // a constant per instantiation, which Dirty, on the global-store path,

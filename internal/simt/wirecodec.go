@@ -8,9 +8,8 @@ import (
 )
 
 // Wire codec for snapshots (gpu.SnapshotCodec): the memory image travels
-// separately as content-addressed pages in the ladder file; the meta blob
-// encoded here carries everything else — execution statistics and the
-// per-unit scheduler state. The layout is versioned only through the
+// separately; the meta blob encoded here carries everything else —
+// execution statistics and the per-unit scheduler state. The layout is versioned only through the
 // enclosing wire file version: a format change here requires a
 // wire.Version bump.
 //
@@ -23,8 +22,9 @@ import (
 // (ISA.EncodeTrailer). The trailer exists because amdsim's records, which
 // predate the shared core, carry the wave's register base after the
 // tail; nvsim's carry nothing there. Both layouts are byte-for-byte what
-// the two simulators wrote when each had its own codec, so ladder files
-// from before the merge still open (pinned by testdata/*_meta.bin).
+// the two simulators wrote when each had its own codec (pinned by
+// testdata/*_meta.bin). No production path persists these blobs; those
+// tests are the codec's only callers.
 
 // MarshalSnapshot implements gpu.SnapshotCodec.
 func (d *Device[W]) MarshalSnapshot(s gpu.Snapshot) (*gpu.MemImage, []byte, error) {
@@ -107,10 +107,10 @@ func (d *Device[W]) MarshalSnapshot(s gpu.Snapshot) (*gpu.MemImage, []byte, erro
 }
 
 // UnmarshalSnapshot implements gpu.SnapshotCodec. The returned snapshot
-// references mem directly (which may alias a read-only mapping — the
-// restore path only copies out of images, never into them).
+// references mem directly (the restore path only copies out of images,
+// never into them).
 //
-// A meta blob is outside input (any CRC-valid bytes on disk): every
+// A meta blob is treated as outside input: every
 // allocation is bounded by the remaining input and every value the
 // machine later indexes with is validated against the chip, so a snapshot
 // that decodes restores without panicking. What depends on the launch —

@@ -89,18 +89,6 @@ func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
 }
 
-// NormFloat64 returns a standard normal variate (Box-Muller, polar form).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -97,8 +97,7 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over buf. The Reader never writes through
-// buf and the slices it returns are always copies, so buf may reference
-// read-only mapped memory.
+// buf and the slices it returns are always copies.
 func NewReader(buf []byte) *Reader { return &Reader{b: buf} }
 
 // Err returns the first decoding error, if any.

@@ -4,11 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/gpu"
 )
 
 // FuzzWireDecode feeds arbitrary bytes to every wire decoder. The
@@ -22,25 +18,9 @@ func FuzzWireDecode(f *testing.F) {
 	w.Int(42)
 	store = AppendRecord(store, RecCell, w.Bytes())
 	f.Add(store)
-
-	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.ladder")
-	pg := make([]byte, gpu.PageSize)
-	pg[17] = 0xaa
-	hwm := uint32(gpu.PageSize)
-	mem, err := gpu.NewMappedImage([][]byte{pg}, hwm, hwm)
-	if err != nil {
-		f.Fatal(err)
-	}
-	info := LadderInfo{Chip: "seed", Benchmark: "seed", Interval: 0}
-	if err := WriteLadder(path, info, fakeCodec{}, []gpu.Snapshot{&fakeSnap{cycle: 9, mem: mem, tag: []byte("t")}}); err != nil {
-		f.Fatal(err)
-	}
-	ladder, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ladder)
+	owner := AppendHeader(nil, FileOwner)
+	owner = AppendRecord(owner, RecOwner, EncodeOwner(OwnerRecord{Epoch: 1, Server: "seed", UnixMillis: 1700000000000, Event: OwnerClaim}))
+	f.Add(owner)
 	f.Add([]byte(Magic))
 	f.Add([]byte(`{"key":"a","result":{}}` + "\n"))
 
@@ -61,7 +41,16 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("ScanRecords returned an untyped error: %v", err)
 		}
 
-		_, _, _ = VerifyLadder(data)
+		// Every clustered fiserver decodes the shared ownership journal.
+		owners, good, err := ReplayOwners(data)
+		if err == nil && (good < 0 || good > len(data)) {
+			t.Fatalf("ReplayOwners returned offset %d for %d bytes", good, len(data))
+		}
+		for _, o := range owners {
+			if back, err := DecodeOwner(EncodeOwner(o)); err != nil || back != o {
+				t.Fatalf("decoded owner record %+v does not round-trip: %+v, %v", o, back, err)
+			}
+		}
 
 		r := NewReader(data)
 		r.U8()

@@ -228,7 +228,7 @@ func (j *Journal) write(b []byte) error {
 }
 
 // Rewrite replaces the journal's contents with the records emit passes
-// to put (compaction) through ReplaceFile, so a crash at any point
+// to put (compaction) through replaceFile, so a crash at any point
 // leaves either the old file or the new one; afterwards appends go to
 // the new file.
 func (j *Journal) Rewrite(emit func(put func(payload []byte)) error) error {
@@ -236,7 +236,7 @@ func (j *Journal) Rewrite(emit func(put func(payload []byte)) error) error {
 	if err := emit(func(payload []byte) { buf = j.framing.frame(buf, payload) }); err != nil {
 		return err
 	}
-	if err := ReplaceFile(j.path, buf); err != nil {
+	if err := replaceFile(j.path, buf); err != nil {
 		return err
 	}
 	// The old handle now points at an unlinked inode.
@@ -253,15 +253,14 @@ func (j *Journal) Rewrite(emit func(put func(payload []byte)) error) error {
 // Close closes the journal's file.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// ReplaceFile atomically replaces path with data: the bytes go to a
+// replaceFile atomically replaces path with data: the bytes go to a
 // uniquely named temporary sibling, which is fsynced, renamed over path,
 // and made durable by an fsync of the directory — without that last step
 // an OS crash can bring back the old file after the call returned.
-// Unique names let concurrent writers of one path (two processes saving
-// the same ladder) each publish a complete file, and make a crashed
-// run's leftover harmless: it is never reopened, and the next run does
-// not wait for it.
-func ReplaceFile(path string, data []byte) (err error) {
+// Unique names let concurrent writers of one path each publish a
+// complete file, and make a crashed run's leftover harmless: it is never
+// reopened, and the next run does not wait for it.
+func replaceFile(path string, data []byte) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
@@ -275,7 +274,7 @@ func ReplaceFile(path string, data []byte) (err error) {
 	if _, err := tmp.Write(data); err != nil {
 		return err
 	}
-	// CreateTemp makes the file 0600; stores and ladders are shared
+	// CreateTemp makes the file 0600; stores and journals are shared
 	// across processes (and users), so widen before publishing.
 	if err := tmp.Chmod(0o644); err != nil {
 		return err

@@ -1,9 +1,10 @@
 // Package wire is the on-disk layer of the fleet: the versioned binary
 // format shared by the campaign result store (campaign.DiskStore's
-// binary codec), the control plane's ownership journal, the file-backed
-// checkpoint-ladder store (finject's -ladder-dir path) and the fistore
+// binary codec), the control plane's ownership journal and the fistore
 // inspection CLI, plus Journal, the one append-only-file implementation
-// under every log the fleet keeps (binary or JSON lines). A wire file is
+// under every log the fleet keeps (binary or JSON lines), and the
+// Writer/Reader primitives the snapshot meta codec (gpu.SnapshotCodec)
+// encodes with. A wire file is
 //
 //	[magic "FIWR"][version u8][file kind u8][reserved u16]
 //	[record]...
@@ -13,12 +14,9 @@
 //	[kind u8][payload length u32][payload][crc32(kind || payload) u32]
 //
 // Two payload families exist: campaign cell records (a campaign.CellKey
-// plus its finject.Result, encoded by internal/campaign) and snapshot
-// images (ladder files), where each 4 KiB device-memory page is stored
-// once under its content hash and referenced by index, so adjacent
-// ladder rungs share their unchanged pages on disk exactly as they do
-// in heap COW. Ladder files are opened by read-only mmap, so every
-// process on a host shares one physical copy of a golden's ladder.
+// plus its finject.Result, encoded by internal/campaign) and ownership
+// transitions. Checkpoint ladders are never written: each golden run
+// captures its own in the heap.
 //
 // Torn tails versus corruption follow the Journal's rule: a record
 // whose declared extent runs past the end of the file is the signature
@@ -51,13 +49,11 @@ const HeaderSize = 8
 // FileKind distinguishes the wire file layouts.
 type FileKind uint8
 
-// The defined file kinds.
+// The defined file kinds. Kind 2 was the retired checkpoint-ladder file:
+// it is never reused, and a file of that kind fails ParseHeader.
 const (
 	// FileStore is an appendable campaign cell-result store.
 	FileStore FileKind = 1
-	// FileLadder is an immutable checkpoint-ladder image, written once
-	// and mmap'd read-only by any number of processes.
-	FileLadder FileKind = 2
 	// FileOwner is the control-plane ownership journal: an append-only
 	// sequence of epoch claim/heartbeat/release records through which a
 	// fleet of fiservers agrees on which one owns the shared job store.
@@ -69,8 +65,6 @@ func (k FileKind) String() string {
 	switch k {
 	case FileStore:
 		return "store"
-	case FileLadder:
-		return "ladder"
 	case FileOwner:
 		return "ownership"
 	default:
@@ -81,20 +75,11 @@ func (k FileKind) String() string {
 // RecordKind tags one record's payload family.
 type RecordKind uint8
 
-// The defined record kinds.
+// The defined record kinds. Kinds 2–4 were the retired ladder file's
+// page, snapshot and ladder-info records; they are never reused.
 const (
 	// RecCell is one campaign cell result (key + finject.Result).
 	RecCell RecordKind = 1
-	// RecPage is one content-addressed 4 KiB device-memory page:
-	// [sha256 32 bytes][4096 page bytes]. Pages are indexed by their
-	// order of appearance in the file.
-	RecPage RecordKind = 2
-	// RecSnapshot is one checkpoint-ladder rung referencing pages by
-	// index plus an opaque device meta blob.
-	RecSnapshot RecordKind = 3
-	// RecLadderInfo identifies a ladder file's (chip, benchmark,
-	// interval) so loaders never restore a foreign ladder.
-	RecLadderInfo RecordKind = 4
 	// RecOwner is one control-plane ownership transition (see
 	// ownership.go): an epoch claim, a heartbeat under an epoch, or a
 	// voluntary release.
@@ -106,12 +91,6 @@ func (k RecordKind) String() string {
 	switch k {
 	case RecCell:
 		return "cell"
-	case RecPage:
-		return "page"
-	case RecSnapshot:
-		return "snapshot"
-	case RecLadderInfo:
-		return "ladder-info"
 	case RecOwner:
 		return "owner"
 	default:
@@ -156,7 +135,7 @@ func ParseHeader(b []byte) (FileKind, int, error) {
 		return 0, 0, fmt.Errorf("%w: %d (reader speaks %d)", ErrVersion, b[4], Version)
 	}
 	kind := FileKind(b[5])
-	if kind != FileStore && kind != FileLadder && kind != FileOwner {
+	if kind != FileStore && kind != FileOwner {
 		return 0, 0, fmt.Errorf("%w: unknown file kind %d", ErrCorrupt, b[5])
 	}
 	return kind, HeaderSize, nil
@@ -180,9 +159,8 @@ func AppendRecord(b []byte, kind RecordKind, payload []byte) []byte {
 }
 
 // Record is one decoded record frame. Payload aliases the scanned
-// buffer (zero-copy: for an mmap'd ladder file it points straight into
-// the mapping), so callers must copy anything they retain unless the
-// buffer is immutable and long-lived.
+// buffer, so callers must copy anything they retain unless the buffer
+// is immutable and long-lived.
 type Record struct {
 	Kind    RecordKind
 	Payload []byte
