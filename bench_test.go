@@ -1,11 +1,13 @@
-// Package repro's root benchmark harness measures the injection hot
-// paths and the design-choice ablations called out in DESIGN.md:
+// Package repro's root benchmarks are hand-run tools: the design-choice
+// ablations called out in DESIGN.md and the engine comparisons that
+// go run ./bench does not measure yet (worker scaling, telemetry
+// overhead, checkpointed vs full replay, adaptive vs fixed sampling):
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// runs them at a reduced (CI-friendly) injection count; raise it with
-// -repro.n to approach the paper's 2,000. The paper's three figures are
-// regenerated by cmd/figures and measured end to end by go run ./bench
+// runs them at a reduced injection count; raise it with -repro.n to
+// approach the paper's 2,000. The paper's three figures are regenerated
+// by cmd/figures and measured end to end by go run ./bench
 // (figures_cold, figures_warm).
 package repro
 
@@ -22,26 +24,11 @@ import (
 	"repro/internal/devices"
 	"repro/internal/finject"
 	"repro/internal/gpu"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
 var benchInjections = flag.Int("repro.n", 60, "fault injections per campaign in the ablation benchmarks")
-
-// BenchmarkStatisticalSampling regenerates the paper's Section III
-// footnote: the error margin of 2,000 injections at 99% confidence.
-func BenchmarkStatisticalSampling(b *testing.B) {
-	var margin float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		margin, err = stats.MarginOfError(2000, 0, 0.99)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*margin, "%margin@2000")
-}
 
 // BenchmarkAblationScheduler compares the two issue-arbitration policies
 // (round-robin vs greedy-then-oldest) across all four chips for one
@@ -276,7 +263,6 @@ func BenchmarkAblationFaultWidth(b *testing.B) {
 	}
 	chip := chips.QuadroFX5600()
 	for i := 0; i < b.N; i++ {
-		prev := -1.0
 		for _, width := range []uint{1, 2, 4} {
 			res, err := finject.Run(finject.Campaign{
 				Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
@@ -291,8 +277,6 @@ func BenchmarkAblationFaultWidth(b *testing.B) {
 					width, 100*res.AVF(), res.Outcomes[gpu.OutcomeSDC],
 					res.Outcomes[gpu.OutcomeDUE], res.Outcomes[gpu.OutcomeTimeout])
 			})
-			_ = prev
-			prev = res.AVF()
 		}
 	}
 }
@@ -337,10 +321,9 @@ func BenchmarkInjectionLoop(b *testing.B) {
 // BenchmarkTelemetryOverhead runs the same injection loop with no
 // observers and with every observer running — tracer installed and a
 // goroutine scraping the metrics registry's Prometheus exposition in a
-// tight loop — so the committed baseline pins the cost of observation
-// itself. The always-on counters ride in both variants (they are part
-// of the engine); the delta is the price of actually looking, and the
-// CI bench gate fails if either variant regresses past tolerance.
+// tight loop — so the difference is the cost of observation itself.
+// The always-on counters ride in both variants (they are part of the
+// engine); the delta is the price of actually looking.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	bench, err := workloads.ByName("matrixMul")
 	if err != nil {
@@ -399,9 +382,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // restoring the nearest snapshot below each fault cycle skips the
 // fault-free prefix, which at uniform (bit, cycle) sampling halves the
 // simulated cycles — the differential suite in internal/finject proves
-// the results byte-identical, so the entire delta is pure speed. The
-// committed BENCH_baseline.json carries both variants and
-// cmd/benchgate fails CI if the win regresses.
+// the results byte-identical, so the entire delta is pure speed.
 func BenchmarkCheckpointVsFull(b *testing.B) {
 	bench, err := workloads.ByName("matrixMul")
 	if err != nil {
@@ -477,52 +458,4 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 		}
 		b.ReportMetric(float64(realized), "realized-n")
 	})
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (lane
-// instructions per second) for both vendors' simulators — the analysis
-// time side of the paper's accuracy/time trade-off discussion.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, chip := range []*chips.Chip{chips.GeForceGTX480(), chips.HDRadeon7970()} {
-		b.Run(chip.Arch, func(b *testing.B) {
-			bench, err := workloads.ByName("matrixMul")
-			if err != nil {
-				b.Fatal(err)
-			}
-			hp, err := bench.New(chip.Vendor)
-			if err != nil {
-				b.Fatal(err)
-			}
-			d, err := devices.New(chip)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var lanes int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Reset()
-				if err := hp.Run(d); err != nil {
-					b.Fatal(err)
-				}
-				lanes += d.Stats().LaneInstructions
-			}
-			b.ReportMetric(float64(lanes)/b.Elapsed().Seconds(), "lane-instrs/s")
-		})
-	}
-}
-
-func runCycles(b *testing.B, chip *chips.Chip, bench *workloads.Benchmark) int64 {
-	b.Helper()
-	d, err := devices.New(chip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hp, err := bench.New(chip.Vendor)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := hp.Run(d); err != nil {
-		b.Fatal(err)
-	}
-	return d.Stats().Cycles
 }

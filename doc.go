@@ -3,9 +3,10 @@
 // (Vallero, Di Carlo, Tselonis, Gizopoulos — ISPASS 2017).
 //
 // The paper's three figures are regenerated by cmd/figures and measured
-// end to end by go run ./bench; the root package holds only the
-// hot-path and ablation benchmarks (bench_test.go). The system itself
-// lives in the internal packages:
+// end to end by go run ./bench; the root package holds only hand-run
+// benchmarks (bench_test.go): the design-choice ablations and the engine
+// comparisons the harness does not measure yet. The system itself lives
+// in the internal packages:
 //
 //   - internal/simt: the machine core both simulators share (compute
 //     units, launch loop, fault application, checkpoints);
@@ -37,6 +38,5 @@
 //     the HTTP API's one declaration, its front-end, its Go client and
 //     the remote worker fleet.
 //
-// See README.md for usage, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured-vs-paper results.
+// See README.md for usage and DESIGN.md for the system inventory.
 package repro

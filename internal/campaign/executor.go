@@ -138,9 +138,6 @@ func NewRemoteExecutor(q *LeaseQueue) *RemoteExecutor {
 	return &RemoteExecutor{queue: q}
 }
 
-// Queue returns the underlying lease queue.
-func (e *RemoteExecutor) Queue() *LeaseQueue { return e.queue }
-
 // Execute implements Executor by delegating to the worker fleet. Only
 // the spec, the stopping rule and the checkpoint knob travel: worker
 // counts are each worker's own business and never change results (nor

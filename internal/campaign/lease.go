@@ -180,9 +180,6 @@ func NewLeaseQueue(ttl time.Duration) *LeaseQueue {
 	}
 }
 
-// TTL returns the queue's lease TTL.
-func (q *LeaseQueue) TTL() time.Duration { return q.ttl }
-
 // SetWeight sets a tenant's fair-share weight (clamped to >= 1). A
 // tenant with weight w receives w times the service credit of a
 // weight-1 tenant per round-robin visit while both stay backlogged.

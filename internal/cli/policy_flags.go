@@ -45,6 +45,9 @@ func AddPolicyFlags(fs *flag.FlagSet) *PolicyFlags {
 
 // Validate range-checks the parsed values and resolves -checkpoint.
 func (p *PolicyFlags) Validate() error {
+	if p.Workers < 0 {
+		return fmt.Errorf("workers %d below 0", p.Workers)
+	}
 	if p.Margin < 0 || p.Margin >= 1 {
 		return fmt.Errorf("margin %v outside [0,1)", p.Margin)
 	}

@@ -59,6 +59,9 @@ func TestPolicyFlagsValidate(t *testing.T) {
 	if _, err := parse(t, "-confidence", "0"); err == nil || !strings.Contains(err.Error(), "confidence") {
 		t.Errorf("confidence 0 accepted (err=%v)", err)
 	}
+	if _, err := parse(t, "-workers", "-3"); err == nil || !strings.Contains(err.Error(), "workers") {
+		t.Errorf("workers -3 accepted (err=%v)", err)
+	}
 	if _, err := parse(t, "-checkpoint", "sometimes"); err == nil {
 		t.Error("bad -checkpoint accepted")
 	}

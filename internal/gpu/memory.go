@@ -198,17 +198,6 @@ func (m *Memory) Store32(addr uint32, v uint32) error {
 	return nil
 }
 
-// LoadF32 reads a float32.
-func (m *Memory) LoadF32(addr uint32) (float32, error) {
-	v, err := m.Load32(addr)
-	return math.Float32frombits(v), err
-}
-
-// StoreF32 writes a float32.
-func (m *Memory) StoreF32(addr uint32, v float32) error {
-	return m.Store32(addr, math.Float32bits(v))
-}
-
 // WriteWords uploads a slice of 32-bit words starting at addr.
 func (m *Memory) WriteWords(addr uint32, words []uint32) error {
 	if err := m.check(addr, 4*len(words)); err != nil {

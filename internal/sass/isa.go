@@ -19,7 +19,6 @@ package sass
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -218,9 +217,6 @@ func R(idx int) Operand { return Operand{Kind: OperandReg, Reg: uint8(idx)} }
 
 // Imm builds an integer immediate operand.
 func Imm(v uint32) Operand { return Operand{Kind: OperandImm, Imm: v} }
-
-// ImmF builds a float immediate operand.
-func ImmF(v float32) Operand { return Operand{Kind: OperandImm, Imm: math.Float32bits(v)} }
 
 // C builds a constant-bank operand.
 func C(idx int) Operand { return Operand{Kind: OperandConst, CIdx: uint16(idx)} }

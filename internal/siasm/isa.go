@@ -23,7 +23,6 @@ package siasm
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -240,9 +239,6 @@ func S(n int) Operand { return Operand{Kind: OperandSReg, Reg: uint8(n)} }
 
 // Imm builds an integer literal operand.
 func Imm(v uint32) Operand { return Operand{Kind: OperandImm, Imm: v} }
-
-// ImmF builds a float literal operand.
-func ImmF(v float32) Operand { return Operand{Kind: OperandImm, Imm: math.Float32bits(v)} }
 
 // String renders the operand in assembly syntax.
 func (o Operand) String() string {
