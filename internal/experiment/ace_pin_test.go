@@ -9,20 +9,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chips"
 	"repro/internal/gpu"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/ace_pairs.golden from what the ACE runs measure now")
 
-// TestACEPinnedOverFigureGrid pins every ACE value of the paper's grid:
-// one line per (chip, benchmark) pair of the three figures with both
-// structures' AVF-ACE and occupancy as float bits and the cycle count.
-// The three figure specs run on one Runner under the ACE estimator (their
-// ACE values do not depend on the campaigns), so the pairs Fig. 2 and
-// Fig. 3 share with Fig. 1 are answered by the Runner's memo and must
-// read the same. The file was recorded by a serial analyzer over flat
-// per-entry arrays; a parallel ACE phase or paged analyzer state that
-// moves one bit is a diff here. Regenerate with
+// TestACEPinnedOverFigureGrid pins every ACE value of the paper's grid
+// and of the five other chips: one line per (chip, benchmark) pair with
+// both structures' AVF-ACE and occupancy as float bits and the cycle
+// count — the 40 pairs of the three figures, then Fig. 3's grid (both
+// structures, the whole suite) on the extended and Mini chips, 90 pairs.
+// The specs run on one Runner under the ACE estimator (their ACE values
+// do not depend on the campaigns), so the pairs Fig. 2 and Fig. 3 share
+// with Fig. 1 are answered by the Runner's memo and must read the same.
+// The first 40 lines were recorded by a serial analyzer over flat
+// per-entry arrays, all 90 by the paged analyzer before the liveness
+// recorder replaced it; a parallel ACE phase, paged state or a second
+// definition of ACE time that moves one bit is a diff here. Regenerate with
 // `go test ./internal/experiment -run TestACEPinnedOverFigureGrid -update`
 // only after an intended simulator or analyzer change.
 func TestACEPinnedOverFigureGrid(t *testing.T) {
@@ -34,11 +38,18 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 	}
 	pairs := make(map[[2]string]*pair)
 	var order [][2]string
+	var others []string
+	for _, c := range append(chips.Extended(), chips.MiniNVIDIA(), chips.MiniAMD()) {
+		others = append(others, c.Name)
+	}
 	r := &Runner{}
-	for n := 1; n <= 3; n++ {
-		spec, err := Figure(n)
+	for n := 1; n <= 4; n++ {
+		spec, err := Figure(min(n, 3))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n == 4 {
+			spec.Chips = others
 		}
 		spec.Estimator, spec.Metrics = EstimatorACE, Metrics{}
 		res, err := r.Run(context.Background(), spec)
