@@ -1,266 +1,410 @@
-// Package ace implements ACE (Architecturally Correct Execution) lifetime
-// analysis for the register file and the local/shared memory, the second
-// reliability-assessment methodology the paper compares against
-// statistical fault injection.
+// Package ace records the liveness of the register file and of the
+// local/shared memory over one fault-free run, on one gpu.Tracer, the
+// Recorder: the ACE (Architecturally Correct Execution) analysis the
+// paper compares against statistical fault injection, and the live
+// fault sites that fault-site pruning answers sampled faults from.
 //
-// The analysis streams the access trace of a single fault-free run: each
-// storage entry's timeline is cut at its accesses, and an interval is ACE
-// exactly when it ends in a read of a previously written (defined) value
-// — a bit flip during such an interval would be consumed. Intervals
-// ending in writes, trailing intervals, reads of never-written entries,
-// and all unallocated time are unACE. This is first-order ACE analysis
-// without transitive or program-level masking, which is why (as the paper
-// observes) it overestimates the register-file AVF measured by fault
-// injection while matching the local-memory AVF closely.
+// A live span of an entry is the flip cycles [last access + 1, read]: a
+// flip then is met first by that read. An ACE interval is (last access,
+// read] of an entry written since its allocation. Their lengths are
+// equal, so the two sums part only on a read of an entry outside every
+// allocation bracket or not written since its allocation: live, not ACE.
+// Measure refuses a run with either, so the ACE it returns is the paper's
+// first-order ACE, with no transitive or program-level masking — which is
+// why (as the paper observes) it overestimates the register-file AVF
+// measured by fault injection while matching the local-memory AVF
+// closely.
 //
-// The implementation is O(1) per access, state O(allocated entries): per
-// entry it keeps only the last access cycle and a defined flag, on pages
-// of 1,024 entries allocated by the first allocation bracket that covers
-// them, and accumulates ACE entry-cycles into a single running sum per
-// structure. On the HD 7970, whose register file is 0.11–3.90 % occupied
-// across the suite, flat per-entry state for the whole chip made
-// NewAnalyzer allocate 36,864 KiB and Measure up to 36,976 KiB; paged,
-// NewAnalyzer allocates 36 KiB and Measure at most 1,036 KiB over the ten
-// benchmarks, the simulation included (TestAnalyzerStateFollowsAllocation).
+// Recording is O(1) per access and its state O(touched entries), on
+// pages of 1,024 entries allocated by the first bracket or access that
+// reaches them. The per-access path touches two hot fields per entry, the
+// next flip cycle and a flags byte, in arrays of their own, and both sums
+// run as the trace arrives. Only a recorder that keeps spans
+// (NewRecorder, for pruning; Measure keeps none) has the cold fields,
+// touched once per span. On the HD 7970, whose register file is
+// 0.11–3.90 % occupied across the suite, NewRecorder allocates 36 KiB and
+// Measure at most 651 KiB over the ten benchmarks, the simulation
+// included (TestAnalyzerStateFollowsAllocation).
 package ace
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/gpu"
 )
 
-// entry flags.
+// Entry flags.
 const (
-	flagAllocated byte = 1 << iota
-	flagDefined
+	allocated byte = 1 << iota // inside an allocation bracket
+	defined                    // written since the bracket began
+	open                       // the entry's latest span ends at its last access
 )
 
-// pageBits sizes the pages of per-entry state.
 const (
+	// pageBits sizes the pages of per-entry state.
 	pageBits = 10
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+	// chunkBits sizes the chunks the span log grows by; one growing
+	// slice spent a tenth of a traced run in growslice.
+	chunkBits = 12
+	chunkMask = 1<<chunkBits - 1
 )
 
-// page is the state of pageSize consecutive entries; the zero value is
-// unallocated.
+// chain is the state of one entry's spans, touched once per span.
+type chain struct {
+	lo     uint32 // the open span's first cycle
+	closed uint32 // spans logged
+}
+
+// page is the per-access state of pageSize consecutive entries; the zero
+// value is an untouched, unallocated entry. It holds no pointer, so the
+// garbage collector never scans it.
 type page struct {
-	last  [pageSize]int64 // last access (or allocation) cycle per entry
+	// next is per entry the lowest flip cycle its next access is the
+	// first to meet: the last access's stamp + 1.
+	next  [pageSize]uint32
 	flags [pageSize]byte
 }
 
-// structState tracks one structure (register file or local memory) across
-// all units of the chip.
-type structState struct {
-	perUnit int
-	entries int       // units × perUnit
-	pages   []*page   // nil until an allocation covers one of its entries
-	aceSum  float64   // accumulated ACE entry-cycles
-	unitSum []float64 // per-unit ACE entry-cycles (SM/CU breakdown)
-	stray   int64     // accesses outside an allocation bracket
+// span is the inclusive range of flip cycles [lo, hi] of one entry that a
+// read is the first access to meet.
+type span struct{ lo, hi uint32 }
+
+// logged is a closed span of the entry key (unit*perUnit + entry).
+type logged struct {
+	key uint32
+	span
 }
 
-func newStructState(units, perUnit int) *structState {
+// track records one structure (register file or local memory) across all
+// units of the chip.
+type track struct {
+	units, perUnit int
+	keep           bool               // log spans for a table, not only sum them
+	pages          []*page            // nil until a bracket or an access reaches one of its entries
+	chains         []*[pageSize]chain // beside pages, if the track keeps spans
+	log            [][]logged         // chunks; index i is log[i>>chunkBits][i&chunkMask]
+	n              int                // spans logged
+	spans, entries int                // spans opened, and entries that opened one
+	live           int64              // live entry-cycles: the summed lengths of the spans
+	ace            int64              // ACE entry-cycles: the part of live that follows a write in the bracket
+	stray          int64              // accesses outside an allocation bracket
+	undefined      int64              // reads of an allocated entry not written since its allocation
+	// bad is set by an access the recorder cannot place (outside the
+	// structure, a cycle beyond the stamp width, time running backwards);
+	// the structure then has no table and no ACE.
+	bad bool
+}
+
+func newTrack(units, perUnit int, keep bool) track {
 	n := units * perUnit
-	return &structState{
-		perUnit: perUnit,
-		entries: n,
-		pages:   make([]*page, (n+pageMask)>>pageBits),
-		unitSum: make([]float64, units),
+	if n > math.MaxUint32 {
+		return track{bad: true}
 	}
+	t := track{units: units, perUnit: perUnit, keep: keep, pages: make([]*page, (n+pageMask)>>pageBits)}
+	if keep {
+		t.chains = make([]*[pageSize]chain, len(t.pages))
+	}
+	return t
 }
 
-func (s *structState) access(unit, entry int, cycle int64, write bool) {
-	i := unit*s.perUnit + entry
-	var p *page
-	if i >= 0 && i < s.entries {
-		p = s.pages[i>>pageBits]
+// newPage allocates the page of the key, out of the per-access path.
+//
+//go:noinline
+func (t *track) newPage(key int) *page {
+	p := new(page)
+	t.pages[key>>pageBits] = p
+	if t.keep {
+		t.chains[key>>pageBits] = new([pageSize]chain)
 	}
-	if p == nil || p.flags[i&pageMask]&flagAllocated == 0 {
-		// Outside an allocation bracket: no ACE time, but a well-formed
-		// simulator trace has none, so Measure fails on the count (an
-		// access the device reports before its allocation would
+	return p
+}
+
+func (t *track) access(unit, entry int, cycle int64, write bool) {
+	if uint(unit) >= uint(t.units) || uint(entry) >= uint(t.perUnit) || uint64(cycle) >= math.MaxUint32 {
+		t.bad = true
+		return
+	}
+	key := unit*t.perUnit + entry
+	p := t.pages[key>>pageBits]
+	if p == nil {
+		p = t.newPage(key)
+	}
+	i := key & pageMask
+	at, f := uint32(cycle), p.flags[i]
+	// d is the flip cycles this access is the first to meet: 0 for one in
+	// the cycle of the access before it.
+	d := int64(at) + 1 - int64(p.next[i])
+	if d < 0 {
+		t.bad = true // time running backwards
+	}
+	if f&allocated == 0 {
+		// A well-formed simulator trace has none, so Measure fails on the
+		// count (an access the device reports before its allocation would
 		// otherwise only lower the AVF, quietly).
-		s.stray++
-		return
+		t.stray++
 	}
-	i &= pageMask
-	f := p.flags[i]
 	if write {
-		p.flags[i] = f | flagDefined
-	} else if f&flagDefined != 0 {
-		d := float64(cycle - p.last[i])
-		s.aceSum += d
-		s.unitSum[unit] += d
+		// A write in a later cycle ends the open span; one in the cycle of
+		// the read that ended it leaves it open, since the flip cycles a
+		// read after it is first to meet follow on from that read.
+		if f&open != 0 && d > 0 {
+			f &^= open
+			if t.keep {
+				t.close(p, key)
+			}
+		}
+		p.flags[i] = f | defined
+	} else {
+		switch f & (allocated | defined) {
+		case allocated | defined:
+			t.ace += d
+		case allocated:
+			t.undefined++
+		}
+		t.live += d
+		if f&open == 0 && d > 0 {
+			p.flags[i] = f | open
+			if t.keep {
+				t.open(p, key)
+			}
+		}
 	}
-	p.last[i] = cycle
+	p.next[i] = at + 1
 }
 
-func (s *structState) alloc(unit, base, count int, cycle int64) {
-	lo := unit*s.perUnit + base
-	hi := lo + count
-	if lo < 0 || hi > s.entries {
+// open starts a span of the entry key.
+func (t *track) open(p *page, key int) {
+	ch := &t.chains[key>>pageBits][key&pageMask]
+	if ch.closed == 0 {
+		t.entries++
+	}
+	t.spans++
+	ch.lo = p.next[key&pageMask]
+}
+
+// close logs the open span of the entry key.
+func (t *track) close(p *page, key int) {
+	if t.n>>chunkBits == len(t.log) {
+		t.log = append(t.log, make([]logged, 1<<chunkBits))
+	}
+	ch := &t.chains[key>>pageBits][key&pageMask]
+	t.log[t.n>>chunkBits][t.n&chunkMask] = logged{uint32(key), span{ch.lo, p.next[key&pageMask] - 1}}
+	t.n++
+	ch.closed++
+}
+
+// bracket sets the flags of entries [base, base+count) of the unit to
+// set, keeping their span state: brackets never change a span. A bracket
+// outside the unit is ignored; accesses to it are stray or cannot be
+// placed.
+func (t *track) bracket(unit, base, count int, set byte) {
+	if uint(unit) >= uint(t.units) || base < 0 || count < 0 || base+count > t.perUnit {
 		return
 	}
-	for lo < hi {
-		p := s.pages[lo>>pageBits]
+	for key := unit*t.perUnit + base; count > 0; {
+		p := t.pages[key>>pageBits]
+		if p == nil && set != 0 {
+			p = t.newPage(key)
+		}
+		from := key & pageMask
+		to := min(from+count, pageSize)
+		if p != nil {
+			for i := from; i < to; i++ {
+				p.flags[i] = p.flags[i]&open | set
+			}
+		}
+		key += to - from
+		count -= to - from
+	}
+}
+
+// entryCycles returns the structure's ACE entry-cycles, or why the run
+// has none.
+func (t *track) entryCycles(st gpu.Structure) (int64, error) {
+	switch {
+	case t.bad:
+		return 0, fmt.Errorf("ace: %v: an access the recorder cannot place", st)
+	case t.stray != 0:
+		return 0, fmt.Errorf("ace: %v: %d accesses outside an allocation bracket", st, t.stray)
+	case t.undefined != 0:
+		return 0, fmt.Errorf("ace: %v: %d reads of an entry not written since its allocation", st, t.undefined)
+	}
+	return t.ace, nil
+}
+
+// table compacts the recording into the retained form. A walk of the
+// touched pages in entry order lays out each entry's spans and turns its
+// count of closed spans into a cursor; the log, in time order, is then
+// scattered through the cursors, so each entry's spans land ascending;
+// the open span, the latest, goes last, and the counts are restored.
+func (t *track) table() *Table {
+	if t.bad || !t.keep {
+		return nil
+	}
+	lt := &Table{units: t.units, perUnit: t.perUnit, live: t.live, ace: t.ace,
+		keys: make([]uint32, 0, t.entries), offs: make([]uint32, 0, t.entries+1), spans: make([]span, t.spans)}
+	n := uint32(0)
+	for pi, p := range t.pages {
 		if p == nil {
-			p = new(page)
-			s.pages[lo>>pageBits] = p
+			continue
 		}
-		from := lo & pageMask
-		to := min(from+hi-lo, pageSize)
-		for i := from; i < to; i++ {
-			p.flags[i] = flagAllocated
-			p.last[i] = cycle
+		for i := range t.chains[pi] {
+			ch := &t.chains[pi][i]
+			if ch.closed == 0 && p.flags[i]&open == 0 {
+				continue
+			}
+			lt.keys = append(lt.keys, uint32(pi<<pageBits|i))
+			lt.offs = append(lt.offs, n)
+			n += ch.closed
+			if p.flags[i]&open != 0 {
+				n++
+			}
+			ch.closed = lt.offs[len(lt.offs)-1]
 		}
-		lo += to - from
 	}
+	lt.offs = append(lt.offs, n)
+	for j := range t.n {
+		l := &t.log[j>>chunkBits][j&chunkMask]
+		ch := &t.chains[l.key>>pageBits][l.key&pageMask]
+		lt.spans[ch.closed] = l.span
+		ch.closed++
+	}
+	for k, key := range lt.keys {
+		p, i := t.pages[key>>pageBits], key&pageMask
+		ch := &t.chains[key>>pageBits][i]
+		if p.flags[i]&open != 0 {
+			lt.spans[ch.closed] = span{ch.lo, p.next[i] - 1}
+		}
+		ch.closed -= lt.offs[k]
+	}
+	return lt
 }
 
-func (s *structState) free(unit, base, count int) {
-	lo := unit*s.perUnit + base
-	hi := lo + count
-	if lo < 0 || hi > s.entries {
-		return
-	}
-	for lo < hi {
-		from := lo & pageMask
-		to := min(from+hi-lo, pageSize)
-		if p := s.pages[lo>>pageBits]; p != nil {
-			clear(p.flags[from:to])
-		}
-		lo += to - from
-	}
-}
+// Recorder is the gpu.Tracer of a fault-free run, indexed by
+// gpu.Structure: it sums the run's live and ACE entry-cycles as the trace
+// arrives and, made by NewRecorder, records per touched entry the live
+// spans fault-site pruning searches.
+type Recorder [2]track
 
-// Analyzer is a gpu.Tracer that performs streaming ACE analysis on both
-// target structures of one device.
-type Analyzer struct {
-	regs  *structState
-	local *structState
-}
+// NewRecorder builds a recorder for a device's structure geometry.
+func NewRecorder(d gpu.Device) *Recorder { return newRecorder(d, true) }
 
-// NewAnalyzer builds an analyzer for a device's structure geometry.
-func NewAnalyzer(d gpu.Device) *Analyzer {
-	return &Analyzer{
-		regs:  newStructState(d.Units(), d.StructSize(gpu.RegisterFile)),
-		local: newStructState(d.Units(), d.StructSize(gpu.LocalMemory)),
-	}
+// newRecorder builds a recorder that, unless keep, only sums: its
+// Liveness has no tables.
+func newRecorder(d gpu.Device, keep bool) *Recorder {
+	return &Recorder{gpu.RegisterFile: newTrack(d.Units(), d.StructSize(gpu.RegisterFile), keep),
+		gpu.LocalMemory: newTrack(d.Units(), d.StructSize(gpu.LocalMemory), keep)}
 }
 
 // RegAccess implements gpu.Tracer.
-func (a *Analyzer) RegAccess(unit, entry int, cycle int64, write bool) {
-	a.regs.access(unit, entry, cycle, write)
+func (r *Recorder) RegAccess(unit, entry int, cycle int64, write bool) {
+	r[gpu.RegisterFile].access(unit, entry, cycle, write)
 }
 
-// LocalAccess implements gpu.Tracer. Multi-byte accesses touch each byte.
-func (a *Analyzer) LocalAccess(unit, offset, size int, cycle int64, write bool) {
+// LocalAccess implements gpu.Tracer: each byte is an entry.
+func (r *Recorder) LocalAccess(unit, offset, size int, cycle int64, write bool) {
 	for b := 0; b < size; b++ {
-		a.local.access(unit, offset+b, cycle, write)
+		r[gpu.LocalMemory].access(unit, offset+b, cycle, write)
 	}
 }
 
-// RegAlloc implements gpu.Tracer.
-func (a *Analyzer) RegAlloc(unit, base, count int, cycle int64) {
-	a.regs.alloc(unit, base, count, cycle)
+// RegAlloc, RegFree, LocalAlloc and LocalFree implement gpu.Tracer.
+func (r *Recorder) RegAlloc(unit, base, n int, _ int64) {
+	r[gpu.RegisterFile].bracket(unit, base, n, allocated)
+}
+func (r *Recorder) RegFree(unit, base, n int, _ int64) {
+	r[gpu.RegisterFile].bracket(unit, base, n, 0)
+}
+func (r *Recorder) LocalAlloc(unit, base, n int, _ int64) {
+	r[gpu.LocalMemory].bracket(unit, base, n, allocated)
+}
+func (r *Recorder) LocalFree(unit, base, n int, _ int64) {
+	r[gpu.LocalMemory].bracket(unit, base, n, 0)
 }
 
-// RegFree implements gpu.Tracer.
-func (a *Analyzer) RegFree(unit, base, count int, cycle int64) {
-	a.regs.free(unit, base, count)
+// Liveness compacts what the recorder holds into the tables fault-site
+// pruning searches.
+func (r *Recorder) Liveness() *Liveness {
+	return &Liveness{r[gpu.RegisterFile].table(), r[gpu.LocalMemory].table()}
 }
 
-// LocalAlloc implements gpu.Tracer.
-func (a *Analyzer) LocalAlloc(unit, base, size int, cycle int64) {
-	a.local.alloc(unit, base, size, cycle)
+var _ gpu.Tracer = (*Recorder)(nil)
+
+// Table is the retained liveness of one structure: the entries that have
+// a live span at all in ascending order, and per entry its spans,
+// ascending, disjoint and maximal. 8 bytes per span plus 8 per such
+// entry; immutable once built and shared read-only by every worker.
+type Table struct {
+	units, perUnit int
+	keys           []uint32 // unit*perUnit + entry
+	offs           []uint32 // spans[offs[i]:offs[i+1]] are keys[i]'s
+	spans          []span
+	live, ace      int64 // the recorder's sums
 }
 
-// LocalFree implements gpu.Tracer.
-func (a *Analyzer) LocalFree(unit, base, size int, cycle int64) {
-	a.local.free(unit, base, size)
+// EntryCycles returns the structure's live and ACE entry-cycles over the
+// run; they are equal unless a read met an entry outside a bracket or
+// not written since its allocation.
+func (lt *Table) EntryCycles() (live, ace int64) { return lt.live, lt.ace }
+
+// Liveness is the liveness of both structures over one run, indexed by
+// gpu.Structure. A nil Liveness, or a nil table in it, answers nothing.
+type Liveness [2]*Table
+
+// Dead reports that the fault provably never reaches a read, so that the
+// faulty run is the fault-free run. Anything the tables cannot answer is
+// not dead.
+func (m *Liveness) Dead(f gpu.Fault) bool {
+	if m == nil || f.Structure < 0 || int(f.Structure) >= len(m) {
+		return false
+	}
+	lt := m[f.Structure]
+	if lt == nil || uint(f.Unit) >= uint(lt.units) || uint(f.Entry) >= uint(lt.perUnit) || uint64(f.Cycle) >= math.MaxUint32 {
+		return false
+	}
+	i, ok := slices.BinarySearch(lt.keys, uint32(f.Unit*lt.perUnit+f.Entry))
+	if !ok {
+		return true
+	}
+	sp, at := lt.spans[lt.offs[i]:lt.offs[i+1]], uint32(f.Cycle)
+	j := sort.Search(len(sp), func(j int) bool { return sp[j].hi >= at })
+	return j == len(sp) || sp[j].lo > at
 }
 
-// AVF returns the ACE-based architectural vulnerability factor of a
-// structure for an execution of totalCycles device cycles: ACE
-// entry-cycles over total entry-cycles of the whole chip structure.
-func (a *Analyzer) AVF(st gpu.Structure, totalCycles int64) (float64, error) {
-	if totalCycles <= 0 {
-		return 0, fmt.Errorf("ace: non-positive cycle count %d", totalCycles)
-	}
-	var s *structState
-	switch st {
-	case gpu.RegisterFile:
-		s = a.regs
-	case gpu.LocalMemory:
-		s = a.local
-	default:
-		return 0, fmt.Errorf("ace: unknown structure %v", st)
-	}
-	total := float64(s.entries) * float64(totalCycles)
-	if total == 0 {
-		return 0, fmt.Errorf("ace: empty structure %v", st)
-	}
-	avf := s.aceSum / total
-	if avf < 0 || avf > 1 {
-		return 0, fmt.Errorf("ace: AVF %v out of [0,1]", avf)
-	}
-	return avf, nil
-}
-
-// ACEEntryCycles exposes the raw accumulated ACE entry-cycles (used by
-// tests and the occupancy-normalization ablation).
-func (a *Analyzer) ACEEntryCycles(st gpu.Structure) float64 {
-	if st == gpu.RegisterFile {
-		return a.regs.aceSum
-	}
-	return a.local.aceSum
-}
-
-// UnitAVF returns the per-SM/CU AVF breakdown of a structure: how the
-// chip-wide vulnerability distributes across units. With small grids the
-// dispatcher fills low-numbered units first, so the tail units' AVF
-// drops to zero — the spatial face of the occupancy correlation.
-func (a *Analyzer) UnitAVF(st gpu.Structure, totalCycles int64) ([]float64, error) {
-	if totalCycles <= 0 {
-		return nil, fmt.Errorf("ace: non-positive cycle count %d", totalCycles)
-	}
-	s := a.regs
-	if st == gpu.LocalMemory {
-		s = a.local
-	}
-	out := make([]float64, len(s.unitSum))
-	denom := float64(s.perUnit) * float64(totalCycles)
-	for u, sum := range s.unitSum {
-		out[u] = sum / denom
-	}
-	return out, nil
-}
-
-var _ gpu.Tracer = (*Analyzer)(nil)
-
-// Measure runs the host program once on the device with ACE tracing and
-// returns the ACE AVFs of both structures plus the run statistics. The
-// device must be freshly reset.
+// Measure runs the host program once on the device with a Recorder and
+// returns the ACE AVFs of both structures — ACE entry-cycles over the
+// entry-cycles of the whole chip structure — plus the run statistics.
+// The device must be freshly reset.
 func Measure(d gpu.Device, hp *gpu.HostProgram) (regAVF, localAVF float64, st gpu.RunStats, err error) {
-	a := NewAnalyzer(d)
-	d.SetTracer(a)
+	r := newRecorder(d, false)
+	d.SetTracer(r)
 	if err = hp.Run(d); err != nil {
 		return 0, 0, st, fmt.Errorf("ace: golden run failed: %w", err)
 	}
 	d.SetTracer(nil)
 	st = d.Stats()
-	if reg, local := a.regs.stray, a.local.stray; reg+local != 0 {
-		return 0, 0, st, fmt.Errorf("ace: %d accesses outside an allocation bracket (%d register, %d local)", reg+local, reg, local)
+	if st.Cycles <= 0 {
+		return 0, 0, st, fmt.Errorf("ace: non-positive cycle count %d", st.Cycles)
 	}
-	regAVF, err = a.AVF(gpu.RegisterFile, st.Cycles)
-	if err != nil {
-		return 0, 0, st, err
+	var avf [2]float64
+	for s := range r {
+		t := &r[s]
+		n, err := t.entryCycles(gpu.Structure(s))
+		if err != nil {
+			return 0, 0, st, err
+		}
+		total := float64(t.units*t.perUnit) * float64(st.Cycles)
+		if total == 0 {
+			return 0, 0, st, fmt.Errorf("ace: empty structure %v", gpu.Structure(s))
+		}
+		if avf[s] = float64(n) / total; avf[s] > 1 {
+			return 0, 0, st, fmt.Errorf("ace: %v AVF %v out of [0,1]", gpu.Structure(s), avf[s])
+		}
 	}
-	localAVF, err = a.AVF(gpu.LocalMemory, st.Cycles)
-	if err != nil {
-		return 0, 0, st, err
-	}
-	return regAVF, localAVF, st, nil
+	return avf[gpu.RegisterFile], avf[gpu.LocalMemory], st, nil
 }

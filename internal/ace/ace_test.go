@@ -1,6 +1,7 @@
 package ace
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chips"
@@ -9,72 +10,94 @@ import (
 	"repro/internal/workloads"
 )
 
-func newAnalyzerWithGeom(units, regs, local int) *Analyzer {
-	return &Analyzer{
-		regs:  newStructState(units, regs),
-		local: newStructState(units, local),
+// recorderOf builds a recorder for a geometry of its own.
+func recorderOf(units, regs, local int, keep bool) *Recorder {
+	return &Recorder{newTrack(units, regs, keep), newTrack(units, local, keep)}
+}
+
+// wantSums checks a track's sums and counts.
+func wantSums(t *testing.T, tr *track, live, ace, stray, undefined int64) {
+	t.Helper()
+	if tr.live != live || tr.ace != ace || tr.stray != stray || tr.undefined != undefined {
+		t.Fatalf("live=%d ace=%d stray=%d undefined=%d, want %d/%d/%d/%d",
+			tr.live, tr.ace, tr.stray, tr.undefined, live, ace, stray, undefined)
+	}
+}
+
+// wantRefused checks that Measure's error path refuses the track.
+func wantRefused(t *testing.T, tr *track, why string) {
+	t.Helper()
+	if _, err := tr.entryCycles(gpu.RegisterFile); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("entryCycles error %v, want one saying %q", err, why)
 	}
 }
 
 func TestIntervalClassification(t *testing.T) {
-	a := newAnalyzerWithGeom(1, 4, 4)
+	r := recorderOf(1, 4, 4, true)
 	// Allocate entries 0..3 at cycle 0.
-	a.RegAlloc(0, 0, 4, 0)
+	r.RegAlloc(0, 0, 4, 0)
 	// Entry 0: W@10 R@20 R@25 W@30 R@40 -> ACE = 10+5+10 = 25.
-	a.RegAccess(0, 0, 10, true)
-	a.RegAccess(0, 0, 20, false)
-	a.RegAccess(0, 0, 25, false)
-	a.RegAccess(0, 0, 30, true)
-	a.RegAccess(0, 0, 40, false)
+	r.RegAccess(0, 0, 10, true)
+	r.RegAccess(0, 0, 20, false)
+	r.RegAccess(0, 0, 25, false)
+	r.RegAccess(0, 0, 30, true)
+	r.RegAccess(0, 0, 40, false)
 	// Entry 1: W@5 W@15 (write-write, tail) -> ACE = 0.
-	a.RegAccess(0, 1, 5, true)
-	a.RegAccess(0, 1, 15, true)
-	// Entry 2: R@10 before any write -> undefined read, ACE = 0.
-	a.RegAccess(0, 2, 10, false)
-	a.RegFree(0, 0, 4, 50)
-
-	if got := a.ACEEntryCycles(gpu.RegisterFile); got != 25 {
-		t.Fatalf("ACE entry-cycles = %v, want 25", got)
+	r.RegAccess(0, 1, 5, true)
+	r.RegAccess(0, 1, 15, true)
+	if n, err := r[gpu.RegisterFile].entryCycles(gpu.RegisterFile); n != 25 || err != nil {
+		t.Fatalf("ACE entry-cycles = %v, %v; want 25", n, err)
 	}
-	avf, err := a.AVF(gpu.RegisterFile, 100)
-	if err != nil {
-		t.Fatal(err)
+	// Entry 2: R@10 before any write -> undefined read: live [0, 10], no
+	// ACE, and the run is refused.
+	r.RegAccess(0, 2, 10, false)
+	r.RegFree(0, 0, 4, 50)
+	wantSums(t, &r[gpu.RegisterFile], 25+11, 25, 0, 1)
+	wantRefused(t, &r[gpu.RegisterFile], "not written since its allocation")
+	lt := r.Liveness()[gpu.RegisterFile]
+	if live, ace := lt.EntryCycles(); live != 36 || ace != 25 {
+		t.Fatalf("table entry-cycles live=%d ace=%d, want 36 and 25", live, ace)
 	}
-	if want := 25.0 / (4 * 100); avf != want {
-		t.Fatalf("AVF = %v, want %v", avf, want)
+	// Entry 0's spans are [11, 25] and [31, 40]; entry 1 has none.
+	for _, c := range []struct {
+		entry int
+		cycle int64
+		dead  bool
+	}{{0, 10, true}, {0, 11, false}, {0, 25, false}, {0, 26, true}, {0, 31, false}, {0, 40, false}, {0, 41, true}, {1, 10, true}, {2, 0, false}, {2, 11, true}} {
+		f := gpu.Fault{Structure: gpu.RegisterFile, Entry: c.entry, Cycle: c.cycle}
+		if r.Liveness().Dead(f) != c.dead {
+			t.Errorf("entry %d cycle %d: dead=%v, want %v", c.entry, c.cycle, !c.dead, c.dead)
+		}
 	}
 }
 
 func TestAccessOutsideAllocationIgnored(t *testing.T) {
-	a := newAnalyzerWithGeom(1, 4, 4)
-	a.RegAccess(0, 0, 10, true)
-	a.RegAccess(0, 0, 20, false) // no allocation bracket
-	if got := a.ACEEntryCycles(gpu.RegisterFile); got != 0 {
-		t.Fatalf("unallocated accesses accumulated ACE %v", got)
-	}
+	r := recorderOf(1, 4, 4, true)
+	r.RegAccess(0, 0, 10, true)
+	r.RegAccess(0, 0, 20, false) // no allocation bracket
+	// Live all the same: brackets never change a span.
+	wantSums(t, &r[gpu.RegisterFile], 10, 0, 2, 0)
+	wantRefused(t, &r[gpu.RegisterFile], "outside an allocation bracket")
 }
 
 func TestReallocationResetsDefined(t *testing.T) {
-	a := newAnalyzerWithGeom(1, 2, 2)
-	a.RegAlloc(0, 0, 2, 0)
-	a.RegAccess(0, 0, 10, true)
-	a.RegFree(0, 0, 2, 20)
+	r := recorderOf(1, 2, 2, true)
+	r.RegAlloc(0, 0, 2, 0)
+	r.RegAccess(0, 0, 10, true)
+	r.RegFree(0, 0, 2, 20)
 	// New owner reads before writing: must not count the stale value.
-	a.RegAlloc(0, 0, 2, 30)
-	a.RegAccess(0, 0, 40, false)
-	if got := a.ACEEntryCycles(gpu.RegisterFile); got != 0 {
-		t.Fatalf("stale defined flag leaked across reallocation: ACE %v", got)
-	}
+	r.RegAlloc(0, 0, 2, 30)
+	r.RegAccess(0, 0, 40, false)
+	wantSums(t, &r[gpu.RegisterFile], 30, 0, 0, 1)
+	wantRefused(t, &r[gpu.RegisterFile], "not written since its allocation")
 }
 
 func TestLocalAccessSpansBytes(t *testing.T) {
-	a := newAnalyzerWithGeom(1, 4, 16)
-	a.LocalAlloc(0, 0, 16, 0)
-	a.LocalAccess(0, 4, 4, 10, true)  // word write at offset 4
-	a.LocalAccess(0, 4, 4, 30, false) // word read
-	if got := a.ACEEntryCycles(gpu.LocalMemory); got != 4*20 {
-		t.Fatalf("local ACE = %v, want 80", got)
-	}
+	r := recorderOf(1, 4, 16, true)
+	r.LocalAlloc(0, 0, 16, 0)
+	r.LocalAccess(0, 4, 4, 10, true)  // word write at offset 4
+	r.LocalAccess(0, 4, 4, 30, false) // word read
+	wantSums(t, &r[gpu.LocalMemory], 4*20, 4*20, 0, 0)
 }
 
 func TestMeasureOnRealRun(t *testing.T) {
@@ -107,77 +130,4 @@ func TestMeasureOnRealRun(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestUnitAVFBreakdown(t *testing.T) {
-	a := newAnalyzerWithGeom(2, 4, 4)
-	a.RegAlloc(0, 0, 4, 0)
-	a.RegAccess(0, 0, 10, true)
-	a.RegAccess(0, 0, 30, false) // 20 ACE entry-cycles on unit 0 only
-	a.RegFree(0, 0, 4, 40)
-	unit, err := a.UnitAVF(gpu.RegisterFile, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unit) != 2 {
-		t.Fatalf("unit count %d", len(unit))
-	}
-	if want := 20.0 / (4 * 100); unit[0] != want || unit[1] != 0 {
-		t.Fatalf("unit AVFs %v, want [%v 0]", unit, want)
-	}
-	// The unit breakdown must average (weighted equally here) to the
-	// chip-wide AVF.
-	avf, err := a.AVF(gpu.RegisterFile, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := (unit[0] + unit[1]) / 2; got != avf {
-		t.Fatalf("unit mean %v != chip AVF %v", got, avf)
-	}
-}
-
-func TestUnitAVFOnRealRun(t *testing.T) {
-	b, err := workloads.ByName("vectoradd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := chips.MiniNVIDIA()
-	d, err := devices.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := b.New(chip.Vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := NewAnalyzer(d)
-	d.SetTracer(an)
-	if err := hp.Run(d); err != nil {
-		t.Fatal(err)
-	}
-	unit, err := an.UnitAVF(gpu.RegisterFile, d.Stats().Cycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range unit {
-		if v < 0 || v > 1 {
-			t.Fatalf("unit AVF out of range: %v", unit)
-		}
-		sum += v
-	}
-	avf, err := an.AVF(gpu.RegisterFile, d.Stats().Cycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum / float64(len(unit)); mathAbs(got-avf) > 1e-12 {
-		t.Fatalf("unit mean %v != chip AVF %v", got, avf)
-	}
-}
-
-func mathAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -12,66 +12,105 @@ import (
 	"repro/internal/workloads"
 )
 
-// flatState is the analyzer's state as it was before it went on pages:
-// one flat slice per field over every entry of the chip. FuzzAnalyzerPages
-// holds the paged structState to it.
-type flatState struct {
-	perUnit int
-	last    []int64
-	flags   []byte
-	aceSum  float64
-	unitSum []float64
-	stray   int64
+// access is one traced access of one entry.
+type access struct {
+	cycle int64
+	write bool
 }
 
-func newFlatState(units, perUnit int) *flatState {
+// model is the reference implementation of both definitions, over flat
+// per-entry state. ACE is summed as the analyzer summed it before the
+// recorder replaced it — per entry the last access or allocation cycle
+// and an allocated and a defined flag, an interval ACE when it ends in a
+// read of a defined entry. The live spans are derived by brute force from
+// every access kept as it came: a flip at cycle t is live iff the first
+// access stamped >= t is a read. FuzzAnalyzerPages holds the paged
+// recorder to it.
+type model struct {
+	units, perUnit   int
+	last             []int64
+	flags            []byte
+	acc              [][]access
+	ace              int64
+	stray, undefined int64
+	bad              bool
+}
+
+func newModel(units, perUnit int) *model {
 	n := units * perUnit
-	return &flatState{
-		perUnit: perUnit,
-		last:    make([]int64, n),
-		flags:   make([]byte, n),
-		unitSum: make([]float64, units),
+	return &model{units: units, perUnit: perUnit, last: make([]int64, n), flags: make([]byte, n), acc: make([][]access, n)}
+}
+
+func (m *model) access(unit, entry int, cycle int64, write bool) {
+	if unit < 0 || unit >= m.units || entry < 0 || entry >= m.perUnit {
+		m.bad = true
+		return
+	}
+	i := unit*m.perUnit + entry
+	m.acc[i] = append(m.acc[i], access{cycle, write})
+	f := m.flags[i]
+	switch {
+	case f&allocated == 0:
+		m.stray++
+		return
+	case write:
+		m.flags[i] = f | defined
+	case f&defined != 0:
+		m.ace += cycle - m.last[i]
+	default:
+		m.undefined++
+	}
+	m.last[i] = cycle
+}
+
+func (m *model) bracket(unit, base, count int, cycle int64, set byte) {
+	if unit < 0 || unit >= m.units || base < 0 || count < 0 || base+count > m.perUnit {
+		return
+	}
+	for i := unit*m.perUnit + base; i < unit*m.perUnit+base+count; i++ {
+		m.flags[i] = set
+		m.last[i] = cycle
 	}
 }
 
-func (s *flatState) access(unit, entry int, cycle int64, write bool) {
-	i := unit*s.perUnit + entry
-	if i < 0 || i >= len(s.flags) || s.flags[i]&flagAllocated == 0 {
-		s.stray++
-		return
+// spans returns an entry's live spans by the definition: for each cycle
+// with an access, the flip cycles since the previous such cycle are met
+// first by that cycle's first access, and are live if it is a read.
+// Adjacent spans are merged.
+func spans(acc []access) []span {
+	var out []span
+	prev := int64(-1)
+	for i, a := range acc {
+		if i > 0 && acc[i-1].cycle == a.cycle {
+			continue
+		}
+		if !a.write {
+			if n := len(out); n > 0 && int64(out[n-1].hi) == prev {
+				out[n-1].hi = uint32(a.cycle)
+			} else {
+				out = append(out, span{uint32(prev + 1), uint32(a.cycle)})
+			}
+		}
+		prev = a.cycle
 	}
-	f := s.flags[i]
-	if write {
-		s.flags[i] = f | flagDefined
-	} else if f&flagDefined != 0 {
-		d := float64(cycle - s.last[i])
-		s.aceSum += d
-		s.unitSum[unit] += d
-	}
-	s.last[i] = cycle
+	return out
 }
 
-func (s *flatState) alloc(unit, base, count int, cycle int64) {
-	lo := unit*s.perUnit + base
-	hi := lo + count
-	if lo < 0 || hi > len(s.flags) {
-		return
+// table returns what the recorder's compacted table must hold.
+func (m *model) table() (keys []uint32, offs []uint32, all []span, live int64) {
+	for k, acc := range m.acc {
+		sp := spans(acc)
+		if len(sp) == 0 {
+			continue
+		}
+		keys = append(keys, uint32(k))
+		offs = append(offs, uint32(len(all)))
+		all = append(all, sp...)
+		for _, s := range sp {
+			live += int64(s.hi-s.lo) + 1
+		}
 	}
-	for i := lo; i < hi; i++ {
-		s.flags[i] = flagAllocated
-		s.last[i] = cycle
-	}
-}
-
-func (s *flatState) free(unit, base, count int) {
-	lo := unit*s.perUnit + base
-	hi := lo + count
-	if lo < 0 || hi > len(s.flags) {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		s.flags[i] = 0
-	}
+	return keys, append(offs, uint32(len(all))), all, live
 }
 
 // Fuzz operations, one fuzzOpSize-byte record each: kind, unit, entry
@@ -86,6 +125,9 @@ const (
 	opLocalWrite
 	opLocalRead
 	numOps
+
+	// anywhere in the kind byte lets an access reach past its unit.
+	anywhere = 0x80
 
 	fuzzOpSize = 7
 	// Units of fuzzPerUnit entries straddle the page edges (1,024, 2,048,
@@ -102,11 +144,14 @@ func fuzzOp(kind, unit byte, entry, count uint16, dt byte) []byte {
 }
 
 // FuzzAnalyzerPages runs random streams of allocations, frees,
-// reallocations and accesses of both structures through an Analyzer and
-// through the flat model, and requires the same ACE sum, per-unit sums and
-// stray count after every operation. Units run one past the geometry and
-// entries and counts past a unit, so out-of-range brackets and accesses
-// are in the stream.
+// reallocations and accesses of both structures through a Recorder and
+// through the model, and after every operation requires the same live and
+// ACE sums, stray and undefined-read counts and compacted table — none
+// where an access could not be placed — and, where neither count is
+// non-zero, the two definitions to agree. Brackets reach one unit past
+// the geometry and entries and counts past a unit, and so do accesses
+// marked anywhere, so out-of-range brackets and accesses are in the
+// stream.
 func FuzzAnalyzerPages(f *testing.F) {
 	seed := func(ops ...[]byte) { f.Add(slices.Concat(ops...)) }
 	// A bracket across the first page edge, read and written on both sides.
@@ -115,7 +160,7 @@ func FuzzAnalyzerPages(f *testing.F) {
 		fuzzOp(opRegRead, 0, 1020, 0, 9), fuzzOp(opRegRead, 0, 1030, 0, 2),
 		fuzzOp(opRegFree, 0, 1000, 100, 4), fuzzOp(opRegRead, 0, 1030, 0, 1))
 	// A free of a range no bracket ever covered, then accesses to it.
-	seed(fuzzOp(opRegFree, 2, 0, 1500, 0), fuzzOp(opLocalFree, 1, 700, 900, 0),
+	seed(fuzzOp(opRegFree, 2, 0, 1500, 0), fuzzOp(opLocalFree, 1, 700, 800, 0),
 		fuzzOp(opRegWrite, 2, 10, 0, 1), fuzzOp(opLocalRead, 1, 800, 3, 1))
 	// An access to a page nothing has touched, beside an allocated one.
 	seed(fuzzOp(opLocalAlloc, 0, 0, 64, 0), fuzzOp(opLocalWrite, 0, 0, 3, 2),
@@ -123,12 +168,26 @@ func FuzzAnalyzerPages(f *testing.F) {
 	// Brackets reaching past the structure, and a reallocation that must
 	// forget the defined flag.
 	seed(fuzzOp(opRegAlloc, 2, 1000, 600, 0), fuzzOp(opRegAlloc, 3, 0, 1, 0),
-		fuzzOp(opRegAlloc, 1, 1490, 20, 1), fuzzOp(opRegWrite, 1, 1495, 0, 1),
-		fuzzOp(opRegAlloc, 1, 1490, 20, 6), fuzzOp(opRegRead, 1, 1495, 0, 3),
+		fuzzOp(opRegAlloc, 1, 1480, 20, 1), fuzzOp(opRegWrite, 1, 1495, 0, 1),
+		fuzzOp(opRegAlloc, 1, 1480, 20, 6), fuzzOp(opRegRead, 1, 1495, 0, 3),
 		fuzzOp(opRegWrite, 2, 1499, 0, 1))
+	// A read and a write in one cycle, both ways round.
+	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0),
+		fuzzOp(opRegWrite, 0, 3, 0, 2), fuzzOp(opRegRead, 0, 3, 0, 0), fuzzOp(opRegRead, 0, 3, 0, 4),
+		fuzzOp(opRegRead, 0, 4, 0, 1), fuzzOp(opRegWrite, 0, 4, 0, 0), fuzzOp(opRegRead, 0, 4, 0, 3))
+	// A read extending a span across a write in its own cycle, then a
+	// write in a later cycle closing it and a read opening the next.
+	seed(fuzzOp(opLocalAlloc, 1, 0, 16, 0), fuzzOp(opLocalWrite, 1, 8, 0, 1),
+		fuzzOp(opLocalRead, 1, 8, 0, 4), fuzzOp(opLocalWrite, 1, 8, 0, 0),
+		fuzzOp(opLocalRead, 1, 8, 0, 5), fuzzOp(opLocalWrite, 1, 8, 0, 2),
+		fuzzOp(opLocalRead, 1, 8, 0, 3))
+	// A stray read, then one past the unit.
+	seed(fuzzOp(opRegRead, 1, 7, 0, 9), fuzzOp(opRegAlloc, 1, 0, 16, 1),
+		fuzzOp(opRegRead|anywhere, 1, 1600, 0, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := newAnalyzerWithGeom(fuzzUnits, fuzzPerUnit, fuzzPerUnit)
-		regs, local := newFlatState(fuzzUnits, fuzzPerUnit), newFlatState(fuzzUnits, fuzzPerUnit)
+		r := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit, true)
+		sums := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit, false) // Measure's
+		regs, local := newModel(fuzzUnits, fuzzPerUnit), newModel(fuzzUnits, fuzzPerUnit)
 		var cycle int64
 		for n := 0; len(data) >= fuzzOpSize; n++ {
 			op := data[:fuzzOpSize]
@@ -138,46 +197,76 @@ func FuzzAnalyzerPages(f *testing.F) {
 			count := int(binary.LittleEndian.Uint16(op[4:])) % (2 * fuzzPerUnit)
 			cycle += int64(op[6])
 			size := count%4 + 1
-			switch op[0] % numOps {
+			kind := op[0] % numOps
+			if kind != opRegAlloc && kind != opRegFree && kind != opLocalAlloc && kind != opLocalFree && op[0]&anywhere == 0 {
+				unit, entry = unit%fuzzUnits, entry%fuzzPerUnit
+			}
+			switch kind {
 			case opRegAlloc:
-				a.RegAlloc(unit, entry, count, cycle)
-				regs.alloc(unit, entry, count, cycle)
+				r.RegAlloc(unit, entry, count, cycle)
+				sums.RegAlloc(unit, entry, count, cycle)
+				regs.bracket(unit, entry, count, cycle, allocated)
 			case opRegFree:
-				a.RegFree(unit, entry, count, cycle)
-				regs.free(unit, entry, count)
+				r.RegFree(unit, entry, count, cycle)
+				sums.RegFree(unit, entry, count, cycle)
+				regs.bracket(unit, entry, count, cycle, 0)
 			case opRegWrite, opRegRead:
-				write := op[0]%numOps == opRegWrite
-				a.RegAccess(unit, entry, cycle, write)
-				regs.access(unit, entry, cycle, write)
+				r.RegAccess(unit, entry, cycle, kind == opRegWrite)
+				sums.RegAccess(unit, entry, cycle, kind == opRegWrite)
+				regs.access(unit, entry, cycle, kind == opRegWrite)
 			case opLocalAlloc:
-				a.LocalAlloc(unit, entry, count, cycle)
-				local.alloc(unit, entry, count, cycle)
+				r.LocalAlloc(unit, entry, count, cycle)
+				sums.LocalAlloc(unit, entry, count, cycle)
+				local.bracket(unit, entry, count, cycle, allocated)
 			case opLocalFree:
-				a.LocalFree(unit, entry, count, cycle)
-				local.free(unit, entry, count)
+				r.LocalFree(unit, entry, count, cycle)
+				sums.LocalFree(unit, entry, count, cycle)
+				local.bracket(unit, entry, count, cycle, 0)
 			case opLocalWrite, opLocalRead:
-				write := op[0]%numOps == opLocalWrite
-				a.LocalAccess(unit, entry, size, cycle, write)
+				r.LocalAccess(unit, entry, size, cycle, kind == opLocalWrite)
+				sums.LocalAccess(unit, entry, size, cycle, kind == opLocalWrite)
 				for b := 0; b < size; b++ {
-					local.access(unit, entry+b, cycle, write)
+					local.access(unit, entry+b, cycle, kind == opLocalWrite)
 				}
 			}
-			for _, c := range []struct {
-				name string
-				got  *structState
-				want *flatState
-			}{{"register", a.regs, regs}, {"local", a.local, local}} {
-				if c.got.aceSum != c.want.aceSum || c.got.stray != c.want.stray || !slices.Equal(c.got.unitSum, c.want.unitSum) {
-					t.Fatalf("op %d %v: %s state ace=%v units=%v stray=%d, flat model ace=%v units=%v stray=%d",
-						n, op, c.name, c.got.aceSum, c.got.unitSum, c.got.stray, c.want.aceSum, c.want.unitSum, c.want.stray)
+			m := r.Liveness()
+			for s, c := range []struct {
+				got, sums *track
+				want      *model
+			}{{&r[gpu.RegisterFile], &sums[gpu.RegisterFile], regs}, {&r[gpu.LocalMemory], &sums[gpu.LocalMemory], local}} {
+				st := gpu.Structure(s)
+				keys, offs, all, live := c.want.table()
+				got, want := c.got, c.want
+				if got.live != live || got.ace != want.ace || got.stray != want.stray || got.undefined != want.undefined || got.bad != want.bad {
+					t.Fatalf("op %d %v: %v recorder live=%d ace=%d stray=%d undefined=%d bad=%v, model %d/%d/%d/%d/%v",
+						n, op, st, got.live, got.ace, got.stray, got.undefined, got.bad, live, want.ace, want.stray, want.undefined, want.bad)
+				}
+				if s := c.sums; s.live != got.live || s.ace != got.ace || s.stray != got.stray || s.undefined != got.undefined || s.bad != got.bad {
+					t.Fatalf("op %d %v: %v: a recorder that keeps no spans sums %d/%d/%d/%d/%v", n, op, st, s.live, s.ace, s.stray, s.undefined, s.bad)
+				}
+				if want.stray == 0 && want.undefined == 0 && want.ace != live {
+					t.Fatalf("op %d %v: %v: no stray access or undefined read, yet %d ACE and %d live entry-cycles", n, op, st, want.ace, live)
+				}
+				lt := m[st]
+				if want.bad {
+					if lt != nil {
+						t.Fatalf("op %d %v: %v: a table after an access the recorder cannot place", n, op, st)
+					}
+					continue
+				}
+				if !slices.Equal(lt.keys, keys) || !slices.Equal(lt.offs, offs) || !slices.Equal(lt.spans, all) {
+					t.Fatalf("op %d %v: %v table keys=%v offs=%v spans=%v, model %v/%v/%v", n, op, st, lt.keys, lt.offs, lt.spans, keys, offs, all)
+				}
+				if l, a := lt.EntryCycles(); l != live || a != want.ace {
+					t.Fatalf("op %d %v: %v table entry-cycles %d/%d, model %d/%d", n, op, st, l, a, live, want.ace)
 				}
 			}
 		}
 	})
 }
 
-// allocated returns the bytes f allocates on the heap.
-func allocated(f func()) uint64 {
+// allocatedBy returns the bytes f allocates on the heap.
+func allocatedBy(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
@@ -185,10 +274,10 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestAnalyzerStateFollowsAllocation: the analyzer's state grows with the
-// entries blocks allocate, not with the chip. The HD 7970's register
-// file is 0.11–3.90 % occupied across the suite; flat per-entry state for
-// both of its structures was 36 MiB a traced run.
+// TestAnalyzerStateFollowsAllocation: the recorder's state grows with the
+// entries blocks allocate and touch, not with the chip. The HD 7970's
+// register file is 0.11–3.90 % occupied across the suite; flat per-entry
+// state for both of its structures was 36 MiB a traced run.
 func TestAnalyzerStateFollowsAllocation(t *testing.T) {
 	chip, err := chips.ByName("HD Radeon 7970")
 	if err != nil {
@@ -202,11 +291,11 @@ func TestAnalyzerStateFollowsAllocation(t *testing.T) {
 		return d
 	}
 	d := newDevice()
-	n := allocated(func() { NewAnalyzer(d) })
+	n := allocatedBy(func() { NewRecorder(d) })
 	if n > 128<<10 {
-		t.Errorf("NewAnalyzer on the %s allocates %d KiB, want at most 128", chip.Name, n>>10)
+		t.Errorf("NewRecorder on the %s allocates %d KiB, want at most 128", chip.Name, n>>10)
 	}
-	t.Logf("NewAnalyzer: %d KiB", n>>10)
+	t.Logf("NewRecorder: %d KiB", n>>10)
 	for _, b := range workloads.All() {
 		d := newDevice()
 		hp, err := b.New(chip.Vendor)
@@ -214,7 +303,7 @@ func TestAnalyzerStateFollowsAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var merr error
-		n := allocated(func() { _, _, _, merr = Measure(d, hp) })
+		n := allocatedBy(func() { _, _, _, merr = Measure(d, hp) })
 		if merr != nil {
 			t.Fatalf("%s: %v", b.Name, merr)
 		}
@@ -223,4 +312,42 @@ func TestAnalyzerStateFollowsAllocation(t *testing.T) {
 		}
 		t.Logf("%s: %d KiB", b.Name, n>>10)
 	}
+}
+
+// TestLivenessTablesStaySmall reports what the liveness tables of the
+// paper's 40 (chip, benchmark) pairs retain, and bounds it.
+func TestLivenessTablesStaySmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size chips")
+	}
+	largest := 0
+	for _, chip := range chips.Evaluated() {
+		for _, bench := range workloads.All() {
+			d, err := devices.New(chip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp, err := bench.New(chip.Vendor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRecorder(d)
+			d.SetTracer(r)
+			if err := hp.Run(d); err != nil {
+				t.Fatal(err)
+			}
+			m := r.Liveness()
+			regs, local := m[gpu.RegisterFile].bytes(), m[gpu.LocalMemory].bytes()
+			t.Logf("%-16s %-10s liveness: register file %7d B, local memory %7d B", chip.Name, bench.Name, regs, local)
+			largest = max(largest, regs, local)
+		}
+	}
+	if largest > 4<<20 {
+		t.Errorf("largest liveness table retains %d bytes, want at most 4 MiB", largest)
+	}
+}
+
+// bytes is what the table retains.
+func (lt *Table) bytes() int {
+	return 4*len(lt.keys) + 4*len(lt.offs) + 8*len(lt.spans)
 }

@@ -28,7 +28,7 @@ var update = flag.Bool("update", false, "rewrite testdata/ace_pairs.golden from 
 // recorder replaced it; a parallel ACE phase, paged state or a second
 // definition of ACE time that moves one bit is a diff here. Regenerate with
 // `go test ./internal/experiment -run TestACEPinnedOverFigureGrid -update`
-// only after an intended simulator or analyzer change.
+// only after an intended simulator or ACE change.
 func TestACEPinnedOverFigureGrid(t *testing.T) {
 	const golden = "testdata/ace_pairs.golden"
 	type pair struct {

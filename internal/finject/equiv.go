@@ -44,7 +44,7 @@ func CheckpointEquivalence(c Campaign) (*Result, error) {
 }
 
 // PruneEquivalence is the same proof for fault-site pruning (see
-// liveness.go): it executes the campaign once with every sampled fault
+// auditEvery): it executes the campaign once with every sampled fault
 // simulated and once as campaigns normally run — faults the reference
 // run's liveness map proves dead counted Masked without a simulation —
 // with detail recording forced on, and fails unless the two are

@@ -4,7 +4,7 @@
 // (bit, cycle) population of one hardware structure of one chip running
 // one benchmark, executes each fault in a fresh simulation — unless the
 // golden run proves nothing reads the flipped entry before it is
-// rewritten (liveness.go) — classifies the outcome against the golden
+// rewritten (see auditEvery) — classifies the outcome against the golden
 // run (Masked / SDC / DUE / Timeout), and reports the AVF with its
 // confidence interval.
 //
@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ace"
 	"repro/internal/chips"
 	"repro/internal/devices"
 	"repro/internal/flight"
@@ -157,12 +158,24 @@ type Campaign struct {
 	Golden *Golden
 
 	// unpruned simulates every sampled fault, also those the reference
-	// run's liveness map proves Masked (see liveness.go) — the reference
+	// run's liveness map proves Masked (see auditEvery) — the reference
 	// side of PruneEquivalence, and what tests that meter the simulate
 	// path run.
 	unpruned bool
 }
 
+// Fault-site pruning: the reference run's ace.Recorder records, per
+// touched entry, the flip cycles a read would be the first access to
+// meet, and a sampled fault outside them is Masked without touching a
+// device. This is exact: the device applies a fault at the top of the
+// first launch-loop iteration whose cycle has reached Fault.Cycle, before
+// any access of it, and every access of Unit.Regs / Unit.Local is traced
+// stamped with its iteration's cycle (simt.TestStorageAccessIsTraced).
+// Until the first access stamped >= the flip's cycle is a read the faulty
+// run is the golden run — a write replaces the whole entry, an entry
+// nobody touches again reaches no output — and allocation brackets prove
+// nothing, since an uninitialised read consumes a flip too.
+//
 // auditEvery is the audit of fault-site pruning: of the sampled faults the
 // liveness map proves dead, those whose injection index is a multiple of
 // auditEvery are simulated all the same, and a campaign in which one of
@@ -247,7 +260,7 @@ type Golden struct {
 	cycles  int64
 	stats   gpu.RunStats
 	ladder  []gpu.Snapshot
-	live    *liveMap
+	live    *ace.Liveness
 	// staleRung limits the warning about a ladder that restores but does
 	// not resume (see classify) to one per reference run.
 	staleRung sync.Once
@@ -335,9 +348,9 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 		lb = newLadderBuilder(ckpt)
 		lb.arm(d)
 	}
-	var rec *liveRecorder
+	var rec *ace.Recorder
 	if live {
-		rec = newLiveRecorder(chip)
+		rec = ace.NewRecorder(d)
 		d.SetTracer(rec)
 	}
 	if err := hp.Run(d); err != nil {
@@ -348,7 +361,7 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 	g := &Golden{chip: chip, bench: bench, outputs: hp.Outputs(), stats: d.Stats(),
 		ladders: flight.Table[int64, []gpu.Snapshot]{Keep: true}}
 	if rec != nil {
-		g.live = rec.liveMap()
+		g.live = rec.Liveness()
 	}
 	if lb != nil {
 		g.ladder = lb.snaps
@@ -689,7 +702,7 @@ func runRound(ctx context.Context, c Campaign, pool []*injector, g *Golden, ladd
 				}
 				f := sampleFault(rng, c, g.cycles, uint64(i))
 				o, corrupt := gpu.OutcomeMasked, 0
-				dead := !c.unpruned && g.live.dead(f)
+				dead := !c.unpruned && g.live.Dead(f)
 				if dead && i%auditEvery != 0 {
 					pruned++
 				} else {

@@ -82,8 +82,8 @@ func TestPruneEquivalenceMatrix(t *testing.T) {
 }
 
 // TestPruneEquivalenceFullSize runs the proof on the benchmark's two
-// inject_deep cells at their size, and reports what the liveness maps of
-// the paper's 40 (chip, benchmark) pairs retain.
+// inject_deep cells at their size. (What the liveness tables of the
+// paper's 40 pairs retain is bounded by ace.TestLivenessTablesStaySmall.)
 func TestPruneEquivalenceFullSize(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full-size chips")
@@ -105,26 +105,6 @@ func TestPruneEquivalenceFullSize(t *testing.T) {
 		}
 		t.Logf("%s/%s: outcomes %v", cell.chip.Name, cell.st, res.Outcomes)
 	}
-	largest := 0
-	for _, chip := range chips.Evaluated() {
-		for _, bench := range workloads.All() {
-			g, err := NewGolden(chip, bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			regs, local := g.live[gpu.RegisterFile].bytes(), g.live[gpu.LocalMemory].bytes()
-			t.Logf("%-16s %-10s liveness: register file %7d B, local memory %7d B", chip.Name, bench.Name, regs, local)
-			largest = max(largest, regs, local)
-		}
-	}
-	if largest > 4<<20 {
-		t.Errorf("largest liveness table retains %d bytes, want at most 4 MiB", largest)
-	}
-}
-
-// bytes is what the table retains.
-func (lt *liveTable) bytes() int {
-	return 4*len(lt.keys) + 4*len(lt.offs) + 8*len(lt.spans)
 }
 
 // rawAccess is one traced access of one entry.
@@ -133,23 +113,23 @@ type rawAccess struct {
 	write bool
 }
 
-// rawTrace is a gpu.Tracer that feeds a liveRecorder and keeps every
+// rawTrace is a gpu.Tracer that feeds an ace.Recorder and keeps every
 // access per entry as it came, for tests to hold the recorder's answers
 // against the definition.
 type rawTrace struct {
-	liveRecorder
+	*ace.Recorder
 	perUnit [2]int
 	acc     [2]map[int][]rawAccess // by structure, keyed unit*perUnit+entry
 }
 
 func (r *rawTrace) RegAccess(unit, entry int, cycle int64, write bool) {
-	r.liveRecorder.RegAccess(unit, entry, cycle, write)
+	r.Recorder.RegAccess(unit, entry, cycle, write)
 	k := unit*r.perUnit[gpu.RegisterFile] + entry
 	r.acc[gpu.RegisterFile][k] = append(r.acc[gpu.RegisterFile][k], rawAccess{cycle, write})
 }
 
 func (r *rawTrace) LocalAccess(unit, offset, size int, cycle int64, write bool) {
-	r.liveRecorder.LocalAccess(unit, offset, size, cycle, write)
+	r.Recorder.LocalAccess(unit, offset, size, cycle, write)
 	for b := 0; b < size; b++ {
 		k := unit*r.perUnit[gpu.LocalMemory] + offset + b
 		r.acc[gpu.LocalMemory][k] = append(r.acc[gpu.LocalMemory][k], rawAccess{cycle, write})
@@ -164,7 +144,7 @@ func liveByDefinition(acc []rawAccess, t int64) bool {
 }
 
 // traceRun executes the benchmark once, fault-free, under a rawTrace.
-func traceRun(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark) (*rawTrace, *liveMap, gpu.RunStats) {
+func traceRun(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark) (*rawTrace, *ace.Liveness, gpu.RunStats) {
 	t.Helper()
 	d, err := devices.New(chip)
 	if err != nil {
@@ -174,7 +154,7 @@ func traceRun(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark) (*rawT
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := &rawTrace{liveRecorder: *newLiveRecorder(chip)}
+	rt := &rawTrace{Recorder: ace.NewRecorder(d)}
 	for _, st := range bothStructures {
 		rt.perUnit[st] = chip.StructSize(st)
 		rt.acc[st] = map[int][]rawAccess{}
@@ -183,7 +163,7 @@ func traceRun(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark) (*rawT
 	if err := hp.Run(d); err != nil {
 		t.Fatal(err)
 	}
-	return rt, rt.liveMap(), d.Stats()
+	return rt, rt.Liveness(), d.Stats()
 }
 
 // TestLiveMapMatchesDefinition holds the compacted map against the
@@ -204,7 +184,7 @@ func TestLiveMapMatchesDefinition(t *testing.T) {
 						}
 						f.Cycle = c
 						probes++
-						if want := liveByDefinition(acc, c); m.dead(f) == want {
+						if want := liveByDefinition(acc, c); m.Dead(f) == want {
 							t.Fatalf("%s/%s: %v: map says dead=%v, the trace says live=%v", chip.Name, bench.Name, f, !want, want)
 						}
 					}
@@ -223,7 +203,7 @@ func TestLiveMapMatchesDefinition(t *testing.T) {
 				}
 				// An entry the run never touched is dead at any cycle.
 				f := gpu.Fault{Structure: st, Unit: chip.Units - 1, Entry: chip.StructSize(st) - 1, Cycle: stats.Cycles / 2}
-				if _, touched := rt.acc[st][f.Unit*rt.perUnit[st]+f.Entry]; !touched && !m.dead(f) {
+				if _, touched := rt.acc[st][f.Unit*rt.perUnit[st]+f.Entry]; !touched && !m.Dead(f) {
 					t.Errorf("%s/%s: untouched %v is not dead", chip.Name, bench.Name, f)
 				}
 			}
@@ -241,7 +221,7 @@ func TestLiveMapRefusesWhatItCannotAnswer(t *testing.T) {
 	}
 	_, m, _ := traceRun(t, chip, bench)
 	ok := gpu.Fault{Structure: gpu.LocalMemory, Unit: 0, Entry: 0, Cycle: 5}
-	if !m.dead(ok) {
+	if !m.Dead(ok) {
 		t.Fatal("vectoradd never touches local memory, yet a flip there is not dead")
 	}
 	for name, f := range map[string]gpu.Fault{
@@ -251,19 +231,23 @@ func TestLiveMapRefusesWhatItCannotAnswer(t *testing.T) {
 		"cycle":     {Structure: gpu.LocalMemory, Cycle: 1 << 32},
 		"structure": {Structure: 2, Cycle: 5},
 	} {
-		if m.dead(f) {
+		if m.Dead(f) {
 			t.Errorf("out-of-range %s: %v answered dead", name, f)
 		}
 	}
-	if (*liveMap)(nil).dead(ok) || (&liveMap{}).dead(ok) {
+	if (*ace.Liveness)(nil).Dead(ok) || (&ace.Liveness{}).Dead(ok) {
 		t.Error("a missing map answered dead")
 	}
 	// A recorder that met an access it cannot place keeps no table.
-	rec := newLiveRecorder(chip)
+	d, err := devices.New(chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := ace.NewRecorder(d)
 	rec.RegAccess(0, 0, 1<<32, false)
 	rec.LocalAccess(0, 8, 4, 7, true)
 	rec.LocalAccess(0, 8, 4, 3, false) // time running backwards
-	if m := rec.liveMap(); m[gpu.RegisterFile] != nil || m[gpu.LocalMemory] != nil {
+	if m := rec.Liveness(); m[gpu.RegisterFile] != nil || m[gpu.LocalMemory] != nil {
 		t.Error("a recorder with an unplaceable access still built a table")
 	}
 }
@@ -325,7 +309,7 @@ func TestPruneBoundarySweep(t *testing.T) {
 			dead, flips := 0, 0
 			was := false
 			for f.Cycle = 0; f.Cycle < stats.Cycles; f.Cycle++ {
-				d := m.dead(f)
+				d := m.Dead(f)
 				if d != was {
 					was = d
 					flips++
@@ -347,10 +331,12 @@ func TestPruneBoundarySweep(t *testing.T) {
 }
 
 // TestPruneInvariantsOverFigureGrid: over the Mini figure grid, an
-// injection that is not Masked lies in a live range (the per-sample form
+// injection that is not Masked lies in a live span (the per-sample form
 // of core's TestFIWithinACEBound), and the live entry-cycles of a
-// structure are at least its ACE entry-cycles — ACE time is live time
-// that follows a write, so ACE is a subset of live.
+// structure equal its ACE entry-cycles, both as the golden run's one
+// recorder summed them: the two definitions part only on a stray access
+// or a read of an entry not written since its allocation, and the suite
+// makes neither.
 func TestPruneInvariantsOverFigureGrid(t *testing.T) {
 	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
 		for _, bench := range workloads.All() {
@@ -358,28 +344,11 @@ func TestPruneInvariantsOverFigureGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := devices.New(chip)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hp, err := bench.New(chip.Vendor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			an := ace.NewAnalyzer(d)
-			d.SetTracer(an)
-			if err := hp.Run(d); err != nil {
-				t.Fatal(err)
-			}
 			for _, st := range bothStructures {
 				if st == gpu.LocalMemory && !bench.UsesLocal {
 					continue
 				}
-				var live float64
-				for _, r := range golden.live[st].spans {
-					live += float64(r.hi-r.lo) + 1
-				}
-				if aceCycles := an.ACEEntryCycles(st); live < aceCycles {
+				if live, aceCycles := golden.live[st].EntryCycles(); live != aceCycles || live == 0 {
 					t.Errorf("%s/%s/%s: %v live entry-cycles, %v ACE", chip.Name, bench.Name, st, live, aceCycles)
 				}
 				res, err := Run(Campaign{
@@ -390,8 +359,8 @@ func TestPruneInvariantsOverFigureGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, rec := range res.Records {
-					if rec.Outcome != gpu.OutcomeMasked && golden.live.dead(rec.Fault) {
-						t.Errorf("%s/%s: injection #%d %v is %v outside every live range", chip.Name, bench.Name, i, rec.Fault, rec.Outcome)
+					if rec.Outcome != gpu.OutcomeMasked && golden.live.Dead(rec.Fault) {
+						t.Errorf("%s/%s: injection #%d %v is %v outside every live span", chip.Name, bench.Name, i, rec.Fault, rec.Outcome)
 					}
 				}
 			}
@@ -453,12 +422,14 @@ func TestAuditCatchesABrokenMap(t *testing.T) {
 	if !hit {
 		t.Fatal("no audited injection of the campaign is other than Masked: pick another seed")
 	}
-	// The same reference run with a map in which nothing is ever read.
-	blind := &Golden{chip: ref.chip, bench: ref.bench, outputs: ref.outputs, bytes: ref.bytes,
-		cycles: ref.cycles, stats: ref.stats, ladder: ref.ladder, live: &liveMap{}}
-	for _, st := range bothStructures {
-		blind.live[st] = &liveTable{units: chip.Units, perUnit: chip.StructSize(st), offs: []uint32{0}}
+	// The same reference run with a map in which nothing is ever read:
+	// a recorder that met no access.
+	d, err := devices.New(chip)
+	if err != nil {
+		t.Fatal(err)
 	}
+	blind := &Golden{chip: ref.chip, bench: ref.bench, outputs: ref.outputs, bytes: ref.bytes,
+		cycles: ref.cycles, stats: ref.stats, ladder: ref.ladder, live: ace.NewRecorder(d).Liveness()}
 	c.Golden, c.unpruned = blind, false
 	if res, err := Run(c); err == nil || !strings.Contains(err.Error(), "audit") {
 		t.Fatalf("result %+v, error %v from a campaign over a map that proves every flip dead", res, err)

@@ -18,7 +18,7 @@ import (
 )
 
 // referenceFigure1 measures one (chip, benchmark) cell of Fig. 1 straight
-// on the injection engine and the ACE analyzer — no scheduler, no spec
+// on the injection engine and ace.Measure — no scheduler, no spec
 // runner — and wraps it in the result the spec must produce. It is the
 // independent reference the served figure has to match byte for byte.
 func referenceFigure1(t *testing.T, spec experiment.Spec, chip *chips.Chip, bench *workloads.Benchmark) *experiment.Result {

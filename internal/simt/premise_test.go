@@ -45,7 +45,7 @@ func parseDir(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
 }
 
 // TestStorageAccessIsTraced guards the premise of fault-site pruning
-// (internal/finject/liveness.go): a flip is declared Masked without a
+// (ace.Recorder, read by finject): a flip is declared Masked without a
 // simulation when the traced reference run shows no read of the entry
 // before its next write, so an access of the register file or of local
 // memory that reports nothing to the tracer would make pruned campaigns

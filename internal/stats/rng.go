@@ -88,14 +88,3 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

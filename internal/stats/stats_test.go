@@ -128,18 +128,6 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(6)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestWilsonIntervalProperties(t *testing.T) {
 	if err := quick.Check(func(s uint16, tr uint16) bool {
 		trials := int(tr%1000) + 1
