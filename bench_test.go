@@ -304,7 +304,7 @@ func BenchmarkInjectionLoop(b *testing.B) {
 				res, err := finject.Run(finject.Campaign{
 					Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
 					Injections: n, Seed: 11, Golden: golden,
-					Policy: finject.Policy{Workers: workers},
+					Policy: finject.Config{Workers: workers},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -341,7 +341,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			res, err := finject.Run(finject.Campaign{
 				Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
 				Injections: n, Seed: 11, Golden: golden,
-				Policy: finject.Policy{Workers: 4},
+				Policy: finject.Config{Workers: 4},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -398,7 +398,7 @@ func BenchmarkCheckpointVsFull(b *testing.B) {
 		return finject.Campaign{
 			Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
 			Injections: n, Seed: 11, Golden: golden,
-			Policy: finject.Policy{Workers: 4, Checkpoint: ckpt},
+			Policy: finject.Config{Workers: 4, Checkpoint: &ckpt},
 		}
 	}
 	run := func(b *testing.B, ckpt finject.Checkpoint) {
@@ -433,7 +433,7 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 		b.Fatal(err)
 	}
 	const cap = 2000
-	campaign := func(pol finject.Policy) finject.Campaign {
+	campaign := func(pol finject.Config) finject.Campaign {
 		return finject.Campaign{
 			Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
 			Injections: cap, Seed: 17, Golden: golden, Policy: pol,
@@ -441,7 +441,7 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 	}
 	b.Run("fixed-n", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := finject.Run(campaign(finject.Policy{})); err != nil {
+			if _, err := finject.Run(campaign(finject.Config{})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -450,7 +450,7 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 	b.Run("adaptive-margin=5%", func(b *testing.B) {
 		realized := 0
 		for i := 0; i < b.N; i++ {
-			res, err := finject.Run(campaign(finject.Policy{Margin: 0.05}))
+			res, err := finject.Run(campaign(finject.Config{Margin: 0.05}))
 			if err != nil {
 				b.Fatal(err)
 			}

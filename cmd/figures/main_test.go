@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -154,6 +155,44 @@ const miniProtectionSpec = `{
 		]
 	}
 }`
+
+// TestCommittedSpecsCompile: every spec committed under examples/, which
+// the docs and CI run verbatim through -spec, decodes strictly and
+// compiles — without running a cell. The same bytes with one unknown
+// field must be refused, so a field the schema drops fails here.
+func TestCommittedSpecsCompile(t *testing.T) {
+	var paths []string
+	err := filepath.WalkDir(filepath.Join("..", "..", "examples"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed specs under examples/")
+	}
+	for _, path := range paths {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := experiment.ParseBytes(body)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if _, err := spec.Compile(); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		typo := append([]byte(`{"unknown_field": 1, `), bytes.TrimPrefix(bytes.TrimSpace(body), []byte("{"))...)
+		if _, err := experiment.ParseBytes(typo); err == nil {
+			t.Errorf("%s: a spec with an unknown field was accepted", path)
+		}
+	}
+}
 
 // TestRunSpecFile: the protection what-if sweep — a scenario the figure
 // flags cannot express — runs from a JSON spec via -spec, and explicit

@@ -13,14 +13,14 @@ import (
 
 // Request is one normalized cell execution handed to an Executor by the
 // scheduler (or by a worker draining a lease queue). Spec and Key pin the
-// result-determining parameters; Policy carries the stopping rule (Margin,
-// Confidence) plus a Workers hint that local executors may honor and
-// remote tiers ignore — neither changes the result, which is fixed by the
-// spec alone.
+// result-determining parameters; Policy is the campaign's execution
+// policy — the stopping rule (Margin, Confidence), the checkpoint knob
+// and a Workers hint that local executors may honor and remote tiers
+// ignore. None of it changes the result, which is fixed by the spec alone.
 type Request struct {
 	Spec   CellSpec
 	Key    CellKey
-	Policy finject.Policy
+	Policy finject.Config
 	// Campaign, when it carries a chip and benchmark, is the resolved
 	// local form of Spec; executors that simulate in-process use it
 	// directly (it may reference chips that are not in the registry).
@@ -144,7 +144,7 @@ func NewRemoteExecutor(q *LeaseQueue) *RemoteExecutor {
 // does checkpointing — it only decides how much fault-free prefix each
 // worker re-simulates).
 func (e *RemoteExecutor) Execute(ctx context.Context, req Request) (*finject.Result, error) {
-	ck := req.Policy.Checkpoint
+	ck := req.Policy.Knob()
 	cfg := finject.Config{
 		Version:    finject.ConfigVersion,
 		Margin:     req.Policy.Margin,

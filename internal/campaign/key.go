@@ -80,13 +80,14 @@ func (s CellSpec) Normalize() CellSpec {
 // stay out of the identity — the scheduler instead checks whether a
 // cached cell's realized sample satisfies the requesting policy.
 func SpecOf(c finject.Campaign) CellSpec {
+	ck := c.Policy.Knob()
 	s := CellSpec{
 		Injections:         c.Policy.Cap(c.Injections),
 		Seed:               c.Seed,
 		FaultWidth:         c.FaultWidth,
 		WatchdogFactor:     c.WatchdogFactor,
-		CheckpointOff:      c.Policy.Checkpoint.Off,
-		CheckpointInterval: c.Policy.Checkpoint.Interval,
+		CheckpointOff:      ck.Off,
+		CheckpointInterval: ck.Interval,
 	}
 	if c.Chip != nil {
 		s.Chip = c.Chip.Name

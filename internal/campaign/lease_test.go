@@ -88,6 +88,24 @@ func TestLeaseQueueCoalescesIdenticalCells(t *testing.T) {
 	res1, err1 := doAsync(q, task)
 	res2, err2 := doAsync(q, task)
 
+	// Both producers must have joined the queued cell before it is leased:
+	// a Do that lands after Complete queues a fresh cell nobody leases.
+	key := task.Spec.Normalize().Key()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		e := q.entries[key]
+		joined := e != nil && e.waiters == 2
+		q.mu.Unlock()
+		if joined {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("second producer never joined the queued cell")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	leases := waitLease(t, q, "w1", 8)
 	if len(leases) != 1 {
 		t.Fatalf("identical cells leased separately: %+v", leases)

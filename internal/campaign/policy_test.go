@@ -18,7 +18,7 @@ func TestSchedulerAdaptivePolicyReuse(t *testing.T) {
 
 	c := testCampaign(t, "vectoradd")
 	c.Injections = cap
-	c.Policy = finject.Policy{Margin: 0.1, Confidence: 0.99}
+	c.Policy = finject.Config{Margin: 0.1, Confidence: 0.99}
 
 	first, err := s.Run(ctx, c)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestSchedulerAdaptivePolicyReuse(t *testing.T) {
 	// A fixed-size request for the same cap needs the full sample: the
 	// cell is re-run with the tighter policy and overwritten.
 	fixed := c
-	fixed.Policy = finject.Policy{}
+	fixed.Policy = finject.Config{}
 	res, err = s.Run(ctx, fixed)
 	if err != nil {
 		t.Fatal(err)

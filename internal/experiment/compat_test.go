@@ -96,7 +96,7 @@ func TestSpecCompatWithCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range p.Cells {
-		if c.Campaign.Policy.Checkpoint != (finject.Checkpoint{Interval: 4096}) {
+		if c.Campaign.Policy.Knob() != (finject.Checkpoint{Interval: 4096}) {
 			t.Fatalf("cell %s/%s/%s lost the checkpoint knob: %+v",
 				c.Chip.Name, c.Benchmark.Name, c.Structure, c.Campaign.Policy.Checkpoint)
 		}

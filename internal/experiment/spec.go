@@ -51,9 +51,10 @@ const (
 func (e Estimator) fi() bool  { return e == EstimatorFI || e == EstimatorBoth }
 func (e Estimator) ace() bool { return e == EstimatorACE || e == EstimatorBoth }
 
-// Policy is the spec's injection policy: the result-affecting knobs of
-// finject.Policy. Worker counts are deliberately absent — they belong to
-// the executing tier, never to the experiment's identity.
+// Policy is the spec's injection policy: the subset of finject.Config a
+// spec may set, decoded strictly. Worker counts, caps and seeds are
+// deliberately absent — they belong to the executing tier or to the spec
+// itself, never to its policy block.
 type Policy struct {
 	// Margin > 0 runs every campaign adaptively: injections stop once
 	// the AVF Wilson-interval half-width reaches Margin at Confidence,

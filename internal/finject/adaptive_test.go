@@ -8,7 +8,7 @@ import (
 	"repro/internal/workloads"
 )
 
-func adaptiveCampaign(t *testing.T, cap int, pol Policy) Campaign {
+func adaptiveCampaign(t *testing.T, cap int, pol Config) Campaign {
 	t.Helper()
 	b, err := workloads.ByName("vectoradd")
 	if err != nil {
@@ -30,7 +30,7 @@ func adaptiveCampaign(t *testing.T, cap int, pol Policy) Campaign {
 // half-width reaches the requested margin.
 func TestAdaptiveStopsEarly(t *testing.T) {
 	const cap = 2000
-	res, err := Run(adaptiveCampaign(t, cap, Policy{Margin: 0.1, Confidence: 0.99}))
+	res, err := Run(adaptiveCampaign(t, cap, Config{Margin: 0.1, Confidence: 0.99}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 // sample size — the cap is a hard bound.
 func TestAdaptiveRunsToCap(t *testing.T) {
 	const cap = 150
-	res, err := Run(adaptiveCampaign(t, cap, Policy{Margin: 1e-6}))
+	res, err := Run(adaptiveCampaign(t, cap, Config{Margin: 1e-6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestAdaptiveRunsToCap(t *testing.T) {
 // exact same fault sample as a fixed campaign of the realized size —
 // rounds only decide when to stop, never what to inject.
 func TestAdaptivePrefixMatchesFixed(t *testing.T) {
-	adaptive, err := Run(adaptiveCampaign(t, 2000, Policy{Margin: 0.1}))
+	adaptive, err := Run(adaptiveCampaign(t, 2000, Config{Margin: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := Run(adaptiveCampaign(t, adaptive.Injections, Policy{}))
+	fixed, err := Run(adaptiveCampaign(t, adaptive.Injections, Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAdaptivePrefixMatchesFixed(t *testing.T) {
 // TestAdaptiveMaxInjectionsOverridesCap: Policy.MaxInjections wins over
 // Campaign.Injections when both are set.
 func TestAdaptiveMaxInjectionsOverridesCap(t *testing.T) {
-	res, err := Run(adaptiveCampaign(t, 500, Policy{Margin: 1e-6, MaxInjections: 120}))
+	res, err := Run(adaptiveCampaign(t, 500, Config{Margin: 1e-6, MaxInjections: 120}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestAdaptiveMaxInjectionsOverridesCap(t *testing.T) {
 
 func TestPolicyCap(t *testing.T) {
 	cases := []struct {
-		pol        Policy
+		pol        Config
 		injections int
 		want       int
 	}{
-		{Policy{}, 0, DefaultInjections},
-		{Policy{}, 300, 300},
-		{Policy{MaxInjections: 50}, 300, 50},
-		{Policy{MaxInjections: 50}, 0, 50},
+		{Config{}, 0, DefaultInjections},
+		{Config{}, 300, 300},
+		{Config{MaxInjections: 50}, 300, 50},
+		{Config{MaxInjections: 50}, 0, 50},
 	}
 	for _, c := range cases {
 		if got := c.pol.Cap(c.injections); got != c.want {
@@ -124,8 +124,8 @@ func TestPolicySatisfiedBy(t *testing.T) {
 	loose := &Result{Injections: 100}
 	loose.Outcomes[gpu.OutcomeMasked] = 100
 
-	fixed := Policy{}
-	adaptive := Policy{Margin: 0.02, Confidence: 0.99}
+	fixed := Config{}
+	adaptive := Config{Margin: 0.02, Confidence: 0.99}
 
 	if fixed.SatisfiedBy(nil, 400) {
 		t.Error("nil result satisfied a request")

@@ -29,7 +29,7 @@ func TestInjectionAllocsBounded(t *testing.T) {
 	c := Campaign{
 		Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
 		Injections: 100, Seed: 11, Golden: golden,
-		Policy: Policy{Workers: 1},
+		Policy: Config{Workers: 1},
 	}
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := Run(c); err != nil {

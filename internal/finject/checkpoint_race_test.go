@@ -44,7 +44,7 @@ func TestCheckpointLadderSharedUnderRace(t *testing.T) {
 		return Campaign{
 			Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
 			Injections: 60, Seed: seed, Golden: golden, Detail: true,
-			Policy: Policy{Workers: 8},
+			Policy: Config{Workers: 8},
 		}
 	}
 
@@ -52,7 +52,7 @@ func TestCheckpointLadderSharedUnderRace(t *testing.T) {
 	refs := make(map[uint64]*Result)
 	for seed := uint64(1); seed <= 2; seed++ {
 		c := campaignFor(seed)
-		c.Policy = Policy{Workers: 1, Checkpoint: Checkpoint{Off: true}}
+		c.Policy = Config{Workers: 1, Checkpoint: &Checkpoint{Off: true}}
 		ref, err := Run(c)
 		if err != nil {
 			t.Fatal(err)

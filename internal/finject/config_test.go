@@ -82,7 +82,7 @@ func TestConfigEqualComparesCheckpointByValue(t *testing.T) {
 }
 
 func TestConfigApplyToKeepsCampaignDefaults(t *testing.T) {
-	cp := Campaign{Seed: 7, Policy: Policy{Checkpoint: Checkpoint{Interval: 32}}}
+	cp := Campaign{Seed: 7, Policy: Config{Checkpoint: &Checkpoint{Interval: 32}}}
 	Config{Margin: 0.05}.ApplyTo(&cp)
 	if cp.Seed != 7 {
 		t.Fatalf("zero config seed overwrote campaign seed: %d", cp.Seed)
@@ -100,15 +100,17 @@ func TestConfigApplyToKeepsCampaignDefaults(t *testing.T) {
 	}
 }
 
-func TestConfigOfRoundTrip(t *testing.T) {
-	cp := Campaign{
-		Seed:   42,
-		Policy: Policy{Workers: 4, Margin: 0.03, Confidence: 0.9, MaxInjections: 100, Checkpoint: Checkpoint{Interval: 16}},
+func TestConfigPolicyResolvesKnobAndDropsSeed(t *testing.T) {
+	base := Checkpoint{Interval: 16}
+	pol := Config{Margin: 0.03, Seed: 42}.Policy(base)
+	if pol.Seed != 0 || pol.Margin != 0.03 || pol.Knob() != base {
+		t.Fatalf("unset checkpoint: got %+v knob %v", pol, pol.Knob())
 	}
-	cfg := ConfigOf(cp)
-	var back Campaign
-	cfg.ApplyTo(&back)
-	if back.Seed != cp.Seed || back.Policy != cp.Policy {
-		t.Fatalf("ConfigOf/ApplyTo round trip changed the campaign:\n%+v\n%+v", cp, back)
+	pol = Config{Checkpoint: &Checkpoint{Off: true}}.Policy(base)
+	if !pol.Knob().Off {
+		t.Fatalf("set checkpoint replaced by base: knob %v", pol.Knob())
+	}
+	if (Config{}).Knob() != (Checkpoint{}) {
+		t.Fatal("nil checkpoint is not the default knob")
 	}
 }

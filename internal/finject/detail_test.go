@@ -20,7 +20,7 @@ func TestDetailRecords(t *testing.T) {
 		res, err := Run(Campaign{
 			Chip: chips.MiniNVIDIA(), Benchmark: b,
 			Structure: gpu.RegisterFile, Injections: 120, Seed: 3,
-			Policy: Policy{Workers: workers}, Detail: true,
+			Policy: Config{Workers: workers}, Detail: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -26,14 +26,14 @@ func TestResultByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cap = 150
-	campaign := func(pol Policy) Campaign {
+	campaign := func(pol Config) Campaign {
 		return Campaign{
 			Chip: chip, Benchmark: b, Structure: gpu.RegisterFile,
 			Injections: cap, Seed: 9, Detail: true, Golden: golden,
 			Policy: pol,
 		}
 	}
-	marshal := func(pol Policy) []byte {
+	marshal := func(pol Config) []byte {
 		t.Helper()
 		res, err := Run(campaign(pol))
 		if err != nil {
@@ -49,8 +49,8 @@ func TestResultByteIdentical(t *testing.T) {
 		return bs
 	}
 
-	want := marshal(Policy{Workers: 1})
-	for _, pol := range []Policy{
+	want := marshal(Config{Workers: 1})
+	for _, pol := range []Config{
 		{Workers: 8},
 		{Workers: 1, Margin: 1e-9},
 		{Workers: 8, Margin: 1e-9},

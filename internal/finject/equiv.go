@@ -23,14 +23,16 @@ func CheckpointEquivalence(c Campaign) (*Result, error) {
 	c.Detail = true
 
 	full := c
-	full.Policy.Checkpoint = Checkpoint{Off: true}
+	full.Policy.Checkpoint = &Checkpoint{Off: true}
 	fullRes, err := Run(full)
 	if err != nil {
 		return nil, fmt.Errorf("finject: full-replay run: %w", err)
 	}
 
 	ckpt := c
-	ckpt.Policy.Checkpoint.Off = false
+	on := c.Policy.Knob()
+	on.Off = false
+	ckpt.Policy.Checkpoint = &on
 	ckptRes, err := Run(ckpt)
 	if err != nil {
 		return nil, fmt.Errorf("finject: checkpointed run: %w", err)

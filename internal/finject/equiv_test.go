@@ -69,7 +69,7 @@ func TestCheckpointEquivalenceAdaptive(t *testing.T) {
 	if _, err := CheckpointEquivalence(Campaign{
 		Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.RegisterFile,
 		Injections: 800, Seed: 23,
-		Policy: Policy{Margin: 0.08},
+		Policy: Config{Margin: 0.08},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCheckpointIntervalOverrideEquivalence(t *testing.T) {
 	if _, err := CheckpointEquivalence(Campaign{
 		Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.RegisterFile,
 		Injections: 80, Seed: 31,
-		Policy: Policy{Checkpoint: Checkpoint{Interval: 777}},
+		Policy: Config{Checkpoint: &Checkpoint{Interval: 777}},
 	}); err != nil {
 		t.Fatal(err)
 	}

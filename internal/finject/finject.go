@@ -43,7 +43,7 @@ const DefaultInjections = 2000
 const DefaultWatchdogFactor = 20
 
 // DefaultConfidence is the confidence level of the adaptive stopping
-// rule when Policy.Confidence is unset (the paper evaluates at 99%).
+// rule when Config.Confidence is unset (the paper evaluates at 99%).
 const DefaultConfidence = 0.99
 
 // adaptiveFirstRound is the size of the first adaptive round. Later
@@ -51,80 +51,6 @@ const DefaultConfidence = 0.99
 // 100, 200, 400, ... injections — a deterministic schedule that does not
 // depend on the worker count.
 const adaptiveFirstRound = 100
-
-// Policy controls how a campaign executes its injections: the size of
-// the worker pool and, when Margin is set, adaptive sampling. A policy
-// never changes which fault injection #i draws — that is fixed by
-// (Seed, i) — so two policies that end up running the same number of
-// injections produce bit-identical results.
-//
-// Policy is a frozen compatibility shim: the engine consumes it
-// internally, but external producers construct campaigns through the
-// versioned Config (see config.go), which is where any new execution
-// knob lands. Do not add fields here.
-type Policy struct {
-	// Workers bounds the parallel simulations (GOMAXPROCS when 0).
-	Workers int
-	// Margin, when > 0, enables adaptive sampling: injections run in
-	// deterministic rounds and the campaign stops at the end of the first
-	// round whose Wilson interval half-width is at most Margin at the
-	// policy's confidence level, or at the cap.
-	Margin float64
-	// Confidence is the adaptive stopping rule's confidence level
-	// (DefaultConfidence when 0).
-	Confidence float64
-	// MaxInjections caps the campaign; when 0 the cap is
-	// Campaign.Injections (DefaultInjections when that is also 0).
-	MaxInjections int
-	// Checkpoint configures checkpointed fast-forward execution (see
-	// checkpoint.go). The zero value enables it with an auto-sized
-	// interval; it is an execution knob only and never changes results.
-	Checkpoint Checkpoint
-}
-
-// Adaptive reports whether the policy requests adaptive sampling.
-func (p Policy) Adaptive() bool { return p.Margin > 0 }
-
-// Cap resolves the campaign's injection budget against the campaign's
-// own Injections field: MaxInjections wins, then injections, then
-// DefaultInjections.
-func (p Policy) Cap(injections int) int {
-	if p.MaxInjections > 0 {
-		return p.MaxInjections
-	}
-	if injections > 0 {
-		return injections
-	}
-	return DefaultInjections
-}
-
-// confidence resolves the stopping rule's confidence level.
-func (p Policy) confidence() float64 {
-	if p.Confidence <= 0 || p.Confidence >= 1 {
-		return DefaultConfidence
-	}
-	return p.Confidence
-}
-
-// SatisfiedBy reports whether an existing result already answers a
-// request for this policy with the given cap: a fixed-size request needs
-// the full cap, while an adaptive request also accepts any result whose
-// interval half-width is within the margin. This is what lets a cached
-// cell measured at a tighter margin serve looser requests without
-// re-running.
-func (p Policy) SatisfiedBy(res *Result, limit int) bool {
-	if res == nil {
-		return false
-	}
-	if res.Injections >= limit {
-		return true
-	}
-	if !p.Adaptive() {
-		return false
-	}
-	hw, err := res.HalfWidth(p.confidence())
-	return err == nil && hw <= p.Margin
-}
 
 // Campaign describes one statistical fault-injection experiment.
 type Campaign struct {
@@ -137,10 +63,11 @@ type Campaign struct {
 	// Seed selects the fault sample; campaigns with equal seeds are
 	// bit-for-bit reproducible.
 	Seed uint64
-	// Policy sets the execution policy: worker pool size and, when its
-	// Margin is set, adaptive early stopping. The zero Policy runs
-	// exactly Injections faults on GOMAXPROCS workers.
-	Policy Policy
+	// Policy sets the execution policy: worker pool size, the checkpoint
+	// knob and, when its Margin is set, adaptive early stopping. The zero
+	// Config runs exactly Injections faults on GOMAXPROCS workers with an
+	// auto-sized ladder. Its Seed is not read: the seed is the field above.
+	Policy Config
 	// WatchdogFactor overrides DefaultWatchdogFactor when > 0.
 	WatchdogFactor int
 	// Detail records every injection's fault site, outcome and SDC
@@ -579,7 +506,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 				g.chip.Name, g.bench.Name, c.Chip.Name, c.Benchmark.Name)
 		}
 		var err error
-		if ladder, err = g.ladderFor(c.Policy.Checkpoint); err != nil {
+		if ladder, err = g.ladderFor(c.Policy.Knob()); err != nil {
 			return nil, err
 		}
 	} else {
@@ -587,7 +514,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			return nil, fmt.Errorf("finject: campaign canceled before the reference run: %w", err)
 		}
 		var err error
-		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Checkpoint, !c.unpruned)
+		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Knob(), !c.unpruned)
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func TestPruneEquivalenceMatrix(t *testing.T) {
 								// Fixed n, or an adaptive campaign that runs
 								// its first round of 100 and decides there
 								// or at the cap.
-								Injections: 25, Policy: Policy{Workers: 4},
+								Injections: 25, Policy: Config{Workers: 4},
 							}
 							if margin > 0 {
 								c.Injections, c.Policy.Margin = 125, margin
@@ -377,7 +377,7 @@ func TestDeadCampaignIsAudited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Campaign{Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.LocalMemory, Injections: 50, Seed: 3, Policy: Policy{Workers: 2}}
+	c := Campaign{Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.LocalMemory, Injections: 50, Seed: 3, Policy: Config{Workers: 2}}
 	pruned := telemetry.InjectPruned.Value()
 	sims := telemetry.FullReplays.Value() + telemetry.CkptRestores.Value()
 	res, err := Run(c)
@@ -490,7 +490,7 @@ func FuzzPruneEquivalence(f *testing.F) {
 		}
 		if _, err := PruneEquivalence(Campaign{
 			Chip: chip, Benchmark: bench, Structure: st, FaultWidth: uint(width % 9),
-			Injections: 12, Seed: seed, Golden: golden, Policy: Policy{Workers: 1},
+			Injections: 12, Seed: seed, Golden: golden, Policy: Config{Workers: 1},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestTelemetryInertRecordStream(t *testing.T) {
 	c := Campaign{
 		Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.RegisterFile,
 		Injections: 60, Seed: 41, Detail: true,
-		Policy: Policy{Workers: 4},
+		Policy: Config{Workers: 4},
 	}
 
 	offRes, err := Run(c)

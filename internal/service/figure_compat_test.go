@@ -29,7 +29,7 @@ func referenceFigure1(t *testing.T, spec experiment.Spec, chip *chips.Chip, benc
 		Structure:  gpu.RegisterFile,
 		Injections: spec.Injections,
 		Seed:       experiment.CellSeed(spec.Seed, chip.Name, bench.Name, gpu.RegisterFile),
-		Policy:     finject.Policy{Confidence: 0.99},
+		Policy:     finject.Config{Confidence: 0.99},
 	})
 	if err != nil {
 		t.Fatal(err)

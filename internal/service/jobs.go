@@ -93,7 +93,7 @@ func compileBatch(cells []campaign.CellSpec, policy *finject.Config) (*jobWork, 
 			// the cell's own checkpoint knob unless the policy sets one; a
 			// seed in the policy block is ignored — cell identity always
 			// comes from the spec.
-			c.Policy = policy.Policy(c.Policy.Checkpoint)
+			c.Policy = policy.Policy(c.Policy.Knob())
 		}
 		batch[i] = c
 		specs[i] = campaign.SpecOf(c)

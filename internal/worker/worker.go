@@ -237,8 +237,8 @@ func (w *Worker) runLease(ctx context.Context, l campaign.Lease) {
 	cfg := l.Task.Policy
 	cfg.Workers = w.opts.CampaignWorkers
 	cfg.MaxInjections = 0
-	// Flatten the wire config onto the engine policy, defaulting the
-	// checkpoint knob to the spec's own when the config leaves it unset.
+	// The spec's own checkpoint knob applies when the wire config leaves
+	// it unset.
 	pol := cfg.Policy(spec.CheckpointPolicy())
 	res, err := w.exec.Execute(cellCtx, campaign.Request{Spec: spec, Key: spec.Key(), Policy: pol})
 	if cellCtx.Err() != nil {
