@@ -248,6 +248,7 @@ func convert(src, dst, format string, w io.Writer) error {
 func resultsEqual(a, b *finject.Result) bool {
 	if a.Outcomes != b.Outcomes || a.Injections != b.Injections ||
 		a.GoldenStats != b.GoldenStats || a.Occupancy != b.Occupancy ||
+		(a.AVFACE == nil) != (b.AVFACE == nil) || a.AVFACE != nil && *a.AVFACE != *b.AVFACE ||
 		len(a.Records) != len(b.Records) {
 		return false
 	}

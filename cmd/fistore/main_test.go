@@ -19,7 +19,8 @@ func testKey(i byte) campaign.CellKey {
 }
 
 // testResult builds a distinguishable synthetic result; odd indices get
-// per-injection detail records so the detail path round-trips too.
+// per-injection detail records and indices divisible by three an
+// AVF-ACE, so both optional parts round-trip in every combination.
 func testResult(i int) *finject.Result {
 	res := &finject.Result{
 		Outcomes:   [gpu.NumOutcomes]int{50 + i, 10, 5, 2},
@@ -30,6 +31,10 @@ func testResult(i int) *finject.Result {
 			LocalOcc: gpu.OccStats{AllocUnitCycles: 0.125},
 		},
 		Occupancy: 0.75,
+	}
+	if i%3 == 0 {
+		avf := 0.125 * float64(i+1)
+		res.AVFACE = &avf
 	}
 	if i%2 == 1 {
 		res.Records = []finject.Record{
@@ -97,6 +102,19 @@ func TestConvertJSONToBinaryAndBack(t *testing.T) {
 		if !ok || !resultsEqual(x, y) {
 			t.Fatalf("cell %s did not survive the round trip", k)
 		}
+	}
+}
+
+// TestResultsEqualComparesAVFACE: the verification a conversion ends
+// with tells a dropped or changed AVF-ACE from a kept one.
+func TestResultsEqualComparesAVFACE(t *testing.T) {
+	with := testResult(0) // carries an AVF-ACE
+	without, changed := *with, *with
+	without.AVFACE = nil
+	other := 0.25
+	changed.AVFACE = &other
+	if !resultsEqual(with, testResult(0)) || resultsEqual(with, &without) || resultsEqual(&without, with) || resultsEqual(with, &changed) {
+		t.Fatal("resultsEqual ignores AVF-ACE")
 	}
 }
 

@@ -391,20 +391,32 @@ func Measure(d gpu.Device, hp *gpu.HostProgram) (regAVF, localAVF float64, st gp
 	if st.Cycles <= 0 {
 		return 0, 0, st, fmt.Errorf("ace: non-positive cycle count %d", st.Cycles)
 	}
-	var avf [2]float64
-	for s := range r {
-		t := &r[s]
-		n, err := t.entryCycles(gpu.Structure(s))
-		if err != nil {
-			return 0, 0, st, err
-		}
-		total := float64(t.units*t.perUnit) * float64(st.Cycles)
-		if total == 0 {
-			return 0, 0, st, fmt.Errorf("ace: empty structure %v", gpu.Structure(s))
-		}
-		if avf[s] = float64(n) / total; avf[s] > 1 {
-			return 0, 0, st, fmt.Errorf("ace: %v AVF %v out of [0,1]", gpu.Structure(s), avf[s])
-		}
+	if regAVF, err = r.AVF(gpu.RegisterFile, st.Cycles); err != nil {
+		return 0, 0, st, err
 	}
-	return avf[gpu.RegisterFile], avf[gpu.LocalMemory], st, nil
+	if localAVF, err = r.AVF(gpu.LocalMemory, st.Cycles); err != nil {
+		return 0, 0, st, err
+	}
+	return regAVF, localAVF, st, nil
+}
+
+// AVF returns the structure's ACE AVF over a run of the given cycles:
+// its ACE entry-cycles over the entry-cycles of the whole chip structure.
+// It fails where the run has no ACE (see entryCycles) and on an AVF out
+// of [0,1].
+func (r *Recorder) AVF(st gpu.Structure, cycles int64) (float64, error) {
+	t := &r[st]
+	n, err := t.entryCycles(st)
+	if err != nil {
+		return 0, err
+	}
+	total := float64(t.units*t.perUnit) * float64(cycles)
+	if total == 0 {
+		return 0, fmt.Errorf("ace: empty structure %v", st)
+	}
+	avf := float64(n) / total
+	if avf > 1 {
+		return 0, fmt.Errorf("ace: %v AVF %v out of [0,1]", st, avf)
+	}
+	return avf, nil
 }

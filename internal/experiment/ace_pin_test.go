@@ -23,6 +23,9 @@ var update = flag.Bool("update", false, "rewrite testdata/ace_pairs.golden from 
 // The specs run on one Runner under the ACE estimator (their ACE values
 // do not depend on the campaigns), so the pairs Fig. 2 and Fig. 3 share
 // with Fig. 1 are answered by the Runner's memo and must read the same.
+// They run again on a second Runner under both estimators at one
+// injection a cell, which reads every AVF-ACE off the campaigns' golden
+// runs and makes no traced run: every cell must read as the traced ones.
 // The first 40 lines were recorded by a serial analyzer over flat
 // per-entry arrays, all 90 by the paged analyzer before the liveness
 // recorder replaced it; a parallel ACE phase, paged state or a second
@@ -42,8 +45,9 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 	for _, c := range append(chips.Extended(), chips.MiniNVIDIA(), chips.MiniAMD()) {
 		others = append(others, c.Name)
 	}
-	r := &Runner{}
-	for n := 1; n <= 4; n++ {
+	traced, fromGolden := &Runner{}, &Runner{}
+	for pass := range 8 {
+		n := pass%4 + 1
 		spec, err := Figure(min(n, 3))
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +55,11 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 		if n == 4 {
 			spec.Chips = others
 		}
+		r := traced
 		spec.Estimator, spec.Metrics = EstimatorACE, Metrics{}
+		if pass >= 4 {
+			r, spec.Estimator, spec.Injections = fromGolden, EstimatorBoth, 1
+		}
 		res, err := r.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -80,6 +88,9 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 				}
 			}
 		}
+	}
+	if n := fromGolden.aceTraced.Load(); n != 0 {
+		t.Errorf("%d traced runs under both estimators, want 0", n)
 	}
 	var b strings.Builder
 	for _, key := range order {

@@ -32,8 +32,10 @@ type Progress struct {
 	Cell PlannedCell
 	// Spec is its normalized campaign identity.
 	Spec campaign.CellSpec
-	// Result is the cell's campaign result; nil for a failed cell and for
-	// the ACE-only estimator, which runs no campaign.
+	// Result is the cell's campaign result, with the AVF-ACE of its
+	// golden run unless the store served a record from before results
+	// carried it; nil for a failed cell and for the ACE-only estimator,
+	// which runs no campaign.
 	Result *finject.Result
 	// Cached is true when the cell was served without running a
 	// campaign (store hit, join, or the ACE-only estimator).
@@ -129,12 +131,24 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		}
 	}
 
-	// Phase 2: the traced ACE runs, then the per-structure tables from the
-	// batch results.
+	// Phase 2: the traced ACE runs of the cells whose FI result carries no
+	// AVF-ACE — all of them under the ACE-only estimator, none in a
+	// figure pass unless the store predates the field — then the
+	// per-structure tables from the batch results. With no traced run
+	// left to notice a cancel after the batch, check for it here.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	var aceRuns map[[2]string]*aceRun
 	if spec.Estimator.ace() {
+		var traced []int
+		for i := range p.Cells {
+			if fiResults == nil || fiResults[i].AVFACE == nil {
+				traced = append(traced, i)
+			}
+		}
 		var err error
-		if aceRuns, err = r.runACE(ctx, p); err != nil {
+		if aceRuns, err = r.runACE(ctx, p, traced); err != nil {
 			return nil, err
 		}
 	}
@@ -202,9 +216,9 @@ func aceKey(pc PlannedCell) [2]string {
 }
 
 // runACE returns the traced run of each (benchmark, chip) pair of the
-// plan, making those no plan on this Runner has made yet: ACE is a
-// deterministic function of the pair and one run yields both structures'
-// AVFs, so the three figure specs on one Runner trace their 40 pairs
+// plan's cells at the given indices, making those no plan on this Runner
+// has made yet: ACE is a deterministic function of the pair and one run
+// yields both structures' AVFs, so specs on one Runner trace each pair
 // once, and plans running at once share a run through the flight table
 // instead of making it twice. GOMAXPROCS workers take the pairs in plan
 // order; under the ACE-only estimator a cell reports its Progress when
@@ -212,12 +226,12 @@ func aceKey(pc PlannedCell) [2]string {
 // worker checks ctx before starting one, and a canceled experiment stops
 // instead of simulating the rest of the grid. The first failure in plan
 // order is returned.
-func (r *Runner) runACE(ctx context.Context, p *Plan) (map[[2]string]*aceRun, error) {
+func (r *Runner) runACE(ctx context.Context, p *Plan, cells []int) (map[[2]string]*aceRun, error) {
 	r.aceOnce.Do(func() { r.aceRuns.Keep = true })
 	var keys [][2]string
 	cellsOf := make(map[[2]string][]int)
-	for i, pc := range p.Cells {
-		k := aceKey(pc)
+	for _, i := range cells {
+		k := aceKey(p.Cells[i])
 		if cellsOf[k] == nil {
 			keys = append(keys, k)
 		}
@@ -300,8 +314,8 @@ func (r *Runner) aceOf(ctx context.Context, pc PlannedCell) (*aceRun, error) {
 }
 
 // measureCell measures one grid cell under the spec's estimator: the FI
-// result comes from the phase-1 batch and the ACE measurements from the
-// pair's traced run.
+// result comes from the phase-1 batch, the AVF-ACE from it too when it
+// carries one and from the pair's traced run otherwise.
 func measureCell(spec Spec, pc PlannedCell, fres *finject.Result, run *aceRun) (*Cell, error) {
 	cell := &Cell{
 		Chip:      pc.Chip.Name,
@@ -321,7 +335,9 @@ func measureCell(spec Spec, pc PlannedCell, fres *finject.Result, run *aceRun) (
 		cell.Injections = fres.Injections
 		cell.Outcomes = fres.Outcomes
 	}
-	if spec.Estimator.ace() {
+	if spec.Estimator.ace() && fres != nil && fres.AVFACE != nil {
+		cell.AVFACE = *fres.AVFACE
+	} else if spec.Estimator.ace() {
 		cell.AVFACE = run.reg
 		if pc.Structure == gpu.LocalMemory {
 			cell.AVFACE = run.local

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/finject"
 	"repro/internal/gpu"
 )
 
@@ -289,15 +290,18 @@ func TestProgressIndexAndResult(t *testing.T) {
 	}
 }
 
-// TestFiguresMeasureEachPairOnce: the ACE analysis is a deterministic
-// function of the (chip, benchmark) pair, so the three figure specs on
-// one Runner trace each of the 40 pairs once — Fig. 2's 28 local-memory
-// pairs repeat Fig. 1's, Fig. 3 is FI only — and each result is, byte
-// for byte, what a Runner that has measured nothing yet produces.
+// TestFiguresMeasureEachPairOnce: a figure pass reads every AVF-ACE off
+// its campaigns' golden runs, so the three figure specs on a fresh Runner
+// make no traced run. Served from a store whose records lack the field —
+// one written before the golden run carried it — the Runner traces each
+// of the 40 pairs once instead (Fig. 2's 28 local-memory pairs repeat
+// Fig. 1's, Fig. 3 is FI only), and every figure reads, byte for byte,
+// as from the golden runs.
 func TestFiguresMeasureEachPairOnce(t *testing.T) {
 	ctx := context.Background()
-	sched := campaign.New(campaign.Config{})
-	shared := &Runner{Scheduler: sched}
+	store := campaign.NewMemoryStore(0)
+	fresh := &Runner{Scheduler: campaign.New(campaign.Config{Store: store})}
+	old := &Runner{Scheduler: campaign.New(campaign.Config{Store: withoutACE{store}})}
 	for n := 1; n <= 3; n++ {
 		spec, err := Figure(n)
 		if err != nil {
@@ -305,7 +309,7 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 		}
 		spec.Injections, spec.Seed = 2, 1
 		var docs [2][]byte
-		for i, r := range []*Runner{shared, {Scheduler: sched}} {
+		for i, r := range []*Runner{fresh, old} {
 			res, err := r.Run(ctx, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -315,8 +319,14 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(docs[0], docs[1]) {
-			t.Fatalf("%s: the shared Runner's result differs from a fresh Runner's", spec.Name)
+			t.Fatalf("%s: the result from records without AVF-ACE differs from the golden runs'", spec.Name)
 		}
+	}
+	if n := fresh.aceTraced.Load(); n != 0 {
+		t.Fatalf("%d traced runs for the three figures, want 0", n)
+	}
+	if st := old.Scheduler.Stats(); st.Runs != 0 {
+		t.Fatalf("the store without AVF-ACE ran %d campaigns, want every cell from the store", st.Runs)
 	}
 	// Fig. 3's grid is every pair of the three figures.
 	spec, err := Figure(3)
@@ -334,7 +344,7 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			continue
 		}
 		// A memoized pair answers without calling the function.
-		_, joined, err := shared.aceRuns.Do(ctx, key, func() (*aceRun, error) { return nil, errors.New("not memoized") })
+		_, joined, err := old.aceRuns.Do(ctx, key, func() (*aceRun, error) { return nil, errors.New("not memoized") })
 		pairs[key] = err == nil && joined
 	}
 	memoized := 0
@@ -343,9 +353,23 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			memoized++
 		}
 	}
-	if n := shared.aceTraced.Load(); n != 40 || memoized != 40 || len(pairs) != 40 {
+	if n := old.aceTraced.Load(); n != 40 || memoized != 40 || len(pairs) != 40 {
 		t.Fatalf("%d traced runs over %d memoized pairs for the three figures, want 40 over 40", n, memoized)
 	}
+}
+
+// withoutACE serves a store's results with AVFACE cleared, as a store
+// written before results carried it would.
+type withoutACE struct{ campaign.Store }
+
+func (s withoutACE) Get(key campaign.CellKey) (*finject.Result, bool, error) {
+	res, ok, err := s.Store.Get(key)
+	if res != nil {
+		stripped := *res
+		stripped.AVFACE = nil
+		res = &stripped
+	}
+	return res, ok, err
 }
 
 // TestRunnerSharedByConcurrentPlans: plans running on one Runner at the

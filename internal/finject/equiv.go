@@ -90,6 +90,9 @@ func equalResults(ref, got *Result) error {
 	if ref.Occupancy != got.Occupancy {
 		return fmt.Errorf("occupancy differs: reference=%v got=%v", ref.Occupancy, got.Occupancy)
 	}
+	if (ref.AVFACE == nil) != (got.AVFACE == nil) || ref.AVFACE != nil && *ref.AVFACE != *got.AVFACE {
+		return fmt.Errorf("AVF-ACE differs: reference=%s got=%s", avfText(ref.AVFACE), avfText(got.AVFACE))
+	}
 	for i := range ref.Records {
 		if ref.Records[i] != got.Records[i] {
 			return fmt.Errorf("injection #%d differs: reference=%+v got=%+v", i, ref.Records[i], got.Records[i])
@@ -109,4 +112,12 @@ func equalResults(ref, got *Result) error {
 		return fmt.Errorf("serialized results differ:\nreference: %s\ngot:       %s", fb, cb)
 	}
 	return nil
+}
+
+// avfText renders an optional AVF for a divergence report.
+func avfText(avf *float64) string {
+	if avf == nil {
+		return "none"
+	}
+	return fmt.Sprint(*avf)
 }

@@ -139,6 +139,12 @@ type Result struct {
 	// Occupancy is the time-weighted structure occupancy of the golden
 	// run (the red line of Figs. 1 and 2).
 	Occupancy float64
+	// AVFACE is the structure's ACE AVF over the golden run, summed by
+	// the recorder fault-site pruning reads (ace.Recorder.AVF). It is nil
+	// where that run has no ACE (an access the recorder refuses) and in
+	// results stored before the golden run carried it; the AVF-ACE then
+	// takes a traced run of its own (ace.Measure).
+	AVFACE *float64 `json:",omitempty"`
 	// Records holds per-injection details when Campaign.Detail is set,
 	// indexed by injection number (deterministic across worker counts).
 	Records []Record
@@ -188,6 +194,7 @@ type Golden struct {
 	stats   gpu.RunStats
 	ladder  []gpu.Snapshot
 	live    *ace.Liveness
+	avfACE  [2]*float64 // per gpu.Structure; nil where the run has no ACE
 	// staleRung limits the warning about a ladder that restores but does
 	// not resume (see classify) to one per reference run.
 	staleRung sync.Once
@@ -258,7 +265,8 @@ func (g *Golden) Stats() gpu.RunStats { return g.stats }
 
 // runGolden executes the fault-free reference run, capturing the
 // checkpoint ladder along the way unless ckpt.Off and, with live set,
-// the liveness map (a run made only for another ladder needs none).
+// the liveness map and the AVF-ACE of both structures (a run made only
+// for another ladder needs neither).
 func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*Golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.Acquire(chip)
@@ -289,6 +297,11 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 		ladders: flight.Table[int64, []gpu.Snapshot]{Keep: true}}
 	if rec != nil {
 		g.live = rec.Liveness()
+		for s := range g.avfACE {
+			if avf, err := rec.AVF(gpu.Structure(s), g.stats.Cycles); err == nil {
+				g.avfACE[s] = &avf
+			}
+		}
 	}
 	if lb != nil {
 		g.ladder = lb.snaps
@@ -514,7 +527,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			return nil, fmt.Errorf("finject: campaign canceled before the reference run: %w", err)
 		}
 		var err error
-		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Knob(), !c.unpruned)
+		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Knob(), true)
 		if err != nil {
 			return nil, err
 		}
@@ -525,6 +538,9 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	res := &Result{
 		GoldenStats: g.stats,
 		Occupancy:   g.stats.Occupancy(c.Structure, int64(c.Chip.Units)*int64(c.Chip.StructSize(c.Structure))),
+	}
+	if uint(c.Structure) < uint(len(g.avfACE)) {
+		res.AVFACE = g.avfACE[c.Structure]
 	}
 	if c.Detail {
 		res.Records = make([]Record, limit)

@@ -11,6 +11,10 @@ import (
 // in binary result stores (campaign.DiskStore, binary codec). The layout must
 // round-trip Result exactly — the binary store's differential tests
 // compare figure JSON rendered from converted stores byte for byte.
+// AVFACE, when set, follows the detail records as 8 more bytes, so a
+// result without it encodes as it did before the field existed, and a
+// build that predates the field refuses a record with it as trailing
+// bytes instead of misreading it.
 
 // EncodeResult appends res to w in wire layout.
 func EncodeResult(w *wire.Writer, res *Result) {
@@ -36,6 +40,9 @@ func EncodeResult(w *wire.Writer, res *Result) {
 		w.U8(uint8(rec.Outcome))
 		w.Int(rec.CorruptBytes)
 	}
+	if res.AVFACE != nil {
+		w.F64(*res.AVFACE)
+	}
 }
 
 // recordWireSize is the encoded size of one detail Record, used to bound
@@ -43,7 +50,7 @@ func EncodeResult(w *wire.Writer, res *Result) {
 const recordWireSize = 8*6 + 1 + 8
 
 // DecodeResult decodes a Result encoded by EncodeResult, consuming the
-// reader exactly.
+// reader exactly: after the detail records, 0 bytes or an 8-byte AVFACE.
 func DecodeResult(r *wire.Reader) (*Result, error) {
 	res := &Result{}
 	for i := range res.Outcomes {
@@ -80,6 +87,10 @@ func DecodeResult(r *wire.Reader) (*Result, error) {
 				CorruptBytes: r.Int(),
 			}
 		}
+	}
+	if r.Remaining() == 8 {
+		avf := r.F64()
+		res.AVFACE = &avf
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("finject: result record: %w", err)

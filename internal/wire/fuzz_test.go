@@ -18,6 +18,20 @@ func FuzzWireDecode(f *testing.F) {
 	w.Int(42)
 	store = AppendRecord(store, RecCell, w.Bytes())
 	f.Add(store)
+	// A cell record in finject's result layout — four outcome counts,
+	// the injections, four run statistics, three occupancy floats and no
+	// detail records — ending in the optional 8-byte AVF-ACE.
+	w = Writer{}
+	w.String("fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210")
+	for _, n := range []int{30, 6, 3, 1, 40, 12345, 678, 21696, 2} {
+		w.Int(n)
+	}
+	for _, v := range []float64{1e6, 2e5, 0.4375} {
+		w.F64(v)
+	}
+	w.U32(0)
+	w.F64(0.125)
+	f.Add(AppendRecord(AppendHeader(nil, FileStore), RecCell, w.Bytes()))
 	owner := AppendHeader(nil, FileOwner)
 	owner = AppendRecord(owner, RecOwner, EncodeOwner(OwnerRecord{Epoch: 1, Server: "seed", UnixMillis: 1700000000000, Event: OwnerClaim}))
 	f.Add(owner)
