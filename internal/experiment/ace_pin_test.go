@@ -20,12 +20,12 @@ var update = flag.Bool("update", false, "rewrite testdata/ace_pairs.golden from 
 // both structures' AVF-ACE and occupancy as float bits and the cycle
 // count — the 40 pairs of the three figures, then Fig. 3's grid (both
 // structures, the whole suite) on the extended and Mini chips, 90 pairs.
-// The specs run on one Runner under the ACE estimator (their ACE values
-// do not depend on the campaigns), so the pairs Fig. 2 and Fig. 3 share
-// with Fig. 1 are answered by the Runner's memo and must read the same.
-// They run again on a second Runner under both estimators at one
-// injection a cell, which reads every AVF-ACE off the campaigns' golden
-// runs and makes no traced run: every cell must read as the traced ones.
+// The specs run under the ACE estimator (their ACE values do not depend
+// on the campaigns), so the pairs Fig. 2 and Fig. 3 share with Fig. 1
+// are traced again and must read the same. They run again under both
+// estimators at one injection a cell, which reads every AVF-ACE off the
+// campaigns' golden runs and makes no traced run: every cell must read
+// as the traced ones.
 // The first 40 lines were recorded by a serial analyzer over flat
 // per-entry arrays, all 90 by the paged analyzer before the liveness
 // recorder replaced it; a parallel ACE phase, paged state or a second
@@ -45,7 +45,7 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 	for _, c := range append(chips.Extended(), chips.MiniNVIDIA(), chips.MiniAMD()) {
 		others = append(others, c.Name)
 	}
-	traced, fromGolden := &Runner{}, &Runner{}
+	var tracedBefore int64
 	for pass := range 8 {
 		n := pass%4 + 1
 		spec, err := Figure(min(n, 3))
@@ -55,12 +55,14 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 		if n == 4 {
 			spec.Chips = others
 		}
-		r := traced
 		spec.Estimator, spec.Metrics = EstimatorACE, Metrics{}
 		if pass >= 4 {
-			r, spec.Estimator, spec.Injections = fromGolden, EstimatorBoth, 1
+			spec.Estimator, spec.Injections = EstimatorBoth, 1
 		}
-		res, err := r.Run(context.Background(), spec)
+		if pass == 4 {
+			tracedBefore = tracedRuns.Load()
+		}
+		res, err := (&Runner{}).Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +91,7 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 			}
 		}
 	}
-	if n := fromGolden.aceTraced.Load(); n != 0 {
+	if n := tracedRuns.Load() - tracedBefore; n != 0 {
 		t.Errorf("%d traced runs under both estimators, want 0", n)
 	}
 	var b strings.Builder

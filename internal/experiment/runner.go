@@ -12,7 +12,6 @@ import (
 	"repro/internal/chips"
 	"repro/internal/devices"
 	"repro/internal/finject"
-	"repro/internal/flight"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/protect"
@@ -49,7 +48,9 @@ type Progress struct {
 // Runner executes compiled experiment plans over a campaign.Scheduler.
 // Any executor tier behind the scheduler works — in-process, a shared
 // disk store, or a remote fiworker fleet — and produces byte-identical
-// results, by the determinism contract of the injection engine.
+// results, by the determinism contract of the injection engine. A Runner
+// keeps no state between plans: what one plan measures is cached by the
+// scheduler's store, or, for a traced ACE run, made again by the next.
 type Runner struct {
 	// Scheduler executes and caches the FI campaigns; a private
 	// in-process scheduler is created per run when nil.
@@ -58,13 +59,6 @@ type Runner struct {
 	// streams. It is called from scheduler and ACE worker goroutines, one
 	// call at a time.
 	OnCell func(Progress)
-
-	// aceRuns memoizes the traced run of each (benchmark, chip) pair, by
-	// name, across the plans this Runner executes (see runACE); aceOnce
-	// turns its Keep on, so that the zero Runner is ready to use.
-	aceOnce   sync.Once
-	aceRuns   flight.Table[[2]string, *aceRun]
-	aceTraced atomic.Int64 // traced runs started
 }
 
 // aceRun is what one traced run measures.
@@ -139,7 +133,7 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var aceRuns map[[2]string]*aceRun
+	var pairRuns map[[2]string]*aceRun
 	if spec.Estimator.ace() {
 		var traced []int
 		for i := range p.Cells {
@@ -148,7 +142,7 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 			}
 		}
 		var err error
-		if aceRuns, err = r.runACE(ctx, p, traced); err != nil {
+		if pairRuns, err = r.runACE(ctx, p, traced); err != nil {
 			return nil, err
 		}
 	}
@@ -158,7 +152,7 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		if fiResults != nil {
 			fres = fiResults[i]
 		}
-		cell, err := measureCell(spec, pc, fres, aceRuns[aceKey(pc)])
+		cell, err := measureCell(spec, pc, fres, pairRuns[aceKey(pc)])
 		if err != nil {
 			return nil, err
 		}
@@ -215,19 +209,16 @@ func aceKey(pc PlannedCell) [2]string {
 	return [2]string{pc.Benchmark.Name, pc.Chip.Name}
 }
 
-// runACE returns the traced run of each (benchmark, chip) pair of the
-// plan's cells at the given indices, making those no plan on this Runner
-// has made yet: ACE is a deterministic function of the pair and one run
-// yields both structures' AVFs, so specs on one Runner trace each pair
-// once, and plans running at once share a run through the flight table
-// instead of making it twice. GOMAXPROCS workers take the pairs in plan
-// order; under the ACE-only estimator a cell reports its Progress when
-// its pair's run lands. A traced run is a full simulation, so each
-// worker checks ctx before starting one, and a canceled experiment stops
-// instead of simulating the rest of the grid. The first failure in plan
-// order is returned.
+// runACE makes the traced run of each (benchmark, chip) pair of the
+// plan's cells at the given indices: ACE is a deterministic function of
+// the pair and one run yields both structures' AVFs, so a plan traces
+// each pair once. GOMAXPROCS workers take the pairs in plan order; under
+// the ACE-only estimator a cell reports its Progress when its pair's run
+// lands. A traced run is a full simulation, so each worker checks ctx
+// before starting one, and a canceled experiment stops instead of
+// simulating the rest of the grid. The first failure in plan order is
+// returned.
 func (r *Runner) runACE(ctx context.Context, p *Plan, cells []int) (map[[2]string]*aceRun, error) {
-	r.aceOnce.Do(func() { r.aceRuns.Keep = true })
 	var keys [][2]string
 	cellsOf := make(map[[2]string][]int)
 	for _, i := range cells {
@@ -255,7 +246,9 @@ func (r *Runner) runACE(ctx context.Context, p *Plan, cells []int) (map[[2]strin
 				if j >= len(keys) {
 					return
 				}
-				if runs[j], errs[j] = r.aceOf(ctx, p.Cells[cellsOf[keys[j]][0]]); errs[j] != nil {
+				pc := p.Cells[cellsOf[keys[j]][0]]
+				if runs[j], errs[j] = measureACE(pc.Chip, pc.Benchmark); errs[j] != nil {
+					errs[j] = fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, errs[j])
 					failed.Store(true)
 					return
 				}
@@ -288,29 +281,6 @@ func (r *Runner) runACE(ctx context.Context, p *Plan, cells []int) (map[[2]strin
 		out[k] = runs[j]
 	}
 	return out, nil
-}
-
-// aceOf returns the traced run of the cell's pair, from the memo, by
-// waiting for another plan making it, or by making it.
-func (r *Runner) aceOf(ctx context.Context, pc PlannedCell) (*aceRun, error) {
-	for {
-		run, joined, err := r.aceRuns.Do(ctx, aceKey(pc), func() (*aceRun, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r.aceTraced.Add(1)
-			run, err := measureACE(pc.Chip, pc.Benchmark)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, err)
-			}
-			return run, nil
-		})
-		// A joined run that failed was another plan's — canceled with it,
-		// perhaps — and is forgotten: make it here.
-		if err == nil || !joined || ctx.Err() != nil {
-			return run, err
-		}
-	}
 }
 
 // measureCell measures one grid cell under the spec's estimator: the FI
@@ -363,9 +333,13 @@ func cellAVF(spec Spec, c *Cell) float64 {
 	return c.AVFACE
 }
 
+// tracedRuns counts the traced runs measureACE has started.
+var tracedRuns atomic.Int64
+
 // measureACE runs the single-pass lifetime analysis of one (chip,
 // benchmark) pair.
 func measureACE(chip *chips.Chip, bench *workloads.Benchmark) (*aceRun, error) {
+	tracedRuns.Add(1)
 	d, err := devices.Acquire(chip)
 	if err != nil {
 		return nil, err

@@ -228,7 +228,7 @@ func TestRunnerStopsWhenCanceled(t *testing.T) {
 		)
 		r = &Runner{OnCell: func(p Progress) {
 			if events == 0 {
-				tracedAtCut = r.aceTraced.Load()
+				tracedAtCut = tracedRuns.Load()
 				cancel()
 			}
 			events++
@@ -240,7 +240,7 @@ func TestRunnerStopsWhenCanceled(t *testing.T) {
 		if events == 0 || events >= 40 {
 			t.Fatalf("%d progress events of 40 from a run canceled at its first", events)
 		}
-		if after := r.aceTraced.Load() - tracedAtCut; after > procs {
+		if after := tracedRuns.Load() - tracedAtCut; after > procs {
 			t.Fatalf("%d traced runs started after the cancel, want at most GOMAXPROCS = %d", after, procs)
 		}
 	})
@@ -293,15 +293,16 @@ func TestProgressIndexAndResult(t *testing.T) {
 // TestFiguresMeasureEachPairOnce: a figure pass reads every AVF-ACE off
 // its campaigns' golden runs, so the three figure specs on a fresh Runner
 // make no traced run. Served from a store whose records lack the field —
-// one written before the golden run carried it — the Runner traces each
-// of the 40 pairs once instead (Fig. 2's 28 local-memory pairs repeat
-// Fig. 1's, Fig. 3 is FI only), and every figure reads, byte for byte,
-// as from the golden runs.
+// one written before the golden run carried it — each figure traces each
+// of its pairs once instead: 40 for Fig. 1 and 28 for Fig. 2 (a Runner
+// keeps no traced run from one plan to the next; Fig. 3 is FI only), and
+// every figure reads, byte for byte, as from the golden runs.
 func TestFiguresMeasureEachPairOnce(t *testing.T) {
 	ctx := context.Background()
 	store := campaign.NewMemoryStore(0)
 	fresh := &Runner{Scheduler: campaign.New(campaign.Config{Store: store})}
 	old := &Runner{Scheduler: campaign.New(campaign.Config{Store: withoutACE{store}})}
+	var traced [2]int64
 	for n := 1; n <= 3; n++ {
 		spec, err := Figure(n)
 		if err != nil {
@@ -310,10 +311,12 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 		spec.Injections, spec.Seed = 2, 1
 		var docs [2][]byte
 		for i, r := range []*Runner{fresh, old} {
+			before := tracedRuns.Load()
 			res, err := r.Run(ctx, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
+			traced[i] += tracedRuns.Load() - before
 			if docs[i], err = json.Marshal(res); err != nil {
 				t.Fatal(err)
 			}
@@ -322,39 +325,14 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			t.Fatalf("%s: the result from records without AVF-ACE differs from the golden runs'", spec.Name)
 		}
 	}
-	if n := fresh.aceTraced.Load(); n != 0 {
+	if n := traced[0]; n != 0 {
 		t.Fatalf("%d traced runs for the three figures, want 0", n)
 	}
 	if st := old.Scheduler.Stats(); st.Runs != 0 {
 		t.Fatalf("the store without AVF-ACE ran %d campaigns, want every cell from the store", st.Runs)
 	}
-	// Fig. 3's grid is every pair of the three figures.
-	spec, err := Figure(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := spec.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := make(map[[2]string]bool)
-	for _, pc := range plan.Cells {
-		key := aceKey(pc)
-		if pairs[key] {
-			continue
-		}
-		// A memoized pair answers without calling the function.
-		_, joined, err := old.aceRuns.Do(ctx, key, func() (*aceRun, error) { return nil, errors.New("not memoized") })
-		pairs[key] = err == nil && joined
-	}
-	memoized := 0
-	for _, ok := range pairs {
-		if ok {
-			memoized++
-		}
-	}
-	if n := old.aceTraced.Load(); n != 40 || memoized != 40 || len(pairs) != 40 {
-		t.Fatalf("%d traced runs over %d memoized pairs for the three figures, want 40 over 40", n, memoized)
+	if n := traced[1]; n != 40+28 {
+		t.Fatalf("%d traced runs for the three figures from records without AVF-ACE, want 40+28", n)
 	}
 }
 
@@ -373,24 +351,62 @@ func (s withoutACE) Get(key campaign.CellKey) (*finject.Result, bool, error) {
 }
 
 // TestRunnerSharedByConcurrentPlans: plans running on one Runner at the
-// same time share its traced runs too, and make none twice.
+// same time share nothing but the Runner's configuration: each traces
+// its own pairs, once each, and all read the same bytes.
 func TestRunnerSharedByConcurrentPlans(t *testing.T) {
 	s := miniSpec()
 	s.Estimator = EstimatorACE
 	r := &Runner{}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	before := tracedRuns.Load()
+	var (
+		wg   sync.WaitGroup
+		docs [4][]byte
+	)
+	for i := range docs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Run(context.Background(), s); err != nil {
+			res, err := r.Run(context.Background(), s)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if docs[i], err = json.Marshal(res); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := r.aceTraced.Load(); n != 4 {
-		t.Fatalf("%d traced runs for 2 chips x 2 benchmarks, want 4", n)
+	if n := tracedRuns.Load() - before; n != 4*4 {
+		t.Fatalf("%d traced runs for four plans of 2 chips x 2 benchmarks, want 4 per plan", n)
+	}
+	for i := 1; i < len(docs); i++ {
+		if !bytes.Equal(docs[i], docs[0]) {
+			t.Fatalf("plan %d's result differs from plan 0's", i)
+		}
+	}
+}
+
+// TestACETracesEachPairOnce: within one plan the cells of a (chip,
+// benchmark) pair share one traced run, so an ACE-only plan over both
+// structures makes one run per pair, not one per cell.
+func TestACETracesEachPairOnce(t *testing.T) {
+	s := miniSpec()
+	s.Estimator = EstimatorACE
+	plan, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make(map[[2]string]bool)
+	for _, pc := range plan.Cells {
+		pairs[aceKey(pc)] = true
+	}
+	before := tracedRuns.Load()
+	if _, err := (&Runner{}).RunPlan(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	if n := tracedRuns.Load() - before; n != 4 || len(pairs) != 4 || len(plan.Cells) != 8 {
+		t.Fatalf("%d traced runs for %d cells over %d pairs, want 4 for 8 over 4", n, len(plan.Cells), len(pairs))
 	}
 }
 
