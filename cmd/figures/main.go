@@ -29,7 +29,8 @@
 //
 // All figures of one local invocation share one experiment.Runner over
 // one campaign scheduler, so Fig. 3 reuses every cell Figs. 1 and 2
-// already measured and Fig. 2 every ACE run Fig. 1 made.
+// already measured. AVF-ACE rides on those cells' FI results; a figure
+// traces only the cells without one, and each pass traces its own.
 package main
 
 import (

@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/ace"
 	"repro/internal/chips"
-	"repro/internal/devices"
 	"repro/internal/finject"
 	"repro/internal/gpu"
 	"repro/internal/stats"
@@ -44,20 +42,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := devices.New(chip)
-		if err != nil {
-			log.Fatal(err)
+		if res.AVFACE == nil {
+			log.Fatalf("%d elements: the golden run has no AVF-ACE", n)
 		}
-		hp, err := bench.New(chip.Vendor)
-		if err != nil {
-			log.Fatal(err)
-		}
-		regACE, _, st, err := ace.Measure(d, hp)
-		if err != nil {
-			log.Fatal(err)
-		}
+		regACE := *res.AVFACE
 		fmt.Printf("%8d %9.2f%% %9.2f%% %9.2f%% %10d\n",
-			n, 100*res.Occupancy, 100*regACE, 100*res.AVF(), st.Cycles)
+			n, 100*res.Occupancy, 100*regACE, 100*res.AVF(), res.GoldenStats.Cycles)
 		occs = append(occs, res.Occupancy)
 		avfs = append(avfs, regACE)
 	}

@@ -77,9 +77,10 @@ func NewLocalExecutor() *LocalExecutor {
 	return &LocalExecutor{golden: flight.Table[string, *finject.Golden]{Keep: true}}
 }
 
-// GoldenRuns reports the number of golden reference simulations executed;
-// one per (chip, benchmark) pair regardless of structure or campaign
-// count.
+// GoldenRuns reports the number of shared golden reference simulations
+// executed: one per (chip, benchmark) pair regardless of structure or
+// campaign count. Campaigns with an explicit checkpoint interval make
+// their own and are not counted.
 func (e *LocalExecutor) GoldenRuns() int64 { return e.goldenRuns.Load() }
 
 // Execute implements Executor in-process.
@@ -88,38 +89,33 @@ func (e *LocalExecutor) Execute(ctx context.Context, req Request) (*finject.Resu
 	if err != nil {
 		return nil, err
 	}
-	g, err := e.goldenFor(ctx, c.Chip, c.Benchmark)
-	if err != nil {
-		return nil, err
+	// A campaign with an explicit checkpoint interval makes its own
+	// reference run (see finject.Campaign.Golden): fetch it no shared one.
+	if c.Policy.Knob().Interval <= 0 {
+		if c.Golden, err = e.goldenFor(ctx, c.Chip, c.Benchmark); err != nil {
+			return nil, err
+		}
 	}
-	c.Golden = g
 	return finject.RunContext(ctx, c)
 }
 
 // goldenFor returns the shared golden reference run for (chip, benchmark),
-// executing it at most once across all concurrent campaigns. Failed runs
-// are not cached; a later request retries.
+// executing it at most once across all concurrent campaigns. A failed run
+// is not cached: its waiters get its error (the run is deterministic, so
+// theirs would fail alike) and a later request runs it again.
 func (e *LocalExecutor) goldenFor(ctx context.Context, chip *chips.Chip, bench *workloads.Benchmark) (*finject.Golden, error) {
-	for {
-		g, joined, err := e.golden.Do(ctx, chip.Name+"\x00"+bench.Name, func() (*finject.Golden, error) {
-			telemetry.GoldenCacheMisses.Inc()
-			g, err := finject.NewGolden(chip, bench)
-			if err == nil {
-				e.goldenRuns.Add(1)
-			}
-			return g, err
-		})
-		if joined {
-			telemetry.GoldenCacheHits.Inc()
+	g, joined, err := e.golden.Do(ctx, chip.Name+"\x00"+bench.Name, func() (*finject.Golden, error) {
+		telemetry.GoldenCacheMisses.Inc()
+		g, err := finject.NewGolden(chip, bench)
+		if err == nil {
+			e.goldenRuns.Add(1)
 		}
-		if !joined || err == nil {
-			return g, err
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// The run we joined failed and was forgotten: retry as leader.
+		return g, err
+	})
+	if joined {
+		telemetry.GoldenCacheHits.Inc()
 	}
+	return g, err
 }
 
 // RemoteExecutor satisfies Executor by publishing cells onto a LeaseQueue

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/finject"
 	"repro/internal/gpu"
+	"repro/internal/telemetry"
 )
 
 // countingExecutor returns canned results and records how often and with
@@ -149,5 +150,45 @@ func TestRemoteExecutorPropagatesWorkerError(t *testing.T) {
 	defer cancel()
 	if _, err := q.Do(ctx, Task{Spec: spec}); err == nil {
 		t.Fatal("worker accepted a spec naming an unknown chip")
+	}
+}
+
+// TestIntervalCampaignKeepsNoSharedGolden: a campaign whose checkpoint
+// knob names an interval makes its own reference run, so the executor's
+// shared golden cache is neither consulted nor filled by it, and its
+// result is the auto-knob result byte for byte. The auto-knob campaign
+// that follows then makes the pair's one shared golden run.
+func TestIntervalCampaignKeepsNoSharedGolden(t *testing.T) {
+	c := testCampaign(t, "matrixMul")
+	exec := NewLocalExecutor()
+	run := func(ck finject.Checkpoint) []byte {
+		t.Helper()
+		c.Policy = finject.Config{Checkpoint: &ck}
+		spec := SpecOf(c)
+		res, err := exec.Execute(context.Background(), Request{Spec: spec, Key: spec.Key(), Policy: c.Policy, Campaign: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+
+	hits, misses := telemetry.GoldenCacheHits.Value(), telemetry.GoldenCacheMisses.Value()
+	interval := run(finject.Checkpoint{Interval: 512})
+	if n := exec.GoldenRuns(); n != 0 {
+		t.Fatalf("an interval campaign made %d shared golden runs, want 0", n)
+	}
+	if h, m := telemetry.GoldenCacheHits.Value()-hits, telemetry.GoldenCacheMisses.Value()-misses; h != 0 || m != 0 {
+		t.Fatalf("an interval campaign moved the golden cache: %d hits, %d misses", h, m)
+	}
+	auto := run(finject.Checkpoint{})
+	if n := exec.GoldenRuns(); n != 1 {
+		t.Fatalf("the auto-knob campaign after it made %d golden runs, want 1", n)
+	}
+	if string(interval) != string(auto) {
+		t.Fatalf("interval result differs from the auto-knob one:\ninterval: %s\nauto:     %s", interval, auto)
 	}
 }

@@ -220,12 +220,13 @@ func localOnly(sts []gpu.Structure) bool {
 // policy and metric selections the estimator can serve. It returns the
 // normalized spec so callers validate and resolve in one step.
 func (s Spec) Validate() (Spec, error) {
-	// Range checks run on the raw values: Normalize would silently
+	// Range checks run on the raw values, the policy's through the
+	// engine's own finject.Config.Normalize: s.Normalize would silently
 	// rewrite an out-of-range confidence (a likely "95 instead of
 	// 0.95" typo) or a negative budget to the defaults, which is
 	// exactly the silent meaning change strict parsing exists to stop.
-	if c := s.Policy.Confidence; c < 0 || c >= 1 {
-		return s, fmt.Errorf("experiment: policy confidence %v outside [0,1) (0 means the default %v)", c, finject.DefaultConfidence)
+	if _, err := s.Policy.Config().Normalize(); err != nil {
+		return s, fmt.Errorf("experiment: %w", err)
 	}
 	if s.Injections < 0 {
 		return s, fmt.Errorf("experiment: negative injections %d", s.Injections)
@@ -266,12 +267,6 @@ func (s Spec) Validate() (Spec, error) {
 		if _, err := workloads.ByName(name); err != nil {
 			return s, fmt.Errorf("experiment: %w", err)
 		}
-	}
-	if m := s.Policy.Margin; m < 0 || m >= 1 {
-		return s, fmt.Errorf("experiment: policy margin %v outside [0,1)", m)
-	}
-	if ck := s.Policy.Checkpoint; ck != nil && ck.Interval < 0 {
-		return s, fmt.Errorf("experiment: negative checkpoint interval %d", ck.Interval)
 	}
 	// FIT works under any estimator (cellAVF picks the measured AVF);
 	// EPF and protection consume the FI outcome splits, so they need

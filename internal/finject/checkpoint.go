@@ -15,9 +15,10 @@ import (
 // greatest snapshot at or below its fault cycle and resumes from there
 // instead of re-simulating the fault-free prefix from power-on state —
 // at uniform (bit, cycle) sampling this roughly halves the simulated
-// cycles per injection. The ladder hangs off the shared Golden, is
-// immutable after construction, and is read concurrently by the whole
-// worker pool. Checkpointing never changes results: fault #i is still
+// cycles per injection. The ladder hangs off the shared Golden (a
+// campaign with an explicit interval captures its own in a reference run
+// of its own), is immutable after construction, and is read concurrently
+// by the whole worker pool. Checkpointing never changes results: fault #i is still
 // derived from (Seed, i) alone and the resumed execution is
 // bit-identical to a full replay (see CheckpointEquivalence and the
 // differential suite in equiv_test.go).

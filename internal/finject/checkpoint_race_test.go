@@ -35,7 +35,7 @@ func TestCheckpointLadderSharedUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := golden.CheckpointCycles()
+	before := ladderCycles(golden)
 	if len(before) == 0 {
 		t.Fatal("golden has no checkpoint ladder")
 	}
@@ -147,7 +147,7 @@ func TestCheckpointLadderSharedUnderRace(t *testing.T) {
 		}
 	}
 
-	after := golden.CheckpointCycles()
+	after := ladderCycles(golden)
 	if len(after) != len(before) {
 		t.Fatalf("ladder length changed under load: %d -> %d", len(before), len(after))
 	}

@@ -197,15 +197,12 @@ func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		foreign, err := NewGolden(chip, mm)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// A tight interval, so the short mini-chip runs get rungs at all.
-		ladder, err := foreign.ladderFor(Checkpoint{Interval: 64})
+		foreign, err := runGolden(chip, mm, Checkpoint{Interval: 64}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ladder := foreign.ladder
 		if len(ladder) == 0 || ladder[0].Cycle() >= own.cycles/2 {
 			t.Fatalf("%s: the foreign ladder has no rung early enough to be restored", chip.Name)
 		}

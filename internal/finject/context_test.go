@@ -84,10 +84,10 @@ func TestGoldenReuseMatchesPrivateRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Chip() != base.Chip.Name || g.Benchmark() != base.Benchmark.Name {
-		t.Fatalf("golden labels %s/%s", g.Chip(), g.Benchmark())
+	if g.chip.Name != base.Chip.Name || g.bench.Name != base.Benchmark.Name {
+		t.Fatalf("golden labels %s/%s", g.chip.Name, g.bench.Name)
 	}
-	if g.Cycles() <= 0 {
+	if g.cycles <= 0 {
 		t.Fatal("golden reports no cycles")
 	}
 	shared := base

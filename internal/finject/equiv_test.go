@@ -103,9 +103,9 @@ func TestLadderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles := g.CheckpointCycles()
+	cycles := ladderCycles(g)
 	if len(cycles) == 0 {
-		t.Fatalf("no checkpoints captured for a %d-cycle golden run", g.Cycles())
+		t.Fatalf("no checkpoints captured for a %d-cycle golden run", g.cycles)
 	}
 	if len(cycles) > maxLadderSnapshots {
 		t.Fatalf("ladder has %d rungs, cap is %d", len(cycles), maxLadderSnapshots)
@@ -115,7 +115,17 @@ func TestLadderShape(t *testing.T) {
 			t.Fatalf("ladder cycles not ascending: %v", cycles)
 		}
 	}
-	if last := cycles[len(cycles)-1]; last >= g.Cycles() {
-		t.Fatalf("last checkpoint at cycle %d is beyond the golden run (%d cycles)", last, g.Cycles())
+	if last := cycles[len(cycles)-1]; last >= g.cycles {
+		t.Fatalf("last checkpoint at cycle %d is beyond the golden run (%d cycles)", last, g.cycles)
 	}
+}
+
+// ladderCycles returns the capture cycles of the golden run's ladder, in
+// ascending order.
+func ladderCycles(g *Golden) []int64 {
+	cycles := make([]int64, len(g.ladder))
+	for i, s := range g.ladder {
+		cycles[i] = s.Cycle()
+	}
+	return cycles
 }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/ace"
 	"repro/internal/chips"
 	"repro/internal/devices"
-	"repro/internal/flight"
 	"repro/internal/gpu"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -81,7 +80,9 @@ type Campaign struct {
 	// benchmark as the campaign; when nil the campaign executes its own
 	// reference run. Sharing one Golden across the campaigns of all
 	// structures of a (chip, benchmark) pair removes the redundant
-	// reference simulations.
+	// reference simulations. A campaign whose checkpoint knob names an
+	// interval ignores it: its ladder is captured at that spacing by a
+	// reference run of its own.
 	Golden *Golden
 
 	// unpruned simulates every sampled fault, also those the reference
@@ -181,10 +182,11 @@ func (r *Result) HalfWidth(confidence float64) (float64, error) {
 
 // Golden is the fault-free reference run of one (chip, benchmark) pair:
 // the outputs and statistics outcomes are classified against, plus the
-// checkpoint ladder and the liveness map captured during that run. Every
-// campaign needs one; campaigns that target different structures of the
-// same pair can share a single Golden through Campaign.Golden instead of
-// each re-simulating the reference execution.
+// checkpoint ladder and the liveness map captured during that run, and
+// nothing else. Every campaign needs one; campaigns that target
+// different structures of the same pair can share a single Golden through
+// Campaign.Golden instead of each re-simulating the reference execution.
+// What it captured is immutable and shared read-only by every worker.
 type Golden struct {
 	chip    *chips.Chip
 	bench   *workloads.Benchmark
@@ -198,13 +200,6 @@ type Golden struct {
 	// staleRung limits the warning about a ladder that restores but does
 	// not resume (see classify) to one per reference run.
 	staleRung sync.Once
-
-	// The default checkpoint ladder (ladder) is captured during the
-	// reference run itself; ladders for explicit interval overrides are
-	// built on first use (one extra fault-free run each) and kept. All
-	// ladders are immutable once built and shared read-only by every
-	// worker; the table is consulted once per campaign.
-	ladders flight.Table[int64, []gpu.Snapshot]
 }
 
 // NewGolden executes the fault-free reference run once, for reuse across
@@ -218,55 +213,9 @@ func NewGolden(chip *chips.Chip, bench *workloads.Benchmark) (*Golden, error) {
 	return runGolden(chip, bench, Checkpoint{}, true)
 }
 
-// CheckpointCycles returns the capture cycles of the default checkpoint
-// ladder, in ascending order — introspection for tests and reports.
-func (g *Golden) CheckpointCycles() []int64 {
-	cycles := make([]int64, len(g.ladder))
-	for i, s := range g.ladder {
-		cycles[i] = s.Cycle()
-	}
-	return cycles
-}
-
-// ladderFor returns the checkpoint ladder for the configuration: the
-// reference run's own for the default spacing, one built on first use
-// and kept per explicit interval otherwise. A nil ladder (checkpointing
-// off) makes every injection replay in full. Only the first requester of
-// an interval simulates; concurrent ones wait for it, other intervals
-// and the default ladder are never blocked; failed builds are not kept.
-func (g *Golden) ladderFor(cfg Checkpoint) ([]gpu.Snapshot, error) {
-	if cfg.Off {
-		return nil, nil
-	}
-	if cfg.Interval <= 0 { // negative means auto too, not a new entry
-		return g.ladder, nil
-	}
-	snaps, _, err := g.ladders.Do(context.Background(), cfg.Interval, func() ([]gpu.Snapshot, error) {
-		run, err := runGolden(g.chip, g.bench, cfg, false)
-		if err != nil {
-			return nil, err
-		}
-		return run.ladder, nil
-	})
-	return snaps, err
-}
-
-// Chip returns the name of the chip the reference was run on.
-func (g *Golden) Chip() string { return g.chip.Name }
-
-// Benchmark returns the name of the benchmark the reference executed.
-func (g *Golden) Benchmark() string { return g.bench.Name }
-
-// Cycles returns the reference execution length in device cycles.
-func (g *Golden) Cycles() int64 { return g.cycles }
-
-// Stats returns the reference execution's statistics.
-func (g *Golden) Stats() gpu.RunStats { return g.stats }
-
 // runGolden executes the fault-free reference run, capturing the
 // checkpoint ladder along the way unless ckpt.Off and, with live set,
-// the liveness map and the AVF-ACE of both structures (a run made only
-// for another ladder needs neither).
+// the liveness map and the AVF-ACE of both structures.
 func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*Golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.Acquire(chip)
@@ -293,8 +242,7 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 	}
 	d.SetCheckpointHook(0, nil)
 	d.SetTracer(nil)
-	g := &Golden{chip: chip, bench: bench, outputs: hp.Outputs(), stats: d.Stats(),
-		ladders: flight.Table[int64, []gpu.Snapshot]{Keep: true}}
+	g := &Golden{chip: chip, bench: bench, outputs: hp.Outputs(), stats: d.Stats()}
 	if rec != nil {
 		g.live = rec.Liveness()
 		for s := range g.avfACE {
@@ -508,30 +456,29 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	if wdFactor <= 0 {
 		wdFactor = DefaultWatchdogFactor
 	}
-	var (
-		g      = c.Golden
-		ladder []gpu.Snapshot
-	)
+	knob := c.Policy.Knob()
+	g := c.Golden
+	if knob.Interval > 0 {
+		g = nil // a ladder at another spacing takes a reference run of its own
+	}
 	if g != nil {
 		// By configuration: a GTO variant's golden is no stock reference.
 		if *g.chip != *c.Chip || g.bench.Name != c.Benchmark.Name {
 			return nil, fmt.Errorf("finject: golden run is for %s/%s, campaign targets %s/%s",
 				g.chip.Name, g.bench.Name, c.Chip.Name, c.Benchmark.Name)
 		}
-		var err error
-		if ladder, err = g.ladderFor(c.Policy.Knob()); err != nil {
-			return nil, err
-		}
 	} else {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("finject: campaign canceled before the reference run: %w", err)
 		}
 		var err error
-		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Knob(), true)
-		if err != nil {
+		if g, err = runGolden(c.Chip, c.Benchmark, knob, true); err != nil {
 			return nil, err
 		}
-		ladder = g.ladder
+	}
+	ladder := g.ladder
+	if knob.Off {
+		ladder = nil
 	}
 	watchdog := g.cycles*int64(wdFactor) + 10_000
 
