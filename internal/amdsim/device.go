@@ -86,15 +86,14 @@ func (*isa) InitWave(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) {
 	if lsy <= 0 {
 		lsy = 1
 	}
+	var x, y [64]uint32
 	for lane := 0; lane < ww; lane++ {
-		if valid&(1<<lane) == 0 {
-			continue
-		}
 		t := w.ThreadBase + lane
-		writeVGPR(d, u, w, lane, 0, uint32(t%lsx))
-		if lc.RegsPerThread > 1 {
-			writeVGPR(d, u, w, lane, 1, uint32((t/lsx)%lsy))
-		}
+		x[lane], y[lane] = uint32(t%lsx), uint32((t/lsx)%lsy)
+	}
+	scatter(d, u, w, valid, 0, &x)
+	if lc.RegsPerThread > 1 {
+		scatter(d, u, w, valid, 1, &y)
 	}
 }
 

@@ -126,14 +126,6 @@ func readVGPR(d *Device, u *unit, w *wave, lane int, r uint8) uint32 {
 	return u.Regs[idx]
 }
 
-func writeVGPR(d *Device, u *unit, w *wave, lane int, r uint8, v uint32) {
-	idx := vgprIndex(d, w, lane, r)
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, d.Cycle, true)
-	}
-	u.Regs[idx] = v
-}
-
 // readOp32 evaluates a 32-bit source for one lane.
 func readOp32(d *Device, u *unit, w *wave, lane int, o siasm.Operand) (uint32, error) {
 	switch o.Kind {
@@ -429,9 +421,10 @@ func execVALU(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, activ
 	}
 	for lane := 0; lane < d.Chip.WarpWidth; lane++ {
 		if active&(1<<lane) != 0 {
-			writeVGPR(d, u, w, lane, in.Dst.Reg, simt.ALU(op, pa[lane], pb[lane], c[lane]))
+			pa[lane] = simt.ALU(op, pa[lane], pb[lane], c[lane])
 		}
 	}
+	scatter(d, u, w, active, in.Dst.Reg, pa)
 	return nil
 }
 
@@ -473,8 +466,25 @@ func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]
 	return nil
 }
 
+// scatter writes v into VGPR r on every lane in active, the mirror of
+// gather.
+func scatter(d *Device, u *unit, w *wave, active uint64, r uint8, v *[64]uint32) {
+	idx := vgprIndex(d, w, 0, r)
+	t := d.Tracer
+	for lane := 0; lane < d.Chip.WarpWidth; lane, idx = lane+1, idx+1 {
+		if active&(1<<lane) == 0 {
+			continue
+		}
+		if t != nil {
+			t.RegAccess(u.ID, idx, d.Cycle, true)
+		}
+		u.Regs[idx] = v[lane]
+	}
+}
+
 func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {
 	g := w.Blk
+	var loaded [64]uint32
 	for lane := 0; lane < ww; lane++ {
 		if active&(1<<lane) == 0 {
 			continue
@@ -497,8 +507,7 @@ func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int
 			if t := d.Tracer; t != nil {
 				t.LocalAccess(u.ID, phys, 4, d.Cycle, false)
 			}
-			v := binary.LittleEndian.Uint32(u.Local[phys:])
-			writeVGPR(d, u, w, lane, in.Dst.Reg, v)
+			loaded[lane] = binary.LittleEndian.Uint32(u.Local[phys:])
 		} else {
 			v, err := readOp32(d, u, w, lane, dataOp)
 			if err != nil {
@@ -510,11 +519,15 @@ func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int
 			binary.LittleEndian.PutUint32(u.Local[phys:], v)
 		}
 	}
+	if in.Op == siasm.OpDSRead {
+		scatter(d, u, w, active, in.Dst.Reg, &loaded)
+	}
 	return nil
 }
 
 func execBuffer(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {
 	mem := d.Mem()
+	var loaded [64]uint32
 	for lane := 0; lane < ww; lane++ {
 		if active&(1<<lane) == 0 {
 			continue
@@ -532,7 +545,7 @@ func execBuffer(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww 
 			if err != nil {
 				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
 			}
-			writeVGPR(d, u, w, lane, in.Dst.Reg, v)
+			loaded[lane] = v
 		} else {
 			// buffer_store_dword vsrc, vaddr.
 			v, err := readOp32(d, u, w, lane, in.Src[0])
@@ -551,6 +564,9 @@ func execBuffer(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww 
 				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
 			}
 		}
+	}
+	if in.Op == siasm.OpBufLoad {
+		scatter(d, u, w, active, in.Dst.Reg, &loaded)
 	}
 	return nil
 }

@@ -91,9 +91,6 @@ func New(cfg Config) *Scheduler {
 // Store returns the scheduler's result store.
 func (s *Scheduler) Store() Store { return s.store }
 
-// Executor returns the scheduler's cell executor.
-func (s *Scheduler) Executor() Executor { return s.exec }
-
 // Stats returns a snapshot of the activity counters.
 func (s *Scheduler) Stats() Stats {
 	st := Stats{

@@ -395,8 +395,6 @@ type Device interface {
 	StructSize(st Structure) int
 	// StructBits returns the total chip-wide structure size in bits.
 	StructBits(st Structure) int64
-	// ClockGHz returns the shader/engine clock used for time conversion.
-	ClockGHz() float64
 }
 
 // EntryBits returns the number of bits in one entry of the structure.

@@ -36,9 +36,6 @@ const memAlign = 256
 // NewMemory creates a device memory of the given size in bytes.
 func NewMemory(size int) *Memory { return &Memory{pg: NewPages(size, new(PageArena[byte]))} }
 
-// Size returns the memory capacity in bytes.
-func (m *Memory) Size() int { return len(m.pg.data) }
-
 // Alloc reserves size bytes and returns the device address. Address 0 is
 // never returned (the first allocation starts at memAlign) so that 0 can
 // serve as a null pointer.

@@ -97,18 +97,6 @@ func (i *isa) readReg(d *Device, u *unit, w *wave, lane int, r uint8) uint32 {
 	return u.Regs[idx]
 }
 
-// writeReg writes an architectural register for one lane.
-func (i *isa) writeReg(d *Device, u *unit, w *wave, lane int, r uint8, v uint32) {
-	if r == sass.RZ {
-		return
-	}
-	idx := i.regIndex(w, lane, r)
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, d.Cycle, true)
-	}
-	u.Regs[idx] = v
-}
-
 // readOperand evaluates a source operand for one lane.
 func (i *isa) readOperand(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, lane int, o sass.Operand) uint32 {
 	switch o.Kind {
@@ -224,12 +212,11 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		d.ArriveBarrier(w)
 
 	case sass.OpS2R:
-		for lane := 0; lane < 32; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			i.writeReg(d, u, w, lane, in.Dst, specialReg(w, lc, lane, in.SR))
+		var v [32]uint32
+		for lane := range v {
+			v[lane] = specialReg(w, lc, lane, in.SR)
 		}
+		i.scatter(d, u, w, exec, in.Dst, &v)
 		if in.Dst != sass.RZ {
 			w.RegReady[in.Dst] = d.Cycle + lat
 		}
@@ -364,9 +351,10 @@ func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.
 	}
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) != 0 {
-			i.writeReg(d, u, w, lane, in.Dst, simt.ALU(op, a[lane], b[lane], c[lane]))
+			a[lane] = simt.ALU(op, a[lane], b[lane], c[lane])
 		}
 	}
+	i.scatter(d, u, w, exec, in.Dst, &a)
 }
 
 // gather reads source operand o on every lane in exec into v; v holds
@@ -395,9 +383,29 @@ func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint3
 	}
 }
 
+// scatter writes v into register r on every lane in exec, the mirror of
+// gather; a write of RZ is dropped.
+func (i *isa) scatter(d *Device, u *unit, w *wave, exec uint32, r uint8, v *[32]uint32) {
+	if r == sass.RZ {
+		return
+	}
+	idx := i.regIndex(w, 0, r)
+	t := d.Tracer
+	for lane := 0; lane < 32; lane, idx = lane+1, idx+i.prog.NumRegs {
+		if exec&(1<<lane) == 0 {
+			continue
+		}
+		if t != nil {
+			t.RegAccess(u.ID, idx, d.Cycle, true)
+		}
+		u.Regs[idx] = v[lane]
+	}
+}
+
 // execGlobal performs LDG/STG for all active lanes.
 func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
 	name, mem := i.prog.Name, d.Mem()
+	var loaded [32]uint32
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
@@ -412,13 +420,16 @@ func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 			if err != nil {
 				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
 			}
-			i.writeReg(d, u, w, lane, in.Dst, v)
+			loaded[lane] = v
 		} else {
 			v := i.readOperand(d, u, w, lc, lane, in.Src[0])
 			if err := mem.Store32(addr, v); err != nil {
 				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
 			}
 		}
+	}
+	if in.Op == sass.OpLDG {
+		i.scatter(d, u, w, exec, in.Dst, &loaded)
 	}
 	return nil
 }
@@ -427,6 +438,7 @@ func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 // shared-memory window.
 func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
 	name, blk := i.prog.Name, w.Blk
+	var loaded [32]uint32
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
@@ -445,8 +457,7 @@ func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 			if t := d.Tracer; t != nil {
 				t.LocalAccess(u.ID, phys, 4, d.Cycle, false)
 			}
-			v := binary.LittleEndian.Uint32(u.Local[phys:])
-			i.writeReg(d, u, w, lane, in.Dst, v)
+			loaded[lane] = binary.LittleEndian.Uint32(u.Local[phys:])
 		} else {
 			v := i.readOperand(d, u, w, lc, lane, in.Src[0])
 			if t := d.Tracer; t != nil {
@@ -454,6 +465,9 @@ func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 			}
 			binary.LittleEndian.PutUint32(u.Local[phys:], v)
 		}
+	}
+	if in.Op == sass.OpLDS {
+		i.scatter(d, u, w, exec, in.Dst, &loaded)
 	}
 	return nil
 }

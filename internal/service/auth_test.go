@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -402,4 +403,65 @@ func FuzzAPIKeys(f *testing.F) {
 			t.Fatalf("header %q authenticated unknown tenant %+v", header, ten)
 		}
 	})
+}
+
+// TestResumedJobKeepsItsQuotaSlot: a server restarted over a journal
+// that holds a running job of a tenant at its max-jobs limit resumes the
+// job without admission, and the slot the job takes back is the tenant's
+// one: a new submission answers 429 quota_exceeded while the resumed job
+// runs, and admits once it has settled.
+func TestResumedJobKeepsItsQuotaSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	js := mustOpenJobStore(t, path)
+	if err := js.append(journalRecord{
+		Event: "submit", Job: "job-000007", Kind: "batch", Tenant: "acme",
+		Cells: []campaign.CellSpec{testutil.MiniSpec("vectoradd", 61)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	js.Close()
+
+	// The restart: the test plays the worker, so the resumed job runs
+	// until the test completes its one cell.
+	js = mustOpenJobStore(t, path)
+	defer js.Close()
+	q := campaign.NewLeaseQueue(time.Minute)
+	srv := NewServer(campaign.New(campaign.Config{Executor: campaign.NewRemoteExecutor(q), Workers: 8}))
+	srv.ServeWorkers(q)
+	ks, err := ParseKeys(strings.NewReader("key-acme acme max-jobs=1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetAuth(ks)
+	if rec, err := srv.UseJobStore(js); err != nil || rec.Resumed != 1 {
+		t.Fatalf("recovery %+v, %v; want 1 resumed", rec, err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var leases []campaign.Lease
+	for deadline := time.Now().Add(30 * time.Second); len(leases) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the resumed job's cell never surfaced as a lease")
+		}
+		leases = leaseOnce(t, ts, "w1", 1, 100*time.Millisecond)
+	}
+	var envelope struct {
+		Error api.Error `json:"error"`
+	}
+	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", submitBody(t, 1), &envelope); code != http.StatusTooManyRequests || envelope.Error.Code != "quota_exceeded" {
+		t.Fatalf("submit beside the resumed job: status %d, envelope %+v; want 429 quota_exceeded", code, envelope)
+	}
+
+	completeLease(t, ts, leases[0].ID, runRemoteCell(t, leases[0].Task), "", http.StatusOK)
+	waitSettledAs(t, ts, "job-000007", "key-acme")
+	var status struct {
+		State string `json:"state"`
+	}
+	if code := authedDo(t, ts, "GET", "/v1/jobs/job-000007", "key-acme", nil, &status); code != http.StatusOK || status.State != "done" {
+		t.Fatalf("resumed job: status %d, state %q; want done", code, status.State)
+	}
+	if code := authedDo(t, ts, "POST", "/v1/jobs", "key-acme", submitBody(t, 1), nil); code != http.StatusAccepted {
+		t.Fatalf("submit after the resumed job settled: status %d, want 202", code)
+	}
 }

@@ -79,11 +79,16 @@ type Unit[W any] struct {
 	greedy   *Wave[W]    // GTO: wave that issued most recently
 	liveWave int         // resident non-retired waves
 
-	// order is the issue scan's scratch slice, rebuilt every cycle.
-	// Keeping it on the unit (instead of a per-cycle allocation) removes
-	// the dominant allocation site of the whole injection loop — ~95% of
-	// bytes allocated per campaign came from rebuilding this slice.
-	order []*Wave[W]
+	// order is the issue scan's list of the resident waves not done, in
+	// slot order. Only dispatch, a wave's exit and resetSlots change that
+	// set. FinishWave and resetSlots mark the order stale, and issue
+	// rebuilds it then and keeps it on every other cycle. Dispatch needs
+	// no mark: it fills only slots that resetSlots or a retire emptied,
+	// and a retire follows the FinishWave that ended the block, with no
+	// issue between. A wave that exits during a scan stays in that scan's
+	// order, skipped as Done.
+	order      []*Wave[W]
+	orderStale bool
 	// free recycles retired block objects (with their wave objects and
 	// per-wave slices) so dispatch and snapshot-restore stop allocating;
 	// every field is rewritten on reuse.
@@ -264,6 +269,7 @@ func (u *Unit[W]) resetSlots(n int) {
 	u.greedy = nil
 	u.liveWave = 0
 	u.order = u.order[:0]
+	u.orderStale = true
 }
 
 // sizeWaves resizes blk.waves to n, keeping recycled wave objects within
@@ -343,9 +349,6 @@ func (d *Device[W]) StructSize(st gpu.Structure) int { return d.Chip.StructSize(
 
 // StructBits implements gpu.Device.
 func (d *Device[W]) StructBits(st gpu.Structure) int64 { return d.Chip.StructBits(st) }
-
-// ClockGHz implements gpu.Device.
-func (d *Device[W]) ClockGHz() float64 { return d.Chip.ClockGHz }
 
 // InjectFault implements gpu.Device.
 func (d *Device[W]) InjectFault(f *gpu.Fault) {
@@ -466,6 +469,7 @@ func (d *Device[W]) launchLoop(lc *LaunchCtx, nextBlock, retired int, launchStar
 			if u.liveWave == 0 {
 				continue
 			}
+			live := u.liveWave
 			issued, wake, err := d.issue(u, lc)
 			if err != nil {
 				return err
@@ -476,7 +480,13 @@ func (d *Device[W]) launchLoop(lc *LaunchCtx, nextBlock, retired int, launchStar
 			if wake < nextWake {
 				nextWake = wake
 			}
-			// Retire completed blocks, freeing their slots.
+			if u.liveWave == live {
+				continue
+			}
+			// A wave exited: retire completed blocks, freeing their slots.
+			// No other event leaves a resident block with no live wave (a
+			// snapshot is captured after the retire of the iteration
+			// before it).
 			for slot, blk := range u.blocks {
 				if blk != nil && blk.live == 0 {
 					d.retire(u, slot, blk)
@@ -638,15 +648,8 @@ func (d *Device[W]) applyFault() {
 	}
 }
 
-// issue attempts to issue up to IssueWidth ready waves on one unit. It
-// returns the number issued and the earliest wake-up cycle among
-// time-blocked waves (never when there is none).
-func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
-	issued := 0
-	nextWake := never
-	// Snapshot the resident waves in dispatch order into the unit's
-	// persistent scratch slice.
-	order := u.order[:0]
+// waves appends the resident waves not done to order, in slot order.
+func (u *Unit[W]) waves(order []*Wave[W]) []*Wave[W] {
 	for _, blk := range u.blocks {
 		if blk == nil {
 			continue
@@ -657,14 +660,37 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 			}
 		}
 	}
-	u.order = order
+	return order
+}
+
+// orderCheck is nil outside this package's tests, which set it before any
+// of them runs (ordercheck_test.go) to compare a unit's kept issue order
+// against a fresh walk of its slots each time issue reads it.
+var orderCheck func(u any)
+
+// issue attempts to issue up to IssueWidth ready waves on one unit. It
+// returns the number issued and the earliest wake-up cycle among
+// time-blocked waves (never when there is none).
+func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
+	issued := 0
+	nextWake := never
+	if u.orderStale {
+		u.order = u.waves(u.order[:0])
+		u.orderStale = false
+	}
+	if orderCheck != nil {
+		orderCheck(u)
+	}
+	order := u.order
 	n := len(order)
 	if n == 0 {
 		return 0, nextWake, nil
 	}
 	// Greedy-then-oldest: the most recently issued wave gets first claim
-	// on the slot; the fallback scan below is oldest-first because the
-	// order slice follows block dispatch order.
+	// on the slot; the fallback scan below runs in slot order, the
+	// machine's stand-in for oldest-first: dispatch fills the lowest free
+	// slot, so slot order is dispatch order until a retire frees a lower
+	// slot.
 	gto := d.Chip.Scheduler == chips.SchedGTO
 	start := 0
 	if gto {
@@ -692,7 +718,11 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 		start = u.rr % n
 	}
 	for k := 0; k < n && issued < d.Chip.IssueWidth; k++ {
-		w := order[(start+k)%n]
+		j := start + k
+		if j >= n {
+			j -= n
+		}
+		w := order[j]
 		if w.Done || w.atBarrier || (gto && w == u.greedy) {
 			continue
 		}
@@ -708,7 +738,10 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 		}
 		if ok {
 			issued++
-			u.rr = (start + k + 1) % n
+			u.rr = j + 1
+			if u.rr == n {
+				u.rr = 0
+			}
 			u.greedy = w
 		} else if wake > d.Cycle {
 			w.wakeAt = wake

@@ -80,6 +80,7 @@ func (d *Device[W]) FinishWave(u *Unit[W], w *Wave[W]) {
 	blk := w.Blk
 	blk.live--
 	u.liveWave--
+	u.orderStale = true
 	if blk.live > 0 && blk.arrived >= blk.live {
 		blk.releaseBarrier(d.Cycle)
 	}

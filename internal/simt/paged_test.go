@@ -225,3 +225,40 @@ func TestResetByPage(t *testing.T) {
 		regs[0][5], local[0][5] = 0, 0
 	})
 }
+
+// TestKeptOrderIsTheWalk runs every kernel of the ten benchmarks on both
+// mini chips from power-on and resumed from each rung of its ladder,
+// under the package's order check (ordercheck_test.go): the issue order a
+// unit keeps between the events that change it must be, on every issue,
+// the walk of its slots, or the check panics. Before each resume the
+// replica runs from power-on until a watchdog cuts its first launch
+// short, so the restore meets an order that is current, not one a last
+// exit already marked. What the test asserts itself is that the check
+// ran on each resumed run and that the run ended like the uninterrupted
+// one.
+func TestKeptOrderIsTheWalk(t *testing.T) {
+	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
+		for _, bench := range workloads.All() {
+			t.Run(chip.Name+"/"+bench.Name, func(t *testing.T) {
+				r := newReplica(t, chip, bench)
+				_, want, stats := r.golden(0)
+				ladder, _, _ := r.golden(stats.Cycles/8 + 1)
+				for _, rung := range ladder {
+					if err := r.inject(nil, nil, 0, 20); !errors.Is(err, gpu.ErrWatchdog) {
+						t.Fatalf("a 20-cycle watchdog from power-on: got %v", err)
+					}
+					checks := simt.OrderChecks.Load()
+					if err := r.inject([]gpu.Snapshot{rung}, nil, rung.Cycle(), 0); err != nil {
+						t.Fatalf("resume from the rung at cycle %d: %v", rung.Cycle(), err)
+					}
+					if !bytes.Equal(r.outputs(), want) || r.d.Stats() != stats {
+						t.Fatalf("resume from the rung at cycle %d ends differently from the uninterrupted run", rung.Cycle())
+					}
+					if simt.OrderChecks.Load() == checks {
+						t.Fatalf("resume from the rung at cycle %d ran no order check", rung.Cycle())
+					}
+				}
+			})
+		}
+	}
+}

@@ -13,12 +13,13 @@ import (
 // storageFuncs are the functions that may name a unit's storage —
 // Unit.Regs and Unit.Local, or the gpu.Pages under them: the traced
 // accessors of the two ISAs (a tracer call beside every access; gather
-// reads one source operand of every lane), the
-// fault itself, and the paging functions of the machine, which copy,
-// share or clear whole pages that no fault can sit between.
+// reads one source operand of every lane, scatter writes one destination
+// register of every lane), the fault itself, and the paging functions of
+// the machine, which copy, share or clear whole pages that no fault can
+// sit between.
 var storageFuncs = map[string][]string{
-	"../nvsim":  {"readReg", "writeReg", "gather", "execShared"},
-	"../amdsim": {"readVGPR", "writeVGPR", "gather", "execLDS"},
+	"../nvsim":  {"readReg", "gather", "scatter", "execShared"},
+	"../amdsim": {"readVGPR", "gather", "scatter", "execLDS"},
 	".":         {"New", "applyFault", "written", "image", "setImage", "zero", "restoreStats"},
 }
 
@@ -222,7 +223,7 @@ func TestStoresStayInsideTheBlock(t *testing.T) {
 				})
 			}
 		}
-		// writeReg / writeVGPR and the one local-memory store of each ISA.
+		// scatter and the one local-memory store of each ISA.
 		if stores != 2 {
 			t.Errorf("%s: found %d stores into unit storage, want 2 (one register accessor, one local-memory store)", dir, stores)
 		}
