@@ -118,19 +118,22 @@ func vgprIndex(d *Device, w *wave, lane int, r uint8) int {
 	return w.RegBase + int(r)*d.Chip.WarpWidth + lane
 }
 
-func readVGPR(d *Device, u *unit, w *wave, lane int, r uint8) uint32 {
-	idx := vgprIndex(d, w, lane, r)
+// readVGPR reads VGPR r on lane 0, where a scalar instruction reads a
+// vector source.
+func readVGPR(d *Device, u *unit, w *wave, r uint8) uint32 {
+	idx := vgprIndex(d, w, 0, r)
 	if t := d.Tracer; t != nil {
 		t.RegAccess(u.ID, idx, d.Cycle, false)
 	}
 	return u.Regs[idx]
 }
 
-// readOp32 evaluates a 32-bit source for one lane.
-func readOp32(d *Device, u *unit, w *wave, lane int, o siasm.Operand) (uint32, error) {
+// readOp32 evaluates a 32-bit source once for the wavefront; gather
+// reads a VGPR on every lane instead.
+func readOp32(d *Device, u *unit, w *wave, o siasm.Operand) (uint32, error) {
 	switch o.Kind {
 	case siasm.OperandVReg:
-		return readVGPR(d, u, w, lane, o.Reg), nil
+		return readVGPR(d, u, w, o.Reg), nil
 	case siasm.OperandSReg:
 		return w.ISA.sgprs[o.Reg], nil
 	case siasm.OperandImm:
@@ -239,11 +242,11 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		d.ArriveBarrier(w)
 
 	case siasm.OpSCmp:
-		a, err := readOp32(d, u, w, 0, in.Src[0])
+		a, err := readOp32(d, u, w, in.Src[0])
 		if err != nil {
 			return false, 0, err
 		}
-		b, err := readOp32(d, u, w, 0, in.Src[1])
+		b, err := readOp32(d, u, w, in.Src[1])
 		if err != nil {
 			return false, 0, err
 		}
@@ -347,13 +350,13 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 // wavefront.
 func execScalar32(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, lat int64) error {
 	s := &w.ISA
-	a, err := readOp32(d, u, w, 0, in.Src[0])
+	a, err := readOp32(d, u, w, in.Src[0])
 	if err != nil {
 		return err
 	}
 	var b uint32
 	if in.Src[1].Kind != siasm.OperandNone {
-		b, err = readOp32(d, u, w, 0, in.Src[1])
+		b, err = readOp32(d, u, w, in.Src[1])
 		if err != nil {
 			return err
 		}
@@ -396,10 +399,12 @@ func execScalar64(d *Device, s *wavefront, in *siasm.Instr, lat int64) error {
 	return s.write64(in.Dst, v, d.Cycle+lat)
 }
 
-// execVALU computes op on every lane in active and writes the destination
-// VGPR. The sources are gathered first, one operand at a time: a lane
-// reads its sources before it writes, as it would one lane at a time,
-// and lanes share no registers.
+// execVALU computes op in one simt.ALUs call over the wavefront's lanes
+// and writes the destination VGPR on every lane in active; a lane outside
+// active computes on what gather left, which no write keeps. The sources
+// are gathered first, one operand at a time: a lane reads its sources
+// before it writes, as it would one lane at a time, and lanes share no
+// registers.
 func execVALU(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, active uint64) error {
 	var a, b, c [64]uint32
 	if err := sources(d, u, w, in, active, &a, &b); err != nil {
@@ -419,11 +424,8 @@ func execVALU(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, activ
 			return err
 		}
 	}
-	for lane := 0; lane < d.Chip.WarpWidth; lane++ {
-		if active&(1<<lane) != 0 {
-			pa[lane] = simt.ALU(op, pa[lane], pb[lane], c[lane])
-		}
-	}
+	ww := d.Chip.WarpWidth
+	simt.ALUs(op, pa[:ww], pb[:ww], c[:ww])
 	scatter(d, u, w, active, in.Dst.Reg, pa)
 	return nil
 }
@@ -447,14 +449,14 @@ func sources(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, a, b *
 // gather reads a 32-bit source on every lane in active into v.
 func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]uint32) error {
 	if o.Kind != siasm.OperandVReg {
-		x, err := readOp32(d, u, w, 0, o)
+		x, err := readOp32(d, u, w, o)
 		for lane := range v {
 			v[lane] = x
 		}
 		return err
 	}
-	idx, t := vgprIndex(d, w, 0, o.Reg), d.Tracer
-	for lane := 0; lane < d.Chip.WarpWidth; lane, idx = lane+1, idx+1 {
+	idx, t, ww := vgprIndex(d, w, 0, o.Reg), d.Tracer, d.Chip.WarpWidth
+	for lane := 0; lane < ww; lane, idx = lane+1, idx+1 {
 		if active&(1<<lane) == 0 {
 			continue
 		}
@@ -470,8 +472,8 @@ func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]
 // gather.
 func scatter(d *Device, u *unit, w *wave, active uint64, r uint8, v *[64]uint32) {
 	idx := vgprIndex(d, w, 0, r)
-	t := d.Tracer
-	for lane := 0; lane < d.Chip.WarpWidth; lane, idx = lane+1, idx+1 {
+	t, ww := d.Tracer, d.Chip.WarpWidth
+	for lane := 0; lane < ww; lane, idx = lane+1, idx+1 {
 		if active&(1<<lane) == 0 {
 			continue
 		}
@@ -482,20 +484,20 @@ func scatter(d *Device, u *unit, w *wave, active uint64, r uint8, v *[64]uint32)
 	}
 }
 
+// execLDS performs ds_read/ds_write for all active lanes against the
+// group's LDS window. The addresses and a write's data are gathered
+// before any lane accesses memory.
 func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {
 	g := w.Blk
-	var loaded [64]uint32
+	var addrs, data, loaded [64]uint32
+	if err := sources(d, u, w, in, active, &addrs, &data); err != nil {
+		return err
+	}
 	for lane := 0; lane < ww; lane++ {
 		if active&(1<<lane) == 0 {
 			continue
 		}
-		addrOp := in.Src[0]
-		dataOp := in.Src[1]
-		addr, err := readOp32(d, u, w, lane, addrOp)
-		if err != nil {
-			return err
-		}
-		addr += uint32(in.MemOff)
+		addr := addrs[lane] + uint32(in.MemOff)
 		if addr%4 != 0 {
 			return fmt.Errorf("amdsim: kernel LDS access misaligned %#x (PC %d)", addr, w.PC)
 		}
@@ -509,14 +511,10 @@ func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int
 			}
 			loaded[lane] = binary.LittleEndian.Uint32(u.Local[phys:])
 		} else {
-			v, err := readOp32(d, u, w, lane, dataOp)
-			if err != nil {
-				return err
-			}
 			if t := d.Tracer; t != nil {
 				t.LocalAccess(u.ID, phys, 4, d.Cycle, true)
 			}
-			binary.LittleEndian.PutUint32(u.Local[phys:], v)
+			binary.LittleEndian.PutUint32(u.Local[phys:], data[lane])
 		}
 	}
 	if in.Op == siasm.OpDSRead {
@@ -525,44 +523,35 @@ func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int
 	return nil
 }
 
+// execBuffer performs buffer_load/buffer_store for all active lanes,
+// its operands gathered as execLDS's are: a load's source is its
+// address, a store's its data and then its address.
 func execBuffer(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {
 	mem := d.Mem()
-	var loaded [64]uint32
+	var a, b, loaded [64]uint32
+	if err := sources(d, u, w, in, active, &a, &b); err != nil {
+		return err
+	}
+	addrs, data := &a, &b
+	if in.Op == siasm.OpBufStor { // buffer_store_dword vsrc, vaddr
+		addrs, data = &b, &a
+	}
 	for lane := 0; lane < ww; lane++ {
 		if active&(1<<lane) == 0 {
 			continue
 		}
+		addr := addrs[lane] + uint32(in.MemOff)
+		if addr%4 != 0 {
+			return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.PC)
+		}
 		if in.Op == siasm.OpBufLoad {
-			addr, err := readOp32(d, u, w, lane, in.Src[0])
-			if err != nil {
-				return err
-			}
-			addr += uint32(in.MemOff)
-			if addr%4 != 0 {
-				return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.PC)
-			}
 			v, err := mem.Load32(addr)
 			if err != nil {
 				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
 			}
 			loaded[lane] = v
-		} else {
-			// buffer_store_dword vsrc, vaddr.
-			v, err := readOp32(d, u, w, lane, in.Src[0])
-			if err != nil {
-				return err
-			}
-			addr, err := readOp32(d, u, w, lane, in.Src[1])
-			if err != nil {
-				return err
-			}
-			addr += uint32(in.MemOff)
-			if addr%4 != 0 {
-				return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.PC)
-			}
-			if err := mem.Store32(addr, v); err != nil {
-				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
-			}
+		} else if err := mem.Store32(addr, data[lane]); err != nil {
+			return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
 		}
 	}
 	if in.Op == siasm.OpBufLoad {

@@ -85,32 +85,6 @@ func (i *isa) regIndex(w *wave, lane int, r uint8) int {
 	return w.RegBase + lane*i.prog.NumRegs + int(r)
 }
 
-// readReg reads an architectural register for one lane.
-func (i *isa) readReg(d *Device, u *unit, w *wave, lane int, r uint8) uint32 {
-	if r == sass.RZ {
-		return 0
-	}
-	idx := i.regIndex(w, lane, r)
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, d.Cycle, false)
-	}
-	return u.Regs[idx]
-}
-
-// readOperand evaluates a source operand for one lane.
-func (i *isa) readOperand(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, lane int, o sass.Operand) uint32 {
-	switch o.Kind {
-	case sass.OperandReg:
-		return i.readReg(d, u, w, lane, o.Reg)
-	case sass.OperandImm:
-		return o.Imm
-	case sass.OperandConst:
-		return lc.Args[o.CIdx]
-	default:
-		return 0
-	}
-}
-
 // guardMask returns the lanes whose guard predicate holds.
 func (w *warp) guardMask(g sass.Guard) uint32 {
 	if g.Pred == sass.PT {
@@ -329,10 +303,11 @@ func specialReg(w *wave, lc *simt.LaunchCtx, lane int, sr sass.SpecialReg) uint3
 	}
 }
 
-// execALU computes op on every lane in exec and writes the destination.
-// The sources are gathered first, one operand at a time: a lane reads
-// its sources before it writes, as it would one lane at a time, and
-// lanes share no registers.
+// execALU computes op in one simt.ALUs call over the lanes and writes
+// the destination on every lane in exec; a lane outside exec computes on
+// the zeros gather left, which no write keeps. The sources are gathered
+// first, one operand at a time: a lane reads its sources before it
+// writes, as it would one lane at a time, and lanes share no registers.
 func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32, op simt.ALUOp) {
 	var a, b, c [32]uint32
 	i.gather(d, u, w, lc, exec, in.Src[0], &a)
@@ -349,11 +324,7 @@ func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.
 	} else {
 		i.gather(d, u, w, lc, exec, in.Src[2], &c)
 	}
-	for lane := 0; lane < 32; lane++ {
-		if exec&(1<<lane) != 0 {
-			a[lane] = simt.ALU(op, a[lane], b[lane], c[lane])
-		}
-	}
+	simt.ALUs(op, a[:], b[:], c[:])
 	i.scatter(d, u, w, exec, in.Dst, &a)
 }
 
@@ -365,8 +336,8 @@ func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint3
 		if o.Reg == sass.RZ {
 			return
 		}
-		idx, t := i.regIndex(w, 0, o.Reg), d.Tracer
-		for lane := 0; lane < 32; lane, idx = lane+1, idx+i.prog.NumRegs {
+		idx, t, n := i.regIndex(w, 0, o.Reg), d.Tracer, i.prog.NumRegs
+		for lane := 0; lane < 32; lane, idx = lane+1, idx+n {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
@@ -376,7 +347,10 @@ func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint3
 			v[lane] = u.Regs[idx]
 		}
 	case sass.OperandImm, sass.OperandConst:
-		x := i.readOperand(d, u, w, lc, 0, o)
+		x := o.Imm
+		if o.Kind == sass.OperandConst {
+			x = lc.Args[o.CIdx]
+		}
 		for lane := range v {
 			v[lane] = x
 		}
@@ -390,8 +364,8 @@ func (i *isa) scatter(d *Device, u *unit, w *wave, exec uint32, r uint8, v *[32]
 		return
 	}
 	idx := i.regIndex(w, 0, r)
-	t := d.Tracer
-	for lane := 0; lane < 32; lane, idx = lane+1, idx+i.prog.NumRegs {
+	t, n := d.Tracer, i.prog.NumRegs
+	for lane := 0; lane < 32; lane, idx = lane+1, idx+n {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
@@ -402,16 +376,20 @@ func (i *isa) scatter(d *Device, u *unit, w *wave, exec uint32, r uint8, v *[32]
 	}
 }
 
-// execGlobal performs LDG/STG for all active lanes.
+// execGlobal performs LDG/STG for all active lanes. The address bases
+// and a store's data are gathered before any lane accesses memory.
 func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
 	name, mem := i.prog.Name, d.Mem()
-	var loaded [32]uint32
+	var base, data, loaded [32]uint32
+	i.gather(d, u, w, lc, exec, sass.R(int(in.MemBase)), &base)
+	if in.Op == sass.OpSTG {
+		i.gather(d, u, w, lc, exec, in.Src[0], &data)
+	}
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
-		base := i.readReg(d, u, w, lane, in.MemBase)
-		addr := base + uint32(in.MemOff)
+		addr := base[lane] + uint32(in.MemOff)
 		if addr%4 != 0 {
 			return fmt.Errorf("nvsim: kernel %s: misaligned global access %#x (PC %d)", name, addr, w.PC)
 		}
@@ -421,11 +399,8 @@ func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
 			}
 			loaded[lane] = v
-		} else {
-			v := i.readOperand(d, u, w, lc, lane, in.Src[0])
-			if err := mem.Store32(addr, v); err != nil {
-				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
-			}
+		} else if err := mem.Store32(addr, data[lane]); err != nil {
+			return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
 		}
 	}
 	if in.Op == sass.OpLDG {
@@ -435,16 +410,19 @@ func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 }
 
 // execShared performs LDS/STS for all active lanes against the block's
-// shared-memory window.
+// shared-memory window, its operands gathered as execGlobal's are.
 func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
 	name, blk := i.prog.Name, w.Blk
-	var loaded [32]uint32
+	var base, data, loaded [32]uint32
+	i.gather(d, u, w, lc, exec, sass.R(int(in.MemBase)), &base)
+	if in.Op == sass.OpSTS {
+		i.gather(d, u, w, lc, exec, in.Src[0], &data)
+	}
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
-		base := i.readReg(d, u, w, lane, in.MemBase)
-		addr := base + uint32(in.MemOff)
+		addr := base[lane] + uint32(in.MemOff)
 		if addr%4 != 0 {
 			return fmt.Errorf("nvsim: kernel %s: misaligned shared access %#x (PC %d)", name, addr, w.PC)
 		}
@@ -459,11 +437,10 @@ func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sa
 			}
 			loaded[lane] = binary.LittleEndian.Uint32(u.Local[phys:])
 		} else {
-			v := i.readOperand(d, u, w, lc, lane, in.Src[0])
 			if t := d.Tracer; t != nil {
 				t.LocalAccess(u.ID, phys, 4, d.Cycle, true)
 			}
-			binary.LittleEndian.PutUint32(u.Local[phys:], v)
+			binary.LittleEndian.PutUint32(u.Local[phys:], data[lane])
 		}
 	}
 	if in.Op == sass.OpLDS {

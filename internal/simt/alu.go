@@ -3,11 +3,12 @@ package simt
 import "math"
 
 // ALUOp is one lane operation: the integer, float and select semantics
-// both ISAs compute, stated once. A vendor reaches it through one opcode
-// table (aluOf in nvsim and in amdsim), resolved once per instruction;
-// the zero value is that table's entry for an opcode without lane
-// semantics. Integers are 32-bit two's-complement words, floats IEEE-754
-// binary32 words.
+// both ISAs compute, stated once, in ALUs. A vendor reaches it through
+// one opcode table (aluOf in nvsim and in amdsim), resolved once per
+// instruction, and computes a vector instruction's lanes in one ALUs
+// call; ALU is the one-lane case of ALUs. The zero value is the table's
+// entry for an opcode without lane semantics. Integers are 32-bit two's-
+// complement words, floats IEEE-754 binary32 words.
 type ALUOp uint8
 
 // Lane operations over the operand words a, b and c.
@@ -40,78 +41,135 @@ const (
 	ALUSel        // c != 0 ? a : b
 )
 
-// ALU computes one lane of op; the operands op does not name are ignored.
+// ALU computes one lane of op, the one-lane case of ALUs; the operands
+// op does not name are ignored.
 func ALU(op ALUOp, a, b, c uint32) uint32 {
-	fa, fb := math.Float32frombits(a), math.Float32frombits(b)
-	switch op {
-	case ALUMov:
-		return a
-	case ALUAdd:
-		return a + b
-	case ALUSub:
-		return a - b
-	case ALUMul:
-		return a * b
-	case ALUMad:
-		return a*b + c
-	case ALUMin:
-		if int32(a) < int32(b) {
-			return a
-		}
-		return b
-	case ALUMax:
-		if int32(a) > int32(b) {
-			return a
-		}
-		return b
-	case ALUAnd:
-		return a & b
-	case ALUOr:
-		return a | b
-	case ALUXor:
-		return a ^ b
-	case ALUShl:
-		return a << (b & 31)
-	case ALUShr:
-		return a >> (b & 31)
-	case ALUFAdd:
-		return math.Float32bits(fa + fb)
-	case ALUFSub:
-		return math.Float32bits(fa - fb)
-	case ALUFMul:
-		return math.Float32bits(fa * fb)
-	case ALUFFma:
-		return math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(math.Float32frombits(c)))))
-	case ALUFMin:
-		if fa != fa || fb == fb && !(fa < fb) {
-			return b
-		}
-		return a
-	case ALUFMax:
-		if fa != fa || fb == fb && !(fa > fb) {
-			return b
-		}
-		return a
-	case ALURcp:
-		return math.Float32bits(1 / fa)
-	case ALUExp2:
-		return math.Float32bits(float32(math.Exp2(float64(fa))))
-	case ALULog2:
-		return math.Float32bits(float32(math.Log2(float64(fa))))
-	case ALUSqrt:
-		return math.Float32bits(float32(math.Sqrt(float64(fa))))
-	case ALUI2F:
-		return math.Float32bits(float32(int32(a)))
-	case ALUF2I:
-		return uint32(f2i(fa))
-	case ALUSel:
-		if c != 0 {
-			return a
-		}
-		return b
-	}
-	return 0
+	x, y, z := [1]uint32{a}, [1]uint32{b}, [1]uint32{c}
+	ALUs(op, x[:], y[:], z[:])
+	return x[0]
 }
+
+// ALUs computes op on every lane: a[i] = op(a[i], b[i], c[i]) for each i
+// of a, whose length b and c must reach. The op is decided once, and
+// each case is one loop over the lanes; ALUNone or an unknown op yields
+// zeros.
+func ALUs(op ALUOp, a, b, c []uint32) {
+	b, c = b[:len(a)], c[:len(a)]
+	switch op {
+	case ALUMov: // a holds the result already
+	case ALUAdd:
+		for i := range a {
+			a[i] += b[i]
+		}
+	case ALUSub:
+		for i := range a {
+			a[i] -= b[i]
+		}
+	case ALUMul:
+		for i := range a {
+			a[i] *= b[i]
+		}
+	case ALUMad:
+		for i := range a {
+			a[i] = a[i]*b[i] + c[i]
+		}
+	case ALUMin:
+		for i := range a {
+			if int32(b[i]) <= int32(a[i]) {
+				a[i] = b[i]
+			}
+		}
+	case ALUMax:
+		for i := range a {
+			if int32(b[i]) >= int32(a[i]) {
+				a[i] = b[i]
+			}
+		}
+	case ALUAnd:
+		for i := range a {
+			a[i] &= b[i]
+		}
+	case ALUOr:
+		for i := range a {
+			a[i] |= b[i]
+		}
+	case ALUXor:
+		for i := range a {
+			a[i] ^= b[i]
+		}
+	case ALUShl:
+		for i := range a {
+			a[i] <<= b[i] & 31
+		}
+	case ALUShr:
+		for i := range a {
+			a[i] >>= b[i] & 31
+		}
+	case ALUFAdd:
+		for i := range a {
+			a[i] = math.Float32bits(f32(a[i]) + f32(b[i]))
+		}
+	case ALUFSub:
+		for i := range a {
+			a[i] = math.Float32bits(f32(a[i]) - f32(b[i]))
+		}
+	case ALUFMul:
+		for i := range a {
+			a[i] = math.Float32bits(f32(a[i]) * f32(b[i]))
+		}
+	case ALUFFma:
+		for i := range a {
+			a[i] = math.Float32bits(float32(math.FMA(float64(f32(a[i])), float64(f32(b[i])), float64(f32(c[i])))))
+		}
+	case ALUFMin:
+		for i := range a {
+			if fa, fb := f32(a[i]), f32(b[i]); fa != fa || fb == fb && !(fa < fb) {
+				a[i] = b[i]
+			}
+		}
+	case ALUFMax:
+		for i := range a {
+			if fa, fb := f32(a[i]), f32(b[i]); fa != fa || fb == fb && !(fa > fb) {
+				a[i] = b[i]
+			}
+		}
+	case ALURcp:
+		for i := range a {
+			a[i] = math.Float32bits(1 / f32(a[i]))
+		}
+	case ALUExp2:
+		for i := range a {
+			a[i] = math.Float32bits(float32(math.Exp2(float64(f32(a[i])))))
+		}
+	case ALULog2:
+		for i := range a {
+			a[i] = math.Float32bits(float32(math.Log2(float64(f32(a[i])))))
+		}
+	case ALUSqrt:
+		for i := range a {
+			a[i] = math.Float32bits(float32(math.Sqrt(float64(f32(a[i])))))
+		}
+	case ALUI2F:
+		for i := range a {
+			a[i] = math.Float32bits(float32(int32(a[i])))
+		}
+	case ALUF2I:
+		for i := range a {
+			a[i] = uint32(f2i(f32(a[i])))
+		}
+	case ALUSel:
+		for i := range a {
+			if c[i] == 0 {
+				a[i] = b[i]
+			}
+		}
+	default:
+		clear(a)
+	}
+}
+
+// f32 reads a word as a float.
+func f32(w uint32) float32 { return math.Float32frombits(w) }
 
 // f2i converts float32 to int32 with saturation (deterministic for NaN
 // and out-of-range inputs, which fault-corrupted data can produce).

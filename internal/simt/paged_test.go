@@ -162,7 +162,9 @@ func pagedPair(t *testing.T, chip *chips.Chip, bench *workloads.Benchmark) {
 // TestPagedEqualsFlat is the proof that unit state on copy-on-write
 // pages is the flat deep copy it replaced: both mini chips × the ten
 // benchmarks × both structures on reused replicas, and outside -short
-// one pair on each of the two chips with the largest structures.
+// one pair on each of the two chips with the largest structures. Every
+// pair must run under the page check; outside -short the whole matrix
+// must also reach the capture and restore floor.
 func TestPagedEqualsFlat(t *testing.T) {
 	pairs := map[*chips.Chip][]*workloads.Benchmark{
 		chips.MiniNVIDIA(): workloads.All(),
@@ -179,8 +181,15 @@ func TestPagedEqualsFlat(t *testing.T) {
 	captures, restores := simt.PageChecks.Captures.Load(), simt.PageChecks.Restores.Load()
 	for chip, benches := range pairs {
 		for _, bench := range benches {
+			c, r := simt.PageChecks.Captures.Load(), simt.PageChecks.Restores.Load()
 			t.Run(chip.Name+"/"+bench.Name, func(t *testing.T) { pagedPair(t, chip, bench) })
+			if simt.PageChecks.Captures.Load() == c || simt.PageChecks.Restores.Load() == r {
+				t.Errorf("%s/%s: the page check saw no unit capture or no unit restore: the pair did not run under it", chip.Name, bench.Name)
+			}
 		}
+	}
+	if testing.Short() {
+		return // the floor below counts the two full-size chips too
 	}
 	captures, restores = simt.PageChecks.Captures.Load()-captures, simt.PageChecks.Restores.Load()-restores
 	if captures < 20*12*2 || restores < 20*40*2 {

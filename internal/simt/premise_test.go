@@ -18,7 +18,7 @@ import (
 // the machine, which copy, share or clear whole pages that no fault can
 // sit between.
 var storageFuncs = map[string][]string{
-	"../nvsim":  {"readReg", "gather", "scatter", "execShared"},
+	"../nvsim":  {"gather", "scatter", "execShared"},
 	"../amdsim": {"readVGPR", "gather", "scatter", "execLDS"},
 	".":         {"New", "applyFault", "written", "image", "setImage", "zero", "restoreStats"},
 }
