@@ -15,9 +15,9 @@
 // measured by fault injection while matching the local-memory AVF
 // closely.
 //
-// Recording is O(1) per access and its state O(touched entries), on
-// pages of 1,024 entries allocated by the first bracket or access that
-// reaches them. The per-access path touches two hot fields per entry, the
+// Recording is O(1) per entry an access covers and its state O(touched
+// entries), on pages of 1,024 entries allocated by the first bracket or
+// access that reaches them. The per-entry path touches two hot fields, the
 // next flip cycle and a flags byte, in arrays of their own, and both sums
 // run as the trace arrives. Only a recorder that keeps spans
 // (NewRecorder, for pruning; Measure keeps none) has the cold fields,
@@ -30,6 +30,7 @@ package ace
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -129,13 +130,18 @@ func (t *track) access(unit, entry int, cycle int64, write bool) {
 		t.bad = true
 		return
 	}
-	key := unit*t.perUnit + entry
+	t.record(unit*t.perUnit+entry, uint32(cycle), write)
+}
+
+// record is access past its checks: key is inside the structure and at
+// inside the stamp width.
+func (t *track) record(key int, at uint32, write bool) {
 	p := t.pages[key>>pageBits]
 	if p == nil {
 		p = t.newPage(key)
 	}
 	i := key & pageMask
-	at, f := uint32(cycle), p.flags[i]
+	f := p.flags[i]
 	// d is the flip cycles this access is the first to meet: 0 for one in
 	// the cycle of the access before it.
 	d := int64(at) + 1 - int64(p.next[i])
@@ -301,9 +307,22 @@ func newRecorder(d gpu.Device, keep bool) *Recorder {
 		gpu.LocalMemory: newTrack(d.Units(), d.StructSize(gpu.LocalMemory), keep)}
 }
 
-// RegAccess implements gpu.Tracer.
-func (r *Recorder) RegAccess(unit, entry int, cycle int64, write bool) {
-	r[gpu.RegisterFile].access(unit, entry, cycle, write)
+// RegAccess implements gpu.Tracer: it places the unit and the cycle once,
+// then records each lane's entry as access would.
+func (r *Recorder) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
+	t := &r[gpu.RegisterFile]
+	if lanes != 0 && (uint(unit) >= uint(t.units) || uint64(cycle) >= math.MaxUint32) {
+		t.bad = true
+		return
+	}
+	for ; lanes != 0; lanes &= lanes - 1 {
+		entry := base + bits.TrailingZeros64(lanes)*stride
+		if uint(entry) >= uint(t.perUnit) {
+			t.bad = true
+			continue
+		}
+		t.record(unit*t.perUnit+entry, uint32(cycle), write)
+	}
 }
 
 // LocalAccess implements gpu.Tracer: each byte is an entry.

@@ -37,20 +37,20 @@ func TestIntervalClassification(t *testing.T) {
 	// Allocate entries 0..3 at cycle 0.
 	r.RegAlloc(0, 0, 4, 0)
 	// Entry 0: W@10 R@20 R@25 W@30 R@40 -> ACE = 10+5+10 = 25.
-	r.RegAccess(0, 0, 10, true)
-	r.RegAccess(0, 0, 20, false)
-	r.RegAccess(0, 0, 25, false)
-	r.RegAccess(0, 0, 30, true)
-	r.RegAccess(0, 0, 40, false)
+	r.RegAccess(0, 0, 0, 1, 10, true)
+	r.RegAccess(0, 0, 0, 1, 20, false)
+	r.RegAccess(0, 0, 0, 1, 25, false)
+	r.RegAccess(0, 0, 0, 1, 30, true)
+	r.RegAccess(0, 0, 0, 1, 40, false)
 	// Entry 1: W@5 W@15 (write-write, tail) -> ACE = 0.
-	r.RegAccess(0, 1, 5, true)
-	r.RegAccess(0, 1, 15, true)
+	r.RegAccess(0, 1, 0, 1, 5, true)
+	r.RegAccess(0, 1, 0, 1, 15, true)
 	if n, err := r[gpu.RegisterFile].entryCycles(gpu.RegisterFile); n != 25 || err != nil {
 		t.Fatalf("ACE entry-cycles = %v, %v; want 25", n, err)
 	}
 	// Entry 2: R@10 before any write -> undefined read: live [0, 10], no
 	// ACE, and the run is refused.
-	r.RegAccess(0, 2, 10, false)
+	r.RegAccess(0, 2, 0, 1, 10, false)
 	r.RegFree(0, 0, 4, 50)
 	wantSums(t, &r[gpu.RegisterFile], 25+11, 25, 0, 1)
 	wantRefused(t, &r[gpu.RegisterFile], "not written since its allocation")
@@ -73,8 +73,8 @@ func TestIntervalClassification(t *testing.T) {
 
 func TestAccessOutsideAllocationIgnored(t *testing.T) {
 	r := recorderOf(1, 4, 4, true)
-	r.RegAccess(0, 0, 10, true)
-	r.RegAccess(0, 0, 20, false) // no allocation bracket
+	r.RegAccess(0, 0, 0, 1, 10, true)
+	r.RegAccess(0, 0, 0, 1, 20, false) // no allocation bracket
 	// Live all the same: brackets never change a span.
 	wantSums(t, &r[gpu.RegisterFile], 10, 0, 2, 0)
 	wantRefused(t, &r[gpu.RegisterFile], "outside an allocation bracket")
@@ -83,11 +83,11 @@ func TestAccessOutsideAllocationIgnored(t *testing.T) {
 func TestReallocationResetsDefined(t *testing.T) {
 	r := recorderOf(1, 2, 2, true)
 	r.RegAlloc(0, 0, 2, 0)
-	r.RegAccess(0, 0, 10, true)
+	r.RegAccess(0, 0, 0, 1, 10, true)
 	r.RegFree(0, 0, 2, 20)
 	// New owner reads before writing: must not count the stale value.
 	r.RegAlloc(0, 0, 2, 30)
-	r.RegAccess(0, 0, 40, false)
+	r.RegAccess(0, 0, 0, 1, 40, false)
 	wantSums(t, &r[gpu.RegisterFile], 30, 0, 0, 1)
 	wantRefused(t, &r[gpu.RegisterFile], "not written since its allocation")
 }

@@ -2,6 +2,7 @@ package ace
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -42,7 +43,7 @@ func newModel(units, perUnit int) *model {
 }
 
 func (m *model) access(unit, entry int, cycle int64, write bool) {
-	if unit < 0 || unit >= m.units || entry < 0 || entry >= m.perUnit {
+	if unit < 0 || unit >= m.units || entry < 0 || entry >= m.perUnit || cycle >= math.MaxUint32 {
 		m.bad = true
 		return
 	}
@@ -114,7 +115,10 @@ func (m *model) table() (keys []uint32, offs []uint32, all []span, live int64) {
 }
 
 // Fuzz operations, one fuzzOpSize-byte record each: kind, unit, entry
-// (uint16), count (uint16), cycles since the previous operation.
+// (uint16), count (uint16), cycles since the previous operation (late
+// moves the clock past the recorder's 32-bit stamps), lanes (uint64). A
+// lane batch is one RegAccess of entry+l*stride for every lane l in
+// lanes, its stride count%64.
 const (
 	opRegAlloc = iota
 	opRegFree
@@ -124,12 +128,15 @@ const (
 	opLocalFree
 	opLocalWrite
 	opLocalRead
+	opRegLanesWrite
+	opRegLanesRead
 	numOps
 
 	// anywhere in the kind byte lets an access reach past its unit.
 	anywhere = 0x80
+	late     = 0xFF
 
-	fuzzOpSize = 7
+	fuzzOpSize = 15
 	// Units of fuzzPerUnit entries straddle the page edges (1,024, 2,048,
 	// 3,072, 4,096), and the last page is partial.
 	fuzzUnits   = 3
@@ -137,9 +144,15 @@ const (
 )
 
 func fuzzOp(kind, unit byte, entry, count uint16, dt byte) []byte {
-	b := []byte{kind, unit, 0, 0, 0, 0, dt}
+	return fuzzLanes(kind, unit, entry, count, 0, dt)
+}
+
+func fuzzLanes(kind, unit byte, entry, count uint16, lanes uint64, dt byte) []byte {
+	b := make([]byte, fuzzOpSize)
+	b[0], b[1], b[6] = kind, unit, dt
 	binary.LittleEndian.PutUint16(b[2:], entry)
 	binary.LittleEndian.PutUint16(b[4:], count)
+	binary.LittleEndian.PutUint64(b[7:], lanes)
 	return b
 }
 
@@ -151,7 +164,8 @@ func fuzzOp(kind, unit byte, entry, count uint16, dt byte) []byte {
 // non-zero, the two definitions to agree. Brackets reach one unit past
 // the geometry and entries and counts past a unit, and so do accesses
 // marked anywhere, so out-of-range brackets and accesses are in the
-// stream.
+// stream. A lane batch must be the stream of its per-entry accesses in
+// lane order, which the model takes one at a time.
 func FuzzAnalyzerPages(f *testing.F) {
 	seed := func(ops ...[]byte) { f.Add(slices.Concat(ops...)) }
 	// A bracket across the first page edge, read and written on both sides.
@@ -184,6 +198,26 @@ func FuzzAnalyzerPages(f *testing.F) {
 	// A stray read, then one past the unit.
 	seed(fuzzOp(opRegRead, 1, 7, 0, 9), fuzzOp(opRegAlloc, 1, 0, 16, 1),
 		fuzzOp(opRegRead|anywhere, 1, 1600, 0, 1))
+	// A full 64-lane batch at stride 1, written and read, then one of its
+	// entries read on its own.
+	seed(fuzzOp(opRegAlloc, 0, 0, 200, 0), fuzzLanes(opRegLanesWrite, 0, 10, 1, ^uint64(0), 2),
+		fuzzLanes(opRegLanesRead, 0, 10, 1, ^uint64(0), 3), fuzzOp(opRegRead, 0, 40, 0, 1))
+	// Stride 0: every lane is the same entry, in one cycle.
+	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0), fuzzLanes(opRegLanesWrite, 0, 5, 0, 0b1011, 1),
+		fuzzLanes(opRegLanesRead, 0, 5, 0, 0b1011, 4), fuzzLanes(opRegLanesWrite, 0, 5, 0, 1, 2))
+	// Stride 37, sparse lanes, across the first page edge.
+	seed(fuzzOp(opRegAlloc, 1, 0, 1500, 0), fuzzLanes(opRegLanesWrite, 1, 3, 37, 0xFF00FF00FF, 1),
+		fuzzLanes(opRegLanesRead, 1, 3, 37, 0xF0F0F0F0F0, 5), fuzzLanes(opRegLanesWrite, 1, 3, 37, 0x8000000001, 2))
+	// Lanes whose entries lie past the unit: no table, and the lanes
+	// before them still count.
+	seed(fuzzOp(opRegAlloc, 2, 1400, 100, 0), fuzzLanes(opRegLanesWrite, 2, 1490, 1, 0xFFFF, 1),
+		fuzzLanes(opRegLanesRead, 2, 1490, 1, 0x3FF, 3))
+	// A batch at a cycle past the 32-bit stamps: no table.
+	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0xF, 1),
+		fuzzLanes(opRegLanesRead, 0, 0, 1, 0xF, late))
+	// An empty batch names no entry, so none it cannot place: not on a
+	// unit past the geometry, nor past the stamps.
+	seed(fuzzLanes(opRegLanesRead|anywhere, 3, 0, 1, 0, 1), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0, late))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit, true)
 		sums := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit, false) // Measure's
@@ -195,9 +229,14 @@ func FuzzAnalyzerPages(f *testing.F) {
 			unit := int(op[1]) % (fuzzUnits + 1)
 			entry := int(binary.LittleEndian.Uint16(op[2:])) % (2 * fuzzPerUnit)
 			count := int(binary.LittleEndian.Uint16(op[4:])) % (2 * fuzzPerUnit)
-			cycle += int64(op[6])
+			dt := int64(op[6])
+			if op[6] == late {
+				dt = math.MaxUint32
+			}
+			cycle += dt
 			size := count%4 + 1
-			kind := op[0] % numOps
+			lanes := binary.LittleEndian.Uint64(op[7:])
+			kind := op[0] &^ anywhere % numOps
 			if kind != opRegAlloc && kind != opRegFree && kind != opLocalAlloc && kind != opLocalFree && op[0]&anywhere == 0 {
 				unit, entry = unit%fuzzUnits, entry%fuzzPerUnit
 			}
@@ -211,9 +250,18 @@ func FuzzAnalyzerPages(f *testing.F) {
 				sums.RegFree(unit, entry, count, cycle)
 				regs.bracket(unit, entry, count, cycle, 0)
 			case opRegWrite, opRegRead:
-				r.RegAccess(unit, entry, cycle, kind == opRegWrite)
-				sums.RegAccess(unit, entry, cycle, kind == opRegWrite)
+				r.RegAccess(unit, entry, 0, 1, cycle, kind == opRegWrite)
+				sums.RegAccess(unit, entry, 0, 1, cycle, kind == opRegWrite)
 				regs.access(unit, entry, cycle, kind == opRegWrite)
+			case opRegLanesWrite, opRegLanesRead:
+				stride, write := count%64, kind == opRegLanesWrite
+				r.RegAccess(unit, entry, stride, lanes, cycle, write)
+				sums.RegAccess(unit, entry, stride, lanes, cycle, write)
+				for l := range 64 {
+					if lanes&(1<<l) != 0 {
+						regs.access(unit, entry+l*stride, cycle, write)
+					}
+				}
 			case opLocalAlloc:
 				r.LocalAlloc(unit, entry, count, cycle)
 				sums.LocalAlloc(unit, entry, count, cycle)

@@ -87,7 +87,7 @@ func (*isa) InitWave(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) {
 		lsy = 1
 	}
 	var x, y [64]uint32
-	for lane := 0; lane < ww; lane++ {
+	for lane := range x[:ww] {
 		t := w.ThreadBase + lane
 		x[lane], y[lane] = uint32(t%lsx), uint32((t/lsx)%lsy)
 	}

@@ -123,7 +123,7 @@ func vgprIndex(d *Device, w *wave, lane int, r uint8) int {
 func readVGPR(d *Device, u *unit, w *wave, r uint8) uint32 {
 	idx := vgprIndex(d, w, 0, r)
 	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, d.Cycle, false)
+		t.RegAccess(u.ID, idx, 0, 1, d.Cycle, false)
 	}
 	return u.Regs[idx]
 }
@@ -291,7 +291,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 			return false, 0, err
 		}
 		var mask uint64
-		for lane := 0; lane < ww; lane++ {
+		for lane := range a[:ww] {
 			if active&(1<<lane) != 0 && simt.Compare(simt.Cond(in.Cond), simt.CmpType(in.CmpTy), a[lane], b[lane]) {
 				mask |= 1 << lane
 			}
@@ -455,15 +455,15 @@ func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]
 		}
 		return err
 	}
-	idx, t, ww := vgprIndex(d, w, 0, o.Reg), d.Tracer, d.Chip.WarpWidth
-	for lane := 0; lane < ww; lane, idx = lane+1, idx+1 {
-		if active&(1<<lane) == 0 {
-			continue
+	idx := vgprIndex(d, w, 0, o.Reg)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(u.ID, idx, 1, active, d.Cycle, false)
+	}
+	for lane := range v[:d.Chip.WarpWidth] {
+		if active&(1<<lane) != 0 {
+			v[lane] = u.Regs[idx]
 		}
-		if t != nil {
-			t.RegAccess(u.ID, idx, d.Cycle, false)
-		}
-		v[lane] = u.Regs[idx]
+		idx++
 	}
 	return nil
 }
@@ -472,15 +472,14 @@ func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]
 // gather.
 func scatter(d *Device, u *unit, w *wave, active uint64, r uint8, v *[64]uint32) {
 	idx := vgprIndex(d, w, 0, r)
-	t, ww := d.Tracer, d.Chip.WarpWidth
-	for lane := 0; lane < ww; lane, idx = lane+1, idx+1 {
-		if active&(1<<lane) == 0 {
-			continue
+	if t := d.Tracer; t != nil {
+		t.RegAccess(u.ID, idx, 1, active, d.Cycle, true)
+	}
+	for lane := range v[:d.Chip.WarpWidth] {
+		if active&(1<<lane) != 0 {
+			u.Regs[idx] = v[lane]
 		}
-		if t != nil {
-			t.RegAccess(u.ID, idx, d.Cycle, true)
-		}
-		u.Regs[idx] = v[lane]
+		idx++
 	}
 }
 
@@ -493,7 +492,7 @@ func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int
 	if err := sources(d, u, w, in, active, &addrs, &data); err != nil {
 		return err
 	}
-	for lane := 0; lane < ww; lane++ {
+	for lane := range addrs[:ww] {
 		if active&(1<<lane) == 0 {
 			continue
 		}
@@ -536,7 +535,7 @@ func execBuffer(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww 
 	if in.Op == siasm.OpBufStor { // buffer_store_dword vsrc, vaddr
 		addrs, data = &b, &a
 	}
-	for lane := 0; lane < ww; lane++ {
+	for lane := range addrs[:ww] {
 		if active&(1<<lane) == 0 {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash"
 	"hash/fnv"
+	"math/bits"
 	"testing"
 
 	"repro/internal/chips"
@@ -13,10 +14,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// eventHash is a tracer that folds every event into one FNV-1a hash.
+// eventHash is a tracer that folds every event into one FNV-1a hash and
+// counts them.
 type eventHash struct {
 	h   hash.Hash64
 	buf []byte
+	n   int64
 }
 
 func newEventHash() *eventHash { return &eventHash{h: fnv.New64a()} }
@@ -32,10 +35,13 @@ func (e *eventHash) event(kind byte, unit, entry, n int, cycle int64, write bool
 	}
 	e.h.Write(b)
 	e.buf = b
+	e.n++
 }
 
-func (e *eventHash) RegAccess(unit, entry int, cycle int64, write bool) {
-	e.event('r', unit, entry, 1, cycle, write)
+func (e *eventHash) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		e.event('r', unit, base+bits.TrailingZeros64(lanes)*stride, 1, cycle, write)
+	}
 }
 func (e *eventHash) LocalAccess(unit, offset, size int, cycle int64, write bool) {
 	e.event('l', unit, offset, size, cycle, write)

@@ -2,6 +2,7 @@ package finject
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"testing"
@@ -122,10 +123,12 @@ type rawTrace struct {
 	acc     [2]map[int][]rawAccess // by structure, keyed unit*perUnit+entry
 }
 
-func (r *rawTrace) RegAccess(unit, entry int, cycle int64, write bool) {
-	r.Recorder.RegAccess(unit, entry, cycle, write)
-	k := unit*r.perUnit[gpu.RegisterFile] + entry
-	r.acc[gpu.RegisterFile][k] = append(r.acc[gpu.RegisterFile][k], rawAccess{cycle, write})
+func (r *rawTrace) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
+	r.Recorder.RegAccess(unit, base, stride, lanes, cycle, write)
+	for ; lanes != 0; lanes &= lanes - 1 {
+		k := unit*r.perUnit[gpu.RegisterFile] + base + bits.TrailingZeros64(lanes)*stride
+		r.acc[gpu.RegisterFile][k] = append(r.acc[gpu.RegisterFile][k], rawAccess{cycle, write})
+	}
 }
 
 func (r *rawTrace) LocalAccess(unit, offset, size int, cycle int64, write bool) {
@@ -244,7 +247,7 @@ func TestLiveMapRefusesWhatItCannotAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := ace.NewRecorder(d)
-	rec.RegAccess(0, 0, 1<<32, false)
+	rec.RegAccess(0, 0, 0, 1, 1<<32, false)
 	rec.LocalAccess(0, 8, 4, 7, true)
 	rec.LocalAccess(0, 8, 4, 3, false) // time running backwards
 	if m := rec.Liveness(); m[gpu.RegisterFile] != nil || m[gpu.LocalMemory] != nil {

@@ -240,10 +240,14 @@ func (f Fault) String() string {
 // Tracer receives architectural access events for ACE lifetime analysis.
 // All callbacks use global device cycles. Implementations must be cheap:
 // the simulator invokes them on every register and local-memory access of
-// a traced run. A nil tracer disables tracing.
+// a traced run. Register events are per instruction, one per operand
+// covering its lanes; local-memory events are per lane, since each lane's
+// offset is data. A nil tracer disables tracing.
 type Tracer interface {
-	// RegAccess reports a 32-bit register-file access.
-	RegAccess(unit, entry int, cycle int64, write bool)
+	// RegAccess reports a 32-bit register-file access of entry
+	// base+l*stride for every lane l set in lanes, in lane order; a
+	// scalar access is lanes = 1.
+	RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool)
 	// LocalAccess reports a local/shared memory access of size bytes.
 	LocalAccess(unit, offset, size int, cycle int64, write bool)
 	// RegAlloc and RegFree bracket the residency of a workgroup's

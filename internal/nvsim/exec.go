@@ -336,15 +336,14 @@ func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint3
 		if o.Reg == sass.RZ {
 			return
 		}
-		idx, t, n := i.regIndex(w, 0, o.Reg), d.Tracer, i.prog.NumRegs
+		idx, n := i.regIndex(w, 0, o.Reg), i.prog.NumRegs
+		if t := d.Tracer; t != nil {
+			t.RegAccess(u.ID, idx, n, uint64(exec), d.Cycle, false)
+		}
 		for lane := 0; lane < 32; lane, idx = lane+1, idx+n {
-			if exec&(1<<lane) == 0 {
-				continue
+			if exec&(1<<lane) != 0 {
+				v[lane] = u.Regs[idx]
 			}
-			if t != nil {
-				t.RegAccess(u.ID, idx, d.Cycle, false)
-			}
-			v[lane] = u.Regs[idx]
 		}
 	case sass.OperandImm, sass.OperandConst:
 		x := o.Imm
@@ -364,15 +363,14 @@ func (i *isa) scatter(d *Device, u *unit, w *wave, exec uint32, r uint8, v *[32]
 		return
 	}
 	idx := i.regIndex(w, 0, r)
-	t, n := d.Tracer, i.prog.NumRegs
+	n := i.prog.NumRegs
+	if t := d.Tracer; t != nil {
+		t.RegAccess(u.ID, idx, n, uint64(exec), d.Cycle, true)
+	}
 	for lane := 0; lane < 32; lane, idx = lane+1, idx+n {
-		if exec&(1<<lane) == 0 {
-			continue
+		if exec&(1<<lane) != 0 {
+			u.Regs[idx] = v[lane]
 		}
-		if t != nil {
-			t.RegAccess(u.ID, idx, d.Cycle, true)
-		}
-		u.Regs[idx] = v[lane]
 	}
 }
 

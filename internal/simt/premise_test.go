@@ -12,11 +12,12 @@ import (
 
 // storageFuncs are the functions that may name a unit's storage —
 // Unit.Regs and Unit.Local, or the gpu.Pages under them: the traced
-// accessors of the two ISAs (a tracer call beside every access; gather
-// reads one source operand of every lane, scatter writes one destination
-// register of every lane), the fault itself, and the paging functions of
-// the machine, which copy, share or clear whole pages that no fault can
-// sit between.
+// accessors of the two ISAs (gather reads one source operand of every
+// lane and scatter writes one destination register of every lane, each
+// after one tracer call that covers the lanes it touches; a local-memory
+// access is traced per lane, beside it), the fault itself, and the paging
+// functions of the machine, which copy, share or clear whole pages that
+// no fault can sit between.
 var storageFuncs = map[string][]string{
 	"../nvsim":  {"gather", "scatter", "execShared"},
 	"../amdsim": {"readVGPR", "gather", "scatter", "execLDS"},
@@ -85,6 +86,41 @@ func TestStorageAccessIsTraced(t *testing.T) {
 			if !seen[name] {
 				t.Errorf("%s: %s no longer names a unit's storage; drop it from the list", dir, name)
 			}
+		}
+	}
+}
+
+// TestTracerCallsSitOutsideLaneLoops: a register event covers every lane
+// of one operand (gpu.Tracer.RegAccess takes a lane mask), so no loop of
+// either ISA calls it; the lane loops of gather and scatter are then a
+// bit test, a load and a store, traced or not.
+func TestTracerCallsSitOutsideLaneLoops(t *testing.T) {
+	for _, dir := range []string{"../nvsim", "../amdsim"} {
+		fset, files := parseDir(t, dir)
+		calls := 0
+		for _, file := range files {
+			var stack []ast.Node
+			ast.Inspect(file, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == "RegAccess" {
+					calls++
+					for _, outer := range stack {
+						switch outer.(type) {
+						case *ast.ForStmt, *ast.RangeStmt:
+							t.Errorf("%s: a RegAccess call inside the loop at %s: trace the lanes once, before it",
+								fset.Position(call.Pos()), fset.Position(outer.Pos()))
+						}
+					}
+				}
+				stack = append(stack, n)
+				return true
+			})
+		}
+		if calls == 0 {
+			t.Errorf("%s: no RegAccess call found; the register file is traced somewhere this test does not look", dir)
 		}
 	}
 }
