@@ -19,11 +19,10 @@
 // entries), on pages of 1,024 entries allocated by the first bracket or
 // access that reaches them. The per-entry path touches two hot fields, the
 // next flip cycle and a flags byte, in arrays of their own, and both sums
-// run as the trace arrives. Only a recorder that keeps spans
-// (NewRecorder, for pruning; Measure keeps none) has the cold fields,
-// touched once per span. On the HD 7970, whose register file is
-// 0.11–3.90 % occupied across the suite, NewRecorder allocates 36 KiB and
-// Measure at most 651 KiB over the ten benchmarks, the simulation
+// run as the trace arrives; the span state beside them is touched once
+// per span. On the HD 7970, whose register file is 0.11–3.90 % occupied
+// across the suite, NewRecorder allocates 72 KiB and Measure at most
+// 2,851 KiB over the ten benchmarks, the simulation and the span log
 // included (TestAnalyzerStateFollowsAllocation).
 package ace
 
@@ -85,9 +84,8 @@ type logged struct {
 // units of the chip.
 type track struct {
 	units, perUnit int
-	keep           bool               // log spans for a table, not only sum them
 	pages          []*page            // nil until a bracket or an access reaches one of its entries
-	chains         []*[pageSize]chain // beside pages, if the track keeps spans
+	chains         []*[pageSize]chain // beside pages
 	log            [][]logged         // chunks; index i is log[i>>chunkBits][i&chunkMask]
 	n              int                // spans logged
 	spans, entries int                // spans opened, and entries that opened one
@@ -101,16 +99,13 @@ type track struct {
 	bad bool
 }
 
-func newTrack(units, perUnit int, keep bool) track {
+func newTrack(units, perUnit int) track {
 	n := units * perUnit
 	if n > math.MaxUint32 {
 		return track{bad: true}
 	}
-	t := track{units: units, perUnit: perUnit, keep: keep, pages: make([]*page, (n+pageMask)>>pageBits)}
-	if keep {
-		t.chains = make([]*[pageSize]chain, len(t.pages))
-	}
-	return t
+	pages := (n + pageMask) >> pageBits
+	return track{units: units, perUnit: perUnit, pages: make([]*page, pages), chains: make([]*[pageSize]chain, pages)}
 }
 
 // newPage allocates the page of the key, out of the per-access path.
@@ -119,9 +114,7 @@ func newTrack(units, perUnit int, keep bool) track {
 func (t *track) newPage(key int) *page {
 	p := new(page)
 	t.pages[key>>pageBits] = p
-	if t.keep {
-		t.chains[key>>pageBits] = new([pageSize]chain)
-	}
+	t.chains[key>>pageBits] = new([pageSize]chain)
 	return p
 }
 
@@ -160,9 +153,7 @@ func (t *track) record(key int, at uint32, write bool) {
 		// read after it is first to meet follow on from that read.
 		if f&open != 0 && d > 0 {
 			f &^= open
-			if t.keep {
-				t.close(p, key)
-			}
+			t.close(p, key)
 		}
 		p.flags[i] = f | defined
 	} else {
@@ -175,9 +166,7 @@ func (t *track) record(key int, at uint32, write bool) {
 		t.live += d
 		if f&open == 0 && d > 0 {
 			p.flags[i] = f | open
-			if t.keep {
-				t.open(p, key)
-			}
+			t.open(p, key)
 		}
 	}
 	p.next[i] = at + 1
@@ -249,7 +238,7 @@ func (t *track) entryCycles(st gpu.Structure) (int64, error) {
 // scattered through the cursors, so each entry's spans land ascending;
 // the open span, the latest, goes last, and the counts are restored.
 func (t *track) table() *Table {
-	if t.bad || !t.keep {
+	if t.bad {
 		return nil
 	}
 	lt := &Table{units: t.units, perUnit: t.perUnit, live: t.live, ace: t.ace,
@@ -293,18 +282,14 @@ func (t *track) table() *Table {
 
 // Recorder is the gpu.Tracer of a fault-free run, indexed by
 // gpu.Structure: it sums the run's live and ACE entry-cycles as the trace
-// arrives and, made by NewRecorder, records per touched entry the live
-// spans fault-site pruning searches.
+// arrives and records per touched entry the live spans fault-site pruning
+// searches.
 type Recorder [2]track
 
 // NewRecorder builds a recorder for a device's structure geometry.
-func NewRecorder(d gpu.Device) *Recorder { return newRecorder(d, true) }
-
-// newRecorder builds a recorder that, unless keep, only sums: its
-// Liveness has no tables.
-func newRecorder(d gpu.Device, keep bool) *Recorder {
-	return &Recorder{gpu.RegisterFile: newTrack(d.Units(), d.StructSize(gpu.RegisterFile), keep),
-		gpu.LocalMemory: newTrack(d.Units(), d.StructSize(gpu.LocalMemory), keep)}
+func NewRecorder(d gpu.Device) *Recorder {
+	return &Recorder{gpu.RegisterFile: newTrack(d.Units(), d.StructSize(gpu.RegisterFile)),
+		gpu.LocalMemory: newTrack(d.Units(), d.StructSize(gpu.LocalMemory))}
 }
 
 // RegAccess implements gpu.Tracer: it places the unit and the cycle once,
@@ -400,7 +385,7 @@ func (m *Liveness) Dead(f gpu.Fault) bool {
 // entry-cycles of the whole chip structure — plus the run statistics.
 // The device must be freshly reset.
 func Measure(d gpu.Device, hp *gpu.HostProgram) (regAVF, localAVF float64, st gpu.RunStats, err error) {
-	r := newRecorder(d, false)
+	r := NewRecorder(d)
 	d.SetTracer(r)
 	if err = hp.Run(d); err != nil {
 		return 0, 0, st, fmt.Errorf("ace: golden run failed: %w", err)

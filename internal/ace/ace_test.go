@@ -11,8 +11,8 @@ import (
 )
 
 // recorderOf builds a recorder for a geometry of its own.
-func recorderOf(units, regs, local int, keep bool) *Recorder {
-	return &Recorder{newTrack(units, regs, keep), newTrack(units, local, keep)}
+func recorderOf(units, regs, local int) *Recorder {
+	return &Recorder{newTrack(units, regs), newTrack(units, local)}
 }
 
 // wantSums checks a track's sums and counts.
@@ -33,7 +33,7 @@ func wantRefused(t *testing.T, tr *track, why string) {
 }
 
 func TestIntervalClassification(t *testing.T) {
-	r := recorderOf(1, 4, 4, true)
+	r := recorderOf(1, 4, 4)
 	// Allocate entries 0..3 at cycle 0.
 	r.RegAlloc(0, 0, 4, 0)
 	// Entry 0: W@10 R@20 R@25 W@30 R@40 -> ACE = 10+5+10 = 25.
@@ -72,7 +72,7 @@ func TestIntervalClassification(t *testing.T) {
 }
 
 func TestAccessOutsideAllocationIgnored(t *testing.T) {
-	r := recorderOf(1, 4, 4, true)
+	r := recorderOf(1, 4, 4)
 	r.RegAccess(0, 0, 0, 1, 10, true)
 	r.RegAccess(0, 0, 0, 1, 20, false) // no allocation bracket
 	// Live all the same: brackets never change a span.
@@ -81,7 +81,7 @@ func TestAccessOutsideAllocationIgnored(t *testing.T) {
 }
 
 func TestReallocationResetsDefined(t *testing.T) {
-	r := recorderOf(1, 2, 2, true)
+	r := recorderOf(1, 2, 2)
 	r.RegAlloc(0, 0, 2, 0)
 	r.RegAccess(0, 0, 0, 1, 10, true)
 	r.RegFree(0, 0, 2, 20)
@@ -93,7 +93,7 @@ func TestReallocationResetsDefined(t *testing.T) {
 }
 
 func TestLocalAccessSpansBytes(t *testing.T) {
-	r := recorderOf(1, 4, 16, true)
+	r := recorderOf(1, 4, 16)
 	r.LocalAlloc(0, 0, 16, 0)
 	r.LocalAccess(0, 4, 4, 10, true)  // word write at offset 4
 	r.LocalAccess(0, 4, 4, 30, false) // word read

@@ -219,8 +219,7 @@ func FuzzAnalyzerPages(f *testing.F) {
 	// unit past the geometry, nor past the stamps.
 	seed(fuzzLanes(opRegLanesRead|anywhere, 3, 0, 1, 0, 1), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0, late))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit, true)
-		sums := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit, false) // Measure's
+		r := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit)
 		regs, local := newModel(fuzzUnits, fuzzPerUnit), newModel(fuzzUnits, fuzzPerUnit)
 		var cycle int64
 		for n := 0; len(data) >= fuzzOpSize; n++ {
@@ -243,20 +242,16 @@ func FuzzAnalyzerPages(f *testing.F) {
 			switch kind {
 			case opRegAlloc:
 				r.RegAlloc(unit, entry, count, cycle)
-				sums.RegAlloc(unit, entry, count, cycle)
 				regs.bracket(unit, entry, count, cycle, allocated)
 			case opRegFree:
 				r.RegFree(unit, entry, count, cycle)
-				sums.RegFree(unit, entry, count, cycle)
 				regs.bracket(unit, entry, count, cycle, 0)
 			case opRegWrite, opRegRead:
 				r.RegAccess(unit, entry, 0, 1, cycle, kind == opRegWrite)
-				sums.RegAccess(unit, entry, 0, 1, cycle, kind == opRegWrite)
 				regs.access(unit, entry, cycle, kind == opRegWrite)
 			case opRegLanesWrite, opRegLanesRead:
 				stride, write := count%64, kind == opRegLanesWrite
 				r.RegAccess(unit, entry, stride, lanes, cycle, write)
-				sums.RegAccess(unit, entry, stride, lanes, cycle, write)
 				for l := range 64 {
 					if lanes&(1<<l) != 0 {
 						regs.access(unit, entry+l*stride, cycle, write)
@@ -264,33 +259,27 @@ func FuzzAnalyzerPages(f *testing.F) {
 				}
 			case opLocalAlloc:
 				r.LocalAlloc(unit, entry, count, cycle)
-				sums.LocalAlloc(unit, entry, count, cycle)
 				local.bracket(unit, entry, count, cycle, allocated)
 			case opLocalFree:
 				r.LocalFree(unit, entry, count, cycle)
-				sums.LocalFree(unit, entry, count, cycle)
 				local.bracket(unit, entry, count, cycle, 0)
 			case opLocalWrite, opLocalRead:
 				r.LocalAccess(unit, entry, size, cycle, kind == opLocalWrite)
-				sums.LocalAccess(unit, entry, size, cycle, kind == opLocalWrite)
 				for b := 0; b < size; b++ {
 					local.access(unit, entry+b, cycle, kind == opLocalWrite)
 				}
 			}
 			m := r.Liveness()
 			for s, c := range []struct {
-				got, sums *track
-				want      *model
-			}{{&r[gpu.RegisterFile], &sums[gpu.RegisterFile], regs}, {&r[gpu.LocalMemory], &sums[gpu.LocalMemory], local}} {
+				got  *track
+				want *model
+			}{{&r[gpu.RegisterFile], regs}, {&r[gpu.LocalMemory], local}} {
 				st := gpu.Structure(s)
 				keys, offs, all, live := c.want.table()
 				got, want := c.got, c.want
 				if got.live != live || got.ace != want.ace || got.stray != want.stray || got.undefined != want.undefined || got.bad != want.bad {
 					t.Fatalf("op %d %v: %v recorder live=%d ace=%d stray=%d undefined=%d bad=%v, model %d/%d/%d/%d/%v",
 						n, op, st, got.live, got.ace, got.stray, got.undefined, got.bad, live, want.ace, want.stray, want.undefined, want.bad)
-				}
-				if s := c.sums; s.live != got.live || s.ace != got.ace || s.stray != got.stray || s.undefined != got.undefined || s.bad != got.bad {
-					t.Fatalf("op %d %v: %v: a recorder that keeps no spans sums %d/%d/%d/%d/%v", n, op, st, s.live, s.ace, s.stray, s.undefined, s.bad)
 				}
 				if want.stray == 0 && want.undefined == 0 && want.ace != live {
 					t.Fatalf("op %d %v: %v: no stray access or undefined read, yet %d ACE and %d live entry-cycles", n, op, st, want.ace, live)

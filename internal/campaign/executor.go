@@ -79,7 +79,7 @@ func NewLocalExecutor() *LocalExecutor {
 
 // GoldenRuns reports the number of shared golden reference simulations
 // executed: one per (chip, benchmark) pair regardless of structure or
-// campaign count. Campaigns with an explicit checkpoint interval make
+// campaign count. FI campaigns with an explicit checkpoint interval make
 // their own and are not counted.
 func (e *LocalExecutor) GoldenRuns() int64 { return e.goldenRuns.Load() }
 
@@ -91,7 +91,8 @@ func (e *LocalExecutor) Execute(ctx context.Context, req Request) (*finject.Resu
 	}
 	// A campaign with an explicit checkpoint interval makes its own
 	// reference run (see finject.Campaign.Golden): fetch it no shared one.
-	if c.Policy.Knob().Interval <= 0 {
+	// A golden-only campaign restores no rung and always shares.
+	if c.GoldenOnly || c.Policy.Knob().Interval <= 0 {
 		if c.Golden, err = e.goldenFor(ctx, c.Chip, c.Benchmark); err != nil {
 			return nil, err
 		}

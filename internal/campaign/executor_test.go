@@ -192,3 +192,37 @@ func TestIntervalCampaignKeepsNoSharedGolden(t *testing.T) {
 		t.Fatalf("interval result differs from the auto-knob one:\ninterval: %s\nauto:     %s", interval, auto)
 	}
 }
+
+// TestGoldenOnlyCellAlwaysSharesTheGolden: a golden-only cell restores no
+// rung, so an explicit checkpoint interval does not give it a reference
+// run of its own: both structures' cells, at two intervals, take the
+// pair's one shared golden run and read as the auto-knob cell does.
+func TestGoldenOnlyCellAlwaysSharesTheGolden(t *testing.T) {
+	exec := NewLocalExecutor()
+	var docs []string
+	for _, tc := range []struct {
+		st gpu.Structure
+		ck finject.Checkpoint
+	}{{gpu.RegisterFile, finject.Checkpoint{Interval: 512}}, {gpu.LocalMemory, finject.Checkpoint{Interval: 64}}, {gpu.RegisterFile, finject.Checkpoint{}}} {
+		c := testCampaign(t, "matrixMul")
+		c.Structure, c.GoldenOnly, c.Policy = tc.st, true, finject.Config{Checkpoint: &tc.ck}
+		spec := SpecOf(c)
+		res, err := exec.Execute(context.Background(), Request{Spec: spec, Key: spec.Key(), Policy: c.Policy, Campaign: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.st == gpu.RegisterFile {
+			docs = append(docs, string(js))
+		}
+		if n := exec.GoldenRuns(); n != 1 {
+			t.Fatalf("golden-only cells of one pair at %+v made %d shared golden runs, want 1", tc.ck, n)
+		}
+	}
+	if docs[0] != docs[1] {
+		t.Fatalf("interval golden-only cell differs from the auto-knob one:\ninterval: %s\nauto:     %s", docs[0], docs[1])
+	}
+}

@@ -44,6 +44,12 @@ type CellSpec struct {
 	// the knob existed keep their keys and warm stores.
 	CheckpointOff      bool  `json:"checkpoint_off,omitempty"`
 	CheckpointInterval int64 `json:"checkpoint_interval,omitempty"`
+	// GoldenOnly marks a cell that runs only the reference run
+	// (finject.Campaign.GoldenOnly): the ACE estimator's cell. Nothing
+	// but the chip, the benchmark and the structure decides its result,
+	// so Normalize resets every other field, and its key stands apart
+	// from every FI cell's.
+	GoldenOnly bool `json:"golden_only,omitempty"`
 }
 
 // CheckpointPolicy returns the spec's checkpoint knob in engine form.
@@ -61,7 +67,9 @@ func (s CellSpec) Config() finject.Config {
 // Normalize resolves defaulted fields so that specs describing the same
 // campaign compare and hash equal no matter how they were written.
 func (s CellSpec) Normalize() CellSpec {
-	if s.Injections <= 0 {
+	if s.GoldenOnly {
+		s = CellSpec{Chip: s.Chip, Benchmark: s.Benchmark, Structure: s.Structure, GoldenOnly: true}
+	} else if s.Injections <= 0 {
 		s.Injections = finject.DefaultInjections
 	}
 	if s.FaultWidth < 2 {
@@ -88,6 +96,7 @@ func SpecOf(c finject.Campaign) CellSpec {
 		WatchdogFactor:     c.WatchdogFactor,
 		CheckpointOff:      ck.Off,
 		CheckpointInterval: ck.Interval,
+		GoldenOnly:         c.GoldenOnly,
 	}
 	if c.Chip != nil {
 		s.Chip = c.Chip.Name
@@ -122,6 +131,7 @@ func (s CellSpec) Campaign() (finject.Campaign, error) {
 		Seed:           s.Seed,
 		FaultWidth:     s.FaultWidth,
 		WatchdogFactor: s.WatchdogFactor,
+		GoldenOnly:     s.GoldenOnly,
 	}
 	s.Config().ApplyTo(&c)
 	return c, nil
@@ -139,11 +149,15 @@ func (s CellSpec) String() string {
 // could alter the result produces a different key.
 type CellKey string
 
-// Key hashes the normalized spec.
+// Key hashes the normalized spec. A golden-only cell appends a marker,
+// so no FI cell's key moves.
 func (s CellSpec) Key() CellKey {
 	s = s.Normalize()
 	h := sha256.New()
 	fmt.Fprintf(h, "cell|%q|%q|%d|%d|%d|%d|%d",
 		s.Chip, s.Benchmark, s.Structure, s.Injections, s.Seed, s.FaultWidth, s.WatchdogFactor)
+	if s.GoldenOnly {
+		fmt.Fprint(h, "|golden-only")
+	}
 	return CellKey(hex.EncodeToString(h.Sum(nil)))
 }

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/chips"
@@ -92,5 +94,65 @@ func TestSpecCampaignUnknownNames(t *testing.T) {
 	}
 	if _, err := (CellSpec{Chip: "Mini NVIDIA", Benchmark: "no such bench"}).Campaign(); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestGoldenOnlyCell: a golden-only cell normalizes to 0 injections,
+// keys apart from its FI sibling, and carries its mark through SpecOf,
+// Campaign and JSON; an FI cell's JSON does not name the field.
+func TestGoldenOnlyCell(t *testing.T) {
+	c := testCampaign(t, "vectoradd")
+	fi := SpecOf(c)
+	c.GoldenOnly = true
+	g := SpecOf(c)
+	if !g.GoldenOnly || g.Injections != 0 {
+		t.Fatalf("golden-only spec %+v, want the mark and 0 injections", g)
+	}
+	if g.Key() == fi.Key() {
+		t.Fatal("a golden-only cell keys as its FI sibling")
+	}
+	back, err := g.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.GoldenOnly || SpecOf(back) != g {
+		t.Fatalf("round trip lost the mark: %+v", SpecOf(back))
+	}
+	for _, tc := range []struct {
+		spec CellSpec
+		want bool
+	}{{fi, false}, {g, true}} {
+		b, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(b), `"golden_only"`); got != tc.want {
+			t.Fatalf("%s names golden_only: %v, want %v", b, got, tc.want)
+		}
+		var re CellSpec
+		if err := json.Unmarshal(b, &re); err != nil || re != tc.spec {
+			t.Fatalf("JSON round trip: %+v, %v", re, err)
+		}
+	}
+}
+
+// TestGoldenOnlyKeyNamesOnlyItsPair: a golden-only cell's result depends
+// on its chip, benchmark and structure alone, so specs that differ in any
+// FI field share one key; FI specs that differ in seed do not.
+func TestGoldenOnlyKeyNamesOnlyItsPair(t *testing.T) {
+	base := CellSpec{Chip: "Mini NVIDIA", Benchmark: "vectoradd", Structure: gpu.LocalMemory, GoldenOnly: true}
+	for _, v := range []CellSpec{
+		{Injections: 500}, {Seed: 7}, {FaultWidth: 4}, {WatchdogFactor: 9},
+		{CheckpointOff: true}, {CheckpointInterval: 512},
+	} {
+		v.Chip, v.Benchmark, v.Structure, v.GoldenOnly = base.Chip, base.Benchmark, base.Structure, true
+		if v.Normalize() != base.Normalize() || v.Key() != base.Key() {
+			t.Errorf("golden-only %+v normalizes to %+v and keys apart from %+v", v, v.Normalize(), base.Normalize())
+		}
+	}
+	a, b := base, base
+	a.GoldenOnly, b.GoldenOnly, b.Seed = false, false, 7
+	if a.Key() == b.Key() {
+		t.Fatal("FI cells that differ in seed share a key")
 	}
 }

@@ -490,6 +490,11 @@ func (q *LeaseQueue) Complete(id string, res *finject.Result, errMsg string) err
 // fulfillLocked delivers a result (or error) to the entry's waiters and
 // retires the entry and its active lease, if any. Callers hold q.mu.
 func (q *LeaseQueue) fulfillLocked(e *leaseEntry, res *finject.Result, errMsg string) {
+	if errMsg == "" && res != nil && e.task.Spec.GoldenOnly && res.Injections != 0 {
+		// A worker that predates golden-only cells decodes the task
+		// without the mark and runs a full FI campaign in its place.
+		errMsg = fmt.Sprintf("reported %d injections for a golden-only cell (a worker older than golden-only cells?)", res.Injections)
+	}
 	if errMsg != "" {
 		e.err = fmt.Errorf("campaign: worker %s failed %s: %s", e.worker, e.task.Spec, errMsg)
 		q.failed.Add(1)

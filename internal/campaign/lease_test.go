@@ -383,3 +383,23 @@ func TestLeaseIDsAreUniquePerQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGoldenOnlyLeaseReportingInjectionsFails: a worker built before
+// golden-only cells decodes the task without the mark and runs an FI
+// campaign; the queue fails that completion rather than store its
+// injections under the golden-only key.
+func TestGoldenOnlyLeaseReportingInjectionsFails(t *testing.T) {
+	q, _ := newTestQueue(time.Minute)
+	spec := CellSpec{Chip: "Mini NVIDIA", Benchmark: "vectoradd", GoldenOnly: true}.Normalize()
+	_, errCh := doAsync(q, Task{Spec: spec})
+	leases := waitLease(t, q, "w1", 1)
+	if err := q.Complete(leases[0].ID, fakeResult(2000), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err == nil || !contains(err.Error(), "golden-only") {
+		t.Fatalf("err %v, want the golden-only refusal", err)
+	}
+	if st := q.Stats(); st.Failed != 1 || st.Completed != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}

@@ -178,6 +178,11 @@ func (s *Scheduler) execute(ctx context.Context, c finject.Campaign, spec CellSp
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	// Go picks at random when a slot and the cancel are both ready: a
+	// canceled batch starts no new cell.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ctx = telemetry.WithCell(ctx, spec.String())
 	telemetry.SchedInflight.Inc()
 	defer telemetry.SchedInflight.Dec()
@@ -220,7 +225,8 @@ func (s *Scheduler) execute(ctx context.Context, c finject.Campaign, spec CellSp
 // and returns the results in input order. onCell, when non-nil, is called
 // once per cell as it completes (from any goroutine, one call at a time).
 // The first failure cancels the remaining cells and is returned; cells
-// already finished keep their results in the slice.
+// already finished keep their results in the slice. Cells start pair by
+// pair (see pairsFirst), whatever the batch order.
 func (s *Scheduler) RunBatch(ctx context.Context, batch []finject.Campaign, onCell func(i int, res *finject.Result, cached bool, err error)) ([]*finject.Result, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -230,7 +236,7 @@ func (s *Scheduler) RunBatch(ctx context.Context, batch []finject.Campaign, onCe
 		mu       sync.Mutex
 		firstErr error
 	)
-	for i, c := range batch {
+	for _, i := range pairsFirst(batch) {
 		wg.Add(1)
 		go func(i int, c finject.Campaign) {
 			defer wg.Done()
@@ -245,8 +251,30 @@ func (s *Scheduler) RunBatch(ctx context.Context, batch []finject.Campaign, onCe
 			if onCell != nil {
 				onCell(i, res, cached, err)
 			}
-		}(i, c)
+		}(i, batch[i])
 	}
 	wg.Wait()
 	return results, firstErr
+}
+
+// pairsFirst orders a batch's indices: the first cell of every (chip,
+// benchmark) pair, then the others, each in batch order. A cell waiting
+// for its pair's shared golden run holds its worker slot, so in batch
+// order a grid of both structures per pair ran its goldens one at a time.
+func pairsFirst(batch []finject.Campaign) []int {
+	var first, rest []int
+	seen := make(map[[2]string]bool)
+	for i, c := range batch {
+		var pair [2]string
+		if c.Chip != nil && c.Benchmark != nil {
+			pair = [2]string{c.Chip.Name, c.Benchmark.Name}
+		}
+		if seen[pair] {
+			rest = append(rest, i)
+		} else {
+			seen[pair] = true
+			first = append(first, i)
+		}
+	}
+	return append(first, rest...)
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -156,5 +157,73 @@ func TestSchedulerRejectsIncompleteCampaign(t *testing.T) {
 	s := New(Config{})
 	if _, err := s.Run(context.Background(), finject.Campaign{}); err == nil {
 		t.Fatal("campaign without chip/benchmark accepted")
+	}
+}
+
+// TestSchedulerCanceledBatchStartsNoCell: once a batch is canceled, only
+// the cells already holding a worker slot may still start; a goroutine
+// that takes a slot after the cancel starts nothing, even where Go's
+// select picks the slot over the cancel.
+func TestSchedulerCanceledBatchStartsNoCell(t *testing.T) {
+	const workers = 2
+	exec := &countingExecutor{}
+	s := New(Config{Workers: workers, Executor: exec})
+	batch := make([]finject.Campaign, 64)
+	for i := range batch {
+		c := testCampaign(t, "vectoradd")
+		c.Seed = uint64(100 + i) // distinct cells, no dedup
+		batch[i] = c
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startedAtCut := int64(-1)
+	_, err := s.RunBatch(ctx, batch, func(int, *finject.Result, bool, error) {
+		if startedAtCut < 0 {
+			startedAtCut = exec.calls.Load()
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
+	}
+	if after := exec.calls.Load() - startedAtCut; after > workers {
+		t.Fatalf("%d cells started after the cancel, want at most Workers = %d", after, workers)
+	}
+}
+
+// TestSchedulerGoldenOnlyCell: a golden-only cell runs no injection and
+// reads the reference run's statistics, occupancy and AVF-ACE as its FI
+// sibling does, from the one golden run the pair shares.
+func TestSchedulerGoldenOnlyCell(t *testing.T) {
+	s := New(Config{})
+	fi := testCampaign(t, "transpose")
+	g := fi
+	g.GoldenOnly = true
+	results, err := s.RunBatch(context.Background(), []finject.Campaign{fi, g}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := results[0], results[1]
+	if b.Injections != 0 || b.Outcomes != ([gpu.NumOutcomes]int{}) {
+		t.Fatalf("golden-only cell ran injections: %+v", b)
+	}
+	if b.AVFACE == nil || a.AVFACE == nil || *b.AVFACE != *a.AVFACE ||
+		b.Occupancy != a.Occupancy || b.GoldenStats != a.GoldenStats {
+		t.Fatalf("golden-only cell %+v reads otherwise than its FI sibling %+v", b, a)
+	}
+	if st := s.Stats(); st.Runs != 2 || st.GoldenRuns != 1 || st.Injections != 40 {
+		t.Fatalf("stats %+v, want 2 runs on 1 golden run and 40 injections", st)
+	}
+}
+
+// TestPairsFirst: a batch starts the first cell of every (chip,
+// benchmark) pair before any pair's second, otherwise in batch order.
+func TestPairsFirst(t *testing.T) {
+	vec, mm := testCampaign(t, "vectoradd"), testCampaign(t, "matrixMul")
+	lm := func(c finject.Campaign) finject.Campaign { c.Structure = gpu.LocalMemory; return c }
+	got := pairsFirst([]finject.Campaign{vec, lm(vec), mm, lm(mm), vec, {}})
+	want := []int{0, 2, 5, 1, 3, 4}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("start order %v, want %v", got, want)
 	}
 }

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/chips"
 	"repro/internal/gpu"
 )
@@ -21,18 +24,19 @@ var update = flag.Bool("update", false, "rewrite testdata/ace_pairs.golden from 
 // count — the 40 pairs of the three figures, then Fig. 3's grid (both
 // structures, the whole suite) on the extended and Mini chips, 90 pairs.
 // The specs run under the ACE estimator (their ACE values do not depend
-// on the campaigns), so the pairs Fig. 2 and Fig. 3 share with Fig. 1
-// are traced again and must read the same. They run again under both
-// estimators at one injection a cell, which reads every AVF-ACE off the
-// campaigns' golden runs and makes no traced run: every cell must read
-// as the traced ones.
+// on the campaigns), each on a private scheduler, so the pairs Fig. 2 and
+// Fig. 3 share with Fig. 1 are run again and must read the same. They run
+// again under both estimators at one injection a cell, which reads every
+// AVF-ACE off the FI campaigns' golden runs and runs no golden-only cell:
+// every cell must read as the golden-only ones.
 // The first 40 lines were recorded by a serial analyzer over flat
 // per-entry arrays, all 90 by the paged analyzer before the liveness
-// recorder replaced it; a parallel ACE phase, paged state or a second
+// recorder replaced it; golden-only cells, paged state or a second
 // definition of ACE time that moves one bit is a diff here. Regenerate with
 // `go test ./internal/experiment -run TestACEPinnedOverFigureGrid -update`
 // only after an intended simulator or ACE change.
 func TestACEPinnedOverFigureGrid(t *testing.T) {
+	t.Parallel()
 	const golden = "testdata/ace_pairs.golden"
 	type pair struct {
 		avf, occ [2]float64
@@ -45,7 +49,6 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 	for _, c := range append(chips.Extended(), chips.MiniNVIDIA(), chips.MiniAMD()) {
 		others = append(others, c.Name)
 	}
-	var tracedBefore int64
 	for pass := range 8 {
 		n := pass%4 + 1
 		spec, err := Figure(min(n, 3))
@@ -59,12 +62,17 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 		if pass >= 4 {
 			spec.Estimator, spec.Injections = EstimatorBoth, 1
 		}
-		if pass == 4 {
-			tracedBefore = tracedRuns.Load()
-		}
-		res, err := (&Runner{}).Run(context.Background(), spec)
+		plan, err := spec.Compile()
 		if err != nil {
 			t.Fatal(err)
+		}
+		sched := campaign.New(campaign.Config{})
+		res, err := (&Runner{Scheduler: sched}).RunPlan(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sched.Stats().Runs; n != int64(len(plan.Keys())) {
+			t.Errorf("%s under %s: %d cell runs for %d cells", spec.Name, spec.Estimator, n, len(plan.Keys()))
 		}
 		for _, tbl := range res.Tables {
 			si := 0
@@ -91,9 +99,6 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 			}
 		}
 	}
-	if n := tracedRuns.Load() - tracedBefore; n != 0 {
-		t.Errorf("%d traced runs under both estimators, want 0", n)
-	}
 	var b strings.Builder
 	for _, key := range order {
 		p := pairs[key]
@@ -119,5 +124,42 @@ func TestACEPinnedOverFigureGrid(t *testing.T) {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("ACE pair moved:\n got %s\nwant %s", gotLines[i], wantLines[i])
 		}
+	}
+}
+
+// aceOnlySpec is an ACE-only spec over both structures of the Mini
+// chips, the whole suite, with FIT: every field an ACE-only cell fills.
+func aceOnlySpec() Spec {
+	return Spec{
+		Name:       "mini-ace-only",
+		Chips:      []string{"Mini NVIDIA", "Mini AMD"},
+		Structures: []gpu.Structure{gpu.RegisterFile, gpu.LocalMemory},
+		Estimator:  EstimatorACE,
+		Seed:       7,
+		Metrics:    Metrics{FIT: true},
+	}
+}
+
+// TestACEOnlyResultPinned pins the whole Result of an ACE-only spec,
+// byte for byte: testdata/ace_only_mini.json was recorded when the
+// ACE-only estimator traced runs of its own, so reading the same AVF-ACE,
+// occupancy and cycles off golden-only campaigns moves nothing. The file
+// is not regenerated by any flag; a diff here is a change of result.
+func TestACEOnlyResultPinned(t *testing.T) {
+	t.Parallel()
+	res, err := (&Runner{}).Run(context.Background(), aceOnlySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/ace_only_mini.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Fatalf("the ACE-only result moved from testdata/ace_only_mini.json:\n%s", got)
 	}
 }

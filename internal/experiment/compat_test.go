@@ -51,6 +51,7 @@ func compileKeys(t *testing.T, path string) (Spec, []string) {
 // the cell keys it compiled to before — meaning every store warmed by
 // the old binary stays warm, with zero cold cells.
 func TestSpecCompatNoCheckpoint(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join("testdata", "compat_v1_nocheckpoint.json")
 	spec, keys := compileKeys(t, path)
 
@@ -85,6 +86,7 @@ func TestSpecCompatNoCheckpoint(t *testing.T) {
 // every compiled campaign — and still compiles to the identical cell
 // keys, because checkpointing can never change a result.
 func TestSpecCompatWithCheckpoint(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join("testdata", "compat_v1_checkpoint.json")
 	spec, keys := compileKeys(t, path)
 

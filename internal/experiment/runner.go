@@ -3,19 +3,12 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/ace"
 	"repro/internal/campaign"
-	"repro/internal/chips"
-	"repro/internal/devices"
 	"repro/internal/finject"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/protect"
-	"repro/internal/workloads"
 )
 
 // defaultRawFIT is the raw soft-error rate a spec's metrics block
@@ -33,11 +26,11 @@ type Progress struct {
 	Spec campaign.CellSpec
 	// Result is the cell's campaign result, with the AVF-ACE of its
 	// golden run unless the store served a record from before results
-	// carried it; nil for a failed cell and for the ACE-only estimator,
-	// which runs no campaign.
+	// carried it; under the ACE-only estimator a golden-only campaign's,
+	// with 0 injections. Nil for a failed cell.
 	Result *finject.Result
 	// Cached is true when the cell was served without running a
-	// campaign (store hit, join, or the ACE-only estimator).
+	// campaign (store hit or join).
 	Cached bool
 	// Done and Total count completed grid cells.
 	Done, Total int
@@ -48,23 +41,18 @@ type Progress struct {
 // Runner executes compiled experiment plans over a campaign.Scheduler.
 // Any executor tier behind the scheduler works — in-process, a shared
 // disk store, or a remote fiworker fleet — and produces byte-identical
-// results, by the determinism contract of the injection engine. A Runner
-// keeps no state between plans: what one plan measures is cached by the
-// scheduler's store, or, for a traced ACE run, made again by the next.
+// results, by the determinism contract of the injection engine. Every
+// cell is a campaign, golden-only under the ACE-only estimator, so a
+// Runner keeps no state between plans: what one plan measures is cached
+// by the scheduler's store.
 type Runner struct {
-	// Scheduler executes and caches the FI campaigns; a private
-	// in-process scheduler is created per run when nil.
+	// Scheduler executes and caches the campaigns; a private in-process
+	// scheduler is created per run when nil.
 	Scheduler *campaign.Scheduler
 	// OnCell, when non-nil, receives per-cell progress as the run
-	// streams. It is called from scheduler and ACE worker goroutines, one
-	// call at a time.
+	// streams. It is called from scheduler goroutines, one call at a
+	// time.
 	OnCell func(Progress)
-}
-
-// aceRun is what one traced run measures.
-type aceRun struct {
-	reg, local float64
-	stats      gpu.RunStats
 }
 
 // Run compiles and executes one spec.
@@ -76,10 +64,10 @@ func (r *Runner) Run(ctx context.Context, s Spec) (*Result, error) {
 	return r.RunPlan(ctx, p)
 }
 
-// RunPlan executes a compiled plan: the FI campaigns of every cell run
-// as one scheduler batch (deduplicated, cached, concurrency-bounded),
-// then the grid tables, averages and derived metrics assemble from the
-// warm store with the figures' pinned arithmetic.
+// RunPlan executes a compiled plan: the campaigns of every cell run as
+// one scheduler batch (deduplicated, cached, concurrency-bounded), then
+// the grid tables, averages and derived metrics assemble from the
+// results with the figures' pinned arithmetic.
 func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	sched := r.Scheduler
 	if sched == nil {
@@ -93,66 +81,47 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		Benchmarks: append([]string(nil), spec.Benchmarks...),
 	}
 
-	// Phase 1: the statistical campaigns, as one batch (deduplicated,
-	// cached and concurrency-bounded by the scheduler).
-	var fiResults []*finject.Result
-	if spec.Estimator.fi() {
-		batch := make([]finject.Campaign, len(p.Cells))
-		for i, c := range p.Cells {
-			batch[i] = c.Campaign
-		}
-		var done int
-		onCell := func(i int, fres *finject.Result, cached bool, cellErr error) {
-			if r.OnCell == nil {
-				return
-			}
-			done++
-			r.OnCell(Progress{
-				Index:  i,
-				Cell:   p.Cells[i],
-				Spec:   campaign.SpecOf(p.Cells[i].Campaign),
-				Result: fres,
-				Cached: cached,
-				Done:   done,
-				Total:  len(p.Cells),
-				Err:    cellErr,
-			})
-		}
-		var err error
-		fiResults, err = sched.RunBatch(ctx, batch, onCell)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2: the traced ACE runs of the cells whose FI result carries no
-	// AVF-ACE — all of them under the ACE-only estimator, none in a
-	// figure pass unless the store predates the field — then the
-	// per-structure tables from the batch results. With no traced run
-	// left to notice a cancel after the batch, check for it here.
+	// The campaigns, as one batch. A run canceled before it starts
+	// reports no cell, not even a store hit.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var pairRuns map[[2]string]*aceRun
-	if spec.Estimator.ace() {
-		var traced []int
-		for i := range p.Cells {
-			if fiResults == nil || fiResults[i].AVFACE == nil {
-				traced = append(traced, i)
-			}
+	batch := make([]finject.Campaign, len(p.Cells))
+	for i, c := range p.Cells {
+		batch[i] = c.Campaign
+	}
+	var done int
+	onCell := func(i int, fres *finject.Result, cached bool, cellErr error) {
+		if r.OnCell == nil {
+			return
 		}
-		var err error
-		if pairRuns, err = r.runACE(ctx, p, traced); err != nil {
+		done++
+		r.OnCell(Progress{
+			Index:  i,
+			Cell:   p.Cells[i],
+			Spec:   campaign.SpecOf(p.Cells[i].Campaign),
+			Result: fres,
+			Cached: cached,
+			Done:   done,
+			Total:  len(p.Cells),
+			Err:    cellErr,
+		})
+	}
+	results, err := sched.RunBatch(ctx, batch, onCell)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if spec.Estimator == EstimatorBoth {
+		if err := withACE(ctx, sched, p, results); err != nil {
 			return nil, err
 		}
 	}
 	cells := make(map[[3]int]*Cell, len(p.Cells))
 	for i, pc := range p.Cells {
-		var fres *finject.Result
-		if fiResults != nil {
-			fres = fiResults[i]
-		}
-		cell, err := measureCell(spec, pc, fres, pairRuns[aceKey(pc)])
+		cell, err := measureCell(spec, pc, results[i])
 		if err != nil {
 			return nil, err
 		}
@@ -186,9 +155,9 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 		res.Tables = append(res.Tables, tbl)
 	}
 
-	// Phase 3: derived metrics.
+	// Derived metrics.
 	if spec.Metrics.EPF {
-		epf, err := assembleEPF(spec, p, fiResults)
+		epf, err := assembleEPF(spec, p, results)
 		if err != nil {
 			return nil, err
 		}
@@ -204,93 +173,45 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// aceKey names the (benchmark, chip) pair of a cell.
-func aceKey(pc PlannedCell) [2]string {
-	return [2]string{pc.Benchmark.Name, pc.Chip.Name}
+// withACE gives every FI result that carries no AVF-ACE — a store record
+// from before results carried it — the AVF-ACE of the cell's golden-only
+// sibling, run as a second batch. It replaces such a result with a copy
+// rather than change one the store owns.
+func withACE(ctx context.Context, sched *campaign.Scheduler, p *Plan, results []*finject.Result) error {
+	var idx []int
+	var siblings []finject.Campaign
+	for i, fres := range results {
+		if fres.AVFACE == nil {
+			c := p.Cells[i].Campaign
+			c.GoldenOnly = true
+			idx, siblings = append(idx, i), append(siblings, c)
+		}
+	}
+	if len(siblings) == 0 {
+		return nil
+	}
+	golden, err := sched.RunBatch(ctx, siblings, nil)
+	if err != nil {
+		return err
+	}
+	for j, i := range idx {
+		fres := *results[i]
+		fres.AVFACE = golden[j].AVFACE
+		results[i] = &fres
+	}
+	return nil
 }
 
-// runACE makes the traced run of each (benchmark, chip) pair of the
-// plan's cells at the given indices: ACE is a deterministic function of
-// the pair and one run yields both structures' AVFs, so a plan traces
-// each pair once. GOMAXPROCS workers take the pairs in plan order; under
-// the ACE-only estimator a cell reports its Progress when its pair's run
-// lands. A traced run is a full simulation, so each worker checks ctx
-// before starting one, and a canceled experiment stops instead of
-// simulating the rest of the grid. The first failure in plan order is
-// returned.
-func (r *Runner) runACE(ctx context.Context, p *Plan, cells []int) (map[[2]string]*aceRun, error) {
-	var keys [][2]string
-	cellsOf := make(map[[2]string][]int)
-	for _, i := range cells {
-		k := aceKey(p.Cells[i])
-		if cellsOf[k] == nil {
-			keys = append(keys, k)
-		}
-		cellsOf[k] = append(cellsOf[k], i)
-	}
-	runs := make([]*aceRun, len(keys))
-	errs := make([]error, len(keys))
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex // serializes OnCell
-		done   int
-	)
-	for range min(runtime.GOMAXPROCS(0), len(keys)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil && !failed.Load() {
-				j := int(next.Add(1)) - 1
-				if j >= len(keys) {
-					return
-				}
-				pc := p.Cells[cellsOf[keys[j]][0]]
-				if runs[j], errs[j] = measureACE(pc.Chip, pc.Benchmark); errs[j] != nil {
-					errs[j] = fmt.Errorf("experiment: ACE run %s/%s: %w", pc.Chip.Name, pc.Benchmark.Name, errs[j])
-					failed.Store(true)
-					return
-				}
-				if p.Spec.Estimator.fi() || r.OnCell == nil {
-					continue
-				}
-				mu.Lock()
-				for _, i := range cellsOf[keys[j]] {
-					done++
-					r.OnCell(Progress{
-						Index: i, Cell: p.Cells[i], Spec: campaign.SpecOf(p.Cells[i].Campaign), Cached: true,
-						Done: done, Total: len(p.Cells),
-					})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	out := make(map[[2]string]*aceRun, len(keys))
-	for j, k := range keys {
-		// Workers claim pairs in plan order, so every pair before a
-		// failure was run; a pair left unrun after none means ctx ended.
-		if errs[j] != nil {
-			return nil, errs[j]
-		}
-		if runs[j] == nil {
-			return nil, ctx.Err()
-		}
-		out[k] = runs[j]
-	}
-	return out, nil
-}
-
-// measureCell measures one grid cell under the spec's estimator: the FI
-// result comes from the phase-1 batch, the AVF-ACE from it too when it
-// carries one and from the pair's traced run otherwise.
-func measureCell(spec Spec, pc PlannedCell, fres *finject.Result, run *aceRun) (*Cell, error) {
+// measureCell measures one grid cell under the spec's estimator from its
+// campaign's result: occupancy, cycles and AVF-ACE from the golden run,
+// the FI AVF and outcomes from the injections.
+func measureCell(spec Spec, pc PlannedCell, fres *finject.Result) (*Cell, error) {
 	cell := &Cell{
 		Chip:      pc.Chip.Name,
 		Benchmark: pc.Benchmark.Name,
 		Structure: pc.Structure,
+		Occupancy: fres.Occupancy,
+		Cycles:    fres.GoldenStats.Cycles,
 	}
 	if spec.Estimator.fi() {
 		lo, hi, err := fres.AVFInterval(spec.Policy.Confidence)
@@ -300,23 +221,14 @@ func measureCell(spec Spec, pc PlannedCell, fres *finject.Result, run *aceRun) (
 		cell.AVFFI = fres.AVF()
 		cell.AVFFILo = lo
 		cell.AVFFIHi = hi
-		cell.Occupancy = fres.Occupancy
-		cell.Cycles = fres.GoldenStats.Cycles
 		cell.Injections = fres.Injections
 		cell.Outcomes = fres.Outcomes
 	}
-	if spec.Estimator.ace() && fres != nil && fres.AVFACE != nil {
+	if spec.Estimator.ace() {
+		if fres.AVFACE == nil {
+			return nil, fmt.Errorf("experiment: %s/%s/%s: the golden run has no AVF-ACE", pc.Chip.Name, pc.Benchmark.Name, pc.Structure)
+		}
 		cell.AVFACE = *fres.AVFACE
-	} else if spec.Estimator.ace() {
-		cell.AVFACE = run.reg
-		if pc.Structure == gpu.LocalMemory {
-			cell.AVFACE = run.local
-		}
-		cell.Cycles = run.stats.Cycles
-		if !spec.Estimator.fi() {
-			total := int64(pc.Chip.Units) * int64(pc.Chip.StructSize(pc.Structure))
-			cell.Occupancy = run.stats.Occupancy(pc.Structure, total)
-		}
 	}
 	if spec.Metrics.FIT {
 		cell.FIT = metrics.FIT(cellAVF(spec, cell), pc.Chip.StructBits(pc.Structure), spec.Metrics.RawFITPerMbit)
@@ -333,31 +245,11 @@ func cellAVF(spec Spec, c *Cell) float64 {
 	return c.AVFACE
 }
 
-// tracedRuns counts the traced runs measureACE has started.
-var tracedRuns atomic.Int64
-
-// measureACE runs the single-pass lifetime analysis of one (chip,
-// benchmark) pair.
-func measureACE(chip *chips.Chip, bench *workloads.Benchmark) (*aceRun, error) {
-	tracedRuns.Add(1)
-	d, err := devices.Acquire(chip)
-	if err != nil {
-		return nil, err
-	}
-	defer devices.Release(chip, d)
-	hp, err := bench.New(chip.Vendor)
-	if err != nil {
-		return nil, err
-	}
-	reg, local, st, err := ace.Measure(d, hp)
-	return &aceRun{reg: reg, local: local, stats: st}, err
-}
-
 // assembleEPF combines every structure's FI campaign of each (chip,
 // benchmark) into the EPF table, with Fig. 3's pinned
 // arithmetic: cycles from the first structure's golden run, FIT summed
 // in structure-axis order.
-func assembleEPF(spec Spec, p *Plan, fiResults []*finject.Result) (*EPFTable, error) {
+func assembleEPF(spec Spec, p *Plan, results []*finject.Result) (*EPFTable, error) {
 	nChips, nStructs := len(p.Chips), len(spec.Structures)
 	tbl := &EPFTable{}
 	tbl.Rows = make([][]*EPFRow, len(p.Benchmarks))
@@ -366,7 +258,7 @@ func assembleEPF(spec Spec, p *Plan, fiResults []*finject.Result) (*EPFTable, er
 		for ci, c := range p.Chips {
 			avfs := make(map[gpu.Structure]*finject.Result, nStructs)
 			for si, st := range spec.Structures {
-				avfs[st] = fiResults[(bi*nChips+ci)*nStructs+si]
+				avfs[st] = results[(bi*nChips+ci)*nStructs+si]
 			}
 			cycles := avfs[spec.Structures[0]].GoldenStats.Cycles
 			secs, err := metrics.ExecSeconds(cycles, c.ClockGHz)

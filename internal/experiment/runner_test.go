@@ -5,13 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/finject"
 	"repro/internal/gpu"
+	"repro/internal/telemetry"
 )
 
 // miniSpec is a fast two-chip grid over the mini devices.
@@ -27,6 +27,7 @@ func miniSpec() Spec {
 }
 
 func TestRunnerGrid(t *testing.T) {
+	t.Parallel()
 	sched := campaign.New(campaign.Config{})
 	var (
 		mu     sync.Mutex
@@ -78,6 +79,7 @@ func TestRunnerGrid(t *testing.T) {
 }
 
 func TestRunnerEstimators(t *testing.T) {
+	t.Parallel()
 	s := miniSpec()
 	s.Chips = s.Chips[:1]
 	s.Benchmarks = s.Benchmarks[:1]
@@ -111,6 +113,7 @@ func TestRunnerEstimators(t *testing.T) {
 // for: a protection what-if sweep, straight from a JSON spec, producing
 // post-protection EPF/FIT rows for every (config, benchmark, chip).
 func TestRunnerProtectionSweep(t *testing.T) {
+	t.Parallel()
 	specJSON := `{
 		"version": 1,
 		"name": "mini-protection-sweep",
@@ -190,11 +193,12 @@ func TestRunnerProtectionSweep(t *testing.T) {
 	}
 }
 
-// TestRunnerStopsWhenCanceled: the ACE phase is one full traced
-// simulation per (chip, benchmark), so it must consult the context like
-// the FI phase does — a canceled run neither simulates on nor comes back
-// as a finished result.
+// TestRunnerStopsWhenCanceled: an ACE-only cell is a full golden run
+// per (chip, benchmark), so a canceled run must stop scheduling them like
+// it stops FI campaigns — a canceled run neither simulates on nor comes
+// back as a finished result.
 func TestRunnerStopsWhenCanceled(t *testing.T) {
+	t.Parallel()
 	t.Run("ACE-only, canceled before it starts", func(t *testing.T) {
 		s := miniSpec()
 		s.Estimator = EstimatorACE
@@ -213,35 +217,35 @@ func TestRunnerStopsWhenCanceled(t *testing.T) {
 		s := miniSpec()
 		s.Estimator = EstimatorACE
 		s.Benchmarks = nil // the whole suite: 20 pairs, 40 cells
-		// Two runs per worker fit before the cancel lands and after it;
-		// keep that under the grid's 20 pairs.
-		if runtime.GOMAXPROCS(0) > 8 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-		}
-		procs := int64(runtime.GOMAXPROCS(0))
+		// Only the cells holding one of the workers' slots at the cancel
+		// may still run; keep that under the grid's 20 pairs.
+		const workers = 2
+		sched := campaign.New(campaign.Config{Workers: workers})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var (
-			r           *Runner
-			events      int
-			tracedAtCut int64
+			measured    int
+			goldenAtCut int64
 		)
-		r = &Runner{OnCell: func(p Progress) {
-			if events == 0 {
-				tracedAtCut = tracedRuns.Load()
+		r := &Runner{Scheduler: sched, OnCell: func(p Progress) {
+			if p.Err != nil {
+				return
+			}
+			if measured == 0 {
+				goldenAtCut = sched.Stats().GoldenRuns
 				cancel()
 			}
-			events++
+			measured++
 		}}
 		res, err := r.Run(ctx, s)
 		if !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("run canceled in its ACE phase returned (%v, %v), want context.Canceled", res, err)
+			t.Fatalf("run canceled during its golden runs returned (%v, %v), want context.Canceled", res, err)
 		}
-		if events == 0 || events >= 40 {
-			t.Fatalf("%d progress events of 40 from a run canceled at its first", events)
+		if measured == 0 || measured >= 40 {
+			t.Fatalf("%d cells of 40 measured by a run canceled at its first", measured)
 		}
-		if after := tracedRuns.Load() - tracedAtCut; after > procs {
-			t.Fatalf("%d traced runs started after the cancel, want at most GOMAXPROCS = %d", after, procs)
+		if after := sched.Stats().GoldenRuns - goldenAtCut; after > workers {
+			t.Fatalf("%d golden runs after the cancel, want at most Workers = %d", after, workers)
 		}
 	})
 	t.Run("both, canceled between the phases", func(t *testing.T) {
@@ -249,14 +253,14 @@ func TestRunnerStopsWhenCanceled(t *testing.T) {
 		s.Estimator = EstimatorBoth
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		// The last FI cell reporting ends phase 1; cancel right there.
+		// The last cell reporting ends the batch; cancel right there.
 		r := &Runner{OnCell: func(p Progress) {
 			if p.Done == p.Total {
 				cancel()
 			}
 		}}
 		if res, err := r.Run(ctx, s); !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("run canceled before its ACE phase returned (%v, %v), want context.Canceled", res, err)
+			t.Fatalf("run canceled after its batch returned (%v, %v), want context.Canceled", res, err)
 		}
 	})
 }
@@ -264,6 +268,7 @@ func TestRunnerStopsWhenCanceled(t *testing.T) {
 // TestProgressIndexAndResult: a progress event names its cell by plan
 // index and carries the campaign result the index's cell got.
 func TestProgressIndexAndResult(t *testing.T) {
+	t.Parallel()
 	plan, err := miniSpec().Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -291,18 +296,18 @@ func TestProgressIndexAndResult(t *testing.T) {
 }
 
 // TestFiguresMeasureEachPairOnce: a figure pass reads every AVF-ACE off
-// its campaigns' golden runs, so the three figure specs on a fresh Runner
-// make no traced run. Served from a store whose records lack the field —
-// one written before the golden run carried it — each figure traces each
-// of its pairs once instead: 40 for Fig. 1 and 28 for Fig. 2 (a Runner
-// keeps no traced run from one plan to the next; Fig. 3 is FI only), and
+// its campaigns' golden runs, so the three figure specs on a fresh store
+// run their 80 distinct cells and nothing else. Served from a store whose
+// records lack the field — one written before the golden run carried it
+// — each figure runs no injection but the golden-only sibling of each of
+// its ACE cells: 40 for Fig. 1 and 28 for Fig. 2 (Fig. 3 is FI only), and
 // every figure reads, byte for byte, as from the golden runs.
 func TestFiguresMeasureEachPairOnce(t *testing.T) {
+	t.Parallel()
 	ctx := context.Background()
 	store := campaign.NewMemoryStore(0)
 	fresh := &Runner{Scheduler: campaign.New(campaign.Config{Store: store})}
 	old := &Runner{Scheduler: campaign.New(campaign.Config{Store: withoutACE{store}})}
-	var traced [2]int64
 	for n := 1; n <= 3; n++ {
 		spec, err := Figure(n)
 		if err != nil {
@@ -311,12 +316,10 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 		spec.Injections, spec.Seed = 2, 1
 		var docs [2][]byte
 		for i, r := range []*Runner{fresh, old} {
-			before := tracedRuns.Load()
 			res, err := r.Run(ctx, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			traced[i] += tracedRuns.Load() - before
 			if docs[i], err = json.Marshal(res); err != nil {
 				t.Fatal(err)
 			}
@@ -325,14 +328,15 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			t.Fatalf("%s: the result from records without AVF-ACE differs from the golden runs'", spec.Name)
 		}
 	}
-	if n := traced[0]; n != 0 {
-		t.Fatalf("%d traced runs for the three figures, want 0", n)
+	if st := fresh.Scheduler.Stats(); st.Runs != 80 {
+		t.Fatalf("%d cell runs for the three figures, want their 80 cells", st.Runs)
 	}
-	if st := old.Scheduler.Stats(); st.Runs != 0 {
-		t.Fatalf("the store without AVF-ACE ran %d campaigns, want every cell from the store", st.Runs)
+	st := old.Scheduler.Stats()
+	if st.Injections != 0 {
+		t.Fatalf("the store without AVF-ACE ran %d injections, want every FI cell from the store", st.Injections)
 	}
-	if n := traced[1]; n != 40+28 {
-		t.Fatalf("%d traced runs for the three figures from records without AVF-ACE, want 40+28", n)
+	if st.Runs != 40+28 {
+		t.Fatalf("%d golden-only runs for the three figures from records without AVF-ACE, want 40+28", st.Runs)
 	}
 }
 
@@ -351,13 +355,15 @@ func (s withoutACE) Get(key campaign.CellKey) (*finject.Result, bool, error) {
 }
 
 // TestRunnerSharedByConcurrentPlans: plans running on one Runner at the
-// same time share nothing but the Runner's configuration: each traces
-// its own pairs, once each, and all read the same bytes.
+// same time share nothing but the Runner's configuration: each, on a
+// private scheduler, makes its own golden run of each of its pairs, once
+// each, and all read the same bytes. (The golden-run counter is
+// process-wide, so this test does not run in parallel.)
 func TestRunnerSharedByConcurrentPlans(t *testing.T) {
 	s := miniSpec()
 	s.Estimator = EstimatorACE
 	r := &Runner{}
-	before := tracedRuns.Load()
+	before := telemetry.GoldenCacheMisses.Value()
 	var (
 		wg   sync.WaitGroup
 		docs [4][]byte
@@ -377,8 +383,8 @@ func TestRunnerSharedByConcurrentPlans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := tracedRuns.Load() - before; n != 4*4 {
-		t.Fatalf("%d traced runs for four plans of 2 chips x 2 benchmarks, want 4 per plan", n)
+	if n := telemetry.GoldenCacheMisses.Value() - before; n != 4*4 {
+		t.Fatalf("%d golden runs for four plans of 2 chips x 2 benchmarks, want 4 per plan", n)
 	}
 	for i := 1; i < len(docs); i++ {
 		if !bytes.Equal(docs[i], docs[0]) {
@@ -388,9 +394,10 @@ func TestRunnerSharedByConcurrentPlans(t *testing.T) {
 }
 
 // TestACETracesEachPairOnce: within one plan the cells of a (chip,
-// benchmark) pair share one traced run, so an ACE-only plan over both
+// benchmark) pair share one golden run, so an ACE-only plan over both
 // structures makes one run per pair, not one per cell.
 func TestACETracesEachPairOnce(t *testing.T) {
+	t.Parallel()
 	s := miniSpec()
 	s.Estimator = EstimatorACE
 	plan, err := s.Compile()
@@ -399,20 +406,22 @@ func TestACETracesEachPairOnce(t *testing.T) {
 	}
 	pairs := make(map[[2]string]bool)
 	for _, pc := range plan.Cells {
-		pairs[aceKey(pc)] = true
+		pairs[[2]string{pc.Benchmark.Name, pc.Chip.Name}] = true
 	}
-	before := tracedRuns.Load()
-	if _, err := (&Runner{}).RunPlan(context.Background(), plan); err != nil {
+	sched := campaign.New(campaign.Config{})
+	if _, err := (&Runner{Scheduler: sched}).RunPlan(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
-	if n := tracedRuns.Load() - before; n != 4 || len(pairs) != 4 || len(plan.Cells) != 8 {
-		t.Fatalf("%d traced runs for %d cells over %d pairs, want 4 for 8 over 4", n, len(plan.Cells), len(pairs))
+	if n := sched.Stats().GoldenRuns; n != 4 || len(pairs) != 4 || len(plan.Cells) != 8 {
+		t.Fatalf("%d golden runs for %d cells over %d pairs, want 4 for 8 over 4", n, len(plan.Cells), len(pairs))
 	}
 }
 
 // TestACEProgressPerCell: under the ACE-only estimator every cell reports
-// once, as its pair's run lands, with Done counting 1..N.
+// once, as its golden-only campaign lands, with Done counting 1..N and
+// the campaign's result: no injection, and the AVF-ACE.
 func TestACEProgressPerCell(t *testing.T) {
+	t.Parallel()
 	s := miniSpec()
 	s.Estimator = EstimatorACE
 	s.Benchmarks = nil // the whole suite: 20 pairs, 40 cells
@@ -435,12 +444,95 @@ func TestACEProgressPerCell(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for i, p := range events {
-		if p.Done != i+1 || p.Total != total || !p.Cached || p.Result != nil || p.Err != nil {
+		if p.Done != i+1 || p.Total != total || p.Err != nil ||
+			p.Result == nil || p.Result.Injections != 0 || p.Result.AVFACE == nil {
 			t.Fatalf("event %d: %+v", i, p)
 		}
 		if seen[p.Index] {
 			t.Fatalf("cell %d reported twice", p.Index)
 		}
 		seen[p.Index] = true
+	}
+}
+
+// TestACEOnlyServedFromStore: an ACE-only cell is a golden-only campaign,
+// so a second run of the spec on the same scheduler is served from its
+// store — no cell run and no golden run — and reads the same bytes.
+func TestACEOnlyServedFromStore(t *testing.T) {
+	t.Parallel()
+	s := miniSpec()
+	s.Estimator = EstimatorACE
+	sched := campaign.New(campaign.Config{})
+	r := &Runner{Scheduler: sched}
+	var docs [2][]byte
+	var stats [2]campaign.Stats
+	for i := range docs {
+		res, err := r.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if docs[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = sched.Stats()
+	}
+	if stats[0].Runs != 8 || stats[0].GoldenRuns != 4 || stats[0].Injections != 0 {
+		t.Fatalf("first pass: %+v, want 8 cell runs on 4 golden runs and no injection", stats[0])
+	}
+	if runs, goldens := stats[1].Runs-stats[0].Runs, stats[1].GoldenRuns-stats[0].GoldenRuns; runs != 0 || goldens != 0 {
+		t.Fatalf("second pass made %d cell runs and %d golden runs, want 0 and 0", runs, goldens)
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatal("the second pass reads otherwise than the first")
+	}
+}
+
+// TestACEOnlyCellsIgnoreSeed: an ACE-only cell's result depends on no
+// seed, so a spec that differs only in its seed is served whole from the
+// first one's cells: no cell run, no golden run, the same tables.
+func TestACEOnlyCellsIgnoreSeed(t *testing.T) {
+	t.Parallel()
+	sched := campaign.New(campaign.Config{})
+	r := &Runner{Scheduler: sched}
+	var tables [2][]byte
+	var stats [2]campaign.Stats
+	for i, seed := range []uint64{1, 2} {
+		s := miniSpec()
+		s.Estimator, s.Seed = EstimatorACE, seed
+		res, err := r.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tables[i], err = json.Marshal(res.Tables); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = sched.Stats()
+	}
+	if runs, goldens := stats[1].Runs-stats[0].Runs, stats[1].GoldenRuns-stats[0].GoldenRuns; stats[0].Runs != 8 || runs != 0 || goldens != 0 {
+		t.Fatalf("first seed %d cell runs (want 8), second seed %d cell runs and %d golden runs (want 0 and 0)", stats[0].Runs, runs, goldens)
+	}
+	if !bytes.Equal(tables[0], tables[1]) {
+		t.Fatal("the second seed's tables read otherwise than the first's")
+	}
+}
+
+// TestACEOnlyKeysApartFromFI: an ACE-only plan's cells key apart from
+// the FI cells of the same grid, so neither serves the other from a store.
+func TestACEOnlyKeysApartFromFI(t *testing.T) {
+	t.Parallel()
+	keys := make(map[campaign.CellKey]Estimator)
+	for _, e := range []Estimator{EstimatorFI, EstimatorACE} {
+		s := miniSpec()
+		s.Estimator = e
+		plan, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range plan.Keys() {
+			if prev, dup := keys[k]; dup {
+				t.Fatalf("the %s and %s plans share cell key %s", prev, e, k)
+			}
+			keys[k] = e
+		}
 	}
 }

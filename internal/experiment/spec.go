@@ -40,7 +40,8 @@ type Estimator string
 const (
 	// EstimatorFI runs statistical fault-injection campaigns only.
 	EstimatorFI Estimator = "fi"
-	// EstimatorACE runs the single-pass ACE lifetime analysis only.
+	// EstimatorACE runs the single-pass ACE lifetime analysis only: every
+	// cell is a golden-only campaign.
 	EstimatorACE Estimator = "ace"
 	// EstimatorBoth runs both methodologies per cell (the figures'
 	// configuration).
@@ -355,13 +356,16 @@ func (s Spec) Compile() (*Plan, error) {
 // campaignFor builds the canonical campaign of one cell. This is the
 // single place cell identity is minted: equal (seed, chip, benchmark,
 // structure, injections) always produce equal campaign.CellKeys, whether
-// the cell came from a spec file, a canned figure or a CLI flag set.
+// the cell came from a spec file, a canned figure or a CLI flag set. An
+// estimator that runs no FI makes the cell golden-only: the golden run
+// measures all it reports.
 func (s Spec) campaignFor(chip *chips.Chip, bench *workloads.Benchmark, st gpu.Structure) finject.Campaign {
 	c := finject.Campaign{
 		Chip:       chip,
 		Benchmark:  bench,
 		Structure:  st,
 		Injections: s.Injections,
+		GoldenOnly: !s.Estimator.fi(),
 	}
 	cfg := s.Policy.Config()
 	cfg.Seed = CellSeed(s.Seed, chip.Name, bench.Name, st)

@@ -18,6 +18,7 @@ import (
 // (full round-trip). A diff here means the spec schema or the figure
 // grids changed — both are compatibility events.
 func TestFigureSpecGoldens(t *testing.T) {
+	t.Parallel()
 	for fig := 1; fig <= 3; fig++ {
 		t.Run(fmt.Sprintf("fig%d", fig), func(t *testing.T) {
 			spec, err := Figure(fig)
@@ -52,6 +53,7 @@ func TestFigureSpecGoldens(t *testing.T) {
 // TestParseRejectsUnknownFields: a typo must not silently change an
 // experiment's meaning.
 func TestParseRejectsUnknownFields(t *testing.T) {
+	t.Parallel()
 	cases := []string{
 		`{"version": 1, "injctions": 500}`,
 		`{"version": 1, "metrics": {"epff": true}}`,
@@ -67,6 +69,7 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 // TestNormalizeIdempotent: Normalize must be a projection, and equal
 // specs must compile to equal cell keys however they were written.
 func TestNormalizeIdempotent(t *testing.T) {
+	t.Parallel()
 	specs := []Spec{
 		{},
 		{Structures: []gpu.Structure{gpu.LocalMemory}},
@@ -95,6 +98,7 @@ func mustFigure(t *testing.T, fig int) Spec {
 // spec round-tripped through JSON, must compile to the same cell keys —
 // the property that lets every surface share one store.
 func TestEqualSpecsEqualKeys(t *testing.T) {
+	t.Parallel()
 	sparse := Spec{Seed: 7, Injections: 60}
 	full := sparse.Normalize()
 
@@ -130,6 +134,7 @@ func TestEqualSpecsEqualKeys(t *testing.T) {
 
 // TestValidate covers the rejection paths.
 func TestValidate(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
 		spec Spec
@@ -173,6 +178,7 @@ func TestValidate(t *testing.T) {
 // TestFigureDefaults: the Fig. 2 spec must default to the shared-memory
 // benchmark subset, and Fig. 1/3 to the full suite.
 func TestFigureDefaults(t *testing.T) {
+	t.Parallel()
 	f1 := mustFigure(t, 1)
 	f2 := mustFigure(t, 2)
 	f3 := mustFigure(t, 3)
@@ -190,6 +196,7 @@ func TestFigureDefaults(t *testing.T) {
 // TestPlanShape: the compiled grid must be benchmark-major, then chip,
 // then structure — the figures' batch order.
 func TestPlanShape(t *testing.T) {
+	t.Parallel()
 	s := Spec{
 		Chips:      []string{"Mini NVIDIA", "Mini AMD"},
 		Benchmarks: []string{"vectoradd", "transpose"},

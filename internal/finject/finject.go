@@ -75,13 +75,18 @@ type Campaign struct {
 	// FaultWidth sets the burst width in adjacent bits (values < 2 give
 	// the paper's single-bit model).
 	FaultWidth uint
+	// GoldenOnly runs no injection: the result carries only what the
+	// reference run measures (GoldenStats, Occupancy, AVFACE) — the ACE
+	// estimator's cell. It takes Golden whatever its checkpoint knob, and
+	// its own reference run, when Golden is nil, captures no ladder.
+	GoldenOnly bool
 	// Golden supplies a precomputed fault-free reference run (see
 	// NewGolden). It must come from the same chip configuration and
 	// benchmark as the campaign; when nil the campaign executes its own
 	// reference run. Sharing one Golden across the campaigns of all
 	// structures of a (chip, benchmark) pair removes the redundant
-	// reference simulations. A campaign whose checkpoint knob names an
-	// interval ignores it: its ladder is captured at that spacing by a
+	// reference simulations. An FI campaign whose checkpoint knob names
+	// an interval ignores it: its ladder is captured at that spacing by a
 	// reference run of its own.
 	Golden *Golden
 
@@ -144,7 +149,7 @@ type Result struct {
 	// the recorder fault-site pruning reads (ace.Recorder.AVF). It is nil
 	// where that run has no ACE (an access the recorder refuses) and in
 	// results stored before the golden run carried it; the AVF-ACE then
-	// takes a traced run of its own (ace.Measure).
+	// comes from the cell's golden-only sibling (Campaign.GoldenOnly).
 	AVFACE *float64 `json:",omitempty"`
 	// Records holds per-injection details when Campaign.Detail is set,
 	// indexed by injection number (deterministic across worker counts).
@@ -445,6 +450,9 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 		return nil, errors.New("finject: campaign needs a chip and a benchmark")
 	}
 	limit := c.Policy.Cap(c.Injections)
+	if c.GoldenOnly {
+		limit = 0
+	}
 	workers := c.Policy.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -458,7 +466,9 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	}
 	knob := c.Policy.Knob()
 	g := c.Golden
-	if knob.Interval > 0 {
+	if c.GoldenOnly {
+		knob = Checkpoint{Off: true} // no injection restores a rung
+	} else if knob.Interval > 0 {
 		g = nil // a ladder at another spacing takes a reference run of its own
 	}
 	if g != nil {

@@ -209,7 +209,7 @@ func submitLoose(base string, cells []campaign.CellSpec) {
 
 // chaosSpec is the experiment the crash-point matrix submits beside the
 // batch: the same three benchmarks as one grid, both estimators, so a
-// recovery also re-runs the ACE phase the journal holds nothing of.
+// recovery also reassembles AVF-ACE, which the journal holds nothing of.
 const chaosSpec = `{"name":"chaos","chips":["Mini NVIDIA"],"benchmarks":["vectoradd","transpose","matrixMul"],"injections":20,"seed":74}`
 
 // streamLoose POSTs the spec to /v1/experiments and reads the stream to

@@ -11,6 +11,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/client"
 	"repro/internal/experiment"
+	"repro/internal/gpu"
 	"repro/internal/worker"
 )
 
@@ -114,5 +115,61 @@ func TestDistributedFigureSurvivesWorkerDeath(t *testing.T) {
 	if !bytes.Equal(localJSON, remoteJSON) {
 		t.Fatalf("distributed figure differs from the single-process run:\nlocal:  %s\nremote: %s",
 			localJSON, remoteJSON)
+	}
+}
+
+// TestACEOnlyExperimentOnWorkers: an ACE-only experiment's golden-only
+// cells cross the lease wire like FI cells — each leased to a fiworker
+// and run there — and the result equals the single-process one byte for
+// byte.
+func TestACEOnlyExperimentOnWorkers(t *testing.T) {
+	q := campaign.NewLeaseQueue(time.Minute)
+	sched := campaign.New(campaign.Config{Executor: campaign.NewRemoteExecutor(q), Workers: 64})
+	srv := NewServer(sched)
+	srv.ServeWorkers(q)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	w := worker.New(&worker.Client{Base: ts.URL, Name: "ace"}, worker.Options{
+		Concurrency: 2, CampaignWorkers: 1, Poll: 20 * time.Millisecond,
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	spec := experiment.Spec{
+		Chips:      []string{"Mini NVIDIA", "Mini AMD"},
+		Benchmarks: []string{"vectoradd", "transpose"},
+		Structures: []gpu.Structure{gpu.RegisterFile, gpu.LocalMemory},
+		Estimator:  experiment.EstimatorACE,
+		Metrics:    experiment.Metrics{FIT: true},
+	}
+	remote, err := (&client.Client{Base: ts.URL}).RunExperiment(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := q.Stats().Completed; n != 8 {
+		t.Fatalf("workers completed %d leases, want the grid's 8 cells", n)
+	}
+	local, err := (&experiment.Runner{}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localJSON, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteJSON, err := json.Marshal(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(localJSON, remoteJSON) {
+		t.Fatalf("ACE-only experiment on a worker differs from the single-process run:\nlocal:  %s\nremote: %s", localJSON, remoteJSON)
 	}
 }

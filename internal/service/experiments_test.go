@@ -169,9 +169,10 @@ func TestExperimentProtectionOverHTTP(t *testing.T) {
 }
 
 // TestCanceledACEExperimentStops: DELETE on a running experiment answers
-// "canceling", and the job must then actually stop — including in its
-// ACE phase, which is one traced simulation per (chip, benchmark) and
-// used to run the whole grid out and land "done" anyway.
+// "canceling", and the job must then actually stop — also an ACE-only
+// one, whose cells are golden-only campaigns, one full simulation each
+// (an ACE phase outside the scheduler once ran the whole grid out and
+// landed "done" anyway). A cell the cancel cuts off settles as failed.
 func TestCanceledACEExperimentStops(t *testing.T) {
 	srv, _ := newTestServer(t)
 	ts := httptest.NewServer(srv)
@@ -179,7 +180,7 @@ func TestCanceledACEExperimentStops(t *testing.T) {
 	cl := &client.Client{Base: ts.URL}
 	ctx := context.Background()
 
-	// The four evaluated chips × every benchmark: 40 traced runs, most of
+	// The four evaluated chips × every benchmark: 40 golden runs, most of
 	// a second if nothing stops them — against a DELETE that takes under
 	// a millisecond and is sent before the first one can finish.
 	spec := experiment.Spec{Name: "ace-grid", Estimator: experiment.EstimatorACE}
@@ -205,8 +206,14 @@ func TestCanceledACEExperimentStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != "canceled" || st.Done == st.Total {
-		t.Fatalf("canceled experiment settled %q with %d/%d cells measured", st.State, st.Done, st.Total)
+	measured := 0
+	for _, c := range st.Cells {
+		if c.State == "done" {
+			measured++
+		}
+	}
+	if st.State != "canceled" || measured == st.Total {
+		t.Fatalf("canceled experiment settled %q with %d/%d cells measured", st.State, measured, st.Total)
 	}
 }
 

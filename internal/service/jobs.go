@@ -79,11 +79,15 @@ type jobWork struct {
 }
 
 // compileBatch compiles submitted cell specs (plus an optional
-// batch-wide policy override) into a runnable batch.
+// batch-wide policy override) into a runnable batch. A golden-only cell
+// is refused: only an ACE-only experiment makes one.
 func compileBatch(cells []campaign.CellSpec, policy *finject.Config) (*jobWork, error) {
 	batch := make([]finject.Campaign, len(cells))
 	specs := make([]campaign.CellSpec, len(cells))
 	for i, spec := range cells {
+		if spec.GoldenOnly {
+			return nil, fmt.Errorf(`cell %d: golden_only is not a batch option (POST an experiment with "estimator":"ace")`, i)
+		}
 		c, err := spec.Campaign()
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %v", i, err)
@@ -231,8 +235,7 @@ func (s *Server) run(ctx context.Context, work *jobWork, emit func(api.Event)) j
 		if cellErr != nil {
 			rec.State, rec.Error = "failed", cellErr.Error()
 			s.log.WarnContext(ctx, "cell failed", "spec", work.specs[i], "err", cellErr)
-		} else if fres != nil {
-			// (The ACE-only estimator settles cells without a campaign.)
+		} else {
 			rec.Injections = fres.Injections
 			if work.cellResults {
 				rec.Result = fres

@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/campaign"
+	"repro/internal/testutil"
 )
 
 // blanks is an endless body of JSON whitespace: a valid prefix of any
@@ -98,5 +101,46 @@ func TestJobCeilings(t *testing.T) {
 	// comfortably inside an int64.
 	if got, _ := jobCost(grid(maxJobCells, maxCellInjections)); got != int64(maxJobCells)*maxCellInjections || got <= 0 {
 		t.Fatalf("cost of the largest admissible job = %d, want %d", got, int64(maxJobCells)*maxCellInjections)
+	}
+}
+
+// TestACEOnlyExperimentCostsNoInjections: an ACE-only experiment runs no
+// injection, so the inj-rate quota charges it nothing; its FI sibling is
+// charged its cells' caps.
+func TestACEOnlyExperimentCostsNoInjections(t *testing.T) {
+	for _, tc := range []struct {
+		estimator string
+		want      int64
+	}{{"ace", 0}, {"fi", 2 * 2 * 2 * 300}} {
+		work, err := compileExperiment(strings.NewReader(`{"chips": ["Mini NVIDIA", "Mini AMD"], "benchmarks": ["vectoradd", "transpose"],
+			"structures": ["register-file", "local-memory"], "injections": 300, "estimator": "` + tc.estimator + `"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := jobCost(work.specs); err != nil || got != tc.want {
+			t.Errorf("%s experiment costs (%d, %v), want %d injections", tc.estimator, got, err, tc.want)
+		}
+	}
+}
+
+// TestBatchRefusesGoldenOnlyCells: golden_only rides the lease wire, but
+// only an ACE-only experiment makes such a cell. A batch naming it answers
+// 400, so no tenant can queue reference runs the quota charges nothing
+// for, and nothing runs.
+func TestBatchRefusesGoldenOnlyCells(t *testing.T) {
+	srv, sched := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	cell := testutil.MiniSpec("vectoradd", 1)
+	cell.GoldenOnly = true
+	var envelope struct {
+		Error api.Error `json:"error"`
+	}
+	testutil.PostJSON(t, ts.URL, "/v1/jobs", map[string]any{"cells": []campaign.CellSpec{testutil.MiniSpec("transpose", 1), cell}}, &envelope, http.StatusBadRequest)
+	if envelope.Error.Code != "bad_request" || !strings.Contains(envelope.Error.Message, "cell 1: golden_only") {
+		t.Fatalf("envelope %+v, want bad_request naming cell 1's golden_only", envelope.Error)
+	}
+	if st := sched.Stats(); st.Runs != 0 || st.GoldenRuns != 0 {
+		t.Fatalf("a refused batch ran work: %+v", st)
 	}
 }
