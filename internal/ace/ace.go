@@ -15,15 +15,20 @@
 // measured by fault injection while matching the local-memory AVF
 // closely.
 //
-// Recording is O(1) per entry an access covers and its state O(touched
-// entries), on pages of 1,024 entries allocated by the first bracket or
-// access that reaches them. The per-entry path touches two hot fields, the
-// next flip cycle and a flags byte, in arrays of their own, and both sums
-// run as the trace arrives; the span state beside them is touched once
-// per span. On the HD 7970, whose register file is 0.11–3.90 % occupied
-// across the suite, NewRecorder allocates 72 KiB and Measure at most
-// 2,851 KiB over the ten benchmarks, the simulation and the span log
-// included (TestAnalyzerStateFollowsAllocation).
+// Recording is O(1) per lane batch whose entries move together (a warp's
+// register operand, the bytes of an LDS word), else O(1) per entry it
+// covers, and its state O(touched entries), on pages of 1,024 entries
+// allocated by the first bracket or access that reaches them. Entries a
+// batch moves together share one row: the next flip cycle, the flags and
+// the open span's first cycle of all of them, until an access or a
+// bracket names some of them apart and the row hands its state back. The
+// per-entry path touches two hot fields, the next flip cycle and a flags
+// byte, in arrays of their own, and both sums run as the trace arrives;
+// the span state beside them is touched once per span. On the HD 7970,
+// whose register file is 0.11–3.90 % occupied across the suite,
+// NewRecorder allocates 72 KiB and Measure at most 2,633 KiB over the ten
+// benchmarks, the simulation, the rows and the span log included
+// (TestAnalyzerStateFollowsAllocation).
 package ace
 
 import (
@@ -52,6 +57,9 @@ const (
 	// slice spent a tenth of a traced run in growslice.
 	chunkBits = 12
 	chunkMask = 1<<chunkBits - 1
+	// rowTag marks a logged span as a row's: the key is then its index in
+	// rows. Keys leave the top bit free (newTrack).
+	rowTag = 1 << 31
 )
 
 // chain is the state of one entry's spans, touched once per span.
@@ -68,13 +76,30 @@ type page struct {
 	// first to meet: the last access's stamp + 1.
 	next  [pageSize]uint32
 	flags [pageSize]byte
+	// owner is the index in rows of the row that holds the entry's state
+	// instead of next, flags and its chain's lo; 0 for none.
+	owner [pageSize]int32
+}
+
+// row is the state that the entries of a lane batch share while batches
+// name them together: entry key + l*stride for each lane l in mask. It
+// holds what each of them would hold, and the spans all of them closed
+// while it held them.
+type row struct {
+	key, stride uint32
+	mask        uint64 // bit 0 set, at least two lanes
+	next, lo    uint32
+	closed      uint32 // spans logged under the row's tag
+	flags       byte
+	fresh       byte // entries that had opened no span when the row formed
 }
 
 // span is the inclusive range of flip cycles [lo, hi] of one entry that a
 // read is the first access to meet.
 type span struct{ lo, hi uint32 }
 
-// logged is a closed span of the entry key (unit*perUnit + entry).
+// logged is a closed span of the entry key (unit*perUnit + entry), or of
+// every entry of row key&^rowTag.
 type logged struct {
 	key uint32
 	span
@@ -86,6 +111,8 @@ type track struct {
 	units, perUnit int
 	pages          []*page            // nil until a bracket or an access reaches one of its entries
 	chains         []*[pageSize]chain // beside pages
+	rows           []row              // rows[0] is unused, so that owner 0 is none
+	free           []int32            // rows dissolved with no span logged, to reuse
 	log            [][]logged         // chunks; index i is log[i>>chunkBits][i&chunkMask]
 	n              int                // spans logged
 	spans, entries int                // spans opened, and entries that opened one
@@ -93,6 +120,9 @@ type track struct {
 	ace            int64              // ACE entry-cycles: the part of live that follows a write in the bracket
 	stray          int64              // accesses outside an allocation bracket
 	undefined      int64              // reads of an allocated entry not written since its allocation
+	// lanes counts the entry accesses of the trace, and onRows those a
+	// row recorded.
+	lanes, onRows int64
 	// bad is set by an access the recorder cannot place (outside the
 	// structure, a cycle beyond the stamp width, time running backwards);
 	// the structure then has no table and no ACE.
@@ -101,11 +131,11 @@ type track struct {
 
 func newTrack(units, perUnit int) track {
 	n := units * perUnit
-	if n > math.MaxUint32 {
+	if n > math.MaxInt32 {
 		return track{bad: true}
 	}
 	pages := (n + pageMask) >> pageBits
-	return track{units: units, perUnit: perUnit, pages: make([]*page, pages), chains: make([]*[pageSize]chain, pages)}
+	return track{units: units, perUnit: perUnit, pages: make([]*page, pages), chains: make([]*[pageSize]chain, pages), rows: make([]row, 1)}
 }
 
 // newPage allocates the page of the key, out of the per-access path.
@@ -118,26 +148,109 @@ func (t *track) newPage(key int) *page {
 	return p
 }
 
-func (t *track) access(unit, entry int, cycle int64, write bool) {
-	if uint(unit) >= uint(t.units) || uint(entry) >= uint(t.perUnit) || uint64(cycle) >= math.MaxUint32 {
+// batch records an access at the cycle of entry base + l*stride of the
+// unit for each lane l set in lanes, in lane order. Where the entries lie
+// in the unit and a row holds them or can form over them, that is one
+// update of the row; otherwise each entry is recorded on its own.
+func (t *track) batch(unit, base, stride int, lanes uint64, cycle int64, write bool) {
+	if lanes == 0 {
+		return
+	}
+	if uint(unit) >= uint(t.units) || uint64(cycle) >= math.MaxUint32 {
 		t.bad = true
 		return
 	}
-	t.record(unit*t.perUnit+entry, uint32(cycle), write)
+	n := bits.OnesCount64(lanes)
+	t.lanes += int64(n)
+	if first := bits.TrailingZeros64(lanes); n > 1 && stride > 0 && stride < t.perUnit && base+first*stride >= 0 &&
+		base+(63-bits.LeadingZeros64(lanes))*stride < t.perUnit {
+		if o := t.rowOf(unit*t.perUnit+base+first*stride, lanes>>first, stride); o != 0 {
+			t.onRows += int64(n)
+			t.recordRow(o, uint32(cycle), write, n)
+			return
+		}
+	}
+	for ; lanes != 0; lanes &= lanes - 1 {
+		entry := base + bits.TrailingZeros64(lanes)*stride
+		if uint(entry) >= uint(t.perUnit) {
+			t.bad = true
+			continue
+		}
+		t.record(unit*t.perUnit+entry, uint32(cycle), write)
+	}
 }
 
-// record is access past its checks: key is inside the structure and at
-// inside the stamp width.
-func (t *track) record(key int, at uint32, write bool) {
-	p := t.pages[key>>pageBits]
-	if p == nil {
-		p = t.newPage(key)
+// rowOf returns the row over entry key + l*stride for each lane l in mask
+// (bit 0 set, the entries inside one unit): the one that holds them, else
+// a new one if none of them has a row and all of them hold equal state;
+// 0 for none.
+func (t *track) rowOf(key int, mask uint64, stride int) int32 {
+	if p := t.pages[key>>pageBits]; p != nil {
+		if o := p.owner[key&pageMask]; o != 0 {
+			if r := &t.rows[o]; r.key == uint32(key) && r.mask == mask && r.stride == uint32(stride) {
+				return o
+			}
+			return 0
+		}
 	}
-	i := key & pageMask
-	f := p.flags[i]
+	var r row
+	for m := mask; m != 0; m &= m - 1 {
+		k := key + bits.TrailingZeros64(m)*stride
+		p, i := t.pages[k>>pageBits], k&pageMask
+		if p == nil {
+			p = t.newPage(k)
+		}
+		ch := &t.chains[k>>pageBits][i]
+		switch {
+		case p.owner[i] != 0:
+			return 0
+		case m == mask:
+			r = row{key: uint32(key), stride: uint32(stride), mask: mask, next: p.next[i], lo: ch.lo, flags: p.flags[i]}
+		case p.next[i] != r.next || p.flags[i] != r.flags || r.flags&open != 0 && ch.lo != r.lo:
+			return 0
+		}
+		if ch.closed == 0 && r.flags&open == 0 {
+			r.fresh++
+		}
+	}
+	o := int32(len(t.rows))
+	if n := len(t.free); n > 0 {
+		o, t.free = t.free[n-1], t.free[:n-1]
+		t.rows[o] = r
+	} else {
+		t.rows = append(t.rows, r)
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		k := key + bits.TrailingZeros64(m)*stride
+		t.pages[k>>pageBits].owner[k&pageMask] = o
+	}
+	return o
+}
+
+// dissolve hands the state of row o back to its entries.
+func (t *track) dissolve(o int32) {
+	r := &t.rows[o]
+	for m := r.mask; m != 0; m &= m - 1 {
+		k := int(r.key) + bits.TrailingZeros64(m)*int(r.stride)
+		p, i := t.pages[k>>pageBits], k&pageMask
+		ch := &t.chains[k>>pageBits][i]
+		p.next[i], p.flags[i], p.owner[i] = r.next, r.flags, 0
+		ch.lo, ch.closed = r.lo, ch.closed+r.closed
+	}
+	if r.closed == 0 {
+		t.free = append(t.free, o)
+	}
+}
+
+// step applies an access at stamp at to the state (next, flags) that n
+// entries share, adding to the sums for each, and returns the stamp the
+// state held before and whether the access opened or closed a span.
+func (t *track) step(next *uint32, flags *byte, at uint32, write bool, n int64) (prev uint32, opened, closed bool) {
+	f := *flags
+	prev = *next
 	// d is the flip cycles this access is the first to meet: 0 for one in
 	// the cycle of the access before it.
-	d := int64(at) + 1 - int64(p.next[i])
+	d := int64(at) + 1 - int64(prev)
 	if d < 0 {
 		t.bad = true // time running backwards
 	}
@@ -145,63 +258,97 @@ func (t *track) record(key int, at uint32, write bool) {
 		// A well-formed simulator trace has none, so Measure fails on the
 		// count (an access the device reports before its allocation would
 		// otherwise only lower the AVF, quietly).
-		t.stray++
+		t.stray += n
 	}
 	if write {
 		// A write in a later cycle ends the open span; one in the cycle of
 		// the read that ended it leaves it open, since the flip cycles a
 		// read after it is first to meet follow on from that read.
-		if f&open != 0 && d > 0 {
+		closed = f&open != 0 && d > 0
+		if closed {
 			f &^= open
-			t.close(p, key)
 		}
-		p.flags[i] = f | defined
+		f |= defined
 	} else {
 		switch f & (allocated | defined) {
 		case allocated | defined:
-			t.ace += d
+			t.ace += d * n
 		case allocated:
-			t.undefined++
+			t.undefined += n
 		}
-		t.live += d
-		if f&open == 0 && d > 0 {
-			p.flags[i] = f | open
-			t.open(p, key)
+		t.live += d * n
+		opened = f&open == 0 && d > 0
+		if opened {
+			f |= open
 		}
 	}
-	p.next[i] = at + 1
+	*flags, *next = f, at+1
+	return prev, opened, closed
 }
 
-// open starts a span of the entry key.
-func (t *track) open(p *page, key int) {
-	ch := &t.chains[key>>pageBits][key&pageMask]
-	if ch.closed == 0 {
-		t.entries++
+// record is one entry's access past its checks: key is inside the
+// structure and at inside the stamp width.
+func (t *track) record(key int, at uint32, write bool) {
+	p := t.pages[key>>pageBits]
+	if p == nil {
+		p = t.newPage(key)
 	}
-	t.spans++
-	ch.lo = p.next[key&pageMask]
+	i := key & pageMask
+	if o := p.owner[i]; o != 0 {
+		t.dissolve(o)
+	}
+	prev, opened, closed := t.step(&p.next[i], &p.flags[i], at, write, 1)
+	ch := &t.chains[key>>pageBits][i]
+	switch {
+	case opened:
+		if ch.closed == 0 {
+			t.entries++
+		}
+		t.spans++
+		ch.lo = prev
+	case closed:
+		t.logSpan(uint32(key), span{ch.lo, prev - 1})
+		ch.closed++
+	}
 }
 
-// close logs the open span of the entry key.
-func (t *track) close(p *page, key int) {
+// recordRow is record for the n entries of row o at once.
+func (t *track) recordRow(o int32, at uint32, write bool, n int) {
+	r := &t.rows[o]
+	prev, opened, closed := t.step(&r.next, &r.flags, at, write, int64(n))
+	switch {
+	case opened:
+		t.entries += int(r.fresh)
+		r.fresh = 0
+		t.spans += n
+		r.lo = prev
+	case closed:
+		t.logSpan(rowTag|uint32(o), span{r.lo, prev - 1})
+		r.closed++
+	}
+}
+
+// logSpan appends a closed span to the log.
+func (t *track) logSpan(key uint32, s span) {
 	if t.n>>chunkBits == len(t.log) {
 		t.log = append(t.log, make([]logged, 1<<chunkBits))
 	}
-	ch := &t.chains[key>>pageBits][key&pageMask]
-	t.log[t.n>>chunkBits][t.n&chunkMask] = logged{uint32(key), span{ch.lo, p.next[key&pageMask] - 1}}
+	t.log[t.n>>chunkBits][t.n&chunkMask] = logged{key, s}
 	t.n++
-	ch.closed++
 }
 
 // bracket sets the flags of entries [base, base+count) of the unit to
-// set, keeping their span state: brackets never change a span. A bracket
-// outside the unit is ignored; accesses to it are stray or cannot be
-// placed.
+// set, keeping their span state: brackets never change a span. A row it
+// covers whole takes the flags; one it covers in part is dissolved first.
+// A bracket outside the unit is ignored; accesses to it are stray or
+// cannot be placed.
 func (t *track) bracket(unit, base, count int, set byte) {
 	if uint(unit) >= uint(t.units) || base < 0 || count < 0 || base+count > t.perUnit {
 		return
 	}
-	for key := unit*t.perUnit + base; count > 0; {
+	start := unit*t.perUnit + base
+	end := start + count
+	for key := start; count > 0; {
 		p := t.pages[key>>pageBits]
 		if p == nil && set != 0 {
 			p = t.newPage(key)
@@ -210,6 +357,14 @@ func (t *track) bracket(unit, base, count int, set byte) {
 		to := min(from+count, pageSize)
 		if p != nil {
 			for i := from; i < to; i++ {
+				if o := p.owner[i]; o != 0 {
+					r := &t.rows[o]
+					if last := int(r.key) + (63-bits.LeadingZeros64(r.mask))*int(r.stride); int(r.key) >= start && last < end {
+						r.flags = r.flags&open | set
+					} else {
+						t.dissolve(o)
+					}
+				}
 				p.flags[i] = p.flags[i]&open | set
 			}
 		}
@@ -234,9 +389,10 @@ func (t *track) entryCycles(st gpu.Structure) (int64, error) {
 
 // table compacts the recording into the retained form. A walk of the
 // touched pages in entry order lays out each entry's spans and turns its
-// count of closed spans into a cursor; the log, in time order, is then
-// scattered through the cursors, so each entry's spans land ascending;
-// the open span, the latest, goes last, and the counts are restored.
+// count of closed spans, its own and its row's, into a cursor; the log,
+// in time order, is then scattered through the cursors, a row's span to
+// each of its entries, so each entry's spans land ascending; the open
+// span, the latest, goes last, and the counts are restored.
 func (t *track) table() *Table {
 	if t.bad {
 		return nil
@@ -250,13 +406,17 @@ func (t *track) table() *Table {
 		}
 		for i := range t.chains[pi] {
 			ch := &t.chains[pi][i]
-			if ch.closed == 0 && p.flags[i]&open == 0 {
+			closed, f := ch.closed, p.flags[i]
+			if o := p.owner[i]; o != 0 {
+				closed, f = closed+t.rows[o].closed, t.rows[o].flags
+			}
+			if closed == 0 && f&open == 0 {
 				continue
 			}
 			lt.keys = append(lt.keys, uint32(pi<<pageBits|i))
 			lt.offs = append(lt.offs, n)
-			n += ch.closed
-			if p.flags[i]&open != 0 {
+			n += closed
+			if f&open != 0 {
 				n++
 			}
 			ch.closed = lt.offs[len(lt.offs)-1]
@@ -265,17 +425,32 @@ func (t *track) table() *Table {
 	lt.offs = append(lt.offs, n)
 	for j := range t.n {
 		l := &t.log[j>>chunkBits][j&chunkMask]
-		ch := &t.chains[l.key>>pageBits][l.key&pageMask]
-		lt.spans[ch.closed] = l.span
-		ch.closed++
+		if l.key&rowTag == 0 {
+			ch := &t.chains[l.key>>pageBits][l.key&pageMask]
+			lt.spans[ch.closed] = l.span
+			ch.closed++
+			continue
+		}
+		r := &t.rows[l.key&^rowTag]
+		for m := r.mask; m != 0; m &= m - 1 {
+			k := r.key + uint32(bits.TrailingZeros64(m))*r.stride
+			ch := &t.chains[k>>pageBits][k&pageMask]
+			lt.spans[ch.closed] = l.span
+			ch.closed++
+		}
 	}
 	for k, key := range lt.keys {
 		p, i := t.pages[key>>pageBits], key&pageMask
 		ch := &t.chains[key>>pageBits][i]
-		if p.flags[i]&open != 0 {
-			lt.spans[ch.closed] = span{ch.lo, p.next[i] - 1}
+		next, f, lo, closed := p.next[i], p.flags[i], ch.lo, uint32(0)
+		if o := p.owner[i]; o != 0 {
+			r := &t.rows[o]
+			next, f, lo, closed = r.next, r.flags, r.lo, r.closed
 		}
-		ch.closed -= lt.offs[k]
+		if f&open != 0 {
+			lt.spans[ch.closed] = span{lo, next - 1}
+		}
+		ch.closed -= lt.offs[k] + closed
 	}
 	return lt
 }
@@ -292,28 +467,16 @@ func NewRecorder(d gpu.Device) *Recorder {
 		gpu.LocalMemory: newTrack(d.Units(), d.StructSize(gpu.LocalMemory))}
 }
 
-// RegAccess implements gpu.Tracer: it places the unit and the cycle once,
-// then records each lane's entry as access would.
+// RegAccess implements gpu.Tracer.
 func (r *Recorder) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
-	t := &r[gpu.RegisterFile]
-	if lanes != 0 && (uint(unit) >= uint(t.units) || uint64(cycle) >= math.MaxUint32) {
-		t.bad = true
-		return
-	}
-	for ; lanes != 0; lanes &= lanes - 1 {
-		entry := base + bits.TrailingZeros64(lanes)*stride
-		if uint(entry) >= uint(t.perUnit) {
-			t.bad = true
-			continue
-		}
-		t.record(unit*t.perUnit+entry, uint32(cycle), write)
-	}
+	r[gpu.RegisterFile].batch(unit, base, stride, lanes, cycle, write)
 }
 
-// LocalAccess implements gpu.Tracer: each byte is an entry.
+// LocalAccess implements gpu.Tracer: each byte is an entry, and the bytes
+// of an access are a stride-1 batch, 64 at a time.
 func (r *Recorder) LocalAccess(unit, offset, size int, cycle int64, write bool) {
-	for b := 0; b < size; b++ {
-		r[gpu.LocalMemory].access(unit, offset+b, cycle, write)
+	for ; size > 0; offset, size = offset+64, size-64 {
+		r[gpu.LocalMemory].batch(unit, offset, 1, ^uint64(0)>>(64-min(size, 64)), cycle, write)
 	}
 }
 

@@ -131,3 +131,37 @@ func TestMeasureOnRealRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsCarryTheTraffic: over the ten benchmarks on both mini chips,
+// rows record at least 90 % of the register lane-accesses and every byte
+// of every local access, all of which are words.
+func TestRowsCarryTheTraffic(t *testing.T) {
+	var lanes, onRows int64
+	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
+		for _, b := range workloads.All() {
+			d, err := devices.New(chip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp, err := b.New(chip.Vendor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRecorder(d)
+			d.SetTracer(r)
+			if err := hp.Run(d); err != nil {
+				t.Fatal(err)
+			}
+			regs, local := &r[gpu.RegisterFile], &r[gpu.LocalMemory]
+			if local.onRows != local.lanes {
+				t.Errorf("%s on %s: rows recorded %d of %d local byte accesses, want all", b.Name, chip.Name, local.onRows, local.lanes)
+			}
+			t.Logf("%-10s %-10s rows record %5.1f %% of %d register lane-accesses, %d of %d local byte accesses",
+				chip.Name, b.Name, 100*float64(regs.onRows)/float64(regs.lanes), regs.lanes, local.onRows, local.lanes)
+			lanes, onRows = lanes+regs.lanes, onRows+regs.onRows
+		}
+	}
+	if onRows*10 < lanes*9 {
+		t.Errorf("rows recorded %d of %d register lane-accesses, want at least 90 %%", onRows, lanes)
+	}
+}

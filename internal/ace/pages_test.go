@@ -218,6 +218,63 @@ func FuzzAnalyzerPages(f *testing.F) {
 	// An empty batch names no entry, so none it cannot place: not on a
 	// unit past the geometry, nor past the stamps.
 	seed(fuzzLanes(opRegLanesRead|anywhere, 3, 0, 1, 0, 1), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0, late))
+	// Rows. A repeated batch: a row forms on the write, and the reads and
+	// the closing write hit it.
+	seed(fuzzOp(opRegAlloc, 0, 0, 256, 0), fuzzLanes(opRegLanesWrite, 0, 8, 4, 0xFF, 1),
+		fuzzLanes(opRegLanesRead, 0, 8, 4, 0xFF, 2), fuzzLanes(opRegLanesRead, 0, 8, 4, 0xFF, 3),
+		fuzzLanes(opRegLanesWrite, 0, 8, 4, 0xFF, 1), fuzzLanes(opRegLanesRead, 0, 8, 4, 0xFF, 5),
+		fuzzOp(opRegRead, 0, 12, 0, 1), fuzzLanes(opRegLanesWrite, 0, 200, 1, 0xF, 1))
+	// Subset batches, on the row's first lane and past it, then the whole
+	// batch again: it cannot form until a write evens the entries out, and
+	// then forms again.
+	seed(fuzzOp(opRegAlloc, 0, 0, 256, 0), fuzzLanes(opRegLanesWrite, 0, 100, 1, 0xFF, 1),
+		fuzzLanes(opRegLanesRead, 0, 100, 1, 0xFF, 2), fuzzLanes(opRegLanesRead, 0, 100, 1, 0x0F, 3),
+		fuzzLanes(opRegLanesRead, 0, 100, 1, 0xF0, 1), fuzzLanes(opRegLanesRead, 0, 100, 1, 0xFF, 2),
+		fuzzLanes(opRegLanesWrite, 0, 100, 1, 0xFF, 4), fuzzLanes(opRegLanesRead, 0, 100, 1, 0xFF, 2),
+		fuzzLanes(opRegLanesWrite, 0, 100, 1, 0xFF, 3))
+	// The same entries at another stride and mask, a per-entry access to a
+	// member, and the row forming again over what the access left equal.
+	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 20, 2, 0xF, 1),
+		fuzzLanes(opRegLanesRead, 0, 20, 2, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 20, 1, 0x55, 3),
+		fuzzLanes(opRegLanesRead, 0, 20, 1, 0x55, 1), fuzzOp(opRegRead, 0, 22, 0, 2),
+		fuzzOp(opRegWrite, 0, 24, 0, 0), fuzzLanes(opRegLanesWrite, 0, 20, 2, 0xF, 3),
+		fuzzLanes(opRegLanesRead, 0, 20, 2, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 20, 3, 0xF, 1))
+	// A batch over a row's first entry and the untouched one before it,
+	// whose state the row's entries held when it formed: no second row
+	// takes the first one's entry. Then no row hits a batch at another
+	// stride.
+	seed(fuzzOp(opRegAlloc, 0, 0, 16, 0), fuzzLanes(opRegLanesWrite, 0, 10, 1, 0b11, 1),
+		fuzzLanes(opRegLanesRead, 0, 9, 1, 0b11, 2),
+		fuzzLanes(opRegLanesRead, 0, 10, 1, 0b11, 1), fuzzLanes(opRegLanesWrite, 0, 10, 1, 0b11, 1),
+		fuzzLanes(opRegLanesRead, 0, 10, 1, 0b11, 1), fuzzLanes(opRegLanesRead, 0, 10, 2, 0b11, 1))
+	// Two entries equal but for their open span's first cycle: no row.
+	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0b11, 1),
+		fuzzOp(opRegRead, 0, 0, 0, 2), fuzzOp(opRegWrite, 0, 1, 0, 1), fuzzOp(opRegRead, 0, 1, 0, 2),
+		fuzzOp(opRegRead, 0, 0, 0, 0), fuzzLanes(opRegLanesRead, 0, 0, 1, 0b11, 2),
+		fuzzLanes(opRegLanesWrite, 0, 0, 1, 0b11, 1))
+	// Brackets over rows: a free and a reallocation that cover the row
+	// whole, a read before a write, a free of part of it, then reads of
+	// it: stray in part.
+	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 16, 3, 0x3FF, 1),
+		fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 2), fuzzOp(opRegFree, 0, 0, 64, 1),
+		fuzzOp(opRegAlloc, 0, 0, 64, 1), fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 1),
+		fuzzLanes(opRegLanesWrite, 0, 16, 3, 0x3FF, 1),
+		fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 2), fuzzOp(opRegFree, 0, 0, 30, 1),
+		fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 2), fuzzLanes(opRegLanesWrite, 0, 16, 3, 0x3FF, 2))
+	// Rows across page edges (keys 1,024 and 2,048), and a bracket that
+	// ends inside one.
+	seed(fuzzOp(opRegAlloc, 0, 900, 600, 0), fuzzOp(opRegAlloc, 1, 0, 1500, 0),
+		fuzzLanes(opRegLanesWrite, 0, 1010, 3, 0xFFFFF, 1), fuzzLanes(opRegLanesWrite, 1, 540, 1, ^uint64(0), 0),
+		fuzzLanes(opRegLanesRead, 0, 1010, 3, 0xFFFFF, 2), fuzzLanes(opRegLanesRead, 1, 540, 1, ^uint64(0), 0),
+		fuzzOp(opRegFree, 1, 0, 560, 3), fuzzLanes(opRegLanesRead, 1, 540, 1, ^uint64(0), 1),
+		fuzzLanes(opRegLanesWrite, 0, 1010, 3, 0xFFFFF, 2), fuzzLanes(opRegLanesRead, 0, 1010, 3, 0xFFFFF, 1))
+	// Local accesses of 2–4 bytes: a word forms a row, a half-word and a
+	// byte inside it dissolve it, and a word across the unit's end cannot
+	// be placed.
+	seed(fuzzOp(opLocalAlloc, 0, 0, 64, 0), fuzzOp(opLocalAlloc, 1, 1400, 100, 0),
+		fuzzOp(opLocalWrite, 0, 4, 3, 1), fuzzOp(opLocalRead, 0, 4, 3, 2), fuzzOp(opLocalRead, 0, 4, 3, 1),
+		fuzzOp(opLocalRead, 0, 4, 1, 2), fuzzOp(opLocalRead, 0, 6, 0, 1), fuzzOp(opLocalWrite, 0, 4, 2, 3),
+		fuzzOp(opLocalRead, 0, 4, 3, 1), fuzzOp(opLocalWrite, 1, 1496, 3, 1), fuzzOp(opLocalWrite, 1, 1498, 3, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := recorderOf(fuzzUnits, fuzzPerUnit, fuzzPerUnit)
 		regs, local := newModel(fuzzUnits, fuzzPerUnit), newModel(fuzzUnits, fuzzPerUnit)
@@ -290,6 +347,9 @@ func FuzzAnalyzerPages(f *testing.F) {
 						t.Fatalf("op %d %v: %v: a table after an access the recorder cannot place", n, op, st)
 					}
 					continue
+				}
+				if cap(lt.keys) != len(lt.keys) {
+					t.Fatalf("op %d %v: %v table reserved %d keys, holds %d", n, op, st, cap(lt.keys), len(lt.keys))
 				}
 				if !slices.Equal(lt.keys, keys) || !slices.Equal(lt.offs, offs) || !slices.Equal(lt.spans, all) {
 					t.Fatalf("op %d %v: %v table keys=%v offs=%v spans=%v, model %v/%v/%v", n, op, st, lt.keys, lt.offs, lt.spans, keys, offs, all)
