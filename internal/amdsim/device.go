@@ -27,7 +27,6 @@ import (
 type Device = simt.Device[wavefront]
 
 type (
-	unit      = simt.Unit[wavefront]
 	wave      = simt.Wave[wavefront]
 	waveState = simt.WaveState[wavefront]
 )
@@ -68,7 +67,7 @@ func (i *isa) Bind(k gpu.Kernel) (int, error) {
 	return prog.NumKArgs, nil
 }
 
-func (*isa) InitWave(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) {
+func (*isa) InitWave(d *Device, w *wave, lc *simt.LaunchCtx) {
 	ww := d.Chip.WarpWidth
 	valid := ^uint64(0) >> (64 - ww)
 	if n := lc.Threads - w.ThreadBase; n < ww {
@@ -91,9 +90,9 @@ func (*isa) InitWave(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) {
 		t := w.ThreadBase + lane
 		x[lane], y[lane] = uint32(t%lsx), uint32((t/lsx)%lsy)
 	}
-	scatter(d, u, w, valid, 0, &x)
+	scatter(d, w, valid, 0, &x)
 	if lc.RegsPerThread > 1 {
-		scatter(d, u, w, valid, 1, &y)
+		scatter(d, w, valid, 1, &y)
 	}
 }
 

@@ -1,7 +1,6 @@
 package amdsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -112,28 +111,18 @@ func depReady(w *wave, in *siasm.Instr) int64 {
 	return t
 }
 
-// vgprIndex maps (wavefront, lane, architectural VGPR) to the physical
-// entry within the CU's VGPR file (register-major layout).
-func vgprIndex(d *Device, w *wave, lane int, r uint8) int {
-	return w.RegBase + int(r)*d.Chip.WarpWidth + lane
-}
+// The VGPR file is register-major within the wavefront's window: VGPR r
+// of lane l is entry RegBase + r*WarpWidth + l.
 
-// readVGPR reads VGPR r on lane 0, where a scalar instruction reads a
-// vector source.
-func readVGPR(d *Device, u *unit, w *wave, r uint8) uint32 {
-	idx := vgprIndex(d, w, 0, r)
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, 0, 1, d.Cycle, false)
-	}
-	return u.Regs[idx]
-}
-
-// readOp32 evaluates a 32-bit source once for the wavefront; gather
-// reads a VGPR on every lane instead.
-func readOp32(d *Device, u *unit, w *wave, o siasm.Operand) (uint32, error) {
+// readOp32 evaluates a 32-bit source once for the wavefront, a VGPR on
+// lane 0 (a scalar instruction's vector source); gather reads a VGPR on
+// every lane instead.
+func readOp32(d *Device, w *wave, o siasm.Operand) (uint32, error) {
 	switch o.Kind {
 	case siasm.OperandVReg:
-		return readVGPR(d, u, w, o.Reg), nil
+		var v [1]uint32
+		d.ReadRegs(w, int(o.Reg)*d.Chip.WarpWidth, 0, 1, v[:])
+		return v[0], nil
 	case siasm.OperandSReg:
 		return w.ISA.sgprs[o.Reg], nil
 	case siasm.OperandImm:
@@ -181,7 +170,7 @@ func (w *wavefront) write64(o siasm.Operand, v uint64, ready int64) error {
 }
 
 // TryIssue attempts to issue the wavefront's next instruction.
-func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, int64, error) {
+func (i *isa) TryIssue(d *Device, w *wave, lc *simt.LaunchCtx) (bool, int64, error) {
 	prog := i.prog
 	if w.PC < 0 || w.PC >= len(prog.Instrs) {
 		return false, 0, fmt.Errorf("amdsim: kernel %s: invalid PC %d (wave %d of group %d)",
@@ -210,7 +199,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 
 	case siasm.OpSEndpgm:
 		w.PC++
-		d.FinishWave(u, w)
+		d.FinishWave(w)
 
 	case siasm.OpSBranch:
 		w.PC = in.Target
@@ -242,11 +231,11 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		d.ArriveBarrier(w)
 
 	case siasm.OpSCmp:
-		a, err := readOp32(d, u, w, in.Src[0])
+		a, err := readOp32(d, w, in.Src[0])
 		if err != nil {
 			return false, 0, err
 		}
-		b, err := readOp32(d, u, w, in.Src[1])
+		b, err := readOp32(d, w, in.Src[1])
 		if err != nil {
 			return false, 0, err
 		}
@@ -287,7 +276,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 
 	case siasm.OpVCmp:
 		var a, b [64]uint32
-		if err := sources(d, u, w, in, active, &a, &b); err != nil {
+		if err := sources(d, w, in, active, &a, &b); err != nil {
 			return false, 0, err
 		}
 		var mask uint64
@@ -300,20 +289,11 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		s.vccReady = d.Cycle + lat
 		w.PC++
 
-	case siasm.OpDSRead, siasm.OpDSWrite:
-		if err := execLDS(d, u, w, in, active, ww); err != nil {
+	case siasm.OpDSRead, siasm.OpDSWrite, siasm.OpBufLoad, siasm.OpBufStor:
+		if err := execMem(d, w, in, active); err != nil {
 			return false, 0, err
 		}
-		if in.Op == siasm.OpDSRead {
-			w.RegReady[in.Dst.Reg] = d.Cycle + lat
-		}
-		w.PC++
-
-	case siasm.OpBufLoad, siasm.OpBufStor:
-		if err := execBuffer(d, u, w, in, active, ww); err != nil {
-			return false, 0, err
-		}
-		if in.Op == siasm.OpBufLoad {
+		if in.Op == siasm.OpDSRead || in.Op == siasm.OpBufLoad {
 			w.RegReady[in.Dst.Reg] = d.Cycle + lat
 		}
 		w.PC++
@@ -327,13 +307,13 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 			return false, 0, fmt.Errorf("amdsim: kernel %s: opcode %d has no lane semantics (PC %d)", prog.Name, in.Op, w.PC)
 		}
 		if cls == siasm.ClassScalar {
-			if err := execScalar32(d, u, w, in, op, lat); err != nil {
+			if err := execScalar32(d, w, in, op, lat); err != nil {
 				return false, 0, err
 			}
 			w.PC++
 			break
 		}
-		if err := execVALU(d, u, w, in, op, active); err != nil {
+		if err := execVALU(d, w, in, op, active); err != nil {
 			return false, 0, err
 		}
 		w.RegReady[in.Dst.Reg] = d.Cycle + lat
@@ -348,15 +328,15 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 
 // execScalar32 executes a 32-bit scalar ALU instruction once for the
 // wavefront.
-func execScalar32(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, lat int64) error {
+func execScalar32(d *Device, w *wave, in *siasm.Instr, op simt.ALUOp, lat int64) error {
 	s := &w.ISA
-	a, err := readOp32(d, u, w, in.Src[0])
+	a, err := readOp32(d, w, in.Src[0])
 	if err != nil {
 		return err
 	}
 	var b uint32
 	if in.Src[1].Kind != siasm.OperandNone {
-		b, err = readOp32(d, u, w, in.Src[1])
+		b, err = readOp32(d, w, in.Src[1])
 		if err != nil {
 			return err
 		}
@@ -405,9 +385,9 @@ func execScalar64(d *Device, s *wavefront, in *siasm.Instr, lat int64) error {
 // are gathered first, one operand at a time: a lane reads its sources
 // before it writes, as it would one lane at a time, and lanes share no
 // registers.
-func execVALU(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, active uint64) error {
+func execVALU(d *Device, w *wave, in *siasm.Instr, op simt.ALUOp, active uint64) error {
 	var a, b, c [64]uint32
-	if err := sources(d, u, w, in, active, &a, &b); err != nil {
+	if err := sources(d, w, in, active, &a, &b); err != nil {
 		return err
 	}
 	pa, pb := &a, &b
@@ -420,141 +400,77 @@ func execVALU(d *Device, u *unit, w *wave, in *siasm.Instr, op simt.ALUOp, activ
 			c[lane] = uint32(w.ISA.vcc>>lane) & 1
 		}
 	case siasm.OpVMacF: // D += S0 * S1
-		if err := gather(d, u, w, active, in.Dst, &c); err != nil {
+		if err := gather(d, w, active, in.Dst, &c); err != nil {
 			return err
 		}
 	}
 	ww := d.Chip.WarpWidth
 	simt.ALUs(op, pa[:ww], pb[:ww], c[:ww])
-	scatter(d, u, w, active, in.Dst.Reg, pa)
+	scatter(d, w, active, in.Dst.Reg, pa)
 	return nil
 }
 
 // sources gathers in's 32-bit sources on every lane in active; b stays
 // zero without a second source, and no lane reads anything when none is
 // active.
-func sources(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, a, b *[64]uint32) error {
+func sources(d *Device, w *wave, in *siasm.Instr, active uint64, a, b *[64]uint32) error {
 	if active == 0 {
 		return nil
 	}
-	if err := gather(d, u, w, active, in.Src[0], a); err != nil {
+	if err := gather(d, w, active, in.Src[0], a); err != nil {
 		return err
 	}
 	if in.Src[1].Kind == siasm.OperandNone {
 		return nil
 	}
-	return gather(d, u, w, active, in.Src[1], b)
+	return gather(d, w, active, in.Src[1], b)
 }
 
 // gather reads a 32-bit source on every lane in active into v.
-func gather(d *Device, u *unit, w *wave, active uint64, o siasm.Operand, v *[64]uint32) error {
+func gather(d *Device, w *wave, active uint64, o siasm.Operand, v *[64]uint32) error {
 	if o.Kind != siasm.OperandVReg {
-		x, err := readOp32(d, u, w, o)
+		x, err := readOp32(d, w, o)
 		for lane := range v {
 			v[lane] = x
 		}
 		return err
 	}
-	idx := vgprIndex(d, w, 0, o.Reg)
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, 1, active, d.Cycle, false)
-	}
-	for lane := range v[:d.Chip.WarpWidth] {
-		if active&(1<<lane) != 0 {
-			v[lane] = u.Regs[idx]
-		}
-		idx++
-	}
+	ww := d.Chip.WarpWidth
+	d.ReadRegs(w, int(o.Reg)*ww, 1, active, v[:ww])
 	return nil
 }
 
 // scatter writes v into VGPR r on every lane in active, the mirror of
 // gather.
-func scatter(d *Device, u *unit, w *wave, active uint64, r uint8, v *[64]uint32) {
-	idx := vgprIndex(d, w, 0, r)
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, 1, active, d.Cycle, true)
-	}
-	for lane := range v[:d.Chip.WarpWidth] {
-		if active&(1<<lane) != 0 {
-			u.Regs[idx] = v[lane]
-		}
-		idx++
-	}
+func scatter(d *Device, w *wave, active uint64, r uint8, v *[64]uint32) {
+	ww := d.Chip.WarpWidth
+	d.WriteRegs(w, int(r)*ww, 1, active, v[:ww])
 }
 
-// execLDS performs ds_read/ds_write for all active lanes against the
-// group's LDS window. The addresses and a write's data are gathered
-// before any lane accesses memory.
-func execLDS(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {
-	g := w.Blk
-	var addrs, data, loaded [64]uint32
-	if err := sources(d, u, w, in, active, &addrs, &data); err != nil {
+// execMem performs ds_read/ds_write against the group's LDS window, or
+// buffer_load/buffer_store, for every lane in active. The operands are
+// gathered before any lane accesses memory: a load's source is its
+// address, a write's its address and then its data, a buffer store's its
+// data and then its address.
+func execMem(d *Device, w *wave, in *siasm.Instr, active uint64) error {
+	var a, b [64]uint32
+	if err := sources(d, w, in, active, &a, &b); err != nil {
 		return err
 	}
-	for lane := range addrs[:ww] {
-		if active&(1<<lane) == 0 {
-			continue
-		}
-		addr := addrs[lane] + uint32(in.MemOff)
-		if addr%4 != 0 {
-			return fmt.Errorf("amdsim: kernel LDS access misaligned %#x (PC %d)", addr, w.PC)
-		}
-		if int(addr)+4 > g.LocalCount {
-			return fmt.Errorf("amdsim: LDS access %#x beyond group allocation %d (PC %d)", addr, g.LocalCount, w.PC)
-		}
-		phys := g.LocalBase + int(addr)
-		if in.Op == siasm.OpDSRead {
-			if t := d.Tracer; t != nil {
-				t.LocalAccess(u.ID, phys, 4, d.Cycle, false)
-			}
-			loaded[lane] = binary.LittleEndian.Uint32(u.Local[phys:])
-		} else {
-			if t := d.Tracer; t != nil {
-				t.LocalAccess(u.ID, phys, 4, d.Cycle, true)
-			}
-			binary.LittleEndian.PutUint32(u.Local[phys:], data[lane])
-		}
-	}
-	if in.Op == siasm.OpDSRead {
-		scatter(d, u, w, active, in.Dst.Reg, &loaded)
-	}
-	return nil
-}
-
-// execBuffer performs buffer_load/buffer_store for all active lanes,
-// its operands gathered as execLDS's are: a load's source is its
-// address, a store's its data and then its address.
-func execBuffer(d *Device, u *unit, w *wave, in *siasm.Instr, active uint64, ww int) error {
-	mem := d.Mem()
-	var a, b, loaded [64]uint32
-	if err := sources(d, u, w, in, active, &a, &b); err != nil {
-		return err
-	}
-	addrs, data := &a, &b
+	addrs, v := &a, &b
 	if in.Op == siasm.OpBufStor { // buffer_store_dword vsrc, vaddr
-		addrs, data = &b, &a
+		addrs, v = &b, &a
 	}
-	for lane := range addrs[:ww] {
-		if active&(1<<lane) == 0 {
-			continue
-		}
-		addr := addrs[lane] + uint32(in.MemOff)
-		if addr%4 != 0 {
-			return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.PC)
-		}
-		if in.Op == siasm.OpBufLoad {
-			v, err := mem.Load32(addr)
-			if err != nil {
-				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
-			}
-			loaded[lane] = v
-		} else if err := mem.Store32(addr, data[lane]); err != nil {
-			return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
-		}
+	store := in.Op == siasm.OpDSWrite || in.Op == siasm.OpBufStor
+	ww := d.Chip.WarpWidth
+	var err error
+	if in.Op == siasm.OpDSRead || in.Op == siasm.OpDSWrite {
+		err = d.AccessLocal(w, active, addrs[:ww], uint32(in.MemOff), v[:ww], store)
+	} else {
+		err = d.AccessGlobal(w, active, addrs[:ww], uint32(in.MemOff), v[:ww], store)
 	}
-	if in.Op == siasm.OpBufLoad {
-		scatter(d, u, w, active, in.Dst.Reg, &loaded)
+	if err == nil && !store {
+		scatter(d, w, active, in.Dst.Reg, v)
 	}
-	return nil
+	return err
 }

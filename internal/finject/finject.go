@@ -102,8 +102,9 @@ type Campaign struct {
 // meet, and a sampled fault outside them is Masked without touching a
 // device. This is exact: the device applies a fault at the top of the
 // first launch-loop iteration whose cycle has reached Fault.Cycle, before
-// any access of it, and every access of Unit.Regs / Unit.Local is traced
-// stamped with its iteration's cycle (simt.TestStorageAccessIsTraced).
+// any access of it, and every access of a unit's register file or local
+// memory goes through simt's lane accessors, which trace it stamped with
+// its iteration's cycle (simt.TestStorageAccessIsTraced).
 // Until the first access stamped >= the flip's cycle is a read the faulty
 // run is the golden run — a write replaces the whole entry, an entry
 // nobody touches again reaches no output — and allocation brackets prove

@@ -24,7 +24,6 @@ import (
 type Device = simt.Device[warp]
 
 type (
-	unit      = simt.Unit[warp]
 	wave      = simt.Wave[warp]
 	waveState = simt.WaveState[warp]
 )
@@ -73,7 +72,7 @@ func (i *isa) Bind(k gpu.Kernel) (int, error) {
 	return prog.NumParams, nil
 }
 
-func (*isa) InitWave(d *Device, _ *unit, w *wave, lc *simt.LaunchCtx) {
+func (*isa) InitWave(d *Device, w *wave, lc *simt.LaunchCtx) {
 	valid := ^uint32(0)
 	if n := lc.Threads - w.ThreadBase; n < d.Chip.WarpWidth {
 		valid = (uint32(1) << n) - 1

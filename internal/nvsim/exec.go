@@ -1,7 +1,6 @@
 package nvsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -78,13 +77,6 @@ func depReady(w *wave, in *sass.Instr) int64 {
 	return t
 }
 
-// regIndex maps (warp, lane, architectural register) to the physical
-// register-file entry within the SM (thread-major within the warp's
-// register window).
-func (i *isa) regIndex(w *wave, lane int, r uint8) int {
-	return w.RegBase + lane*i.prog.NumRegs + int(r)
-}
-
 // guardMask returns the lanes whose guard predicate holds.
 func (w *warp) guardMask(g sass.Guard) uint32 {
 	if g.Pred == sass.PT {
@@ -102,11 +94,11 @@ func (w *warp) guardMask(g sass.Guard) uint32 {
 
 // unwind pops the SIMT stack while the active mask is empty; it marks the
 // warp done when the stack is exhausted.
-func unwind(d *Device, u *unit, w *wave) {
+func unwind(d *Device, w *wave) {
 	s := &w.ISA
 	for s.active == 0 {
 		if len(s.stack) == 0 {
-			d.FinishWave(u, w)
+			d.FinishWave(w)
 			return
 		}
 		e := s.stack[len(s.stack)-1]
@@ -119,7 +111,7 @@ func unwind(d *Device, u *unit, w *wave) {
 // TryIssue attempts to issue the warp's next instruction at the current
 // cycle. It returns (issued, wakeCycle, error); wakeCycle is meaningful
 // when issued is false and indicates when the blocking dependency clears.
-func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, int64, error) {
+func (i *isa) TryIssue(d *Device, w *wave, lc *simt.LaunchCtx) (bool, int64, error) {
 	prog := i.prog
 	if w.PC < 0 || w.PC >= len(prog.Instrs) {
 		return false, 0, fmt.Errorf("nvsim: kernel %s: invalid PC %d (warp %d of block %d)",
@@ -145,7 +137,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		if exec == 0 {
 			w.PC++
 		} else if s.active == 0 {
-			unwind(d, u, w)
+			unwind(d, w)
 		} else {
 			w.PC++
 		}
@@ -178,7 +170,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		w.PC = e.pc
 		s.active = e.mask &^ s.exited
 		if s.active == 0 {
-			unwind(d, u, w)
+			unwind(d, w)
 		}
 
 	case sass.OpBAR:
@@ -190,7 +182,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		for lane := range v {
 			v[lane] = specialReg(w, lc, lane, in.SR)
 		}
-		i.scatter(d, u, w, exec, in.Dst, &v)
+		i.scatter(d, w, exec, in.Dst, &v)
 		if in.Dst != sass.RZ {
 			w.RegReady[in.Dst] = d.Cycle + lat
 		}
@@ -205,8 +197,8 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 			ty = simt.CmpF32
 		}
 		var a, b [32]uint32
-		i.gather(d, u, w, lc, exec, in.Src[0], &a)
-		i.gather(d, u, w, lc, exec, in.Src[1], &b)
+		i.gather(d, w, lc, exec, in.Src[0], &a)
+		i.gather(d, w, lc, exec, in.Src[1], &b)
 		var setMask uint32
 		for lane := 0; lane < 32; lane++ {
 			if exec&(1<<lane) != 0 && simt.Compare(cond, ty, a[lane], b[lane]) {
@@ -217,20 +209,11 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		s.predReady[in.PDst] = d.Cycle + lat
 		w.PC++
 
-	case sass.OpLDG, sass.OpSTG:
-		if err := i.execGlobal(d, u, w, lc, in, exec); err != nil {
+	case sass.OpLDG, sass.OpSTG, sass.OpLDS, sass.OpSTS:
+		if err := i.execMem(d, w, lc, in, exec); err != nil {
 			return false, 0, err
 		}
-		if in.Op == sass.OpLDG && in.Dst != sass.RZ {
-			w.RegReady[in.Dst] = d.Cycle + lat
-		}
-		w.PC++
-
-	case sass.OpLDS, sass.OpSTS:
-		if err := i.execShared(d, u, w, lc, in, exec); err != nil {
-			return false, 0, err
-		}
-		if in.Op == sass.OpLDS && in.Dst != sass.RZ {
+		if (in.Op == sass.OpLDG || in.Op == sass.OpLDS) && in.Dst != sass.RZ {
 			w.RegReady[in.Dst] = d.Cycle + lat
 		}
 		w.PC++
@@ -243,7 +226,7 @@ func (i *isa) TryIssue(d *Device, u *unit, w *wave, lc *simt.LaunchCtx) (bool, i
 		if op == simt.ALUNone {
 			return false, 0, fmt.Errorf("nvsim: kernel %s: opcode %v has no lane semantics (PC %d)", prog.Name, in.Op, w.PC)
 		}
-		i.execALU(d, u, w, lc, in, exec, op)
+		i.execALU(d, w, lc, in, exec, op)
 		if in.Dst != sass.RZ {
 			w.RegReady[in.Dst] = d.Cycle + lat
 		}
@@ -308,10 +291,10 @@ func specialReg(w *wave, lc *simt.LaunchCtx, lane int, sr sass.SpecialReg) uint3
 // the zeros gather left, which no write keeps. The sources are gathered
 // first, one operand at a time: a lane reads its sources before it
 // writes, as it would one lane at a time, and lanes share no registers.
-func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32, op simt.ALUOp) {
+func (i *isa) execALU(d *Device, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32, op simt.ALUOp) {
 	var a, b, c [32]uint32
-	i.gather(d, u, w, lc, exec, in.Src[0], &a)
-	i.gather(d, u, w, lc, exec, in.Src[1], &b)
+	i.gather(d, w, lc, exec, in.Src[0], &a)
+	i.gather(d, w, lc, exec, in.Src[1], &b)
 	if in.Op == sass.OpSEL {
 		// SEL's predicate is simt's third operand, one bit per lane.
 		sel := ^uint32(0)
@@ -322,28 +305,22 @@ func (i *isa) execALU(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.
 			c[lane] = sel >> lane & 1
 		}
 	} else {
-		i.gather(d, u, w, lc, exec, in.Src[2], &c)
+		i.gather(d, w, lc, exec, in.Src[2], &c)
 	}
 	simt.ALUs(op, a[:], b[:], c[:])
-	i.scatter(d, u, w, exec, in.Dst, &a)
+	i.scatter(d, w, exec, in.Dst, &a)
 }
+
+// The register file is thread-major within the warp's window: register
+// r of lane l is entry RegBase + r + l*NumRegs.
 
 // gather reads source operand o on every lane in exec into v; v holds
 // zeros where o is unused or RZ.
-func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint32, o sass.Operand, v *[32]uint32) {
+func (i *isa) gather(d *Device, w *wave, lc *simt.LaunchCtx, exec uint32, o sass.Operand, v *[32]uint32) {
 	switch o.Kind {
 	case sass.OperandReg:
-		if o.Reg == sass.RZ {
-			return
-		}
-		idx, n := i.regIndex(w, 0, o.Reg), i.prog.NumRegs
-		if t := d.Tracer; t != nil {
-			t.RegAccess(u.ID, idx, n, uint64(exec), d.Cycle, false)
-		}
-		for lane := 0; lane < 32; lane, idx = lane+1, idx+n {
-			if exec&(1<<lane) != 0 {
-				v[lane] = u.Regs[idx]
-			}
+		if o.Reg != sass.RZ {
+			d.ReadRegs(w, int(o.Reg), i.prog.NumRegs, uint64(exec), v[:])
 		}
 	case sass.OperandImm, sass.OperandConst:
 		x := o.Imm
@@ -358,91 +335,30 @@ func (i *isa) gather(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, exec uint3
 
 // scatter writes v into register r on every lane in exec, the mirror of
 // gather; a write of RZ is dropped.
-func (i *isa) scatter(d *Device, u *unit, w *wave, exec uint32, r uint8, v *[32]uint32) {
-	if r == sass.RZ {
-		return
-	}
-	idx := i.regIndex(w, 0, r)
-	n := i.prog.NumRegs
-	if t := d.Tracer; t != nil {
-		t.RegAccess(u.ID, idx, n, uint64(exec), d.Cycle, true)
-	}
-	for lane := 0; lane < 32; lane, idx = lane+1, idx+n {
-		if exec&(1<<lane) != 0 {
-			u.Regs[idx] = v[lane]
-		}
+func (i *isa) scatter(d *Device, w *wave, exec uint32, r uint8, v *[32]uint32) {
+	if r != sass.RZ {
+		d.WriteRegs(w, int(r), i.prog.NumRegs, uint64(exec), v[:])
 	}
 }
 
-// execGlobal performs LDG/STG for all active lanes. The address bases
-// and a store's data are gathered before any lane accesses memory.
-func (i *isa) execGlobal(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
-	name, mem := i.prog.Name, d.Mem()
-	var base, data, loaded [32]uint32
-	i.gather(d, u, w, lc, exec, sass.R(int(in.MemBase)), &base)
-	if in.Op == sass.OpSTG {
-		i.gather(d, u, w, lc, exec, in.Src[0], &data)
+// execMem performs LDG/STG or LDS/STS for every lane in exec; LDS/STS
+// address the block's shared-memory window. The address bases and a
+// store's data are gathered before any lane accesses memory.
+func (i *isa) execMem(d *Device, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
+	var base, v [32]uint32
+	i.gather(d, w, lc, exec, sass.R(int(in.MemBase)), &base)
+	store := in.Op == sass.OpSTG || in.Op == sass.OpSTS
+	if store {
+		i.gather(d, w, lc, exec, in.Src[0], &v)
 	}
-	for lane := 0; lane < 32; lane++ {
-		if exec&(1<<lane) == 0 {
-			continue
-		}
-		addr := base[lane] + uint32(in.MemOff)
-		if addr%4 != 0 {
-			return fmt.Errorf("nvsim: kernel %s: misaligned global access %#x (PC %d)", name, addr, w.PC)
-		}
-		if in.Op == sass.OpLDG {
-			v, err := mem.Load32(addr)
-			if err != nil {
-				return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
-			}
-			loaded[lane] = v
-		} else if err := mem.Store32(addr, data[lane]); err != nil {
-			return fmt.Errorf("nvsim: kernel %s PC %d: %w", name, w.PC, err)
-		}
+	var err error
+	if in.Op == sass.OpLDS || in.Op == sass.OpSTS {
+		err = d.AccessLocal(w, uint64(exec), base[:], uint32(in.MemOff), v[:], store)
+	} else {
+		err = d.AccessGlobal(w, uint64(exec), base[:], uint32(in.MemOff), v[:], store)
 	}
-	if in.Op == sass.OpLDG {
-		i.scatter(d, u, w, exec, in.Dst, &loaded)
+	if err == nil && !store {
+		i.scatter(d, w, exec, in.Dst, &v)
 	}
-	return nil
-}
-
-// execShared performs LDS/STS for all active lanes against the block's
-// shared-memory window, its operands gathered as execGlobal's are.
-func (i *isa) execShared(d *Device, u *unit, w *wave, lc *simt.LaunchCtx, in *sass.Instr, exec uint32) error {
-	name, blk := i.prog.Name, w.Blk
-	var base, data, loaded [32]uint32
-	i.gather(d, u, w, lc, exec, sass.R(int(in.MemBase)), &base)
-	if in.Op == sass.OpSTS {
-		i.gather(d, u, w, lc, exec, in.Src[0], &data)
-	}
-	for lane := 0; lane < 32; lane++ {
-		if exec&(1<<lane) == 0 {
-			continue
-		}
-		addr := base[lane] + uint32(in.MemOff)
-		if addr%4 != 0 {
-			return fmt.Errorf("nvsim: kernel %s: misaligned shared access %#x (PC %d)", name, addr, w.PC)
-		}
-		if int(addr)+4 > blk.LocalCount {
-			return fmt.Errorf("nvsim: kernel %s: shared access %#x beyond block allocation %d (PC %d)",
-				name, addr, blk.LocalCount, w.PC)
-		}
-		phys := blk.LocalBase + int(addr)
-		if in.Op == sass.OpLDS {
-			if t := d.Tracer; t != nil {
-				t.LocalAccess(u.ID, phys, 4, d.Cycle, false)
-			}
-			loaded[lane] = binary.LittleEndian.Uint32(u.Local[phys:])
-		} else {
-			if t := d.Tracer; t != nil {
-				t.LocalAccess(u.ID, phys, 4, d.Cycle, true)
-			}
-			binary.LittleEndian.PutUint32(u.Local[phys:], data[lane])
-		}
-	}
-	if in.Op == sass.OpLDS {
-		i.scatter(d, u, w, exec, in.Dst, &loaded)
-	}
-	return nil
+	return err
 }

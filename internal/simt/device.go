@@ -41,9 +41,12 @@ type Device[W any] struct {
 	// Cycle is the global device cycle, monotonic across launches. ISA
 	// code reads it; only the launch loop advances it.
 	Cycle int64
-	// Tracer receives register and local-memory access events from ISA
-	// code (and allocation events from the core); nil disables tracing.
-	Tracer gpu.Tracer
+
+	// tracer receives the lane accessors' access events and the core's
+	// allocation events; nil disables tracing. kernel names the launch's
+	// kernel in access errors.
+	tracer gpu.Tracer
+	kernel string
 
 	isa   ISA[W]
 	mem   *gpu.Memory
@@ -66,12 +69,12 @@ type Device[W any] struct {
 type Unit[W any] struct {
 	// ID is the unit index, as reported to the tracer.
 	ID int
-	// Regs is the physical vector register file; Local the shared memory
-	// / LDS. ISA code indexes both directly on the per-lane path.
-	Regs  []uint32
-	Local []byte
-	// unitStore owns the two arrays and what is known about their pages
+	// regFile is the physical vector register file, localMem the shared
+	// memory / LDS; only the lane accessors (lanes.go) index them per
+	// lane. unitStore owns the two and what is known about their pages
 	// (see its comment for who tells it about writes).
+	regFile  []uint32
+	localMem []byte
 	unitStore
 
 	blocks   []*Block[W] // indexed by slot; nil = free
@@ -96,11 +99,11 @@ type Unit[W any] struct {
 }
 
 // unitStore is a unit's fault-target storage on copy-on-write pages
-// (gpu.Pages, the scheme of device memory): Unit.Regs and Unit.Local are
-// the Data() of the two. The per-lane accessors of the ISAs write those
-// arrays and report nothing here, so the machine drops a page's identity
-// instead, for every page a write could reach before the next capture,
-// restore or reset:
+// (gpu.Pages, the scheme of device memory): Unit.regFile and
+// Unit.localMem are the Data() of the two. WriteRegs and AccessLocal,
+// the lane accessors every ISA writes them through, report nothing here,
+// so the machine drops a page's identity instead, for every page a write
+// could reach before the next capture, restore or reset:
 //
 //   - dispatch drops the pages under a block's windows before InitWave,
 //     and image and setImage leave the pages under every resident block
@@ -108,10 +111,10 @@ type Unit[W any] struct {
 //   - applyFault drops the page it flips an entry in.
 //
 // That is complete on two premises. Every write of the arrays is one of
-// the named accessors or the fault (TestStorageAccessIsTraced), and an
+// the two accessors or the fault (TestStorageAccessIsTraced), and an
 // accessor stays inside the windows of the block its wave belongs to, in
-// faulty runs too: register numbers are fields of the instruction and
-// local addresses are bounds-checked against the block's LocalCount
+// faulty runs too: register offsets come from fields of the instruction
+// and local addresses are bounds-checked against the block's LocalCount
 // (TestStoresStayInsideTheBlock; the package's tests also compare every
 // capture and every restore against a flat copy, pagecheck_test.go).
 type unitStore struct {
@@ -200,6 +203,7 @@ type BlockState struct {
 type Block[W any] struct {
 	BlockState
 	waves []*Wave[W]
+	unit  *Unit[W] // its unit: set when made, recycled only through its freelist
 }
 
 // WaveCore is the scalar part of a wave's state.
@@ -247,7 +251,7 @@ func (u *Unit[W]) takeBlock() *Block[W] {
 		u.free = u.free[:n-1]
 		return blk
 	}
-	return &Block[W]{}
+	return &Block[W]{unit: u}
 }
 
 // resetSlots moves every resident block to the freelist, resizes the
@@ -311,7 +315,7 @@ func New[W any](chip *chips.Chip, isa ISA[W]) (*Device[W], error) {
 			regPages:   gpu.NewPages(chip.RegsPerUnit, words),
 			localPages: gpu.NewPages(chip.LocalBytesPerUnit, bytes),
 		}}
-		u.Regs, u.Local = u.regPages.Data(), u.localPages.Data()
+		u.regFile, u.localMem = u.regPages.Data(), u.localPages.Data()
 		d.units[i] = u
 	}
 	return d, nil
@@ -357,7 +361,7 @@ func (d *Device[W]) InjectFault(f *gpu.Fault) {
 }
 
 // SetTracer implements gpu.Device.
-func (d *Device[W]) SetTracer(t gpu.Tracer) { d.Tracer = t }
+func (d *Device[W]) SetTracer(t gpu.Tracer) { d.tracer = t }
 
 // SetWatchdog implements gpu.Device.
 func (d *Device[W]) SetWatchdog(maxCycles int64) {
@@ -379,7 +383,7 @@ func (d *Device[W]) Reset() {
 	d.Cycle = 0
 	d.fault = nil
 	d.faultApplied = false
-	d.Tracer = nil
+	d.tracer = nil
 	d.watchdog = defaultWatchdog
 	d.ckptFn = nil
 	d.ckptNext = 0
@@ -395,6 +399,7 @@ func (d *Device[W]) Launch(spec gpu.LaunchSpec) error {
 	if err != nil {
 		return err
 	}
+	d.kernel = spec.Kernel.KernelName()
 	r := d.resume
 	if r != nil {
 		if r.skip > 0 {
@@ -572,7 +577,7 @@ func (d *Device[W]) dispatch(u *Unit[W], slot, blockID int, lc *LaunchCtx) {
 	// The allocation is reported before InitWave runs: an ISA may preload
 	// registers there (amdsim writes the work-item id into v0/v1), and a
 	// traced write must land inside its allocation bracket.
-	if t := d.Tracer; t != nil {
+	if t := d.tracer; t != nil {
 		if blk.RegCount > 0 {
 			t.RegAlloc(u.ID, blk.RegBase, blk.RegCount, d.Cycle)
 		}
@@ -594,7 +599,7 @@ func (d *Device[W]) dispatch(u *Unit[W], slot, blockID int, lc *LaunchCtx) {
 		} else {
 			w.RegReady = make([]int64, lc.RegsPerThread)
 		}
-		d.isa.InitWave(d, u, w, lc)
+		d.isa.InitWave(d, w, lc)
 	}
 	u.blocks[slot] = blk
 	u.liveWave += lc.WavesPerBlock
@@ -605,7 +610,7 @@ func (d *Device[W]) retire(u *Unit[W], slot int, blk *Block[W]) {
 	dur := float64(d.Cycle - blk.allocCycle)
 	d.stats.RegOcc.AllocUnitCycles += float64(blk.RegCount) * dur
 	d.stats.LocalOcc.AllocUnitCycles += float64(blk.LocalCount) * dur
-	if t := d.Tracer; t != nil {
+	if t := d.tracer; t != nil {
 		if blk.RegCount > 0 {
 			t.RegFree(u.ID, blk.RegBase, blk.RegCount, d.Cycle)
 		}
@@ -636,13 +641,13 @@ func (d *Device[W]) applyFault() {
 	u := d.units[f.Unit]
 	switch f.Structure {
 	case gpu.RegisterFile:
-		if f.Entry >= 0 && f.Entry < len(u.Regs) {
-			u.Regs[f.Entry] ^= f.Mask(32)
+		if f.Entry >= 0 && f.Entry < len(u.regFile) {
+			u.regFile[f.Entry] ^= f.Mask(32)
 			u.regPages.Dirty(f.Entry, 1)
 		}
 	case gpu.LocalMemory:
-		if f.Entry >= 0 && f.Entry < len(u.Local) {
-			u.Local[f.Entry] ^= byte(f.Mask(8))
+		if f.Entry >= 0 && f.Entry < len(u.localMem) {
+			u.localMem[f.Entry] ^= byte(f.Mask(8))
 			u.localPages.Dirty(f.Entry, 1)
 		}
 	}
@@ -702,7 +707,7 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 				// deadlock that was not one.
 				nextWake = g.wakeAt
 			} else {
-				ok, wake, err := d.isa.TryIssue(d, u, g, lc)
+				ok, wake, err := d.isa.TryIssue(d, g, lc)
 				if err != nil {
 					return issued, nextWake, err
 				}
@@ -732,7 +737,7 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 			}
 			continue
 		}
-		ok, wake, err := d.isa.TryIssue(d, u, w, lc)
+		ok, wake, err := d.isa.TryIssue(d, w, lc)
 		if err != nil {
 			return issued, nextWake, err
 		}

@@ -9,9 +9,11 @@ import (
 // recognized, what a wave's architectural state is (the type parameter
 // W, a plain struct), how one wave instruction executes, and how W is
 // copied and serialized. The machine core crosses this boundary once per
-// wave per event — never per lane: inside TryIssue and InitWave the
-// plug-in reads and writes Unit.Regs / Unit.Local, Device.Cycle and
-// Device.Tracer directly.
+// wave per event — never per lane. The plug-in keeps its register layout
+// and its operand decoding; it reaches the unit's register file and local
+// memory, and device memory, only through the lane accessors
+// (Device.ReadRegs, WriteRegs, AccessLocal and AccessGlobal), which trace
+// and check every access, one operand or memory instruction a call.
 //
 // An ISA value belongs to one Device: Bind may cache the program the
 // following InitWave/TryIssue calls execute.
@@ -27,12 +29,12 @@ type ISA[W any] interface {
 	// InitWave sets w.ISA to the state of a freshly dispatched wave; the
 	// core has already set w.WaveCore and zeroed w.RegReady. Recycled
 	// storage carries stale values: every field must be rewritten.
-	InitWave(d *Device[W], u *Unit[W], w *Wave[W], lc *LaunchCtx)
+	InitWave(d *Device[W], w *Wave[W], lc *LaunchCtx)
 	// TryIssue attempts to issue w's next instruction at the current
 	// cycle. It returns (issued, wakeCycle, error); wakeCycle is
 	// meaningful when issued is false and is the cycle at which the
 	// blocking dependency clears.
-	TryIssue(d *Device[W], u *Unit[W], w *Wave[W], lc *LaunchCtx) (bool, int64, error)
+	TryIssue(d *Device[W], w *Wave[W], lc *LaunchCtx) (bool, int64, error)
 	// CopyState deep-copies src into dst, reusing dst's slice capacity
 	// (restore runs once per injection and must not allocate).
 	CopyState(dst, src *W)
@@ -72,12 +74,12 @@ func (d *Device[W]) CountIssue(lanes int) {
 
 // FinishWave retires a wave and releases a barrier that was waiting only
 // on already-finished waves.
-func (d *Device[W]) FinishWave(u *Unit[W], w *Wave[W]) {
+func (d *Device[W]) FinishWave(w *Wave[W]) {
 	if w.Done {
 		return
 	}
 	w.Done = true
-	blk := w.Blk
+	blk, u := w.Blk, w.Blk.unit
 	blk.live--
 	u.liveWave--
 	u.orderStale = true

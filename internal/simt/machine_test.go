@@ -3,6 +3,7 @@ package simt_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,6 +31,83 @@ func TestWatchdogFires(t *testing.T) {
 		if err != gpu.ErrWatchdog {
 			t.Fatalf("got %v, want ErrWatchdog", err)
 		}
+	})
+}
+
+// localLog records the local-memory events of a launch.
+type localLog struct {
+	offsets []int
+	writes  int
+}
+
+func (l *localLog) LocalAccess(_, offset, _ int, _ int64, write bool) {
+	l.offsets = append(l.offsets, offset)
+	if write {
+		l.writes++
+	}
+}
+
+func (*localLog) RegAccess(int, int, int, uint64, int64, bool) {}
+func (*localLog) RegAlloc(int, int, int, int64)                {}
+func (*localLog) RegFree(int, int, int, int64)                 {}
+func (*localLog) LocalAlloc(int, int, int, int64)              {}
+func (*localLog) LocalFree(int, int, int, int64)               {}
+
+// TestFailingLaneStopsTheAccess: a memory instruction whose lane k has a
+// bad address fails the launch with an error naming the ISA, the kernel
+// and the instruction, after lanes 0..k-1 and before lane k: the local
+// store traces exactly k accesses, and the global store leaves exactly k
+// words written.
+func TestFailingLaneStopsTheAccess(t *testing.T) {
+	named := func(t *testing.T, v vendor, err error, kernel string, pc int) {
+		t.Helper()
+		if want := fmt.Sprintf("%s: kernel %s PC %d: ", v.name, kernel, pc); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("got %v, want an error starting %q", err, want)
+		}
+	}
+	forVendors(t, func(t *testing.T, v vendor) {
+		group := gpu.D1(v.mini().WarpWidth)
+		t.Run("local", func(t *testing.T) {
+			const k = 16 // the first lane beyond the 64-byte window
+			d := v.mustNew(t, v.mini())
+			log := &localLog{}
+			d.SetTracer(log)
+			err := d.Launch(gpu.LaunchSpec{Kernel: v.mustAssemble(t, v.localFault), Grid: gpu.D1(1), Group: group})
+			named(t, v, err, "localFault", v.localFaultPC)
+			if len(log.offsets) != k || log.writes != k {
+				t.Fatalf("traced %d local accesses (%d writes), want %d stores", len(log.offsets), log.writes, k)
+			}
+			for l, off := range log.offsets {
+				if off != 4*l {
+					t.Fatalf("local access %d at byte %d, want %d", l, off, 4*l)
+				}
+			}
+		})
+		t.Run("global", func(t *testing.T) {
+			const k = 8 // the first lane whose address is misaligned
+			d := v.mustNew(t, v.mini())
+			n := v.mini().WarpWidth
+			buf, err := d.Mem().Alloc(8 * n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = d.Launch(gpu.LaunchSpec{Kernel: v.mustAssemble(t, v.globalFault), Grid: gpu.D1(1), Group: group, Args: []uint32{buf}})
+			named(t, v, err, "globalFault", v.globalFaultPC)
+			for l := 0; l < 2*n; l++ {
+				got, err := d.Mem().Load32(buf + uint32(4*l))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := uint32(l); l >= k {
+					want = 0
+					if got != want {
+						t.Fatalf("word %d = %d after the failing lane %d, want it unwritten", l, got, k)
+					}
+				} else if got != want {
+					t.Fatalf("word %d = %d, want lane %d's store", l, got, l)
+				}
+			}
+		})
 	})
 }
 

@@ -38,6 +38,12 @@ type vendor struct {
 	// the id of the one group that increments BUF[0] through a global
 	// load while every other group retires after two ALU ops).
 	gtoSrc string
+	// localFault stores lane l's id at local byte 4*l of a 64-byte window,
+	// so lane 16 is the first beyond it; globalFault stores lane l's id at
+	// BUF + 4*l + l>>3, so lane 8 is the first misaligned (arg: BUF). Each
+	// kernel is named after its field, and the store is at the given PC.
+	localFault, globalFault     string
+	localFaultPC, globalFaultPC int
 }
 
 var vendors = []vendor{
@@ -105,6 +111,26 @@ join:
     STG [R2], R3
     EXIT
 `,
+		localFault: `
+.kernel localFault
+.shared 64
+    S2R R0, SR_TID.X
+    SHL R1, R0, 2
+    STS [R1], R0
+    EXIT
+`,
+		localFaultPC: 2,
+		globalFault: `
+.kernel globalFault
+    S2R R0, SR_TID.X
+    SHR R2, R0, 3
+    SHL R1, R0, 2
+    IADD R1, R1, R2
+    IADD R1, R1, c[0]
+    STG [R1], R0
+    EXIT
+`,
+		globalFaultPC: 5,
 	},
 	{
 		name: "amdsim",
@@ -175,6 +201,25 @@ last:
     buffer_store_dword v2, v1, 0
     s_endpgm
 `,
+		localFault: `
+.kernel localFault
+.lds 64
+    v_lshlrev_b32 v1, 2, v0
+    ds_write_b32 v1, v0, 0
+    s_endpgm
+`,
+		localFaultPC: 1,
+		globalFault: `
+.kernel globalFault
+    s_load_dword s4, karg[0]
+    v_lshrrev_b32 v2, 3, v0
+    v_lshlrev_b32 v1, 2, v0
+    v_add_i32 v1, v1, v2
+    v_add_i32 v1, v1, s4
+    buffer_store_dword v0, v1, 0
+    s_endpgm
+`,
+		globalFaultPC: 5,
 	},
 }
 
