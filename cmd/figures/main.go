@@ -29,8 +29,9 @@
 //
 // All figures of one local invocation share one experiment.Runner over
 // one campaign scheduler, so Fig. 3 reuses every cell Figs. 1 and 2
-// already measured. AVF-ACE rides on those cells' FI results; a figure
-// traces only the cells without one, and each pass traces its own.
+// already measured. AVF-ACE rides on those cells' FI results; a cell
+// without one takes it from a golden-only sibling campaign, which the
+// scheduler stores and shares like any cell, so a later pass runs none.
 package main
 
 import (

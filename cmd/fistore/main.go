@@ -104,13 +104,8 @@ func readStore(data []byte) (summary, error) {
 func readOwnership(data []byte) (summary, error) {
 	recs, good, err := wire.ReplayOwners(data)
 	s := summary{records: len(recs), torn: len(data) - good, detail: []string{fmt.Sprintf("records   %d", len(recs))}}
-	var last wire.OwnerRecord // latest record of the highest epoch
-	for _, o := range recs {
-		if o.Epoch >= last.Epoch {
-			last = o
-		}
-	}
 	if len(recs) > 0 {
+		last := wire.LatestOwner(recs)
 		s.detail = append(s.detail, fmt.Sprintf("epoch     %d, server %s, last event %s at %s", last.Epoch, last.Server, last.Event,
 			time.UnixMilli(last.UnixMillis).UTC().Format(time.RFC3339)))
 	}

@@ -120,8 +120,9 @@ type LeaseRequest struct {
 	// Worker names the requester (for lease bookkeeping and error
 	// messages); required.
 	Worker string `json:"worker"`
-	// Max bounds the cells granted at once (1 when 0); multi-cell grants
-	// are cost-balanced shards of the backlog.
+	// Max bounds the cells granted at once (1 when 0). A grant is one
+	// deficit round-robin pop across tenants, largest cells first within
+	// a tenant; a Max beyond the backlog grants all of it.
 	Max int `json:"max"`
 	// WaitMillis long-polls: the server holds the request up to this long
 	// waiting for work before answering with an empty grant.

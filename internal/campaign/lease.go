@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,7 +113,7 @@ type leaseOutcome struct {
 // without a heartbeat re-queues its cell, so a dead worker never loses a
 // cell — and because execution is deterministic, a late completion from a
 // worker presumed dead is byte-identical to the redo and is accepted.
-// Cells are handed out largest-first (LPT order, see planner.go) so the
+// Cells are handed out largest-first (LPT order, see sortLPT) so the
 // fleet's makespan stays near the balanced optimum.
 type LeaseQueue struct {
 	ttl time.Duration
@@ -296,18 +297,12 @@ func (q *LeaseQueue) Do(ctx context.Context, t Task) (*finject.Result, error) {
 
 // Lease grants up to max pending cells to the worker, renewing the
 // queue's notion of time first so expired leases re-queue before the pop.
-// With one tenant (or none) the pop is the classic LPT schedule: max == 1
-// grants the single largest pending cell, and max > 1 plans cost-balanced
-// shards over the whole backlog and grants one shard, so a multi-cell
-// worker gets a representative mix instead of starving the rest of the
-// fleet of large cells. With multiple backlogged tenants the pop switches
-// to weighted deficit round-robin across tenants — each visit credits a
-// tenant quantum x weight (quantum = the largest pending cell cost, so
-// every backlogged tenant advances every round) and grants cells, in LPT
-// order within the tenant, while credit lasts. That bounds any tenant's
-// normalized service deficit by one quantum per unit weight while
-// degenerating to exactly the legacy LPT order when only one tenant has
-// work.
+// Every grant is one weighted deficit round-robin pop across tenants
+// (drrSelectLocked) over the LPT-sorted backlog: with one tenant that is
+// the backlog's LPT prefix, so a k-cell grant is the k largest pending
+// cells, exactly the cells k one-cell grants would hand out; with several
+// backlogged tenants each one's normalized service stays within one
+// quantum per unit weight of the others'.
 func (q *LeaseQueue) Lease(worker string, max int) []Lease {
 	if max <= 0 {
 		max = 1
@@ -316,37 +311,9 @@ func (q *LeaseQueue) Lease(worker string, max int) []Lease {
 	defer q.mu.Unlock()
 	q.expireLocked()
 
-	pending := q.pendingLocked()
-	if len(pending) == 0 {
+	take := q.drrSelectLocked(q.pendingLocked(), max)
+	if len(take) == 0 {
 		return nil
-	}
-	tenants := make(map[string]bool, 1)
-	for _, e := range pending {
-		tenants[e.task.Tenant] = true
-	}
-	var take []*leaseEntry
-	switch {
-	case len(tenants) > 1 && len(pending) > max:
-		take = q.drrSelectLocked(pending, max)
-	case max == 1 || len(pending) <= max:
-		take = pending
-		if len(take) > max {
-			take = take[:max]
-		}
-	default:
-		specs := make([]CellSpec, len(pending))
-		byKey := make(map[CellKey]*leaseEntry, len(pending))
-		for i, e := range pending {
-			specs[i] = e.task.Spec
-			byKey[e.key] = e
-		}
-		shards := PlanShards(specs, (len(pending)+max-1)/max)
-		for _, s := range shards[0] {
-			take = append(take, byKey[s.Key()])
-		}
-		if len(take) > max {
-			take = take[:max]
-		}
 	}
 
 	now := q.now()
@@ -364,6 +331,26 @@ func (q *LeaseQueue) Lease(worker string, max int) []Lease {
 	return leases
 }
 
+// cellCost estimates a cell's relative execution cost. The injection cap
+// dominates wall-clock (each injection is one full simulation), so it is
+// the scheduling weight; adaptive cells may stop early, which only makes
+// the estimate conservative.
+func cellCost(s CellSpec) int64 { return int64(s.Normalize().Injections) }
+
+// sortLPT orders entries largest-first (longest processing time), with
+// enqueue order breaking ties so the schedule is deterministic. Handing
+// idle workers the largest remaining cell is the classic greedy bound on
+// makespan for pull-based fleets.
+func sortLPT(entries []*leaseEntry) {
+	sort.Slice(entries, func(i, j int) bool {
+		ci, cj := cellCost(entries[i].task.Spec), cellCost(entries[j].task.Spec)
+		if ci != cj {
+			return ci > cj
+		}
+		return entries[i].seq < entries[j].seq
+	})
+}
+
 // pendingLocked returns the pending entries in LPT order. Callers hold
 // q.mu.
 func (q *LeaseQueue) pendingLocked() []*leaseEntry {
@@ -378,8 +365,9 @@ func (q *LeaseQueue) pendingLocked() []*leaseEntry {
 }
 
 // drrSelectLocked picks up to max entries by weighted deficit
-// round-robin across tenants. pending must be LPT-sorted (so each
-// tenant's sub-queue inherits LPT order) and span more than one tenant.
+// round-robin across tenants. pending must be LPT-sorted, so each
+// tenant's sub-queue inherits LPT order and a lone tenant's pop is the
+// backlog's LPT prefix.
 // The quantum is the largest pending cell cost: a full round then
 // credits every backlogged tenant enough to release at least its head
 // cell, so no tenant is ever starved and the normalized service gap
@@ -392,14 +380,15 @@ func (q *LeaseQueue) drrSelectLocked(pending []*leaseEntry, max int) []*leaseEnt
 	var quantum int64
 	for _, e := range pending {
 		sub[e.task.Tenant] = append(sub[e.task.Tenant], e)
-		if c := shardCost(e.task.Spec); c > quantum {
+		if c := cellCost(e.task.Spec); c > quantum {
 			quantum = c
 		}
 	}
 	if quantum < 1 {
 		quantum = 1
 	}
-	take := make([]*leaseEntry, 0, max)
+	// max comes off the wire; the backlog bounds the grant.
+	take := make([]*leaseEntry, 0, min(max, len(pending)))
 	remaining := len(pending)
 	for len(take) < max && remaining > 0 {
 		t := q.ring[q.ringPos%len(q.ring)]
@@ -416,11 +405,11 @@ func (q *LeaseQueue) drrSelectLocked(pending []*leaseEntry, max int) []*leaseEnt
 		// Credit on demand: one quantum x weight when the banked deficit
 		// no longer covers the head cell. quantum >= every cell cost, so
 		// a single credit always releases at least the head.
-		if q.deficit[t] < shardCost(queue[0].task.Spec) {
+		if q.deficit[t] < cellCost(queue[0].task.Spec) {
 			q.deficit[t] += quantum * int64(w)
 		}
-		for len(queue) > 0 && len(take) < max && q.deficit[t] >= shardCost(queue[0].task.Spec) {
-			q.deficit[t] -= shardCost(queue[0].task.Spec)
+		for len(queue) > 0 && len(take) < max && q.deficit[t] >= cellCost(queue[0].task.Spec) {
+			q.deficit[t] -= cellCost(queue[0].task.Spec)
 			take = append(take, queue[0])
 			queue = queue[1:]
 			remaining--
@@ -429,7 +418,7 @@ func (q *LeaseQueue) drrSelectLocked(pending []*leaseEntry, max int) []*leaseEnt
 		// Advance only when this tenant's budget or backlog is spent; a
 		// grant truncated by max leaves the cursor here so the unspent
 		// deficit carries into the next Lease call instead of evaporating.
-		if len(queue) == 0 || q.deficit[t] < shardCost(queue[0].task.Spec) {
+		if len(queue) == 0 || q.deficit[t] < cellCost(queue[0].task.Spec) {
 			q.ringPos = (q.ringPos + 1) % len(q.ring)
 		}
 	}

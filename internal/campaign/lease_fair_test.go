@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -21,6 +23,86 @@ func enqueue(t *testing.T, q *LeaseQueue, ctx context.Context, tenant string, se
 			t.Fatal("cell never queued")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestLeaseOrderIsLargestFirst(t *testing.T) {
+	q, _ := newTestQueue(time.Minute)
+	for _, n := range []int{100, 900, 400} {
+		go q.Do(context.Background(), Task{Spec: testSpec(uint64(n), n)})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for q.Stats().Pending < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("cells never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var got []int
+	for i := 0; i < 3; i++ {
+		leases := q.Lease("w", 1)
+		if len(leases) != 1 {
+			t.Fatalf("lease %d: %+v", i, leases)
+		}
+		got = append(got, leases[0].Task.Spec.Injections)
+	}
+	if !reflect.DeepEqual(got, []int{900, 400, 100}) {
+		t.Fatalf("lease order %v, want largest first", got)
+	}
+}
+
+// TestLeaseBatchIsLargestFirst: a k-cell grant is what a worker with k
+// idle slots would get from k one-cell grants, the k largest pending
+// cells, largest first; a grant wider than the backlog takes all of it.
+func TestLeaseBatchIsLargestFirst(t *testing.T) {
+	costs := []int{800, 700, 200, 150, 100, 50}
+	for _, tenant := range []string{"", "acme"} {
+		for _, k := range []int{2, 3, 4, 10} {
+			t.Run(fmt.Sprintf("tenant=%q/k=%d", tenant, k), func(t *testing.T) {
+				q, _ := newTestQueue(time.Minute)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				for i, c := range costs {
+					enqueue(t, q, ctx, tenant, uint64(40+i), c)
+				}
+				var got []int
+				for _, l := range q.Lease("w", k) {
+					got = append(got, l.Task.Spec.Injections)
+				}
+				if want := costs[:min(k, len(costs))]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("Lease(w, %d) granted %v, want %v", k, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestLeaseHugeMaxGrantsBacklog: max arrives from the lease request
+// body, so any int must be served — as the whole backlog — and leave the
+// queue usable.
+func TestLeaseHugeMaxGrantsBacklog(t *testing.T) {
+	q, _ := newTestQueue(time.Minute)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seed := uint64(60)
+	for _, tenant := range []string{"t0", "t1"} {
+		for _, c := range []int{300, 200, 100} {
+			seed++
+			enqueue(t, q, ctx, tenant, seed, c)
+		}
+	}
+	leases := q.Lease("w", math.MaxInt)
+	if len(leases) != 6 {
+		t.Fatalf("Lease(w, MaxInt) granted %d cells, want the backlog of 6", len(leases))
+	}
+	if !q.Heartbeat(leases[0].ID) {
+		t.Fatal("heartbeat on a granted lease failed")
+	}
+	if err := q.Complete(leases[0].ID, fakeResult(leases[0].Task.Spec.Injections), ""); err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.Pending != 0 || st.Leased != 5 || st.Completed != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

@@ -290,12 +290,7 @@ func (c *Cluster) activated(epoch uint64, takeover bool) error {
 // An epoch is live while its latest record is not a release and is
 // younger than the takeover TTL.
 func ownerStatus(recs []wire.OwnerRecord, now time.Time, ttl time.Duration) (epoch uint64, server string, live bool) {
-	var last wire.OwnerRecord
-	for _, rec := range recs {
-		if rec.Epoch >= last.Epoch {
-			last = rec
-		}
-	}
+	last := wire.LatestOwner(recs)
 	if last.Epoch == 0 {
 		return 0, "", false
 	}

@@ -210,6 +210,32 @@ func TestWorkerEndpointValidation(t *testing.T) {
 	testutil.PostJSON(t, plain.URL, "/v1/workers/lease", map[string]any{"worker": "w"}, nil, http.StatusNotFound)
 }
 
+// TestWorkerLeaseHugeMax: max is the client's to choose; the largest
+// int the body can carry grants the whole backlog and leaves the queue
+// serving.
+func TestWorkerLeaseHugeMax(t *testing.T) {
+	ts, _, q := newRemoteServer(t, time.Minute)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i, tenant := range []string{"t0", "t1"} {
+		go q.Do(ctx, campaign.Task{Spec: testutil.MiniSpec("vectoradd", uint64(70+i)), Tenant: tenant})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for q.Stats().Pending < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("cells never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var grant api.LeaseGrant
+	testutil.PostJSON(t, ts.URL, "/v1/workers/lease",
+		json.RawMessage(`{"worker":"w","max":9223372036854775807}`), &grant, http.StatusOK)
+	if len(grant.Leases) != 2 {
+		t.Fatalf("granted %d cells, want the backlog of 2", len(grant.Leases))
+	}
+	testutil.PostJSON(t, ts.URL, "/v1/workers/"+grant.Leases[0].ID+"/heartbeat", map[string]any{}, nil, http.StatusOK)
+}
+
 func TestShutdownDrainsRunningJobs(t *testing.T) {
 	// In-process execution, big enough batch to still be running.
 	sched := campaign.New(campaign.Config{Workers: 1, CampaignWorkers: 1})

@@ -62,6 +62,18 @@ func ReplayOwners(data []byte) (recs []OwnerRecord, good int, err error) {
 	return recs, good, err
 }
 
+// LatestOwner reduces a journal to its latest record of the highest
+// epoch, the zero record (epoch 0) when there is none.
+func LatestOwner(recs []OwnerRecord) OwnerRecord {
+	var last OwnerRecord
+	for _, rec := range recs {
+		if rec.Epoch >= last.Epoch {
+			last = rec
+		}
+	}
+	return last
+}
+
 // EncodeOwner encodes the record as a RecOwner payload.
 func EncodeOwner(rec OwnerRecord) []byte {
 	w := NewWriter(nil)

@@ -37,3 +37,24 @@ func TestOwnerRecordRejectsBadPayloads(t *testing.T) {
 		t.Fatalf("unknown event: got %v, want ErrCorrupt", err)
 	}
 }
+
+// TestLatestOwner: the highest epoch wins over later records of a lower
+// one (a deposed owner's stale beat), and within an epoch the last record
+// does.
+func TestLatestOwner(t *testing.T) {
+	if got := LatestOwner(nil); got != (OwnerRecord{}) {
+		t.Fatalf("empty journal: %+v", got)
+	}
+	recs := []OwnerRecord{
+		{Epoch: 1, Server: "a", UnixMillis: 10, Event: OwnerClaim},
+		{Epoch: 2, Server: "b", UnixMillis: 20, Event: OwnerClaim},
+		{Epoch: 1, Server: "a", UnixMillis: 30, Event: OwnerBeat},
+		{Epoch: 2, Server: "b", UnixMillis: 40, Event: OwnerBeat},
+	}
+	if got, want := LatestOwner(recs), recs[3]; got != want {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	if got, want := LatestOwner(recs[:3]), recs[1]; got != want {
+		t.Fatalf("stale beat of a lower epoch: got %+v, want %+v", got, want)
+	}
+}

@@ -146,8 +146,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return nil
 		}
-		// Widen the request to every idle slot: a multi-cell grant is a
-		// cost-balanced shard of the backlog.
+		// Widen the request to every idle slot: a grant is the largest
+		// pending cells, fair-shared across tenants, so one round trip
+		// fills every slot.
 		free := 1
 		for len(sem) < cap(sem) {
 			select {
