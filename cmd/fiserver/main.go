@@ -25,6 +25,11 @@
 // active owner, standbys answer 503, and a standby seizes ownership
 // (and resumes the dead owner's jobs) when heartbeats go stale.
 //
+// SIGINT or SIGTERM drains the server: it stops accepting, finishes or
+// cancels in-flight requests and jobs within -drain-timeout, and a
+// clustered owner appends a release record so a standby takes over at
+// once.
+//
 //	fiserver -addr :8080 -store cells.jsonl
 //	fiserver -addr :8080 -store cells.jsonl -job-store jobs.jsonl
 //	fiserver -addr :8080 -workers-remote -lease-ttl 30s
@@ -50,6 +55,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/campaign"
@@ -62,7 +68,7 @@ import (
 var errUsage = errors.New("usage error")
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		if !errors.Is(err, errUsage) {

@@ -4,7 +4,9 @@
 // streams the results back. Any number of workers may point at one
 // server; cells are deduplicated and sharded server-side, leases expire
 // and re-queue if a worker dies, and determinism guarantees every worker
-// computes byte-identical results for the same cell.
+// computes byte-identical results for the same cell. SIGINT or SIGTERM
+// stops leasing: a cell still simulating is left to lease expiry, one
+// already finished is still delivered.
 //
 //	fiserver -addr :8080 -workers-remote
 //	fiworker -server http://localhost:8080
@@ -21,6 +23,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -33,7 +36,7 @@ import (
 var errUsage = errors.New("usage error")
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		if !errors.Is(err, errUsage) {

@@ -14,13 +14,14 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"repro/internal/cli"
 	"repro/internal/gpu"
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
 	if err != nil {

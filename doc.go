@@ -27,7 +27,7 @@
 //     DiskStore with a JSON and a binary record codec), scheduler, lease
 //     queue;
 //   - internal/flight: the one table of in-flight calls under the
-//     scheduler, the golden cache and the ladder cache;
+//     scheduler's cell coalescing and the golden cache;
 //   - internal/wire: wire.Journal — the one append-only log under the
 //     result stores, the job journal and the ownership journal — and the
 //     versioned binary store / ownership format;

@@ -1,8 +1,9 @@
 // Package campaign is the orchestration layer over the fault-injection
 // engine: content-addressed identities for campaign cells, pluggable
-// result stores (in-memory LRU and JSON-lines disk), and a deduplicating,
-// cancelable scheduler that shares golden reference runs across
-// structures. It turns "run a figure" into "schedule, cache and serve
+// result stores (an in-memory LRU, and an append-only disk store in JSON
+// lines or the binary wire format), a deduplicating, cancelable scheduler
+// that shares golden reference runs across structures, and the executors
+// behind it (in process, or a lease queue a worker fleet drains). It turns "run a figure" into "schedule, cache and serve
 // campaign cells": identical cells are computed once ever, concurrent
 // duplicate submissions coalesce onto one execution, and the experiment
 // runner (internal/experiment), the CLI tools and the fiserver front-end

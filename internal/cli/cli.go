@@ -2,7 +2,9 @@
 // (NVIDIA) and sifi (AMD) campaign tools. Both tools are spec-first:
 // -spec runs a declarative experiment file, and the classic single-cell
 // flags are compiled into a one-cell spec internally, so either path is
-// the same runner and the same result store.
+// the same runner and the same result store. It also holds the flag
+// blocks the other commands share (policy, store, observability) and the
+// HTTP server settings of fiserver and fiworker.
 package cli
 
 import (

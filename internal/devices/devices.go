@@ -1,11 +1,11 @@
 // Package devices constructs the right simulator for a chip
 // configuration: nvsim for NVIDIA chips (the GUFI substrate) and amdsim
-// for AMD chips (the SIFI substrate). Every golden run, ACE run and
-// injector replica takes its device from Acquire and gives it back with
-// Release: building one zeroes 8.75–18 MiB on the paper's chips, a Reset
-// only the pages a run wrote. The pool is a free list capped at GOMAXPROCS
-// idle devices per chip configuration, not a sync.Pool, which keeps more
-// devices live (DESIGN.md "Parallel engine").
+// for AMD chips (the SIFI substrate). Every golden run and injector
+// replica takes its device from Acquire and gives it back with Release:
+// building one zeroes all of its memories, a Reset only the pages a run
+// wrote. The pool is a free list capped at GOMAXPROCS idle devices per
+// chip configuration, not a sync.Pool, which keeps more devices live
+// (DESIGN.md "Workloads, chips and devices").
 package devices
 
 import (

@@ -2,7 +2,9 @@
 // (nvsim) and AMD (amdsim) microarchitectural simulators and by the
 // reliability analyses built on top of them: device global memory, launch
 // geometry, the kernel ABI, hardware-structure identifiers, the fault
-// model, access-trace hooks for ACE analysis, and run statistics.
+// model, access-trace hooks for ACE analysis, run statistics, the
+// snapshot contract of checkpointed replay, and Pages, the copy-on-write
+// paged array under device memory and every unit's storage.
 //
 // The fault-injection and ACE engines only ever talk to a Device; the two
 // simulators plug in underneath, exactly as GUFI (on GPGPU-Sim) and SIFI

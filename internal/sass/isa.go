@@ -6,7 +6,7 @@
 // faults land on actual hardware registers. This package plays the same
 // role: workloads are written in this assembly, the assembler resolves
 // them to decoded instructions, and nvsim executes them at warp
-// granularity with per-thread architectural registers R0..R254 (RZ is the
+// granularity with per-thread architectural registers R0..R127 (RZ is the
 // hardwired zero register), predicate registers P0..P5 (PT is hardwired
 // true), a SIMT reconvergence stack driven by SSY/SYNC, shared memory
 // (LDS/STS), global memory (LDG/STG), block barriers (BAR.SYNC) and

@@ -4,7 +4,10 @@
 // barriers (or from the outside, mid-campaign), restarts it against the
 // same stores, and asserts that the recovered job's result is
 // byte-identical to an uninterrupted run — with already-completed cells
-// served from the warm campaign store, never re-injected.
+// served from the warm campaign store, never re-injected. It also runs
+// a two-server cluster with a fiworker fleet through the owner's SIGKILL
+// (cluster_chaos_test.go), and checks that SIGTERM drains a clustered
+// server like SIGINT, ending its epoch with a release record.
 package chaostest
 
 import (

@@ -9,12 +9,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/client"
+	"repro/internal/service"
 	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
 // startClusterServer launches one fiserver of a cluster: shared cell
@@ -238,4 +241,40 @@ func rawResultAuthed(t *testing.T, base, id, key string) []byte {
 		t.Fatalf("result status %d: %s", code, body)
 	}
 	return body
+}
+
+// TestSIGTERMReleasesOwnership sends a clustered fiserver the signal
+// supervisors, container runtimes and kill(1) send. It must drain like
+// SIGINT: exit cleanly and close its epoch with a release record, so a
+// standby takes over at once instead of waiting out the takeover TTL.
+func TestSIGTERMReleasesOwnership(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos harness")
+	}
+	dir := t.TempDir()
+	p := startServer(t, dir, "", "-cluster-dir", filepath.Join(dir, "cluster"), "-server-id", "term-1")
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-p.exited:
+		p.exited <- err
+		if err != nil {
+			t.Fatalf("fiserver did not drain on SIGTERM: %v\n%s", err, p.dump())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("fiserver never exited after SIGTERM\n%s", p.dump())
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "cluster", service.OwnershipFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := wire.ReplayOwners(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := wire.LatestOwner(recs)
+	if last.Event != wire.OwnerRelease || last.Server != "term-1" || last.Epoch != 1 {
+		t.Fatalf("ownership journal ends in %+v (%d records), want term-1's release at epoch 1", last, len(recs))
+	}
 }

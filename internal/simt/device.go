@@ -16,7 +16,8 @@
 // with its scalar unit and EXEC mask. Everything else — the gpu.Device
 // contract, launch loop, watchdog, fault application, tracer allocation
 // events, occupancy accounting, checkpoint snapshots and their wire
-// codec — exists once, here.
+// codec, and the lane accessors through which an ISA reaches registers
+// and memory (lanes.go) — exists once, here.
 package simt
 
 import (

@@ -14,6 +14,23 @@
 // dwtHaar1D, histogram, matrixMul, reduction, scan, transpose) form the
 // Fig. 2 subset, exactly as in the paper; gaussian, kmeans and vectoradd
 // do not touch local memory.
+//
+// Host programs. host.go is the one shape of a host program: run (one
+// execution of a body on a device, with floats, words, alloc and a
+// launch that picks the build by vendor), output (one device region the
+// golden model predicts) and hostProgram, which derives Outputs and
+// Verify from the outputs and refuses a vendor with no build at
+// Benchmark.New (TestUnknownVendorRefusedAtNew). A benchmark file holds
+// only its kernels, inputs, golden model, outputs and a straight-line
+// body. run latches the first error: later calls do nothing, so a failed
+// program touches the device no further
+// (TestFailedAllocationStopsTheProgram), and Run returns that error
+// itself, because finject's classify tells Timeout, full replay and DUE
+// apart with errors.Is on it. TestHostProgramsPinned
+// (testdata/programs.golden) pins, per program on the two mini and two
+// paper chips, the run statistics and a SHA-256 of every output region.
+// Nothing per run may be added that is not a device call: Run executes
+// once per injection.
 package workloads
 
 import (
