@@ -21,8 +21,8 @@
 // Useful knobs: -n (injections per campaign; the paper uses 2000, and it
 // becomes the cap when -margin is set), -margin/-confidence (adaptive
 // sampling: stop each campaign once its AVF interval is tight enough),
-// -checkpoint (fast-forward injections through golden snapshots: auto,
-// off, or a cycle interval; results are byte-identical either way),
+// -checkpoint (fast-forward injections through golden snapshots: auto
+// or off; results are byte-identical either way),
 // -workers, -seed, -bench (comma-separated subset), -chips
 // (comma-separated subset), -store (persistent result cache; warm reruns
 // perform zero injections).

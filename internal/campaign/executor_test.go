@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/finject"
 	"repro/internal/gpu"
-	"repro/internal/telemetry"
 )
 
 // countingExecutor returns canned results and records how often and with
@@ -153,57 +152,17 @@ func TestRemoteExecutorPropagatesWorkerError(t *testing.T) {
 	}
 }
 
-// TestIntervalCampaignKeepsNoSharedGolden: a campaign whose checkpoint
-// knob names an interval makes its own reference run, so the executor's
-// shared golden cache is neither consulted nor filled by it, and its
-// result is the auto-knob result byte for byte. The auto-knob campaign
-// that follows then makes the pair's one shared golden run.
-func TestIntervalCampaignKeepsNoSharedGolden(t *testing.T) {
-	c := testCampaign(t, "matrixMul")
-	exec := NewLocalExecutor()
-	run := func(ck finject.Checkpoint) []byte {
-		t.Helper()
-		c.Policy = finject.Config{Checkpoint: &ck}
-		spec := SpecOf(c)
-		res, err := exec.Execute(context.Background(), Request{Spec: spec, Key: spec.Key(), Policy: c.Policy, Campaign: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js
-	}
-
-	hits, misses := telemetry.GoldenCacheHits.Value(), telemetry.GoldenCacheMisses.Value()
-	interval := run(finject.Checkpoint{Interval: 512})
-	if n := exec.GoldenRuns(); n != 0 {
-		t.Fatalf("an interval campaign made %d shared golden runs, want 0", n)
-	}
-	if h, m := telemetry.GoldenCacheHits.Value()-hits, telemetry.GoldenCacheMisses.Value()-misses; h != 0 || m != 0 {
-		t.Fatalf("an interval campaign moved the golden cache: %d hits, %d misses", h, m)
-	}
-	auto := run(finject.Checkpoint{})
-	if n := exec.GoldenRuns(); n != 1 {
-		t.Fatalf("the auto-knob campaign after it made %d golden runs, want 1", n)
-	}
-	if string(interval) != string(auto) {
-		t.Fatalf("interval result differs from the auto-knob one:\ninterval: %s\nauto:     %s", interval, auto)
-	}
-}
-
 // TestGoldenOnlyCellAlwaysSharesTheGolden: a golden-only cell restores no
-// rung, so an explicit checkpoint interval does not give it a reference
-// run of its own: both structures' cells, at two intervals, take the
-// pair's one shared golden run and read as the auto-knob cell does.
+// rung, so its checkpoint knob does not matter: both structures' cells,
+// with the knob off and auto, take the pair's one shared golden run, and
+// the off cell reads as the auto cell does.
 func TestGoldenOnlyCellAlwaysSharesTheGolden(t *testing.T) {
 	exec := NewLocalExecutor()
 	var docs []string
 	for _, tc := range []struct {
 		st gpu.Structure
 		ck finject.Checkpoint
-	}{{gpu.RegisterFile, finject.Checkpoint{Interval: 512}}, {gpu.LocalMemory, finject.Checkpoint{Interval: 64}}, {gpu.RegisterFile, finject.Checkpoint{}}} {
+	}{{gpu.RegisterFile, finject.Checkpoint{Off: true}}, {gpu.LocalMemory, finject.Checkpoint{Off: true}}, {gpu.RegisterFile, finject.Checkpoint{}}} {
 		c := testCampaign(t, "matrixMul")
 		c.Structure, c.GoldenOnly, c.Policy = tc.st, true, finject.Config{Checkpoint: &tc.ck}
 		spec := SpecOf(c)
@@ -223,6 +182,6 @@ func TestGoldenOnlyCellAlwaysSharesTheGolden(t *testing.T) {
 		}
 	}
 	if docs[0] != docs[1] {
-		t.Fatalf("interval golden-only cell differs from the auto-knob one:\ninterval: %s\nauto:     %s", docs[0], docs[1])
+		t.Fatalf("off golden-only cell differs from the auto-knob one:\noff:  %s\nauto: %s", docs[0], docs[1])
 	}
 }

@@ -37,14 +37,13 @@ type CellSpec struct {
 	// WatchdogFactor is the hang threshold as a multiple of the golden
 	// cycle count.
 	WatchdogFactor int `json:"watchdog_factor"`
-	// CheckpointOff and CheckpointInterval carry the checkpointed
-	// fast-forward knob (finject.Checkpoint) across process boundaries.
-	// They are execution hints only: checkpointing never changes a
-	// cell's result, so both stay out of Key() — cells that differ only
-	// here share one key and one stored result, and specs written before
-	// the knob existed keep their keys and warm stores.
-	CheckpointOff      bool  `json:"checkpoint_off,omitempty"`
-	CheckpointInterval int64 `json:"checkpoint_interval,omitempty"`
+	// CheckpointOff carries the checkpointed fast-forward knob
+	// (finject.Checkpoint) across process boundaries. It is an execution
+	// hint only: checkpointing never changes a cell's result, so it stays
+	// out of Key() — cells that differ only here share one key and one
+	// stored result, and specs written before the knob existed keep their
+	// keys and warm stores.
+	CheckpointOff bool `json:"checkpoint_off,omitempty"`
 	// GoldenOnly marks a cell that runs only the reference run
 	// (finject.Campaign.GoldenOnly): the ACE estimator's cell. Nothing
 	// but the chip, the benchmark and the structure decides its result,
@@ -55,7 +54,7 @@ type CellSpec struct {
 
 // CheckpointPolicy returns the spec's checkpoint knob in engine form.
 func (s CellSpec) CheckpointPolicy() finject.Checkpoint {
-	return finject.Checkpoint{Off: s.CheckpointOff, Interval: s.CheckpointInterval}
+	return finject.Checkpoint{Off: s.CheckpointOff}
 }
 
 // Config returns the spec's execution configuration in the engine's
@@ -89,15 +88,13 @@ func (s CellSpec) Normalize() CellSpec {
 // stay out of the identity — the scheduler instead checks whether a
 // cached cell's realized sample satisfies the requesting policy.
 func SpecOf(c finject.Campaign) CellSpec {
-	ck := c.Policy.Knob()
 	s := CellSpec{
-		Injections:         c.Policy.Cap(c.Injections),
-		Seed:               c.Seed,
-		FaultWidth:         c.FaultWidth,
-		WatchdogFactor:     c.WatchdogFactor,
-		CheckpointOff:      ck.Off,
-		CheckpointInterval: ck.Interval,
-		GoldenOnly:         c.GoldenOnly,
+		Injections:     c.Policy.Cap(c.Injections),
+		Seed:           c.Seed,
+		FaultWidth:     c.FaultWidth,
+		WatchdogFactor: c.WatchdogFactor,
+		CheckpointOff:  c.Policy.Knob().Off,
+		GoldenOnly:     c.GoldenOnly,
 	}
 	if c.Chip != nil {
 		s.Chip = c.Chip.Name
@@ -113,9 +110,6 @@ func SpecOf(c finject.Campaign) CellSpec {
 // chip and benchmark up by name.
 func (s CellSpec) Campaign() (finject.Campaign, error) {
 	s = s.Normalize()
-	if s.CheckpointInterval < 0 {
-		return finject.Campaign{}, fmt.Errorf("campaign: negative checkpoint interval %d", s.CheckpointInterval)
-	}
 	chip, err := chips.ByName(s.Chip)
 	if err != nil {
 		return finject.Campaign{}, err

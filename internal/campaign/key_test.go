@@ -143,7 +143,7 @@ func TestGoldenOnlyKeyNamesOnlyItsPair(t *testing.T) {
 	base := CellSpec{Chip: "Mini NVIDIA", Benchmark: "vectoradd", Structure: gpu.LocalMemory, GoldenOnly: true}
 	for _, v := range []CellSpec{
 		{Injections: 500}, {Seed: 7}, {FaultWidth: 4}, {WatchdogFactor: 9},
-		{CheckpointOff: true}, {CheckpointInterval: 512},
+		{CheckpointOff: true},
 	} {
 		v.Chip, v.Benchmark, v.Structure, v.GoldenOnly = base.Chip, base.Benchmark, base.Structure, true
 		if v.Normalize() != base.Normalize() || v.Key() != base.Key() {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRunCheckpointFlag runs the same tiny campaign with checkpointing
-// off and with a fixed interval; both must succeed and print identical
-// AVF lines (the knob is execution-only), while a malformed value is
-// rejected before anything runs.
+// off and auto; both must succeed and print identical AVF lines (the
+// knob is execution-only), while a malformed value or a cycle interval
+// is rejected before anything runs.
 func TestRunCheckpointFlag(t *testing.T) {
 	run := func(ckpt string) string {
 		t.Helper()
@@ -31,13 +31,19 @@ func TestRunCheckpointFlag(t *testing.T) {
 		return ""
 	}
 	off := avfLine(run("off"))
-	fixed := avfLine(run("1024"))
-	if off != fixed {
-		t.Fatalf("checkpoint knob changed the measured AVF:\noff:  %s\n1024: %s", off, fixed)
+	auto := avfLine(run("auto"))
+	if off != auto {
+		t.Fatalf("checkpoint knob changed the measured AVF:\noff:  %s\nauto: %s", off, auto)
 	}
 
-	var sb strings.Builder
-	if err := Run("sifi", gpu.AMD, []string{"-checkpoint", "sometimes"}, &sb); err == nil {
-		t.Fatal("bad -checkpoint value accepted")
+	for _, bad := range []string{"sometimes", "4096"} {
+		var sb strings.Builder
+		err := Run("sifi", gpu.AMD, []string{"-checkpoint", bad}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "want auto or off") {
+			t.Fatalf("-checkpoint %s accepted (err=%v)", bad, err)
+		}
+		if sb.Len() != 0 {
+			t.Fatalf("-checkpoint %s printed before failing:\n%s", bad, sb.String())
+		}
 	}
 }

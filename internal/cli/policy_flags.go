@@ -39,7 +39,7 @@ func AddPolicyFlags(fs *flag.FlagSet) *PolicyFlags {
 	fs.IntVar(&p.Workers, "workers", 0, "parallel simulations per campaign (default GOMAXPROCS)")
 	fs.Float64Var(&p.Margin, "margin", 0, "adaptive mode: stop each campaign once the AVF interval half-width reaches this (0 = run exactly -n injections)")
 	fs.Float64Var(&p.Confidence, "confidence", finject.DefaultConfidence, "confidence level for AVF intervals and adaptive stopping")
-	fs.StringVar(&p.CheckpointRaw, "checkpoint", "auto", "checkpointed fast-forward: auto, off, or a snapshot interval in cycles")
+	fs.StringVar(&p.CheckpointRaw, "checkpoint", "auto", "checkpointed fast-forward: auto or off")
 	return p
 }
 

@@ -23,7 +23,7 @@ func TestPolicyFlagsHelpGolden(t *testing.T) {
 	fs.PrintDefaults()
 
 	const golden = `  -checkpoint string
-    	checkpointed fast-forward: auto, off, or a snapshot interval in cycles (default "auto")
+    	checkpointed fast-forward: auto or off (default "auto")
   -confidence float
     	confidence level for AVF intervals and adaptive stopping (default 0.99)
   -margin float
@@ -62,16 +62,18 @@ func TestPolicyFlagsValidate(t *testing.T) {
 	if _, err := parse(t, "-workers", "-3"); err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Errorf("workers -3 accepted (err=%v)", err)
 	}
-	if _, err := parse(t, "-checkpoint", "sometimes"); err == nil {
-		t.Error("bad -checkpoint accepted")
+	for _, bad := range []string{"sometimes", "128"} {
+		if _, err := parse(t, "-checkpoint", bad); err == nil || !strings.Contains(err.Error(), "want auto or off") {
+			t.Errorf("-checkpoint %s accepted (err=%v)", bad, err)
+		}
 	}
 
-	p, err := parse(t, "-checkpoint", "128")
+	p, err := parse(t, "-checkpoint", "off")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck := p.Checkpoint(); ck.Off || ck.Interval != 128 {
-		t.Errorf("-checkpoint 128 parsed to %+v", ck)
+	if ck := p.Checkpoint(); !ck.Off {
+		t.Errorf("-checkpoint off parsed to %+v", ck)
 	}
 }
 
@@ -109,7 +111,7 @@ func TestPolicyFlagsSpecPolicy(t *testing.T) {
 func TestPolicyFlagsOverride(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	p := AddPolicyFlags(fs)
-	if err := fs.Parse([]string{"-n", "100", "-margin", "0.02", "-checkpoint", "64"}); err != nil {
+	if err := fs.Parse([]string{"-n", "100", "-margin", "0.02", "-checkpoint", "off"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Validate(); err != nil {
@@ -126,7 +128,7 @@ func TestPolicyFlagsOverride(t *testing.T) {
 	if spec.Injections != 100 || spec.Policy.Margin != 0.02 {
 		t.Errorf("overrides not applied: %+v", spec)
 	}
-	if spec.Policy.Checkpoint == nil || *spec.Policy.Checkpoint != (finject.Checkpoint{Interval: 64}) {
+	if spec.Policy.Checkpoint == nil || *spec.Policy.Checkpoint != (finject.Checkpoint{Off: true}) {
 		t.Errorf("checkpoint override not applied: %+v", spec.Policy.Checkpoint)
 	}
 	if spec.Seed != 9 {

@@ -102,9 +102,6 @@ var inertVariants = []struct {
 	{name: "checkpoint-off", edit: func(s *experiment.Spec) {
 		s.Policy.Checkpoint = &finject.Checkpoint{Off: true}
 	}},
-	{name: "checkpoint-interval", edit: func(s *experiment.Spec) {
-		s.Policy.Checkpoint = &finject.Checkpoint{Interval: 700}
-	}},
 	{name: "workers-1", sched: func(*testing.T, string) *campaign.Scheduler {
 		return campaign.New(campaign.Config{CampaignWorkers: 1})
 	}},

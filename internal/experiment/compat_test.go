@@ -90,7 +90,7 @@ func TestSpecCompatWithCheckpoint(t *testing.T) {
 	path := filepath.Join("testdata", "compat_v1_checkpoint.json")
 	spec, keys := compileKeys(t, path)
 
-	if spec.Policy.Checkpoint == nil || spec.Policy.Checkpoint.Interval != 4096 {
+	if spec.Policy.Checkpoint == nil || !spec.Policy.Checkpoint.Off {
 		t.Fatalf("checkpoint block not preserved: %+v", spec.Policy.Checkpoint)
 	}
 	p, err := spec.Compile()
@@ -98,7 +98,7 @@ func TestSpecCompatWithCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range p.Cells {
-		if c.Campaign.Policy.Knob() != (finject.Checkpoint{Interval: 4096}) {
+		if c.Campaign.Policy.Knob() != (finject.Checkpoint{Off: true}) {
 			t.Fatalf("cell %s/%s/%s lost the checkpoint knob: %+v",
 				c.Chip.Name, c.Benchmark.Name, c.Structure, c.Campaign.Policy.Checkpoint)
 		}

@@ -65,13 +65,12 @@ type Policy struct {
 	// stopping rule (0.99 when 0).
 	Confidence float64 `json:"confidence,omitempty"`
 	// Checkpoint, when present, sets the checkpointed fast-forward knob
-	// for every campaign of the grid: {"off": true} forces full replay
-	// per injection, {"interval": N} fixes the golden snapshot spacing
-	// in cycles. Omitted (the v1 default, and the only option in specs
-	// written before the knob existed) means on with an auto-sized
-	// interval. The knob never affects results, so it stays out of cell
-	// identity: specs that differ only here compile to the same cell
-	// keys and share warm stores.
+	// for every campaign of the grid: auto or off. {"off": true} forces
+	// full replay per injection; omitted (the v1 default, and the only
+	// option in specs written before the knob existed) or {} means on,
+	// with the ladder the golden run sizes. The knob never affects
+	// results, so it stays out of cell identity: specs that differ only
+	// here compile to the same cell keys and share warm stores.
 	Checkpoint *finject.Checkpoint `json:"checkpoint,omitempty"`
 }
 

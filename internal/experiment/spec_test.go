@@ -51,17 +51,20 @@ func TestFigureSpecGoldens(t *testing.T) {
 }
 
 // TestParseRejectsUnknownFields: a typo must not silently change an
-// experiment's meaning.
+// experiment's meaning, and a retired field (the checkpoint interval; the
+// golden run sizes its own ladder) is refused, not ignored. The error
+// names the field.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	t.Parallel()
-	cases := []string{
-		`{"version": 1, "injctions": 500}`,
-		`{"version": 1, "metrics": {"epff": true}}`,
-		`{"version": 1, "policy": {"margn": 0.05}}`,
+	cases := map[string]string{
+		`{"version": 1, "injctions": 500}`:                             "injctions",
+		`{"version": 1, "metrics": {"epff": true}}`:                    "epff",
+		`{"version": 1, "policy": {"margn": 0.05}}`:                    "margn",
+		`{"version": 1, "policy": {"checkpoint": {"interval": 4096}}}`: "interval",
 	}
-	for _, c := range cases {
-		if _, err := ParseBytes([]byte(c)); err == nil {
-			t.Errorf("spec %s parsed despite unknown field", c)
+	for c, field := range cases {
+		if _, err := ParseBytes([]byte(c)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("spec %s: err %v, want one naming %q", c, err, field)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package finject
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/gpu"
@@ -15,27 +14,24 @@ import (
 // greatest snapshot at or below its fault cycle and resumes from there
 // instead of re-simulating the fault-free prefix from power-on state —
 // at uniform (bit, cycle) sampling this roughly halves the simulated
-// cycles per injection. The ladder hangs off the shared Golden (a
-// campaign with an explicit interval captures its own in a reference run
-// of its own), is immutable after construction, and is read concurrently
-// by the whole worker pool. Checkpointing never changes results: fault #i is still
-// derived from (Seed, i) alone and the resumed execution is
-// bit-identical to a full replay (see CheckpointEquivalence and the
-// differential suite in equiv_test.go).
+// cycles per injection. The ladder sizes itself (see ladderBuilder),
+// hangs off the Golden that captured it, is immutable after
+// construction, and is read concurrently by the whole worker pool.
+// Checkpointing never changes results: fault #i is still derived from
+// (Seed, i) alone and the resumed execution is bit-identical to a full
+// replay (see CheckpointEquivalence and the differential suite in
+// equiv_test.go).
 
 // Checkpoint configures checkpointed fast-forward execution. The zero
-// value is the default: checkpointing on, interval auto-sized from the
-// golden run's cycle count and the memory budget.
+// value is the default: checkpointing on, with the ladder the golden run
+// sized against its cycle count and the memory budget.
 type Checkpoint struct {
 	// Off disables fast-forward: every injection replays from cycle 0.
 	Off bool `json:"off,omitempty"`
-	// Interval overrides the auto-sized snapshot spacing in device
-	// cycles (0 = auto).
-	Interval int64 `json:"interval,omitempty"`
 }
 
 // ParseCheckpoint parses the -checkpoint CLI flag value: "auto" (the
-// default ladder), "off", or a positive cycle interval.
+// default ladder) or "off".
 func ParseCheckpoint(s string) (Checkpoint, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "auto", "on":
@@ -43,23 +39,15 @@ func ParseCheckpoint(s string) (Checkpoint, error) {
 	case "off":
 		return Checkpoint{Off: true}, nil
 	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n <= 0 {
-		return Checkpoint{}, fmt.Errorf("finject: bad checkpoint %q (want auto, off or a positive cycle interval)", s)
-	}
-	return Checkpoint{Interval: n}, nil
+	return Checkpoint{}, fmt.Errorf("finject: bad checkpoint %q (want auto or off)", s)
 }
 
 // String renders the configuration in flag syntax.
 func (c Checkpoint) String() string {
-	switch {
-	case c.Off:
+	if c.Off {
 		return "off"
-	case c.Interval > 0:
-		return strconv.FormatInt(c.Interval, 10)
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // CheckpointBudgetBytes bounds the memory one checkpoint ladder may
@@ -77,7 +65,7 @@ const maxLadderSnapshots = 64
 const minCheckpointInterval = 2048
 
 // ladderBuilder accumulates a checkpoint ladder during a golden run,
-// driving the device's checkpoint hook. In auto mode it starts at
+// driving the device's checkpoint hook. It starts at
 // minCheckpointInterval and, whenever the rung count hits the cap
 // (derived from the measured snapshot size and the memory budget), it
 // drops every other rung and doubles the interval — an online scheme
@@ -85,26 +73,16 @@ const minCheckpointInterval = 2048
 // within 2x of the ideal spacing.
 type ladderBuilder struct {
 	interval int64
-	fixed    bool
 	cap      int
 	snaps    []gpu.Snapshot
 }
 
-func newLadderBuilder(cfg Checkpoint) *ladderBuilder {
-	if cfg.Interval > 0 {
-		return &ladderBuilder{interval: cfg.Interval, fixed: true}
-	}
-	return &ladderBuilder{interval: minCheckpointInterval}
-}
-
 // hook is the gpu.Device checkpoint callback: it stores the snapshot
-// and returns the next capture cycle (or stops at the cap).
+// and returns the next capture cycle.
 func (lb *ladderBuilder) hook(s gpu.Snapshot) int64 {
 	lb.snaps = append(lb.snaps, s)
 	if lb.cap == 0 {
 		// First snapshot: size the ladder against the memory budget.
-		// The budget applies to fixed intervals too — a short explicit
-		// interval on a big chip must not hold gigabytes of snapshots.
 		lb.cap = maxLadderSnapshots
 		if sz := s.SizeBytes(); sz > 0 {
 			if byBudget := int(CheckpointBudgetBytes / sz); byBudget < lb.cap {
@@ -116,9 +94,6 @@ func (lb *ladderBuilder) hook(s gpu.Snapshot) int64 {
 		}
 	}
 	if len(lb.snaps) >= lb.cap {
-		if lb.fixed {
-			return -1 // honor the interval, stop extending the ladder
-		}
 		kept := lb.snaps[:0]
 		for i, snap := range lb.snaps {
 			if i%2 == 0 {

@@ -58,7 +58,7 @@ func synthBenchmark(name string, prog *sass.Program) *workloads.Benchmark {
 func TestClassifyProducesDUE(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("duebait", dueProg)
-	g, err := runGolden(chip, bench, Checkpoint{}, false)
+	g, err := runGolden(chip, bench, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ loop:
 func TestClassifyProducesTimeout(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("hangbait", loopProg)
-	g, err := runGolden(chip, bench, Checkpoint{}, false)
+	g, err := runGolden(chip, bench, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestClassifyProducesTimeout(t *testing.T) {
 func TestClassifyMaskedTail(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("duebait", dueProg)
-	g, err := runGolden(chip, bench, Checkpoint{}, false)
+	g, err := runGolden(chip, bench, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,7 @@ func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A tight interval, so the short mini-chip runs get rungs at all.
-		foreign, err := runGolden(chip, mm, Checkpoint{Interval: 64}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ladder := foreign.ladder
+		ladder := captureLadder(t, chip, mm, 64, false)
 		if len(ladder) == 0 || ladder[0].Cycle() >= own.cycles/2 {
 			t.Fatalf("%s: the foreign ladder has no rung early enough to be restored", chip.Name)
 		}

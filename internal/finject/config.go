@@ -66,9 +66,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.Workers < 0 {
 		return c, fmt.Errorf("bad policy workers %d", c.Workers)
 	}
-	if c.Checkpoint != nil && c.Checkpoint.Interval < 0 {
-		return c, fmt.Errorf("bad policy checkpoint interval %d", c.Checkpoint.Interval)
-	}
 	return c, nil
 }
 
@@ -90,8 +87,8 @@ func (c Config) Equal(o Config) bool {
 	}
 }
 
-// Knob resolves the checkpoint knob: the zero Checkpoint (on, with an
-// auto-sized interval) when unset.
+// Knob resolves the checkpoint knob: the zero Checkpoint (on) when
+// unset.
 func (c Config) Knob() Checkpoint {
 	if c.Checkpoint == nil {
 		return Checkpoint{}

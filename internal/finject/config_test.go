@@ -29,7 +29,6 @@ func TestConfigNormalizeRejectsOutOfRange(t *testing.T) {
 		{Config{Confidence: 1.5}, "bad policy confidence"},
 		{Config{MaxInjections: -1}, "bad policy max_injections"},
 		{Config{Workers: -2}, "bad policy workers"},
-		{Config{Checkpoint: &Checkpoint{Interval: -5}}, "bad policy checkpoint interval"},
 	}
 	for _, tc := range cases {
 		_, err := tc.cfg.Normalize()
@@ -42,7 +41,8 @@ func TestConfigNormalizeRejectsOutOfRange(t *testing.T) {
 // TestConfigDecodesLegacyPolicyJSON pins wire compatibility: the lease
 // wire used to serialize finject.Policy with Go's default (exported,
 // untagged) field names, and the /v1/jobs policy block has always used
-// snake_case keys. Config must decode both.
+// snake_case keys. Config must decode both, and drop the retired
+// checkpoint interval: the golden run sizes its own ladder.
 func TestConfigDecodesLegacyPolicyJSON(t *testing.T) {
 	legacyLease := `{"Workers":3,"Margin":0.05,"Confidence":0.95,"Checkpoint":{"Off":false,"Interval":128}}`
 	var c Config
@@ -50,7 +50,7 @@ func TestConfigDecodesLegacyPolicyJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Workers != 3 || c.Margin != 0.05 || c.Confidence != 0.95 ||
-		c.Checkpoint == nil || c.Checkpoint.Interval != 128 {
+		c.Checkpoint == nil || *c.Checkpoint != (Checkpoint{}) {
 		t.Fatalf("legacy lease policy decoded to %+v", c)
 	}
 
@@ -66,12 +66,12 @@ func TestConfigDecodesLegacyPolicyJSON(t *testing.T) {
 }
 
 func TestConfigEqualComparesCheckpointByValue(t *testing.T) {
-	a := Config{Margin: 0.1, Checkpoint: &Checkpoint{Interval: 64}}
-	b := Config{Margin: 0.1, Checkpoint: &Checkpoint{Interval: 64}}
+	a := Config{Margin: 0.1, Checkpoint: &Checkpoint{Off: true}}
+	b := Config{Margin: 0.1, Checkpoint: &Checkpoint{Off: true}}
 	if !a.Equal(b) {
 		t.Fatal("value-equal configs with distinct checkpoint pointers compared unequal")
 	}
-	b.Checkpoint = &Checkpoint{Interval: 65}
+	b.Checkpoint = &Checkpoint{}
 	if a.Equal(b) {
 		t.Fatal("configs with different checkpoints compared equal")
 	}
@@ -82,32 +82,32 @@ func TestConfigEqualComparesCheckpointByValue(t *testing.T) {
 }
 
 func TestConfigApplyToKeepsCampaignDefaults(t *testing.T) {
-	cp := Campaign{Seed: 7, Policy: Config{Checkpoint: &Checkpoint{Interval: 32}}}
+	cp := Campaign{Seed: 7, Policy: Config{Checkpoint: &Checkpoint{Off: true}}}
 	Config{Margin: 0.05}.ApplyTo(&cp)
 	if cp.Seed != 7 {
 		t.Fatalf("zero config seed overwrote campaign seed: %d", cp.Seed)
 	}
-	if cp.Policy.Checkpoint.Interval != 32 {
+	if !cp.Policy.Checkpoint.Off {
 		t.Fatalf("nil config checkpoint overwrote campaign knob: %+v", cp.Policy.Checkpoint)
 	}
 	if cp.Policy.Margin != 0.05 {
 		t.Fatalf("margin not applied: %+v", cp.Policy)
 	}
 
-	Config{Seed: 11, Checkpoint: &Checkpoint{Off: true}}.ApplyTo(&cp)
-	if cp.Seed != 11 || !cp.Policy.Checkpoint.Off {
+	Config{Seed: 11, Checkpoint: &Checkpoint{}}.ApplyTo(&cp)
+	if cp.Seed != 11 || cp.Policy.Checkpoint.Off {
 		t.Fatalf("set config fields not applied: seed=%d policy=%+v", cp.Seed, cp.Policy)
 	}
 }
 
 func TestConfigPolicyResolvesKnobAndDropsSeed(t *testing.T) {
-	base := Checkpoint{Interval: 16}
+	base := Checkpoint{Off: true}
 	pol := Config{Margin: 0.03, Seed: 42}.Policy(base)
 	if pol.Seed != 0 || pol.Margin != 0.03 || pol.Knob() != base {
 		t.Fatalf("unset checkpoint: got %+v knob %v", pol, pol.Knob())
 	}
-	pol = Config{Checkpoint: &Checkpoint{Off: true}}.Policy(base)
-	if !pol.Knob().Off {
+	pol = Config{Checkpoint: &Checkpoint{}}.Policy(base)
+	if pol.Knob().Off {
 		t.Fatalf("set checkpoint replaced by base: knob %v", pol.Knob())
 	}
 	if (Config{}).Knob() != (Checkpoint{}) {

@@ -9,8 +9,7 @@ import (
 // CheckpointEquivalence is the differential proof harness behind the
 // checkpointed fast-forward engine: it executes the campaign twice —
 // once with checkpointing disabled (every injection replays from
-// power-on state) and once with the campaign's own checkpoint
-// configuration — with per-injection detail recording forced on, and
+// power-on state) and once with checkpointing on — with per-injection detail recording forced on, and
 // fails unless the two runs are bit-identical: same outcome counts, same
 // realized sample size, same golden statistics and occupancy, and the
 // same per-injection record stream (fault site, outcome and SDC
@@ -30,9 +29,7 @@ func CheckpointEquivalence(c Campaign) (*Result, error) {
 	}
 
 	ckpt := c
-	on := c.Policy.Knob()
-	on.Off = false
-	ckpt.Policy.Checkpoint = &on
+	ckpt.Policy.Checkpoint = &Checkpoint{}
 	ckptRes, err := Run(ckpt)
 	if err != nil {
 		return nil, fmt.Errorf("finject: checkpointed run: %w", err)

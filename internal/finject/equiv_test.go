@@ -75,23 +75,6 @@ func TestCheckpointEquivalenceAdaptive(t *testing.T) {
 	}
 }
 
-// TestCheckpointIntervalOverrideEquivalence pins an explicit -checkpoint
-// interval: a ladder at a fixed, deliberately odd spacing must still be
-// invisible in results.
-func TestCheckpointIntervalOverrideEquivalence(t *testing.T) {
-	bench, err := workloads.ByName("gaussian")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CheckpointEquivalence(Campaign{
-		Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.RegisterFile,
-		Injections: 80, Seed: 31,
-		Policy: Config{Checkpoint: &Checkpoint{Interval: 777}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLadderShape sanity-checks the auto-sized ladder: ascending capture
 // cycles within the golden run, and a rung count within the cap.
 func TestLadderShape(t *testing.T) {

@@ -77,17 +77,15 @@ type Campaign struct {
 	FaultWidth uint
 	// GoldenOnly runs no injection: the result carries only what the
 	// reference run measures (GoldenStats, Occupancy, AVFACE) — the ACE
-	// estimator's cell. It takes Golden whatever its checkpoint knob, and
-	// its own reference run, when Golden is nil, captures no ladder.
+	// estimator's cell.
 	GoldenOnly bool
 	// Golden supplies a precomputed fault-free reference run (see
 	// NewGolden). It must come from the same chip configuration and
 	// benchmark as the campaign; when nil the campaign executes its own
 	// reference run. Sharing one Golden across the campaigns of all
 	// structures of a (chip, benchmark) pair removes the redundant
-	// reference simulations. An FI campaign whose checkpoint knob names
-	// an interval ignores it: its ladder is captured at that spacing by a
-	// reference run of its own.
+	// reference simulations. A campaign whose checkpoint knob is off
+	// reads no rung of its ladder.
 	Golden *Golden
 
 	// unpruned simulates every sampled fault, also those the reference
@@ -216,13 +214,13 @@ func NewGolden(chip *chips.Chip, bench *workloads.Benchmark) (*Golden, error) {
 	if chip == nil || bench == nil {
 		return nil, errors.New("finject: golden run needs a chip and a benchmark")
 	}
-	return runGolden(chip, bench, Checkpoint{}, true)
+	return runGolden(chip, bench, true)
 }
 
 // runGolden executes the fault-free reference run, capturing the
-// checkpoint ladder along the way unless ckpt.Off and, with live set,
-// the liveness map and the AVF-ACE of both structures.
-func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, live bool) (*Golden, error) {
+// checkpoint ladder along the way and, with live set, the liveness map
+// and the AVF-ACE of both structures.
+func runGolden(chip *chips.Chip, bench *workloads.Benchmark, live bool) (*Golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.Acquire(chip)
 	if err != nil {
@@ -233,11 +231,8 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 	if err != nil {
 		return nil, err
 	}
-	var lb *ladderBuilder
-	if !ckpt.Off {
-		lb = newLadderBuilder(ckpt)
-		lb.arm(d)
-	}
+	lb := &ladderBuilder{interval: minCheckpointInterval}
+	lb.arm(d)
 	var rec *ace.Recorder
 	if live {
 		rec = ace.NewRecorder(d)
@@ -257,16 +252,14 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, li
 			}
 		}
 	}
-	if lb != nil {
-		g.ladder = lb.snaps
-		telemetry.LadderBuilds.Inc()
-		telemetry.LadderSnapshots.Add(int64(len(lb.snaps)))
-		var ladderBytes int64
-		for _, s := range lb.snaps {
-			ladderBytes += s.SizeBytes()
-		}
-		telemetry.LadderBytes.Add(ladderBytes)
+	g.ladder = lb.snaps
+	telemetry.LadderBuilds.Inc()
+	telemetry.LadderSnapshots.Add(int64(len(lb.snaps)))
+	var ladderBytes int64
+	for _, s := range lb.snaps {
+		ladderBytes += s.SizeBytes()
 	}
+	telemetry.LadderBytes.Add(ladderBytes)
 	g.cycles = g.stats.Cycles
 	if g.cycles <= 0 {
 		return nil, fmt.Errorf("finject: golden run of %s reported no cycles", bench.Name)
@@ -465,13 +458,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	if wdFactor <= 0 {
 		wdFactor = DefaultWatchdogFactor
 	}
-	knob := c.Policy.Knob()
 	g := c.Golden
-	if c.GoldenOnly {
-		knob = Checkpoint{Off: true} // no injection restores a rung
-	} else if knob.Interval > 0 {
-		g = nil // a ladder at another spacing takes a reference run of its own
-	}
 	if g != nil {
 		// By configuration: a GTO variant's golden is no stock reference.
 		if *g.chip != *c.Chip || g.bench.Name != c.Benchmark.Name {
@@ -483,12 +470,12 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			return nil, fmt.Errorf("finject: campaign canceled before the reference run: %w", err)
 		}
 		var err error
-		if g, err = runGolden(c.Chip, c.Benchmark, knob, true); err != nil {
+		if g, err = runGolden(c.Chip, c.Benchmark, true); err != nil {
 			return nil, err
 		}
 	}
 	ladder := g.ladder
-	if knob.Off {
+	if c.Policy.Knob().Off {
 		ladder = nil
 	}
 	watchdog := g.cycles*int64(wdFactor) + 10_000

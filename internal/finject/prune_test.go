@@ -271,7 +271,7 @@ func TestPruneBoundarySweep(t *testing.T) {
 	}
 	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
 		rt, m, stats := traceRun(t, chip, bench)
-		g, err := runGolden(chip, bench, Checkpoint{}, false)
+		g, err := runGolden(chip, bench, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,8 +78,8 @@ func TestTelemetryInertRecordStream(t *testing.T) {
 
 // TestLiveRecorderInert: the liveness recorder is an observer of the
 // reference run like any other. On both vendors the run it is attached
-// to must be the run without it — statistics, output bytes and ladder —
-// and a campaign's results must be byte-identical whether its reference
+// to must be the run without it — statistics, output bytes and ladder,
+// the golden run's own and one at a tight spacing — and a campaign's results must be byte-identical whether its reference
 // run carried the recorder or not.
 func TestLiveRecorderInert(t *testing.T) {
 	bench, err := workloads.ByName("reduction")
@@ -87,11 +87,11 @@ func TestLiveRecorderInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
-		plain, err := runGolden(chip, bench, Checkpoint{Interval: 512}, false)
+		plain, err := runGolden(chip, bench, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, err := runGolden(chip, bench, Checkpoint{Interval: 512}, true)
+		traced, err := runGolden(chip, bench, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,12 +104,16 @@ func TestLiveRecorderInert(t *testing.T) {
 		if !reflect.DeepEqual(plain.bytes, traced.bytes) || !reflect.DeepEqual(plain.outputs, traced.outputs) {
 			t.Errorf("%s: outputs differ under the recorder", chip.Name)
 		}
-		if len(plain.ladder) == 0 || len(plain.ladder) != len(traced.ladder) {
-			t.Fatalf("%s: ladders of %d and %d rungs", chip.Name, len(plain.ladder), len(traced.ladder))
-		}
-		for i := range plain.ladder {
-			if plain.ladder[i].Cycle() != traced.ladder[i].Cycle() || plain.ladder[i].SizeBytes() != traced.ladder[i].SizeBytes() {
-				t.Errorf("%s: rung %d differs under the recorder", chip.Name, i)
+		tight, tightTraced := captureLadder(t, chip, bench, 512, false), captureLadder(t, chip, bench, 512, true)
+		for _, pair := range [][2][]gpu.Snapshot{{plain.ladder, traced.ladder}, {tight, tightTraced}} {
+			without, with := pair[0], pair[1]
+			if len(without) == 0 || len(without) != len(with) {
+				t.Fatalf("%s: ladders of %d and %d rungs", chip.Name, len(without), len(with))
+			}
+			for i := range without {
+				if without[i].Cycle() != with[i].Cycle() || without[i].SizeBytes() != with[i].SizeBytes() {
+					t.Errorf("%s: rung %d differs under the recorder", chip.Name, i)
+				}
 			}
 		}
 		// No Golden supplied: the unpruned run makes its reference run

@@ -1,10 +1,9 @@
 // Package flight holds the one table of in-flight calls the repository
 // needs: concurrent requests for the same key share a single execution.
 // The scheduler uses it to coalesce requests for a campaign cell and the
-// local executor to run one golden reference per (chip, benchmark); a
-// campaign with an explicit checkpoint interval makes its own reference
-// run and goes through neither. What a waiter does with the leader's
-// outcome (retry, rejoin, count) stays with the caller.
+// local executor to run one golden reference per (chip, benchmark). What
+// a waiter does with the leader's outcome (retry, rejoin, count) stays
+// with the caller.
 package flight
 
 import (

@@ -3,7 +3,6 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -12,8 +11,8 @@ import (
 )
 
 // TestJobPolicyCheckpoint drives the wire form of the checkpoint knob:
-// the same cell submitted with checkpointing forced off and with a fixed
-// interval must complete either way and land on the same cell key (the
+// the same cell submitted with checkpointing forced off and auto must
+// complete either way and land on the same cell key (the
 // knob stays out of identity), with the second submission answered from
 // the store without re-running.
 func TestJobPolicyCheckpoint(t *testing.T) {
@@ -41,9 +40,9 @@ func TestJobPolicyCheckpoint(t *testing.T) {
 	}
 
 	off := submit(map[string]any{"checkpoint": map[string]any{"off": true}})
-	interval := submit(map[string]any{"checkpoint": map[string]any{"interval": 2048}})
-	if off[0].Spec.Key() != interval[0].Spec.Key() {
-		t.Fatalf("checkpoint knob changed the cell key: %s vs %s", off[0].Spec.Key(), interval[0].Spec.Key())
+	auto := submit(map[string]any{"checkpoint": map[string]any{}})
+	if off[0].Spec.Key() != auto[0].Spec.Key() {
+		t.Fatalf("checkpoint knob changed the cell key: %s vs %s", off[0].Spec.Key(), auto[0].Spec.Key())
 	}
 	st := sched.Stats()
 	if st.Runs != 1 {
@@ -51,27 +50,5 @@ func TestJobPolicyCheckpoint(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Fatal("second submission was not served from the store")
-	}
-}
-
-// TestJobPolicyCheckpointValidation rejects a negative interval.
-func TestJobPolicyCheckpointValidation(t *testing.T) {
-	srv, _ := newTestServer(t)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	spec := testutil.MiniSpec("vectoradd", 5)
-	var errBody struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	testutil.PostJSON(t, ts.URL, "/v1/jobs", map[string]any{
-		"cells":  []campaign.CellSpec{spec},
-		"policy": map[string]any{"checkpoint": map[string]any{"interval": -5}},
-	}, &errBody, http.StatusBadRequest)
-	if errBody.Error.Code != "bad_request" || !strings.Contains(errBody.Error.Message, "checkpoint interval") {
-		t.Fatalf("error envelope %+v", errBody)
 	}
 }

@@ -371,6 +371,108 @@ func TestRestartResumesUnfinishedExperiment(t *testing.T) {
 	}
 }
 
+// TestRestartResumesJobWithRetiredInterval: a batch journaled before the
+// checkpoint interval was retired carries "policy":{"checkpoint":
+// {"interval":N}}. A batch policy decodes leniently, so the field drops:
+// the job resumes under the golden run's own ladder, its settled cell is
+// a cache hit under the same key and the other one runs.
+func TestRestartResumesJobWithRetiredInterval(t *testing.T) {
+	dir := t.TempDir()
+	gen1 := bootPersistent(t, dir)
+	warm := testutil.MiniSpec("vectoradd", 43)
+	submitAndWait(t, gen1.ts.URL, warm)
+	cold := testutil.MiniSpec("transpose", 44)
+	cells, err := json.Marshal([]campaign.CellSpec{warm, cold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The submit record byte for byte as an older build wrote it: journalRecord
+	// can no longer express the interval.
+	legacy := `{"event":"submit","job":"job-000077","kind":"batch","cells":` + string(cells) + `,"policy":{"checkpoint":{"interval":2048}}}`
+	if err := gen1.js.j.Append([]byte(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	gen1.stop()
+
+	gen2 := bootPersistent(t, dir)
+	if gen2.rec.Restored != 2 || gen2.rec.Resumed != 1 {
+		t.Fatalf("recovery stats %+v, want 2 restored / 1 resumed", gen2.rec)
+	}
+	testutil.WaitForJob(t, gen2.ts.URL, "job-000077")
+	var status struct {
+		State string           `json:"state"`
+		Cells []api.CellStatus `json:"cells"`
+	}
+	testutil.GetJSON(t, gen2.ts.URL, "/v1/jobs/job-000077", &status)
+	if status.State != "done" || len(status.Cells) != 2 {
+		t.Fatalf("resumed job %+v, want done with 2 cells", status)
+	}
+	for i, want := range []campaign.CellSpec{warm, cold} {
+		if got := status.Cells[i].Spec.Key(); got != want.Key() {
+			t.Fatalf("cell %d resumed under key %s, submitted as %s", i, got, want.Key())
+		}
+	}
+	if !status.Cells[0].Cached || status.Cells[1].Cached {
+		t.Fatalf("resumed cells %+v, want the warm one a cache hit and the cold one a run", status.Cells)
+	}
+	if st := gen2.sched.Stats(); st.Hits != 1 || st.Runs != 1 {
+		t.Fatalf("scheduler stats %+v, want exactly 1 hit and 1 run", st)
+	}
+}
+
+// TestRestartFailsExperimentWithRetiredInterval: an experiment spec parses
+// strictly, so an unfinished experiment journaled with
+// policy.checkpoint.interval no longer compiles. It comes back failed with
+// an error naming the field, never dropped and never run without it, and
+// the cell it had settled stays in the store.
+func TestRestartFailsExperimentWithRetiredInterval(t *testing.T) {
+	spec := miniExperimentSpec()
+	dir := t.TempDir()
+	gen1 := bootPersistent(t, dir)
+	half := spec
+	half.Benchmarks = spec.Benchmarks[:1]
+	runExperiment(t, gen1.ts.URL, half)
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["policy"] = map[string]any{"checkpoint": map[string]any{"interval": 4096}}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []journalRecord{
+		{Event: "submit", Job: "exp-000077", Kind: "experiment", Spec: raw},
+		{Event: "cell", Job: "exp-000077", Index: 0, State: "done", Injections: 20},
+	} {
+		if err := gen1.js.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen1.stop()
+
+	gen2 := bootPersistent(t, dir)
+	if gen2.rec.Restored != 2 || gen2.rec.Resumed != 0 {
+		t.Fatalf("recovery stats %+v, want 2 restored / 0 resumed", gen2.rec)
+	}
+	var status struct {
+		State string `json:"state"`
+		Error string `json:"error"`
+	}
+	testutil.GetJSON(t, gen2.ts.URL, "/v1/jobs/exp-000077", &status)
+	if status.State != "failed" || !strings.HasPrefix(status.Error, "recovery: ") || !strings.Contains(status.Error, "interval") {
+		t.Fatalf("exp-000077 is %+v, want failed with a recovery error naming interval", status)
+	}
+	runExperiment(t, gen2.ts.URL, half)
+	if st := gen2.sched.Stats(); st.Hits != 1 || st.Runs != 0 {
+		t.Fatalf("scheduler stats %+v, want the settled cell a store hit and no run", st)
+	}
+}
+
 // TestJobIDSequenceAcrossRestart: ids minted after a restart continue
 // past every journaled id — batches and experiments share the sequence,
 // and deleted jobs still count.

@@ -1,7 +1,9 @@
 package worker
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/finject"
 	"repro/internal/service"
 )
 
@@ -87,6 +90,64 @@ func TestWorkerDrainsQueue(t *testing.T) {
 	}
 	if got := w.Completed(); got != 3 {
 		t.Fatalf("worker completed %d cells, want 3", got)
+	}
+}
+
+// TestWorkerRunsLegacyLease: a server built before the checkpoint
+// interval was retired sends it in the lease, as the spec's
+// "checkpoint_interval" and the policy's "checkpoint":{"interval":N}.
+// Both decode leniently and drop, and the worker runs the cell to the
+// result a local execution gives.
+func TestWorkerRunsLegacyLease(t *testing.T) {
+	q := campaign.NewLeaseQueue(time.Minute)
+	srv := service.NewServer(campaign.New(campaign.Config{Executor: campaign.NewRemoteExecutor(q)}))
+	srv.ServeWorkers(q)
+	var rewritten atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/workers/lease" {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if bytes.Contains(body, []byte(`"watchdog_factor":`)) {
+			if !bytes.Contains(body, []byte(`"checkpoint":{}`)) {
+				t.Errorf("lease policy carries no auto checkpoint knob: %s", body)
+			}
+			body = bytes.ReplaceAll(body, []byte(`"watchdog_factor":`), []byte(`"checkpoint_interval":512,"watchdog_factor":`))
+			body = bytes.ReplaceAll(body, []byte(`"checkpoint":{}`), []byte(`"checkpoint":{"interval":512}`))
+			rewritten.Add(1)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Header().Del("Content-Length")
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	startWorker(t, ts, "w1", Options{CampaignWorkers: 1})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s := spec("vectoradd", 7, 20)
+	ck := finject.Checkpoint{}
+	got, err := q.Do(ctx, campaign.Task{Spec: s, Policy: finject.Config{Version: finject.ConfigVersion, Checkpoint: &ck}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten.Load() == 0 {
+		t.Fatal("no lease carried the retired interval")
+	}
+	want, err := campaign.NewLocalExecutor().Execute(ctx, campaign.Request{Spec: s, Key: s.Key()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJS, _ := json.Marshal(got)
+	wantJS, _ := json.Marshal(want)
+	if !bytes.Equal(gotJS, wantJS) {
+		t.Fatalf("worker result differs from a local execution:\nworker: %s\nlocal:  %s", gotJS, wantJS)
 	}
 }
 
