@@ -16,10 +16,14 @@ import (
 )
 
 // handleSubmit validates the batch, starts a job for it and lets it run
-// detached.
+// detached. The body decodes strictly, as an experiment spec does, so a
+// misspelt cell or policy field is refused rather than run under its
+// default; journal replay, leases and the worker routes stay lenient.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		bodyError(w, err, "bad request body: %v")
 		return
 	}

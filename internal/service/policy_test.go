@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +131,36 @@ func TestJobPolicyValidation(t *testing.T) {
 	} {
 		req := map[string]any{"cells": []campaign.CellSpec{testutil.MiniSpec("vectoradd", 9)}, "policy": policy}
 		testutil.PostJSON(t, ts.URL, "/v1/jobs", req, nil, http.StatusBadRequest)
+	}
+}
+
+// TestJobRefusesUnknownFields: POST /v1/jobs decodes strictly, so a
+// misspelt policy or cell field answers 400 naming it instead of running
+// the batch under the default it failed to override.
+func TestJobRefusesUnknownFields(t *testing.T) {
+	srv, sched := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	cell := map[string]any{"chip": "Mini NVIDIA", "benchmark": "vectoradd", "injections": 20, "seed": 9}
+	for _, tc := range []struct {
+		field string
+		req   map[string]any
+	}{
+		{"margn", map[string]any{"cells": []any{cell}, "policy": map[string]any{"margn": 0.3}}},
+		{"injectons", map[string]any{"cells": []any{map[string]any{"chip": "Mini NVIDIA", "benchmark": "vectoradd", "injectons": 20}}}},
+		{"polcy", map[string]any{"cells": []any{cell}, "polcy": map[string]any{"margin": 0.3}}},
+	} {
+		var envelope struct {
+			Error api.Error `json:"error"`
+		}
+		testutil.PostJSON(t, ts.URL, "/v1/jobs", tc.req, &envelope, http.StatusBadRequest)
+		if envelope.Error.Code != "bad_request" || !strings.Contains(envelope.Error.Message, `unknown field "`+tc.field+`"`) {
+			t.Errorf("envelope %+v, want bad_request naming %q", envelope.Error, tc.field)
+		}
+	}
+	if st := sched.Stats(); st.Runs != 0 || st.GoldenRuns != 0 {
+		t.Fatalf("a refused batch ran work: %+v", st)
 	}
 }
 

@@ -12,6 +12,13 @@ import (
 // touched nor traced. Each loop reads its storage slice into a local, or
 // it reloads the slice header on every lane, and masks the lane shift to
 // 63, or it pays Go's fix-up for a shift of 64 or more.
+//
+// A register operand whose mask holds every lane of its vector skips the
+// mask test: most do (76 % of the AMD and 88 % of the NVIDIA operands of
+// the paper grid's golden runs, all but 0.1 % of a matrixMul campaign's).
+// With stride 1 (an AMD VGPR) its entries are one contiguous window,
+// moved by one copy; with any other stride (NVIDIA's lane-major window,
+// a scalar read) by the same loop without the test.
 
 // ReadRegs reads register-file entry w.RegBase + off + l*stride of w's
 // unit into v[l] for every lane l in lanes, after one tracer event for
@@ -23,6 +30,17 @@ func (d *Device[W]) ReadRegs(w *Wave[W], off, stride int, lanes uint64, v []uint
 		t.RegAccess(u.ID, idx, stride, lanes, d.Cycle, false)
 	}
 	regs := u.regFile
+	if allLanes(lanes, len(v)) {
+		if stride == 1 {
+			copy(v, regs[idx:idx+len(v)])
+			return
+		}
+		for l := range v {
+			v[l] = regs[idx]
+			idx += stride
+		}
+		return
+	}
 	for l := range v {
 		if lanes>>(uint(l)&63)&1 != 0 {
 			v[l] = regs[idx]
@@ -39,12 +57,30 @@ func (d *Device[W]) WriteRegs(w *Wave[W], off, stride int, lanes uint64, v []uin
 		t.RegAccess(u.ID, idx, stride, lanes, d.Cycle, true)
 	}
 	regs := u.regFile
+	if allLanes(lanes, len(v)) {
+		if stride == 1 {
+			copy(regs[idx:idx+len(v)], v)
+			return
+		}
+		for l := range v {
+			regs[idx] = v[l]
+			idx += stride
+		}
+		return
+	}
 	for l := range v {
 		if lanes>>(uint(l)&63)&1 != 0 {
 			regs[idx] = v[l]
 		}
 		idx += stride
 	}
+}
+
+// allLanes reports whether lanes holds every lane of an n-lane vector,
+// n at most 64.
+func allLanes(lanes uint64, n int) bool {
+	all := ^uint64(0) >> (uint(64-n) & 63)
+	return lanes&all == all
 }
 
 // AccessLocal loads into v[l], or with write stores v[l] at, the 32-bit

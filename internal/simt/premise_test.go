@@ -98,8 +98,8 @@ func TestStorageAccessIsTraced(t *testing.T) {
 // TestTracerCallsSitOutsideLaneLoops: a register event covers every lane
 // of one operand (gpu.Tracer.RegAccess takes a lane mask), so no loop of
 // the machine calls it; the lane loops of ReadRegs and WriteRegs are then
-// a bit test, a load and a store, traced or not. The ISA plug-ins call
-// the tracer nowhere.
+// a load and a store, and a bit test under a partial mask, traced or not.
+// The ISA plug-ins call the tracer nowhere.
 func TestTracerCallsSitOutsideLaneLoops(t *testing.T) {
 	for _, dir := range append([]string{"."}, isaDirs...) {
 		fset, files := parseDir(t, dir)
@@ -147,13 +147,16 @@ func TestTracerCallsSitOutsideLaneLoops(t *testing.T) {
 // fault, which drops its own page) must be an element, a sub-slice, or
 // the definition of a local that names the array (regs := u.regFile),
 // whose every use is then held to the same rule. Every store through one
-// — an assignment to an element, or a PutUint32 into a sub-slice — must
-// take its index from a variable the function defines from the wave's
-// RegBase or from the block's LocalBase, the latter only in a function
-// that also refuses addresses against the block's LocalCount.
+// — an assignment to an element, a PutUint32 into a sub-slice, or a copy
+// into a sub-slice — must take its index (a sub-slice's low bound) from a
+// variable the function defines from the wave's RegBase or from the
+// block's LocalBase, the latter only in a function that also refuses
+// addresses against the block's LocalCount.
 func TestStoresStayInsideTheBlock(t *testing.T) {
-	// want is the number of stores per package: WriteRegs and AccessLocal.
-	want := map[string]int{".": 2, "../nvsim": 0, "../amdsim": 0}
+	// want is the number of stores per package: WriteRegs' copy of a
+	// full stride-1 operand and its two element stores (every lane, and
+	// the lanes of a mask), and AccessLocal's PutUint32.
+	want := map[string]int{".": 4, "../nvsim": 0, "../amdsim": 0}
 	for dir, n := range want {
 		fset, files := parseDir(t, dir)
 		stores := 0
@@ -266,18 +269,24 @@ func TestStoresStayInsideTheBlock(t *testing.T) {
 						}
 					case *ast.SliceExpr:
 						// A sub-slice: only as an argument of a binary.ByteOrder
-						// call, a store when that is a Put.
+						// call, a store when that is a Put, or of the builtin
+						// copy, a store when it is the destination.
 						call, ok := stack[len(stack)-3].(*ast.CallExpr)
-						name := ""
+						name, builtin := "", false
 						if ok {
 							name = calleeName(call)
+							_, builtin = call.Fun.(*ast.Ident)
 						}
 						switch {
 						case strings.HasPrefix(name, "Put") && use.High == nil:
 							checkStore(call, array, use.Low)
 						case strings.HasPrefix(name, "Uint") && use.High == nil:
+						case name == "copy" && builtin && len(call.Args) == 2:
+							if call.Args[0] == ast.Expr(use) {
+								checkStore(call, array, use.Low)
+							}
 						default:
-							bad(use, "a sub-slice of .%s goes somewhere other than a byte-order load or store", array)
+							bad(use, "a sub-slice of .%s goes somewhere other than a byte-order load or store or a copy", array)
 						}
 					default:
 						bad(n, ".%s is used whole, not as an element or a sub-slice", array)
