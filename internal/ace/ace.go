@@ -29,9 +29,17 @@
 // NewRecorder allocates 72 KiB and Measure at most 2,633 KiB over the ten
 // benchmarks, the simulation, the rows and the span log included
 // (TestAnalyzerStateFollowsAllocation).
+//
+// Liveness retains the spans at the grain they were logged: an entry's
+// own spans under its key, and a row's spans once, with the row's member
+// set, for all of its entries. Over the paper's 40 (chip, benchmark)
+// pairs that is 7.3 MB, where a copy of each row's span per member was
+// 42.7 MB (TestLivenessTablesStaySmall), and the build scatters the log's
+// records rather than their copies.
 package ace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -65,7 +73,10 @@ const (
 // chain is the state of one entry's spans, touched once per span.
 type chain struct {
 	lo     uint32 // the open span's first cycle
-	closed uint32 // spans logged
+	closed uint32 // spans logged under the entry's own key
+	// rows counts, while a table builds, the retained rows whose first
+	// entry this is, then holds their next place in key order; else 0.
+	rows uint32
 }
 
 // page is the per-access state of pageSize consecutive entries; the zero
@@ -84,14 +95,14 @@ type page struct {
 // row is the state that the entries of a lane batch share while batches
 // name them together: entry key + l*stride for each lane l in mask. It
 // holds what each of them would hold, and the spans all of them closed
-// while it held them.
+// while it held them. A row that logged a span is never reused, so its
+// entries stay fixed; a dissolved row holds no open span.
 type row struct {
 	key, stride uint32
 	mask        uint64 // bit 0 set, at least two lanes
 	next, lo    uint32
 	closed      uint32 // spans logged under the row's tag
 	flags       byte
-	fresh       byte // entries that had opened no span when the row formed
 }
 
 // span is the inclusive range of flip cycles [lo, hi] of one entry that a
@@ -115,7 +126,6 @@ type track struct {
 	free           []int32            // rows dissolved with no span logged, to reuse
 	log            [][]logged         // chunks; index i is log[i>>chunkBits][i&chunkMask]
 	n              int                // spans logged
-	spans, entries int                // spans opened, and entries that opened one
 	live           int64              // live entry-cycles: the summed lengths of the spans
 	ace            int64              // ACE entry-cycles: the part of live that follows a write in the bracket
 	stray          int64              // accesses outside an allocation bracket
@@ -200,17 +210,14 @@ func (t *track) rowOf(key int, mask uint64, stride int) int32 {
 		if p == nil {
 			p = t.newPage(k)
 		}
-		ch := &t.chains[k>>pageBits][i]
+		lo := t.chains[k>>pageBits][i].lo
 		switch {
 		case p.owner[i] != 0:
 			return 0
 		case m == mask:
-			r = row{key: uint32(key), stride: uint32(stride), mask: mask, next: p.next[i], lo: ch.lo, flags: p.flags[i]}
-		case p.next[i] != r.next || p.flags[i] != r.flags || r.flags&open != 0 && ch.lo != r.lo:
+			r = row{key: uint32(key), stride: uint32(stride), mask: mask, next: p.next[i], lo: lo, flags: p.flags[i]}
+		case p.next[i] != r.next || p.flags[i] != r.flags || r.flags&open != 0 && lo != r.lo:
 			return 0
-		}
-		if ch.closed == 0 && r.flags&open == 0 {
-			r.fresh++
 		}
 	}
 	o := int32(len(t.rows))
@@ -227,16 +234,17 @@ func (t *track) rowOf(key int, mask uint64, stride int) int32 {
 	return o
 }
 
-// dissolve hands the state of row o back to its entries.
+// dissolve hands the state of row o back to its entries; the spans it
+// logged stay the row's.
 func (t *track) dissolve(o int32) {
 	r := &t.rows[o]
 	for m := r.mask; m != 0; m &= m - 1 {
 		k := int(r.key) + bits.TrailingZeros64(m)*int(r.stride)
 		p, i := t.pages[k>>pageBits], k&pageMask
-		ch := &t.chains[k>>pageBits][i]
 		p.next[i], p.flags[i], p.owner[i] = r.next, r.flags, 0
-		ch.lo, ch.closed = r.lo, ch.closed+r.closed
+		t.chains[k>>pageBits][i].lo = r.lo
 	}
+	r.flags = 0
 	if r.closed == 0 {
 		t.free = append(t.free, o)
 	}
@@ -301,10 +309,6 @@ func (t *track) record(key int, at uint32, write bool) {
 	ch := &t.chains[key>>pageBits][i]
 	switch {
 	case opened:
-		if ch.closed == 0 {
-			t.entries++
-		}
-		t.spans++
 		ch.lo = prev
 	case closed:
 		t.logSpan(uint32(key), span{ch.lo, prev - 1})
@@ -318,9 +322,6 @@ func (t *track) recordRow(o int32, at uint32, write bool, n int) {
 	prev, opened, closed := t.step(&r.next, &r.flags, at, write, int64(n))
 	switch {
 	case opened:
-		t.entries += int(r.fresh)
-		r.fresh = 0
-		t.spans += n
 		r.lo = prev
 	case closed:
 		t.logSpan(rowTag|uint32(o), span{r.lo, prev - 1})
@@ -387,42 +388,122 @@ func (t *track) entryCycles(st gpu.Structure) (int64, error) {
 	return t.ace, nil
 }
 
-// table compacts the recording into the retained form. A walk of the
-// touched pages in entry order lays out each entry's spans and turns its
-// count of closed spans, its own and its row's, into a cursor; the log,
-// in time order, is then scattered through the cursors, a row's span to
-// each of its entries, so each entry's spans land ascending; the open
-// span, the latest, goes last, and the counts are restored.
+// ownOpen is 1 where entry i of page p holds an open span on its own,
+// not through a row.
+func ownOpen(p *page, i int) uint32 {
+	if p.owner[i] == 0 && p.flags[i]&open != 0 {
+		return 1
+	}
+	return 0
+}
+
+// rowSpans returns the number of spans row r retains: those it logged,
+// and the open one while it holds its entries.
+func rowSpans(r *row) uint32 {
+	if r.flags&open != 0 {
+		return r.closed + 1
+	}
+	return r.closed
+}
+
+// table compacts the recording into the retained form: the spans at the
+// grain they were recorded, each entry's own and each row's once.
+//
+// The rows that retain spans are counted at their first entry; a walk of
+// the touched pages in entry order counts the entries' own spans and
+// turns the row counts into places, so the rows land in key order, from
+// which a stable sort makes the lookup's order. The rows' spans follow
+// the entries'; a second walk lays out the entries', and every count of
+// closed spans becomes a cursor. The log, in time order, is scattered
+// through the cursors, so every span list lands ascending; an open span,
+// the latest, goes last. The counts are restored, so recording can go on.
 func (t *track) table() *Table {
 	if t.bad {
 		return nil
 	}
-	lt := &Table{units: t.units, perUnit: t.perUnit, live: t.live, ace: t.ace,
-		keys: make([]uint32, 0, t.entries), offs: make([]uint32, 0, t.entries+1), spans: make([]span, t.spans)}
-	n := uint32(0)
+	nrows := 0
+	for o := 1; o < len(t.rows); o++ {
+		if r := &t.rows[o]; rowSpans(r) != 0 {
+			t.chains[r.key>>pageBits][r.key&pageMask].rows++
+			nrows++
+		}
+	}
+	nkeys, n, at := 0, uint32(0), uint32(0)
 	for pi, p := range t.pages {
 		if p == nil {
 			continue
 		}
 		for i := range t.chains[pi] {
 			ch := &t.chains[pi][i]
-			closed, f := ch.closed, p.flags[i]
-			if o := p.owner[i]; o != 0 {
-				closed, f = closed+t.rows[o].closed, t.rows[o].flags
+			if own := ch.closed + ownOpen(p, i); own != 0 {
+				nkeys++
+				n += own
 			}
-			if closed == 0 && f&open == 0 {
-				continue
+			if c := ch.rows; c != 0 {
+				ch.rows, at = at, at+c
 			}
-			lt.keys = append(lt.keys, uint32(pi<<pageBits|i))
-			lt.offs = append(lt.offs, n)
-			n += closed
-			if f&open != 0 {
-				n++
-			}
-			ch.closed = lt.offs[len(lt.offs)-1]
 		}
 	}
-	lt.offs = append(lt.offs, n)
+	held := make([]int32, nrows)
+	for o := 1; o < len(t.rows); o++ {
+		if r := &t.rows[o]; rowSpans(r) != 0 {
+			ch := &t.chains[r.key>>pageBits][r.key&pageMask]
+			held[ch.rows] = int32(o)
+			ch.rows++
+		}
+	}
+	// Key order is the lookup's order where every row has stride 1.
+	byResidue := func(a, b int32) int {
+		ra, rb := &t.rows[a], &t.rows[b]
+		return cmp.Or(cmp.Compare(ra.stride, rb.stride), cmp.Compare(ra.key%ra.stride, rb.key%rb.stride))
+	}
+	if !slices.IsSortedFunc(held, byResidue) {
+		slices.SortStableFunc(held, byResidue)
+	}
+	lt := &Table{units: t.units, perUnit: t.perUnit, live: t.live, ace: t.ace,
+		keys: make([]uint32, 0, nkeys), offs: make([]uint32, nkeys+len(held)+1), rowAt: make([]uint64, len(held)), rowMask: make([]uint64, len(held)),
+		blocks: make([]uint64, (t.units*t.perUnit+(64<<blockBits)-1)>>(6+blockBits))}
+	for j, o := range held {
+		r := &t.rows[o]
+		t.chains[r.key>>pageBits][r.key&pageMask].rows = 0
+		if g := len(lt.groups) - 1; g < 0 || lt.groups[g].stride != r.stride {
+			lt.groups = append(lt.groups, group{stride: r.stride})
+		}
+		g := &lt.groups[len(lt.groups)-1]
+		reach := uint32(63-bits.LeadingZeros64(r.mask)) * r.stride
+		g.end, g.reach = uint32(j+1), max(g.reach, reach)
+		lt.mark(r.key, r.key+reach)
+		lt.rowAt[j], lt.rowMask[j] = uint64(r.key%r.stride)<<32|uint64(r.key), r.mask
+		lt.offs[nkeys+j+1] = rowSpans(r)
+	}
+	lt.offs[nkeys] = n
+	for j := nkeys + 1; j < len(lt.offs); j++ {
+		lt.offs[j] += lt.offs[j-1]
+	}
+	lt.spans = make([]span, lt.offs[len(lt.offs)-1])
+	for j, o := range held {
+		r := &t.rows[o]
+		if r.flags&open != 0 {
+			lt.spans[lt.offs[nkeys+j+1]-1] = span{r.lo, r.next - 1}
+		}
+		r.closed = lt.offs[nkeys+j]
+	}
+	n = 0
+	for pi, p := range t.pages {
+		if p == nil {
+			continue
+		}
+		for i := range t.chains[pi] {
+			ch := &t.chains[pi][i]
+			if own := ch.closed + ownOpen(p, i); own != 0 {
+				lt.offs[len(lt.keys)] = n
+				lt.keys = append(lt.keys, uint32(pi<<pageBits|i))
+				lt.mark(uint32(pi<<pageBits|i), uint32(pi<<pageBits|i))
+				ch.closed = n
+				n += own
+			}
+		}
+	}
 	for j := range t.n {
 		l := &t.log[j>>chunkBits][j&chunkMask]
 		if l.key&rowTag == 0 {
@@ -432,25 +513,19 @@ func (t *track) table() *Table {
 			continue
 		}
 		r := &t.rows[l.key&^rowTag]
-		for m := r.mask; m != 0; m &= m - 1 {
-			k := r.key + uint32(bits.TrailingZeros64(m))*r.stride
-			ch := &t.chains[k>>pageBits][k&pageMask]
-			lt.spans[ch.closed] = l.span
-			ch.closed++
-		}
+		lt.spans[r.closed] = l.span
+		r.closed++
+	}
+	for j, o := range held {
+		t.rows[o].closed -= lt.offs[nkeys+j]
 	}
 	for k, key := range lt.keys {
-		p, i := t.pages[key>>pageBits], key&pageMask
+		p, i := t.pages[key>>pageBits], int(key&pageMask)
 		ch := &t.chains[key>>pageBits][i]
-		next, f, lo, closed := p.next[i], p.flags[i], ch.lo, uint32(0)
-		if o := p.owner[i]; o != 0 {
-			r := &t.rows[o]
-			next, f, lo, closed = r.next, r.flags, r.lo, r.closed
+		if ownOpen(p, i) != 0 {
+			lt.spans[ch.closed] = span{ch.lo, p.next[i] - 1}
 		}
-		if f&open != 0 {
-			lt.spans[ch.closed] = span{lo, next - 1}
-		}
-		ch.closed -= lt.offs[k] + closed
+		ch.closed -= lt.offs[k]
 	}
 	return lt
 }
@@ -502,16 +577,78 @@ func (r *Recorder) Liveness() *Liveness {
 
 var _ gpu.Tracer = (*Recorder)(nil)
 
-// Table is the retained liveness of one structure: the entries that have
-// a live span at all in ascending order, and per entry its spans,
-// ascending, disjoint and maximal. 8 bytes per span plus 8 per such
-// entry; immutable once built and shared read-only by every worker.
+// Table is the retained liveness of one structure, at the grain the
+// recorder logged it: the entries that closed or hold open a span on
+// their own, in ascending order, each with those spans, and the rows that
+// did, each with its member set and the spans every member shares. Each
+// list is ascending; an entry's spans, its own and its rows', are disjoint
+// and maximal. 8 bytes per span, 8 per such entry, 20 per such row and a
+// bit per 64 entries of the structure; immutable once built and shared
+// read-only by every worker.
 type Table struct {
 	units, perUnit int
 	keys           []uint32 // unit*perUnit + entry
-	offs           []uint32 // spans[offs[i]:offs[i+1]] are keys[i]'s
-	spans          []span
-	live, ace      int64 // the recorder's sums
+	// Row j's members are entry f + l*stride for each lane l in
+	// rowMask[j], f its first entry and the stride its group's. rowAt[j]
+	// holds f in its low 32 bits and f modulo the stride in its high ones;
+	// the rows are grouped by stride, ascending, and ordered by rowAt in a
+	// group, so the rows that can hold an entry sit together.
+	rowAt, rowMask []uint64
+	groups         []group
+	// offs delimits the span lists: spans[offs[i]:offs[i+1]] are keys[i]'s,
+	// and spans[offs[len(keys)+j]:offs[len(keys)+j+1]] are row j's.
+	offs  []uint32
+	spans []span
+	// blocks has bit b set where entries [b<<blockBits, (b+1)<<blockBits)
+	// may hold a span: the lookup of any other entry ends at the bit.
+	blocks    []uint64
+	live, ace int64 // the recorder's sums
+}
+
+// group is the rows of one stride: those below end, after the group
+// before; reach is the widest one's distance from its first entry to its
+// last.
+type group struct{ stride, end, reach uint32 }
+
+// blockBits sizes the blocks of entries a table marks as holding spans.
+const blockBits = 6
+
+// mark sets the bits of the blocks of entries [from, to].
+func (lt *Table) mark(from, to uint32) {
+	for b := from >> blockBits; b <= to>>blockBits; b++ {
+		lt.blocks[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// holds reports whether span list i has a span containing cycle at.
+func (lt *Table) holds(i int, at uint32) bool {
+	sp := lt.spans[lt.offs[i]:lt.offs[i+1]]
+	j := sort.Search(len(sp), func(j int) bool { return sp[j].hi >= at })
+	return j < len(sp) && sp[j].lo <= at
+}
+
+// covers reports whether a span of entry key, its own or one of its
+// rows', contains cycle at. In each group, the rows that can hold the
+// entry share its residue and begin at most reach before it.
+func (lt *Table) covers(key, at uint32) bool {
+	if b := key >> blockBits; lt.blocks[b>>6]>>(b&63)&1 == 0 {
+		return false
+	}
+	if i, ok := slices.BinarySearch(lt.keys, key); ok && lt.holds(i, at) {
+		return true
+	}
+	from := 0
+	for _, g := range lt.groups {
+		rows, res := lt.rowAt[from:g.end], uint64(key%g.stride)
+		j, _ := slices.BinarySearch(rows, res<<32|uint64(key)+1)
+		for j--; j >= 0 && rows[j]>>32 == res && key-uint32(rows[j]) <= g.reach; j-- {
+			if lt.rowMask[from+j]>>((key-uint32(rows[j]))/g.stride)&1 != 0 && lt.holds(len(lt.keys)+from+j, at) {
+				return true
+			}
+		}
+		from = int(g.end)
+	}
+	return false
 }
 
 // EntryCycles returns the structure's live and ACE entry-cycles over the
@@ -534,13 +671,7 @@ func (m *Liveness) Dead(f gpu.Fault) bool {
 	if lt == nil || uint(f.Unit) >= uint(lt.units) || uint(f.Entry) >= uint(lt.perUnit) || uint64(f.Cycle) >= math.MaxUint32 {
 		return false
 	}
-	i, ok := slices.BinarySearch(lt.keys, uint32(f.Unit*lt.perUnit+f.Entry))
-	if !ok {
-		return true
-	}
-	sp, at := lt.spans[lt.offs[i]:lt.offs[i+1]], uint32(f.Cycle)
-	j := sort.Search(len(sp), func(j int) bool { return sp[j].hi >= at })
-	return j == len(sp) || sp[j].lo > at
+	return !lt.covers(uint32(f.Unit*lt.perUnit+f.Entry), uint32(f.Cycle))
 }
 
 // Measure runs the host program once on the device with a Recorder and

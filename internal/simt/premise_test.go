@@ -1,6 +1,7 @@
 package simt_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -159,146 +160,195 @@ func TestStoresStayInsideTheBlock(t *testing.T) {
 	want := map[string]int{".": 4, "../nvsim": 0, "../amdsim": 0}
 	for dir, n := range want {
 		fset, files := parseDir(t, dir)
-		stores := 0
-		for _, file := range files {
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || dir == "." && (fn.Name.Name == "New" || fn.Name.Name == "applyFault") {
-					continue
-				}
-				// aliases are the locals defined as a whole array, by name:
-				// the array and the definition.
-				type alias struct {
-					array string
-					def   *ast.AssignStmt
-				}
-				aliases := map[string]alias{}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					as, ok := n.(*ast.AssignStmt)
-					if !ok || as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-						return true
-					}
-					lhs, ok := as.Lhs[0].(*ast.Ident)
-					if sel, isSel := as.Rhs[0].(*ast.SelectorExpr); ok && isSel && isArray(sel.Sel.Name) {
-						aliases[lhs.Name] = alias{sel.Sel.Name, as}
-					}
-					return true
-				})
-				// based reports whether the index expression is a variable
-				// this function defines from the named base.
-				based := func(index ast.Expr, base string) bool {
-					id, ok := index.(*ast.Ident)
-					if !ok {
-						return false
-					}
-					found := false
-					ast.Inspect(fn.Body, func(n ast.Node) bool {
-						as, ok := n.(*ast.AssignStmt)
-						if !ok || as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-							return true
-						}
-						if lhs, ok := as.Lhs[0].(*ast.Ident); ok && lhs.Name == id.Name && mentions(as.Rhs[0], base) {
-							found = true
-						}
-						return true
-					})
-					return found
-				}
-				bad := func(n ast.Node, format string, args ...any) {
-					t.Errorf("%s: in %s: "+format, append([]any{fset.Position(n.Pos()), fn.Name.Name}, args...)...)
-				}
-				checkStore := func(at ast.Node, array string, index ast.Expr) {
-					stores++
-					switch array {
-					case "regFile":
-						if !based(index, "RegBase") {
-							bad(at, "a store into .regFile whose index is not a variable defined from the wave's RegBase")
-						}
-					case "localMem":
-						if !based(index, "LocalBase") {
-							bad(at, "a store into .localMem whose index is not a variable defined from the block's LocalBase")
-						}
-						if !refusesBeyond(fn.Body, "LocalCount") {
-							bad(at, "a store into .localMem in a function that does not refuse addresses beyond the block's LocalCount")
-						}
-					}
-				}
-				var stack []ast.Node
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if n == nil {
-						stack = stack[:len(stack)-1]
-						return true
-					}
-					stack = append(stack, n)
-					array := ""
-					switch x := n.(type) {
-					case *ast.SelectorExpr:
-						if isArray(x.Sel.Name) {
-							array = x.Sel.Name
-						}
-					case *ast.Ident:
-						// An alias, unless it is the name a selector picks.
-						if sel, ok := stack[len(stack)-2].(*ast.SelectorExpr); !ok || sel.Sel != x {
-							array = aliases[x.Name].array
-						}
-					}
-					if array == "" || len(stack) < 2 {
-						return true
-					}
-					switch use := stack[len(stack)-2].(type) {
-					case *ast.AssignStmt:
-						// The definition of an alias, from either side.
-						if lhs, ok := use.Lhs[0].(*ast.Ident); !ok || aliases[lhs.Name].def != use {
-							bad(use, ".%s is assigned whole, not through an element or a sub-slice", array)
-						}
-					case *ast.IndexExpr:
-						// An element: a store when it is assigned to.
-						if len(stack) >= 3 {
-							switch st := stack[len(stack)-3].(type) {
-							case *ast.AssignStmt:
-								if slices.Contains(st.Lhs, ast.Expr(use)) {
-									checkStore(st, array, use.Index)
-								}
-							case *ast.IncDecStmt:
-								checkStore(st, array, use.Index)
-							case *ast.UnaryExpr:
-								if st.Op == token.AND {
-									bad(st, "the address of an element of .%s is taken", array)
-								}
-							}
-						}
-					case *ast.SliceExpr:
-						// A sub-slice: only as an argument of a binary.ByteOrder
-						// call, a store when that is a Put, or of the builtin
-						// copy, a store when it is the destination.
-						call, ok := stack[len(stack)-3].(*ast.CallExpr)
-						name, builtin := "", false
-						if ok {
-							name = calleeName(call)
-							_, builtin = call.Fun.(*ast.Ident)
-						}
-						switch {
-						case strings.HasPrefix(name, "Put") && use.High == nil:
-							checkStore(call, array, use.Low)
-						case strings.HasPrefix(name, "Uint") && use.High == nil:
-						case name == "copy" && builtin && len(call.Args) == 2:
-							if call.Args[0] == ast.Expr(use) {
-								checkStore(call, array, use.Low)
-							}
-						default:
-							bad(use, "a sub-slice of .%s goes somewhere other than a byte-order load or store or a copy", array)
-						}
-					default:
-						bad(n, ".%s is used whole, not as an element or a sub-slice", array)
-					}
-					return true
-				})
-			}
+		stores, problems := storesOutsideTheBlock(fset, files, dir == ".")
+		for _, p := range problems {
+			t.Error(p)
 		}
 		if stores != n {
 			t.Errorf("%s: found %d stores into unit storage, want %d", dir, stores, n)
 		}
 	}
+	// Every function of the fixture makes a store whose index the rule
+	// must refuse.
+	fset, files := parseDir(t, "testdata/storeindex")
+	_, problems := storesOutsideTheBlock(fset, files, false)
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, "in "+fn.Name.Name+":") }) {
+				t.Errorf("testdata/storeindex: %s passes, want its store refused", fn.Name.Name)
+			}
+		}
+	}
+}
+
+// storesOutsideTheBlock applies TestStoresStayInsideTheBlock's rule to
+// the functions of files, skipping the machine's New and applyFault when
+// machine is set, and returns the stores it found and what breaks the
+// rule.
+func storesOutsideTheBlock(fset *token.FileSet, files []*ast.File, machine bool) (stores int, problems []string) {
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || machine && (fn.Name.Name == "New" || fn.Name.Name == "applyFault") {
+				continue
+			}
+			// aliases are the locals defined as a whole array, by name:
+			// the array and the definition.
+			type alias struct {
+				array string
+				def   *ast.AssignStmt
+			}
+			aliases := map[string]alias{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+					return true
+				}
+				lhs, ok := as.Lhs[0].(*ast.Ident)
+				if sel, isSel := as.Rhs[0].(*ast.SelectorExpr); ok && isSel && isArray(sel.Sel.Name) {
+					aliases[lhs.Name] = alias{sel.Sel.Name, as}
+				}
+				return true
+			})
+			params := map[string]bool{}
+			for _, field := range fn.Type.Params.List {
+				for _, name := range field.Names {
+					params[name.Name] = true
+				}
+			}
+			// based reports whether the index expression is a variable
+			// this function defines from the named base, every definition
+			// of it mentioning the base, and that it changes after that
+			// only by += of a parameter (idx += stride): never from data a
+			// flip can reach.
+			based := func(index ast.Expr, base string) bool {
+				id, ok := index.(*ast.Ident)
+				if !ok {
+					return false
+				}
+				defined, other := false, false
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					switch st := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range st.Lhs {
+							if l, ok := lhs.(*ast.Ident); !ok || l.Name != id.Name {
+								continue
+							}
+							switch {
+							case st.Tok == token.DEFINE && len(st.Lhs) == 1 && len(st.Rhs) == 1 && mentions(st.Rhs[0], base):
+								defined = true
+							case st.Tok == token.ADD_ASSIGN && len(st.Rhs) == 1:
+								r, ok := st.Rhs[0].(*ast.Ident)
+								other = other || !ok || !params[r.Name]
+							default:
+								other = true
+							}
+						}
+					case *ast.IncDecStmt:
+						if x, ok := st.X.(*ast.Ident); ok && x.Name == id.Name {
+							other = true
+						}
+					case *ast.UnaryExpr:
+						if x, ok := st.X.(*ast.Ident); ok && st.Op == token.AND && x.Name == id.Name {
+							other = true
+						}
+					}
+					return true
+				})
+				return defined && !other
+			}
+			bad := func(n ast.Node, format string, args ...any) {
+				problems = append(problems, fmt.Sprintf("%s: in %s: "+format, append([]any{fset.Position(n.Pos()), fn.Name.Name}, args...)...))
+			}
+			checkStore := func(at ast.Node, array string, index ast.Expr) {
+				stores++
+				switch array {
+				case "regFile":
+					if !based(index, "RegBase") {
+						bad(at, "a store into .regFile whose index is not a variable defined from the wave's RegBase")
+					}
+				case "localMem":
+					if !based(index, "LocalBase") {
+						bad(at, "a store into .localMem whose index is not a variable defined from the block's LocalBase")
+					}
+					if !refusesBeyond(fn.Body, "LocalCount") {
+						bad(at, "a store into .localMem in a function that does not refuse addresses beyond the block's LocalCount")
+					}
+				}
+			}
+			var stack []ast.Node
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				array := ""
+				switch x := n.(type) {
+				case *ast.SelectorExpr:
+					if isArray(x.Sel.Name) {
+						array = x.Sel.Name
+					}
+				case *ast.Ident:
+					// An alias, unless it is the name a selector picks.
+					if sel, ok := stack[len(stack)-2].(*ast.SelectorExpr); !ok || sel.Sel != x {
+						array = aliases[x.Name].array
+					}
+				}
+				if array == "" || len(stack) < 2 {
+					return true
+				}
+				switch use := stack[len(stack)-2].(type) {
+				case *ast.AssignStmt:
+					// The definition of an alias, from either side.
+					if lhs, ok := use.Lhs[0].(*ast.Ident); !ok || aliases[lhs.Name].def != use {
+						bad(use, ".%s is assigned whole, not through an element or a sub-slice", array)
+					}
+				case *ast.IndexExpr:
+					// An element: a store when it is assigned to.
+					if len(stack) >= 3 {
+						switch st := stack[len(stack)-3].(type) {
+						case *ast.AssignStmt:
+							if slices.Contains(st.Lhs, ast.Expr(use)) {
+								checkStore(st, array, use.Index)
+							}
+						case *ast.IncDecStmt:
+							checkStore(st, array, use.Index)
+						case *ast.UnaryExpr:
+							if st.Op == token.AND {
+								bad(st, "the address of an element of .%s is taken", array)
+							}
+						}
+					}
+				case *ast.SliceExpr:
+					// A sub-slice: only as an argument of a binary.ByteOrder
+					// call, a store when that is a Put, or of the builtin
+					// copy, a store when it is the destination.
+					call, ok := stack[len(stack)-3].(*ast.CallExpr)
+					name, builtin := "", false
+					if ok {
+						name = calleeName(call)
+						_, builtin = call.Fun.(*ast.Ident)
+					}
+					switch {
+					case strings.HasPrefix(name, "Put") && use.High == nil:
+						checkStore(call, array, use.Low)
+					case strings.HasPrefix(name, "Uint") && use.High == nil:
+					case name == "copy" && builtin && len(call.Args) == 2:
+						if call.Args[0] == ast.Expr(use) {
+							checkStore(call, array, use.Low)
+						}
+					default:
+						bad(use, "a sub-slice of .%s goes somewhere other than a byte-order load or store or a copy", array)
+					}
+				default:
+					bad(n, ".%s is used whole, not as an element or a sub-slice", array)
+				}
+				return true
+			})
+		}
+	}
+	return stores, problems
 }
 
 // isArray reports whether name is the selector of one of a unit's two
