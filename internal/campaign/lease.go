@@ -230,7 +230,7 @@ func (q *LeaseQueue) syncGaugesLocked() {
 	for _, e := range q.entries {
 		if e.leaseID == "" {
 			pending++
-			perTenant[tenantLabel(e.task.Tenant)]++
+			perTenant[telemetry.TenantLabel(e.task.Tenant)]++
 		}
 	}
 	leased := len(q.leased)
@@ -250,25 +250,34 @@ func (q *LeaseQueue) syncGaugesLocked() {
 	q.lastTenantPending = perTenant
 }
 
-// tenantLabel maps the empty tenant (unauthenticated single-tenant
-// servers) to the label value the metric catalog documents.
-func tenantLabel(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	return tenant
-}
-
-// Do publishes the task (joining an identical cell already queued) and
+// Do publishes the task (joining the same work already queued) and
 // blocks until a worker completes it or ctx ends. Abandoning a cell no
 // other producer waits for removes it from the queue unless a worker
 // already holds its lease — then the (deterministic, thus still valid)
-// result is simply dropped when it arrives.
+// result is simply dropped when it arrives. The cell queued under
+// another stopping rule is never joined: an abandoned one is withdrawn,
+// lease and all, so its late completion lands nowhere; one that
+// producers still wait for is waited out first.
 func (q *LeaseQueue) Do(ctx context.Context, t Task) (*finject.Result, error) {
 	t.Spec = t.Spec.Normalize()
 	key := t.Spec.Key()
 	q.mu.Lock()
 	e, ok := q.entries[key]
+	for ok && !sameWork(e.task, t) {
+		if e.waiters == 0 {
+			q.withdrawLocked(e)
+			ok = false
+			break
+		}
+		q.mu.Unlock()
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		q.mu.Lock()
+		e, ok = q.entries[key]
+	}
 	if !ok {
 		e = &leaseEntry{task: t, key: key, seq: q.seq, done: make(chan struct{})}
 		q.seq++
@@ -287,7 +296,7 @@ func (q *LeaseQueue) Do(ctx context.Context, t Task) (*finject.Result, error) {
 		q.mu.Lock()
 		e.waiters--
 		if e.waiters == 0 && e.leaseID == "" && q.entries[key] == e {
-			delete(q.entries, key)
+			q.dropLocked(e)
 		}
 		q.syncGaugesLocked()
 		q.mu.Unlock()
@@ -502,6 +511,27 @@ func (q *LeaseQueue) fulfillLocked(e *leaseEntry, res *finject.Result, errMsg st
 	close(e.done)
 }
 
+// withdrawLocked retires an entry no producer waits for, with its
+// lease: the lease's outcome is remembered as not completed, so a late
+// completion neither errors nor fulfills a different task. Callers hold
+// q.mu.
+func (q *LeaseQueue) withdrawLocked(e *leaseEntry) {
+	if e.leaseID != "" {
+		q.recordLocked(e.leaseID, leaseOutcome{task: e.task})
+		delete(q.leased, e.leaseID)
+		e.leaseID = ""
+	}
+	q.dropLocked(e)
+}
+
+// dropLocked removes an entry no producer waits for without a result,
+// waking a producer that waits to queue other work under its key.
+// Callers hold q.mu.
+func (q *LeaseQueue) dropLocked(e *leaseEntry) {
+	delete(q.entries, e.key)
+	close(e.done)
+}
+
 // expireLocked re-queues every leased cell whose deadline has passed —
 // unless no producer waits for it anymore, in which case the cell is
 // dropped instead of burning another worker on an unwanted result.
@@ -520,7 +550,7 @@ func (q *LeaseQueue) expireLocked() {
 		q.expired.Add(1)
 		telemetry.LeaseExpiries.Inc()
 		if e.waiters == 0 {
-			delete(q.entries, e.key)
+			q.dropLocked(e)
 		}
 	}
 }

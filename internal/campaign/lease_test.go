@@ -270,6 +270,97 @@ func TestLateCompleteUnderStalePolicyDoesNotLand(t *testing.T) {
 	}
 }
 
+// TestLeaseQueueDoesNotJoinAcrossPolicies: a leased cell whose only
+// producer walked away stays queued until its lease ends. A later
+// request for the same cell under another stopping rule must not join
+// it: the abandoned cell is withdrawn with its lease, the new task queues
+// on its own terms, and the old lease's completion lands nowhere.
+func TestLeaseQueueDoesNotJoinAcrossPolicies(t *testing.T) {
+	q, _ := newTestQueue(time.Minute)
+	spec := testSpec(18, 100)
+	adaptive := Task{Spec: spec, Policy: finject.Config{Margin: 0.3}}
+	fixed := Task{Spec: spec}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := q.Do(ctx, adaptive)
+		errCh <- err
+	}()
+	stale := waitLease(t, q, "slow-worker", 1)
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v", err)
+	}
+
+	fixedRes, fixedErr := doAsync(q, fixed)
+	fresh := waitLease(t, q, "w2", 1)
+	if fresh[0].Task != fixed {
+		t.Fatalf("leased %+v, want the fixed-size task", fresh[0].Task)
+	}
+	if q.Heartbeat(stale[0].ID) {
+		t.Fatal("the withdrawn lease is still live")
+	}
+	if err := q.Complete(stale[0].ID, fakeResult(100), ""); err != nil {
+		t.Fatalf("late complete of the withdrawn lease errored: %v", err)
+	}
+	select {
+	case res := <-fixedRes:
+		t.Fatalf("the adaptive lease's completion fulfilled the fixed-size task: %+v", res)
+	default:
+	}
+	want := fakeResult(100)
+	if err := q.Complete(fresh[0].ID, want, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fixedErr; err != nil {
+		t.Fatal(err)
+	}
+	if res := <-fixedRes; res != want {
+		t.Fatalf("fixed-size task got %+v, want its own lease's result", res)
+	}
+}
+
+// TestLeaseQueueWaitsOutLiveCellUnderOtherPolicy: while a producer still
+// waits for a cell under one stopping rule, a request under another rule
+// neither joins it nor replaces it; it queues once the first is settled.
+func TestLeaseQueueWaitsOutLiveCellUnderOtherPolicy(t *testing.T) {
+	q, _ := newTestQueue(time.Minute)
+	spec := testSpec(19, 100)
+	adaptive := Task{Spec: spec, Policy: finject.Config{Margin: 0.3}}
+	fixed := Task{Spec: spec}
+
+	adaptiveRes, adaptiveErr := doAsync(q, adaptive)
+	first := waitLease(t, q, "w1", 1)
+	fixedRes, fixedErr := doAsync(q, fixed)
+	time.Sleep(20 * time.Millisecond) // let the fixed-size producer reach the queue
+	if leases := q.Lease("w2", 1); leases != nil {
+		t.Fatalf("the fixed-size task queued beside the live adaptive one: %+v", leases)
+	}
+	if err := q.Complete(first[0].ID, fakeResult(40), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-adaptiveErr; err != nil {
+		t.Fatal(err)
+	}
+	if res := <-adaptiveRes; res.Injections != 40 {
+		t.Fatalf("adaptive result %+v", res)
+	}
+	second := waitLease(t, q, "w2", 1)
+	if second[0].Task != fixed {
+		t.Fatalf("leased %+v, want the fixed-size task", second[0].Task)
+	}
+	if err := q.Complete(second[0].ID, fakeResult(100), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fixedErr; err != nil {
+		t.Fatal(err)
+	}
+	if res := <-fixedRes; res.Injections != 100 {
+		t.Fatalf("fixed-size result %+v", res)
+	}
+}
+
 func TestAbandonedLeasedCellDroppedOnExpiry(t *testing.T) {
 	q, clk := newTestQueue(time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,9 @@
 package experiment
 
-import "repro/internal/gpu"
+import (
+	"repro/internal/gpu"
+	"repro/internal/protect"
+)
 
 // Cell is one measured (chip, benchmark, structure) grid cell: the
 // per-methodology AVFs, occupancy, golden execution length and the FI
@@ -69,15 +72,7 @@ type ProtectionRow struct {
 	Config    string `json:"config"`
 	Chip      string `json:"chip"`
 	Benchmark string `json:"benchmark"`
-	// EPF after protection (0 encodes +Inf).
-	EPF float64 `json:"epf"`
-	// SDCFIT and DUEFIT are the post-protection failure-rate components.
-	SDCFIT float64 `json:"sdc_fit"`
-	DUEFIT float64 `json:"due_fit"`
-	// Slowdown is the total fractional performance cost.
-	Slowdown float64 `json:"slowdown"`
-	// ExtraBits is the added storage in bits.
-	ExtraBits int64 `json:"extra_bits"`
+	protect.Result
 }
 
 // Result is one executed experiment: the normalized spec it ran, the

@@ -157,18 +157,14 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 
 	// Derived metrics.
 	if spec.Metrics.EPF {
-		epf, err := assembleEPF(spec, p, results)
-		if err != nil {
+		if res.EPF, err = assembleEPF(spec, p, cells); err != nil {
 			return nil, err
 		}
-		res.EPF = epf
 	}
 	if len(spec.Metrics.Protection) > 0 {
-		rows, err := assembleProtection(spec, p, cells)
-		if err != nil {
+		if res.Protection, err = assembleProtection(spec, p, cells); err != nil {
 			return nil, err
 		}
-		res.Protection = rows
 	}
 	return res, nil
 }
@@ -245,72 +241,40 @@ func cellAVF(spec Spec, c *Cell) float64 {
 	return c.AVFACE
 }
 
-// assembleEPF combines every structure's FI campaign of each (chip,
-// benchmark) into the EPF table, with Fig. 3's pinned
-// arithmetic: cycles from the first structure's golden run, FIT summed
-// in structure-axis order.
-func assembleEPF(spec Spec, p *Plan, results []*finject.Result) (*EPFTable, error) {
-	nChips, nStructs := len(p.Chips), len(spec.Structures)
-	tbl := &EPFTable{}
-	tbl.Rows = make([][]*EPFRow, len(p.Benchmarks))
+// assembleEPF combines every structure's FI AVF of each (chip,
+// benchmark) into the EPF table, with Fig. 3's pinned arithmetic: cycles
+// from the first structure's golden run, FIT summed in structure-axis
+// order.
+func assembleEPF(spec Spec, p *Plan, cells map[[3]int]*Cell) (*EPFTable, error) {
+	tbl := &EPFTable{Rows: make([][]*EPFRow, len(p.Benchmarks))}
 	for bi, b := range p.Benchmarks {
 		tbl.Rows[bi] = make([]*EPFRow, len(p.Chips))
 		for ci, c := range p.Chips {
-			avfs := make(map[gpu.Structure]*finject.Result, nStructs)
-			for si, st := range spec.Structures {
-				avfs[st] = results[(bi*nChips+ci)*nStructs+si]
-			}
-			cycles := avfs[spec.Structures[0]].GoldenStats.Cycles
-			secs, err := metrics.ExecSeconds(cycles, c.ClockGHz)
-			if err != nil {
-				return nil, err
-			}
+			row := &EPFRow{Chip: c.Name, Benchmark: b.Name, Cycles: cells[[3]int{bi, ci, 0}].Cycles}
 			var structAVFs []metrics.StructureAVF
-			for _, st := range spec.Structures {
-				structAVFs = append(structAVFs, metrics.StructureAVF{
-					Structure: st, AVF: avfs[st].AVF(), Bits: c.StructBits(st),
-				})
-			}
-			epf, err := metrics.EPF(cycles, c.ClockGHz, spec.Metrics.RawFITPerMbit, structAVFs)
-			if err != nil {
-				// All-zero AVFs with small samples: report infinite EPF
-				// as 0 with the condition preserved in the row for the
-				// renderer.
-				epf = 0
-			}
-			row := &EPFRow{
-				Chip:      c.Name,
-				Benchmark: b.Name,
-				EPF:       epf,
-				Seconds:   secs,
-				Cycles:    cycles,
-			}
-			for _, st := range spec.Structures {
+			for si, st := range spec.Structures {
+				avf := cells[[3]int{bi, ci, si}].AVFFI
+				structAVFs = append(structAVFs, metrics.StructureAVF{Structure: st, AVF: avf, Bits: c.StructBits(st)})
 				switch st {
 				case gpu.RegisterFile:
-					row.RegAVF = avfs[st].AVF()
+					row.RegAVF = avf
 				case gpu.LocalMemory:
-					row.LocalAVF = avfs[st].AVF()
+					row.LocalAVF = avf
 				}
+			}
+			var err error
+			if row.Seconds, err = metrics.ExecSeconds(row.Cycles, c.ClockGHz); err != nil {
+				return nil, err
+			}
+			// All-zero AVFs with small samples have an infinite EPF,
+			// which the row reports as 0.
+			if epf, err := metrics.EPF(row.Cycles, c.ClockGHz, spec.Metrics.RawFITPerMbit, structAVFs); err == nil {
+				row.EPF = epf
 			}
 			tbl.Rows[bi][ci] = row
 		}
 	}
 	return tbl, nil
-}
-
-// schemeByName resolves a protection scheme name.
-func schemeByName(name string) (protect.Scheme, error) {
-	switch name {
-	case "", "none":
-		return protect.None, nil
-	case "parity":
-		return protect.Parity, nil
-	case "secded":
-		return protect.SECDED, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown protection scheme %q (want none, parity or secded)", name)
-	}
 }
 
 // assembleProtection evaluates every protection what-if of the spec
@@ -319,18 +283,6 @@ func schemeByName(name string) (protect.Scheme, error) {
 func assembleProtection(spec Spec, p *Plan, cells map[[3]int]*Cell) ([]*ProtectionRow, error) {
 	var rows []*ProtectionRow
 	for _, cfg := range spec.Metrics.Protection {
-		var pcfgs []protect.Config
-		for _, sc := range cfg.Schemes {
-			scheme, err := schemeByName(sc.Scheme)
-			if err != nil {
-				return nil, err
-			}
-			perf := -1.0
-			if sc.PerfOverhead != nil {
-				perf = *sc.PerfOverhead
-			}
-			pcfgs = append(pcfgs, protect.Config{Structure: sc.Structure, Scheme: scheme, PerfOverhead: perf})
-		}
 		for bi, b := range p.Benchmarks {
 			for ci, c := range p.Chips {
 				study := protect.Study{
@@ -351,20 +303,11 @@ func assembleProtection(spec Spec, p *Plan, cells map[[3]int]*Cell) ([]*Protecti
 						Bits:      c.StructBits(cell.Structure),
 					})
 				}
-				pres, err := protect.Evaluate(study, pcfgs)
+				pres, err := protect.Evaluate(study, cfg.Schemes)
 				if err != nil {
 					return nil, fmt.Errorf("experiment: protection %q on %s/%s: %w", cfg.Name, c.Name, b.Name, err)
 				}
-				rows = append(rows, &ProtectionRow{
-					Config:    cfg.Name,
-					Chip:      c.Name,
-					Benchmark: b.Name,
-					EPF:       pres.EPF,
-					SDCFIT:    pres.SDCFIT,
-					DUEFIT:    pres.DUEFIT,
-					Slowdown:  pres.Slowdown,
-					ExtraBits: pres.ExtraBits,
-				})
+				rows = append(rows, &ProtectionRow{Config: cfg.Name, Chip: c.Name, Benchmark: b.Name, Result: *pres})
 			}
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/chips"
 	"repro/internal/finject"
 	"repro/internal/gpu"
+	"repro/internal/protect"
 	"repro/internal/workloads"
 )
 
@@ -90,18 +91,8 @@ func (p Policy) Config() finject.Config {
 // named set of per-structure schemes evaluated against the measured
 // cells. An empty scheme list is the unprotected baseline.
 type Protection struct {
-	Name    string             `json:"name"`
-	Schemes []ProtectionScheme `json:"schemes,omitempty"`
-}
-
-// ProtectionScheme applies one protection scheme to one structure.
-type ProtectionScheme struct {
-	Structure gpu.Structure `json:"structure"`
-	// Scheme is "none", "parity" or "secded".
-	Scheme string `json:"scheme"`
-	// PerfOverhead overrides the scheme's default fractional slowdown
-	// when non-nil.
-	PerfOverhead *float64 `json:"perf_overhead,omitempty"`
+	Name    string           `json:"name"`
+	Schemes []protect.Config `json:"schemes,omitempty"`
 }
 
 // Metrics selects the derived metrics beyond the always-produced AVF
@@ -282,8 +273,8 @@ func (s Spec) Validate() (Spec, error) {
 		}
 		seen := make(map[gpu.Structure]bool, len(p.Schemes))
 		for _, sc := range p.Schemes {
-			if _, err := schemeByName(sc.Scheme); err != nil {
-				return s, err
+			if err := sc.Validate(); err != nil {
+				return s, fmt.Errorf("experiment: protection %q: %w", p.Name, err)
 			}
 			if !seenSt[sc.Structure] {
 				return s, fmt.Errorf("experiment: protection %q covers %s, which is not on the structure axis", p.Name, sc.Structure)

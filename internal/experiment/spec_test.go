@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/protect"
 )
 
 // TestFigureSpecGoldens pins the canonical JSON of the three figure
@@ -57,10 +58,12 @@ func TestFigureSpecGoldens(t *testing.T) {
 func TestParseRejectsUnknownFields(t *testing.T) {
 	t.Parallel()
 	cases := map[string]string{
-		`{"version": 1, "injctions": 500}`:                             "injctions",
-		`{"version": 1, "metrics": {"epff": true}}`:                    "epff",
-		`{"version": 1, "policy": {"margn": 0.05}}`:                    "margn",
-		`{"version": 1, "policy": {"checkpoint": {"interval": 4096}}}`: "interval",
+		`{"version": 1, "injctions": 500}`:                                                               "injctions",
+		`{"version": 1, "metrics": {"epff": true}}`:                                                      "epff",
+		`{"version": 1, "policy": {"margn": 0.05}}`:                                                      "margn",
+		`{"version": 1, "policy": {"checkpoint": {"interval": 4096}}}`:                                   "interval",
+		`{"version": 1, "metrics": {"protection": [{"name": "x", "schemes": [{"scheme": "hamming"}]}]}}`: "unknown protection scheme",
+		`{"version": 1, "metrics": {"protection": [{"name": "x", "schemes": [{"perf_overhed": 0.1}]}]}}`: "perf_overhed",
 	}
 	for c, field := range cases {
 		if _, err := ParseBytes([]byte(c)); err == nil || !strings.Contains(err.Error(), field) {
@@ -138,6 +141,7 @@ func TestEqualSpecsEqualKeys(t *testing.T) {
 // TestValidate covers the rejection paths.
 func TestValidate(t *testing.T) {
 	t.Parallel()
+	negOverhead := -0.5
 	cases := []struct {
 		name string
 		spec Spec
@@ -155,10 +159,11 @@ func TestValidate(t *testing.T) {
 		{"negative injections", Spec{Injections: -3}, "negative injections"},
 		{"epf without fi", Spec{Estimator: EstimatorACE, Metrics: Metrics{EPF: true}}, "need the fi estimator"},
 		{"unnamed protection", Spec{Metrics: Metrics{Protection: []Protection{{}}}}, "without a name"},
-		{"bad scheme", Spec{Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []ProtectionScheme{{Scheme: "hamming"}}}}}}, "unknown protection scheme"},
-		{"off-axis protection", Spec{Structures: []gpu.Structure{gpu.RegisterFile}, Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []ProtectionScheme{{Structure: gpu.LocalMemory, Scheme: "parity"}}}}}}, "not on the structure axis"},
-		{"dup protection structure", Spec{Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []ProtectionScheme{
-			{Structure: gpu.RegisterFile, Scheme: "parity"}, {Structure: gpu.RegisterFile, Scheme: "secded"}}}}}}, "twice"},
+		{"bad scheme", Spec{Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []protect.Config{{Scheme: protect.Scheme(7)}}}}}}, "unknown protection scheme"},
+		{"negative perf overhead", Spec{Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []protect.Config{{Scheme: protect.Parity, PerfOverhead: &negOverhead}}}}}}, "negative perf_overhead"},
+		{"off-axis protection", Spec{Structures: []gpu.Structure{gpu.RegisterFile}, Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []protect.Config{{Structure: gpu.LocalMemory, Scheme: protect.Parity}}}}}}, "not on the structure axis"},
+		{"dup protection structure", Spec{Metrics: Metrics{Protection: []Protection{{Name: "x", Schemes: []protect.Config{
+			{Structure: gpu.RegisterFile, Scheme: protect.Parity}, {Structure: gpu.RegisterFile, Scheme: protect.SECDED}}}}}}, "twice"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -22,7 +22,9 @@
 package protect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/metrics"
@@ -38,18 +40,29 @@ const (
 	SECDED
 )
 
+// schemeNames is the one scheme-name table: String, MarshalText and
+// UnmarshalText all read it.
+var schemeNames = [...]string{None: "none", Parity: "parity", SECDED: "secded"}
+
 // String returns the scheme name.
 func (s Scheme) String() string {
-	switch s {
-	case None:
-		return "none"
-	case Parity:
-		return "parity"
-	case SECDED:
-		return "secded"
-	default:
+	if s < 0 || int(s) >= len(schemeNames) {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return schemeNames[s]
+}
+
+// MarshalText encodes the scheme by name.
+func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a scheme name; the empty name is None.
+func (s *Scheme) UnmarshalText(b []byte) error {
+	i := slices.Index(schemeNames[:], cmp.Or(string(b), schemeNames[None]))
+	if i < 0 {
+		return fmt.Errorf("protect: unknown protection scheme %q (want none, parity or secded)", b)
+	}
+	*s = Scheme(i)
+	return nil
 }
 
 // Default per-scheme performance overheads (fraction of execution time)
@@ -63,19 +76,32 @@ const (
 	SECDEDStoreOverhead = 7.0 / 32
 )
 
-// Config applies one scheme to one structure.
+// Config applies one scheme to one structure. It is also one entry of
+// an experiment spec's protection block, under these JSON names.
 type Config struct {
-	Structure gpu.Structure
-	Scheme    Scheme
-	// PerfOverhead overrides the default fractional slowdown when >= 0;
-	// pass a negative value to use the scheme default.
-	PerfOverhead float64
+	Structure gpu.Structure `json:"structure"`
+	Scheme    Scheme        `json:"scheme"`
+	// PerfOverhead overrides the scheme's default fractional slowdown
+	// when non-nil.
+	PerfOverhead *float64 `json:"perf_overhead,omitempty"`
+}
+
+// Validate refuses a scheme outside the name table and a negative
+// slowdown.
+func (c Config) Validate() error {
+	if c.Scheme < 0 || int(c.Scheme) >= len(schemeNames) {
+		return fmt.Errorf("protect: unknown protection scheme %v for %s (want none, parity or secded)", c.Scheme, c.Structure)
+	}
+	if c.PerfOverhead != nil && !(*c.PerfOverhead >= 0) {
+		return fmt.Errorf("protect: negative perf_overhead %v for %s", *c.PerfOverhead, c.Structure)
+	}
+	return nil
 }
 
 // perfOverhead resolves the configured or default slowdown.
 func (c Config) perfOverhead() float64 {
-	if c.PerfOverhead >= 0 {
-		return c.PerfOverhead
+	if c.PerfOverhead != nil {
+		return *c.PerfOverhead
 	}
 	switch c.Scheme {
 	case Parity:
@@ -121,18 +147,18 @@ type StructureMeasurement struct {
 	Bits   int64
 }
 
-// Result quantifies one protection configuration.
+// Result quantifies one protection configuration. Its JSON names are
+// those of an experiment's protection row, which embeds it.
 type Result struct {
-	Schemes map[gpu.Structure]Scheme
-	// EPF after protection (failure = SDC + DUE, as the paper).
-	EPF float64
+	// EPF after protection (failure = SDC + DUE, as the paper); 0 is +Inf.
+	EPF float64 `json:"epf"`
 	// SDCFIT and DUEFIT are the post-protection failure-rate components.
-	SDCFIT float64
-	DUEFIT float64
+	SDCFIT float64 `json:"sdc_fit"`
+	DUEFIT float64 `json:"due_fit"`
 	// Slowdown is the total fractional performance cost.
-	Slowdown float64
+	Slowdown float64 `json:"slowdown"`
 	// ExtraBits is the added storage in bits.
-	ExtraBits int64
+	ExtraBits int64 `json:"extra_bits"`
 }
 
 // Evaluate applies the per-structure schemes to the study.
@@ -143,24 +169,27 @@ func Evaluate(s Study, cfgs []Config) (*Result, error) {
 	if s.RawFITPerMbit <= 0 {
 		return nil, fmt.Errorf("protect: non-positive raw FIT rate %v", s.RawFITPerMbit)
 	}
-	scheme := make(map[gpu.Structure]Scheme, len(cfgs))
+	byStruct := make(map[gpu.Structure]Config, len(cfgs))
 	slow := 0.0
-	var extra int64
 	for _, c := range cfgs {
-		if _, dup := scheme[c.Structure]; dup {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		if _, dup := byStruct[c.Structure]; dup {
 			return nil, fmt.Errorf("protect: duplicate config for %s", c.Structure)
 		}
-		scheme[c.Structure] = c.Scheme
+		byStruct[c.Structure] = c
 		slow += c.perfOverhead()
 	}
 
 	var sdcFIT, dueFIT float64
+	var extra int64
 	for _, m := range s.Structures {
 		if m.SDCAVF < 0 || m.DUEAVF < 0 || m.SDCAVF+m.DUEAVF > 1 {
 			return nil, fmt.Errorf("protect: invalid AVF split %v+%v for %s", m.SDCAVF, m.DUEAVF, m.Structure)
 		}
-		sc := scheme[m.Structure]
-		switch sc {
+		c := byStruct[m.Structure]
+		switch c.Scheme {
 		case None:
 			sdcFIT += metrics.FIT(m.SDCAVF, m.Bits, s.RawFITPerMbit)
 			dueFIT += metrics.FIT(m.DUEAVF, m.Bits, s.RawFITPerMbit)
@@ -170,11 +199,7 @@ func Evaluate(s Study, cfgs []Config) (*Result, error) {
 		case SECDED:
 			// Single-bit faults corrected: no contribution.
 		}
-		for _, c := range cfgs {
-			if c.Structure == m.Structure {
-				extra += int64(float64(m.Bits) * c.StoreOverhead())
-			}
-		}
+		extra += int64(float64(m.Bits) * c.StoreOverhead())
 	}
 
 	protCycles := int64(float64(s.Cycles) * (1 + slow))
@@ -187,7 +212,6 @@ func Evaluate(s Study, cfgs []Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Schemes:   scheme,
 		SDCFIT:    sdcFIT,
 		DUEFIT:    dueFIT,
 		Slowdown:  slow,

@@ -2,6 +2,7 @@ package protect
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gpu"
@@ -40,7 +41,7 @@ func TestUnprotectedBaseline(t *testing.T) {
 
 func TestParityConvertsSDCToDUE(t *testing.T) {
 	res, err := Evaluate(baseStudy(), []Config{
-		{Structure: gpu.RegisterFile, Scheme: Parity, PerfOverhead: -1},
+		{Structure: gpu.RegisterFile, Scheme: Parity},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +62,8 @@ func TestParityConvertsSDCToDUE(t *testing.T) {
 
 func TestSECDEDEliminatesStructureFIT(t *testing.T) {
 	res, err := Evaluate(baseStudy(), []Config{
-		{Structure: gpu.RegisterFile, Scheme: SECDED, PerfOverhead: -1},
-		{Structure: gpu.LocalMemory, Scheme: SECDED, PerfOverhead: -1},
+		{Structure: gpu.RegisterFile, Scheme: SECDED},
+		{Structure: gpu.LocalMemory, Scheme: SECDED},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestProtectionImprovesEPFDespiteSlowdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	prot, err := Evaluate(baseStudy(), []Config{
-		{Structure: gpu.RegisterFile, Scheme: SECDED, PerfOverhead: -1},
+		{Structure: gpu.RegisterFile, Scheme: SECDED},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,5 +117,52 @@ func TestEvaluateValidation(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	if None.String() != "none" || Parity.String() != "parity" || SECDED.String() != "secded" {
 		t.Fatal("scheme names wrong")
+	}
+}
+
+// TestSchemeText: the JSON form of a scheme is its String name, an empty
+// name decodes to None, and an unknown one is refused.
+func TestSchemeText(t *testing.T) {
+	for _, sc := range []Scheme{None, Parity, SECDED} {
+		b, err := sc.MarshalText()
+		if err != nil || string(b) != sc.String() {
+			t.Fatalf("MarshalText(%v) = %q, %v", sc, b, err)
+		}
+		var got Scheme = -1
+		if err := got.UnmarshalText(b); err != nil || got != sc {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", b, got, err)
+		}
+	}
+	got := SECDED
+	if err := got.UnmarshalText(nil); err != nil || got != None {
+		t.Fatalf("empty name decoded to %v, %v", got, err)
+	}
+	if err := got.UnmarshalText([]byte("hamming")); err == nil || !strings.Contains(err.Error(), "unknown protection scheme") {
+		t.Fatalf("unknown name: %v", err)
+	}
+}
+
+// TestConfigValidate: a scheme outside the table or a negative slowdown
+// is refused, by Validate and by Evaluate.
+func TestConfigValidate(t *testing.T) {
+	neg := -0.5
+	for _, c := range []Config{
+		{Structure: gpu.RegisterFile, Scheme: Scheme(7)},
+		{Structure: gpu.RegisterFile, Scheme: Parity, PerfOverhead: &neg},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Fatalf("Validate accepted %+v", c)
+		}
+		if _, err := Evaluate(baseStudy(), []Config{c}); err == nil {
+			t.Fatalf("Evaluate accepted %+v", c)
+		}
+	}
+	if err := (Config{Structure: gpu.RegisterFile, Scheme: Scheme(7)}).Validate(); !strings.Contains(err.Error(), "unknown protection scheme") {
+		t.Fatalf("out-of-range scheme: %v", err)
+	}
+	zero := 0.0
+	res, err := Evaluate(baseStudy(), []Config{{Structure: gpu.RegisterFile, Scheme: SECDED, PerfOverhead: &zero}})
+	if err != nil || res.Slowdown != 0 {
+		t.Fatalf("explicit zero overhead: %+v, %v", res, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/gpu"
+	"repro/internal/protect"
 )
 
 // sampleResult is a hand-built two-chip, one-benchmark result under the
@@ -47,8 +48,8 @@ func withEPF(res *experiment.Result) *experiment.Result {
 		{Chip: "Chip B", Benchmark: "bm1", EPF: 0, Seconds: 2e-4, Cycles: 2000},
 	}}}
 	res.Protection = []*experiment.ProtectionRow{
-		{Config: "unprotected", Chip: "Chip A", Benchmark: "bm1", EPF: 1.5e14, SDCFIT: 12.5, DUEFIT: 3.25},
-		{Config: "secded-all", Chip: "Chip A", Benchmark: "bm1", EPF: 0, Slowdown: 0.03, ExtraBits: 4096},
+		{Config: "unprotected", Chip: "Chip A", Benchmark: "bm1", Result: protect.Result{EPF: 1.5e14, SDCFIT: 12.5, DUEFIT: 3.25}},
+		{Config: "secded-all", Chip: "Chip A", Benchmark: "bm1", Result: protect.Result{EPF: 0, Slowdown: 0.03, ExtraBits: 4096}},
 	}
 	return res
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/experiment"
 	"repro/internal/gpu"
+	"repro/internal/protect"
 	"repro/internal/testutil"
 )
 
@@ -147,9 +148,9 @@ func TestExperimentProtectionOverHTTP(t *testing.T) {
 			EPF: true,
 			Protection: []experiment.Protection{
 				{Name: "unprotected"},
-				{Name: "secded-all", Schemes: []experiment.ProtectionScheme{
-					{Structure: gpu.RegisterFile, Scheme: "secded"},
-					{Structure: gpu.LocalMemory, Scheme: "secded"},
+				{Name: "secded-all", Schemes: []protect.Config{
+					{Structure: gpu.RegisterFile, Scheme: protect.SECDED},
+					{Structure: gpu.LocalMemory, Scheme: protect.SECDED},
 				}},
 			},
 		},

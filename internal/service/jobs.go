@@ -212,7 +212,7 @@ func (s *Server) start(parent context.Context, r *http.Request, work *jobWork) (
 		// its transitions.
 		s.record(work.def)
 		s.journal(s.table.evict(maxRetained)...)
-		telemetry.JobsSubmitted.With(tenantMetricLabel(tenant)).Inc()
+		telemetry.JobsSubmitted.With(telemetry.TenantLabel(tenant)).Inc()
 	}
 	ctx = telemetry.WithTenant(telemetry.WithJob(ctx, work.def.Job), tenant)
 	s.log.InfoContext(ctx, "job started", "kind", work.def.Kind, "cells", len(work.specs), "resumed", resume)

@@ -241,15 +241,6 @@ func (s *Server) journal(recs ...journalRecord) {
 	}
 }
 
-// tenantMetricLabel maps the empty tenant to the documented label value
-// for per-tenant metric families on open servers.
-func tenantMetricLabel(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	return tenant
-}
-
 // Shutdown stops accepting new jobs, cancels the in-flight ones and
 // waits for their goroutines to settle, up to ctx's deadline. It is the
 // drain step between http.Server.Shutdown and process exit: without it,

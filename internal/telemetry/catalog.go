@@ -46,7 +46,7 @@ var (
 	InjectPruned = Default.Counter("fi_inject_pruned_total",
 		"Injections classified Masked from the golden run's liveness map, without a simulation.")
 	InjectRounds = Default.Counter("fi_inject_rounds_total",
-		"Adaptive campaign rounds executed.")
+		"Injection rounds executed: every round of an adaptive campaign, and the single round of a fixed-size one.")
 	InjectEarlyStops = Default.Counter("fi_inject_early_stops_total",
 		"Campaigns stopped early by the confidence-interval policy.")
 	CkptRestores = Default.Counter("fi_inject_ckpt_restores_total",
@@ -123,3 +123,13 @@ var (
 	ClusterTakeovers = Default.Counter("fi_cluster_takeovers_total",
 		"Ownership claims made after detecting a stale peer (adoptions).")
 )
+
+// TenantLabel is the tenant label value of the per-tenant families: the
+// tenant's name, or "default" for the empty tenant of an
+// unauthenticated server.
+func TenantLabel(tenant string) string {
+	if tenant == "" {
+		return "default"
+	}
+	return tenant
+}
