@@ -20,7 +20,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/siasm"
 	"repro/internal/simt"
-	"repro/internal/wire"
 )
 
 // Device is one simulated AMD GPU.
@@ -97,52 +96,3 @@ func (*isa) InitWave(d *Device, w *wave, lc *simt.LaunchCtx) {
 }
 
 func (*isa) CopyState(dst, src *wavefront) { *dst = *src }
-
-func (*isa) EncodeState(w *wire.Writer, ws *waveState) {
-	s := &ws.ISA
-	w.U64(s.valid)
-	w.U64(s.exec)
-	w.U64(s.vcc)
-	w.Bool(s.scc)
-	for _, v := range s.sgprs {
-		w.U32(v)
-	}
-	w.I64s(ws.RegReady)
-	for _, rdy := range s.sgprReady {
-		w.I64(rdy)
-	}
-	w.I64(s.vccReady)
-	w.I64(s.execReady)
-	w.I64(s.sccReady)
-}
-
-func (*isa) DecodeState(r *wire.Reader, ws *waveState) error {
-	s := &ws.ISA
-	s.valid = r.U64()
-	s.exec = r.U64()
-	s.vcc = r.U64()
-	s.scc = r.Bool()
-	for si := range s.sgprs {
-		s.sgprs[si] = r.U32()
-	}
-	ws.RegReady = r.I64s()
-	for si := range s.sgprReady {
-		s.sgprReady[si] = r.I64()
-	}
-	s.vccReady = r.I64()
-	s.execReady = r.I64()
-	s.sccReady = r.I64()
-	return r.Err()
-}
-
-// The amdsim wave record ends with the wavefront's physical VGPR base,
-// which the core derives rather than stores: write it, and on decode
-// require the stored value to agree with the recomputed one.
-func (*isa) EncodeTrailer(w *wire.Writer, ws *waveState) { w.Int(ws.RegBase) }
-
-func (*isa) DecodeTrailer(r *wire.Reader, ws *waveState) error {
-	if base := r.Int(); r.Err() == nil && base != ws.RegBase {
-		return fmt.Errorf("%w: wavefront VGPR base %d, expected %d", wire.ErrCorrupt, base, ws.RegBase)
-	}
-	return r.Err()
-}

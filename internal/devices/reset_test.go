@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/chips"
@@ -59,32 +60,15 @@ func (e *eventHash) LocalFree(unit, base, size int, cycle int64) {
 	e.event('F', unit, base, size, cycle, false)
 }
 
-// snapshotHash is an FNV-1a hash of s as MarshalSnapshot encodes it: the
-// allocator watermarks, every memory page and the meta blob.
-func snapshotHash(t *testing.T, d gpu.Device, s gpu.Snapshot) uint64 {
-	t.Helper()
-	mem, meta, err := d.(gpu.SnapshotCodec).MarshalSnapshot(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	brk, hwm := mem.Watermarks()
-	h.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, brk), hwm))
-	for p := range mem.NumPages() {
-		h.Write(mem.Page(p))
-	}
-	h.Write(meta)
-	return h.Sum64()
-}
-
 // run is everything one fault-free run shows of the device it ran on.
 type run struct {
 	stats   gpu.RunStats
 	outputs [][]byte
 	events  uint64
-	// snaps hashes the power-on state, then every rung of a ladder
-	// captured every rungEvery cycles.
-	snaps []uint64
+	// snaps holds the power-on snapshot, then every rung of a ladder
+	// captured every rungEvery cycles. Snapshots are plain data (pages,
+	// blocks, waves and statistics), so reflect.DeepEqual compares them.
+	snaps []gpu.Snapshot
 }
 
 const rungEvery = 1024
@@ -96,11 +80,11 @@ func observe(t *testing.T, d gpu.Device, bench *workloads.Benchmark) run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := run{snaps: []uint64{snapshotHash(t, d, d.Snapshot())}}
+	r := run{snaps: []gpu.Snapshot{d.Snapshot()}}
 	tr := newEventHash()
 	d.SetTracer(tr)
 	d.SetCheckpointHook(0, func(s gpu.Snapshot) int64 {
-		r.snaps = append(r.snaps, snapshotHash(t, d, s))
+		r.snaps = append(r.snaps, s)
 		return s.Cycle() + rungEvery
 	})
 	if err := hp.Run(d); err != nil {
@@ -214,7 +198,7 @@ func TestResetDeviceBehavesLikeANewOne(t *testing.T) {
 				t.Fatalf("%d snapshots, on a new device %d", len(got.snaps), len(want.snaps))
 			}
 			for i := range got.snaps {
-				if got.snaps[i] != want.snaps[i] {
+				if !reflect.DeepEqual(got.snaps[i], want.snaps[i]) {
 					t.Errorf("snapshot %d of %d (the power-on state, then the rungs) differs from a new device's", i, len(got.snaps))
 				}
 			}

@@ -337,9 +337,9 @@ func classify(d gpu.Device, hp *gpu.HostProgram, g *Golden, ladder []gpu.Snapsho
 	if cost.restored && errors.Is(err, wire.ErrCorrupt) {
 		// The rung restored but does not fit the launch that resumed from
 		// it — a ladder captured from another program on this chip. Only
-		// decode, restore and resume paths produce ErrCorrupt, never an
-		// injected fault, and an accelerator must never change an
-		// outcome: redo the injection as the full replay it would have
+		// the resume check (simt's checkResident) produces ErrCorrupt,
+		// never an injected fault, and an accelerator must never change
+		// an outcome: redo the injection as the full replay it would have
 		// been without the ladder.
 		g.staleRung.Do(func() {
 			slog.Warn("finject: checkpoint rung does not fit the resumed launch, replaying in full", "cycle", cost.ffCycles, "err", err)

@@ -328,24 +328,6 @@ type RestoreCoster interface {
 	RestorePageStats() (copiedPages, sharedPages int64)
 }
 
-// SnapshotCodec is optionally implemented by devices whose snapshots
-// encode to bytes with the wire primitives (internal/wire). A snapshot
-// splits into its device-memory image and an opaque vendor meta blob
-// covering every remaining piece of state (SM/CU structures, scheduler
-// pointers, statistics, launch progress). The contract is exact:
-// UnmarshalSnapshot(MarshalSnapshot(s)) must restore bit-identically to
-// s on any device of the same chip configuration. No production path
-// calls it: ladders live in the heap, and the codec's callers are the
-// tests that pin its bytes and its decoder's robustness.
-type SnapshotCodec interface {
-	// MarshalSnapshot encodes s, which must have been captured by a
-	// device of this implementation and chip geometry.
-	MarshalSnapshot(s Snapshot) (mem *MemImage, meta []byte, err error)
-	// UnmarshalSnapshot rebuilds a snapshot from a memory image and the
-	// meta blob.
-	UnmarshalSnapshot(mem *MemImage, meta []byte) (Snapshot, error)
-}
-
 // Device is the simulator-side contract the reliability engines program
 // against.
 type Device interface {

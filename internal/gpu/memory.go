@@ -92,17 +92,6 @@ type MemImage struct {
 // zero page are free.
 func (img *MemImage) SizeBytes() int64 { return int64(img.owned) * pageSize }
 
-// NumPages returns the number of pages covering the image's extent.
-func (img *MemImage) NumPages() int { return len(img.pages) }
-
-// Page returns page p's immutable backing bytes (always PageSize long).
-// Callers must never write through the returned slice.
-func (img *MemImage) Page(p int) []byte { return img.pages[p] }
-
-// Watermarks returns the allocator state the image restores: the bump
-// watermark and the high-water mark.
-func (img *MemImage) Watermarks() (brk, hwm uint32) { return img.brk, img.hwm }
-
 // Image captures the memory state for later SetImage restoration. Clean
 // pages (unwritten since the last capture or restore) are shared with
 // the image that already holds them; dirty pages are copied into arena

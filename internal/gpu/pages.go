@@ -185,25 +185,3 @@ func Flatten[T byte | uint32](dst []T, img [][]T, n int) []T {
 	}
 	return dst
 }
-
-// CutPages is Flatten's inverse for decoders: it cuts a flat array into
-// an image, substituting the canonical zero page for all-zero pages (so
-// a restore onto power-on state skips them) and copying the others, and
-// returns how many it copied. The image does not alias flat.
-func CutPages[T byte | uint32](flat []T) (img [][]T, owned int) {
-	zero, per := zeroOf[T](), perPage[T]()
-	img = make([][]T, (len(flat)+per-1)/per)
-	for pg := range img {
-		chunk := flat[pg*per : min((pg+1)*per, len(flat))]
-		img[pg] = zero
-		for _, x := range chunk {
-			if x != 0 {
-				img[pg] = make([]T, per)
-				copy(img[pg], chunk)
-				owned++
-				break
-			}
-		}
-	}
-	return img, owned
-}

@@ -56,13 +56,5 @@ func TestPagesWordsDifferential(t *testing.T) {
 		if !slices.Equal(Flatten(nil, s.img, n), s.flat) {
 			t.Fatalf("image %d does not flatten to the array it was captured from", i)
 		}
-		cut, owned := CutPages(s.flat)
-		if !slices.Equal(Flatten(nil, cut, n), s.flat) || owned > len(cut) {
-			t.Fatalf("image %d: CutPages is not Flatten's inverse", i)
-		}
-	}
-	cut, owned := CutPages(make([]uint32, n))
-	if owned != 0 || len(cut) != 4 || !samePage(cut[3], zeroWords) {
-		t.Fatalf("an all-zero array cuts into %d owned pages of %d", owned, len(cut))
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/sass"
 	"repro/internal/simt"
-	"repro/internal/wire"
 )
 
 // Device is one simulated NVIDIA GPU.
@@ -85,59 +84,3 @@ func (*isa) CopyState(dst, src *warp) {
 	*dst = *src
 	dst.stack = append(stack[:0], src.stack...)
 }
-
-// stackEntryWireSize is the encoded size of one reconvergence stack
-// entry, used to bound decode-time allocation by the input size.
-const stackEntryWireSize = 1 + 8 + 4
-
-func (*isa) EncodeState(w *wire.Writer, ws *waveState) {
-	s := &ws.ISA
-	w.U32(s.valid)
-	w.U32(s.active)
-	w.U32(s.exited)
-	w.U32(uint32(len(s.stack)))
-	for _, e := range s.stack {
-		w.U8(uint8(e.kind))
-		w.Int(e.pc)
-		w.U32(e.mask)
-	}
-	for _, p := range s.preds {
-		w.U32(p)
-	}
-	w.I64s(ws.RegReady)
-	for _, rdy := range s.predReady {
-		w.I64(rdy)
-	}
-}
-
-func (*isa) DecodeState(r *wire.Reader, ws *waveState) error {
-	s := &ws.ISA
-	s.valid = r.U32()
-	s.active = r.U32()
-	s.exited = r.U32()
-	ns := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if ns > 0 {
-		if ns > r.Remaining()/stackEntryWireSize {
-			return fmt.Errorf("%w: implausible stack depth %d", wire.ErrCorrupt, ns)
-		}
-		s.stack = make([]stackEntry, ns)
-		for si := range s.stack {
-			s.stack[si] = stackEntry{kind: stackKind(r.U8()), pc: r.Int(), mask: r.U32()}
-		}
-	}
-	for pi := range s.preds {
-		s.preds[pi] = r.U32()
-	}
-	ws.RegReady = r.I64s()
-	for pi := range s.predReady {
-		s.predReady[pi] = r.I64()
-	}
-	return r.Err()
-}
-
-// The nvsim wave record carries nothing after the common tail.
-func (*isa) EncodeTrailer(*wire.Writer, *waveState)       {}
-func (*isa) DecodeTrailer(*wire.Reader, *waveState) error { return nil }

@@ -15,9 +15,9 @@
 // reconvergence stack, internal/amdsim the Southern-Islands-like executor
 // with its scalar unit and EXEC mask. Everything else — the gpu.Device
 // contract, launch loop, watchdog, fault application, tracer allocation
-// events, occupancy accounting, checkpoint snapshots and their wire
-// codec, and the lane accessors through which an ISA reaches registers
-// and memory (lanes.go) — exists once, here.
+// events, occupancy accounting, checkpoint snapshots, and the lane
+// accessors through which an ISA reaches registers and memory
+// (lanes.go) — exists once, here.
 package simt
 
 import (
@@ -34,8 +34,8 @@ const defaultWatchdog = 50_000_000
 const never = int64(1) << 62
 
 // Device is one simulated GPU executing the ISA whose per-wave
-// architectural state is W. It implements gpu.Device, gpu.SnapshotCodec
-// and gpu.RestoreCoster.
+// architectural state is W. It implements gpu.Device and
+// gpu.RestoreCoster.
 type Device[W any] struct {
 	// Chip is the configuration being simulated.
 	Chip *chips.Chip
@@ -761,6 +761,5 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 
 var _ interface {
 	gpu.Device
-	gpu.SnapshotCodec
 	gpu.RestoreCoster
 } = (*Device[struct{}])(nil)

@@ -1,16 +1,13 @@
 package simt
 
-import (
-	"repro/internal/gpu"
-	"repro/internal/wire"
-)
+import "repro/internal/gpu"
 
 // ISA is the plug-in a vendor simulator supplies: how its kernels are
 // recognized, what a wave's architectural state is (the type parameter
 // W, a plain struct), how one wave instruction executes, and how W is
-// copied and serialized. The machine core crosses this boundary once per
-// wave per event — never per lane. The plug-in keeps its register layout
-// and its operand decoding; it reaches the unit's register file and local
+// copied. The machine core crosses this boundary once per wave per event
+// — never per lane. The plug-in keeps its register layout and its
+// operand decoding; it reaches the unit's register file and local
 // memory, and device memory, only through the lane accessors
 // (Device.ReadRegs, WriteRegs, AccessLocal and AccessGlobal), which trace
 // and check every access, one operand or memory instruction a call.
@@ -38,17 +35,6 @@ type ISA[W any] interface {
 	// CopyState deep-copies src into dst, reusing dst's slice capacity
 	// (restore runs once per injection and must not allocate).
 	CopyState(dst, src *W)
-	// EncodeState / DecodeState serialize the ISA section of a wave's
-	// snapshot record — ws.ISA and, at its historical position inside
-	// that section, ws.RegReady. DecodeState must bound every allocation
-	// by the reader's remaining bytes.
-	EncodeState(w *wire.Writer, ws *WaveState[W])
-	DecodeState(r *wire.Reader, ws *WaveState[W]) error
-	// EncodeTrailer / DecodeTrailer serialize whatever the vendor's
-	// historical record carries after the common tail (see wirecodec.go);
-	// DecodeTrailer runs after the core has recomputed ws.RegBase.
-	EncodeTrailer(w *wire.Writer, ws *WaveState[W])
-	DecodeTrailer(r *wire.Reader, ws *WaveState[W]) error
 }
 
 // LaunchCtx holds the per-launch geometry shared by the core and the

@@ -8,7 +8,6 @@ import (
 	"repro/internal/chips"
 	"repro/internal/gpu"
 	"repro/internal/simt"
-	"repro/internal/wire"
 )
 
 // probeRegs is the probe kernel's registers per thread: the NVIDIA
@@ -41,11 +40,7 @@ func (p *probe) TryIssue(d *simt.Device[struct{}], w *simt.Wave[struct{}], _ *si
 	return true, 0, nil
 }
 
-func (*probe) CopyState(_, _ *struct{})                                    {}
-func (*probe) EncodeState(*wire.Writer, *simt.WaveState[struct{}])         {}
-func (*probe) DecodeState(*wire.Reader, *simt.WaveState[struct{}]) error   { return nil }
-func (*probe) EncodeTrailer(*wire.Writer, *simt.WaveState[struct{}])       {}
-func (*probe) DecodeTrailer(*wire.Reader, *simt.WaveState[struct{}]) error { return nil }
+func (*probe) CopyState(_, _ *struct{}) {}
 
 // probeKernel asks for probeRegs registers a thread and no local memory.
 type probeKernel struct{}

@@ -2,18 +2,13 @@ package simt_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/chips"
 	"repro/internal/gpu"
 	"repro/internal/simt"
-	"repro/internal/wire"
 )
 
 // forVendors runs fn once per ISA plug-in.
@@ -250,82 +245,6 @@ func TestFaultInUnallocatedSpaceIsMasked(t *testing.T) {
 	})
 }
 
-// readPin loads the vendor's pinned snapshot meta blob. The blobs were
-// written by the simulators of commit 76cf916 — the last one where nvsim
-// and amdsim each carried their own machine and wire codec — running
-// pinCapture; they must never be regenerated from newer code.
-func readPin(t testing.TB, v vendor) []byte {
-	t.Helper()
-	pin, err := os.ReadFile(filepath.Join("testdata", v.name+"_meta.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pin
-}
-
-// TestSnapshotMetaPinned proves that ladder files written before the
-// machine core was shared stay readable: today's capture of the pin
-// launch marshals to the pinned bytes, the pinned bytes unmarshal and
-// re-marshal to themselves, and a device restored from them finishes the
-// launch exactly like the uninterrupted run.
-func TestSnapshotMetaPinned(t *testing.T) {
-	forVendors(t, func(t *testing.T, v vendor) {
-		pin := readPin(t, v)
-		full, snap, out := v.pinCapture(t)
-		codec := full.(gpu.SnapshotCodec)
-		mem, meta, err := codec.MarshalSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(meta, pin) {
-			t.Fatalf("snapshot meta of the pin launch changed: %d bytes, pinned %d", len(meta), len(pin))
-		}
-
-		resumed := v.mustNew(t, v.tiny())
-		decoded, err := resumed.(gpu.SnapshotCodec).UnmarshalSnapshot(mem, pin)
-		if err != nil {
-			t.Fatalf("unmarshal pinned meta: %v", err)
-		}
-		if _, again, err := codec.MarshalSnapshot(decoded); err != nil || !bytes.Equal(again, pin) {
-			t.Fatalf("pinned meta does not re-marshal to itself (err %v)", err)
-		}
-		if decoded.Cycle() != v.pinCycle {
-			t.Fatalf("decoded snapshot: cycle %d, captured: cycle %d", decoded.Cycle(), snap.Cycle())
-		}
-		if err := resumed.Restore(decoded); err != nil {
-			t.Fatal(err)
-		}
-		// A captured rung owns the pages it had to copy; a decoded one what
-		// the file gave it: beside the memory image (here the captured
-		// one) a page for every register or local-memory page that is not
-		// all zero, and the slot tables, which are less than a page.
-		nonZero := 0
-		regs, local := simt.Storage(resumed)
-		for u := range regs { // one page each on the tiny chip
-			if slices.ContainsFunc(regs[u], func(x uint32) bool { return x != 0 }) {
-				nonZero++
-			}
-			if slices.ContainsFunc(local[u], func(x byte) bool { return x != 0 }) {
-				nonZero++
-			}
-		}
-		if got := (decoded.SizeBytes() - mem.SizeBytes()) / gpu.PageSize; nonZero == 0 || got != int64(nonZero) {
-			t.Fatalf("decoded snapshot owns %d unit pages, the file holds %d that are not all zero", got, nonZero)
-		}
-		if _, err := v.pinDrive(resumed, v.mustAssemble(t, v.pinSrc)); err != nil {
-			t.Fatalf("resumed launch: %v", err)
-		}
-		if full.Stats() != resumed.Stats() {
-			t.Fatalf("stats diverge:\nfull:    %+v\nresumed: %+v", full.Stats(), resumed.Stats())
-		}
-		want, _ := full.Mem().ReadBytes(out.Addr, int(out.Size))
-		got, _ := resumed.Mem().ReadBytes(out.Addr, int(out.Size))
-		if len(want) == 0 || !bytes.Equal(want, got) {
-			t.Fatal("output memory diverges after resuming from the pinned snapshot")
-		}
-	})
-}
-
 // TestRestoreContract checks the documented refusals: a snapshot of the
 // other vendor, of a different unit count, or of a different register
 // file on a unit other than the first fails to restore and leaves the
@@ -355,36 +274,6 @@ func TestRestoreContract(t *testing.T) {
 			if _, err := v.pinDrive(d, k); err != nil {
 				t.Fatalf("%s: device unusable after the refused restore: %v", name, err)
 			}
-		}
-	})
-}
-
-// TestRestoreChecksEveryUnit covers the geometry comparison beyond unit
-// 0: a meta blob whose second unit has a smaller register file is
-// refused (the old per-vendor code compared the first unit only).
-func TestRestoreChecksEveryUnit(t *testing.T) {
-	forVendors(t, func(t *testing.T, v vendor) {
-		d, snap, _ := v.pinCapture(t)
-		mem, meta, err := d.(gpu.SnapshotCodec).MarshalSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Find unit 1's register-count prefix: unit 0's record starts
-		// right after the header with the same little-endian count.
-		regs := v.tiny().RegsPerUnit
-		prefix := []byte{byte(regs), byte(regs >> 8), byte(regs >> 16), byte(regs >> 24)}
-		first := bytes.Index(meta, prefix)
-		second := first + 4 + bytes.Index(meta[first+4:], prefix)
-		if first < 0 || second <= first {
-			t.Fatal("register-count prefixes not found")
-		}
-		// Shrink unit 1's register file by one entry, dropping the entry
-		// so the blob stays well formed.
-		tampered := append([]byte(nil), meta[:second]...)
-		tampered = append(tampered, byte(regs-1), byte((regs-1)>>8), byte((regs-1)>>16), byte((regs-1)>>24))
-		tampered = append(tampered, meta[second+8:]...)
-		if _, err := d.(gpu.SnapshotCodec).UnmarshalSnapshot(mem, tampered); !errors.Is(err, wire.ErrCorrupt) {
-			t.Fatalf("unit 1 with %d registers on a %d-register chip: got %v, want ErrCorrupt", regs-1, regs, err)
 		}
 	})
 }

@@ -49,9 +49,9 @@ func (s *snapshot[W]) Cycle() int64 { return s.cycle }
 
 // SizeBytes implements gpu.Snapshot: the heap this snapshot added, that
 // is the memory, register and local-memory pages it holds a copy of its
-// own of (captured: copied because they had changed since the rung
-// before; decoded: not all zero) plus the slot tables. Pages shared with
-// an older rung, the zero page and mapped pages cost nothing.
+// own of (copied because they had changed since the rung before) plus
+// the slot tables. Pages shared with an older rung and the zero page
+// cost nothing.
 func (s *snapshot[W]) SizeBytes() int64 { return s.bytes }
 
 // account sets bytes from the memory image and the unit images.
@@ -203,9 +203,9 @@ type resumeState struct {
 
 // checkResident verifies, before a restored launch re-enters its loop,
 // that the resident blocks are ones this launch would have dispatched: a
-// snapshot decoded from disk (or restored under a different host
-// program) must fail here, not index out of range on the per-lane path,
-// which trusts the block windows and scoreboard lengths.
+// snapshot restored under a different host program must fail here, not
+// index out of range on the per-lane path, which trusts the block
+// windows and scoreboard lengths.
 func (d *Device[W]) checkResident(lc *LaunchCtx, slots int, in *inflightState) error {
 	bad := func(what string) error {
 		return fmt.Errorf("%s: %w: restored state does not fit the resumed launch (%s)", d.isa.Name(), wire.ErrCorrupt, what)

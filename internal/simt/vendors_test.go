@@ -20,11 +20,11 @@ type vendor struct {
 	newDev   func(*chips.Chip) (gpu.Device, error)
 	assemble func(src string) (gpu.Kernel, error)
 
-	// pinSrc is the snapshot-meta pin kernel (args: IN, OUT, group size):
+	// pinSrc is the snapshot pin kernel (args: IN, OUT, group size):
 	// global loads, a local-memory exchange across a barrier and a
 	// divergent region, so a mid-launch snapshot holds blocked, waiting
 	// and diverged waves. pinGroup is its workgroup size and pinCycle the
-	// device cycle the pinned snapshot is captured at: four groups
+	// device cycle the pin snapshot is captured at: four groups
 	// retired, one waiting at its barrier for a wave still loading, one
 	// inside the divergent region.
 	pinSrc   string

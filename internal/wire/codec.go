@@ -8,8 +8,8 @@ import (
 
 // Writer appends fixed-width little-endian primitives to a growing
 // buffer. It is the one encoding vocabulary shared by every wire
-// payload (cell results, snapshot meta blobs, ladder info), so all
-// record kinds agree on widths and byte order by construction.
+// payload (cell results and ownership transitions), so all record
+// kinds agree on widths and byte order by construction.
 type Writer struct {
 	b []byte
 }
@@ -47,40 +47,10 @@ func (w *Writer) Int(v int) { w.I64(int64(v)) }
 // F64 appends a float64 by bit pattern (exact round trip).
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Blob appends a length-prefixed byte slice.
-func (w *Writer) Blob(v []byte) {
-	w.U32(uint32(len(v)))
-	w.b = append(w.b, v...)
-}
-
 // String appends a length-prefixed string.
 func (w *Writer) String(v string) {
 	w.U32(uint32(len(v)))
 	w.b = append(w.b, v...)
-}
-
-// U32s appends a length-prefixed []uint32.
-func (w *Writer) U32s(v []uint32) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.U32(x)
-	}
-}
-
-// I64s appends a length-prefixed []int64.
-func (w *Writer) I64s(v []int64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.I64(x)
-	}
-}
-
-// Bools appends a length-prefixed []bool, one byte per element.
-func (w *Writer) Bools(v []bool) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.Bool(x)
-	}
 }
 
 // Reader decodes a Writer-encoded buffer with a sticky error: the first
@@ -192,74 +162,9 @@ func (r *Reader) sliceLen(elemSize int, what string) int {
 	return n
 }
 
-// Blob reads a length-prefixed byte slice, returning a copy (nil when
-// the encoded length is zero, matching how captures of empty state
-// encode nil slices).
-func (r *Reader) Blob() []byte {
-	n := r.sliceLen(1, "blob")
-	if n == 0 {
-		return nil
-	}
-	v := r.take(n, "blob")
-	if v == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, v)
-	return out
-}
-
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.sliceLen(1, "string")
 	v := r.take(n, "string")
 	return string(v)
-}
-
-// U32s reads a length-prefixed []uint32 (nil when empty).
-func (r *Reader) U32s() []uint32 {
-	n := r.sliceLen(4, "[]uint32")
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = r.U32()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// I64s reads a length-prefixed []int64 (nil when empty).
-func (r *Reader) I64s() []int64 {
-	n := r.sliceLen(8, "[]int64")
-	if n == 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Bools reads a length-prefixed []bool (nil when empty).
-func (r *Reader) Bools() []bool {
-	n := r.sliceLen(1, "[]bool")
-	if n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.Bool()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -44,8 +43,6 @@ func FuzzWireDecode(f *testing.F) {
 			r := NewReader(rec.Payload)
 			_ = r.String()
 			r.I64()
-			r.U32s()
-			r.Blob()
 			return nil
 		})
 		if err == nil && (good < 0 || good > len(data)) {
@@ -73,17 +70,14 @@ func FuzzWireDecode(f *testing.F) {
 		r.U64()
 		r.I64()
 		r.F64()
-		r.Blob()
 		_ = r.String()
-		r.U32s()
-		r.I64s()
-		r.Bools()
 		_ = r.Done()
 	})
 }
 
 // FuzzWireRoundTrip proves Writer/Reader are exact inverses for every
-// primitive, including NaN floats and empty slices.
+// primitive, including NaN floats and empty strings. The []byte argument
+// round-trips as a String, so arbitrary bytes cross the codec.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint8(1), true, uint32(2), uint64(3), int64(-4), 5.5, []byte("blob"), "string")
 	f.Add(uint8(0), false, uint32(math.MaxUint32), uint64(math.MaxUint64), int64(math.MinInt64), math.Inf(-1), []byte{}, "")
@@ -95,7 +89,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		w.U64(u64)
 		w.I64(i64)
 		w.F64(f64)
-		w.Blob(blob)
+		w.String(string(blob))
 		w.String(s)
 
 		r := NewReader(w.Bytes())
@@ -117,8 +111,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if got := r.F64(); math.Float64bits(got) != math.Float64bits(f64) {
 			t.Fatalf("F64 = %v, want %v", got, f64)
 		}
-		if got := r.Blob(); !bytes.Equal(got, blob) {
-			t.Fatalf("Blob = %v, want %v", got, blob)
+		if got := r.String(); got != string(blob) {
+			t.Fatalf("String = %q, want %q", got, blob)
 		}
 		if got := r.String(); got != s {
 			t.Fatalf("String = %q, want %q", got, s)

@@ -3,8 +3,7 @@
 // binary codec), the control plane's ownership journal and the fistore
 // inspection CLI, plus Journal, the one append-only-file implementation
 // under every log the fleet keeps (binary or JSON lines), and the
-// Writer/Reader primitives the snapshot meta codec (gpu.SnapshotCodec)
-// encodes with. A wire file is
+// Writer/Reader primitives its records are encoded with. A wire file is
 //
 //	[magic "FIWR"][version u8][file kind u8][reserved u16]
 //	[record]...

@@ -126,14 +126,8 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	w.Int(-7)
 	w.F64(math.Pi)
 	w.F64(math.NaN())
-	w.Blob([]byte{1, 2, 3})
-	w.Blob(nil)
 	w.String("chip/bench")
 	w.String("")
-	w.U32s([]uint32{9, 8, 7})
-	w.U32s(nil)
-	w.I64s([]int64{-1, 0, 1})
-	w.Bools([]bool{true, false, true})
 
 	r := NewReader(w.Bytes())
 	if v := r.U8(); v != 0xab {
@@ -160,29 +154,11 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	if v := r.F64(); !math.IsNaN(v) {
 		t.Fatalf("F64 NaN = %v", v)
 	}
-	if v := r.Blob(); !bytes.Equal(v, []byte{1, 2, 3}) {
-		t.Fatalf("Blob = %v", v)
-	}
-	if v := r.Blob(); v != nil {
-		t.Fatalf("empty Blob = %v, want nil", v)
-	}
 	if v := r.String(); v != "chip/bench" {
 		t.Fatalf("String = %q", v)
 	}
 	if v := r.String(); v != "" {
 		t.Fatalf("empty String = %q", v)
-	}
-	if v := r.U32s(); len(v) != 3 || v[0] != 9 {
-		t.Fatalf("U32s = %v", v)
-	}
-	if v := r.U32s(); v != nil {
-		t.Fatalf("empty U32s = %v, want nil", v)
-	}
-	if v := r.I64s(); len(v) != 3 || v[0] != -1 {
-		t.Fatalf("I64s = %v", v)
-	}
-	if v := r.Bools(); len(v) != 3 || !v[0] || v[1] {
-		t.Fatalf("Bools = %v", v)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
@@ -211,22 +187,14 @@ func TestReaderStickyError(t *testing.T) {
 	}
 }
 
-// TestSliceLenBounds pins the anti-allocation guard: a declared slice
-// length beyond the remaining bytes must fail without allocating.
+// TestSliceLenBounds pins the anti-allocation guard: a declared length
+// beyond the remaining bytes must fail without allocating.
 func TestSliceLenBounds(t *testing.T) {
 	var w Writer
-	w.U32(math.MaxUint32) // declares 4 billion elements, provides none
-	for _, read := range []func(r *Reader){
-		func(r *Reader) { r.Blob() },
-		func(r *Reader) { _ = r.String() },
-		func(r *Reader) { r.U32s() },
-		func(r *Reader) { r.I64s() },
-		func(r *Reader) { r.Bools() },
-	} {
-		r := NewReader(w.Bytes())
-		read(r)
-		if r.Err() == nil {
-			t.Fatal("implausible slice length was accepted")
-		}
+	w.U32(math.MaxUint32) // declares 4 billion bytes, provides none
+	r := NewReader(w.Bytes())
+	_ = r.String()
+	if r.Err() == nil {
+		t.Fatal("implausible string length was accepted")
 	}
 }
