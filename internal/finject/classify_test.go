@@ -53,11 +53,18 @@ func synthBenchmark(name string, prog *sass.Program) *workloads.Benchmark {
 	}
 }
 
-// TestClassifyProducesDUE scans injection cycles on the pointer register
-// until one classifies as DUE (wild access aborts the launch).
-func TestClassifyProducesDUE(t *testing.T) {
+// regEntry is the register-file entry of register r of lane l in the
+// first warp of unit 0, whose window starts at entry 0: a warp register
+// is WarpWidth contiguous entries.
+func regEntry(chip *chips.Chip, r, l int) int { return r*chip.WarpWidth + l }
+
+// firstWithOutcome flips bit of register r of thread 0 on the mini
+// NVIDIA chip at every third cycle of bench's golden run, under a
+// watchdog of slack times the golden's cycles plus pad, and returns the
+// cost of the first injection that classifies as want.
+func firstWithOutcome(t *testing.T, bench *workloads.Benchmark, r int, bit uint, slack, pad int64, want gpu.Outcome) classifyCost {
+	t.Helper()
 	chip := chips.MiniNVIDIA()
-	bench := synthBenchmark("duebait", dueProg)
 	g, err := runGolden(chip, bench, false)
 	if err != nil {
 		t.Fatal(err)
@@ -70,18 +77,22 @@ func TestClassifyProducesDUE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawDUE := false
-	for c := int64(1); c < g.cycles && !sawDUE; c += 3 {
-		// R1 of thread 0 holds the pointer; flip bit 25 (beyond the 4MB
-		// device memory) so a live hit must fault.
-		f := gpu.Fault{Structure: gpu.RegisterFile, Unit: 0, Entry: 1, Bit: 25, Cycle: c}
-		if o, _, _ := classify(d, hp, g, nil, f, g.cycles*20+10000); o == gpu.OutcomeDUE {
-			sawDUE = true
+	for c := int64(1); c < g.cycles; c += 3 {
+		f := gpu.Fault{Structure: gpu.RegisterFile, Unit: 0, Entry: regEntry(chip, r, 0), Bit: bit, Cycle: c}
+		if o, _, cost := classify(d, hp, g, nil, f, g.cycles*slack+pad); o == want {
+			return cost
 		}
 	}
-	if !sawDUE {
-		t.Fatal("no injection on the pointer register produced a DUE")
-	}
+	t.Fatalf("%s: no flip of R%d bit %d of thread 0 classified as %v", bench.Name, r, bit, want)
+	return classifyCost{}
+}
+
+// TestClassifyProducesDUE scans injection cycles on the pointer register
+// until one classifies as DUE (wild access aborts the launch). R1 of
+// thread 0 holds the pointer; bit 25 is beyond the 4MB device memory, so
+// a live hit must fault.
+func TestClassifyProducesDUE(t *testing.T) {
+	firstWithOutcome(t, synthBenchmark("duebait", dueProg), 1, 25, 20, 10000, gpu.OutcomeDUE)
 }
 
 // loopProg counts to a bound held in a register; flipping a high bit of
@@ -100,33 +111,21 @@ loop:
 `)
 
 // TestClassifyProducesTimeout scans injections on the loop bound until
-// one classifies as a watchdog timeout.
+// one classifies as a watchdog timeout. R2 of thread 0 holds the loop
+// bound; setting bit 30 raises it to ~1e9 iterations, far past the
+// watchdog.
 func TestClassifyProducesTimeout(t *testing.T) {
-	chip := chips.MiniNVIDIA()
-	bench := synthBenchmark("hangbait", loopProg)
-	g, err := runGolden(chip, bench, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := devices.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := bench.New(chip.Vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawTimeout := false
-	for c := int64(1); c < g.cycles && !sawTimeout; c += 3 {
-		// R2 of thread 0 holds the loop bound; setting bit 30 raises it
-		// to ~1e9 iterations, far past the watchdog.
-		f := gpu.Fault{Structure: gpu.RegisterFile, Unit: 0, Entry: 2, Bit: 30, Cycle: c}
-		if o, _, _ := classify(d, hp, g, nil, f, g.cycles*4); o == gpu.OutcomeTimeout {
-			sawTimeout = true
-		}
-	}
-	if !sawTimeout {
-		t.Fatal("no injection on the loop bound produced a timeout")
+	firstWithOutcome(t, synthBenchmark("hangbait", loopProg), 2, 30, 4, 0, gpu.OutcomeTimeout)
+}
+
+// TestFailedRunsCountTheirCycles: a run that ends in a DUE or a Timeout
+// simulated cycles before it failed, and classify's cost accounting
+// counts them.
+func TestFailedRunsCountTheirCycles(t *testing.T) {
+	due := firstWithOutcome(t, synthBenchmark("duebait", dueProg), 1, 25, 20, 10000, gpu.OutcomeDUE)
+	hang := firstWithOutcome(t, synthBenchmark("hangbait", loopProg), 2, 30, 4, 0, gpu.OutcomeTimeout)
+	if due.simCycles <= 0 || hang.simCycles <= 0 {
+		t.Fatalf("simulated cycles: DUE %d, Timeout %d; want both > 0", due.simCycles, hang.simCycles)
 	}
 }
 
@@ -147,8 +146,9 @@ func TestClassifyMaskedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip an entry in the last cycle: nothing can read it afterwards.
-	f := gpu.Fault{Structure: gpu.RegisterFile, Unit: 0, Entry: 1, Bit: 25, Cycle: g.cycles - 1}
+	// Flip R1 of thread 0 in the last cycle: nothing can read it
+	// afterwards.
+	f := gpu.Fault{Structure: gpu.RegisterFile, Unit: 0, Entry: regEntry(chip, 1, 0), Bit: 25, Cycle: g.cycles - 1}
 	if got, corrupt, _ := classify(d, hp, g, nil, f, g.cycles*20); got != gpu.OutcomeMasked || corrupt != 0 {
 		t.Fatalf("tail flip classified as %v (corrupt=%d), want masked", got, corrupt)
 	}

@@ -243,7 +243,7 @@ func TestFaultInjectionFlipsOutput(t *testing.T) {
 	for c := int64(1); c < 2000 && !manifested; c += 7 {
 		faulty := run(&gpu.Fault{
 			Structure: gpu.RegisterFile, Unit: 0,
-			Entry: 6, Bit: 22, Cycle: c,
+			Entry: 6 * chips.MiniNVIDIA().WarpWidth, Bit: 22, Cycle: c,
 		})
 		for i := range faulty {
 			if faulty[i] != golden[i] {
@@ -254,5 +254,61 @@ func TestFaultInjectionFlipsOutput(t *testing.T) {
 	}
 	if !manifested {
 		t.Fatal("no injection manifested as SDC across the scanned cycles")
+	}
+}
+
+// layoutSrc writes tid+1000 into R1 of every lane, spins on R2, then
+// stores R1 of lane l at word l of c[0].
+const layoutSrc = `
+.kernel layout
+    S2R R0, SR_TID.X
+    IADD R1, R0, 1000
+    MOV R2, 0
+wait:
+    IADD R2, R2, 1
+    ISETP.LT P0, R2, 100
+@P0 BRA wait
+    SHL R3, R0, 2
+    IADD R3, R3, c[0]
+    STG [R3], R1
+    EXIT
+`
+
+// TestWarpRegisterIsOneRow pins the register layout: register r of lane
+// l is entry RegBase + r*WarpWidth + l. The one warp sits at the start
+// of unit 0's register file, so a flip of bit 3 of entry 1*32 + 5 while
+// the kernel spins — after R1's write, before its store — changes lane
+// 5's word by 1<<3 and no other word.
+func TestWarpRegisterIsOneRow(t *testing.T) {
+	prog, err := sass.Assemble(layoutSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(f *gpu.Fault) ([]uint32, int64) {
+		d := newTestDevice(t)
+		out, err := d.Mem().AllocZero(4 * 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.InjectFault(f)
+		if err := d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(1), Group: gpu.D1(32), Args: []uint32{out}}); err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+		words, err := d.Mem().ReadWords(out, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return words, d.Stats().Cycles
+	}
+	golden, cycles := run(nil)
+	faulty, _ := run(&gpu.Fault{Structure: gpu.RegisterFile, Unit: 0, Entry: 1*32 + 5, Bit: 3, Cycle: cycles / 2})
+	for l := range golden {
+		want := uint32(0)
+		if l == 5 {
+			want = 1 << 3
+		}
+		if got := faulty[l] ^ golden[l]; got != want {
+			t.Errorf("lane %d: word %d, golden %d: difference %#x, want %#x", l, faulty[l], golden[l], got, want)
+		}
 	}
 }

@@ -311,8 +311,10 @@ func (i *isa) execALU(d *Device, w *wave, lc *simt.LaunchCtx, in *sass.Instr, ex
 	i.scatter(d, w, exec, in.Dst, &a)
 }
 
-// The register file is thread-major within the warp's window: register
-// r of lane l is entry RegBase + r + l*NumRegs.
+// The register file is register-major within the warp's window, as on
+// GPGPU-Sim and Fermi: register r of lane l is entry
+// RegBase + r*WarpWidth + l, so a warp register is one row of 32
+// contiguous entries.
 
 // gather reads source operand o on every lane in exec into v; v holds
 // zeros where o is unused or RZ.
@@ -320,7 +322,7 @@ func (i *isa) gather(d *Device, w *wave, lc *simt.LaunchCtx, exec uint32, o sass
 	switch o.Kind {
 	case sass.OperandReg:
 		if o.Reg != sass.RZ {
-			d.ReadRegs(w, int(o.Reg), i.prog.NumRegs, uint64(exec), v[:])
+			d.ReadRegs(w, int(o.Reg)*d.Chip.WarpWidth, 1, uint64(exec), v[:])
 		}
 	case sass.OperandImm, sass.OperandConst:
 		x := o.Imm
@@ -337,7 +339,7 @@ func (i *isa) gather(d *Device, w *wave, lc *simt.LaunchCtx, exec uint32, o sass
 // gather; a write of RZ is dropped.
 func (i *isa) scatter(d *Device, w *wave, exec uint32, r uint8, v *[32]uint32) {
 	if r != sass.RZ {
-		d.WriteRegs(w, int(r), i.prog.NumRegs, uint64(exec), v[:])
+		d.WriteRegs(w, int(r)*d.Chip.WarpWidth, 1, uint64(exec), v[:])
 	}
 }
 

@@ -435,8 +435,10 @@ func (d *Device[W]) Launch(spec gpu.LaunchSpec) error {
 // launchLoop runs the launch's dispatch/issue/retire loop from the given
 // progress point. Its top is the deterministic boundary where checkpoint
 // snapshots are captured and where restored launches re-enter, so the
-// continuation of a restored run is bit-identical to the original.
+// continuation of a restored run is bit-identical to the original. The
+// cycles it reaches count on every return, a failed launch's too.
 func (d *Device[W]) launchLoop(lc *LaunchCtx, nextBlock, retired int, launchStart int64) error {
+	defer func() { d.stats.Cycles = d.Cycle }()
 	period := int64(d.Chip.IssuePeriod)
 	total := lc.Grid.Count()
 
@@ -517,7 +519,6 @@ func (d *Device[W]) launchLoop(lc *LaunchCtx, nextBlock, retired int, launchStar
 			return fmt.Errorf("%s: deadlock at cycle %d (barrier starvation)", d.isa.Name(), d.Cycle)
 		}
 	}
-	d.stats.Cycles = d.Cycle
 	d.stats.Launches++
 	return nil
 }

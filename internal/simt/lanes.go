@@ -13,12 +13,12 @@ import (
 // it reloads the slice header on every lane, and masks the lane shift to
 // 63, or it pays Go's fix-up for a shift of 64 or more.
 //
-// A register operand whose mask holds every lane of its vector skips the
-// mask test: most do (76 % of the AMD and 88 % of the NVIDIA operands of
-// the paper grid's golden runs, all but 0.1 % of a matrixMul campaign's).
-// With stride 1 (an AMD VGPR) its entries are one contiguous window,
-// moved by one copy; with any other stride (NVIDIA's lane-major window,
-// a scalar read) by the same loop without the test.
+// Both ISAs keep a vector register's lanes contiguous (stride 1: an AMD
+// VGPR, an NVIDIA warp register), so an operand whose mask holds every
+// lane of its vector is one copy: most do (76 % of the AMD and 88 % of
+// the NVIDIA operands of the paper grid's golden runs, all but 0.1 % of
+// a matrixMul campaign's). Any other operand (a partial mask, a scalar
+// read at stride 0) takes the masked loop.
 
 // ReadRegs reads register-file entry w.RegBase + off + l*stride of w's
 // unit into v[l] for every lane l in lanes, after one tracer event for
@@ -30,15 +30,8 @@ func (d *Device[W]) ReadRegs(w *Wave[W], off, stride int, lanes uint64, v []uint
 		t.RegAccess(u.ID, idx, stride, lanes, d.Cycle, false)
 	}
 	regs := u.regFile
-	if allLanes(lanes, len(v)) {
-		if stride == 1 {
-			copy(v, regs[idx:idx+len(v)])
-			return
-		}
-		for l := range v {
-			v[l] = regs[idx]
-			idx += stride
-		}
+	if stride == 1 && allLanes(lanes, len(v)) {
+		copy(v, regs[idx:idx+len(v)])
 		return
 	}
 	for l := range v {
@@ -57,15 +50,8 @@ func (d *Device[W]) WriteRegs(w *Wave[W], off, stride int, lanes uint64, v []uin
 		t.RegAccess(u.ID, idx, stride, lanes, d.Cycle, true)
 	}
 	regs := u.regFile
-	if allLanes(lanes, len(v)) {
-		if stride == 1 {
-			copy(regs[idx:idx+len(v)], v)
-			return
-		}
-		for l := range v {
-			regs[idx] = v[l]
-			idx += stride
-		}
+	if stride == 1 && allLanes(lanes, len(v)) {
+		copy(regs[idx:idx+len(v)], v)
 		return
 	}
 	for l := range v {

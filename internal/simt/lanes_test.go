@@ -10,8 +10,8 @@ import (
 	"repro/internal/simt"
 )
 
-// probeRegs is the probe kernel's registers per thread: the NVIDIA
-// lane-major stride of the tests below.
+// probeRegs is the probe kernel's registers per thread: the widest
+// stride of the tests below.
 const probeRegs = 4
 
 // probe is an ISA with no instructions: the first wave it is asked to
@@ -111,7 +111,7 @@ func (e regEvent) entries(n int) []int {
 // TestLaneMovesMatchThePerLaneLoop: ReadRegs and WriteRegs move exactly
 // the entries a masked per-lane loop moves — on every lane, on all but
 // the top one, on one, on none; at stride 0 (a scalar read), 1 (an AMD
-// VGPR) and the register count (NVIDIA's lane-major window); for 1, 32
+// VGPR, an NVIDIA warp register) and the register count; for 1, 32
 // and 64 lanes — leave every other entry of the register file and every
 // masked-off lane of the vector alone, report the same entries to the
 // tracer in one event a call, and allocate nothing.
@@ -185,14 +185,14 @@ func TestLaneMovesMatchThePerLaneLoop(t *testing.T) {
 
 // BenchmarkLaneMoves: one ReadRegs and one WriteRegs of an operand, the
 // lane accessors' cost without an instruction around it, untraced — an
-// AMD VGPR (64 lanes, stride 1) and an NVIDIA register (32 lanes, stride
-// the register count), with every lane active and with the top lane off.
+// AMD VGPR (64 lanes) and an NVIDIA warp register (32 lanes), both at
+// stride 1, with every lane active and with the top lane off.
 func BenchmarkLaneMoves(b *testing.B) {
 	onResidentWave(b, chips.MiniAMD(), func(d *simt.Device[struct{}], w *simt.Wave[struct{}]) {
 		for _, layout := range []struct {
 			name      string
 			n, stride int
-		}{{"vgpr", 64, 1}, {"lane-major", 32, probeRegs}} {
+		}{{"vgpr", 64, 1}, {"warp", 32, 1}} {
 			v := make([]uint32, layout.n)
 			all := ^uint64(0) >> (64 - layout.n)
 			for _, mask := range []struct {

@@ -99,7 +99,7 @@ func TestStorageAccessIsTraced(t *testing.T) {
 // TestTracerCallsSitOutsideLaneLoops: a register event covers every lane
 // of one operand (gpu.Tracer.RegAccess takes a lane mask), so no loop of
 // the machine calls it; the lane loops of ReadRegs and WriteRegs are then
-// a load and a store, and a bit test under a partial mask, traced or not.
+// a bit test and a load or a store, traced or not.
 // The ISA plug-ins call the tracer nowhere.
 func TestTracerCallsSitOutsideLaneLoops(t *testing.T) {
 	for _, dir := range append([]string{"."}, isaDirs...) {
@@ -155,9 +155,9 @@ func TestTracerCallsSitOutsideLaneLoops(t *testing.T) {
 // addresses against the block's LocalCount.
 func TestStoresStayInsideTheBlock(t *testing.T) {
 	// want is the number of stores per package: WriteRegs' copy of a
-	// full stride-1 operand and its two element stores (every lane, and
-	// the lanes of a mask), and AccessLocal's PutUint32.
-	want := map[string]int{".": 4, "../nvsim": 0, "../amdsim": 0}
+	// full stride-1 operand and its element store (the lanes of a mask),
+	// and AccessLocal's PutUint32.
+	want := map[string]int{".": 3, "../nvsim": 0, "../amdsim": 0}
 	for dir, n := range want {
 		fset, files := parseDir(t, dir)
 		stores, problems := storesOutsideTheBlock(fset, files, dir == ".")
