@@ -33,13 +33,12 @@
 // Liveness retains the spans at the grain they were logged: an entry's
 // own spans under its key, and a row's spans once, with the row's member
 // set, for all of its entries. Over the paper's 40 (chip, benchmark)
-// pairs that is 7.3 MB, where a copy of each row's span per member was
+// pairs that is 6.9 MB, where a copy of each row's span per member was
 // 42.7 MB (TestLivenessTablesStaySmall), and the build scatters the log's
 // records rather than their copies.
 package ace
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -93,16 +92,16 @@ type page struct {
 }
 
 // row is the state that the entries of a lane batch share while batches
-// name them together: entry key + l*stride for each lane l in mask. It
-// holds what each of them would hold, and the spans all of them closed
-// while it held them. A row that logged a span is never reused, so its
-// entries stay fixed; a dissolved row holds no open span.
+// name them together: entry key + l for each lane l in mask. It holds
+// what each of them would hold, and the spans all of them closed while it
+// held them. A row that logged a span is never reused, so its entries
+// stay fixed; a dissolved row holds no open span.
 type row struct {
-	key, stride uint32
-	mask        uint64 // bit 0 set, at least two lanes
-	next, lo    uint32
-	closed      uint32 // spans logged under the row's tag
-	flags       byte
+	key      uint32
+	mask     uint64 // bit 0 set, at least two lanes
+	next, lo uint32
+	closed   uint32 // spans logged under the row's tag
+	flags    byte
 }
 
 // span is the inclusive range of flip cycles [lo, hi] of one entry that a
@@ -158,11 +157,11 @@ func (t *track) newPage(key int) *page {
 	return p
 }
 
-// batch records an access at the cycle of entry base + l*stride of the
-// unit for each lane l set in lanes, in lane order. Where the entries lie
-// in the unit and a row holds them or can form over them, that is one
-// update of the row; otherwise each entry is recorded on its own.
-func (t *track) batch(unit, base, stride int, lanes uint64, cycle int64, write bool) {
+// batch records an access at the cycle of entry base + l of the unit for
+// each lane l set in lanes, in lane order. Where the entries lie in the
+// unit and a row holds them or can form over them, that is one update of
+// the row; otherwise each entry is recorded on its own.
+func (t *track) batch(unit, base int, lanes uint64, cycle int64, write bool) {
 	if lanes == 0 {
 		return
 	}
@@ -172,16 +171,15 @@ func (t *track) batch(unit, base, stride int, lanes uint64, cycle int64, write b
 	}
 	n := bits.OnesCount64(lanes)
 	t.lanes += int64(n)
-	if first := bits.TrailingZeros64(lanes); n > 1 && stride > 0 && stride < t.perUnit && base+first*stride >= 0 &&
-		base+(63-bits.LeadingZeros64(lanes))*stride < t.perUnit {
-		if o := t.rowOf(unit*t.perUnit+base+first*stride, lanes>>first, stride); o != 0 {
+	if first := bits.TrailingZeros64(lanes); n > 1 && base+first >= 0 && base+63-bits.LeadingZeros64(lanes) < t.perUnit {
+		if o := t.rowOf(unit*t.perUnit+base+first, lanes>>first); o != 0 {
 			t.onRows += int64(n)
 			t.recordRow(o, uint32(cycle), write, n)
 			return
 		}
 	}
 	for ; lanes != 0; lanes &= lanes - 1 {
-		entry := base + bits.TrailingZeros64(lanes)*stride
+		entry := base + bits.TrailingZeros64(lanes)
 		if uint(entry) >= uint(t.perUnit) {
 			t.bad = true
 			continue
@@ -190,14 +188,14 @@ func (t *track) batch(unit, base, stride int, lanes uint64, cycle int64, write b
 	}
 }
 
-// rowOf returns the row over entry key + l*stride for each lane l in mask
-// (bit 0 set, the entries inside one unit): the one that holds them, else
-// a new one if none of them has a row and all of them hold equal state;
-// 0 for none.
-func (t *track) rowOf(key int, mask uint64, stride int) int32 {
+// rowOf returns the row over entry key + l for each lane l in mask (bit 0
+// set, the entries inside one unit): the one that holds them, else a new
+// one if none of them has a row and all of them hold equal state; 0 for
+// none.
+func (t *track) rowOf(key int, mask uint64) int32 {
 	if p := t.pages[key>>pageBits]; p != nil {
 		if o := p.owner[key&pageMask]; o != 0 {
-			if r := &t.rows[o]; r.key == uint32(key) && r.mask == mask && r.stride == uint32(stride) {
+			if r := &t.rows[o]; r.key == uint32(key) && r.mask == mask {
 				return o
 			}
 			return 0
@@ -205,7 +203,7 @@ func (t *track) rowOf(key int, mask uint64, stride int) int32 {
 	}
 	var r row
 	for m := mask; m != 0; m &= m - 1 {
-		k := key + bits.TrailingZeros64(m)*stride
+		k := key + bits.TrailingZeros64(m)
 		p, i := t.pages[k>>pageBits], k&pageMask
 		if p == nil {
 			p = t.newPage(k)
@@ -215,7 +213,7 @@ func (t *track) rowOf(key int, mask uint64, stride int) int32 {
 		case p.owner[i] != 0:
 			return 0
 		case m == mask:
-			r = row{key: uint32(key), stride: uint32(stride), mask: mask, next: p.next[i], lo: lo, flags: p.flags[i]}
+			r = row{key: uint32(key), mask: mask, next: p.next[i], lo: lo, flags: p.flags[i]}
 		case p.next[i] != r.next || p.flags[i] != r.flags || r.flags&open != 0 && lo != r.lo:
 			return 0
 		}
@@ -228,7 +226,7 @@ func (t *track) rowOf(key int, mask uint64, stride int) int32 {
 		t.rows = append(t.rows, r)
 	}
 	for m := mask; m != 0; m &= m - 1 {
-		k := key + bits.TrailingZeros64(m)*stride
+		k := key + bits.TrailingZeros64(m)
 		t.pages[k>>pageBits].owner[k&pageMask] = o
 	}
 	return o
@@ -239,7 +237,7 @@ func (t *track) rowOf(key int, mask uint64, stride int) int32 {
 func (t *track) dissolve(o int32) {
 	r := &t.rows[o]
 	for m := r.mask; m != 0; m &= m - 1 {
-		k := int(r.key) + bits.TrailingZeros64(m)*int(r.stride)
+		k := int(r.key) + bits.TrailingZeros64(m)
 		p, i := t.pages[k>>pageBits], k&pageMask
 		p.next[i], p.flags[i], p.owner[i] = r.next, r.flags, 0
 		t.chains[k>>pageBits][i].lo = r.lo
@@ -360,7 +358,7 @@ func (t *track) bracket(unit, base, count int, set byte) {
 			for i := from; i < to; i++ {
 				if o := p.owner[i]; o != 0 {
 					r := &t.rows[o]
-					if last := int(r.key) + (63-bits.LeadingZeros64(r.mask))*int(r.stride); int(r.key) >= start && last < end {
+					if last := int(r.key) + 63 - bits.LeadingZeros64(r.mask); int(r.key) >= start && last < end {
 						r.flags = r.flags&open | set
 					} else {
 						t.dissolve(o)
@@ -411,8 +409,8 @@ func rowSpans(r *row) uint32 {
 //
 // The rows that retain spans are counted at their first entry; a walk of
 // the touched pages in entry order counts the entries' own spans and
-// turns the row counts into places, so the rows land in key order, from
-// which a stable sort makes the lookup's order. The rows' spans follow
+// turns the row counts into places, so the rows land in key order, the
+// lookup's order. The rows' spans follow
 // the entries'; a second walk lays out the entries', and every count of
 // closed spans becomes a cursor. The log, in time order, is scattered
 // through the cursors, so every span list lands ascending; an open span,
@@ -452,28 +450,16 @@ func (t *track) table() *Table {
 			ch.rows++
 		}
 	}
-	// Key order is the lookup's order where every row has stride 1.
-	byResidue := func(a, b int32) int {
-		ra, rb := &t.rows[a], &t.rows[b]
-		return cmp.Or(cmp.Compare(ra.stride, rb.stride), cmp.Compare(ra.key%ra.stride, rb.key%rb.stride))
-	}
-	if !slices.IsSortedFunc(held, byResidue) {
-		slices.SortStableFunc(held, byResidue)
-	}
 	lt := &Table{units: t.units, perUnit: t.perUnit, live: t.live, ace: t.ace,
-		keys: make([]uint32, 0, nkeys), offs: make([]uint32, nkeys+len(held)+1), rowAt: make([]uint64, len(held)), rowMask: make([]uint64, len(held)),
+		keys: make([]uint32, 0, nkeys), offs: make([]uint32, nkeys+len(held)+1), rowAt: make([]uint32, len(held)), rowMask: make([]uint64, len(held)),
 		blocks: make([]uint64, (t.units*t.perUnit+(64<<blockBits)-1)>>(6+blockBits))}
 	for j, o := range held {
 		r := &t.rows[o]
 		t.chains[r.key>>pageBits][r.key&pageMask].rows = 0
-		if g := len(lt.groups) - 1; g < 0 || lt.groups[g].stride != r.stride {
-			lt.groups = append(lt.groups, group{stride: r.stride})
-		}
-		g := &lt.groups[len(lt.groups)-1]
-		reach := uint32(63-bits.LeadingZeros64(r.mask)) * r.stride
-		g.end, g.reach = uint32(j+1), max(g.reach, reach)
+		reach := uint32(63 - bits.LeadingZeros64(r.mask))
+		lt.reach = max(lt.reach, reach)
 		lt.mark(r.key, r.key+reach)
-		lt.rowAt[j], lt.rowMask[j] = uint64(r.key%r.stride)<<32|uint64(r.key), r.mask
+		lt.rowAt[j], lt.rowMask[j] = r.key, r.mask
 		lt.offs[nkeys+j+1] = rowSpans(r)
 	}
 	lt.offs[nkeys] = n
@@ -543,15 +529,15 @@ func NewRecorder(d gpu.Device) *Recorder {
 }
 
 // RegAccess implements gpu.Tracer.
-func (r *Recorder) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
-	r[gpu.RegisterFile].batch(unit, base, stride, lanes, cycle, write)
+func (r *Recorder) RegAccess(unit, base int, lanes uint64, cycle int64, write bool) {
+	r[gpu.RegisterFile].batch(unit, base, lanes, cycle, write)
 }
 
 // LocalAccess implements gpu.Tracer: each byte is an entry, and the bytes
-// of an access are a stride-1 batch, 64 at a time.
+// of an access are a batch, 64 at a time.
 func (r *Recorder) LocalAccess(unit, offset, size int, cycle int64, write bool) {
 	for ; size > 0; offset, size = offset+64, size-64 {
-		r[gpu.LocalMemory].batch(unit, offset, 1, ^uint64(0)>>(64-min(size, 64)), cycle, write)
+		r[gpu.LocalMemory].batch(unit, offset, ^uint64(0)>>(64-min(size, 64)), cycle, write)
 	}
 }
 
@@ -582,19 +568,19 @@ var _ gpu.Tracer = (*Recorder)(nil)
 // their own, in ascending order, each with those spans, and the rows that
 // did, each with its member set and the spans every member shares. Each
 // list is ascending; an entry's spans, its own and its rows', are disjoint
-// and maximal. 8 bytes per span, 8 per such entry, 20 per such row and a
+// and maximal. 8 bytes per span, 8 per such entry, 16 per such row and a
 // bit per 64 entries of the structure; immutable once built and shared
 // read-only by every worker.
 type Table struct {
 	units, perUnit int
 	keys           []uint32 // unit*perUnit + entry
-	// Row j's members are entry f + l*stride for each lane l in
-	// rowMask[j], f its first entry and the stride its group's. rowAt[j]
-	// holds f in its low 32 bits and f modulo the stride in its high ones;
-	// the rows are grouped by stride, ascending, and ordered by rowAt in a
-	// group, so the rows that can hold an entry sit together.
-	rowAt, rowMask []uint64
-	groups         []group
+	// Row j's members are entry rowAt[j] + l for each lane l in
+	// rowMask[j]; rowAt is ascending, so the rows that can hold an entry
+	// sit together, and reach is the widest row's distance from its first
+	// entry to its last.
+	rowAt   []uint32
+	rowMask []uint64
+	reach   uint32
 	// offs delimits the span lists: spans[offs[i]:offs[i+1]] are keys[i]'s,
 	// and spans[offs[len(keys)+j]:offs[len(keys)+j+1]] are row j's.
 	offs  []uint32
@@ -604,11 +590,6 @@ type Table struct {
 	blocks    []uint64
 	live, ace int64 // the recorder's sums
 }
-
-// group is the rows of one stride: those below end, after the group
-// before; reach is the widest one's distance from its first entry to its
-// last.
-type group struct{ stride, end, reach uint32 }
 
 // blockBits sizes the blocks of entries a table marks as holding spans.
 const blockBits = 6
@@ -628,8 +609,8 @@ func (lt *Table) holds(i int, at uint32) bool {
 }
 
 // covers reports whether a span of entry key, its own or one of its
-// rows', contains cycle at. In each group, the rows that can hold the
-// entry share its residue and begin at most reach before it.
+// rows', contains cycle at. The rows that can hold the entry begin at
+// most reach before it.
 func (lt *Table) covers(key, at uint32) bool {
 	if b := key >> blockBits; lt.blocks[b>>6]>>(b&63)&1 == 0 {
 		return false
@@ -637,16 +618,11 @@ func (lt *Table) covers(key, at uint32) bool {
 	if i, ok := slices.BinarySearch(lt.keys, key); ok && lt.holds(i, at) {
 		return true
 	}
-	from := 0
-	for _, g := range lt.groups {
-		rows, res := lt.rowAt[from:g.end], uint64(key%g.stride)
-		j, _ := slices.BinarySearch(rows, res<<32|uint64(key)+1)
-		for j--; j >= 0 && rows[j]>>32 == res && key-uint32(rows[j]) <= g.reach; j-- {
-			if lt.rowMask[from+j]>>((key-uint32(rows[j]))/g.stride)&1 != 0 && lt.holds(len(lt.keys)+from+j, at) {
-				return true
-			}
+	j, _ := slices.BinarySearch(lt.rowAt, key+1)
+	for j--; j >= 0 && key-lt.rowAt[j] <= lt.reach; j-- {
+		if lt.rowMask[j]>>(key-lt.rowAt[j])&1 != 0 && lt.holds(len(lt.keys)+j, at) {
+			return true
 		}
-		from = int(g.end)
 	}
 	return false
 }

@@ -34,7 +34,7 @@ func (t *track) expand() *expansion {
 		for o := 1; o < len(t.rows); o++ {
 			r := &t.rows[o]
 			for m := r.mask; r.closed != 0 && m != 0; m &= m - 1 {
-				k := r.key + uint32(bits.TrailingZeros64(m))*r.stride
+				k := r.key + uint32(bits.TrailingZeros64(m))
 				add(&t.chains[k>>pageBits][k&pageMask], r.closed)
 			}
 		}
@@ -76,7 +76,7 @@ func (t *track) expand() *expansion {
 		}
 		r := &t.rows[l.key&^rowTag]
 		for m := r.mask; m != 0; m &= m - 1 {
-			k := r.key + uint32(bits.TrailingZeros64(m))*r.stride
+			k := r.key + uint32(bits.TrailingZeros64(m))
 			ch := &t.chains[k>>pageBits][k&pageMask]
 			ex.spans[ch.closed] = l.span
 			ch.closed++
@@ -125,16 +125,12 @@ func (lt *Table) perEntry() map[uint32][]span {
 	for i, key := range lt.keys {
 		out[key] = append(out[key], lt.spans[lt.offs[i]:lt.offs[i+1]]...)
 	}
-	from := 0
-	for _, g := range lt.groups {
-		for j := from; j < int(g.end); j++ {
-			n := len(lt.keys) + j
-			for m := lt.rowMask[j]; m != 0; m &= m - 1 {
-				key := uint32(lt.rowAt[j]) + uint32(bits.TrailingZeros64(m))*g.stride
-				out[key] = append(out[key], lt.spans[lt.offs[n]:lt.offs[n+1]]...)
-			}
+	for j, first := range lt.rowAt {
+		n := len(lt.keys) + j
+		for m := lt.rowMask[j]; m != 0; m &= m - 1 {
+			key := first + uint32(bits.TrailingZeros64(m))
+			out[key] = append(out[key], lt.spans[lt.offs[n]:lt.offs[n+1]]...)
 		}
-		from = int(g.end)
 	}
 	for _, sp := range out {
 		slices.SortFunc(sp, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })

@@ -1,9 +1,9 @@
 package ace
 
 import (
-	"cmp"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -118,8 +118,8 @@ func (m *model) table() (keys []uint32, offs []uint32, all []span, live int64) {
 // Fuzz operations, one fuzzOpSize-byte record each: kind, unit, entry
 // (uint16), count (uint16), cycles since the previous operation (late
 // moves the clock past the recorder's 32-bit stamps), lanes (uint64). A
-// lane batch is one RegAccess of entry+l*stride for every lane l in
-// lanes, its stride count%64.
+// lane batch is one RegAccess of entry+l for every lane l in lanes; it
+// ignores count.
 const (
 	opRegAlloc = iota
 	opRegFree
@@ -145,14 +145,15 @@ const (
 )
 
 func fuzzOp(kind, unit byte, entry, count uint16, dt byte) []byte {
-	return fuzzLanes(kind, unit, entry, count, 0, dt)
-}
-
-func fuzzLanes(kind, unit byte, entry, count uint16, lanes uint64, dt byte) []byte {
 	b := make([]byte, fuzzOpSize)
 	b[0], b[1], b[6] = kind, unit, dt
 	binary.LittleEndian.PutUint16(b[2:], entry)
 	binary.LittleEndian.PutUint16(b[4:], count)
+	return b
+}
+
+func fuzzLanes(kind, unit byte, entry uint16, lanes uint64, dt byte) []byte {
+	b := fuzzOp(kind, unit, entry, 0, dt)
 	binary.LittleEndian.PutUint64(b[7:], lanes)
 	return b
 }
@@ -202,76 +203,80 @@ func FuzzAnalyzerPages(f *testing.F) {
 	// A stray read, then one past the unit.
 	seed(fuzzOp(opRegRead, 1, 7, 0, 9), fuzzOp(opRegAlloc, 1, 0, 16, 1),
 		fuzzOp(opRegRead|anywhere, 1, 1600, 0, 1))
-	// A full 64-lane batch at stride 1, written and read, then one of its
-	// entries read on its own.
-	seed(fuzzOp(opRegAlloc, 0, 0, 200, 0), fuzzLanes(opRegLanesWrite, 0, 10, 1, ^uint64(0), 2),
-		fuzzLanes(opRegLanesRead, 0, 10, 1, ^uint64(0), 3), fuzzOp(opRegRead, 0, 40, 0, 1))
-	// Stride 0: every lane is the same entry, in one cycle.
-	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0), fuzzLanes(opRegLanesWrite, 0, 5, 0, 0b1011, 1),
-		fuzzLanes(opRegLanesRead, 0, 5, 0, 0b1011, 4), fuzzLanes(opRegLanesWrite, 0, 5, 0, 1, 2))
-	// Stride 37, sparse lanes, across the first page edge.
-	seed(fuzzOp(opRegAlloc, 1, 0, 1500, 0), fuzzLanes(opRegLanesWrite, 1, 3, 37, 0xFF00FF00FF, 1),
-		fuzzLanes(opRegLanesRead, 1, 3, 37, 0xF0F0F0F0F0, 5), fuzzLanes(opRegLanesWrite, 1, 3, 37, 0x8000000001, 2))
+	// A full 64-lane batch, written and read, then one of its entries read
+	// on its own.
+	seed(fuzzOp(opRegAlloc, 0, 0, 200, 0), fuzzLanes(opRegLanesWrite, 0, 10, ^uint64(0), 2),
+		fuzzLanes(opRegLanesRead, 0, 10, ^uint64(0), 3), fuzzOp(opRegRead, 0, 40, 0, 1))
+	// A one-lane batch (a scalar read of a VGPR) on a row's member: it is
+	// recorded on its own and dissolves the row, which the whole batch
+	// cannot form again until a write evens the entries out.
+	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0), fuzzLanes(opRegLanesWrite, 0, 4, 0xF, 1),
+		fuzzLanes(opRegLanesRead, 0, 5, 1, 4), fuzzLanes(opRegLanesRead, 0, 4, 0xF, 2),
+		fuzzLanes(opRegLanesWrite, 0, 4, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 4, 0xF, 1))
+	// Sparse lanes across the first page edge.
+	seed(fuzzOp(opRegAlloc, 1, 0, 1500, 0), fuzzLanes(opRegLanesWrite, 1, 1000, 0xFF00FF00FF00FF00, 1),
+		fuzzLanes(opRegLanesRead, 1, 1000, 0xF0F0F0F0F0F0F0F0, 5), fuzzLanes(opRegLanesWrite, 1, 1000, 0x8000000000000001, 2))
 	// Lanes whose entries lie past the unit: no table, and the lanes
 	// before them still count.
-	seed(fuzzOp(opRegAlloc, 2, 1400, 100, 0), fuzzLanes(opRegLanesWrite, 2, 1490, 1, 0xFFFF, 1),
-		fuzzLanes(opRegLanesRead, 2, 1490, 1, 0x3FF, 3))
+	seed(fuzzOp(opRegAlloc, 2, 1400, 100, 0), fuzzLanes(opRegLanesWrite, 2, 1490, 0xFFFF, 1),
+		fuzzLanes(opRegLanesRead, 2, 1490, 0x3FF, 3))
 	// A batch at a cycle past the 32-bit stamps: no table.
-	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0xF, 1),
-		fuzzLanes(opRegLanesRead, 0, 0, 1, 0xF, late))
+	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 0, 0xF, 1),
+		fuzzLanes(opRegLanesRead, 0, 0, 0xF, late))
 	// An empty batch names no entry, so none it cannot place: not on a
 	// unit past the geometry, nor past the stamps.
-	seed(fuzzLanes(opRegLanesRead|anywhere, 3, 0, 1, 0, 1), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0, late))
+	seed(fuzzLanes(opRegLanesRead|anywhere, 3, 0, 0, 1), fuzzLanes(opRegLanesWrite, 0, 0, 0, late))
 	// Rows. A repeated batch: a row forms on the write, and the reads and
 	// the closing write hit it.
-	seed(fuzzOp(opRegAlloc, 0, 0, 256, 0), fuzzLanes(opRegLanesWrite, 0, 8, 4, 0xFF, 1),
-		fuzzLanes(opRegLanesRead, 0, 8, 4, 0xFF, 2), fuzzLanes(opRegLanesRead, 0, 8, 4, 0xFF, 3),
-		fuzzLanes(opRegLanesWrite, 0, 8, 4, 0xFF, 1), fuzzLanes(opRegLanesRead, 0, 8, 4, 0xFF, 5),
-		fuzzOp(opRegRead, 0, 12, 0, 1), fuzzLanes(opRegLanesWrite, 0, 200, 1, 0xF, 1))
+	seed(fuzzOp(opRegAlloc, 0, 0, 256, 0), fuzzLanes(opRegLanesWrite, 0, 8, 0xFF, 1),
+		fuzzLanes(opRegLanesRead, 0, 8, 0xFF, 2), fuzzLanes(opRegLanesRead, 0, 8, 0xFF, 3),
+		fuzzLanes(opRegLanesWrite, 0, 8, 0xFF, 1), fuzzLanes(opRegLanesRead, 0, 8, 0xFF, 5),
+		fuzzOp(opRegRead, 0, 12, 0, 1), fuzzLanes(opRegLanesWrite, 0, 200, 0xF, 1))
 	// Subset batches, on the row's first lane and past it, then the whole
 	// batch again: it cannot form until a write evens the entries out, and
 	// then forms again.
-	seed(fuzzOp(opRegAlloc, 0, 0, 256, 0), fuzzLanes(opRegLanesWrite, 0, 100, 1, 0xFF, 1),
-		fuzzLanes(opRegLanesRead, 0, 100, 1, 0xFF, 2), fuzzLanes(opRegLanesRead, 0, 100, 1, 0x0F, 3),
-		fuzzLanes(opRegLanesRead, 0, 100, 1, 0xF0, 1), fuzzLanes(opRegLanesRead, 0, 100, 1, 0xFF, 2),
-		fuzzLanes(opRegLanesWrite, 0, 100, 1, 0xFF, 4), fuzzLanes(opRegLanesRead, 0, 100, 1, 0xFF, 2),
-		fuzzLanes(opRegLanesWrite, 0, 100, 1, 0xFF, 3))
-	// The same entries at another stride and mask, a per-entry access to a
-	// member, and the row forming again over what the access left equal.
-	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 20, 2, 0xF, 1),
-		fuzzLanes(opRegLanesRead, 0, 20, 2, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 20, 1, 0x55, 3),
-		fuzzLanes(opRegLanesRead, 0, 20, 1, 0x55, 1), fuzzOp(opRegRead, 0, 22, 0, 2),
-		fuzzOp(opRegWrite, 0, 24, 0, 0), fuzzLanes(opRegLanesWrite, 0, 20, 2, 0xF, 3),
-		fuzzLanes(opRegLanesRead, 0, 20, 2, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 20, 3, 0xF, 1))
+	seed(fuzzOp(opRegAlloc, 0, 0, 256, 0), fuzzLanes(opRegLanesWrite, 0, 100, 0xFF, 1),
+		fuzzLanes(opRegLanesRead, 0, 100, 0xFF, 2), fuzzLanes(opRegLanesRead, 0, 100, 0x0F, 3),
+		fuzzLanes(opRegLanesRead, 0, 100, 0xF0, 1), fuzzLanes(opRegLanesRead, 0, 100, 0xFF, 2),
+		fuzzLanes(opRegLanesWrite, 0, 100, 0xFF, 4), fuzzLanes(opRegLanesRead, 0, 100, 0xFF, 2),
+		fuzzLanes(opRegLanesWrite, 0, 100, 0xFF, 3))
+	// Batches over some of a row's entries and past it, a per-entry access
+	// to a member, and the row forming again over what the access left
+	// equal; then a batch one entry on.
+	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 20, 0xF, 1),
+		fuzzLanes(opRegLanesRead, 0, 20, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 20, 0x55, 3),
+		fuzzLanes(opRegLanesRead, 0, 20, 0x55, 1), fuzzOp(opRegRead, 0, 22, 0, 2),
+		fuzzOp(opRegWrite, 0, 21, 0, 0), fuzzLanes(opRegLanesWrite, 0, 20, 0xF, 3),
+		fuzzLanes(opRegLanesRead, 0, 20, 0xF, 2), fuzzLanes(opRegLanesRead, 0, 21, 0xF, 1))
 	// A batch over a row's first entry and the untouched one before it,
 	// whose state the row's entries held when it formed: no second row
-	// takes the first one's entry. Then no row hits a batch at another
-	// stride.
-	seed(fuzzOp(opRegAlloc, 0, 0, 16, 0), fuzzLanes(opRegLanesWrite, 0, 10, 1, 0b11, 1),
-		fuzzLanes(opRegLanesRead, 0, 9, 1, 0b11, 2),
-		fuzzLanes(opRegLanesRead, 0, 10, 1, 0b11, 1), fuzzLanes(opRegLanesWrite, 0, 10, 1, 0b11, 1),
-		fuzzLanes(opRegLanesRead, 0, 10, 1, 0b11, 1), fuzzLanes(opRegLanesRead, 0, 10, 2, 0b11, 1))
+	// takes the first one's entry. Then no row hits a batch from the same
+	// first entry under another mask.
+	seed(fuzzOp(opRegAlloc, 0, 0, 16, 0), fuzzLanes(opRegLanesWrite, 0, 10, 0b11, 1),
+		fuzzLanes(opRegLanesRead, 0, 9, 0b11, 2),
+		fuzzLanes(opRegLanesRead, 0, 10, 0b11, 1), fuzzLanes(opRegLanesWrite, 0, 10, 0b11, 1),
+		fuzzLanes(opRegLanesRead, 0, 10, 0b11, 1), fuzzLanes(opRegLanesRead, 0, 10, 0b101, 1))
 	// Two entries equal but for their open span's first cycle: no row.
-	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0), fuzzLanes(opRegLanesWrite, 0, 0, 1, 0b11, 1),
+	seed(fuzzOp(opRegAlloc, 0, 0, 8, 0), fuzzLanes(opRegLanesWrite, 0, 0, 0b11, 1),
 		fuzzOp(opRegRead, 0, 0, 0, 2), fuzzOp(opRegWrite, 0, 1, 0, 1), fuzzOp(opRegRead, 0, 1, 0, 2),
-		fuzzOp(opRegRead, 0, 0, 0, 0), fuzzLanes(opRegLanesRead, 0, 0, 1, 0b11, 2),
-		fuzzLanes(opRegLanesWrite, 0, 0, 1, 0b11, 1))
+		fuzzOp(opRegRead, 0, 0, 0, 0), fuzzLanes(opRegLanesRead, 0, 0, 0b11, 2),
+		fuzzLanes(opRegLanesWrite, 0, 0, 0b11, 1))
 	// Brackets over rows: a free and a reallocation that cover the row
 	// whole, a read before a write, a free of part of it, then reads of
 	// it: stray in part.
-	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 16, 3, 0x3FF, 1),
-		fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 2), fuzzOp(opRegFree, 0, 0, 64, 1),
-		fuzzOp(opRegAlloc, 0, 0, 64, 1), fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 1),
-		fuzzLanes(opRegLanesWrite, 0, 16, 3, 0x3FF, 1),
-		fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 2), fuzzOp(opRegFree, 0, 0, 30, 1),
-		fuzzLanes(opRegLanesRead, 0, 16, 3, 0x3FF, 2), fuzzLanes(opRegLanesWrite, 0, 16, 3, 0x3FF, 2))
+	seed(fuzzOp(opRegAlloc, 0, 0, 64, 0), fuzzLanes(opRegLanesWrite, 0, 16, 0x3FF, 1),
+		fuzzLanes(opRegLanesRead, 0, 16, 0x3FF, 2), fuzzOp(opRegFree, 0, 0, 64, 1),
+		fuzzOp(opRegAlloc, 0, 0, 64, 1), fuzzLanes(opRegLanesRead, 0, 16, 0x3FF, 1),
+		fuzzLanes(opRegLanesWrite, 0, 16, 0x3FF, 1),
+		fuzzLanes(opRegLanesRead, 0, 16, 0x3FF, 2), fuzzOp(opRegFree, 0, 0, 20, 1),
+		fuzzLanes(opRegLanesRead, 0, 16, 0x3FF, 2), fuzzLanes(opRegLanesWrite, 0, 16, 0x3FF, 2))
 	// Rows across page edges (keys 1,024 and 2,048), and a bracket that
 	// ends inside one.
 	seed(fuzzOp(opRegAlloc, 0, 900, 600, 0), fuzzOp(opRegAlloc, 1, 0, 1500, 0),
-		fuzzLanes(opRegLanesWrite, 0, 1010, 3, 0xFFFFF, 1), fuzzLanes(opRegLanesWrite, 1, 540, 1, ^uint64(0), 0),
-		fuzzLanes(opRegLanesRead, 0, 1010, 3, 0xFFFFF, 2), fuzzLanes(opRegLanesRead, 1, 540, 1, ^uint64(0), 0),
-		fuzzOp(opRegFree, 1, 0, 560, 3), fuzzLanes(opRegLanesRead, 1, 540, 1, ^uint64(0), 1),
-		fuzzLanes(opRegLanesWrite, 0, 1010, 3, 0xFFFFF, 2), fuzzLanes(opRegLanesRead, 0, 1010, 3, 0xFFFFF, 1))
+		fuzzLanes(opRegLanesWrite, 0, 1010, 0xFFFFF, 1), fuzzLanes(opRegLanesWrite, 1, 540, ^uint64(0), 0),
+		fuzzLanes(opRegLanesRead, 0, 1010, 0xFFFFF, 2), fuzzLanes(opRegLanesRead, 1, 540, ^uint64(0), 0),
+		fuzzOp(opRegFree, 1, 0, 560, 3), fuzzLanes(opRegLanesRead, 1, 540, ^uint64(0), 1),
+		fuzzLanes(opRegLanesWrite, 0, 1010, 0xFFFFF, 2), fuzzLanes(opRegLanesRead, 0, 1010, 0xFFFFF, 1))
 	// Local accesses of 2–4 bytes: a word forms a row, a half-word and a
 	// byte inside it dissolve it, and a word across the unit's end cannot
 	// be placed.
@@ -308,14 +313,14 @@ func FuzzAnalyzerPages(f *testing.F) {
 				r.RegFree(unit, entry, count, cycle)
 				regs.bracket(unit, entry, count, cycle, 0)
 			case opRegWrite, opRegRead:
-				r.RegAccess(unit, entry, 0, 1, cycle, kind == opRegWrite)
+				r.RegAccess(unit, entry, 1, cycle, kind == opRegWrite)
 				regs.access(unit, entry, cycle, kind == opRegWrite)
 			case opRegLanesWrite, opRegLanesRead:
-				stride, write := count%64, kind == opRegLanesWrite
-				r.RegAccess(unit, entry, stride, lanes, cycle, write)
+				write := kind == opRegLanesWrite
+				r.RegAccess(unit, entry, lanes, cycle, write)
 				for l := range 64 {
 					if lanes&(1<<l) != 0 {
-						regs.access(unit, entry+l*stride, cycle, write)
+						regs.access(unit, entry+l, cycle, write)
 					}
 				}
 			case opLocalAlloc:
@@ -363,16 +368,12 @@ func FuzzAnalyzerPages(f *testing.F) {
 						t.Fatalf("op %d %v: %v table retains an empty span list: offs=%v", n, op, st, lt.offs)
 					}
 				}
-				from := 0
-				for _, g := range lt.groups {
-					rows := lt.rowAt[from:g.end]
-					if !slices.IsSorted(rows) || slices.ContainsFunc(rows, func(at uint64) bool { return uint32(at>>32) != uint32(at)%g.stride }) {
-						t.Fatalf("op %d %v: %v table rows of stride %d out of order: %x", n, op, st, g.stride, rows)
-					}
-					from = int(g.end)
+				reach := 0
+				for _, m := range lt.rowMask {
+					reach = max(reach, 63-bits.LeadingZeros64(m))
 				}
-				if from != len(lt.rowAt) || !slices.IsSortedFunc(lt.groups, func(a, b group) int { return cmp.Compare(a.stride, b.stride) }) {
-					t.Fatalf("op %d %v: %v table groups %v over %d rows", n, op, st, lt.groups, len(lt.rowAt))
+				if !slices.IsSorted(lt.rowAt) || lt.reach != uint32(reach) {
+					t.Fatalf("op %d %v: %v table rows %v, reach %d, want ascending and reach %d", n, op, st, lt.rowAt, lt.reach, reach)
 				}
 				held := lt.perEntry()
 				for k, acc := range want.acc {
@@ -477,5 +478,5 @@ func TestLivenessTablesStaySmall(t *testing.T) {
 
 // bytes is what the table retains.
 func (lt *Table) bytes() int {
-	return 4*len(lt.keys) + 16*len(lt.rowAt) + 12*len(lt.groups) + 4*len(lt.offs) + 8*len(lt.spans) + 8*len(lt.blocks)
+	return 4*len(lt.keys) + 4*len(lt.rowAt) + 8*len(lt.rowMask) + 4*len(lt.offs) + 8*len(lt.spans) + 8*len(lt.blocks)
 }

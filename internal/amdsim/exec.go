@@ -121,7 +121,7 @@ func readOp32(d *Device, w *wave, o siasm.Operand) (uint32, error) {
 	switch o.Kind {
 	case siasm.OperandVReg:
 		var v [1]uint32
-		d.ReadRegs(w, int(o.Reg)*d.Chip.WarpWidth, 0, 1, v[:])
+		d.ReadRegs(w, int(o.Reg)*d.Chip.WarpWidth, 1, v[:])
 		return v[0], nil
 	case siasm.OperandSReg:
 		return w.ISA.sgprs[o.Reg], nil
@@ -436,7 +436,7 @@ func gather(d *Device, w *wave, active uint64, o siasm.Operand, v *[64]uint32) e
 		return err
 	}
 	ww := d.Chip.WarpWidth
-	d.ReadRegs(w, int(o.Reg)*ww, 1, active, v[:ww])
+	d.ReadRegs(w, int(o.Reg)*ww, active, v[:ww])
 	return nil
 }
 
@@ -444,7 +444,7 @@ func gather(d *Device, w *wave, active uint64, o siasm.Operand, v *[64]uint32) e
 // gather.
 func scatter(d *Device, w *wave, active uint64, r uint8, v *[64]uint32) {
 	ww := d.Chip.WarpWidth
-	d.WriteRegs(w, int(r)*ww, 1, active, v[:ww])
+	d.WriteRegs(w, int(r)*ww, active, v[:ww])
 }
 
 // execMem performs ds_read/ds_write against the group's LDS window, or

@@ -153,7 +153,7 @@ func runLanes(t *testing.T, prog *siasm.Program, arity int) []uint32 {
 		}
 	}
 	outAddr := &spec.Args[len(spec.Args)-1]
-	if *outAddr, err = mem.AllocZero(4 * groups * 64); err != nil {
+	if *outAddr, err = mem.Alloc(4 * groups * 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Launch(spec); err != nil {

@@ -39,9 +39,9 @@ func (e *eventHash) event(kind byte, unit, entry, n int, cycle int64, write bool
 	e.n++
 }
 
-func (e *eventHash) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
+func (e *eventHash) RegAccess(unit, base int, lanes uint64, cycle int64, write bool) {
 	for ; lanes != 0; lanes &= lanes - 1 {
-		e.event('r', unit, base+bits.TrailingZeros64(lanes)*stride, 1, cycle, write)
+		e.event('r', unit, base+bits.TrailingZeros64(lanes), 1, cycle, write)
 	}
 }
 func (e *eventHash) LocalAccess(unit, offset, size int, cycle int64, write bool) {

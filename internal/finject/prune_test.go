@@ -123,10 +123,10 @@ type rawTrace struct {
 	acc     [2]map[int][]rawAccess // by structure, keyed unit*perUnit+entry
 }
 
-func (r *rawTrace) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
-	r.Recorder.RegAccess(unit, base, stride, lanes, cycle, write)
+func (r *rawTrace) RegAccess(unit, base int, lanes uint64, cycle int64, write bool) {
+	r.Recorder.RegAccess(unit, base, lanes, cycle, write)
 	for ; lanes != 0; lanes &= lanes - 1 {
-		k := unit*r.perUnit[gpu.RegisterFile] + base + bits.TrailingZeros64(lanes)*stride
+		k := unit*r.perUnit[gpu.RegisterFile] + base + bits.TrailingZeros64(lanes)
 		r.acc[gpu.RegisterFile][k] = append(r.acc[gpu.RegisterFile][k], rawAccess{cycle, write})
 	}
 }
@@ -247,7 +247,7 @@ func TestLiveMapRefusesWhatItCannotAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := ace.NewRecorder(d)
-	rec.RegAccess(0, 0, 0, 1, 1<<32, false)
+	rec.RegAccess(0, 0, 1, 1<<32, false)
 	rec.LocalAccess(0, 8, 4, 7, true)
 	rec.LocalAccess(0, 8, 4, 3, false) // time running backwards
 	if m := rec.Liveness(); m[gpu.RegisterFile] != nil || m[gpu.LocalMemory] != nil {

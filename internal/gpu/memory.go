@@ -280,8 +280,3 @@ func (m *Memory) AllocFloats(vals []float32) (uint32, error) {
 	}
 	return addr, m.WriteFloats(addr, vals)
 }
-
-// AllocZero allocates a zeroed region of size bytes.
-func (m *Memory) AllocZero(size int) (uint32, error) {
-	return m.Alloc(size)
-}

@@ -286,7 +286,7 @@ func TestWarpRegisterIsOneRow(t *testing.T) {
 	}
 	run := func(f *gpu.Fault) ([]uint32, int64) {
 		d := newTestDevice(t)
-		out, err := d.Mem().AllocZero(4 * 32)
+		out, err := d.Mem().Alloc(4 * 32)
 		if err != nil {
 			t.Fatal(err)
 		}

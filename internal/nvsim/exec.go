@@ -322,7 +322,7 @@ func (i *isa) gather(d *Device, w *wave, lc *simt.LaunchCtx, exec uint32, o sass
 	switch o.Kind {
 	case sass.OperandReg:
 		if o.Reg != sass.RZ {
-			d.ReadRegs(w, int(o.Reg)*d.Chip.WarpWidth, 1, uint64(exec), v[:])
+			d.ReadRegs(w, int(o.Reg)*d.Chip.WarpWidth, uint64(exec), v[:])
 		}
 	case sass.OperandImm, sass.OperandConst:
 		x := o.Imm
@@ -339,7 +339,7 @@ func (i *isa) gather(d *Device, w *wave, lc *simt.LaunchCtx, exec uint32, o sass
 // gather; a write of RZ is dropped.
 func (i *isa) scatter(d *Device, w *wave, exec uint32, r uint8, v *[32]uint32) {
 	if r != sass.RZ {
-		d.WriteRegs(w, int(r)*d.Chip.WarpWidth, 1, uint64(exec), v[:])
+		d.WriteRegs(w, int(r)*d.Chip.WarpWidth, uint64(exec), v[:])
 	}
 }
 

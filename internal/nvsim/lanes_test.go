@@ -113,7 +113,7 @@ func runLanes(t *testing.T, prog *sass.Program, arity int) []uint32 {
 			t.Fatal(err)
 		}
 	}
-	if args[3], err = mem.AllocZero(4 * blocks * 64); err != nil {
+	if args[3], err = mem.Alloc(4 * blocks * 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Launch(gpu.LaunchSpec{Kernel: prog, Grid: gpu.D1(blocks), Group: gpu.D1(64), Args: args}); err != nil {

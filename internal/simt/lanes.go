@@ -6,59 +6,60 @@ import (
 )
 
 // The lane accessors are the only per-lane path to a unit's storage and
-// to device memory: an ISA decodes its operands and names its register
-// layout, and these touch the arrays, trace and check every access. Lane
-// l of a vector is bit l of the lane mask; a lane outside it is neither
-// touched nor traced. Each loop reads its storage slice into a local, or
-// it reloads the slice header on every lane, and masks the lane shift to
-// 63, or it pays Go's fix-up for a shift of 64 or more.
+// to device memory: an ISA decodes its operands and names each register's
+// first entry, and these touch the arrays, trace and check every access.
+// Lane l of a vector is bit l of the lane mask; a lane outside it is
+// neither touched nor traced. Each loop reads its storage slice into a
+// local, or it reloads the slice header on every lane, and masks the lane
+// shift to 63, or it pays Go's fix-up for a shift of 64 or more.
 //
-// Both ISAs keep a vector register's lanes contiguous (stride 1: an AMD
-// VGPR, an NVIDIA warp register), so an operand whose mask holds every
-// lane of its vector is one copy: most do (76 % of the AMD and 88 % of
-// the NVIDIA operands of the paper grid's golden runs, all but 0.1 % of
-// a matrixMul campaign's). Any other operand (a partial mask, a scalar
-// read at stride 0) takes the masked loop.
+// Both ISAs keep a vector register's lanes contiguous (an AMD VGPR, an
+// NVIDIA warp register): lane l of an operand is entry base + l. So an
+// operand whose mask holds every lane of its vector is one copy: most do
+// (76 % of the AMD and 88 % of the NVIDIA operands of the paper grid's
+// golden runs, all but 0.1 % of a matrixMul campaign's). Any other
+// operand (a partial mask, a scalar read of one lane) takes the masked
+// loop.
 
-// ReadRegs reads register-file entry w.RegBase + off + l*stride of w's
-// unit into v[l] for every lane l in lanes, after one tracer event for
-// them all.
-func (d *Device[W]) ReadRegs(w *Wave[W], off, stride int, lanes uint64, v []uint32) {
+// ReadRegs reads register-file entry w.RegBase + off + l of w's unit into
+// v[l] for every lane l in lanes, after one tracer event for them all.
+func (d *Device[W]) ReadRegs(w *Wave[W], off int, lanes uint64, v []uint32) {
 	u := w.Blk.unit
 	idx := w.RegBase + off
 	if t := d.tracer; t != nil {
-		t.RegAccess(u.ID, idx, stride, lanes, d.Cycle, false)
+		t.RegAccess(u.ID, idx, lanes, d.Cycle, false)
 	}
 	regs := u.regFile
-	if stride == 1 && allLanes(lanes, len(v)) {
+	if allLanes(lanes, len(v)) {
 		copy(v, regs[idx:idx+len(v)])
 		return
 	}
 	for l := range v {
 		if lanes>>(uint(l)&63)&1 != 0 {
-			v[l] = regs[idx]
+			v[l] = regs[idx+l]
 		}
-		idx += stride
 	}
 }
 
 // WriteRegs writes v[l] into the entries ReadRegs reads.
-func (d *Device[W]) WriteRegs(w *Wave[W], off, stride int, lanes uint64, v []uint32) {
+func (d *Device[W]) WriteRegs(w *Wave[W], off int, lanes uint64, v []uint32) {
 	u := w.Blk.unit
 	idx := w.RegBase + off
 	if t := d.tracer; t != nil {
-		t.RegAccess(u.ID, idx, stride, lanes, d.Cycle, true)
+		t.RegAccess(u.ID, idx, lanes, d.Cycle, true)
 	}
 	regs := u.regFile
-	if stride == 1 && allLanes(lanes, len(v)) {
+	if allLanes(lanes, len(v)) {
 		copy(regs[idx:idx+len(v)], v)
 		return
 	}
 	for l := range v {
 		if lanes>>(uint(l)&63)&1 != 0 {
-			regs[idx] = v[l]
+			// A store's index is a local defined from RegBase and never
+			// reassigned (TestStoresStayInsideTheBlock).
+			i := w.RegBase + off + l
+			regs[i] = v[l]
 		}
-		idx += stride
 	}
 }
 

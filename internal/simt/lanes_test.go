@@ -10,8 +10,7 @@ import (
 	"repro/internal/simt"
 )
 
-// probeRegs is the probe kernel's registers per thread: the widest
-// stride of the tests below.
+// probeRegs is the probe kernel's registers per thread.
 const probeRegs = 4
 
 // probe is an ISA with no instructions: the first wave it is asked to
@@ -51,8 +50,8 @@ func (probeKernel) LocalBytesPerGroup() int  { return 0 }
 
 // onResidentWave runs body on the first wave of one 64-thread group on
 // chip: its block's register window holds 64*probeRegs entries, so an
-// operand of up to 64 lanes at stride up to probeRegs, at an offset
-// below probeRegs, stays inside it.
+// operand of up to 64 lanes at an offset below probeRegs stays inside
+// it.
 func onResidentWave(tb testing.TB, chip *chips.Chip, body func(d *simt.Device[struct{}], w *simt.Wave[struct{}])) {
 	tb.Helper()
 	p := &probe{vendor: chip.Vendor, body: body}
@@ -70,17 +69,17 @@ func onResidentWave(tb testing.TB, chip *chips.Chip, body func(d *simt.Device[st
 
 // regEvent is one RegAccess call.
 type regEvent struct {
-	unit, base, stride int
-	lanes              uint64
-	cycle              int64
-	write              bool
+	unit, base int
+	lanes      uint64
+	cycle      int64
+	write      bool
 }
 
 // regLog records the register events of the lane accessors.
 type regLog struct{ events []regEvent }
 
-func (r *regLog) RegAccess(unit, base, stride int, lanes uint64, cycle int64, write bool) {
-	r.events = append(r.events, regEvent{unit, base, stride, lanes, cycle, write})
+func (r *regLog) RegAccess(unit, base int, lanes uint64, cycle int64, write bool) {
+	r.events = append(r.events, regEvent{unit, base, lanes, cycle, write})
 }
 func (*regLog) LocalAccess(int, int, int, int64, bool) {}
 func (*regLog) RegAlloc(int, int, int, int64)          {}
@@ -95,14 +94,14 @@ type regCount struct {
 	n int
 }
 
-func (r *regCount) RegAccess(int, int, int, uint64, int64, bool) { r.n++ }
+func (r *regCount) RegAccess(int, int, uint64, int64, bool) { r.n++ }
 
 // entries lists the register entries an event reports, lane by lane.
 func (e regEvent) entries(n int) []int {
 	var out []int
 	for l := range n {
 		if e.lanes>>l&1 != 0 {
-			out = append(out, e.base+l*e.stride)
+			out = append(out, e.base+l)
 		}
 	}
 	return out
@@ -110,11 +109,11 @@ func (e regEvent) entries(n int) []int {
 
 // TestLaneMovesMatchThePerLaneLoop: ReadRegs and WriteRegs move exactly
 // the entries a masked per-lane loop moves — on every lane, on all but
-// the top one, on one, on none; at stride 0 (a scalar read), 1 (an AMD
-// VGPR, an NVIDIA warp register) and the register count; for 1, 32
-// and 64 lanes — leave every other entry of the register file and every
-// masked-off lane of the vector alone, report the same entries to the
-// tracer in one event a call, and allocate nothing.
+// the top one, on one, on none; for 1 lane (a scalar read of a VGPR), 32
+// (an NVIDIA warp register) and 64 (an AMD VGPR) — leave every other
+// entry of the register file and every masked-off lane of the vector
+// alone, report the same entries to the tracer in one event a call, and
+// allocate nothing.
 func TestLaneMovesMatchThePerLaneLoop(t *testing.T) {
 	const off = probeRegs - 1
 	forVendors(t, func(t *testing.T, v vendor) {
@@ -124,59 +123,57 @@ func TestLaneMovesMatchThePerLaneLoop(t *testing.T) {
 			for _, n := range []int{1, 32, 64} {
 				all := ^uint64(0) >> (64 - n)
 				for _, lanes := range []uint64{all, ^uint64(0), all &^ (1 << (n - 1)), 1 << (n / 2), 0} {
-					for _, stride := range []int{0, 1, probeRegs} {
-						name := fmt.Sprintf("n=%d/lanes=%#x/stride=%d", n, lanes, stride)
-						for i := range regs {
-							regs[i] = 0xa000_0000 + uint32(i)
-						}
-						ref := slices.Clone(regs)
-						var touched []int
-						got := make([]uint32, n)
-						want := make([]uint32, n)
-						src := make([]uint32, n)
-						for l := range n {
-							got[l], want[l], src[l] = 0xdead_0000+uint32(l), 0xdead_0000+uint32(l), 0xb000_0000+uint32(l)
-						}
-						for l := range n {
-							if lanes>>l&1 != 0 {
-								idx := w.RegBase + off + l*stride
-								want[l] = regs[idx]
-								ref[idx] = src[l]
-								touched = append(touched, idx)
-							}
-						}
-
-						log.events = log.events[:0]
-						d.SetTracer(log)
-						d.ReadRegs(w, off, stride, lanes, got)
-						d.WriteRegs(w, off, stride, lanes, src)
-						d.SetTracer(nil)
-						if !slices.Equal(got, want) {
-							t.Errorf("%s: ReadRegs gave %#x, want %#x", name, got, want)
-						}
-						if !slices.Equal(regs, ref) {
-							t.Errorf("%s: WriteRegs left a register file that differs from the per-lane loop's", name)
-						}
-						if len(log.events) != 2 {
-							t.Fatalf("%s: %d register events, want one a call", name, len(log.events))
-						}
-						for i, e := range log.events {
-							if e.unit != 0 || e.cycle != d.Cycle || e.write != (i == 1) || !slices.Equal(e.entries(n), touched) {
-								t.Errorf("%s: event %+v reports entries %v, want unit 0, cycle %d, write %v, entries %v",
-									name, e, e.entries(n), d.Cycle, i == 1, touched)
-							}
-						}
-
-						count := &regCount{}
-						d.SetTracer(count)
-						if a := testing.AllocsPerRun(10, func() {
-							d.ReadRegs(w, off, stride, lanes, got)
-							d.WriteRegs(w, off, stride, lanes, src)
-						}); a != 0 || count.n == 0 {
-							t.Errorf("%s: %v allocations a run over %d traced calls, want 0", name, a, count.n)
-						}
-						d.SetTracer(nil)
+					name := fmt.Sprintf("n=%d/lanes=%#x", n, lanes)
+					for i := range regs {
+						regs[i] = 0xa000_0000 + uint32(i)
 					}
+					ref := slices.Clone(regs)
+					var touched []int
+					got := make([]uint32, n)
+					want := make([]uint32, n)
+					src := make([]uint32, n)
+					for l := range n {
+						got[l], want[l], src[l] = 0xdead_0000+uint32(l), 0xdead_0000+uint32(l), 0xb000_0000+uint32(l)
+					}
+					for l := range n {
+						if lanes>>l&1 != 0 {
+							idx := w.RegBase + off + l
+							want[l] = regs[idx]
+							ref[idx] = src[l]
+							touched = append(touched, idx)
+						}
+					}
+
+					log.events = log.events[:0]
+					d.SetTracer(log)
+					d.ReadRegs(w, off, lanes, got)
+					d.WriteRegs(w, off, lanes, src)
+					d.SetTracer(nil)
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: ReadRegs gave %#x, want %#x", name, got, want)
+					}
+					if !slices.Equal(regs, ref) {
+						t.Errorf("%s: WriteRegs left a register file that differs from the per-lane loop's", name)
+					}
+					if len(log.events) != 2 {
+						t.Fatalf("%s: %d register events, want one a call", name, len(log.events))
+					}
+					for i, e := range log.events {
+						if e.unit != 0 || e.cycle != d.Cycle || e.write != (i == 1) || !slices.Equal(e.entries(n), touched) {
+							t.Errorf("%s: event %+v reports entries %v, want unit 0, cycle %d, write %v, entries %v",
+								name, e, e.entries(n), d.Cycle, i == 1, touched)
+						}
+					}
+
+					count := &regCount{}
+					d.SetTracer(count)
+					if a := testing.AllocsPerRun(10, func() {
+						d.ReadRegs(w, off, lanes, got)
+						d.WriteRegs(w, off, lanes, src)
+					}); a != 0 || count.n == 0 {
+						t.Errorf("%s: %v allocations a run over %d traced calls, want 0", name, a, count.n)
+					}
+					d.SetTracer(nil)
 				}
 			}
 		})
@@ -185,14 +182,14 @@ func TestLaneMovesMatchThePerLaneLoop(t *testing.T) {
 
 // BenchmarkLaneMoves: one ReadRegs and one WriteRegs of an operand, the
 // lane accessors' cost without an instruction around it, untraced — an
-// AMD VGPR (64 lanes) and an NVIDIA warp register (32 lanes), both at
-// stride 1, with every lane active and with the top lane off.
+// AMD VGPR (64 lanes) and an NVIDIA warp register (32 lanes), with every
+// lane active and with the top lane off.
 func BenchmarkLaneMoves(b *testing.B) {
 	onResidentWave(b, chips.MiniAMD(), func(d *simt.Device[struct{}], w *simt.Wave[struct{}]) {
 		for _, layout := range []struct {
-			name      string
-			n, stride int
-		}{{"vgpr", 64, 1}, {"warp", 32, 1}} {
+			name string
+			n    int
+		}{{"vgpr", 64}, {"warp", 32}} {
 			v := make([]uint32, layout.n)
 			all := ^uint64(0) >> (64 - layout.n)
 			for _, mask := range []struct {
@@ -201,8 +198,8 @@ func BenchmarkLaneMoves(b *testing.B) {
 			}{{"full", all}, {"partial", all >> 1}} {
 				b.Run(layout.name+"/"+mask.name, func(b *testing.B) {
 					for range b.N {
-						d.ReadRegs(w, 1, layout.stride, mask.lanes, v)
-						d.WriteRegs(w, 1, layout.stride, mask.lanes, v)
+						d.ReadRegs(w, 1, mask.lanes, v)
+						d.WriteRegs(w, 1, mask.lanes, v)
 					}
 				})
 			}

@@ -42,11 +42,11 @@ func (l *localLog) LocalAccess(_, offset, _ int, _ int64, write bool) {
 	}
 }
 
-func (*localLog) RegAccess(int, int, int, uint64, int64, bool) {}
-func (*localLog) RegAlloc(int, int, int, int64)                {}
-func (*localLog) RegFree(int, int, int, int64)                 {}
-func (*localLog) LocalAlloc(int, int, int, int64)              {}
-func (*localLog) LocalFree(int, int, int, int64)               {}
+func (*localLog) RegAccess(int, int, uint64, int64, bool) {}
+func (*localLog) RegAlloc(int, int, int, int64)           {}
+func (*localLog) RegFree(int, int, int, int64)            {}
+func (*localLog) LocalAlloc(int, int, int, int64)         {}
+func (*localLog) LocalFree(int, int, int, int64)          {}
 
 // TestFailingLaneStopsTheAccess: a memory instruction whose lane k has a
 // bad address fails the launch with an error naming the ISA, the kernel

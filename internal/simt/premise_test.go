@@ -155,8 +155,8 @@ func TestTracerCallsSitOutsideLaneLoops(t *testing.T) {
 // addresses against the block's LocalCount.
 func TestStoresStayInsideTheBlock(t *testing.T) {
 	// want is the number of stores per package: WriteRegs' copy of a
-	// full stride-1 operand and its element store (the lanes of a mask),
-	// and AccessLocal's PutUint32.
+	// full operand and its element store (the lanes of a mask), and
+	// AccessLocal's PutUint32.
 	want := map[string]int{".": 3, "../nvsim": 0, "../amdsim": 0}
 	for dir, n := range want {
 		fset, files := parseDir(t, dir)
@@ -210,17 +210,10 @@ func storesOutsideTheBlock(fset *token.FileSet, files []*ast.File, machine bool)
 				}
 				return true
 			})
-			params := map[string]bool{}
-			for _, field := range fn.Type.Params.List {
-				for _, name := range field.Names {
-					params[name.Name] = true
-				}
-			}
 			// based reports whether the index expression is a variable
 			// this function defines from the named base, every definition
-			// of it mentioning the base, and that it changes after that
-			// only by += of a parameter (idx += stride): never from data a
-			// flip can reach.
+			// of it mentioning the base, and that nothing reassigns: a lane
+			// is an offset from the base, never data a flip can reach.
 			based := func(index ast.Expr, base string) bool {
 				id, ok := index.(*ast.Ident)
 				if !ok {
@@ -234,13 +227,9 @@ func storesOutsideTheBlock(fset *token.FileSet, files []*ast.File, machine bool)
 							if l, ok := lhs.(*ast.Ident); !ok || l.Name != id.Name {
 								continue
 							}
-							switch {
-							case st.Tok == token.DEFINE && len(st.Lhs) == 1 && len(st.Rhs) == 1 && mentions(st.Rhs[0], base):
+							if st.Tok == token.DEFINE && len(st.Lhs) == 1 && len(st.Rhs) == 1 && mentions(st.Rhs[0], base) {
 								defined = true
-							case st.Tok == token.ADD_ASSIGN && len(st.Rhs) == 1:
-								r, ok := st.Rhs[0].(*ast.Ident)
-								other = other || !ok || !params[r.Name]
-							default:
+							} else {
 								other = true
 							}
 						}
