@@ -29,9 +29,8 @@
 //
 // All figures of one local invocation share one experiment.Runner over
 // one campaign scheduler, so Fig. 3 reuses every cell Figs. 1 and 2
-// already measured. AVF-ACE rides on those cells' FI results; a cell
-// without one takes it from a golden-only sibling campaign, which the
-// scheduler stores and shares like any cell, so a later pass runs none.
+// already measured. AVF-ACE rides on those cells' FI results, so a
+// figure pass runs its cells and nothing else.
 package main
 
 import (

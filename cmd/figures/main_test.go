@@ -179,7 +179,7 @@ func TestCommittedSpecsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := experiment.ParseBytes(body)
+		spec, err := experiment.Parse(bytes.NewReader(body))
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
@@ -188,7 +188,7 @@ func TestCommittedSpecsCompile(t *testing.T) {
 			t.Errorf("%s: %v", path, err)
 		}
 		typo := append([]byte(`{"unknown_field": 1, `), bytes.TrimPrefix(bytes.TrimSpace(body), []byte("{"))...)
-		if _, err := experiment.ParseBytes(typo); err == nil {
+		if _, err := experiment.Parse(bytes.NewReader(typo)); err == nil {
 			t.Errorf("%s: a spec with an unknown field was accepted", path)
 		}
 	}

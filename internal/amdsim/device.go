@@ -25,10 +25,7 @@ import (
 // Device is one simulated AMD GPU.
 type Device = simt.Device[wavefront]
 
-type (
-	wave      = simt.Wave[wavefront]
-	waveState = simt.WaveState[wavefront]
-)
+type wave = simt.Wave[wavefront]
 
 // New creates a device for an AMD chip configuration.
 func New(chip *chips.Chip) (*Device, error) { return simt.New[wavefront](chip, &isa{}) }

@@ -1,6 +1,7 @@
 package amdsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/chips"
@@ -78,12 +79,12 @@ func TestVecAddSI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	got, err := d.Mem().ReadFloats(addrC, n)
+	got, err := d.Mem().ReadWords(addrC, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
-		if want := 4 * float32(i); got[i] != want {
+		if want := 4 * float32(i); math.Float32frombits(got[i]) != want {
 			t.Fatalf("out[%d] = %v, want %v", i, got[i], want)
 		}
 	}
@@ -203,7 +204,7 @@ func TestFaultInjectionFlipsVGPR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(f *gpu.Fault) []float32 {
+	run := func(f *gpu.Fault) []uint32 {
 		d := newTestDevice(t)
 		const n = 64
 		a := make([]float32, n)
@@ -223,7 +224,7 @@ func TestFaultInjectionFlipsVGPR(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Launch: %v", err)
 		}
-		out, err := d.Mem().ReadFloats(addrC, n)
+		out, err := d.Mem().ReadWords(addrC, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,6 @@ func (r Request) campaign() (finject.Campaign, error) {
 	// The cap already lives in Spec.Injections; a nonzero MaxInjections
 	// here would double-apply it.
 	c.Policy.MaxInjections = 0
-	c.Detail = false
 	return c, nil
 }
 

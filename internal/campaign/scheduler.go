@@ -111,9 +111,9 @@ func (s *Scheduler) Stats() Stats {
 // Run serves one campaign cell: from the store if present, by joining an
 // in-flight execution of the same cell if one exists, and by executing
 // the campaign otherwise. Scheduling parameters that don't affect results
-// (Workers, Detail, Golden) are owned by the scheduler: Workers follows
-// Config.CampaignWorkers, Detail records are never stored, and the golden
-// reference comes from the shared per-(chip, benchmark) cache.
+// (Workers, Golden) are owned by the scheduler: Workers follows
+// Config.CampaignWorkers, and the golden reference comes from the shared
+// per-(chip, benchmark) cache.
 func (s *Scheduler) Run(ctx context.Context, c finject.Campaign) (*finject.Result, error) {
 	res, _, err := s.run(ctx, c)
 	return res, err

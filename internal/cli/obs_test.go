@@ -23,7 +23,7 @@ func TestRunWithTrace(t *testing.T) {
 	if err := Run("gufi", gpu.NVIDIA, args, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if telemetry.ActiveTracer() != nil {
+	if telemetry.SetTracer(nil) != nil {
 		t.Fatal("tracer left installed after the run")
 	}
 	buf, err := os.ReadFile(tracePath)
@@ -74,7 +74,7 @@ func TestObsFlagErrors(t *testing.T) {
 	if err := Run("gufi", gpu.NVIDIA, args, &sb); err == nil {
 		t.Fatal("unwritable -trace path accepted")
 	}
-	if telemetry.ActiveTracer() != nil {
+	if telemetry.SetTracer(nil) != nil {
 		t.Fatal("tracer left installed after a failed trace write")
 	}
 }

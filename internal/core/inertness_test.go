@@ -195,7 +195,8 @@ func remoteSched(t *testing.T, _ string) *campaign.Scheduler {
 // outside that function.
 func withObservers(t *testing.T, run func()) {
 	t.Helper()
-	prevTracer := telemetry.SetTracer(telemetry.NewTracer())
+	tracer := telemetry.NewTracer()
+	prevTracer := telemetry.SetTracer(tracer)
 	prevLog := slog.Default()
 	slog.SetDefault(telemetry.NewLogger(io.Discard, slog.LevelDebug, "json"))
 	stopScrape, scrapeDone := make(chan struct{}), make(chan struct{})
@@ -215,9 +216,8 @@ func withObservers(t *testing.T, run func()) {
 	close(stopScrape)
 	<-scrapeDone
 	slog.SetDefault(prevLog)
-	telemetry.SetTracer(prevTracer)
-	if telemetry.ActiveTracer() != prevTracer {
-		t.Fatal("tracer not restored")
+	if telemetry.SetTracer(prevTracer) != tracer {
+		t.Fatal("tracer swapped during the run")
 	}
 }
 

@@ -120,7 +120,7 @@ func TestSpecCompatWithCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := ParseBytes(out)
+	re, err := Parse(bytes.NewReader(out))
 	if err != nil {
 		t.Fatalf("canonical form does not reparse strictly: %v\n%s", err, out)
 	}

@@ -27,7 +27,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add([]byte(`{"version":1,"chips":[],"policy":{"confidence":95,"checkpoint":{"interval":-1}},"metrics":{"protection":[{"name":"","schemes":[]}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseBytes(data)
+		s, err := Parse(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -39,7 +39,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec does not marshal: %v", err)
 		}
-		back, err := ParseBytes(canon)
+		back, err := Parse(bytes.NewReader(canon))
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\n%s", err, canon)
 		}

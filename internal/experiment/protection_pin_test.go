@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ import (
 func TestProtectionSweepPinned(t *testing.T) {
 	t.Parallel()
 	const golden = "testdata/protection_sweep.json"
-	spec, err := ParseBytes([]byte(`{
+	spec, err := Parse(strings.NewReader(`{
 		"version": 1,
 		"name": "mini-protection-pin",
 		"chips": ["Mini NVIDIA", "Mini AMD"],

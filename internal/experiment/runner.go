@@ -25,8 +25,7 @@ type Progress struct {
 	// Spec is its normalized campaign identity.
 	Spec campaign.CellSpec
 	// Result is the cell's campaign result, with the AVF-ACE of its
-	// golden run unless the store served a record from before results
-	// carried it; under the ACE-only estimator a golden-only campaign's,
+	// golden run; under the ACE-only estimator a golden-only campaign's,
 	// with 0 injections. Nil for a failed cell.
 	Result *finject.Result
 	// Cached is true when the cell was served without running a
@@ -114,11 +113,6 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if spec.Estimator == EstimatorBoth {
-		if err := withACE(ctx, sched, p, results); err != nil {
-			return nil, err
-		}
-	}
 	cells := make(map[[3]int]*Cell, len(p.Cells))
 	for i, pc := range p.Cells {
 		cell, err := measureCell(spec, pc, results[i])
@@ -169,35 +163,6 @@ func (r *Runner) RunPlan(ctx context.Context, p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// withACE gives every FI result that carries no AVF-ACE — a store record
-// from before results carried it — the AVF-ACE of the cell's golden-only
-// sibling, run as a second batch. It replaces such a result with a copy
-// rather than change one the store owns.
-func withACE(ctx context.Context, sched *campaign.Scheduler, p *Plan, results []*finject.Result) error {
-	var idx []int
-	var siblings []finject.Campaign
-	for i, fres := range results {
-		if fres.AVFACE == nil {
-			c := p.Cells[i].Campaign
-			c.GoldenOnly = true
-			idx, siblings = append(idx, i), append(siblings, c)
-		}
-	}
-	if len(siblings) == 0 {
-		return nil
-	}
-	golden, err := sched.RunBatch(ctx, siblings, nil)
-	if err != nil {
-		return err
-	}
-	for j, i := range idx {
-		fres := *results[i]
-		fres.AVFACE = golden[j].AVFACE
-		results[i] = &fres
-	}
-	return nil
-}
-
 // measureCell measures one grid cell under the spec's estimator from its
 // campaign's result: occupancy, cycles and AVF-ACE from the golden run,
 // the FI AVF and outcomes from the injections.
@@ -222,7 +187,7 @@ func measureCell(spec Spec, pc PlannedCell, fres *finject.Result) (*Cell, error)
 	}
 	if spec.Estimator.ace() {
 		if fres.AVFACE == nil {
-			return nil, fmt.Errorf("experiment: %s/%s/%s: the golden run has no AVF-ACE", pc.Chip.Name, pc.Benchmark.Name, pc.Structure)
+			return nil, fmt.Errorf("experiment: %s/%s/%s: the result carries no AVF-ACE: its golden run has none, or a store written before results carried it served the record", pc.Chip.Name, pc.Benchmark.Name, pc.Structure)
 		}
 		cell.AVFACE = *fres.AVFACE
 	}

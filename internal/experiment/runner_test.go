@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -136,7 +138,7 @@ func TestRunnerProtectionSweep(t *testing.T) {
 			]
 		}
 	}`
-	spec, err := ParseBytes([]byte(specJSON))
+	spec, err := Parse(strings.NewReader(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +301,8 @@ func TestProgressIndexAndResult(t *testing.T) {
 // its campaigns' golden runs, so the three figure specs on a fresh store
 // run their 80 distinct cells and nothing else. Served from a store whose
 // records lack the field — one written before the golden run carried it
-// — each figure runs no injection but the golden-only sibling of each of
-// its ACE cells: 40 for Fig. 1 and 28 for Fig. 2 (Fig. 3 is FI only), and
-// every figure reads, byte for byte, as from the golden runs.
+// — a figure under "both" fails naming its first cell, and the same
+// figure under "fi" is served from the store without a run.
 func TestFiguresMeasureEachPairOnce(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -314,29 +315,31 @@ func TestFiguresMeasureEachPairOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec.Injections, spec.Seed = 2, 1
-		var docs [2][]byte
-		for i, r := range []*Runner{fresh, old} {
-			res, err := r.Run(ctx, spec)
+		if _, err := fresh.Run(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		if spec.Estimator == EstimatorBoth {
+			plan, err := spec.Compile()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if docs[i], err = json.Marshal(res); err != nil {
-				t.Fatal(err)
+			pc := plan.Cells[0]
+			cell := fmt.Sprintf("%s/%s/%s", pc.Chip.Name, pc.Benchmark.Name, pc.Structure)
+			_, err = old.Run(ctx, spec)
+			if err == nil || !strings.Contains(err.Error(), cell) || !strings.Contains(err.Error(), "before results carried it") {
+				t.Fatalf("%s from records without AVF-ACE: error %v, want one naming %s and the old store", spec.Name, err, cell)
 			}
+			spec.Estimator = EstimatorFI
 		}
-		if !bytes.Equal(docs[0], docs[1]) {
-			t.Fatalf("%s: the result from records without AVF-ACE differs from the golden runs'", spec.Name)
+		if _, err := old.Run(ctx, spec); err != nil {
+			t.Fatalf("%s under fi from records without AVF-ACE: %v", spec.Name, err)
 		}
 	}
 	if st := fresh.Scheduler.Stats(); st.Runs != 80 {
 		t.Fatalf("%d cell runs for the three figures, want their 80 cells", st.Runs)
 	}
-	st := old.Scheduler.Stats()
-	if st.Injections != 0 {
-		t.Fatalf("the store without AVF-ACE ran %d injections, want every FI cell from the store", st.Injections)
-	}
-	if st.Runs != 40+28 {
-		t.Fatalf("%d golden-only runs for the three figures from records without AVF-ACE, want 40+28", st.Runs)
+	if st := old.Scheduler.Stats(); st.Runs != 0 || st.Injections != 0 {
+		t.Fatalf("%d cell runs and %d injections from records without AVF-ACE, want every cell from the store", st.Runs, st.Injections)
 	}
 }
 

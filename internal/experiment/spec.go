@@ -15,7 +15,6 @@
 package experiment
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -153,9 +152,6 @@ func Parse(r io.Reader) (Spec, error) {
 	}
 	return s, nil
 }
-
-// ParseBytes is Parse over a byte slice.
-func ParseBytes(b []byte) (Spec, error) { return Parse(bytes.NewReader(b)) }
 
 // Normalize resolves every defaulted field, so that specs describing the
 // same experiment compare equal and compile to equal cell keys no matter

@@ -40,7 +40,7 @@ func TestFigureSpecGoldens(t *testing.T) {
 				t.Errorf("fig %d spec drifted from %s:\n%s\nwant:\n%s", fig, path, got, want)
 			}
 			// Round-trip: the golden file parses into the same spec.
-			parsed, err := ParseBytes(want)
+			parsed, err := Parse(bytes.NewReader(want))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 		`{"version": 1, "metrics": {"protection": [{"name": "x", "schemes": [{"perf_overhed": 0.1}]}]}}`: "perf_overhed",
 	}
 	for c, field := range cases {
-		if _, err := ParseBytes([]byte(c)); err == nil || !strings.Contains(err.Error(), field) {
+		if _, err := Parse(strings.NewReader(c)); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("spec %s: err %v, want one naming %q", c, err, field)
 		}
 	}
@@ -129,7 +129,7 @@ func TestEqualSpecsEqualKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTripped, err := ParseBytes(b)
+	roundTripped, err := Parse(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestCheckpointLadderSharedUnderRace(t *testing.T) {
 	campaignFor := func(seed uint64) Campaign {
 		return Campaign{
 			Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile,
-			Injections: 60, Seed: seed, Golden: golden, Detail: true,
+			Injections: 60, Seed: seed, Golden: golden, detail: true,
 			Policy: Config{Workers: 8},
 		}
 	}

@@ -20,7 +20,7 @@ func TestDetailRecords(t *testing.T) {
 		res, err := Run(Campaign{
 			Chip: chips.MiniNVIDIA(), Benchmark: b,
 			Structure: gpu.RegisterFile, Injections: 120, Seed: 3,
-			Policy: Config{Workers: workers}, Detail: true,
+			Policy: Config{Workers: workers}, detail: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -75,6 +75,6 @@ func TestNoDetailByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Records != nil {
-		t.Fatal("records allocated without Detail")
+		t.Fatal("records allocated without detail")
 	}
 }

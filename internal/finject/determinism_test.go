@@ -29,7 +29,7 @@ func TestResultByteIdentical(t *testing.T) {
 	campaign := func(pol Config) Campaign {
 		return Campaign{
 			Chip: chip, Benchmark: b, Structure: gpu.RegisterFile,
-			Injections: cap, Seed: 9, Detail: true, Golden: golden,
+			Injections: cap, Seed: 9, detail: true, Golden: golden,
 			Policy: pol,
 		}
 	}

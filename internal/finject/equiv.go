@@ -19,7 +19,7 @@ import (
 // assertions (figure assembly, report JSON). Future engine changes keep
 // the same proof by running their scenario matrix through this helper.
 func CheckpointEquivalence(c Campaign) (*Result, error) {
-	c.Detail = true
+	c.detail = true
 
 	full := c
 	full.Policy.Checkpoint = &Checkpoint{Off: true}
@@ -50,7 +50,7 @@ func CheckpointEquivalence(c Campaign) (*Result, error) {
 // bit-identical by the same comparison. It returns the pruned run's
 // result.
 func PruneEquivalence(c Campaign) (*Result, error) {
-	c.Detail = true
+	c.detail = true
 
 	all := c
 	all.unpruned = true

@@ -69,9 +69,6 @@ type Campaign struct {
 	Policy Config
 	// WatchdogFactor overrides DefaultWatchdogFactor when > 0.
 	WatchdogFactor int
-	// Detail records every injection's fault site, outcome and SDC
-	// severity in Result.Records (costs memory proportional to N).
-	Detail bool
 	// FaultWidth sets the burst width in adjacent bits (values < 2 give
 	// the paper's single-bit model).
 	FaultWidth uint
@@ -88,6 +85,10 @@ type Campaign struct {
 	// reads no rung of its ladder.
 	Golden *Golden
 
+	// detail records every injection's fault site, outcome and SDC
+	// severity in Result.Records (costs memory proportional to N) — what
+	// the equivalence harnesses compare.
+	detail bool
 	// unpruned simulates every sampled fault, also those the reference
 	// run's liveness map proves Masked (see auditEvery) — the reference
 	// side of PruneEquivalence, and what tests that meter the simulate
@@ -124,7 +125,8 @@ type Campaign struct {
 // has been resized.
 const auditEvery = 3
 
-// Record is one injection's detailed result (Campaign.Detail).
+// Record is one injection's detailed result, kept when the campaign's
+// detail flag is set (CheckpointEquivalence, PruneEquivalence).
 type Record struct {
 	Fault   gpu.Fault
 	Outcome gpu.Outcome
@@ -147,41 +149,33 @@ type Result struct {
 	// AVFACE is the structure's ACE AVF over the golden run, summed by
 	// the recorder fault-site pruning reads (ace.Recorder.AVF). It is nil
 	// where that run has no ACE (an access the recorder refuses) and in
-	// results stored before the golden run carried it; the AVF-ACE then
-	// comes from the cell's golden-only sibling (Campaign.GoldenOnly).
+	// results stored before the golden run carried it; an experiment
+	// that estimates ACE fails on such a cell.
 	AVFACE *float64 `json:",omitempty"`
-	// Records holds per-injection details when Campaign.Detail is set,
+	// Records holds per-injection details when Campaign.detail is set,
 	// indexed by injection number (deterministic across worker counts).
 	Records []Record
 }
 
-// AVF returns the fault-injection AVF: the fraction of injections that
-// were not masked (SDC + DUE + Timeout).
-func (r *Result) AVF() float64 {
-	if r.Injections == 0 {
-		return 0
-	}
-	fails := r.Injections - r.Outcomes[gpu.OutcomeMasked]
-	return float64(fails) / float64(r.Injections)
+// failures is the share of injections that were not masked (SDC + DUE +
+// Timeout): every visible manifestation of a flip counts against the AVF.
+func (r *Result) failures() stats.Proportion {
+	return stats.Proportion{Successes: r.Injections - r.Outcomes[gpu.OutcomeMasked], Trials: r.Injections}
 }
+
+// AVF returns the fault-injection AVF: the fraction of injections that
+// were not masked, 0 for no injection.
+func (r *Result) AVF() float64 { return r.failures().Value() }
 
 // AVFInterval returns the Wilson confidence interval of the AVF.
 func (r *Result) AVFInterval(confidence float64) (lo, hi float64, err error) {
-	p := stats.Proportion{
-		Successes: r.Injections - r.Outcomes[gpu.OutcomeMasked],
-		Trials:    r.Injections,
-	}
-	return p.Interval(confidence)
+	return r.failures().Interval(confidence)
 }
 
 // HalfWidth returns the half-width of the AVF's Wilson interval — the
 // quantity the adaptive stopping rule drives below Policy.Margin.
 func (r *Result) HalfWidth(confidence float64) (float64, error) {
-	p := stats.Proportion{
-		Successes: r.Injections - r.Outcomes[gpu.OutcomeMasked],
-		Trials:    r.Injections,
-	}
-	return p.HalfWidth(confidence)
+	return r.failures().HalfWidth(confidence)
 }
 
 // Golden is the fault-free reference run of one (chip, benchmark) pair:
@@ -430,7 +424,7 @@ func releaseReplicas(c Campaign, pool []*injector) {
 // observed. On cancellation it returns the partial result accumulated so
 // far (nil when canceled before the reference run) together with an error
 // wrapping ctx.Err(); Result.Injections then reflects the number of
-// injections actually performed, and with Campaign.Detail set Records is
+// injections actually performed, and with Campaign.detail set Records is
 // truncated to the injections that ran.
 //
 // With an adaptive policy (Policy.Margin > 0) injections run in
@@ -487,7 +481,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	if uint(c.Structure) < uint(len(g.avfACE)) {
 		res.AVFACE = g.avfACE[c.Structure]
 	}
-	if c.Detail {
+	if c.detail {
 		res.Records = make([]Record, limit)
 	}
 	baseRNG := stats.NewRNG(c.Seed)

@@ -48,6 +48,30 @@ func TestCampaignBasics(t *testing.T) {
 	}
 }
 
+// TestAVFCountsEveryUnmaskedOutcome: SDC, DUE and Timeout all count
+// against the AVF, its interval and the half-width the adaptive rule
+// reads; Masked does not, and no injection is an AVF of 0.
+func TestAVFCountsEveryUnmaskedOutcome(t *testing.T) {
+	res := &Result{Outcomes: [gpu.NumOutcomes]int{5, 1, 2, 2}, Injections: 10}
+	if res.AVF() != 0.5 {
+		t.Fatalf("AVF %v of 5 failures in 10, want 0.5", res.AVF())
+	}
+	lo, hi, err := res.AVFInterval(0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, err := res.HalfWidth(0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo >= 0.5 || hi <= 0.5 || hw != (hi-lo)/2 {
+		t.Fatalf("interval [%v,%v] with half-width %v around 0.5", lo, hi, hw)
+	}
+	if (&Result{}).AVF() != 0 {
+		t.Fatal("a result with no injection has a nonzero AVF")
+	}
+}
+
 func TestCampaignDeterministic(t *testing.T) {
 	a := testCampaign(t, chips.MiniNVIDIA(), "reduction", gpu.LocalMemory, 60)
 	b := testCampaign(t, chips.MiniNVIDIA(), "reduction", gpu.LocalMemory, 60)

@@ -47,7 +47,7 @@ func TestPruneEquivalenceMatrix(t *testing.T) {
 							c := Campaign{
 								Chip: chip, Benchmark: bench, Structure: st, FaultWidth: width,
 								Seed:   CellSeed(chip.Name, bench.Name, st) + uint64(width),
-								Golden: golden, Detail: true,
+								Golden: golden, detail: true,
 								// Fixed n, or an adaptive campaign that runs
 								// its first round of 100 and decides there
 								// or at the cap.
@@ -356,7 +356,7 @@ func TestPruneInvariantsOverFigureGrid(t *testing.T) {
 				}
 				res, err := Run(Campaign{
 					Chip: chip, Benchmark: bench, Structure: st, Golden: golden,
-					Injections: 60, Seed: CellSeed(chip.Name, bench.Name, st), Detail: true, unpruned: true,
+					Injections: 60, Seed: CellSeed(chip.Name, bench.Name, st), detail: true, unpruned: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -413,7 +413,7 @@ func TestAuditCatchesABrokenMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Campaign{Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile, Injections: 300, Seed: 1, Golden: ref, Detail: true, unpruned: true}
+	c := Campaign{Chip: chip, Benchmark: bench, Structure: gpu.RegisterFile, Injections: 300, Seed: 1, Golden: ref, detail: true, unpruned: true}
 	all, err := Run(c)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func TestTelemetryInertRecordStream(t *testing.T) {
 	}
 	c := Campaign{
 		Chip: chips.MiniNVIDIA(), Benchmark: bench, Structure: gpu.RegisterFile,
-		Injections: 60, Seed: 41, Detail: true,
+		Injections: 60, Seed: 41, detail: true,
 		Policy: Config{Workers: 4},
 	}
 

@@ -114,10 +114,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Failure reports whether the outcome counts against the AVF (any visible
-// manifestation of the flip: SDC, DUE or hang).
-func (o Outcome) Failure() bool { return o != OutcomeMasked }
-
 // MarshalText renders the outcome name in JSON/text encodings.
 func (o Outcome) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
 

@@ -238,19 +238,6 @@ func (m *Memory) WriteFloats(addr uint32, vals []float32) error {
 	return nil
 }
 
-// ReadFloats downloads n float32 values starting at addr.
-func (m *Memory) ReadFloats(addr uint32, n int) ([]float32, error) {
-	ws, err := m.ReadWords(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i, w := range ws {
-		out[i] = math.Float32frombits(w)
-	}
-	return out, nil
-}
-
 // ReadBytes returns a copy of the byte range [addr, addr+size).
 func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 	if err := m.check(addr, size); err != nil {

@@ -174,14 +174,3 @@ func (p *Pages[T]) Zero(from, to int) {
 // RestoreStats returns the cumulative number of pages Restore copied
 // versus skipped via identity match since construction.
 func (p *Pages[T]) RestoreStats() (copied, shared int64) { return p.copied, p.shared }
-
-// Flatten appends the first n elements of a page image to dst: the flat
-// array the pages were captured from.
-func Flatten[T byte | uint32](dst []T, img [][]T, n int) []T {
-	for _, pg := range img {
-		k := min(len(pg), n)
-		dst = append(dst, pg[:k]...)
-		n -= k
-	}
-	return dst
-}

@@ -53,8 +53,20 @@ func TestPagesWordsDifferential(t *testing.T) {
 		}
 	}
 	for i, s := range snaps {
-		if !slices.Equal(Flatten(nil, s.img, n), s.flat) {
+		if !slices.Equal(flatten(s.img, n), s.flat) {
 			t.Fatalf("image %d does not flatten to the array it was captured from", i)
 		}
 	}
+}
+
+// flatten returns the first n elements of a page image: the flat array
+// the pages were captured from.
+func flatten[T byte | uint32](img [][]T, n int) []T {
+	var flat []T
+	for _, pg := range img {
+		k := min(len(pg), n)
+		flat = append(flat, pg[:k]...)
+		n -= k
+	}
+	return flat
 }

@@ -22,10 +22,7 @@ import (
 // Device is one simulated NVIDIA GPU.
 type Device = simt.Device[warp]
 
-type (
-	wave      = simt.Wave[warp]
-	waveState = simt.WaveState[warp]
-)
+type wave = simt.Wave[warp]
 
 // New creates a device for an NVIDIA chip configuration.
 func New(chip *chips.Chip) (*Device, error) { return simt.New[warp](chip, &isa{}) }

@@ -1,6 +1,7 @@
 package nvsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/chips"
@@ -71,12 +72,12 @@ func TestVecAdd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	got, err := d.Mem().ReadFloats(addrC, n)
+	got, err := d.Mem().ReadWords(addrC, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
-		if want := 3 * float32(i); got[i] != want {
+		if want := 3 * float32(i); math.Float32frombits(got[i]) != want {
 			t.Fatalf("out[%d] = %v, want %v", i, got[i], want)
 		}
 	}
@@ -209,7 +210,7 @@ func TestFaultInjectionFlipsOutput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	run := func(f *gpu.Fault) []float32 {
+	run := func(f *gpu.Fault) []uint32 {
 		d := newTestDevice(t)
 		const n = 64
 		a := make([]float32, n)
@@ -229,7 +230,7 @@ func TestFaultInjectionFlipsOutput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Launch: %v", err)
 		}
-		out, err := d.Mem().ReadFloats(addrC, n)
+		out, err := d.Mem().ReadWords(addrC, n)
 		if err != nil {
 			t.Fatal(err)
 		}

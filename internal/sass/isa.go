@@ -65,7 +65,6 @@ const (
 	OpLDS          // LDS Rd, [Ra+off] (shared load)
 	OpSTS          // STS [Ra+off], Rb (shared store)
 	OpEXIT         // EXIT
-	opcodeCount
 )
 
 var opNames = [...]string{

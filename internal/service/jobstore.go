@@ -152,15 +152,6 @@ func OpenJobStore(path string) (*JobStore, error) {
 	return js, nil
 }
 
-// MaxSeq returns the highest numeric id suffix seen in the journal; ids
-// minted after a restart continue past it, so they never collide across
-// restarts.
-func (js *JobStore) MaxSeq() int {
-	js.table.mu.Lock()
-	defer js.table.mu.Unlock()
-	return js.table.maxSeq
-}
-
 // append journals one record durably (marshal, then the journal's
 // single write(2) + fsync), so a crash leaves the record wholly present
 // or wholly absent — except under the injected torn-cell barrier, which

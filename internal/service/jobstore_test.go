@@ -23,6 +23,14 @@ func mustOpenJobStore(t *testing.T, path string) *JobStore {
 	return js
 }
 
+// maxSeq reads the highest numeric id suffix the store's table has seen:
+// ids minted after a restart continue past it.
+func maxSeq(js *JobStore) int {
+	js.table.mu.Lock()
+	defer js.table.mu.Unlock()
+	return js.table.maxSeq
+}
+
 // record performs one transition on a bare store the way Server.record
 // does on an attached one: append to the file, then apply to the table.
 func record(js *JobStore, rec journalRecord) error {
@@ -72,8 +80,8 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	if snap.results[0] == nil || snap.results[0].Injections != 20 {
 		t.Fatalf("results %+v", snap.cells)
 	}
-	if js2.MaxSeq() != 1 {
-		t.Fatalf("MaxSeq %d, want 1", js2.MaxSeq())
+	if maxSeq(js2) != 1 {
+		t.Fatalf("max seq %d, want 1", maxSeq(js2))
 	}
 }
 
@@ -104,8 +112,8 @@ func TestJobStoreSkipsInvalidTransitions(t *testing.T) {
 	}
 	// The bad job's id still advances the sequence: ids must never be
 	// reused even against half-garbage journals.
-	if js2.MaxSeq() != 404 {
-		t.Fatalf("MaxSeq %d, want 404", js2.MaxSeq())
+	if maxSeq(js2) != 404 {
+		t.Fatalf("max seq %d, want 404", maxSeq(js2))
 	}
 }
 
@@ -276,8 +284,8 @@ func TestJobStoreCompaction(t *testing.T) {
 	if _, ok := findSnap(js2.table.list(), "job-999999"); !ok {
 		t.Fatal("live job lost in compaction")
 	}
-	if js2.MaxSeq() != 999999 {
-		t.Fatalf("MaxSeq %d after compaction", js2.MaxSeq())
+	if maxSeq(js2) != 999999 {
+		t.Fatalf("max seq %d after compaction", maxSeq(js2))
 	}
 }
 
@@ -308,8 +316,8 @@ func TestJobStoreMaxSeq(t *testing.T) {
 			js.Close()
 			js2 := mustOpenJobStore(t, path)
 			defer js2.Close()
-			if got := js2.MaxSeq(); got != tc.want {
-				t.Fatalf("MaxSeq = %d, want %d", got, tc.want)
+			if got := maxSeq(js2); got != tc.want {
+				t.Fatalf("max seq = %d, want %d", got, tc.want)
 			}
 		})
 	}

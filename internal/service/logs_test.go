@@ -386,8 +386,8 @@ func TestParentFilesByteIdentical(t *testing.T) {
 		js = mustOpenJobStore(t, path)
 		defer js.Close()
 		snaps := js.table.list()
-		if len(snaps) != 2 || snaps[0].id != "job-000001" || snaps[1].id != "job-000003" || js.MaxSeq() != 3 {
-			t.Fatalf("parent journal replayed %d jobs, max seq %d", len(snaps), js.MaxSeq())
+		if len(snaps) != 2 || snaps[0].id != "job-000001" || snaps[1].id != "job-000003" || maxSeq(js) != 3 {
+			t.Fatalf("parent journal replayed %d jobs, max seq %d", len(snaps), maxSeq(js))
 		}
 		// (An unfinished job reads "running" in the one table; the replay-only
 		// snapshot this assertion used to read spelled it "".)

@@ -37,9 +37,21 @@ func init() {
 		} else {
 			PageChecks.Restores.Add(1)
 		}
-		mustMatch(event, unit, "register", gpu.Flatten(nil, img.regs, len(regs)), regs)
-		mustMatch(event, unit, "local-memory", gpu.Flatten(nil, img.local, len(local)), local)
+		mustMatch(event, unit, "register", flatten(img.regs, len(regs)), regs)
+		mustMatch(event, unit, "local-memory", flatten(img.local, len(local)), local)
 	}
+}
+
+// flatten returns the first n elements of a page image: the flat array
+// the pages were captured from.
+func flatten[T byte | uint32](img [][]T, n int) []T {
+	var flat []T
+	for _, pg := range img {
+		k := min(len(pg), n)
+		flat = append(flat, pg[:k]...)
+		n -= k
+	}
+	return flat
 }
 
 func mustMatch[T byte | uint32](event string, unit int, what string, image, array []T) {

@@ -46,9 +46,6 @@ func SetTracer(t *Tracer) *Tracer {
 	return global.Swap(t)
 }
 
-// ActiveTracer returns the installed tracer, or nil when tracing is off.
-func ActiveTracer() *Tracer { return global.Load() }
-
 // StartSpan opens a named span against the installed tracer and returns
 // a function that closes it. With no tracer installed the cost is one
 // atomic load and the returned closure does nothing, so call sites can

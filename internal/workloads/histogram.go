@@ -14,12 +14,11 @@ import (
 // partial histogram per block; the host merges partials.
 
 const (
-	histBins     = 16
-	histGroup    = 64
-	histItems    = 16 // items per thread
-	histBlocks   = 4
-	histN        = histBlocks * histGroup * histItems
-	histRowBytes = histBins * 4
+	histBins   = 16
+	histGroup  = 64
+	histItems  = 16 // items per thread
+	histBlocks = 4
+	histN      = histBlocks * histGroup * histItems
 )
 
 const histogramSASSSrc = `

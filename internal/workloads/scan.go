@@ -14,8 +14,6 @@ import (
 const (
 	scanN     = 1024
 	scanGroup = 128
-	// scanHalf is the byte offset of the second shared buffer.
-	scanHalf = scanGroup * 4
 )
 
 const scanSASSSrc = `
