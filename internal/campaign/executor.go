@@ -21,23 +21,14 @@ type Request struct {
 	Spec   CellSpec
 	Key    CellKey
 	Policy finject.Config
-	// Campaign, when it carries a chip and benchmark, is the resolved
-	// local form of Spec; executors that simulate in-process use it
-	// directly (it may reference chips that are not in the registry).
-	// When empty, executors resolve Spec through the registries instead —
-	// the only option across a process boundary.
-	Campaign finject.Campaign
 }
 
-// campaign resolves the request into a runnable campaign.
+// campaign resolves the request into a runnable campaign through the
+// registries, as every tier does.
 func (r Request) campaign() (finject.Campaign, error) {
-	c := r.Campaign
-	if c.Chip == nil || c.Benchmark == nil {
-		var err error
-		c, err = r.Spec.Campaign()
-		if err != nil {
-			return finject.Campaign{}, err
-		}
+	c, err := r.Spec.Campaign()
+	if err != nil {
+		return finject.Campaign{}, err
 	}
 	c.Policy = r.Policy
 	// The cap already lives in Spec.Injections; a nonzero MaxInjections

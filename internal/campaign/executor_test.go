@@ -46,9 +46,6 @@ func TestSchedulerDelegatesToExecutor(t *testing.T) {
 	if req.Policy.MaxInjections != 0 {
 		t.Fatal("cap not resolved into the spec before dispatch")
 	}
-	if req.Campaign.Chip == nil || req.Campaign.Injections != req.Spec.Injections {
-		t.Fatalf("request campaign not pinned to the spec: %+v", req.Campaign)
-	}
 }
 
 func TestRequestResolvesSpecWithoutCampaign(t *testing.T) {
@@ -59,6 +56,15 @@ func TestRequestResolvesSpecWithoutCampaign(t *testing.T) {
 	}
 	if c.Chip == nil || c.Chip.Name != "Mini NVIDIA" || c.Injections != 10 {
 		t.Fatalf("resolved campaign %+v", c)
+	}
+	// The spec decides the cap: a MaxInjections in the policy would apply
+	// it twice, so the request drops it.
+	c, err = Request{Spec: spec, Policy: finject.Config{MaxInjections: 500}}.campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Policy.MaxInjections != 0 || c.Policy.Cap(c.Injections) != 10 {
+		t.Fatalf("policy cap %d overrode the spec's 10 injections: %+v", c.Policy.Cap(c.Injections), c.Policy)
 	}
 	if _, err := (Request{Spec: CellSpec{Chip: "no such chip", Benchmark: "vectoradd"}}).campaign(); err == nil {
 		t.Fatal("unknown chip resolved")
@@ -166,7 +172,7 @@ func TestGoldenOnlyCellAlwaysSharesTheGolden(t *testing.T) {
 		c := testCampaign(t, "matrixMul")
 		c.Structure, c.GoldenOnly, c.Policy = tc.st, true, finject.Config{Checkpoint: &tc.ck}
 		spec := SpecOf(c)
-		res, err := exec.Execute(context.Background(), Request{Spec: spec, Key: spec.Key(), Policy: c.Policy, Campaign: c})
+		res, err := exec.Execute(context.Background(), Request{Spec: spec, Key: spec.Key(), Policy: c.Policy})
 		if err != nil {
 			t.Fatal(err)
 		}

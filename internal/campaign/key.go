@@ -57,13 +57,6 @@ func (s CellSpec) CheckpointPolicy() finject.Checkpoint {
 	return finject.Checkpoint{Off: s.CheckpointOff}
 }
 
-// Config returns the spec's execution configuration in the engine's
-// versioned form — the construction path Campaign() goes through.
-func (s CellSpec) Config() finject.Config {
-	ck := s.CheckpointPolicy()
-	return finject.Config{Version: finject.ConfigVersion, Seed: s.Seed, Checkpoint: &ck}
-}
-
 // Normalize resolves defaulted fields so that specs describing the same
 // campaign compare and hash equal no matter how they were written.
 func (s CellSpec) Normalize() CellSpec {
@@ -118,6 +111,7 @@ func (s CellSpec) Campaign() (finject.Campaign, error) {
 	if err != nil {
 		return finject.Campaign{}, err
 	}
+	ck := s.CheckpointPolicy()
 	c := finject.Campaign{
 		Chip:           chip,
 		Benchmark:      bench,
@@ -127,8 +121,8 @@ func (s CellSpec) Campaign() (finject.Campaign, error) {
 		FaultWidth:     s.FaultWidth,
 		WatchdogFactor: s.WatchdogFactor,
 		GoldenOnly:     s.GoldenOnly,
+		Policy:         finject.Config{Version: finject.ConfigVersion, Checkpoint: &ck},
 	}
-	s.Config().ApplyTo(&c)
 	return c, nil
 }
 

@@ -88,9 +88,6 @@ func New(cfg Config) *Scheduler {
 	}
 }
 
-// Store returns the scheduler's result store.
-func (s *Scheduler) Store() Store { return s.store }
-
 // Stats returns a snapshot of the activity counters.
 func (s *Scheduler) Stats() Stats {
 	st := Stats{
@@ -112,8 +109,12 @@ func (s *Scheduler) Stats() Stats {
 // in-flight execution of the same cell if one exists, and by executing
 // the campaign otherwise. Scheduling parameters that don't affect results
 // (Workers, Golden) are owned by the scheduler: Workers follows
-// Config.CampaignWorkers, and the golden reference comes from the shared
-// per-(chip, benchmark) cache.
+// Config.CampaignWorkers, and the golden reference comes from the
+// executor's shared per-(chip, benchmark) cache.
+//
+// The campaign reaches the executor as its CellSpec: its chip and
+// benchmark are resolved by name, which is also how SpecOf keys them. A
+// chip variant must therefore be registered under a name of its own.
 func (s *Scheduler) Run(ctx context.Context, c finject.Campaign) (*finject.Result, error) {
 	res, _, err := s.run(ctx, c)
 	return res, err
@@ -145,7 +146,7 @@ func (s *Scheduler) run(ctx context.Context, c finject.Campaign) (*finject.Resul
 			stale = true
 		}
 		res, joined, err := s.inflight.Do(ctx, key, func() (*finject.Result, error) {
-			return s.execute(ctx, c, spec, key)
+			return s.execute(ctx, spec, key, c.Policy)
 		})
 		switch {
 		case !joined && err != nil:
@@ -170,8 +171,8 @@ func (s *Scheduler) run(ctx context.Context, c finject.Campaign) (*finject.Resul
 	}
 }
 
-// execute runs one campaign through the executor under the worker pool.
-func (s *Scheduler) execute(ctx context.Context, c finject.Campaign, spec CellSpec, key CellKey) (*finject.Result, error) {
+// execute runs one cell through the executor under the worker pool.
+func (s *Scheduler) execute(ctx context.Context, spec CellSpec, key CellKey, pol finject.Config) (*finject.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -187,28 +188,24 @@ func (s *Scheduler) execute(ctx context.Context, c finject.Campaign, spec CellSp
 	telemetry.SchedInflight.Inc()
 	defer telemetry.SchedInflight.Dec()
 	defer telemetry.StartSpan(ctx, "cell_execute")()
-	// Pin the result-determining fields to the normalized spec so the
-	// stored value always matches its key, and strip what must not vary.
-	// The policy's Margin and Confidence ride along untouched (they are
-	// the request's stopping rule); the cap moves into Injections and the
-	// worker count is scheduler-owned.
-	c.Injections = spec.Injections
-	c.Policy.MaxInjections = 0
-	c.FaultWidth = spec.FaultWidth
-	c.WatchdogFactor = spec.WatchdogFactor
-	c.Policy.Workers = s.campaignWorkers
-	if c.Policy.Workers <= 0 {
+	// The spec carries the cell; the policy's Margin and Confidence ride
+	// along untouched (they are the request's stopping rule), its cap
+	// already moved into spec.Injections and the worker count is
+	// scheduler-owned.
+	pol.MaxInjections = 0
+	pol.Workers = s.campaignWorkers
+	if pol.Workers <= 0 {
 		// Split the machine across the currently executing cells so the
 		// two parallelism levels don't multiply: a lone cell gets every
 		// core, a full grid runs one simulation per cell at a time. A
 		// remote executor ignores the hint — each worker divides its own
 		// machine instead.
-		c.Policy.Workers = runtime.GOMAXPROCS(0) / len(s.sem)
-		if c.Policy.Workers < 1 {
-			c.Policy.Workers = 1
+		pol.Workers = runtime.GOMAXPROCS(0) / len(s.sem)
+		if pol.Workers < 1 {
+			pol.Workers = 1
 		}
 	}
-	res, err := s.exec.Execute(ctx, Request{Spec: spec, Key: key, Policy: c.Policy, Campaign: c})
+	res, err := s.exec.Execute(ctx, Request{Spec: spec, Key: key, Policy: pol})
 	if err != nil {
 		return nil, err
 	}

@@ -62,9 +62,6 @@ func (p *PolicyFlags) Validate() error {
 	return nil
 }
 
-// Checkpoint returns the parsed -checkpoint knob. Valid after Validate.
-func (p *PolicyFlags) Checkpoint() finject.Checkpoint { return p.ckpt }
-
 // SpecPolicy compiles the flags into an experiment-spec policy block; an
 // "auto" checkpoint stays nil so the spec keeps its own default.
 func (p *PolicyFlags) SpecPolicy() experiment.Policy {

@@ -72,7 +72,7 @@ func TestPolicyFlagsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck := p.Checkpoint(); !ck.Off {
+	if ck := p.ckpt; !ck.Off {
 		t.Errorf("-checkpoint off parsed to %+v", ck)
 	}
 }

@@ -346,17 +346,15 @@ func (s Spec) Compile() (*Plan, error) {
 // estimator that runs no FI makes the cell golden-only: the golden run
 // measures all it reports.
 func (s Spec) campaignFor(chip *chips.Chip, bench *workloads.Benchmark, st gpu.Structure) finject.Campaign {
-	c := finject.Campaign{
+	return finject.Campaign{
 		Chip:       chip,
 		Benchmark:  bench,
 		Structure:  st,
 		Injections: s.Injections,
+		Seed:       CellSeed(s.Seed, chip.Name, bench.Name, st),
+		Policy:     s.Policy.Config().Policy(finject.Checkpoint{}),
 		GoldenOnly: !s.Estimator.fi(),
 	}
-	cfg := s.Policy.Config()
-	cfg.Seed = CellSeed(s.Seed, chip.Name, bench.Name, st)
-	cfg.ApplyTo(&c)
-	return c
 }
 
 // CellSeed derives a distinct campaign seed per cell (FNV-style mixing)

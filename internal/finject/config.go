@@ -8,18 +8,17 @@ import "fmt"
 const ConfigVersion = 1
 
 // Config is the engine's one execution-policy type: stopping rule,
-// injection cap, worker count, seed and checkpoint knob in a single
+// injection cap, worker count and checkpoint knob in a single
 // versioned, JSON-serializable block. A campaign carries it as
 // Campaign.Policy, and every producer — campaign cell specs, experiment
 // spec policy blocks, the /v1/jobs policy body and the lease wire —
 // compiles to it. A policy never changes which fault injection #i draws
-// — that is fixed by (Seed, i) — so two policies that end up running the
-// same number of injections produce bit-identical results.
+// — that is fixed by (Campaign.Seed, i) — so two policies that end up
+// running the same number of injections produce bit-identical results.
 //
 // Zero values mean "default" everywhere. A nil Checkpoint is the default
-// ladder to the engine, and "keep the campaign's own knob" to ApplyTo
-// and Policy (the presence distinction the job policy block has always
-// had).
+// ladder to the engine, and "keep the campaign's own knob" to Policy
+// (the presence distinction the job policy block has always had).
 type Config struct {
 	// Version is the schema version (0 normalizes to ConfigVersion).
 	Version int `json:"v,omitempty"`
@@ -36,8 +35,6 @@ type Config struct {
 	// MaxInjections caps the campaign when > 0; when 0 the cap is
 	// Campaign.Injections (DefaultInjections when that is also 0).
 	MaxInjections int `json:"max_injections,omitempty"`
-	// Seed selects the fault sample when > 0.
-	Seed uint64 `json:"seed,omitempty"`
 	// Checkpoint configures checkpointed fast-forward execution (see
 	// checkpoint.go). It is an execution knob only and never changes
 	// results.
@@ -74,7 +71,7 @@ func (c Config) Normalize() (Config, error) {
 func (c Config) Equal(o Config) bool {
 	if c.Version != o.Version || c.Workers != o.Workers ||
 		c.Margin != o.Margin || c.Confidence != o.Confidence ||
-		c.MaxInjections != o.MaxInjections || c.Seed != o.Seed {
+		c.MaxInjections != o.MaxInjections {
 		return false
 	}
 	switch {
@@ -141,23 +138,10 @@ func (c Config) SatisfiedBy(res *Result, limit int) bool {
 }
 
 // Policy returns the config as a campaign's execution policy: the
-// checkpoint knob is base when the config leaves it unset, and the seed
-// is cleared, since it lives on Campaign.Seed.
+// checkpoint knob is base when the config leaves it unset.
 func (c Config) Policy(base Checkpoint) Config {
 	if c.Checkpoint == nil {
 		c.Checkpoint = &base
 	}
-	c.Seed = 0
 	return c
-}
-
-// ApplyTo installs the config on a campaign: the single construction
-// path from any wire or spec form to a runnable campaign. The
-// campaign's existing checkpoint knob survives a nil Checkpoint, and
-// its seed survives a zero Seed.
-func (c Config) ApplyTo(cp *Campaign) {
-	if c.Seed != 0 {
-		cp.Seed = c.Seed
-	}
-	cp.Policy = c.Policy(cp.Policy.Knob())
 }

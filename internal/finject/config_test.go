@@ -81,11 +81,15 @@ func TestConfigEqualComparesCheckpointByValue(t *testing.T) {
 	}
 }
 
+// TestConfigApplyToKeepsCampaignDefaults checks the idiom that installs
+// a policy on a campaign, cp.Policy = cfg.Policy(cp.Policy.Knob()): the
+// campaign's checkpoint knob survives a config that leaves it unset, and
+// the campaign's seed is never touched.
 func TestConfigApplyToKeepsCampaignDefaults(t *testing.T) {
 	cp := Campaign{Seed: 7, Policy: Config{Checkpoint: &Checkpoint{Off: true}}}
-	Config{Margin: 0.05}.ApplyTo(&cp)
+	cp.Policy = Config{Margin: 0.05}.Policy(cp.Policy.Knob())
 	if cp.Seed != 7 {
-		t.Fatalf("zero config seed overwrote campaign seed: %d", cp.Seed)
+		t.Fatalf("installing a policy moved the campaign seed: %d", cp.Seed)
 	}
 	if !cp.Policy.Checkpoint.Off {
 		t.Fatalf("nil config checkpoint overwrote campaign knob: %+v", cp.Policy.Checkpoint)
@@ -94,16 +98,16 @@ func TestConfigApplyToKeepsCampaignDefaults(t *testing.T) {
 		t.Fatalf("margin not applied: %+v", cp.Policy)
 	}
 
-	Config{Seed: 11, Checkpoint: &Checkpoint{}}.ApplyTo(&cp)
-	if cp.Seed != 11 || cp.Policy.Checkpoint.Off {
+	cp.Policy = Config{Checkpoint: &Checkpoint{}}.Policy(cp.Policy.Knob())
+	if cp.Seed != 7 || cp.Policy.Checkpoint.Off || cp.Policy.Margin != 0 {
 		t.Fatalf("set config fields not applied: seed=%d policy=%+v", cp.Seed, cp.Policy)
 	}
 }
 
 func TestConfigPolicyResolvesKnobAndDropsSeed(t *testing.T) {
 	base := Checkpoint{Off: true}
-	pol := Config{Margin: 0.03, Seed: 42}.Policy(base)
-	if pol.Seed != 0 || pol.Margin != 0.03 || pol.Knob() != base {
+	pol := Config{Margin: 0.03}.Policy(base)
+	if pol.Margin != 0.03 || pol.Knob() != base {
 		t.Fatalf("unset checkpoint: got %+v knob %v", pol, pol.Knob())
 	}
 	pol = Config{Checkpoint: &Checkpoint{}}.Policy(base)

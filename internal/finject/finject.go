@@ -65,7 +65,7 @@ type Campaign struct {
 	// Policy sets the execution policy: worker pool size, the checkpoint
 	// knob and, when its Margin is set, adaptive early stopping. The zero
 	// Config runs exactly Injections faults on GOMAXPROCS workers with an
-	// auto-sized ladder. Its Seed is not read: the seed is the field above.
+	// auto-sized ladder. It never selects the fault sample: Seed does.
 	Policy Config
 	// WatchdogFactor overrides DefaultWatchdogFactor when > 0.
 	WatchdogFactor int

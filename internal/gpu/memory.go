@@ -43,31 +43,24 @@ func (m *Memory) Alloc(size int) (uint32, error) {
 	if size < 0 {
 		return 0, fmt.Errorf("gpu: negative allocation size %d", size)
 	}
+	// Replay is a shadow allocation: the sequence of sizes is
+	// deterministic, so replaying it from zero on rbrk yields the
+	// addresses of the original run without disturbing the restored
+	// allocator state.
+	brk := &m.brk
 	if m.replay {
-		// Shadow allocation: the sequence of sizes is deterministic, so
-		// replaying it from zero yields the addresses of the original
-		// run without disturbing the restored allocator state.
-		if m.rbrk == 0 {
-			m.rbrk = memAlign
-		}
-		addr := m.rbrk
-		sz := (uint32(size) + memAlign - 1) &^ (memAlign - 1)
-		if uint64(addr)+uint64(sz) > uint64(len(m.pg.data)) {
-			return 0, fmt.Errorf("gpu: out of device memory (want %d bytes at %#x, capacity %d)", size, addr, len(m.pg.data))
-		}
-		m.rbrk = addr + sz
-		return addr, nil
+		brk = &m.rbrk
 	}
-	if m.brk == 0 {
-		m.brk = memAlign
+	if *brk == 0 {
+		*brk = memAlign
 	}
-	addr := m.brk
+	addr := *brk
 	sz := (uint32(size) + memAlign - 1) &^ (memAlign - 1)
 	if uint64(addr)+uint64(sz) > uint64(len(m.pg.data)) {
 		return 0, fmt.Errorf("gpu: out of device memory (want %d bytes at %#x, capacity %d)", size, addr, len(m.pg.data))
 	}
-	m.brk = addr + sz
-	if m.brk > m.hwm {
+	*brk = addr + sz
+	if !m.replay && m.brk > m.hwm {
 		m.hwm = m.brk
 	}
 	return addr, nil

@@ -98,9 +98,8 @@ func compileBatch(cells []campaign.CellSpec, policy *finject.Config) (*jobWork, 
 		}
 		if policy != nil {
 			// The batch policy replaces each cell's stopping rule but keeps
-			// the cell's own checkpoint knob unless the policy sets one; a
-			// seed in the policy block is ignored — cell identity always
-			// comes from the spec.
+			// the cell's own checkpoint knob unless the policy sets one;
+			// cell identity, the seed included, always comes from the spec.
 			c.Policy = policy.Policy(c.Policy.Knob())
 		}
 		batch[i] = c

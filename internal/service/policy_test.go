@@ -150,6 +150,8 @@ func TestJobRefusesUnknownFields(t *testing.T) {
 		{"margn", map[string]any{"cells": []any{cell}, "policy": map[string]any{"margn": 0.3}}},
 		{"injectons", map[string]any{"cells": []any{map[string]any{"chip": "Mini NVIDIA", "benchmark": "vectoradd", "injectons": 20}}}},
 		{"polcy", map[string]any{"cells": []any{cell}, "polcy": map[string]any{"margin": 0.3}}},
+		// The seed is cell identity and lives on the cell alone.
+		{"seed", map[string]any{"cells": []any{cell}, "policy": map[string]any{"seed": 3}}},
 	} {
 		var envelope struct {
 			Error api.Error `json:"error"`

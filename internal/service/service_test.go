@@ -18,7 +18,9 @@ func newTestServer(t *testing.T) (*Server, *campaign.Scheduler) {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	srv, sched := newTestServer(t)
+	store := campaign.NewMemoryStore(0)
+	sched := campaign.New(campaign.Config{Store: store})
+	srv := NewServer(sched)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -85,7 +87,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("3 cells (1 duplicate) caused %d executions, want 2", runs)
 	}
 
-	if cells := sched.Store().Len(); cells != 2 {
+	if cells := store.Len(); cells != 2 {
 		t.Fatalf("store holds %d cells, want 2", cells)
 	}
 }

@@ -177,51 +177,6 @@ func (p Proportion) HalfWidth(confidence float64) (float64, error) {
 	return (hi - lo) / 2, nil
 }
 
-// Mean accumulates a running sample mean and variance (Welford).
-type Mean struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (m *Mean) Add(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of observations.
-func (m *Mean) N() int { return m.n }
-
-// Value returns the sample mean.
-func (m *Mean) Value() float64 { return m.mean }
-
-// Variance returns the unbiased sample variance.
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Interval returns a normal-approximation confidence interval for the mean.
-func (m *Mean) Interval(confidence float64) (lo, hi float64, err error) {
-	if m.n == 0 {
-		return 0, 0, errors.New("stats: empty sample")
-	}
-	z, err := ZForConfidence(confidence)
-	if err != nil {
-		return 0, 0, err
-	}
-	half := z * m.StdDev() / math.Sqrt(float64(m.n))
-	return m.mean - half, m.mean + half, nil
-}
-
 // PearsonCorrelation returns the linear correlation coefficient of two
 // equal-length series. It is used to quantify the paper's AVF-vs-occupancy
 // correlation claim. Returns an error on mismatched or too-short input.

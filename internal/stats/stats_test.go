@@ -154,26 +154,6 @@ func TestIntervalNarrowsWithN(t *testing.T) {
 	}
 }
 
-func TestMeanWelford(t *testing.T) {
-	var m Mean
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		m.Add(x)
-	}
-	if m.N() != 8 || m.Value() != 5 {
-		t.Fatalf("mean = %v (n=%d), want 5 (8)", m.Value(), m.N())
-	}
-	if math.Abs(m.StdDev()-2.138089935299395) > 1e-12 {
-		t.Fatalf("stddev = %v", m.StdDev())
-	}
-	lo, hi, err := m.Interval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= 5 || hi <= 5 {
-		t.Fatalf("interval [%v,%v] should bracket the mean", lo, hi)
-	}
-}
-
 func TestPearsonCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}

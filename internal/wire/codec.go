@@ -23,15 +23,6 @@ func (w *Writer) Bytes() []byte { return w.b }
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.b = append(w.b, v) }
 
-// Bool appends a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
 // U32 appends a 32-bit little-endian value.
 func (w *Writer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 
@@ -116,9 +107,6 @@ func (r *Reader) U8() uint8 {
 	}
 	return v[0]
 }
-
-// Bool reads a one-byte bool; any nonzero byte is true.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // U32 reads a 32-bit little-endian value.
 func (r *Reader) U32() uint32 {

@@ -65,7 +65,6 @@ func FuzzWireDecode(f *testing.F) {
 
 		r := NewReader(data)
 		r.U8()
-		r.Bool()
 		r.U32()
 		r.U64()
 		r.I64()
@@ -81,10 +80,9 @@ func FuzzWireDecode(f *testing.F) {
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint8(1), true, uint32(2), uint64(3), int64(-4), 5.5, []byte("blob"), "string")
 	f.Add(uint8(0), false, uint32(math.MaxUint32), uint64(math.MaxUint64), int64(math.MinInt64), math.Inf(-1), []byte{}, "")
-	f.Fuzz(func(t *testing.T, u8 uint8, b bool, u32 uint32, u64 uint64, i64 int64, f64 float64, blob []byte, s string) {
+	f.Fuzz(func(t *testing.T, u8 uint8, _ bool, u32 uint32, u64 uint64, i64 int64, f64 float64, blob []byte, s string) {
 		var w Writer
 		w.U8(u8)
-		w.Bool(b)
 		w.U32(u32)
 		w.U64(u64)
 		w.I64(i64)
@@ -95,9 +93,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		r := NewReader(w.Bytes())
 		if got := r.U8(); got != u8 {
 			t.Fatalf("U8 = %d, want %d", got, u8)
-		}
-		if got := r.Bool(); got != b {
-			t.Fatalf("Bool = %v, want %v", got, b)
 		}
 		if got := r.U32(); got != u32 {
 			t.Fatalf("U32 = %d, want %d", got, u32)

@@ -118,8 +118,6 @@ func TestScanRecordsStopsOnCallbackError(t *testing.T) {
 func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	var w Writer
 	w.U8(0xab)
-	w.Bool(true)
-	w.Bool(false)
 	w.U32(0xdeadbeef)
 	w.U64(1 << 60)
 	w.I64(-42)
@@ -132,9 +130,6 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if v := r.U8(); v != 0xab {
 		t.Fatalf("U8 = %x", v)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Fatal("Bool round trip")
 	}
 	if v := r.U32(); v != 0xdeadbeef {
 		t.Fatalf("U32 = %x", v)

@@ -237,7 +237,6 @@ func (w *Worker) runLease(ctx context.Context, l campaign.Lease) {
 	spec := l.Task.Spec.Normalize()
 	cfg := l.Task.Policy
 	cfg.Workers = w.opts.CampaignWorkers
-	cfg.MaxInjections = 0
 	// The spec's own checkpoint knob applies when the wire config leaves
 	// it unset.
 	pol := cfg.Policy(spec.CheckpointPolicy())
