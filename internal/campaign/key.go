@@ -22,9 +22,11 @@ import (
 )
 
 // CellSpec is the canonical, value-typed identity of one campaign cell:
-// every parameter that determines the campaign's result, and nothing that
-// does not (worker counts, detail flags and shared goldens change neither
-// outcomes nor statistics).
+// every parameter that determines the campaign's result. Worker counts,
+// detail flags and shared goldens change neither outcomes nor statistics
+// and are not in it. CheckpointOff is the one execution hint it carries:
+// it stays out of Key(), and it stays in the spec until bench/fleet.go
+// stops calling CheckpointPolicy.
 type CellSpec struct {
 	Chip       string        `json:"chip"`
 	Benchmark  string        `json:"benchmark"`

@@ -25,9 +25,6 @@ type Client api.Caller
 
 func (c *Client) transport() *api.Caller { return (*api.Caller)(c) }
 
-// StatusCode extracts the HTTP status behind err, or 0.
-func StatusCode(err error) int { return api.StatusOf(err) }
-
 // Event is one NDJSON line of an experiment stream.
 type Event = api.Event
 
@@ -129,7 +126,7 @@ func (c *Client) WaitDone(ctx context.Context, jobID string) (*JobStatus, error)
 			// except 503, which a cluster standby returns while a peer
 			// holds (or is inheriting) the job store. Transport errors
 			// mean the server is away. Both heal with time.
-			if code := StatusCode(err); code != 0 && code != http.StatusServiceUnavailable {
+			if code := api.StatusOf(err); code != 0 && code != http.StatusServiceUnavailable {
 				return nil, err
 			}
 			// Full jitter over [delay/2, delay): desynchronizes clients

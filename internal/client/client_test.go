@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/experiment"
 )
 
@@ -89,7 +90,7 @@ func TestRunExperimentServerError(t *testing.T) {
 }
 
 // TestStatusCodeExtraction pins the non-2xx contract: every API call
-// surfaces the server's status through StatusCode and its JSON error
+// surfaces the server's status through api.StatusOf and its JSON error
 // body through Error, and transport failures answer 0.
 func TestStatusCodeExtraction(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -116,27 +117,27 @@ func TestStatusCodeExtraction(t *testing.T) {
 	ctx := context.Background()
 
 	_, err := c.Status(ctx, "job-000404")
-	if StatusCode(err) != http.StatusNotFound || !strings.Contains(err.Error(), "no such job") {
-		t.Fatalf("status err = %v (code %d)", err, StatusCode(err))
+	if api.StatusOf(err) != http.StatusNotFound || !strings.Contains(err.Error(), "no such job") {
+		t.Fatalf("status err = %v (code %d)", err, api.StatusOf(err))
 	}
 	_, err = c.ExperimentResult(ctx, "job-000409")
-	if StatusCode(err) != http.StatusConflict || !strings.Contains(err.Error(), "job still running") {
-		t.Fatalf("result err = %v (code %d)", err, StatusCode(err))
+	if api.StatusOf(err) != http.StatusConflict || !strings.Contains(err.Error(), "job still running") {
+		t.Fatalf("result err = %v (code %d)", err, api.StatusOf(err))
 	}
-	if _, err = c.Status(ctx, "job-000502"); StatusCode(err) != http.StatusBadGateway {
-		t.Fatalf("non-envelope err = %v (code %d)", err, StatusCode(err))
+	if _, err = c.Status(ctx, "job-000502"); api.StatusOf(err) != http.StatusBadGateway {
+		t.Fatalf("non-envelope err = %v (code %d)", err, api.StatusOf(err))
 	}
 	_, err = c.RunExperiment(ctx, experiment.Spec{}, nil)
-	if StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "bad spec") {
-		t.Fatalf("experiment err = %v (code %d)", err, StatusCode(err))
+	if api.StatusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "bad spec") {
+		t.Fatalf("experiment err = %v (code %d)", err, api.StatusOf(err))
 	}
 
 	// A server that is simply gone is a transport error: code 0, so
 	// callers (WaitDone) can tell "away" from "authoritative no".
 	dead := &Client{Base: "http://127.0.0.1:1"}
 	_, err = dead.Status(ctx, "job-000001")
-	if err == nil || StatusCode(err) != 0 {
-		t.Fatalf("dead server err = %v (code %d), want transport error with code 0", err, StatusCode(err))
+	if err == nil || api.StatusOf(err) != 0 {
+		t.Fatalf("dead server err = %v (code %d), want transport error with code 0", err, api.StatusOf(err))
 	}
 }
 
@@ -194,7 +195,7 @@ func TestWaitDoneAuthoritativeError(t *testing.T) {
 
 	c := &Client{Base: ts.URL}
 	_, err := c.WaitDone(context.Background(), "job-000009")
-	if StatusCode(err) != http.StatusNotFound {
+	if api.StatusOf(err) != http.StatusNotFound {
 		t.Fatalf("err = %v, want 404 passed through", err)
 	}
 	if calls.Load() != 1 {

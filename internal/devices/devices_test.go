@@ -3,8 +3,10 @@ package devices
 import (
 	"testing"
 
+	"repro/internal/amdsim"
 	"repro/internal/chips"
 	"repro/internal/gpu"
+	"repro/internal/nvsim"
 )
 
 func TestVendorDispatch(t *testing.T) {
@@ -12,15 +14,15 @@ func TestVendorDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv.Vendor() != gpu.NVIDIA || nv.Name() != "GeForce GTX 480" {
-		t.Fatalf("NVIDIA dispatch: %v %s", nv.Vendor(), nv.Name())
+	if d, ok := nv.(*nvsim.Device); !ok || d.Chip.Vendor != gpu.NVIDIA || d.Chip.Name != "GeForce GTX 480" {
+		t.Fatalf("NVIDIA dispatch: %T", nv)
 	}
 	amd, err := New(chips.HDRadeon7970())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if amd.Vendor() != gpu.AMD {
-		t.Fatalf("AMD dispatch: %v", amd.Vendor())
+	if d, ok := amd.(*amdsim.Device); !ok || d.Chip.Vendor != gpu.AMD {
+		t.Fatalf("AMD dispatch: %T", amd)
 	}
 }
 
@@ -32,8 +34,10 @@ func TestEveryCatalogChipConstructs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		if d.StructBits(gpu.RegisterFile) != c.StructBits(gpu.RegisterFile) {
-			t.Fatalf("%s: structure size mismatch", c.Name)
+		for _, st := range []gpu.Structure{gpu.RegisterFile, gpu.LocalMemory} {
+			if bits := int64(d.Units()) * int64(d.StructSize(st)) * int64(gpu.EntryBits(st)); bits != c.StructBits(st) {
+				t.Fatalf("%s: %v is %d bits on the device, %d on the chip", c.Name, st, bits, c.StructBits(st))
+			}
 		}
 	}
 }

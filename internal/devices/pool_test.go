@@ -134,7 +134,7 @@ func TestPoolKeysTheWholeChip(t *testing.T) {
 	}
 	cycles := func(d gpu.Device) int64 {
 		t.Helper()
-		hp, err := bench.New(d.Vendor())
+		hp, err := bench.New(vendorOf(t, d))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,27 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/amdsim"
 	"repro/internal/chips"
 	"repro/internal/devices"
 	"repro/internal/gpu"
+	"repro/internal/nvsim"
 	"repro/internal/workloads"
 )
+
+// vendorOf reads d's vendor from the simulator behind it: gpu.Device
+// does not carry the chip.
+func vendorOf(t *testing.T, d gpu.Device) gpu.Vendor {
+	t.Helper()
+	switch d := d.(type) {
+	case *nvsim.Device:
+		return d.Chip.Vendor
+	case *amdsim.Device:
+		return d.Chip.Vendor
+	}
+	t.Fatalf("%T is neither simulator", d)
+	return 0
+}
 
 // eventHash is a tracer that folds every event into one FNV-1a hash and
 // counts them.
@@ -76,7 +92,7 @@ const rungEvery = 1024
 // observe runs bench on d, which must be at power-on, and records it.
 func observe(t *testing.T, d gpu.Device, bench *workloads.Benchmark) run {
 	t.Helper()
-	hp, err := bench.New(d.Vendor())
+	hp, err := bench.New(vendorOf(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +123,7 @@ func observe(t *testing.T, d gpu.Device, bench *workloads.Benchmark) run {
 // restored and never resumed.
 func dirty(t *testing.T, d gpu.Device, other *workloads.Benchmark) {
 	t.Helper()
-	hp, err := other.New(d.Vendor())
+	hp, err := other.New(vendorOf(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}

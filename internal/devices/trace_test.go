@@ -32,7 +32,7 @@ func TestTraceStreamPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hp, err := bench.New(d.Vendor())
+			hp, err := bench.New(vendorOf(t, d))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -176,50 +176,51 @@ func TestLocalMemoryFaultsManifest(t *testing.T) {
 	}
 }
 
-// TestForeignLadderNeverChangesOutcomes: an accelerator must never change
-// an outcome. A ladder captured from another benchmark on the same chip
-// restores fine and then fails the resident-block check when the launch
-// resumes. That error used to come back from hp.Run and count as DUE: 40
-// vectoradd faults that are all Masked classified as 40 DUEs. It must
-// instead be redone and accounted as a full replay.
-func TestForeignLadderNeverChangesOutcomes(t *testing.T) {
-	vec, err := workloads.ByName("vectoradd")
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestOwnLadderAccounting meters the two replay paths on a golden's own
+// ladder: every simulated injection with a rung at or below its fault
+// cycle restores that rung, counted once in fi_inject_ckpt_restores_total
+// and never in fi_inject_full_replays_total, and fi_inject_ff_cycles_total
+// grows by exactly the cycles of the rungs restored. Each run replays
+// some injections in full (those before the first rung), so the test
+// sees both paths on both vendors.
+func TestOwnLadderAccounting(t *testing.T) {
 	mm, err := workloads.ByName("matrixMul")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 40
 	for _, chip := range []*chips.Chip{chips.MiniNVIDIA(), chips.MiniAMD()} {
-		own, err := NewGolden(chip, vec)
+		g, err := NewGolden(chip, mm)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// A tight interval, so the short mini-chip runs get rungs at all.
-		ladder := captureLadder(t, chip, mm, 64, false)
-		if len(ladder) == 0 || ladder[0].Cycle() >= own.cycles/2 {
-			t.Fatalf("%s: the foreign ladder has no rung early enough to be restored", chip.Name)
 		}
 		// Unpruned: this test meters the simulate path, and most of these
 		// faults never reach it otherwise.
-		c := Campaign{Chip: chip, Benchmark: vec, Structure: gpu.RegisterFile, Injections: n, Seed: 1, Golden: own, unpruned: true}
-		want, err := Run(c)
+		c := Campaign{Chip: chip, Benchmark: mm, Structure: gpu.RegisterFile, Injections: 60, Seed: 1, Golden: g, detail: true, unpruned: true}
+		restores, replays, ff := telemetry.CkptRestores.Value(), telemetry.FullReplays.Value(), telemetry.FastForwardCycles.Value()
+		res, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own.ladder = ladder
-		replays := telemetry.FullReplays.Value()
-		got, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
+		var wantRestores, wantReplays, wantFF int64
+		for _, r := range res.Records {
+			if snap := latestBelow(g.ladder, r.Fault.Cycle); snap != nil {
+				wantRestores++
+				wantFF += snap.Cycle()
+			} else {
+				wantReplays++
+			}
 		}
-		if got.Outcomes != want.Outcomes {
-			t.Errorf("%s: outcomes %v with a foreign ladder, %v with its own", chip.Name, got.Outcomes, want.Outcomes)
+		if wantRestores == 0 || wantReplays == 0 {
+			t.Fatalf("%s: %d injections with a rung, %d without: the test needs both", chip.Name, wantRestores, wantReplays)
 		}
-		if d := telemetry.FullReplays.Value() - replays; d != n {
-			t.Errorf("%s: %d of %d injections accounted as full replays", chip.Name, d, n)
+		if d := telemetry.CkptRestores.Value() - restores; d != wantRestores {
+			t.Errorf("%s: %d checkpoint restores, want %d", chip.Name, d, wantRestores)
+		}
+		if d := telemetry.FullReplays.Value() - replays; d != wantReplays {
+			t.Errorf("%s: %d full replays, want %d", chip.Name, d, wantReplays)
+		}
+		if d := telemetry.FastForwardCycles.Value() - ff; d != wantFF {
+			t.Errorf("%s: %d fast-forwarded cycles, want %d", chip.Name, d, wantFF)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -195,9 +193,6 @@ type Golden struct {
 	ladder  []gpu.Snapshot
 	live    *ace.Liveness
 	avfACE  [2]*float64 // per gpu.Structure; nil where the run has no ACE
-	// staleRung limits the warning about a ladder that restores but does
-	// not resume (see classify) to one per reference run.
-	staleRung sync.Once
 }
 
 // NewGolden executes the fault-free reference run once, for reuse across
@@ -298,50 +293,25 @@ type classifyCost struct {
 // returning the outcome, (for SDCs) the number of corrupted output
 // bytes, and the run's cost accounting. When the ladder holds a snapshot
 // at or below the fault cycle, the run fast-forwards from it instead of
-// replaying the fault-free prefix; the pre-fault execution is identical
-// either way, so the outcome is too (proven by the differential
-// equivalence suite).
+// replaying the fault-free prefix; with no such rung, or one Restore
+// refuses, it replays from Reset. The ladder is the golden's own, so the
+// pre-fault execution is identical either way, and the outcome is too
+// (proven by the differential equivalence suite).
 func classify(d gpu.Device, hp *gpu.HostProgram, g *Golden, ladder []gpu.Snapshot, f gpu.Fault, watchdog int64) (gpu.Outcome, int, classifyCost) {
 	var cost classifyCost
 	if snap := latestBelow(ladder, f.Cycle); snap != nil {
-		rc, _ := d.(gpu.RestoreCoster)
-		var c0, s0 int64
-		if rc != nil {
-			c0, s0 = rc.RestorePageStats()
-		}
+		c0, s0 := d.RestorePageStats()
 		if d.Restore(snap) == nil {
-			cost.restored = true
-			cost.ffCycles = snap.Cycle()
-			if rc != nil {
-				c1, s1 := rc.RestorePageStats()
-				cost.pagesCopied = c1 - c0
-				cost.pagesShared = s1 - s0
-			}
+			c1, s1 := d.RestorePageStats()
+			cost = classifyCost{restored: true, ffCycles: snap.Cycle(), pagesCopied: c1 - c0, pagesShared: s1 - s0}
 		}
 	}
 	if !cost.restored {
 		d.Reset()
 	}
-	run := func() error {
-		d.SetWatchdog(watchdog)
-		d.InjectFault(&f)
-		return hp.Run(d)
-	}
-	err := run()
-	if cost.restored && errors.Is(err, wire.ErrCorrupt) {
-		// The rung restored but does not fit the launch that resumed from
-		// it — a ladder captured from another program on this chip. Only
-		// the resume check (simt's checkResident) produces ErrCorrupt,
-		// never an injected fault, and an accelerator must never change
-		// an outcome: redo the injection as the full replay it would have
-		// been without the ladder.
-		g.staleRung.Do(func() {
-			slog.Warn("finject: checkpoint rung does not fit the resumed launch, replaying in full", "cycle", cost.ffCycles, "err", err)
-		})
-		cost.restored, cost.ffCycles = false, 0
-		d.Reset()
-		err = run()
-	}
+	d.SetWatchdog(watchdog)
+	d.InjectFault(&f)
+	err := hp.Run(d)
 	if sim := d.Stats().Cycles - cost.ffCycles; sim > 0 {
 		cost.simCycles = sim
 	}

@@ -317,9 +317,9 @@ type Snapshot interface {
 	SizeBytes() int64
 }
 
-// RestoreCoster is optionally implemented by devices that account the
-// page-level cost of COW snapshot restores. Counters are cumulative;
-// the fault-injection engine reads deltas around each restore.
+// RestoreCoster accounts the page-level cost of COW snapshot restores.
+// Counters are cumulative; the fault-injection engine reads deltas
+// around each restore.
 type RestoreCoster interface {
 	RestorePageStats() (copiedPages, sharedPages int64)
 }
@@ -327,10 +327,7 @@ type RestoreCoster interface {
 // Device is the simulator-side contract the reliability engines program
 // against.
 type Device interface {
-	// Name returns the marketing name of the simulated chip.
-	Name() string
-	// Vendor returns the chip vendor.
-	Vendor() Vendor
+	RestoreCoster
 	// Mem returns the device global memory.
 	Mem() *Memory
 	// Launch synchronously executes one kernel launch.
@@ -377,8 +374,6 @@ type Device interface {
 	// StructSize returns the per-unit capacity of a structure in entries:
 	// 32-bit entries for RegisterFile, bytes for LocalMemory.
 	StructSize(st Structure) int
-	// StructBits returns the total chip-wide structure size in bits.
-	StructBits(st Structure) int64
 }
 
 // EntryBits returns the number of bits in one entry of the structure.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/experiment"
 	"repro/internal/gpu"
@@ -104,7 +105,7 @@ func TestExperimentEndpointRejects(t *testing.T) {
 	// Unknown chip.
 	bad := miniExperimentSpec()
 	bad.Chips = []string{"GeForce 9999"}
-	if _, err := cl.RunExperiment(ctx, bad, nil); client.StatusCode(err) != 400 {
+	if _, err := cl.RunExperiment(ctx, bad, nil); api.StatusOf(err) != 400 {
 		t.Fatalf("bad chip: err %v, want 400", err)
 	}
 
@@ -123,7 +124,7 @@ func TestExperimentEndpointRejects(t *testing.T) {
 	// Unsupported version.
 	v2 := miniExperimentSpec()
 	v2.Version = 99
-	if _, err := cl.RunExperiment(ctx, v2, nil); client.StatusCode(err) != 400 {
+	if _, err := cl.RunExperiment(ctx, v2, nil); api.StatusOf(err) != 400 {
 		t.Fatalf("v99 spec: err %v, want 400", err)
 	}
 }

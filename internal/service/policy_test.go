@@ -200,7 +200,7 @@ func TestFigureAdaptiveQuery(t *testing.T) {
 
 	for _, bad := range []experiment.Policy{{Margin: 2}, {Confidence: 1.5}} {
 		spec.Policy = bad
-		if _, err := cl.RunExperiment(ctx, spec, nil); client.StatusCode(err) != http.StatusBadRequest {
+		if _, err := cl.RunExperiment(ctx, spec, nil); api.StatusOf(err) != http.StatusBadRequest {
 			t.Fatalf("policy %+v: err %v, want 400", bad, err)
 		}
 	}

@@ -34,8 +34,7 @@ const defaultWatchdog = 50_000_000
 const never = int64(1) << 62
 
 // Device is one simulated GPU executing the ISA whose per-wave
-// architectural state is W. It implements gpu.Device and
-// gpu.RestoreCoster.
+// architectural state is W. It implements gpu.Device.
 type Device[W any] struct {
 	// Chip is the configuration being simulated.
 	Chip *chips.Chip
@@ -322,12 +321,6 @@ func New[W any](chip *chips.Chip, isa ISA[W]) (*Device[W], error) {
 	return d, nil
 }
 
-// Name implements gpu.Device.
-func (d *Device[W]) Name() string { return d.Chip.Name }
-
-// Vendor implements gpu.Device.
-func (d *Device[W]) Vendor() gpu.Vendor { return d.Chip.Vendor }
-
 // Mem implements gpu.Device.
 func (d *Device[W]) Mem() *gpu.Memory { return d.mem }
 
@@ -337,7 +330,7 @@ func (d *Device[W]) Stats() gpu.RunStats { return d.stats }
 // Units implements gpu.Device.
 func (d *Device[W]) Units() int { return d.Chip.Units }
 
-// RestorePageStats implements gpu.RestoreCoster: cumulative COW page
+// RestorePageStats implements gpu.Device: cumulative COW page
 // copy/skip counts from snapshot restores into this device's memory,
 // register files and local memories.
 func (d *Device[W]) RestorePageStats() (copied, shared int64) {
@@ -351,9 +344,6 @@ func (d *Device[W]) RestorePageStats() (copied, shared int64) {
 
 // StructSize implements gpu.Device.
 func (d *Device[W]) StructSize(st gpu.Structure) int { return d.Chip.StructSize(st) }
-
-// StructBits implements gpu.Device.
-func (d *Device[W]) StructBits(st gpu.Structure) int64 { return d.Chip.StructBits(st) }
 
 // InjectFault implements gpu.Device.
 func (d *Device[W]) InjectFault(f *gpu.Fault) {
@@ -419,9 +409,6 @@ func (d *Device[W]) Launch(spec gpu.LaunchSpec) error {
 	}
 	if r != nil && r.inflight != nil {
 		in := r.inflight
-		if err := d.checkResident(lc, slots, in); err != nil {
-			return err
-		}
 		return d.launchLoop(lc, in.nextBlock, in.retired, in.launchStart)
 	}
 	// Initialize slot tables for this launch, recycling any residue from
@@ -760,7 +747,4 @@ func (d *Device[W]) issue(u *Unit[W], lc *LaunchCtx) (int, int64, error) {
 	return issued, nextWake, nil
 }
 
-var _ interface {
-	gpu.Device
-	gpu.RestoreCoster
-} = (*Device[struct{}])(nil)
+var _ gpu.Device = (*Device[struct{}])(nil)

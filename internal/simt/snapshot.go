@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
-	"repro/internal/wire"
 )
 
 // Checkpointed fast-forward: the golden run captures snapshots of the
@@ -199,43 +198,4 @@ func (d *Device[W]) SetCheckpointHook(next int64, fn func(s gpu.Snapshot) int64)
 type resumeState struct {
 	skip     int
 	inflight *inflightState
-}
-
-// checkResident verifies, before a restored launch re-enters its loop,
-// that the resident blocks are ones this launch would have dispatched: a
-// snapshot restored under a different host program must fail here, not
-// index out of range on the per-lane path, which trusts the block
-// windows and scoreboard lengths.
-func (d *Device[W]) checkResident(lc *LaunchCtx, slots int, in *inflightState) error {
-	bad := func(what string) error {
-		return fmt.Errorf("%s: %w: restored state does not fit the resumed launch (%s)", d.isa.Name(), wire.ErrCorrupt, what)
-	}
-	total, resident := lc.Grid.Count(), 0
-	for _, u := range d.units {
-		if len(u.blocks) != slots {
-			return bad("slots per unit")
-		}
-		for slot, blk := range u.blocks {
-			if blk == nil {
-				continue
-			}
-			resident++
-			if blk.Slot != slot || blk.RegCount != lc.regsPerBlock || blk.RegBase != slot*lc.regsPerBlock ||
-				blk.LocalCount != lc.localPerBlock || blk.LocalBase != slot*lc.localPerBlock {
-				return bad("block windows")
-			}
-			if len(blk.waves) != lc.WavesPerBlock {
-				return bad("waves per block")
-			}
-			for _, w := range blk.waves {
-				if len(w.RegReady) != lc.RegsPerThread {
-					return bad("scoreboard length")
-				}
-			}
-		}
-	}
-	if in.retired < 0 || in.nextBlock > total || in.nextBlock-in.retired != resident {
-		return bad("launch progress")
-	}
-	return nil
 }
